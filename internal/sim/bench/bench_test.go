@@ -1,8 +1,10 @@
 // Package bench microbenchmarks the sim scheduler core in isolation:
 // steady-state event throughput at several queue depths, the same-instant
-// zero-delay path, and timer cancellation churn. Every benchmark reports
-// events/s and allocs/op; the scheduler's contract is ~0 allocs/op once the
-// queues reach steady state.
+// zero-delay path, timer cancellation churn, and — driven by RunUntil, so
+// parking processes dispatch events themselves — process wakeups passed
+// directly between goroutines. Every benchmark reports events/s and
+// allocs/op; the scheduler's contract is ~0 allocs/op once the queues reach
+// steady state.
 //
 // Run with:
 //
@@ -113,4 +115,70 @@ func BenchmarkWaitTimeoutSignaled(b *testing.B) {
 		b.Fatalf("PendingEvents = %d after drain, want 0 (leaked timers?)", got)
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "waits/s")
+}
+
+// runUntil drives env with RunUntil for b.N microseconds of virtual time —
+// one iteration per microsecond — and reports the dispatched events/s.
+func runUntil(b *testing.B, env *sim.Env) {
+	before := env.ExecutedEvents()
+	b.ReportAllocs()
+	b.ResetTimer()
+	env.RunFor(time.Duration(b.N) * time.Microsecond)
+	b.StopTimer()
+	b.ReportMetric(float64(env.ExecutedEvents()-before)/b.Elapsed().Seconds(), "events/s")
+}
+
+// BenchmarkRunUntilSleep is a lone process sleeping in a loop: every event
+// is the parking process's own wakeup, which park dispatches and returns
+// from without a goroutine switch.
+func BenchmarkRunUntilSleep(b *testing.B) {
+	env := sim.NewEnv(1)
+	defer env.Close()
+	env.Spawn("sleeper", func(p *sim.Proc) {
+		for {
+			p.Sleep(time.Microsecond)
+		}
+	})
+	runUntil(b, env)
+}
+
+// BenchmarkRunUntilPingPong bounces a token between two processes through a
+// pair of queues once per microsecond: each wakeup is one direct handoff
+// from the parking process to the other.
+func BenchmarkRunUntilPingPong(b *testing.B) {
+	env := sim.NewEnv(1)
+	defer env.Close()
+	ping := sim.NewQueue[int](env, 1)
+	pong := sim.NewQueue[int](env, 1)
+	env.Spawn("pinger", func(p *sim.Proc) {
+		for i := 0; ; i++ {
+			p.Sleep(time.Microsecond)
+			ping.Put(p, i)
+			pong.Get(p)
+		}
+	})
+	env.Spawn("ponger", func(p *sim.Proc) {
+		for {
+			pong.Put(p, ping.Get(p))
+		}
+	})
+	runUntil(b, env)
+}
+
+// BenchmarkRunUntilMixed interleaves a sleeping process with After
+// callbacks: the callbacks run inline on the process's goroutine while it
+// holds the baton.
+func BenchmarkRunUntilMixed(b *testing.B) {
+	env := sim.NewEnv(1)
+	defer env.Close()
+	ticks := 0
+	tick := func() { ticks++ }
+	env.Spawn("worker", func(p *sim.Proc) {
+		for {
+			env.After(300*time.Nanosecond, tick)
+			env.After(600*time.Nanosecond, tick)
+			p.Sleep(time.Microsecond)
+		}
+	})
+	runUntil(b, env)
 }

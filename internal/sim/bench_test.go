@@ -17,8 +17,8 @@ func BenchmarkTimerEvents(b *testing.B) {
 	}
 }
 
-// BenchmarkProcessSwitch measures the park/resume rendezvous cost of the
-// coroutine machinery.
+// BenchmarkProcessSwitch measures the Step-driven park/resume round trip of
+// the coroutine machinery: driver to process and back, one event per Step.
 func BenchmarkProcessSwitch(b *testing.B) {
 	env := NewEnv(1)
 	defer env.Close()

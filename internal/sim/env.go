@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -12,6 +13,13 @@ import (
 // Time is a point on the simulation's virtual clock, expressed as the
 // duration elapsed since the simulation started.
 type Time = time.Duration
+
+// maxTime is the unbounded run limit of Run and Step.
+const maxTime = Time(math.MaxInt64)
+
+// noStop is the dispatch stop count of every run but Step: executed never
+// reaches it.
+const noStop = ^uint64(0)
 
 // event is a scheduled occurrence: either the resumption of a parked process
 // or a callback executed in scheduler context. Events are plain values,
@@ -71,8 +79,9 @@ func (t Timer) Pending() bool {
 
 // Env is a simulation environment: a virtual clock, an event queue, and the
 // set of live processes. An Env is not safe for concurrent use; all calls
-// must come either from process context or from the single goroutine driving
-// Run/RunUntil/Step.
+// must come either from process context, from a callback, or from the single
+// goroutine driving Run/RunUntil/Step. Callbacks may execute on a process's
+// goroutine (see dispatch), but never concurrently with anything else.
 //
 // The event queue is two structures: a 4-ary min-heap of future events and a
 // FIFO ring for events scheduled at the current instant (Yield, zero-delay
@@ -89,14 +98,25 @@ type Env struct {
 	dead     int // stopped timers still buried in the queues
 	procs    map[*Proc]struct{}
 	rng      *rand.Rand
-	sched    chan struct{} // process -> scheduler rendezvous
+	sched    chan struct{} // baton hand-back: process -> driver
 	current  *Proc         // process currently executing, if any
 	closed   bool
+
+	// The active run's bound, set by drive: dispatch pops events at or
+	// before limit (strictly before when !inclusive) and stops once
+	// executed reaches stopAt. running marks a run in progress; fault
+	// carries a callback panic caught on a process goroutine back to the
+	// driver.
+	limit     Time
+	inclusive bool
+	stopAt    uint64
+	running   bool
+	fault     any
 
 	timerFree  *timerRec // recycled cancellation records
 	waiterFree *waiter   // recycled park registrations
 
-	// executed counts events dispatched by Step, the simulator-throughput
+	// executed counts events dispatched, the simulator-throughput
 	// numerator the shardscale sweep reports as events/s.
 	executed uint64
 	// closeHooks run at the end of Close, after processes unwind and the
@@ -224,7 +244,7 @@ func (e *Env) releaseTimer(r *timerRec) {
 func (e *Env) getWaiter(p *Proc) *waiter {
 	if w := e.waiterFree; w != nil {
 		e.waiterFree = w.next
-		w.p, w.woke, w.timedOut, w.next = p, false, false, nil
+		w.p, w.woke, w.timedOut, w.need, w.next = p, false, false, 0, nil
 		return w
 	}
 	return &waiter{p: p}
@@ -266,14 +286,14 @@ func (e *Env) prune() {
 	}
 }
 
-// pop removes the earliest live event. Heap entries at the current instant
-// carry smaller sequence numbers than anything in the ring (they were pushed
-// before the clock reached now), so they drain first.
-func (e *Env) pop() (event, bool) {
-	e.prune()
+// pop removes the earliest live event from pruned, non-empty queues. Heap
+// entries at the current instant carry smaller sequence numbers than
+// anything in the ring (they were pushed before the clock reached now), so
+// they drain first.
+func (e *Env) pop() event {
 	if e.fifoHead < len(e.fifo) {
 		if len(e.heap) > 0 && e.heap[0].at <= e.now {
-			return e.heapPop(), true
+			return e.heapPop()
 		}
 		ev := e.fifo[e.fifoHead]
 		e.fifo[e.fifoHead] = event{}
@@ -282,12 +302,9 @@ func (e *Env) pop() (event, bool) {
 			e.fifo = e.fifo[:0]
 			e.fifoHead = 0
 		}
-		return ev, true
+		return ev
 	}
-	if len(e.heap) > 0 {
-		return e.heapPop(), true
-	}
-	return event{}, false
+	return e.heapPop()
 }
 
 // nextAt returns the timestamp of the earliest live event.
@@ -302,60 +319,100 @@ func (e *Env) nextAt() (Time, bool) {
 	return 0, false
 }
 
-// Step executes the earliest pending event, advancing the clock to its
-// timestamp. It reports whether an event was executed.
-func (e *Env) Step() bool {
+// handoff is how dispatch left the baton.
+type handoff int
+
+const (
+	batonDone   handoff = iota // the run bound was reached: control returns to the driver
+	batonKept                  // the next event resumes the dispatching process itself
+	batonPassed                // another process was resumed and now holds control
+)
+
+// drive is the driver side of every run: it installs the bound, dispatches
+// on the calling goroutine, and — if the baton moved to a process — blocks
+// until it comes back. A callback panic caught on a process goroutine is
+// re-raised here with its original value.
+func (e *Env) drive(limit Time, inclusive bool, stopAt uint64) {
 	if e.closed {
-		return false
+		return
 	}
-	var ev event
-	if e.fifoHead == len(e.fifo) && e.dead == 0 {
-		// Hot path: nothing at the current instant, no buried cancellations.
-		if len(e.heap) == 0 {
-			return false
+	if e.running {
+		panic("sim: run started from inside a run")
+	}
+	e.limit, e.inclusive, e.stopAt = limit, inclusive, stopAt
+	e.running = true
+	defer func() { e.running = false }()
+	if e.dispatch(nil) == batonPassed {
+		<-e.sched
+	}
+	if r := e.fault; r != nil {
+		e.fault = nil
+		panic(r)
+	}
+}
+
+// dispatch is the event loop. Whichever goroutine holds control runs it: the
+// driver (self == nil) or a process that just parked or finished. Events pop
+// in (time, sequence) order up to the run bound; callbacks run inline with no
+// current process. It returns batonKept when the next event resumes self,
+// batonPassed after handing control to another process, and batonDone when
+// the bound is reached, the Env is closed, or a callback panicked on a
+// process goroutine — the panic is parked in e.fault for the driver, so it
+// never unwinds through the process's own code.
+func (e *Env) dispatch(self *Proc) (h handoff) {
+	if self != nil {
+		defer func() {
+			if r := recover(); r != nil {
+				e.fault, e.current, h = r, nil, batonDone
+			}
+		}()
+	}
+	e.current = nil
+	for !e.closed && e.executed != e.stopAt {
+		at, ok := e.nextAt()
+		if !ok || at > e.limit || (at == e.limit && !e.inclusive) {
+			break
 		}
-		ev = e.heapPop()
-	} else if popped, ok := e.pop(); ok {
-		ev = popped
-	} else {
-		return false
+		ev := e.pop()
+		e.now = ev.at
+		e.executed++
+		switch {
+		case ev.tmr != nil:
+			fn := ev.tmr.fn
+			e.releaseTimer(ev.tmr)
+			fn()
+		case ev.fn != nil:
+			ev.fn()
+		case ev.proc.state == procDone:
+			// Stale wakeup for a finished process.
+		case ev.proc == self:
+			e.current = self
+			return batonKept
+		default:
+			e.current = ev.proc
+			ev.proc.resume <- resumeOK
+			return batonPassed
+		}
 	}
-	e.now = ev.at
-	e.executed++
-	switch {
-	case ev.tmr != nil:
-		fn := ev.tmr.fn
-		e.releaseTimer(ev.tmr)
-		fn()
-	case ev.proc != nil:
-		e.resume(ev.proc, resumeOK)
-	case ev.fn != nil:
-		ev.fn()
-	}
-	return true
+	return batonDone
+}
+
+// Step executes the earliest pending event, advancing the clock to its
+// timestamp. It reports whether an event was executed. A process it resumes
+// hands control straight back when it parks.
+func (e *Env) Step() bool {
+	before := e.executed
+	e.drive(maxTime, true, before+1)
+	return e.executed != before
 }
 
 // Run executes events until none remain. Simulations with immortal daemon
 // processes (clocks, pollers) never drain; use RunUntil for those.
-func (e *Env) Run() {
-	for e.Step() {
-	}
-}
+func (e *Env) Run() { e.drive(maxTime, true, noStop) }
 
 // RunUntil executes every event scheduled at or before t, then advances the
 // clock to exactly t.
-func (e *Env) RunUntil(t Time) {
-	for !e.closed {
-		at, ok := e.nextAt()
-		if !ok || at > t {
-			break
-		}
-		e.Step()
-	}
-	if e.now < t {
-		e.now = t
-	}
-}
+func (e *Env) RunUntil(t Time) { e.runWindow(t, true) }
 
 // RunFor advances the simulation by d from the current instant.
 func (e *Env) RunFor(d Time) { e.RunUntil(e.now + d) }
@@ -389,13 +446,7 @@ func (e *Env) RunUntilEvery(t, every Time, fn func(now Time)) {
 // not execute an event at the window horizon because a cross-shard message
 // could still be delivered there at the barrier.
 func (e *Env) runWindow(limit Time, inclusive bool) {
-	for !e.closed {
-		at, ok := e.nextAt()
-		if !ok || at > limit || (!inclusive && at >= limit) {
-			break
-		}
-		e.Step()
-	}
+	e.drive(limit, inclusive, noStop)
 	if e.now < limit {
 		e.now = limit
 	}
@@ -429,14 +480,24 @@ func (e *Env) Close() {
 	if e.current != nil {
 		panic("sim: Close called from process context")
 	}
+	if e.running {
+		// The dispatching goroutine may be a process Close would have to
+		// abort: it cannot wait for itself to unwind.
+		panic("sim: Close called from a callback during a run")
+	}
 	e.closed = true
 	e.discardEvents()
 	for p := range e.procs {
 		if p.state == procDone {
 			continue
 		}
-		e.resume(p, resumeAbort)
+		// The aborted process unwinds, finds the Env closed, and hands
+		// control straight back.
+		e.current = p
+		p.resume <- resumeAbort
+		<-e.sched
 	}
+	e.current = nil
 	e.procs = map[*Proc]struct{}{}
 	e.discardEvents()
 	hooks := e.closeHooks
@@ -470,18 +531,6 @@ func (e *Env) discardEvents() {
 	e.dead = 0
 	e.timerFree = nil
 	e.waiterFree = nil
-}
-
-// resume hands control to p and blocks until p parks again or terminates.
-func (e *Env) resume(p *Proc, k resumeKind) {
-	if p.state == procDone {
-		return // stale timer for a finished process
-	}
-	prev := e.current
-	e.current = p
-	p.resume <- k
-	<-e.sched
-	e.current = prev
 }
 
 // currentProc returns the process executing right now, panicking when called

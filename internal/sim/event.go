@@ -9,6 +9,7 @@ type waiter struct {
 	p        *Proc
 	woke     bool
 	timedOut bool
+	need     int64   // semaphore units requested
 	next     *waiter // free-list link
 }
 

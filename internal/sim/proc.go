@@ -49,13 +49,14 @@ func (e *Env) SpawnAt(at Time, name string, fn func(p *Proc)) *Proc {
 func (p *Proc) run(fn func(p *Proc)) {
 	defer func() {
 		p.state = procDone
-		r := recover()
-		if r == nil || r == any(procKilled{}) {
-			// Normal completion or abort: return control to the scheduler.
-			p.env.sched <- struct{}{}
-			return
+		if r := recover(); r != nil && r != any(procKilled{}) {
+			panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
 		}
-		panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
+		// Normal completion or abort: this goroutine dispatches until the
+		// baton leaves it, then exits.
+		if p.env.dispatch(p) == batonDone {
+			p.env.sched <- struct{}{}
+		}
 	}()
 	if k := <-p.resume; k == resumeAbort {
 		panic(procKilled{})
@@ -63,10 +64,19 @@ func (p *Proc) run(fn func(p *Proc)) {
 	fn(p)
 }
 
-// park yields control to the scheduler and blocks until the next resume.
-// Every blocking primitive funnels through park after registering a wakeup.
+// park gives up control until the process's next resume. Every blocking
+// primitive funnels through park after registering a wakeup. The parking
+// goroutine dispatches the following events itself: when the next one is
+// this process's own wakeup, park returns with no goroutine switch at all;
+// otherwise it passes control on — to the resumed process, or back to the
+// driver at the run bound — and blocks.
 func (p *Proc) park() {
-	p.env.sched <- struct{}{}
+	switch p.env.dispatch(p) {
+	case batonKept:
+		return
+	case batonDone:
+		p.env.sched <- struct{}{}
+	}
 	if k := <-p.resume; k == resumeAbort {
 		panic(procKilled{})
 	}

@@ -5,10 +5,10 @@ package sim
 // so contention resolves deterministically.
 type Queue[T any] struct {
 	env        *Env
-	items      []T
+	items      fifo[T]
 	cap        int
-	getWaiters []*waiter
-	putWaiters []*waiter
+	getWaiters fifo[*waiter]
+	putWaiters fifo[*waiter]
 }
 
 // NewQueue returns a queue bound to env. capacity <= 0 means unbounded.
@@ -17,73 +17,71 @@ func NewQueue[T any](env *Env, capacity int) *Queue[T] {
 }
 
 // Len returns the number of buffered items.
-func (q *Queue[T]) Len() int { return len(q.items) }
+func (q *Queue[T]) Len() int { return q.items.len() }
 
-func (q *Queue[T]) wakeOne(ws *[]*waiter) {
-	for i, w := range *ws {
-		if !w.woke {
+func (q *Queue[T]) wakeOne(ws *fifo[*waiter]) {
+	for ws.len() > 0 {
+		if w := ws.pop(); !w.woke {
 			w.woke = true
 			q.env.schedule(q.env.now, w.p, nil)
-			*ws = (*ws)[i+1:]
 			return
 		}
 	}
-	*ws = nil
 }
+
+func (q *Queue[T]) full() bool { return q.cap > 0 && q.items.len() >= q.cap }
 
 // Put appends v, blocking while a bounded queue is full.
 func (q *Queue[T]) Put(p *Proc, v T) {
-	for q.cap > 0 && len(q.items) >= q.cap {
+	for q.full() {
 		w := q.env.getWaiter(p)
-		q.putWaiters = append(q.putWaiters, w)
+		q.putWaiters.push(w)
 		p.park()
 		q.env.putWaiter(w) // woken waiters have left the wait list
 	}
-	q.items = append(q.items, v)
+	q.items.push(v)
 	q.wakeOne(&q.getWaiters)
 }
 
 // TryPut appends v without blocking, reporting whether it fit.
 func (q *Queue[T]) TryPut(v T) bool {
-	if q.cap > 0 && len(q.items) >= q.cap {
+	if q.full() {
 		return false
 	}
-	q.items = append(q.items, v)
+	q.items.push(v)
 	q.wakeOne(&q.getWaiters)
 	return true
 }
 
 // Get removes and returns the head item, blocking while the queue is empty.
 func (q *Queue[T]) Get(p *Proc) T {
-	for len(q.items) == 0 {
+	for q.items.len() == 0 {
 		w := q.env.getWaiter(p)
-		q.getWaiters = append(q.getWaiters, w)
+		q.getWaiters.push(w)
 		p.park()
 		q.env.putWaiter(w) // woken waiters have left the wait list
 	}
-	v := q.items[0]
-	q.items = q.items[1:]
+	v := q.items.pop()
 	q.wakeOne(&q.putWaiters)
 	return v
 }
 
 // TryGet removes and returns the head item without blocking.
 func (q *Queue[T]) TryGet() (T, bool) {
-	var zero T
-	if len(q.items) == 0 {
+	if q.items.len() == 0 {
+		var zero T
 		return zero, false
 	}
-	v := q.items[0]
-	q.items = q.items[1:]
+	v := q.items.pop()
 	q.wakeOne(&q.putWaiters)
 	return v, true
 }
 
 // Peek returns the head item without removing it.
 func (q *Queue[T]) Peek() (T, bool) {
-	var zero T
-	if len(q.items) == 0 {
+	if q.items.len() == 0 {
+		var zero T
 		return zero, false
 	}
-	return q.items[0], true
+	return q.items.peek(), true
 }

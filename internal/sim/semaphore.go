@@ -2,18 +2,13 @@ package sim
 
 // Semaphore is a counted resource with strict FIFO grant order, which keeps
 // contention deterministic and starvation-free. A Semaphore with capacity 1
-// is a mutex.
+// is a mutex. Waiter registrations recycle through the Env's free list, so a
+// contended acquire/release cycle allocates nothing in steady state.
 type Semaphore struct {
 	env     *Env
 	count   int64
 	cap     int64
-	waiters []*semWaiter
-}
-
-type semWaiter struct {
-	p       *Proc
-	need    int64
-	granted bool
+	waiters fifo[*waiter]
 }
 
 // NewSemaphore returns a semaphore with the given capacity, fully available.
@@ -38,21 +33,23 @@ func (s *Semaphore) Acquire(p *Proc, n int64) {
 	if n > s.cap {
 		panic("sim: acquire exceeds semaphore capacity")
 	}
-	if len(s.waiters) == 0 && s.count >= n {
+	if s.waiters.len() == 0 && s.count >= n {
 		s.count -= n
 		return
 	}
-	w := &semWaiter{p: p, need: n}
-	s.waiters = append(s.waiters, w)
-	for !w.granted {
+	w := s.env.getWaiter(p)
+	w.need = n
+	s.waiters.push(w)
+	for !w.woke {
 		p.park()
 	}
+	s.env.putWaiter(w) // grant removed it from the queue
 }
 
 // TryAcquire grants n units without blocking, reporting success. FIFO order
 // is respected: it fails while earlier waiters are queued.
 func (s *Semaphore) TryAcquire(n int64) bool {
-	if len(s.waiters) > 0 || s.count < n {
+	if s.waiters.len() > 0 || s.count < n {
 		return false
 	}
 	s.count -= n
@@ -69,14 +66,10 @@ func (s *Semaphore) Release(n int64) {
 }
 
 func (s *Semaphore) grant() {
-	for len(s.waiters) > 0 {
-		w := s.waiters[0]
-		if s.count < w.need {
-			return
-		}
+	for s.waiters.len() > 0 && s.count >= s.waiters.peek().need {
+		w := s.waiters.pop()
 		s.count -= w.need
-		w.granted = true
-		s.waiters = s.waiters[1:]
+		w.woke = true
 		s.env.schedule(s.env.now, w.p, nil)
 	}
 }

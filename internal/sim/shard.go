@@ -98,6 +98,10 @@ type ShardGroup struct {
 	start  []chan windowReq // one per extra worker (shards beyond the first)
 	done   chan struct{}
 	closed bool
+	// faults[s] holds the panic raised on worker s during the last window
+	// (a callback's, re-raised by runWindow), for the coordinator to
+	// re-raise at the barrier. Each window overwrites the worker's slot.
+	faults []any
 
 	// obs, when non-nil, receives per-window scheduler telemetry. stats is
 	// the reused callback argument; workers write only their own
@@ -147,6 +151,7 @@ func NewShardGroup(lookahead Time, shards int, envs ...*Env) *ShardGroup {
 	}
 	if shards > 1 {
 		g.done = make(chan struct{}, shards-1)
+		g.faults = make([]any, shards)
 		for s := 1; s < shards; s++ {
 			ch := make(chan windowReq)
 			g.start = append(g.start, ch)
@@ -172,9 +177,18 @@ func (g *ShardGroup) SetObserver(o ShardObserver) {
 // around every window, so barrier-time reads of env state are race-free.
 func (g *ShardGroup) worker(s int, envs []*Env, start <-chan windowReq) {
 	for req := range start {
-		g.runShardWindow(s, envs, req.limit, req.final)
+		g.faults[s] = g.workerWindow(s, envs, req)
 		g.done <- struct{}{}
 	}
+}
+
+// workerWindow runs one window on a worker goroutine and returns the panic
+// it raised, if any, so it reaches the coordinator instead of killing the
+// program.
+func (g *ShardGroup) workerWindow(s int, envs []*Env, req windowReq) (fault any) {
+	defer func() { fault = recover() }()
+	g.runShardWindow(s, envs, req.limit, req.final)
+	return nil
 }
 
 // runShardWindow advances one shard's environments through a window,
@@ -267,15 +281,28 @@ func (g *ShardGroup) nextEventAt() (Time, bool) {
 }
 
 // runShards executes one window on every shard: the first shard on the
-// coordinating goroutine, the rest on their workers.
+// coordinating goroutine, the rest on their workers. The barrier runs
+// deferred, so even when shard 0 panics no worker is still executing by the
+// time the panic reaches the caller.
 func (g *ShardGroup) runShards(limit Time, final bool) {
 	req := windowReq{limit: limit, final: final}
 	for _, ch := range g.start {
 		ch <- req
 	}
+	defer g.awaitWorkers()
 	g.runShardWindow(0, g.shards[0], limit, final)
+}
+
+// awaitWorkers waits for every worker to finish the window, then re-raises
+// the lowest-numbered worker's panic, if any.
+func (g *ShardGroup) awaitWorkers() {
 	for range g.start {
 		<-g.done
+	}
+	for _, r := range g.faults {
+		if r != nil {
+			panic(r)
+		}
 	}
 }
 

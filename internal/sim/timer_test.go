@@ -156,7 +156,7 @@ func TestCloseFreesGoroutines(t *testing.T) {
 	if !ran {
 		t.Fatal("OnClose on a closed env did not run the hook")
 	}
-	// Aborted goroutines finish asynchronously after their final rendezvous.
+	// Aborted goroutines finish asynchronously after their final handoff.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		runtime.GC()
