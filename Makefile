@@ -35,7 +35,7 @@ race:
 # regressions (and any return of per-event allocation) without the noise
 # sensitivity of a full benchmark run.
 bench-smoke:
-	$(GO) test -run=NONE -bench='SteadyState|ZeroDelay|RunUntil' -benchtime=10000x -benchmem ./internal/sim/bench
+	$(GO) test -run=NONE -bench='SteadyState|ZeroDelay|RunUntil|SpawnChurn' -benchtime=10000x -benchmem ./internal/sim/bench
 
 # Fault-injection gate: the faults package under the race detector, plus one
 # short seeded robustness sweep so the degradation/recovery story stays

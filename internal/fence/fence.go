@@ -49,7 +49,7 @@ type Fence struct {
 	table *Table
 	idx   int
 	state fenceState
-	ev    *sim.Event
+	ev    sim.Event // by value: one allocation per Alloc, not two
 	prov  *prof.Node
 }
 
@@ -111,7 +111,10 @@ type Table struct {
 	env   *sim.Env
 	page  *virtio.SharedPage
 	slots []*Fence // current occupant per slot; nil when unused
-	free  []int
+	free  []int    // unused slot indices, handed out from the front
+	// freeBuf is the whole backing array behind free: reclaiming slots
+	// slides free back to its front instead of reallocating.
+	freeBuf []int
 
 	// stats
 	allocs   int
@@ -132,10 +135,11 @@ func NewTable(env *sim.Env) *Table {
 	if !page.Reserve(n * slotBytes) {
 		panic("fence: slot layout exceeds page")
 	}
-	t := &Table{env: env, page: page, slots: make([]*Fence, n)}
-	for i := range t.slots {
-		t.free = append(t.free, i)
+	t := &Table{env: env, page: page, slots: make([]*Fence, n), freeBuf: make([]int, n)}
+	for i := range t.freeBuf {
+		t.freeBuf[i] = i
 	}
+	t.free = t.freeBuf
 	if t.tr = env.Tracer(); t.tr != nil {
 		t.tk = t.tr.Track("fences")
 	}
@@ -159,6 +163,7 @@ func NewTable(env *sim.Env) *Table {
 // empty again, so InUse reports zero and leak checks stay meaningful across
 // repeated build/Close cycles.
 func (t *Table) drain() {
+	t.rewindFree()
 	for i, f := range t.slots {
 		if f != nil {
 			t.slots[i] = nil
@@ -192,6 +197,7 @@ func (t *Table) maybeRecycle(force bool) {
 	if !force && len(t.free) >= lowWater {
 		return
 	}
+	t.rewindFree()
 	reclaimed := 0
 	for i, f := range t.slots {
 		if f != nil && f.state == stateSignaled {
@@ -209,6 +215,12 @@ func (t *Table) maybeRecycle(force bool) {
 	}
 }
 
+// rewindFree slides the unused indices, in order, to the front of freeBuf,
+// so the appends that return reclaimed slots never outgrow it.
+func (t *Table) rewindFree() {
+	t.free = t.freeBuf[:copy(t.freeBuf, t.free)]
+}
+
 // Alloc reserves a fence slot. It panics when every slot holds an active
 // unsignaled fence — a full table of unretired fences means a deadlocked
 // protocol, not a capacity problem.
@@ -221,7 +233,7 @@ func (t *Table) Alloc() *Fence {
 	}
 	idx := t.free[0]
 	t.free = t.free[1:]
-	f := &Fence{table: t, idx: idx, state: stateActive, ev: sim.NewEvent(t.env)}
+	f := &Fence{table: t, idx: idx, state: stateActive, ev: *sim.NewEvent(t.env)}
 	t.slots[idx] = f
 	t.allocs++
 	if in := t.InUse(); in > t.peak {

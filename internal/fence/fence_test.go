@@ -30,6 +30,19 @@ func TestSignalWaitPair(t *testing.T) {
 	}
 }
 
+// TestAllocMakesOneAllocation pins the fence's inline event and the
+// rewinding free list: an Alloc/Signal cycle allocates the Fence and nothing
+// else, across many slot recycles.
+func TestAllocMakesOneAllocation(t *testing.T) {
+	env := sim.NewEnv(1)
+	defer env.Close()
+	tab := NewTable(env)
+	allocs := testing.AllocsPerRun(1000, func() { tab.Alloc().Signal() })
+	if allocs != 1 {
+		t.Fatalf("Alloc/Signal allocates %.2f per fence, want 1", allocs)
+	}
+}
+
 func TestMultipleWaitersOneSignal(t *testing.T) {
 	env := sim.NewEnv(1)
 	defer env.Close()

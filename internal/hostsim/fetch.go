@@ -130,7 +130,7 @@ func (m *Machine) CopyChunkedStart(from, to *Domain, size Bytes, cfg FetchConfig
 	if n < 1 {
 		n = 1
 	}
-	ct := &ChunkedTransfer{m: m, hops: hops, cfg: cfg, total: size, n: n}
+	ct := &ChunkedTransfer{m: m, hops: hops, cfg: cfg, total: size, n: n, recs: make([]chunkRec, 0, n)}
 	ct.cur = m.dmaFenceTable().Alloc()
 	m.Env.Spawn("dma-chunks", ct.drive)
 	return ct

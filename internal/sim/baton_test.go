@@ -31,12 +31,12 @@ func closeWithin(t *testing.T, fn func()) {
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("Close hung after a forwarded callback panic")
+		t.Fatal("Close hung after a forwarded panic")
 	}
 }
 
 // onParkingProcess reports whether the caller is running on a process
-// goroutine that is dispatching from inside park.
+// coroutine that is dispatching from inside park.
 func onParkingProcess() bool {
 	buf := make([]byte, 64<<10)
 	return bytes.Contains(buf[:runtime.Stack(buf, false)], []byte("sim.(*Proc).park"))
@@ -44,7 +44,7 @@ func onParkingProcess() bool {
 
 // panicRig spawns a process ticking every millisecond and a callback at
 // 1.5ms that panics with boom. The driver resumes the ticker at 1ms, so the
-// ticker's next park dispatches the callback on the ticker's goroutine.
+// ticker's next park dispatches the callback on the ticker's coroutine.
 func panicRig(env *Env, onProc *bool) {
 	env.Spawn("ticker", func(p *Proc) {
 		for {
@@ -69,7 +69,7 @@ func TestCallbackPanicOnProcessGoroutineIsReraised(t *testing.T) {
 		t.Fatalf("RunUntil panicked with %v, want %v", r, boom{at: ms + ms/2})
 	}
 	if !onProc {
-		t.Fatal("callback did not run on the parking process's goroutine: the forwarding path went untested")
+		t.Fatal("callback did not run on the parking process's coroutine: the forwarding path went untested")
 	}
 	closeWithin(t, env.Close)
 }
@@ -101,7 +101,7 @@ func TestCallbackPanicInShardGroupIsReraised(t *testing.T) {
 				t.Fatalf("RunUntil panicked with %v, want %v", r, boom{at: ms + ms/2})
 			}
 			if !onProc {
-				t.Fatal("callback did not run on a parking process's goroutine")
+				t.Fatal("callback did not run on a parking process's coroutine")
 			}
 			closeWithin(t, func() {
 				g.Close()
@@ -113,8 +113,147 @@ func TestCallbackPanicInShardGroupIsReraised(t *testing.T) {
 	}
 }
 
+// TestProcessPanicIsReraised: a panic in a process's own code leaves its
+// coroutine and surfaces from the run that resumed it, naming the process,
+// instead of crashing the program — on a plain Env and inside a 2-shard
+// group, whichever environment holds the faulty process. Close still tears
+// everything down afterwards.
+func TestProcessPanicIsReraised(t *testing.T) {
+	const want = `sim: process "faulty" panicked: bad state`
+	faulty := func(p *Proc) {
+		p.Sleep(ms)
+		panic("bad state")
+	}
+	ticker := func(p *Proc) {
+		for {
+			p.Sleep(ms / 4)
+		}
+	}
+	t.Run("env", func(t *testing.T) {
+		env := NewEnv(1)
+		env.Spawn("bystander", ticker)
+		env.Spawn("faulty", faulty)
+		if r := recovered(func() { env.RunUntil(10 * ms) }); r != want {
+			t.Fatalf("RunUntil panicked with %v, want %q", r, want)
+		}
+		closeWithin(t, env.Close)
+	})
+	for victim := 0; victim < 2; victim++ {
+		t.Run(fmt.Sprintf("shards/env%d", victim), func(t *testing.T) {
+			envs := []*Env{NewEnv(1), NewEnv(2)}
+			for _, e := range envs {
+				e.Spawn("bystander", ticker)
+			}
+			envs[victim].Spawn("faulty", faulty)
+			g := NewShardGroup(4*ms, 2, envs...)
+			if r := recovered(func() { g.RunUntil(10 * ms) }); r != want {
+				t.Fatalf("RunUntil panicked with %v, want %q", r, want)
+			}
+			closeWithin(t, func() {
+				g.Close()
+				for _, e := range envs {
+					e.Close()
+				}
+			})
+		})
+	}
+}
+
+// TestSpawnChurnReusesCarriers: 100k short-lived processes on one Env run on
+// as many carriers as were ever live at once, a finished process leaves its
+// carrier with nothing pinned, and String counts live processes only.
+func TestSpawnChurnReusesCarriers(t *testing.T) {
+	env := NewEnv(1)
+	defer env.Close()
+	const total, burst = 100_000, 4
+	child := func(p *Proc) { p.Sleep(time.Microsecond) }
+	live := ""
+	env.Spawn("spawner", func(p *Proc) {
+		for spawned := 0; spawned < total; spawned += burst {
+			for i := 0; i < burst; i++ {
+				env.Spawn("child", child)
+			}
+			if spawned == total/2 {
+				live = env.String()
+			}
+			p.Sleep(2 * time.Microsecond)
+		}
+	})
+	env.Run()
+	if want := fmt.Sprintf("procs: %d}", burst+1); !strings.HasSuffix(live, want) {
+		t.Fatalf("mid-run String = %s, want it to end in %q", live, want)
+	}
+	if got := len(env.carriers); got != burst+1 {
+		t.Fatalf("%d processes ran on %d carriers, want %d (the peak concurrency)", total+1, got, burst+1)
+	}
+	if len(env.carrierFree) != len(env.carriers) {
+		t.Fatalf("%d of %d carriers free after the run drained", len(env.carrierFree), len(env.carriers))
+	}
+	for _, c := range env.carriers {
+		if c.p != nil || c.fn != nil {
+			t.Fatal("a free carrier still pins its last process")
+		}
+	}
+	if s := env.String(); !strings.HasSuffix(s, "procs: 0}") {
+		t.Fatalf("String after the run = %s, want no live processes", s)
+	}
+}
+
+// TestEventSingleWaiterAllocatesNothing pins the inline first waiter: a
+// Wait/Signal cycle with one waiter allocates nothing once the free lists
+// are warm.
+func TestEventSingleWaiterAllocatesNothing(t *testing.T) {
+	env := NewEnv(1)
+	defer env.Close()
+	evs := make([]*Event, 200)
+	for i := range evs {
+		evs[i] = NewEvent(env)
+	}
+	env.Spawn("waiter", func(p *Proc) {
+		for _, ev := range evs {
+			ev.Wait(p)
+		}
+	})
+	env.Spawn("signaler", func(p *Proc) {
+		for _, ev := range evs {
+			p.Sleep(time.Microsecond)
+			ev.Signal()
+		}
+	})
+	env.RunFor(10 * time.Microsecond) // warm up the queues and free lists
+	if allocs := testing.AllocsPerRun(100, func() { env.RunFor(time.Microsecond) }); allocs != 0 {
+		t.Fatalf("single-waiter Wait/Signal allocates %.2f per cycle, want 0", allocs)
+	}
+}
+
+// TestEventWakeOrderSurvivesRemoval: when the first waiter times out, the
+// others still wake in the order they began waiting, ahead of later ones.
+func TestEventWakeOrderSurvivesRemoval(t *testing.T) {
+	env := NewEnv(1)
+	defer env.Close()
+	ev := NewEvent(env)
+	var order []string
+	wait := func(p *Proc) {
+		ev.Wait(p)
+		order = append(order, p.Name())
+	}
+	env.Spawn("timeout", func(p *Proc) {
+		if ev.WaitTimeout(p, ms) {
+			t.Error("WaitTimeout reported a signal before the deadline")
+		}
+	})
+	env.Spawn("a", wait)
+	env.Spawn("b", wait)
+	env.SpawnAt(2*ms, "c", wait)
+	env.After(3*ms, ev.Signal)
+	env.Run()
+	if got := strings.Join(order, " "); got != "a b c" {
+		t.Fatalf("woke in order %q, want \"a b c\"", got)
+	}
+}
+
 // TestCloseFromCallbackPanics: Close inside a run could have to abort the
-// very process whose goroutine is dispatching the callback, so it refuses
+// very process whose coroutine is dispatching the callback, so it refuses
 // with a clear panic instead of deadlocking; Close after the run works.
 func TestCloseFromCallbackPanics(t *testing.T) {
 	env := NewEnv(1)

@@ -2,9 +2,9 @@
 // steady-state event throughput at several queue depths, the same-instant
 // zero-delay path, timer cancellation churn, and — driven by RunUntil, so
 // parking processes dispatch events themselves — process wakeups passed
-// directly between goroutines. Every benchmark reports events/s and
-// allocs/op; the scheduler's contract is ~0 allocs/op once the queues reach
-// steady state.
+// between process coroutines and short-lived process churn. Every benchmark
+// reports events/s and allocs/op; the scheduler's contract is ~0 allocs/op
+// once the queues reach steady state, plus the Proc itself per spawn.
 //
 // Run with:
 //
@@ -130,7 +130,7 @@ func runUntil(b *testing.B, env *sim.Env) {
 
 // BenchmarkRunUntilSleep is a lone process sleeping in a loop: every event
 // is the parking process's own wakeup, which park dispatches and returns
-// from without a goroutine switch.
+// from without a coroutine switch.
 func BenchmarkRunUntilSleep(b *testing.B) {
 	env := sim.NewEnv(1)
 	defer env.Close()
@@ -143,8 +143,8 @@ func BenchmarkRunUntilSleep(b *testing.B) {
 }
 
 // BenchmarkRunUntilPingPong bounces a token between two processes through a
-// pair of queues once per microsecond: each wakeup is one direct handoff
-// from the parking process to the other.
+// pair of queues once per microsecond: each wakeup is one handoff from the
+// parking process, through the driver, to the other.
 func BenchmarkRunUntilPingPong(b *testing.B) {
 	env := sim.NewEnv(1)
 	defer env.Close()
@@ -166,7 +166,7 @@ func BenchmarkRunUntilPingPong(b *testing.B) {
 }
 
 // BenchmarkRunUntilMixed interleaves a sleeping process with After
-// callbacks: the callbacks run inline on the process's goroutine while it
+// callbacks: the callbacks run inline on the process's coroutine while it
 // holds the baton.
 func BenchmarkRunUntilMixed(b *testing.B) {
 	env := sim.NewEnv(1)
@@ -181,4 +181,25 @@ func BenchmarkRunUntilMixed(b *testing.B) {
 		}
 	})
 	runUntil(b, env)
+}
+
+// BenchmarkSpawnChurn spawns one process per iteration that sleeps once and
+// exits, driven by RunUntil: the per-transfer helper pattern (svm-push,
+// dma-chunks, fence-chain). A finished process's carrier coroutine is pooled
+// and reused, so with warm carriers the only allocation is the Proc.
+func BenchmarkSpawnChurn(b *testing.B) {
+	env := sim.NewEnv(1)
+	defer env.Close()
+	churn := func(p *sim.Proc) { p.Sleep(time.Microsecond) }
+	env.Spawn("warm", churn)
+	env.RunFor(time.Microsecond)
+	before := env.ExecutedEvents()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		env.Spawn("churn", churn)
+		env.RunFor(time.Microsecond)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(env.ExecutedEvents()-before)/b.Elapsed().Seconds(), "events/s")
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"time"
 
 	"repro/internal/obs"
@@ -81,7 +82,7 @@ func (t Timer) Pending() bool {
 // set of live processes. An Env is not safe for concurrent use; all calls
 // must come either from process context, from a callback, or from the single
 // goroutine driving Run/RunUntil/Step. Callbacks may execute on a process's
-// goroutine (see dispatch), but never concurrently with anything else.
+// coroutine (see dispatch), but never concurrently with anything else.
 //
 // The event queue is two structures: a 4-ary min-heap of future events and a
 // FIFO ring for events scheduled at the current instant (Yield, zero-delay
@@ -96,22 +97,28 @@ type Env struct {
 	fifoHead int
 	seq      uint64
 	dead     int // stopped timers still buried in the queues
-	procs    map[*Proc]struct{}
 	rng      *rand.Rand
-	sched    chan struct{} // baton hand-back: process -> driver
-	current  *Proc         // process currently executing, if any
+	current  *Proc // process currently executing, if any
 	closed   bool
+
+	// carriers holds every process coroutine in creation order;
+	// carrierFree holds those with no process assigned.
+	carriers    []*carrier
+	carrierFree []*carrier
 
 	// The active run's bound, set by drive: dispatch pops events at or
 	// before limit (strictly before when !inclusive) and stops once
-	// executed reaches stopAt. running marks a run in progress; fault
-	// carries a callback panic caught on a process goroutine back to the
-	// driver.
+	// executed reaches stopAt. running marks a run in progress; hand is
+	// how the dispatch on a process coroutine left the baton when it
+	// yielded; fault carries a callback panic caught on a process coroutine
+	// back to the driver.
 	limit     Time
 	inclusive bool
 	stopAt    uint64
 	running   bool
+	hand      handoff
 	fault     any
+	resumes   uint64 // coroutine resumes by drive, for schedEvery
 
 	timerFree  *timerRec // recycled cancellation records
 	waiterFree *waiter   // recycled park registrations
@@ -135,11 +142,7 @@ type Env struct {
 // NewEnv returns a fresh environment whose clock reads zero. The seed fixes
 // the environment's random stream; equal seeds give bit-identical runs.
 func NewEnv(seed int64) *Env {
-	return &Env{
-		procs: make(map[*Proc]struct{}),
-		rng:   rand.New(rand.NewSource(seed)),
-		sched: make(chan struct{}),
-	}
+	return &Env{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
@@ -325,13 +328,26 @@ type handoff int
 const (
 	batonDone   handoff = iota // the run bound was reached: control returns to the driver
 	batonKept                  // the next event resumes the dispatching process itself
-	batonPassed                // another process was resumed and now holds control
+	batonPassed                // another process is current: the driver resumes it
 )
 
+// schedEvery is how many coroutine resumes drive makes between visits to
+// the Go scheduler. A coroutine switch never enters the scheduler, so a
+// busy run would otherwise starve the runtime's own goroutines: GC mark
+// workers would wait for sysmon's 10 ms preemption while allocation runs
+// past the heap goal and the mutators do the marking as assists. 256
+// resumes are about 0.1 ms of simulation.
+const schedEvery = 256
+
 // drive is the driver side of every run: it installs the bound, dispatches
-// on the calling goroutine, and — if the baton moved to a process — blocks
-// until it comes back. A callback panic caught on a process goroutine is
-// re-raised here with its original value.
+// on the calling goroutine, and resumes process coroutines for as long as
+// the baton passes between them. It is the only one to resume a carrier:
+// a process that parks or finishes dispatches on, records the handoff in
+// e.hand and yields, so waking another process costs two coroutine switches
+// (process, driver, process) and no goroutine scheduling. A callback panic
+// caught on a process coroutine is re-raised here with its original value;
+// a panic in a process's own code leaves its coroutine and unwinds through
+// here.
 func (e *Env) drive(limit Time, inclusive bool, stopAt uint64) {
 	if e.closed {
 		return
@@ -341,9 +357,12 @@ func (e *Env) drive(limit Time, inclusive bool, stopAt uint64) {
 	}
 	e.limit, e.inclusive, e.stopAt = limit, inclusive, stopAt
 	e.running = true
-	defer func() { e.running = false }()
-	if e.dispatch(nil) == batonPassed {
-		<-e.sched
+	defer func() { e.running, e.current = false, nil }()
+	for h := e.dispatch(nil); h == batonPassed; h = e.hand {
+		e.current.c.resume()
+		if e.resumes++; e.resumes%schedEvery == 0 {
+			runtime.Gosched()
+		}
 	}
 	if r := e.fault; r != nil {
 		e.fault = nil
@@ -351,14 +370,14 @@ func (e *Env) drive(limit Time, inclusive bool, stopAt uint64) {
 	}
 }
 
-// dispatch is the event loop. Whichever goroutine holds control runs it: the
-// driver (self == nil) or a process that just parked or finished. Events pop
-// in (time, sequence) order up to the run bound; callbacks run inline with no
+// dispatch is the event loop. Whoever holds control runs it: the driver
+// (self == nil) or a process that just parked or finished. Events pop in
+// (time, sequence) order up to the run bound; callbacks run inline with no
 // current process. It returns batonKept when the next event resumes self,
-// batonPassed after handing control to another process, and batonDone when
-// the bound is reached, the Env is closed, or a callback panicked on a
-// process goroutine — the panic is parked in e.fault for the driver, so it
-// never unwinds through the process's own code.
+// batonPassed after making another process current (the driver resumes it),
+// and batonDone when the bound is reached, the Env is closed, or a callback
+// panicked on a process coroutine — the panic is parked in e.fault for the
+// driver, so it never unwinds through the process's own code.
 func (e *Env) dispatch(self *Proc) (h handoff) {
 	if self != nil {
 		defer func() {
@@ -390,7 +409,6 @@ func (e *Env) dispatch(self *Proc) (h handoff) {
 			return batonKept
 		default:
 			e.current = ev.proc
-			ev.proc.resume <- resumeOK
 			return batonPassed
 		}
 	}
@@ -467,12 +485,13 @@ func (e *Env) PendingEvents() int {
 	return len(e.heap) + (len(e.fifo) - e.fifoHead) - e.dead
 }
 
-// Close aborts every live process so their goroutines exit, and discards all
-// pending events. Events are discarded before the processes unwind so stale
-// resume entries cannot pin aborted processes, and once more afterwards to
-// drop any wakeups scheduled by unwinding defers. The environment is
-// unusable afterwards. Close is the cleanup counterpart of NewEnv and is
-// safe to call multiple times.
+// Close aborts every live process and stops every carrier coroutine, and
+// discards all pending events. Events are discarded before the processes
+// unwind so stale resume entries cannot pin aborted processes, and once more
+// afterwards to drop any wakeups scheduled by unwinding defers. Carriers stop
+// in creation order, so aborted processes unwind in a deterministic order.
+// The environment is unusable afterwards. Close is the cleanup counterpart
+// of NewEnv and is safe to call multiple times.
 func (e *Env) Close() {
 	if e.closed {
 		return
@@ -481,24 +500,23 @@ func (e *Env) Close() {
 		panic("sim: Close called from process context")
 	}
 	if e.running {
-		// The dispatching goroutine may be a process Close would have to
-		// abort: it cannot wait for itself to unwind.
+		// The dispatching coroutine may be a process Close would have to
+		// abort: it cannot stop itself.
 		panic("sim: Close called from a callback during a run")
 	}
 	e.closed = true
 	e.discardEvents()
-	for p := range e.procs {
-		if p.state == procDone {
-			continue
+	for _, c := range e.carriers {
+		if c.stop == nil {
+			continue // never resumed: no coroutine to stop
 		}
-		// The aborted process unwinds, finds the Env closed, and hands
-		// control straight back.
-		e.current = p
-		p.resume <- resumeAbort
-		<-e.sched
+		// Stopping makes the carrier's pending yield report false: a parked
+		// process unwinds, a free carrier just returns.
+		e.current = c.p
+		c.stop()
 	}
 	e.current = nil
-	e.procs = map[*Proc]struct{}{}
+	e.carriers, e.carrierFree = nil, nil
 	e.discardEvents()
 	hooks := e.closeHooks
 	e.closeHooks = nil
@@ -544,5 +562,16 @@ func (e *Env) currentProc() *Proc {
 
 func (e *Env) String() string {
 	return fmt.Sprintf("sim.Env{now: %v, events: %d, procs: %d}",
-		e.now, e.PendingEvents(), len(e.procs))
+		e.now, e.PendingEvents(), e.liveProcs())
+}
+
+// liveProcs counts the processes spawned and not yet finished.
+func (e *Env) liveProcs() int {
+	n := 0
+	for _, c := range e.carriers {
+		if c.p != nil && c.p.state != procDone {
+			n++
+		}
+	}
+	return n
 }

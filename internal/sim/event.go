@@ -17,9 +17,13 @@ type waiter struct {
 // after which all current and future waits return immediately. Value may be
 // set by the signaler before Signal to pass a result to waiters.
 type Event struct {
-	env     *Env
-	fired   bool
-	Value   any
+	env   *Env
+	fired bool
+	Value any
+	// w1 is the first waiter, held inline so a single-waiter Wait does not
+	// allocate; waiters holds the rest in FIFO order and is empty whenever
+	// w1 is nil.
+	w1      *waiter
 	waiters []*waiter
 }
 
@@ -29,26 +33,50 @@ func NewEvent(env *Env) *Event { return &Event{env: env} }
 // Fired reports whether the event has been signaled.
 func (ev *Event) Fired() bool { return ev.fired }
 
-// Signal fires the event, waking every waiter at the current instant.
-// Signaling an already-fired event is a no-op. Signal may be called from
-// process or scheduler context.
+// Signal fires the event, waking every waiter at the current instant in
+// the order they began waiting. Signaling an already-fired event is a
+// no-op. Signal may be called from process or scheduler context.
 func (ev *Event) Signal() {
 	if ev.fired {
 		return
 	}
 	ev.fired = true
-	for _, w := range ev.waiters {
-		if !w.woke {
-			w.woke = true
-			ev.env.schedule(ev.env.now, w.p, nil)
-		}
+	if ev.w1 != nil {
+		ev.wake(ev.w1)
 	}
-	ev.waiters = nil
+	for _, w := range ev.waiters {
+		ev.wake(w)
+	}
+	ev.w1, ev.waiters = nil, nil
+}
+
+func (ev *Event) wake(w *waiter) {
+	if !w.woke {
+		w.woke = true
+		ev.env.schedule(ev.env.now, w.p, nil)
+	}
+}
+
+// addWaiter registers w behind every earlier waiter.
+func (ev *Event) addWaiter(w *waiter) {
+	if ev.w1 == nil {
+		ev.w1 = w
+		return
+	}
+	ev.waiters = append(ev.waiters, w)
 }
 
 // removeWaiter drops one registration, preserving the FIFO order of the
 // rest.
 func (ev *Event) removeWaiter(w *waiter) {
+	if ev.w1 == w {
+		ev.w1 = nil
+		if len(ev.waiters) > 0 {
+			ev.w1 = ev.waiters[0]
+			ev.waiters = ev.waiters[1:]
+		}
+		return
+	}
 	for i, x := range ev.waiters {
 		if x == w {
 			ev.waiters = append(ev.waiters[:i], ev.waiters[i+1:]...)
@@ -63,7 +91,7 @@ func (ev *Event) Wait(p *Proc) {
 		return
 	}
 	w := ev.env.getWaiter(p)
-	ev.waiters = append(ev.waiters, w)
+	ev.addWaiter(w)
 	p.park()
 	ev.env.putWaiter(w)
 }
@@ -78,7 +106,7 @@ func (ev *Event) WaitTimeout(p *Proc, d Time) bool {
 		return true
 	}
 	w := ev.env.getWaiter(p)
-	ev.waiters = append(ev.waiters, w)
+	ev.addWaiter(w)
 	t := ev.env.AfterFunc(d, func() {
 		if !w.woke {
 			w.woke = true

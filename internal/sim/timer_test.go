@@ -109,8 +109,8 @@ func TestWaitTimeoutExpiredLeavesNoWaiter(t *testing.T) {
 		}
 	})
 	env.RunFor(10 * time.Millisecond)
-	if n := len(ev.waiters); n != 0 {
-		t.Fatalf("event holds %d waiters after timeout, want 0", n)
+	if ev.w1 != nil || len(ev.waiters) != 0 {
+		t.Fatalf("event holds waiters after timeout: first %v, rest %d", ev.w1, len(ev.waiters))
 	}
 	ev.Signal() // must be a no-op wake
 	env.RunFor(10 * time.Millisecond)
@@ -156,7 +156,8 @@ func TestCloseFreesGoroutines(t *testing.T) {
 	if !ran {
 		t.Fatal("OnClose on a closed env did not run the hook")
 	}
-	// Aborted goroutines finish asynchronously after their final handoff.
+	// Every carrier coroutine is a goroutine: wait for the count to settle
+	// back to its starting level.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		runtime.GC()
