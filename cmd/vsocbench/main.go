@@ -9,7 +9,7 @@
 //	vsocbench [-exp <name>[,<name>...]] [-duration 30s] [-apps 10]
 //	          [-popular 25] [-seed 1] [-workers 0] [-trace out.json]
 //	          [-metrics] [-profile out.folded] [-json bench.json] [-fetch]
-//	          [-shards N] [-fleet]
+//	          [-fleet] [-mon] [-monout mon.json]
 //
 // Run with -h for the experiment list; names, aliases, ordering, and the
 // per-experiment -trace behavior all come from the shared experiments
@@ -30,20 +30,18 @@
 // the profiled micro run, so its output stays comparable across builds; run
 // `-exp batching` / `-exp micro` explicitly.
 //
-// -fleet enables the fleet/scheduler observability layer (DESIGN.md §13)
-// for the shardscale farm: per-tenant QoS/SLO tracking, the deterministic
-// fleet report (byte-identical at every shard count), and the wall-clock
-// barrier-stall attribution table. Observe-only: simulation results are
-// byte-identical with it on or off. With -trace it also writes one
-// fleet-counter trace per shard count.
+// -fleet enables the fleet observability layer (DESIGN.md §13) for the
+// shardscale farm: per-tenant QoS/SLO tracking, the deterministic fleet
+// report, and the wall-clock split of the window loop. Observe-only:
+// simulation results are byte-identical with it on or off. With -trace it
+// also writes the fleet-counter trace.
 //
 // -mon enables the streaming telemetry engine (DESIGN.md §15) for the
 // experiments that support it: windowed virtual-time rollups, online
 // SLO/anomaly detectors, and the incident flight recorder. The phasedload
 // scenario monitors unconditionally (monitoring is its subject); the
-// shardscale farm monitors when -mon is set, with a report byte-identical
-// at every shard count. -monout writes the machine-readable monitor
-// report for cmd/vsocmon to render.
+// shardscale farm monitors when -mon is set. -monout writes the
+// machine-readable monitor report for cmd/vsocmon to render.
 //
 // -profile writes the critical-path profiler's folded-stack flamegraph
 // export for the experiments that support it (micro); feed it to any
@@ -76,10 +74,9 @@ func main() {
 	profilePath := flag.String("profile", "", "write the folded-stack flamegraph export where the experiment supports it (see -h)")
 	jsonPath := flag.String("json", "", "write the machine-readable bench report (for cmd/vsocperf) to this path")
 	fetch := flag.Bool("fetch", false, "enable chunked, DMA-promoted demand fetches (DESIGN.md §11) for supporting experiments (micro, fig16)")
-	shards := flag.Int("shards", 0, "shard count for the shardscale farm (DESIGN.md §12): 0 sweeps 1,2,4,8; N>1 runs 1 and N")
-	fleet := flag.Bool("fleet", false, "enable fleet/scheduler telemetry (DESIGN.md §13) for the shardscale farm: QoS/SLO report and barrier-stall attribution")
+	fleet := flag.Bool("fleet", false, "enable fleet telemetry (DESIGN.md §13) for the shardscale farm: QoS/SLO report and the window loop's wall-clock split")
 	mon := flag.Bool("mon", false, "enable the streaming telemetry engine (DESIGN.md §15) for supporting experiments (shardscale); phasedload monitors unconditionally")
-	monOut := flag.String("monout", "", "write the machine-readable monitor report (for cmd/vsocmon) to this path; the shardscale farm derives one path per shard count")
+	monOut := flag.String("monout", "", "write the machine-readable monitor report (for cmd/vsocmon) to this path")
 	flag.Usage = func() {
 		out := flag.CommandLine.Output()
 		fmt.Fprintf(out, "Usage of %s:\n", os.Args[0])
@@ -99,7 +96,6 @@ func main() {
 		Metrics:         *metrics,
 		ProfilePath:     *profilePath,
 		Fetch:           *fetch,
-		Shards:          *shards,
 		Fleet:           *fleet,
 		Monitor:         *mon,
 		MonPath:         *monOut,

@@ -7,30 +7,32 @@
 //	vsocsim [-emulator vsoc|gae|qemu|ldplayer|bluestacks|trinity|vsoc-noprefetch|vsoc-nofence]
 //	        [-machine highend|midend|pixel]
 //	        [-app uhd|360|camera|ar|livestream|heavy3d|ui|social]
-//	        [-duration 30s] [-seed 1] [-v] [-shards N] [-fleet]
+//	        [-duration 30s] [-seed 1] [-v] [-guests N] [-fleet] [-mon] [-monout mon.json]
 //
-// With -shards N the command switches to farm mode: N guest instances of
-// the app run on one physical host under the conservative parallel
-// scheduler (DESIGN.md §12), one shard per guest, with the shared-host
-// arbiter coupling their PCIe links at window barriers. Per-guest results
-// are deterministic — identical at every N — while the trailing events/s
-// line measures the host's parallel throughput.
+// With -guests N the command switches to farm mode: N guest instances of
+// the app run on one physical host (DESIGN.md §12), in 2 ms windows with
+// the shared-host arbiter coupling their PCIe links at each window
+// barrier. Per-guest results are deterministic per seed; the trailing
+// events/s line measures the host.
 //
-// -fleet (farm mode only) attaches the fleet/scheduler observability layer
+// -fleet (farm mode only) attaches the fleet observability layer
 // (DESIGN.md §13): it appends the per-tenant QoS/SLO fleet report and the
-// wall-clock barrier-stall attribution table. Observe-only — per-guest
-// results are byte-identical with it on or off.
+// window loop's wall-clock split. Observe-only — per-guest results are
+// byte-identical with it on or off.
 //
 // -mon attaches the streaming telemetry engine (DESIGN.md §15): windowed
 // virtual-time rollups, online SLO/anomaly detectors, and the incident
 // flight recorder. In single mode the run is driven at window grain
-// (emerging apps only); in farm mode windows seal at shard barriers, so
-// the report is byte-identical at every -shards count. Observe-only like
-// -fleet. -monout writes the machine-readable monitor report for
-// cmd/vsocmon to render.
+// (emerging apps only); in farm mode windows seal at the window barriers.
+// Observe-only like -fleet. -monout writes the machine-readable monitor
+// report for cmd/vsocmon to render.
+//
+// A negative -guests, or -fleet without -guests, exits 2 with a usage
+// error.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -73,11 +75,16 @@ func main() {
 	seed := flag.Int64("seed", 1, "simulation seed")
 	verbose := flag.Bool("v", false, "print SVM internals")
 	fetch := flag.Bool("fetch", false, "enable chunked, DMA-promoted demand fetches (DESIGN.md §11)")
-	shards := flag.Int("shards", 0, "farm mode: run N guest instances under the sharded scheduler (DESIGN.md §12); 0 = single instance")
-	fleet := flag.Bool("fleet", false, "farm mode: append the fleet QoS/SLO report and barrier-stall attribution (DESIGN.md §13)")
+	guests := flag.Int("guests", 0, "farm mode: run N guest instances of the app on one host (DESIGN.md §12); 0 = single instance")
+	fleet := flag.Bool("fleet", false, "farm mode: append the fleet QoS/SLO report and the window loop's wall-clock split (DESIGN.md §13)")
 	mon := flag.Bool("mon", false, "attach the streaming telemetry engine (DESIGN.md §15): windowed rollups, online detectors, incident flight recorder")
 	monOut := flag.String("monout", "", "write the machine-readable monitor report (for cmd/vsocmon) to this path")
 	flag.Parse()
+	if err := checkFarmFlags(*guests, *fleet); err != nil {
+		fmt.Fprintf(os.Stderr, "vsocsim: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	presetFn, ok := presetsByName[strings.ToLower(*emuName)]
 	if !ok {
@@ -92,8 +99,8 @@ func main() {
 	if *fetch {
 		preset.Fetch = hostsim.EnabledFetch()
 	}
-	if *shards > 0 {
-		runFarm(preset, machine, strings.ToLower(*appName), *duration, *seed, *shards, *fleet, *mon, *monOut)
+	if *guests > 0 {
+		runFarm(preset, machine, strings.ToLower(*appName), *duration, *seed, *guests, *fleet, *mon, *monOut)
 		return
 	}
 	if *mon {
@@ -167,6 +174,18 @@ func main() {
 	}
 }
 
+// checkFarmFlags rejects farm flags that would otherwise be silently
+// ignored: a negative guest count, and -fleet outside farm mode.
+func checkFarmFlags(guests int, fleet bool) error {
+	switch {
+	case guests < 0:
+		return fmt.Errorf("-guests must be >= 0, got %d", guests)
+	case fleet && guests == 0:
+		return errors.New("-fleet needs farm mode (-guests N)")
+	}
+	return nil
+}
+
 // farmCategories maps the emerging app names onto their Table 1 category
 // (the popular-app kinds drive their own environment loop and cannot join a
 // shard group).
@@ -191,18 +210,18 @@ func farmSLO(cat int) time.Duration {
 	return 0
 }
 
-// farmMonitor builds a tsmon monitor for n guests of the app, mirroring
-// the farm's fleet QoS contracts.
-func farmMonitor(app string, cat, n int) *tsmon.Monitor {
-	var mcfg tsmon.Config
-	for g := 0; g < n; g++ {
-		mcfg.Tenants = append(mcfg.Tenants, tsmon.TenantConfig{
+// farmTenants declares n guests of the app with the farm's QoS contracts,
+// for the fleet layer and the monitor alike.
+func farmTenants(app string, cat, n int) []fleetobs.TenantConfig {
+	tenants := make([]fleetobs.TenantConfig, n)
+	for g := range tenants {
+		tenants[g] = fleetobs.TenantConfig{
 			Name:     fmt.Sprintf("g%d:%s", g, app),
 			FPSFloor: 30,
 			M2PSLO:   farmSLO(cat),
-		})
+		}
 	}
-	return tsmon.New(mcfg)
+	return tenants
 }
 
 // finishMonitor finalizes the monitor, prints its report, and writes the
@@ -231,11 +250,8 @@ func runMonitoredSingle(preset emulator.Preset, machine experiments.MachineSpec,
 	}
 	sess := workload.NewSession(preset, machine.New, seed)
 	defer sess.Close()
-	mon := farmMonitor(app, cat, 1)
-	tn := mon.Tenant(0)
-	sess.Emulator.FrameObs = tn
-	sess.Emulator.Manager.SetFetchObserver(tn.DemandFetch)
-	experiments.MonitorProbes(tn, sess)
+	mon := tsmon.New(tsmon.Config{Tenants: farmTenants(app, cat, 1)})
+	experiments.WireGuest(sess, 0, nil, mon)
 	pd, err := workload.StartEmerging(sess.Emulator, workload.DefaultSpec(cat, 0, dur))
 	if err != nil {
 		die("run failed: %v", err)
@@ -251,29 +267,21 @@ func runMonitoredSingle(preset emulator.Preset, machine experiments.MachineSpec,
 	finishMonitor(mon, pd.Stop(), monOut)
 }
 
-// runFarm runs n guest instances of the app as a sharded farm: one
-// environment and one shard per guest, coupled through the shared-host
-// arbiter at window barriers.
+// runFarm runs n guest instances of the app as a farm: one environment per
+// guest, coupled through the shared-host arbiter at window barriers.
 func runFarm(preset emulator.Preset, machine experiments.MachineSpec, app string, dur time.Duration, seed int64, n int, fleet, monOn bool, monOut string) {
 	cat, ok := farmCategories[app]
 	if !ok {
-		die("-shards farm mode supports the emerging apps only (uhd, 360, camera, ar, livestream)")
+		die("-guests farm mode supports the emerging apps only (uhd, 360, camera, ar, livestream)")
 	}
+	tenants := farmTenants(app, cat, n)
 	var fl *fleetobs.Fleet
 	if fleet {
-		fcfg := fleetobs.Config{Registry: obs.NewRegistry()}
-		for g := 0; g < n; g++ {
-			fcfg.Tenants = append(fcfg.Tenants, fleetobs.TenantConfig{
-				Name:     fmt.Sprintf("g%d:%s", g, app),
-				FPSFloor: 30,
-				M2PSLO:   farmSLO(cat),
-			})
-		}
-		fl = fleetobs.New(fcfg)
+		fl = fleetobs.New(fleetobs.Config{Tenants: tenants, Registry: obs.NewRegistry()})
 	}
 	var mon *tsmon.Monitor
 	if monOn {
-		mon = farmMonitor(app, cat, n)
+		mon = tsmon.New(tsmon.Config{Tenants: tenants})
 	}
 	envs := make([]*sim.Env, 0, n)
 	machs := make([]*hostsim.Machine, 0, n)
@@ -284,35 +292,7 @@ func runFarm(preset emulator.Preset, machine experiments.MachineSpec, app string
 		defer sess.Close()
 		envs = append(envs, sess.Env)
 		machs = append(machs, sess.Machine)
-		var frames []emulator.FrameObserver
-		var fetches []func(at, latency time.Duration)
-		if fl != nil {
-			tn := fl.Tenant(g)
-			frames = append(frames, tn)
-			fetches = append(fetches, tn.DemandFetch)
-		}
-		if mon != nil {
-			mt := mon.Tenant(g)
-			frames = append(frames, mt)
-			fetches = append(fetches, mt.DemandFetch)
-			experiments.MonitorProbes(mt, sess)
-		}
-		switch len(frames) {
-		case 1:
-			sess.Emulator.FrameObs = frames[0]
-		case 2:
-			sess.Emulator.FrameObs = frameTee{frames[0], frames[1]}
-		}
-		switch len(fetches) {
-		case 1:
-			sess.Emulator.Manager.SetFetchObserver(fetches[0])
-		case 2:
-			a, b := fetches[0], fetches[1]
-			sess.Emulator.Manager.SetFetchObserver(func(at, latency time.Duration) {
-				a(at, latency)
-				b(at, latency)
-			})
-		}
+		experiments.WireGuest(sess, g, fl, mon)
 		pd, err := workload.StartEmerging(sess.Emulator, workload.DefaultSpec(cat, g, dur))
 		if err != nil {
 			die("guest %d: %v", g, err)
@@ -323,7 +303,7 @@ func runFarm(preset emulator.Preset, machine experiments.MachineSpec, app string
 		}
 	}
 	sh := hostsim.NewSharedHost(hostsim.SharedHostConfig{}, machs...)
-	grp := sim.NewShardGroup(sh.Lookahead(), n, envs...)
+	grp := sim.NewShardGroup(sh.Lookahead(), 1, envs...)
 	defer grp.Close()
 	sh.Attach(grp)
 	if fl != nil {
@@ -343,9 +323,8 @@ func runFarm(preset emulator.Preset, machine experiments.MachineSpec, app string
 		fmt.Printf("guest %d: %v\n", g, r)
 	}
 	events := grp.ExecutedEvents()
-	fmt.Printf("farm: %d guests on %d shards, lookahead %v, %d events in %.2fs wall (%.0f events/s)\n",
-		n, grp.Shards(), grp.Lookahead(), events, wall.Seconds(),
-		float64(events)/wall.Seconds())
+	fmt.Printf("farm: %d guests, window %v, %d events in %.2fs wall (%.0f events/s)\n",
+		n, grp.Lookahead(), events, wall.Seconds(), float64(events)/wall.Seconds())
 	if fl != nil {
 		fl.Finalize(stop)
 		fmt.Println()
@@ -356,25 +335,6 @@ func runFarm(preset emulator.Preset, machine experiments.MachineSpec, app string
 	if mon != nil {
 		finishMonitor(mon, stop, monOut)
 	}
-}
-
-// frameTee fans one guest's frame telemetry out to the fleet and monitor
-// layers when both are attached.
-type frameTee struct{ a, b emulator.FrameObserver }
-
-func (t frameTee) FramePresented(at time.Duration) {
-	t.a.FramePresented(at)
-	t.b.FramePresented(at)
-}
-
-func (t frameTee) FrameDropped(at time.Duration) {
-	t.a.FrameDropped(at)
-	t.b.FrameDropped(at)
-}
-
-func (t frameTee) MotionToPhoton(at, latency time.Duration) {
-	t.a.MotionToPhoton(at, latency)
-	t.b.MotionToPhoton(at, latency)
 }
 
 func die(format string, args ...any) {

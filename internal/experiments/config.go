@@ -56,18 +56,11 @@ type Config struct {
 	// every experiment's output matches the pre-chunking emulator byte for
 	// byte; the fetchpipe sweep varies the knobs itself.
 	Fetch bool
-	// Shards selects the conservative parallel scheduler's shard count for
-	// the shardscale farm (DESIGN.md §12): 0 sweeps the {1,2,4,8} ladder,
-	// 1 runs the serial path only, N > 1 runs {1, N}. Simulation results
-	// are identical at every setting — sharding only trades wall-clock time
-	// for cores.
-	Shards int
-	// Fleet enables the fleet/scheduler observability layer (DESIGN.md
-	// §13) for the shardscale farm: per-tenant QoS/SLO tracking, the
-	// deterministic fleet report, and the wall-clock barrier-stall
-	// attribution table. Observe-only — simulation results are
-	// byte-identical with it on or off; off by default so the report stays
-	// comparable with pre-fleetobs builds.
+	// Fleet enables the fleet observability layer (DESIGN.md §13) for the
+	// shardscale farm: per-tenant QoS/SLO tracking, the deterministic fleet
+	// report, and the wall-clock split of the window loop. Observe-only —
+	// simulation results are byte-identical with it on or off; off by
+	// default so the report stays comparable with pre-fleetobs builds.
 	Fleet bool
 	// Monitor enables the streaming telemetry engine (internal/tsmon,
 	// DESIGN.md §15) for the experiments that support it: windowed
@@ -77,8 +70,7 @@ type Config struct {
 	// its subject); the shardscale farm monitors when this is set.
 	Monitor bool
 	// MonPath, when set, is where supporting experiments write the
-	// machine-readable monitor report (cmd/vsocmon renders it). The
-	// shardscale farm derives one path per shard count from it.
+	// machine-readable monitor report (cmd/vsocmon renders it).
 	MonPath string
 }
 

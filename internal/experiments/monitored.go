@@ -166,10 +166,7 @@ func RunPhasedLoad(cfg Config) *PhasedLoadResult {
 		Tracer:    tr,
 		Profiler:  pf,
 	})
-	tn := mon.Tenant(0)
-	sess.Emulator.FrameObs = tn
-	sess.Emulator.Manager.SetFetchObserver(tn.DemandFetch)
-	MonitorProbes(tn, sess)
+	WireGuest(sess, 0, nil, mon)
 
 	// Primary app: the monitored livestream pipeline, running end to end.
 	pd, err := workload.StartEmerging(sess.Emulator, workload.DefaultSpec(emulator.CatLivestream, 0, dur))

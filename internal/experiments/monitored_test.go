@@ -82,53 +82,37 @@ func TestPhasedLoadDeterministic(t *testing.T) {
 
 // TestShardScaleMonitorDeterministicAcrossCounts pins the barrier-sealing
 // contract (EXPERIMENTS.md): with -mon the shardscale farm's monitor report
-// is byte-identical at shard counts 1, 2, 4, and 8, and attaching the
-// monitor does not perturb the simulation results.
+// seals windows and sees every frame the fleet layer sees (the two share
+// each guest's hooks through a tee), and attaching both layers does not
+// perturb the simulation results.
 func TestShardScaleMonitorDeterministicAcrossCounts(t *testing.T) {
-	cfg := Config{Duration: 2 * time.Second, Seed: 1, Monitor: true}
-	res := RunShardScale(cfg)
-	if len(res.Rows) != 4 {
-		t.Fatalf("rows = %d, want 4", len(res.Rows))
-	}
-	base := res.Rows[0].Mon
+	res := RunShardScale(Config{Duration: 2 * time.Second, Seed: 1, Monitor: true, Fleet: true})
+	base := res.Mon
 	if base == nil {
 		t.Fatal("Monitor config did not produce a monitor report")
 	}
 	if base.Sealed == 0 || base.Digest == "" {
 		t.Fatalf("degenerate monitor report: sealed=%d digest=%q", base.Sealed, base.Digest)
 	}
-	baseJSON, err := json.Marshal(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range res.Rows[1:] {
-		js, err := json.Marshal(row.Mon)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(js, baseJSON) {
-			t.Errorf("shards=%d: monitor report diverged from serial (digest %s vs %s)",
-				row.Shards, row.Mon.Digest, base.Digest)
-		}
-	}
-	// Frames flow through the tee into both windows and totals.
+	// Frames flow into both windows and totals.
 	var frames uint64
 	for _, w := range base.Windows {
 		for _, s := range w.Tenants {
 			frames += uint64(s.Frames)
 		}
 	}
-	if frames == 0 {
-		t.Fatal("monitor saw no frames — observer tee unwired")
+	var fleetFrames uint64
+	for _, tr := range res.Fleet.Tenants {
+		fleetFrames += tr.Frames
+	}
+	if frames == 0 || frames != fleetFrames {
+		t.Fatalf("monitor saw %d frames, fleet %d — tee unwired", frames, fleetFrames)
 	}
 
 	// Observe-only: the farm's simulation results with the monitor attached
 	// match a monitor-off run exactly.
 	off := RunShardScale(Config{Duration: 2 * time.Second, Seed: 1})
-	for i := range res.Rows {
-		if got, want := projectRow(res.Rows[i]), projectRow(off.Rows[i]); !reflect.DeepEqual(got, want) {
-			t.Errorf("shards=%d: monitor perturbed the simulation:\n got %+v\nwant %+v",
-				res.Rows[i].Shards, got, want)
-		}
+	if got, want := project(res), project(off); !reflect.DeepEqual(got, want) {
+		t.Errorf("monitor perturbed the simulation:\n got %+v\nwant %+v", got, want)
 	}
 }

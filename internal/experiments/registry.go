@@ -74,8 +74,8 @@ func Registry() []Entry {
 		{Name: "fetchpipe",
 			Summary: "chunked demand-fetch sweep: access latency and sync-copy share across chunk sizes (DESIGN.md §11); excluded from -exp all"},
 		{Name: "shardscale", Bench: true,
-			Summary: "multi-guest farm under the conservative parallel scheduler: determinism check and events/s scaling across shard counts (DESIGN.md §12); -fleet adds the QoS/SLO fleet report and barrier-stall attribution (§13); excluded from -exp all",
-			Trace:   "with -fleet, writes one fleet-counter trace per shard count next to the given path"},
+			Summary: "four-guest farm sharing one host's PCIe budget, run in 2 ms arbitration windows: per-guest FPS, events and events/s (DESIGN.md §12); -fleet adds the QoS/SLO fleet report and the window loop's wall-clock split (§13), -mon the monitor report (§15); excluded from -exp all",
+			Trace:   "with -fleet, writes the fleet-counter trace next to the given path, as *-fleet.json"},
 		{Name: "phasedload", Bench: true,
 			Summary: "monitored phased-load scenario (steady/spike/fault/recovery) exercising the streaming telemetry engine's windowed rollups, online detectors, and incident flight recorder (DESIGN.md §15); -monout writes the monitor report for cmd/vsocmon; excluded from -exp all",
 			Trace:   "writes one flight-recorder Perfetto snippet per incident next to the given path"},

@@ -15,18 +15,13 @@ import (
 )
 
 // The shardscale experiment drives a multi-guest farm — several vSoC
-// instances sharing one physical host — under the conservative parallel
-// scheduler (DESIGN.md §12). Each guest is a full emulator session in its
-// own simulation environment; a sim.ShardGroup advances the environments in
+// instances sharing one physical host — under the windowed farm loop
+// (DESIGN.md §12). Each guest is a full emulator session in its own
+// simulation environment; a sim.ShardGroup advances the environments in
 // lookahead-bounded windows, and a hostsim.SharedHost arbitrates the host's
-// aggregate PCIe budget across the guests at every window barrier.
-//
-// The sweep runs the same four-guest farm at several shard counts. All
-// simulation results — per-guest FPS, frames, executed events, barrier
-// windows — are byte-identical at every count (the scheduler's determinism
-// contract); only the wall-clock throughput column varies with the host's
-// parallelism. On a multicore host the events/s column is the §12 scaling
-// story; on a single core it degenerates to ~1x by construction.
+// aggregate PCIe budget across the guests at every window barrier. The
+// simulation results are deterministic per seed; the events/s column
+// measures the build host.
 
 // shardFarmGuests is the farm size: one guest per Table 1 streaming
 // category that exercises a distinct device pipeline.
@@ -67,13 +62,12 @@ func shardFarmTenant(g, cat int) fleetobs.TenantConfig {
 	return tc
 }
 
-// ShardScaleRow is one shard-count setting of the sweep.
-type ShardScaleRow struct {
-	// Shards is the requested shard count (clamped to the guest count by
-	// the group).
-	Shards int
+// ShardScaleResult is the `-exp shardscale` report: one run of the farm.
+type ShardScaleResult struct {
+	Guests    int
+	Lookahead time.Duration
 
-	// Deterministic simulation results: identical at every shard count.
+	// Deterministic simulation results.
 	GuestFPS []float64
 	MeanFPS  float64
 	Frames   int
@@ -84,67 +78,30 @@ type ShardScaleRow struct {
 	// determinism contract (and from byte-identity assertions).
 	WallMS       float64
 	EventsPerSec float64
-	SpeedupX     float64
 
 	// Fleet telemetry, populated when Config.Fleet is set (DESIGN.md §13).
-	// Fleet is the deterministic fleet report — byte-identical at every
-	// shard count; Stall is the wall-clock barrier-stall attribution,
-	// excluded from the determinism contract like the wall columns.
+	// Fleet is the deterministic fleet report; Stall is the wall-clock split
+	// of the window loop, excluded from the determinism contract like the
+	// wall columns.
 	Fleet *fleetobs.Report
 	Stall *fleetobs.StallReport
-	// FleetTrace is the Perfetto trace file written for this row, when
-	// Config.Fleet and Config.TracePath are both set.
+	// FleetTrace is the Perfetto trace file written when Config.Fleet and
+	// Config.TracePath are both set.
 	FleetTrace string
 
 	// Mon is the streaming-telemetry report, populated when Config.Monitor
-	// is set (DESIGN.md §15). Windows seal at the group's barriers, whose
-	// sequence depends only on the event stream, so the report — digest
-	// included — is byte-identical at every shard count. MonFile is the
-	// report file written for this row when Config.MonPath is also set.
+	// is set (DESIGN.md §15). Windows seal at the group's barriers, so the
+	// report — digest included — is a pure function of the seed. MonFile is
+	// the report file written when Config.MonPath is also set.
 	Mon     *tsmon.MonReport
 	MonFile string
 }
 
-// ShardScaleResult is the `-exp shardscale` report.
-type ShardScaleResult struct {
-	Guests    int
-	Lookahead time.Duration
-	Rows      []ShardScaleRow
-}
-
-// shardScaleCounts returns the shard counts the sweep runs: the {1,2,4,8}
-// ladder by default, or {1, cfg.Shards} when a specific count was requested.
-func shardScaleCounts(cfg Config) []int {
-	switch {
-	case cfg.Shards > 1:
-		return []int{1, cfg.Shards}
-	case cfg.Shards == 1:
-		return []int{1}
-	default:
-		return []int{1, 2, 4, 8}
-	}
-}
-
-// RunShardScale sweeps the four-guest farm across shard counts.
+// RunShardScale builds the farm — four sessions, a shared-host arbiter, a
+// shard group — runs it to the last guest's stop time, and folds the
+// results into one report.
 func RunShardScale(cfg Config) *ShardScaleResult {
 	res := &ShardScaleResult{Guests: shardFarmGuests}
-	for _, count := range shardScaleCounts(cfg) {
-		row := runShardFarm(cfg, count, &res.Lookahead)
-		if len(res.Rows) > 0 && res.Rows[0].EventsPerSec > 0 {
-			row.SpeedupX = row.EventsPerSec / res.Rows[0].EventsPerSec
-		} else if row.EventsPerSec > 0 {
-			row.SpeedupX = 1
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	return res
-}
-
-// runShardFarm builds the farm fresh — four sessions, a shared-host arbiter,
-// a shard group — runs it to the last guest's stop time, and folds the
-// results into one row.
-func runShardFarm(cfg Config, shards int, lookahead *time.Duration) ShardScaleRow {
-	row := ShardScaleRow{Shards: shards}
 	sessions := make([]*workload.Session, 0, shardFarmGuests)
 	defer func() {
 		for _, s := range sessions {
@@ -154,36 +111,25 @@ func runShardFarm(cfg Config, shards int, lookahead *time.Duration) ShardScaleRo
 	envs := make([]*sim.Env, 0, shardFarmGuests)
 	machs := make([]*hostsim.Machine, 0, shardFarmGuests)
 	pend := make([]*workload.Pending, 0, shardFarmGuests)
+	tenants := make([]fleetobs.TenantConfig, shardFarmGuests)
+	for g := range tenants {
+		tenants[g] = shardFarmTenant(g, shardFarmCategories[g])
+	}
 
-	// Fleet observability (cfg.Fleet): per-guest tenants wired into the
-	// emulator frame hook and the svm fetch hook, plus the scheduler and
-	// shared-host observers. Observe-only — results are byte-identical
-	// with the layer on or off.
+	// Fleet observability (cfg.Fleet) and streaming telemetry (cfg.Monitor)
+	// share the tenant contracts. Both are observe-only — results are
+	// byte-identical with either layer on or off.
 	var fl *fleetobs.Fleet
 	if cfg.Fleet {
-		fcfg := fleetobs.Config{Registry: obs.NewRegistry()}
+		fcfg := fleetobs.Config{Tenants: tenants, Registry: obs.NewRegistry()}
 		if cfg.TracePath != "" {
 			fcfg.Tracer = obs.NewTracer()
 		}
-		for g := 0; g < shardFarmGuests; g++ {
-			fcfg.Tenants = append(fcfg.Tenants, shardFarmTenant(g, shardFarmCategories[g]))
-		}
 		fl = fleetobs.New(fcfg)
 	}
-
-	// Streaming telemetry (cfg.Monitor): one tsmon tenant per guest sharing
-	// the fleet QoS contracts, sealed at the group's barriers. Observe-only
-	// like the fleet layer, and composable with it through observer tees.
 	var mon *tsmon.Monitor
 	if cfg.Monitor {
-		var mcfg tsmon.Config
-		for g := 0; g < shardFarmGuests; g++ {
-			fc := shardFarmTenant(g, shardFarmCategories[g])
-			mcfg.Tenants = append(mcfg.Tenants, tsmon.TenantConfig{
-				Name: fc.Name, FPSFloor: fc.FPSFloor, M2PSLO: fc.M2PSLO,
-			})
-		}
-		mon = tsmon.New(mcfg)
+		mon = tsmon.New(tsmon.Config{Tenants: tenants})
 	}
 
 	var stop time.Duration
@@ -193,35 +139,7 @@ func runShardFarm(cfg Config, shards int, lookahead *time.Duration) ShardScaleRo
 		sessions = append(sessions, sess)
 		envs = append(envs, sess.Env)
 		machs = append(machs, sess.Machine)
-		var frames []emulator.FrameObserver
-		var fetches []func(at, latency time.Duration)
-		if fl != nil {
-			tn := fl.Tenant(g)
-			frames = append(frames, tn)
-			fetches = append(fetches, tn.DemandFetch)
-		}
-		if mon != nil {
-			mt := mon.Tenant(g)
-			frames = append(frames, mt)
-			fetches = append(fetches, mt.DemandFetch)
-			MonitorProbes(mt, sess)
-		}
-		switch len(frames) {
-		case 1:
-			sess.Emulator.FrameObs = frames[0]
-		case 2:
-			sess.Emulator.FrameObs = frameTee{frames[0], frames[1]}
-		}
-		switch len(fetches) {
-		case 1:
-			sess.Emulator.Manager.SetFetchObserver(fetches[0])
-		case 2:
-			a, b := fetches[0], fetches[1]
-			sess.Emulator.Manager.SetFetchObserver(func(at, latency time.Duration) {
-				a(at, latency)
-				b(at, latency)
-			})
-		}
+		WireGuest(sess, g, fl, mon)
 		pd, err := workload.StartEmerging(sess.Emulator, workload.DefaultSpec(cat, g, cfg.Duration))
 		if err != nil {
 			// vSoC runs every category; a failure here is a programming
@@ -234,11 +152,11 @@ func runShardFarm(cfg Config, shards int, lookahead *time.Duration) ShardScaleRo
 		}
 	}
 	sh := hostsim.NewSharedHost(hostsim.SharedHostConfig{PCIeBudget: shardFarmPCIeBudget}, machs...)
-	*lookahead = sh.Lookahead()
-	grp := sim.NewShardGroup(sh.Lookahead(), shards, envs...)
+	res.Lookahead = sh.Lookahead()
+	grp := sim.NewShardGroup(sh.Lookahead(), 1, envs...)
 	defer grp.Close()
 	sh.Attach(grp)
-	grp.AtBarrier(func(prev, now time.Duration) { row.Windows++ })
+	grp.AtBarrier(func(prev, now time.Duration) { res.Windows++ })
 	if fl != nil {
 		fl.Attach(grp, sh)
 	}
@@ -254,29 +172,26 @@ func runShardFarm(cfg Config, shards int, lookahead *time.Duration) ShardScaleRo
 
 	if fl != nil {
 		fl.Finalize(stop)
-		row.Fleet = fl.Report(stop)
-		row.Stall = fl.StallReport()
+		res.Fleet = fl.Report(stop)
+		res.Stall = fl.StallReport()
 		if cfg.TracePath != "" {
-			path := fmt.Sprintf("%s-fleet-shards%d.json",
-				strings.TrimSuffix(cfg.TracePath, ".json"), shards)
+			path := strings.TrimSuffix(cfg.TracePath, ".json") + "-fleet.json"
 			if err := writeTraceFile(path, fl.Tracer()); err != nil {
-				row.FleetTrace = "error: " + err.Error()
+				res.FleetTrace = "error: " + err.Error()
 			} else {
-				row.FleetTrace = path
+				res.FleetTrace = path
 			}
 		}
 	}
 
 	if mon != nil {
 		mon.Finalize(stop)
-		row.Mon = mon.Report()
+		res.Mon = mon.Report()
 		if cfg.MonPath != "" {
-			path := fmt.Sprintf("%s-shards%d.json",
-				strings.TrimSuffix(cfg.MonPath, ".json"), shards)
-			if err := row.Mon.WriteJSONFile(path); err != nil {
-				row.MonFile = "error: " + err.Error()
+			if err := res.Mon.WriteJSONFile(cfg.MonPath); err != nil {
+				res.MonFile = "error: " + err.Error()
 			} else {
-				row.MonFile = path
+				res.MonFile = cfg.MonPath
 			}
 		}
 	}
@@ -286,16 +201,48 @@ func runShardFarm(cfg Config, shards int, lookahead *time.Duration) ShardScaleRo
 		if err != nil {
 			panic(fmt.Sprintf("shardscale: guest result: %v", err))
 		}
-		row.GuestFPS = append(row.GuestFPS, r.FPS)
-		row.MeanFPS += r.FPS / shardFarmGuests
-		row.Frames += r.Frames
+		res.GuestFPS = append(res.GuestFPS, r.FPS)
+		res.MeanFPS += r.FPS / shardFarmGuests
+		res.Frames += r.Frames
 	}
-	row.Events = grp.ExecutedEvents()
-	row.WallMS = float64(wall.Microseconds()) / 1000
+	res.Events = grp.ExecutedEvents()
+	res.WallMS = float64(wall.Microseconds()) / 1000
 	if s := wall.Seconds(); s > 0 {
-		row.EventsPerSec = float64(row.Events) / s
+		res.EventsPerSec = float64(res.Events) / s
 	}
-	return row
+	return res
+}
+
+// WireGuest connects guest g's session to its tenant in the fleet, the
+// monitor, or both; either may be nil. Frame and demand-fetch telemetry go
+// to every attached tenant, and a monitor tenant also gets the session's
+// MonitorProbes. Each hook takes one consumer, so wiring both tees them.
+func WireGuest(sess *workload.Session, g int, fl *fleetobs.Fleet, mon *tsmon.Monitor) {
+	var ft *fleetobs.Tenant
+	if fl != nil {
+		ft = fl.Tenant(g)
+	}
+	var mt *tsmon.Tenant
+	if mon != nil {
+		mt = mon.Tenant(g)
+	}
+	switch {
+	case ft != nil && mt != nil:
+		sess.Emulator.FrameObs = frameTee{ft, mt}
+		sess.Emulator.Manager.SetFetchObserver(func(at, latency time.Duration) {
+			ft.DemandFetch(at, latency)
+			mt.DemandFetch(at, latency)
+		})
+	case ft != nil:
+		sess.Emulator.FrameObs = ft
+		sess.Emulator.Manager.SetFetchObserver(ft.DemandFetch)
+	case mt != nil:
+		sess.Emulator.FrameObs = mt
+		sess.Emulator.Manager.SetFetchObserver(mt.DemandFetch)
+	}
+	if mt != nil {
+		MonitorProbes(mt, sess)
+	}
 }
 
 // frameTee fans one guest's frame telemetry out to two observers (fleet +
@@ -317,93 +264,64 @@ func (t frameTee) MotionToPhoton(at, latency time.Duration) {
 	t.b.MotionToPhoton(at, latency)
 }
 
-// FormatShardScale renders the sweep. The simulation columns are identical
-// on every row — that sameness is the point; the wall columns are the
-// host-dependent throughput measurement.
+// FormatShardScale renders the farm run. The wall columns are the
+// host-dependent throughput measurement; everything else is deterministic.
 func FormatShardScale(r *ShardScaleResult) string {
 	var b strings.Builder
-	fleetOn := len(r.Rows) > 0 && r.Rows[0].Fleet != nil
-	fmt.Fprintf(&b, "Shard-scaling sweep (%d-guest farm, lookahead %v, DESIGN.md §12):\n",
+	fmt.Fprintf(&b, "Farm run (%d-guest farm, lookahead %v, DESIGN.md §12):\n",
 		r.Guests, r.Lookahead)
-	b.WriteString("  shards   mean FPS   per-guest FPS            frames    events     windows   wall ms    events/s   speedup")
-	if fleetOn {
+	b.WriteString("  mean FPS   per-guest FPS            frames    events     windows   wall ms    events/s")
+	if r.Fleet != nil {
 		b.WriteString("   floor%    slo%   m2p_p99   fetch_p99   strag")
 	}
 	b.WriteString("\n")
-	for _, row := range r.Rows {
-		guests := make([]string, len(row.GuestFPS))
-		for i, f := range row.GuestFPS {
-			guests[i] = fmt.Sprintf("%.1f", f)
-		}
-		fmt.Fprintf(&b, "  %6d   %8.2f   %-22s   %6d   %8d   %7d   %7.1f   %9.0f   %6.2fx",
-			row.Shards, row.MeanFPS, strings.Join(guests, " "),
-			row.Frames, row.Events, row.Windows, row.WallMS,
-			row.EventsPerSec, row.SpeedupX)
-		if f := row.Fleet; f != nil {
-			fmt.Fprintf(&b, "   %6.1f   %5.1f   %5.2fms   %7.2fms   %5d",
-				f.Fleet.FloorAttainment*100, f.Fleet.SLOAttainment*100,
-				f.Fleet.M2PP99MS, f.Fleet.FetchP99MS, len(f.Fleet.Stragglers))
-		}
-		b.WriteString("\n")
+	guests := make([]string, len(r.GuestFPS))
+	for i, f := range r.GuestFPS {
+		guests[i] = fmt.Sprintf("%.1f", f)
 	}
-	b.WriteString("  (simulation columns are byte-identical across shard counts; wall columns are host-dependent)\n")
-	if fleetOn {
+	fmt.Fprintf(&b, "  %8.2f   %-22s   %6d   %8d   %7d   %7.1f   %9.0f",
+		r.MeanFPS, strings.Join(guests, " "), r.Frames, r.Events, r.Windows,
+		r.WallMS, r.EventsPerSec)
+	if f := r.Fleet; f != nil {
+		fmt.Fprintf(&b, "   %6.1f   %5.1f   %5.2fms   %7.2fms   %5d",
+			f.Fleet.FloorAttainment*100, f.Fleet.SLOAttainment*100,
+			f.Fleet.M2PP99MS, f.Fleet.FetchP99MS, len(f.Fleet.Stragglers))
+	}
+	b.WriteString("\n  (wall columns are host-dependent)\n")
+	if r.Fleet != nil {
 		b.WriteString("\n")
-		b.WriteString(r.Rows[0].Fleet.FormatText())
-		for _, row := range r.Rows {
-			if row.Stall != nil {
-				fmt.Fprintf(&b, "\n[shards=%d] %s", row.Shards, row.Stall.FormatText())
-			}
+		b.WriteString(r.Fleet.FormatText())
+		if r.Stall != nil {
+			b.WriteString("\n")
+			b.WriteString(r.Stall.FormatText())
 		}
-		for _, row := range r.Rows {
-			if row.FleetTrace != "" {
-				fmt.Fprintf(&b, "trace shards=%d %s\n", row.Shards, row.FleetTrace)
-			}
+		if r.FleetTrace != "" {
+			fmt.Fprintf(&b, "trace %s\n", r.FleetTrace)
 		}
 	}
-	if len(r.Rows) > 0 && r.Rows[0].Mon != nil {
-		b.WriteString("\n")
-		for _, row := range r.Rows {
-			if row.Mon == nil {
-				continue
-			}
-			fmt.Fprintf(&b, "[shards=%d] monitor: %d window(s) sealed, %d incident(s), digest %s\n",
-				row.Shards, row.Mon.Sealed, len(row.Mon.Incidents), row.Mon.Digest)
-			if row.MonFile != "" {
-				fmt.Fprintf(&b, "  monitor report %s\n", row.MonFile)
-			}
+	if r.Mon != nil {
+		fmt.Fprintf(&b, "\nmonitor: %d window(s) sealed, %d incident(s), digest %s\n",
+			r.Mon.Sealed, len(r.Mon.Incidents), r.Mon.Digest)
+		if r.MonFile != "" {
+			fmt.Fprintf(&b, "  monitor report %s\n", r.MonFile)
 		}
-		b.WriteString("  (monitor reports are byte-identical across shard counts — equal digests are the §15 determinism contract)\n")
 	}
 	return b.String()
 }
 
-// ShardScaleBenchMetrics projects the sweep into the bench trajectory. The
-// fps/frames/events/windows metrics are deterministic; the events/s and
-// speedup metrics measure the build host and need threshold overrides in
-// perf gates.
+// ShardScaleBenchMetrics projects the farm run into the bench trajectory.
+// The fps/frames/events/windows and fleet metrics are deterministic;
+// events_per_sec_serial measures the build host and needs a threshold
+// override in perf gates. The names match the committed bench baselines.
 func ShardScaleBenchMetrics(r *ShardScaleResult) []BenchMetric {
-	if len(r.Rows) == 0 {
-		return nil
-	}
-	serial, widest := r.Rows[0], r.Rows[len(r.Rows)-1]
 	ms := []BenchMetric{
-		{Name: "shardscale.mean_fps", Value: serial.MeanFPS, Unit: "fps", Better: "higher"},
-		{Name: "shardscale.frames", Value: float64(serial.Frames), Unit: "frames", Better: "higher"},
-		{Name: "shardscale.events_total", Value: float64(serial.Events), Unit: "events", Better: "higher"},
-		{Name: "shardscale.windows", Value: float64(serial.Windows), Unit: "windows", Better: "higher"},
-		{Name: "shardscale.events_per_sec_serial", Value: serial.EventsPerSec, Unit: "events/s", Better: "higher"},
+		{Name: "shardscale.mean_fps", Value: r.MeanFPS, Unit: "fps", Better: "higher"},
+		{Name: "shardscale.frames", Value: float64(r.Frames), Unit: "frames", Better: "higher"},
+		{Name: "shardscale.events_total", Value: float64(r.Events), Unit: "events", Better: "higher"},
+		{Name: "shardscale.windows", Value: float64(r.Windows), Unit: "windows", Better: "higher"},
+		{Name: "shardscale.events_per_sec_serial", Value: r.EventsPerSec, Unit: "events/s", Better: "higher"},
 	}
-	if widest.Shards > 1 {
-		ms = append(ms,
-			BenchMetric{Name: fmt.Sprintf("shardscale.events_per_sec_shards%d", widest.Shards),
-				Value: widest.EventsPerSec, Unit: "events/s", Better: "higher"},
-			BenchMetric{Name: "shardscale.speedup_x", Value: widest.SpeedupX, Unit: "x", Better: "higher"})
-	}
-	// Fleet metrics (DESIGN.md §13): the QoS/tail aggregate is
-	// deterministic; barrier_stall_frac measures the build host's wall
-	// clock like events/s and needs the same wide gate threshold.
-	if f := serial.Fleet; f != nil {
+	if f := r.Fleet; f != nil {
 		ms = append(ms,
 			BenchMetric{Name: "fleet.floor_attainment", Value: f.Fleet.FloorAttainment, Unit: "frac", Better: "higher"},
 			BenchMetric{Name: "fleet.slo_attainment", Value: f.Fleet.SLOAttainment, Unit: "frac", Better: "higher"},
@@ -413,24 +331,5 @@ func ShardScaleBenchMetrics(r *ShardScaleResult) []BenchMetric {
 			BenchMetric{Name: "fleet.stragglers", Value: float64(len(f.Fleet.Stragglers)), Unit: "tenants", Better: "lower"},
 		)
 	}
-	if widest.Shards > 1 && widest.Stall != nil {
-		if frac := barrierStallFrac(widest.Stall); frac >= 0 {
-			ms = append(ms, BenchMetric{Name: "fleet.barrier_stall_frac", Value: frac, Unit: "frac", Better: "lower"})
-		}
-	}
 	return ms
-}
-
-// barrierStallFrac is the fraction of the run's shard-window wall time
-// spent parked at barriers, summed across shards: a wall-clock diagnosis
-// of why -shards N does not reach Nx. Negative when unmeasurable.
-func barrierStallFrac(s *fleetobs.StallReport) float64 {
-	if len(s.Shards) == 0 || s.WallExec <= 0 {
-		return -1
-	}
-	var barrier time.Duration
-	for _, sh := range s.Shards {
-		barrier += sh.Barrier
-	}
-	return float64(barrier) / (float64(s.WallExec) * float64(len(s.Shards)))
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"math"
 	"reflect"
 	"testing"
@@ -16,8 +15,7 @@ import (
 	"repro/internal/workload"
 )
 
-// shardScaleProjection strips a row to its deterministic columns — the
-// contract is that these are byte-identical at every shard count.
+// shardScaleProjection strips a result to its deterministic columns.
 type shardScaleProjection struct {
 	GuestFPS []float64
 	MeanFPS  float64
@@ -26,7 +24,7 @@ type shardScaleProjection struct {
 	Windows  int
 }
 
-func projectRow(r ShardScaleRow) shardScaleProjection {
+func project(r *ShardScaleResult) shardScaleProjection {
 	return shardScaleProjection{
 		GuestFPS: r.GuestFPS, MeanFPS: r.MeanFPS, Frames: r.Frames,
 		Events: r.Events, Windows: r.Windows,
@@ -34,60 +32,39 @@ func projectRow(r ShardScaleRow) shardScaleProjection {
 }
 
 func TestShardScaleDeterministicAcrossCounts(t *testing.T) {
-	cfg := Config{Duration: 2 * time.Second, Seed: 1} // Shards 0: the full ladder
+	cfg := Config{Duration: 2 * time.Second, Seed: 1}
 	res := RunShardScale(cfg)
-	if len(res.Rows) != 4 {
-		t.Fatalf("rows = %d, want 4 (counts 1,2,4,8)", len(res.Rows))
-	}
 	if res.Lookahead <= 0 {
 		t.Fatalf("Lookahead = %v, want > 0", res.Lookahead)
 	}
-	base := projectRow(res.Rows[0])
+	base := project(res)
 	if base.Frames == 0 || base.Events == 0 || base.Windows == 0 || base.MeanFPS <= 0 {
-		t.Fatalf("degenerate serial row: %+v", base)
+		t.Fatalf("degenerate farm run: %+v", base)
 	}
 	if len(base.GuestFPS) != shardFarmGuests {
 		t.Fatalf("GuestFPS has %d entries, want %d", len(base.GuestFPS), shardFarmGuests)
 	}
-	for i, row := range res.Rows[1:] {
-		if got := projectRow(row); !reflect.DeepEqual(got, base) {
-			t.Errorf("shards=%d diverged from serial:\n got %+v\nwant %+v",
-				row.Shards, got, base)
-		}
-		_ = i
+	if res.EventsPerSec <= 0 {
+		t.Fatalf("EventsPerSec = %v, want > 0", res.EventsPerSec)
 	}
-	// The rendered report's simulation columns are identical too: formatting
-	// with the wall columns blanked must collapse to one repeated line.
-	for _, row := range res.Rows {
-		if row.SpeedupX <= 0 {
-			t.Errorf("shards=%d: SpeedupX = %v, want > 0", row.Shards, row.SpeedupX)
-		}
+	if got := project(RunShardScale(cfg)); !reflect.DeepEqual(got, base) {
+		t.Fatalf("equal-seed rerun diverged:\n got %+v\nwant %+v", got, base)
 	}
 }
 
 // TestShardScaleFleetDeterministicAcrossCounts pins the §13 contract: with
-// fleetobs on, the fleet report is byte-identical (text and JSON) at every
-// shard count, the simulation results match a fleet-off run exactly, and
-// the barrier-stall attribution covers >= 95% of every shard's window wall
-// time.
+// fleetobs on, the fleet report is wired and well-formed, the window-loop
+// split counts every window, and the simulation results match a fleet-off
+// run exactly.
 func TestShardScaleFleetDeterministicAcrossCounts(t *testing.T) {
-	cfg := Config{Duration: 2 * time.Second, Seed: 1, Fleet: true}
-	res := RunShardScale(cfg)
-	if len(res.Rows) != 4 {
-		t.Fatalf("rows = %d, want 4", len(res.Rows))
-	}
-	base := res.Rows[0].Fleet
+	res := RunShardScale(Config{Duration: 2 * time.Second, Seed: 1, Fleet: true})
+	base := res.Fleet
 	if base == nil {
 		t.Fatal("Fleet config did not produce a fleet report")
 	}
-	baseJSON, err := base.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseText := base.FormatText()
 
 	// The hooks must actually flow: tenants present frames, fetch tails
-	// are measured, the scheduler advanced windows.
+	// are measured, the window loop advanced.
 	var frames uint64
 	for _, tr := range base.Tenants {
 		frames += tr.Frames
@@ -99,53 +76,23 @@ func TestShardScaleFleetDeterministicAcrossCounts(t *testing.T) {
 	if base.Sched.LookaheadUtil <= 0 || base.Sched.LookaheadUtil > 1 {
 		t.Fatalf("lookahead util = %g, want (0, 1]", base.Sched.LookaheadUtil)
 	}
-
-	for _, row := range res.Rows[1:] {
-		js, err := row.Fleet.JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(js, baseJSON) {
-			t.Errorf("shards=%d: fleet report JSON diverged from serial", row.Shards)
-		}
-		if row.Fleet.FormatText() != baseText {
-			t.Errorf("shards=%d: fleet report text diverged from serial", row.Shards)
-		}
+	if base.Sched.Events != res.Events {
+		t.Fatalf("fleet counted %d events, farm executed %d", base.Sched.Events, res.Events)
 	}
-	for _, row := range res.Rows {
-		if row.Stall == nil || row.Stall.Windows == 0 {
-			t.Fatalf("shards=%d: missing stall attribution", row.Shards)
-		}
-		for s := range row.Stall.Shards {
-			if cov := row.Stall.Coverage(s); cov < 0.95 {
-				t.Errorf("shards=%d shard %d: stall coverage %.3f < 0.95\n%s",
-					row.Shards, s, cov, row.Stall.FormatText())
-			}
-		}
+	if res.Stall == nil || res.Stall.Windows != base.Sched.Windows {
+		t.Fatalf("stall split missing or miscounted: %+v", res.Stall)
 	}
 
-	// Observe-only: the simulation columns match a fleet-off serial run
-	// byte for byte.
-	off := RunShardScale(Config{Duration: 2 * time.Second, Seed: 1, Shards: 1})
-	if got, want := projectRow(res.Rows[0]), projectRow(off.Rows[0]); !reflect.DeepEqual(got, want) {
+	// Observe-only: the simulation columns match a fleet-off run byte for
+	// byte.
+	off := RunShardScale(Config{Duration: 2 * time.Second, Seed: 1})
+	if got, want := project(res), project(off); !reflect.DeepEqual(got, want) {
 		t.Errorf("fleetobs perturbed the simulation:\n on  %+v\n off %+v", got, want)
 	}
 }
 
-func TestShardScaleRespectsRequestedCount(t *testing.T) {
-	if got := shardScaleCounts(Config{Shards: 3}); !reflect.DeepEqual(got, []int{1, 3}) {
-		t.Fatalf("Shards=3 counts = %v, want [1 3]", got)
-	}
-	if got := shardScaleCounts(Config{Shards: 1}); !reflect.DeepEqual(got, []int{1}) {
-		t.Fatalf("Shards=1 counts = %v, want [1]", got)
-	}
-	if got := shardScaleCounts(Config{}); !reflect.DeepEqual(got, []int{1, 2, 4, 8}) {
-		t.Fatalf("default counts = %v", got)
-	}
-}
-
 func TestShardScaleBenchMetricsShape(t *testing.T) {
-	res := RunShardScale(Config{Duration: time.Second, Seed: 1, Shards: 2})
+	res := RunShardScale(Config{Duration: time.Second, Seed: 1})
 	ms := ShardScaleBenchMetrics(res)
 	names := map[string]bool{}
 	for _, m := range ms {
@@ -154,7 +101,6 @@ func TestShardScaleBenchMetricsShape(t *testing.T) {
 	for _, want := range []string{
 		"shardscale.mean_fps", "shardscale.frames", "shardscale.events_total",
 		"shardscale.windows", "shardscale.events_per_sec_serial",
-		"shardscale.events_per_sec_shards2", "shardscale.speedup_x",
 	} {
 		if !names[want] {
 			t.Errorf("bench metrics missing %s (have %v)", want, names)
@@ -166,10 +112,10 @@ func TestShardScaleBenchMetricsShape(t *testing.T) {
 	}
 }
 
-// runChaosFarm drives a two-guest farm on two shards — optionally with a
-// link collapse on guest 0 for the middle third of the run, opening and
-// closing mid-window — and returns guest 0's result plus the fleet
-// telemetry that watched the run.
+// runChaosFarm drives a two-guest farm — optionally with a link collapse on
+// guest 0 for the middle third of the run, opening and closing mid-window —
+// and returns guest 0's result plus the fleet telemetry that watched the
+// run.
 func runChaosFarm(t *testing.T, dur time.Duration, fault bool) (*workload.Result, *fleetobs.Fleet, time.Duration) {
 	t.Helper()
 	cats := []int{emulator.CatUHDVideo, emulator.CatLivestream}
@@ -191,9 +137,7 @@ func runChaosFarm(t *testing.T, dur time.Duration, fault bool) (*workload.Result
 		sessions = append(sessions, sess)
 		envs = append(envs, sess.Env)
 		machs = append(machs, sess.Machine)
-		tn := fl.Tenant(g)
-		sess.Emulator.FrameObs = tn
-		sess.Emulator.Manager.SetFetchObserver(tn.DemandFetch)
+		WireGuest(sess, g, fl, nil)
 		pd, err := workload.StartEmerging(sess.Emulator, workload.DefaultSpec(cat, g, dur))
 		if err != nil {
 			t.Fatalf("guest %d: %v", g, err)
@@ -210,7 +154,7 @@ func runChaosFarm(t *testing.T, dur time.Duration, fault bool) (*workload.Result
 		fl.Tenant(0).AddFaultWindow(dur/3, dur/3)
 	}
 	sh := hostsim.NewSharedHost(hostsim.SharedHostConfig{PCIeBudget: shardFarmPCIeBudget}, machs...)
-	grp := sim.NewShardGroup(sh.Lookahead(), 2, envs...)
+	grp := sim.NewShardGroup(sh.Lookahead(), 1, envs...)
 	defer grp.Close()
 	sh.Attach(grp)
 	fl.Attach(grp, sh)
@@ -246,9 +190,8 @@ func TestShardFarmChaosRecoversWithinEnvelope(t *testing.T) {
 			faultRec, baseRec, tol)
 	}
 
-	// Telemetry sanity: the scheduler metrics must agree with the fleet
-	// report — windows counted once per barrier, one barrier-wait sample per
-	// shard per window.
+	// Telemetry sanity: the window-count metric must agree with the fleet
+	// report — windows counted once per barrier.
 	rep := faultFl.Report(stop)
 	reg := faultFl.Registry()
 	windows := reg.Counter("shard.window.count").Value()
@@ -257,10 +200,6 @@ func TestShardFarmChaosRecoversWithinEnvelope(t *testing.T) {
 	}
 	if int(windows) != rep.Sched.Windows {
 		t.Fatalf("shard.window.count = %d but report says %d windows", windows, rep.Sched.Windows)
-	}
-	waits := reg.Histogram("shard.barrier.wait").Dist().Count()
-	if want := windows * 2; int64(waits) != want { // 2 shards
-		t.Fatalf("shard.barrier.wait has %v samples, want windows*shards = %d", waits, want)
 	}
 
 	// The mid-barrier link collapse must be visible in the QoS plane: the

@@ -1,24 +1,22 @@
-// Package fleetobs is the fleet/scheduler observability layer over the
-// conservative parallel runtime (DESIGN.md §13, building on the §12 shard
-// scheduler and the §8 obs infrastructure). It watches three planes at
-// once: scheduler introspection (per-window advance span, per-shard barrier
-// wait, cross-shard mailbox volume, lookahead utilization), shared-host
-// arbitration (per-window demand vs budget, applied scale, thermal state),
-// and per-tenant QoS (FPS vs a configurable floor, motion-to-photon vs SLO,
-// demand-fetch tail latency from a fixed-bucket log-scale histogram,
-// fault-window downtime), folding them into Perfetto counter tracks,
-// violation spans, a wall-clock barrier-stall attribution table, and a
-// machine-readable fleet report.
+// Package fleetobs is the fleet observability layer over the windowed farm
+// loop (DESIGN.md §13, building on the §12 shard group and the §8 obs
+// infrastructure). It watches three planes at once: the window loop
+// (per-window advance span and event count, lookahead utilization),
+// shared-host arbitration (per-window demand vs budget, applied scale,
+// thermal state), and per-tenant QoS (FPS vs a configurable floor,
+// motion-to-photon vs SLO, demand-fetch tail latency from a fixed-bucket
+// log-scale histogram, fault-window downtime), folding them into Perfetto
+// counter tracks, violation spans, a wall-clock split of the loop's host
+// time, and a machine-readable fleet report.
 //
 // Determinism contract: the layer is observe-only — with a Fleet attached,
 // simulation results are byte-identical to a run without one, and the
 // disabled path (no Fleet constructed) costs a nil check and zero
 // allocations at every hook. Report derives exclusively from virtual-time
 // quantities and integer bucket counts, so its text and JSON renderings are
-// byte-identical at every shard count for equal seeds; every wall-clock
-// measurement (per-shard compute, barrier wait, arbitration spans) is
-// quarantined in StallReport, which is attribution-exact by construction
-// but never deterministic.
+// byte-identical for equal seeds; every wall-clock measurement (the loop's
+// scan, execution and arbitration spans) is quarantined in StallReport,
+// which is never deterministic.
 package fleetobs
 
 import (
@@ -41,46 +39,34 @@ type Config struct {
 	// fleet:host) and per-tenant violation spans (tenant:<name>). The
 	// fleet owns the tracer's clock: it binds SetNow to the barrier clock.
 	Tracer *obs.Tracer
-	// Registry, when non-nil, receives the scheduler sanity metrics
-	// (shard.window.count, shard.barrier.wait, shard.mail.*).
+	// Registry, when non-nil, receives the window-loop sanity metric
+	// (shard.window.count).
 	Registry *obs.Registry
 }
 
-// shardAccum is one shard's run-long wall accumulation.
-type shardAccum struct {
-	events  uint64
-	compute time.Duration
-	barrier time.Duration
-}
-
-// Fleet aggregates scheduler, shared-host, and tenant telemetry for one
-// sharded farm run. Construct with New, wire tenants into their guests
-// (emulator FrameObs, svm SetFetchObserver), Attach to the group and
-// arbiter, drive the run, then Finalize and render Report/StallReport.
+// Fleet aggregates window-loop, shared-host, and tenant telemetry for one
+// farm run. Construct with New, wire tenants into their guests (emulator
+// FrameObs, svm SetFetchObserver), Attach to the group and arbiter, drive
+// the run, then Finalize and render Report/StallReport.
 //
-// Concurrency: ShardWindow and HostWindow run on the coordinating
-// goroutine; each Tenant is fed only from its own guest's environment.
-// Aggregation happens at barriers and after the run, under the group's
-// happens-before edges, so the layer needs no locks.
+// Concurrency: every hook runs on the goroutine that drives the group, so
+// the layer needs no locks.
 type Fleet struct {
 	cfg     Config
 	tenants []*Tenant
 
-	// Scheduler plane (coordinator only). Virtual-time fields are
-	// deterministic; wall* fields are host measurements.
+	// Window-loop plane. Virtual-time fields are deterministic; wall*
+	// fields are host measurements.
 	windows      int
 	finalWindows int
 	advanced     time.Duration
 	horizon      time.Duration
-	mails        int64
-	mailBytes    int64
 	events       uint64
 	wallScan     time.Duration
 	wallExec     time.Duration
 	wallArb      time.Duration
-	shards       []shardAccum
 
-	// Shared-host plane (coordinator only, all deterministic).
+	// Shared-host plane (all deterministic).
 	hostWindows   int
 	hostDemand    hostsim.Bytes
 	hostBusy      time.Duration
@@ -92,9 +78,6 @@ type Fleet struct {
 
 	schedTk, hostTk obs.Track
 	winCount        *obs.Counter
-	barrierWait     *obs.Histogram
-	mailCount       *obs.Counter
-	mailVolume      *obs.Counter
 }
 
 // New builds a Fleet over the configured tenants. A nil-tracer,
@@ -118,9 +101,6 @@ func New(cfg Config) *Fleet {
 	}
 	reg := cfg.Registry
 	f.winCount = reg.Counter("shard.window.count")
-	f.barrierWait = reg.Histogram("shard.barrier.wait")
-	f.mailCount = reg.Counter("shard.mail.sends")
-	f.mailVolume = reg.Counter("shard.mail.bytes")
 	return f
 }
 
@@ -146,7 +126,7 @@ func (f *Fleet) Attach(g *sim.ShardGroup, sh *hostsim.SharedHost) {
 }
 
 // ShardWindow implements sim.ShardObserver: fold one executed window into
-// the scheduler plane and emit its counter samples.
+// the window-loop plane and emit its counter samples.
 func (f *Fleet) ShardWindow(w *sim.ShardWindowStats) {
 	f.now = w.Limit
 	f.windows++
@@ -156,32 +136,11 @@ func (f *Fleet) ShardWindow(w *sim.ShardWindowStats) {
 	adv := w.Limit - w.Base
 	f.advanced += adv
 	f.horizon += w.Lookahead
-	f.mails += int64(w.Mails)
-	f.mailBytes += w.MailBytes
+	f.events += w.Events
 	f.wallScan += w.WallScan
 	f.wallExec += w.WallExec
 	f.wallArb += w.WallArb
-	if len(f.shards) < len(w.Shards) {
-		f.shards = append(f.shards, make([]shardAccum, len(w.Shards)-len(f.shards))...)
-	}
-	var winEvents uint64
-	for s := range w.Shards {
-		ld := &w.Shards[s]
-		acc := &f.shards[s]
-		acc.events += ld.Events
-		acc.compute += ld.Compute
-		wait := w.WallExec - ld.Compute
-		if wait < 0 {
-			wait = 0
-		}
-		acc.barrier += wait
-		winEvents += ld.Events
-		f.barrierWait.Observe(float64(wait) / 1e6) // ms
-	}
-	f.events += winEvents
 	f.winCount.Inc()
-	f.mailCount.Add(int64(w.Mails))
-	f.mailVolume.Add(w.MailBytes)
 	if tr := f.cfg.Tracer; tr != nil {
 		tr.Count(f.schedTk, "advance_us", float64(adv)/1e3)
 		util := 0.0
@@ -189,8 +148,7 @@ func (f *Fleet) ShardWindow(w *sim.ShardWindowStats) {
 			util = float64(adv) / float64(w.Lookahead)
 		}
 		tr.Count(f.schedTk, "lookahead_util", util)
-		tr.Count(f.schedTk, "events", float64(winEvents))
-		tr.Count(f.schedTk, "mail_sends", float64(w.Mails))
+		tr.Count(f.schedTk, "events", float64(w.Events))
 	}
 }
 

@@ -8,10 +8,10 @@ import (
 
 // LogHistogram is a fixed-bucket log-scale latency histogram in
 // milliseconds. The buckets are compile-time constants and the counts are
-// integers, so merging per-shard histograms is commutative and associative
-// — bucket counts add — which is what keeps tail percentiles byte-identical
-// at every shard count (the §12 determinism contract): a floating-point
-// sample sum would depend on merge order, bucket counts cannot.
+// integers, so merging per-tenant histograms is commutative and associative
+// — bucket counts add — which is what keeps merged tail percentiles
+// byte-identical whatever the merge order: a floating-point sample sum
+// would depend on merge order, bucket counts cannot.
 //
 // The zero value is an empty, ready-to-use histogram; Observe never
 // allocates.

@@ -71,9 +71,9 @@ func TestHistogramBucketBounds(t *testing.T) {
 	}
 }
 
-// TestHistogramMergeOrderIndependent pins the property the §12 determinism
-// contract leans on: per-shard histograms merge to the same result in any
-// order, including interleaved with direct observation.
+// TestHistogramMergeOrderIndependent pins the property the fleet report's
+// determinism leans on: per-tenant histograms merge to the same result in
+// any order, including interleaved with direct observation.
 func TestHistogramMergeOrderIndependent(t *testing.T) {
 	samples := [][]float64{
 		{0.1, 0.5, 2, 2, 9, 40},

@@ -10,10 +10,9 @@ import (
 )
 
 // This file renders the two run summaries: Report, the deterministic fleet
-// aggregate (virtual-time quantities only — byte-identical text and JSON at
-// every shard count for equal seeds), and StallReport, the wall-clock
-// barrier-stall attribution table (exact by construction, never
-// deterministic, and therefore kept out of Report entirely).
+// aggregate (virtual-time quantities only — byte-identical text and JSON
+// for equal seeds), and StallReport, the wall-clock split of the window
+// loop (never deterministic, and therefore kept out of Report entirely).
 
 // ReportSchema versions the fleet report JSON.
 const ReportSchema = 1
@@ -48,15 +47,13 @@ type TenantReport struct {
 	Straggler  bool    `json:"straggler"`
 }
 
-// SchedReport summarizes the conservative scheduler's window loop.
+// SchedReport summarizes the farm's window loop.
 type SchedReport struct {
 	Windows         int     `json:"windows"`
 	FinalWindows    int     `json:"final_windows"`
 	LookaheadUtil   float64 `json:"lookahead_util"` // advanced / horizon
 	Events          uint64  `json:"events"`
 	EventsPerWindow float64 `json:"events_per_window"`
-	MailSends       int64   `json:"mail_sends"`
-	MailBytes       int64   `json:"mail_bytes"`
 }
 
 // HostReport summarizes the shared-host arbiter's window sequence.
@@ -86,8 +83,8 @@ type FleetTails struct {
 }
 
 // Report is the deterministic fleet aggregate. Its text and JSON renderings
-// are byte-identical at every shard count for equal seeds; nothing in it
-// may derive from the host's wall clock or the shard partition.
+// are byte-identical for equal seeds; nothing in it may derive from the
+// host's wall clock.
 type Report struct {
 	Schema     int            `json:"schema"`
 	Guests     int            `json:"guests"`
@@ -144,8 +141,6 @@ func (f *Fleet) Report(end time.Duration) *Report {
 		LookaheadUtil:   round6(ratio(float64(f.advanced), float64(f.horizon), 0)),
 		Events:          f.events,
 		EventsPerWindow: round6(ratio(float64(f.events), float64(f.windows), 0)),
-		MailSends:       f.mails,
-		MailBytes:       f.mailBytes,
 	}
 	minScale := f.hostMinScale
 	if f.hostWindows == 0 {
@@ -281,9 +276,9 @@ func (r *Report) JSON() ([]byte, error) {
 func (r *Report) FormatText() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fleet report (%d guests, %.1fs virtual):\n", r.Guests, r.DurationMS/1e3)
-	fmt.Fprintf(&b, "  sched: %d windows (%d final), lookahead util %.3f, %.0f events/window, %d cross-shard sends (%d B)\n",
+	fmt.Fprintf(&b, "  sched: %d windows (%d final), lookahead util %.3f, %.0f events/window\n",
 		r.Sched.Windows, r.Sched.FinalWindows, r.Sched.LookaheadUtil,
-		r.Sched.EventsPerWindow, r.Sched.MailSends, r.Sched.MailBytes)
+		r.Sched.EventsPerWindow)
 	fmt.Fprintf(&b, "  host:  %d windows, %.2f GB demand, %.1f ms busy, scale mean %.3f / min %.3f, throttled %d\n",
 		r.Host.Windows, float64(r.Host.DemandBytes)/1e9, r.Host.BusyMS,
 		r.Host.MeanScale, r.Host.MinScale, r.Host.ThrottledWindows)
@@ -314,76 +309,46 @@ func stragglerList(s []string) string {
 	return strings.Join(s, ", ")
 }
 
-// StallShard is one shard's wall-clock decomposition over the whole run.
+// StallShard is one row of the per-shard barrier-stall table. The farm
+// loop runs on one goroutine and keeps no such table, so StallReport.Shards
+// is always empty; the type remains only because the benchmark module
+// still sums the rows (its sim.barrier_stall_frac then reads 0).
 type StallShard struct {
-	Shard   int
-	Events  uint64
-	Compute time.Duration // executing its environments' windows
-	Barrier time.Duration // parked waiting for the slowest shard
+	Barrier time.Duration // time parked waiting for the slowest shard
 }
 
-// StallReport is the barrier-stall attribution table: each shard's share of
-// the run's window wall time split into compute, barrier wait, arbitration
-// (mail delivery + barrier hooks), and window scan. WallScan/WallExec/
-// WallArb are coordinator-side totals common to every shard; per shard,
-// compute + barrier = WallExec up to clock-read jitter, so the attribution
-// covers the full window time by construction.
+// StallReport is the wall-clock split of the window loop's host time:
+// earliest-event scan, environments executing, and arbitration (barrier
+// hooks), summed over windows. Host measurements only — never
+// deterministic.
 type StallReport struct {
 	Windows  int
 	WallScan time.Duration
 	WallExec time.Duration
 	WallArb  time.Duration
-	Shards   []StallShard
+	Shards   []StallShard // always empty: see StallShard
 }
 
-// StallReport snapshots the wall-clock attribution accumulated so far.
+// StallReport snapshots the wall-clock split accumulated so far.
 func (f *Fleet) StallReport() *StallReport {
-	r := &StallReport{
+	return &StallReport{
 		Windows:  f.windows,
 		WallScan: f.wallScan,
 		WallExec: f.wallExec,
 		WallArb:  f.wallArb,
 	}
-	for s, acc := range f.shards {
-		r.Shards = append(r.Shards, StallShard{
-			Shard: s, Events: acc.events, Compute: acc.compute, Barrier: acc.barrier,
-		})
-	}
-	return r
 }
 
-// Total returns the wall time the window loop spent per shard (scan +
-// execute + arbitrate; identical for every shard).
+// Total returns the wall time the window loop spent (scan + execute +
+// arbitrate).
 func (r *StallReport) Total() time.Duration {
 	return r.WallScan + r.WallExec + r.WallArb
 }
 
-// Coverage returns the attributed fraction of shard s's window wall time:
-// (compute + barrier + arbitration + scan) / total. By construction this
-// is ~1.0; anything below says the decomposition lost time.
-func (r *StallReport) Coverage(s int) float64 {
-	total := r.Total()
-	if total <= 0 {
-		return 1
-	}
-	sh := &r.Shards[s]
-	return float64(sh.Compute+sh.Barrier+r.WallArb+r.WallScan) / float64(total)
-}
-
-// FormatText renders the attribution table. Wall-clock: useful for
-// diagnosing a run, excluded from every determinism contract.
+// FormatText renders the split. Wall-clock: useful for diagnosing a run,
+// excluded from every determinism contract.
 func (r *StallReport) FormatText() string {
-	var b strings.Builder
-	total := r.Total()
-	fmt.Fprintf(&b, "Barrier-stall attribution (%d windows, %.1f ms window wall time):\n",
-		r.Windows, float64(total)/1e6)
-	fmt.Fprintf(&b, "  %-5s %10s %10s %10s %10s %10s %9s\n",
-		"shard", "events", "compute", "barrier", "arb", "scan", "coverage")
-	for i := range r.Shards {
-		sh := &r.Shards[i]
-		fmt.Fprintf(&b, "  %-5d %10d %8.1fms %8.1fms %8.1fms %8.1fms %8.1f%%\n",
-			sh.Shard, sh.Events, float64(sh.Compute)/1e6, float64(sh.Barrier)/1e6,
-			float64(r.WallArb)/1e6, float64(r.WallScan)/1e6, r.Coverage(i)*100)
-	}
-	return b.String()
+	return fmt.Sprintf("Window-loop wall time (%d windows, %.1f ms): exec %.1f ms, arb %.1f ms, scan %.1f ms\n",
+		r.Windows, float64(r.Total())/1e6, float64(r.WallExec)/1e6,
+		float64(r.WallArb)/1e6, float64(r.WallScan)/1e6)
 }

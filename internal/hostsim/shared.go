@@ -10,22 +10,21 @@ import (
 // (DESIGN.md §12): in a farm, every guest's Machine models its private view
 // of the hardware, but the PCIe fabric, the DMA engine behind it, and the
 // chassis thermal envelope are shared. SharedHost is the arbiter that runs
-// at shard-group barriers — the shared-host-resource synchronization points
-// of the conservative parallel scheduler — reads each guest's per-window
-// resource draw, and applies a fair bandwidth share for the next window via
+// at shard-group barriers — the farm loop's shared-host-resource
+// synchronization points — reads each guest's per-window resource draw, and
+// applies a fair bandwidth share for the next window via
 // Link.SetSharedScale.
 //
 // The coupling is deliberately window-grained: decisions made at barrier k
-// shape window k+1. That one-window lag is what lets the shards run a whole
-// window without consulting each other, and it is identical at every shard
-// count, so arbitration never perturbs the determinism contract.
+// shape window k+1. That one-window lag is what lets each guest run a whole
+// window without consulting the others, and it depends only on the event
+// streams, so arbitration never perturbs the determinism contract.
 
 // SharedHostConfig parameterizes the arbiter; Resolved fills defaults.
 type SharedHostConfig struct {
-	// Window is the arbitration quantum and the shard group's lookahead
-	// floor. Default 2 ms — far above the cross-guest propagation floor
-	// (vm-boundary plus PCIe setup latency, ~85 µs on the high-end preset),
-	// and fine enough that contention shifts within a frame are visible.
+	// Window is the arbitration quantum; Lookahead hands it to the shard
+	// group as its window size. Default 2 ms: fine enough that contention
+	// shifts within a frame are visible.
 	Window time.Duration
 	// PCIeBudget is the physical host's aggregate PCIe bandwidth in
 	// bytes/second across every tracked guest link. When the guests'
@@ -75,7 +74,7 @@ type sharedLink struct {
 // SharedHost arbitrates one physical host's PCIe budget and thermal
 // envelope across guest machines. Construct with NewSharedHost, then either
 // Attach it to a sim.ShardGroup or call Arbitrate from a driver's own
-// barrier. All methods run on the coordinating goroutine.
+// barrier. All methods run on the goroutine that drives the farm.
 type SharedHost struct {
 	cfg   SharedHostConfig
 	links []sharedLink
@@ -83,11 +82,10 @@ type SharedHost struct {
 	scale     float64 // currently applied share
 	heat      float64
 	throttled bool
-	crossLat  time.Duration // max per-guest cross-boundary propagation floor
 
-	// obs, when non-nil, receives one callback per arbitration window on
-	// the coordinating goroutine. stats is the reused callback argument so
-	// the enabled path does not allocate either.
+	// obs, when non-nil, receives one callback per arbitration window.
+	// stats is the reused callback argument so the enabled path does not
+	// allocate either.
 	obs   func(*SharedWindowStats)
 	stats SharedWindowStats
 }
@@ -95,7 +93,7 @@ type SharedHost struct {
 // SharedWindowStats describes one arbitration window for an observer. The
 // struct is reused — observers must copy anything they keep. Every field
 // derives from virtual time and per-link counters, so the sequence is
-// identical at every shard count for equal seeds.
+// identical for equal seeds.
 type SharedWindowStats struct {
 	Prev, Now   time.Duration // window bounds (barrier instants)
 	DemandBytes Bytes         // combined PCIe bytes the guests moved
@@ -117,37 +115,18 @@ func (sh *SharedHost) SetObserver(fn func(*SharedWindowStats)) { sh.obs = fn }
 func NewSharedHost(cfg SharedHostConfig, guests ...*Machine) *SharedHost {
 	sh := &SharedHost{cfg: cfg.Resolved(), scale: 1}
 	for _, m := range guests {
-		var lat time.Duration
-		if vb := m.LinkBetween(m.DRAM, m.Guest); vb != nil {
-			lat += vb.Latency
-		}
-		var pcieLat time.Duration
 		for _, l := range []*Link{m.LinkBetween(m.DRAM, m.VRAM), m.LinkBetween(m.VRAM, m.DRAM)} {
-			if l == nil {
-				continue
+			if l != nil {
+				sh.links = append(sh.links, sharedLink{l: l})
 			}
-			sh.links = append(sh.links, sharedLink{l: l})
-			if pcieLat == 0 || l.Latency < pcieLat {
-				pcieLat = l.Latency
-			}
-		}
-		if lat+pcieLat > sh.crossLat {
-			sh.crossLat = lat + pcieLat
 		}
 	}
 	return sh
 }
 
-// Lookahead returns the conservative window the arbiter needs: its
-// arbitration quantum, which by construction sits above the minimum
-// cross-guest latency floor (vm-boundary service plus PCIe setup — the
-// fastest any guest's action can reach shared hardware another guest sees).
-func (sh *SharedHost) Lookahead() time.Duration {
-	if sh.cfg.Window > sh.crossLat {
-		return sh.cfg.Window
-	}
-	return sh.crossLat
-}
+// Lookahead returns the shard-group window the arbiter needs: its
+// arbitration quantum, the resolved Window.
+func (sh *SharedHost) Lookahead() time.Duration { return sh.cfg.Window }
 
 // Attach registers the arbiter at the group's barriers.
 func (sh *SharedHost) Attach(g *sim.ShardGroup) {

@@ -28,8 +28,11 @@ func TestSharedHostBudgetArbitration(t *testing.T) {
 	if got := sh.Scale(); got != 1 {
 		t.Fatalf("initial scale = %v, want 1", got)
 	}
-	if la := sh.Lookahead(); la < time.Millisecond {
-		t.Fatalf("lookahead %v below the configured window", la)
+	if la := sh.Lookahead(); la != time.Millisecond {
+		t.Fatalf("lookahead %v, want the configured window", la)
+	}
+	if la := NewSharedHost(SharedHostConfig{}, m1).Lookahead(); la != 2*time.Millisecond {
+		t.Fatalf("default lookahead %v, want the 2ms default window", la)
 	}
 
 	// Window 1: both guests move 4 MiB in 1 ms — demand far over 1 GB/s.

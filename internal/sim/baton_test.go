@@ -75,8 +75,8 @@ func TestCallbackPanicOnProcessGoroutineIsReraised(t *testing.T) {
 }
 
 // TestCallbackPanicInShardGroupIsReraised: the same forwarding holds inside
-// a 2-shard group, whether the panicking environment runs on the
-// coordinating goroutine (env 0) or on a worker (env 1).
+// a two-environment group, whichever environment panics — the first, or the
+// second after the first has run its part of the window.
 func TestCallbackPanicInShardGroupIsReraised(t *testing.T) {
 	for victim := 0; victim < 2; victim++ {
 		t.Run(fmt.Sprintf("env%d", victim), func(t *testing.T) {
@@ -115,9 +115,9 @@ func TestCallbackPanicInShardGroupIsReraised(t *testing.T) {
 
 // TestProcessPanicIsReraised: a panic in a process's own code leaves its
 // coroutine and surfaces from the run that resumed it, naming the process,
-// instead of crashing the program — on a plain Env and inside a 2-shard
-// group, whichever environment holds the faulty process. Close still tears
-// everything down afterwards.
+// instead of crashing the program — on a plain Env and inside a
+// two-environment group, whichever environment holds the faulty process.
+// Close still tears everything down afterwards.
 func TestProcessPanicIsReraised(t *testing.T) {
 	const want = `sim: process "faulty" panicked: bad state`
 	faulty := func(p *Proc) {

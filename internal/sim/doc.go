@@ -25,11 +25,10 @@
 // documents the scheduler internals (baton passing, event queue, pooled
 // carriers).
 //
-// shard.go adds the conservative parallel shard runtime (DESIGN.md §12): a
-// ShardGroup runs several Envs on worker goroutines in lockstep lookahead
-// windows bounded by each shard's earliest possible cross-shard effect,
-// with mailboxes delivered at barriers. The determinism contract carries
-// over — every shard observes the same (time, sequence) order at every
-// shard count, so multi-guest runs are byte-identical to their serial
-// interleaving.
+// shard.go adds the windowed farm loop (DESIGN.md §12): a ShardGroup runs
+// several Envs in turn on the calling goroutine, window by window, and runs
+// barrier hooks between windows, where guests share host resources. The
+// determinism contract carries over — each Env still executes its own
+// (time, sequence) order, so multi-guest runs are byte-identical for equal
+// seeds.
 package sim

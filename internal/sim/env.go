@@ -124,7 +124,7 @@ type Env struct {
 	waiterFree *waiter   // recycled park registrations
 
 	// executed counts events dispatched, the simulator-throughput
-	// numerator the shardscale sweep reports as events/s.
+	// numerator the shardscale farm reports as events/s.
 	executed uint64
 	// closeHooks run at the end of Close, after processes unwind and the
 	// queues are discarded — the point where external resources pinned by
@@ -460,9 +460,10 @@ func (e *Env) RunUntilEvery(t, every Time, fn func(now Time)) {
 // runWindow executes events strictly before limit (at or before it when
 // inclusive is set, for the final window of a bounded run), then advances
 // the clock to exactly limit. It is RunUntil with an exclusive bound — the
-// per-shard inner loop of the conservative parallel scheduler, which must
-// not execute an event at the window horizon because a cross-shard message
-// could still be delivered there at the barrier.
+// per-environment step of a ShardGroup window, which must not execute an
+// event at the window horizon: the barrier hooks run at that instant first,
+// so an event there sees the link share SharedHost.Arbitrate applied at the
+// barrier.
 func (e *Env) runWindow(limit Time, inclusive bool) {
 	e.drive(limit, inclusive, noStop)
 	if e.now < limit {
@@ -473,7 +474,7 @@ func (e *Env) runWindow(limit Time, inclusive bool) {
 // ExecutedEvents returns how many events this environment has dispatched —
 // the throughput numerator for events/s comparisons. It is deterministic:
 // equal seeds execute equal event counts regardless of how the run is
-// windowed or sharded.
+// windowed.
 func (e *Env) ExecutedEvents() uint64 { return e.executed }
 
 // Idle reports whether no live events remain.

@@ -5,147 +5,52 @@ import (
 	"time"
 )
 
-// winKey is the deterministic (partition-independent) slice of one window.
-type winKey struct {
-	Base, Limit, Lookahead Time
-	Final                  bool
-	Mails                  int
-	MailBytes              int64
-}
-
-// windowRecorder copies the deterministic fields of every observed window.
+// windowRecorder counts observed windows and their events, and checks that
+// every non-final window advanced.
 type windowRecorder struct {
-	windows   []winKey
-	events    []uint64 // per-window event totals (partition-independent)
-	mails     int
-	mailBytes int64
+	t       *testing.T
+	windows int
+	events  uint64
 }
 
 func (r *windowRecorder) ShardWindow(w *ShardWindowStats) {
-	var total uint64
-	for _, ld := range w.Shards {
-		total += ld.Events
+	if w.Limit <= w.Base && !w.Final {
+		r.t.Errorf("non-final window did not advance: [%v, %v]", w.Base, w.Limit)
 	}
-	r.windows = append(r.windows, winKey{
-		Base: w.Base, Limit: w.Limit, Lookahead: w.Lookahead,
-		Final: w.Final, Mails: w.Mails, MailBytes: w.MailBytes,
-	})
-	r.events = append(r.events, total)
-	r.mails += w.Mails
-	r.mailBytes += w.MailBytes
+	r.windows++
+	r.events += w.Events
 }
 
 // TestShardObserverDeterministicAcrossCounts pins the instrumentation's
-// own contract: window bounds, per-window event totals, and mailbox volume
-// are identical at every shard count, the events sum matches
-// ExecutedEvents, and attaching an observer does not perturb execution.
+// own contract: the per-window event counts sum to ExecutedEvents, and
+// attaching an observer does not perturb execution.
 func TestShardObserverDeterministicAcrossCounts(t *testing.T) {
 	const horizon = 30 * time.Millisecond
-	run := func(shards int, observe bool) (*windowRecorder, string, uint64) {
+	run := func(rec *windowRecorder) (string, uint64) {
 		envs, logs := shardRig(5)
-		g := NewShardGroup(500*time.Microsecond, shards, envs...)
+		defer closeAll(envs)
+		g := NewShardGroup(500*time.Microsecond, 1, envs...)
 		defer g.Close()
-		var rec *windowRecorder
-		if observe {
-			rec = &windowRecorder{}
+		if rec != nil {
 			g.SetObserver(rec)
 		}
 		g.RunUntil(horizon)
-		return rec, flattenLogs(logs), g.ExecutedEvents()
+		return flattenLogs(logs), g.ExecutedEvents()
 	}
 
-	_, wantLog, wantEvents := run(1, false)
-	var base *windowRecorder
-	for _, shards := range []int{1, 2, 4, 8} {
-		rec, log, events := run(shards, true)
-		if log != wantLog {
-			t.Fatalf("shards=%d: observer perturbed execution", shards)
-		}
-		if events != wantEvents {
-			t.Fatalf("shards=%d: ExecutedEvents = %d, want %d", shards, events, wantEvents)
-		}
-		var sum uint64
-		for _, e := range rec.events {
-			sum += e
-		}
-		if sum != wantEvents {
-			t.Fatalf("shards=%d: observed window events sum %d, want %d", shards, sum, wantEvents)
-		}
-		if len(rec.windows) == 0 {
-			t.Fatalf("shards=%d: no windows observed", shards)
-		}
-		if base == nil {
-			base = rec
-			continue
-		}
-		if len(rec.windows) != len(base.windows) {
-			t.Fatalf("shards=%d: %d windows, want %d", shards, len(rec.windows), len(base.windows))
-		}
-		for i := range rec.windows {
-			if rec.windows[i] != base.windows[i] || rec.events[i] != base.events[i] {
-				t.Fatalf("shards=%d window %d: %+v (events %d), want %+v (events %d)",
-					shards, i, rec.windows[i], rec.events[i], base.windows[i], base.events[i])
-			}
-		}
+	wantLog, wantEvents := run(nil)
+	rec := &windowRecorder{t: t}
+	log, events := run(rec)
+	if log != wantLog {
+		t.Fatal("observer perturbed execution")
+	}
+	if events != wantEvents {
+		t.Fatalf("ExecutedEvents = %d, want %d", events, wantEvents)
+	}
+	if rec.windows == 0 {
+		t.Fatal("no windows observed")
+	}
+	if rec.events != wantEvents {
+		t.Fatalf("observed window events sum %d, want %d", rec.events, wantEvents)
 	}
 }
-
-// TestShardObserverCountsMail pins SendSized's observability payload: the
-// observer sees every delivered message and its byte volume.
-func TestShardObserverCountsMail(t *testing.T) {
-	const lookahead = time.Millisecond
-	envs := []*Env{NewEnv(1), NewEnv(2)}
-	defer envs[0].Close()
-	defer envs[1].Close()
-	g := NewShardGroup(lookahead, 2, envs...)
-	defer g.Close()
-	rec := &windowRecorder{}
-	g.SetObserver(rec)
-
-	delivered := 0
-	envs[0].After(100*time.Microsecond, func() {
-		g.SendSized(0, 1, lookahead, 4096, func() { delivered++ })
-		g.Send(0, 1, lookahead, func() { delivered++ })
-	})
-	g.RunUntil(10 * time.Millisecond)
-	if delivered != 2 {
-		t.Fatalf("delivered %d messages, want 2", delivered)
-	}
-	if rec.mails != 2 {
-		t.Fatalf("observer saw %d mails, want 2", rec.mails)
-	}
-	if rec.mailBytes != 4096 {
-		t.Fatalf("observer saw %d mail bytes, want 4096", rec.mailBytes)
-	}
-}
-
-// TestShardObserverShardLoads checks the per-shard split: every window's
-// shard slice has one slot per shard and the split sums to the window
-// total.
-func TestShardObserverShardLoads(t *testing.T) {
-	envs, _ := shardRig(4)
-	g := NewShardGroup(500*time.Microsecond, 4, envs...)
-	defer g.Close()
-	var windows int
-	var sum uint64
-	g.SetObserver(shardWindowFunc(func(w *ShardWindowStats) {
-		windows++
-		if len(w.Shards) != 4 {
-			t.Fatalf("window has %d shard slots, want 4", len(w.Shards))
-		}
-		for _, ld := range w.Shards {
-			sum += ld.Events
-		}
-		if w.Limit <= w.Base && !w.Final {
-			t.Fatalf("non-final window did not advance: [%v, %v]", w.Base, w.Limit)
-		}
-	}))
-	g.RunUntil(30 * time.Millisecond)
-	if windows == 0 || sum != g.ExecutedEvents() {
-		t.Fatalf("windows=%d shard-event sum=%d, want sum=%d", windows, sum, g.ExecutedEvents())
-	}
-}
-
-type shardWindowFunc func(w *ShardWindowStats)
-
-func (f shardWindowFunc) ShardWindow(w *ShardWindowStats) { f(w) }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -51,8 +52,8 @@ func flattenLogs(logs []*[]string) string {
 }
 
 // TestShardGroupMatchesSerialEnvs pins the core determinism contract: a
-// shard group at any shard count produces byte-identical execution to
-// driving each environment serially with Env.RunUntil.
+// shard group produces byte-identical execution to driving each environment
+// alone with Env.RunUntil.
 func TestShardGroupMatchesSerialEnvs(t *testing.T) {
 	const horizon = 30 * time.Millisecond
 	serialEnvs, serialLogs := shardRig(5)
@@ -66,137 +67,70 @@ func TestShardGroupMatchesSerialEnvs(t *testing.T) {
 		e.Close()
 	}
 
-	for _, shards := range []int{1, 2, 4, 8} {
-		envs, logs := shardRig(5)
-		g := NewShardGroup(500*time.Microsecond, shards, envs...)
-		g.RunUntil(horizon)
-		if got := flattenLogs(logs); got != want {
-			t.Fatalf("shards=%d: execution diverged from serial\n got: %.200s\nwant: %.200s", shards, got, want)
-		}
-		if g.ExecutedEvents() != wantEvents {
-			t.Fatalf("shards=%d: ExecutedEvents = %d, want %d", shards, g.ExecutedEvents(), wantEvents)
-		}
-		for _, e := range envs {
-			if e.Now() != horizon {
-				t.Fatalf("shards=%d: env clock at %v, want %v", shards, e.Now(), horizon)
-			}
-		}
-		g.Close()
-		for _, e := range envs {
-			e.Close()
+	envs, logs := shardRig(5)
+	defer closeAll(envs)
+	g := NewShardGroup(500*time.Microsecond, 1, envs...)
+	defer g.Close()
+	g.RunUntil(horizon)
+	if got := flattenLogs(logs); got != want {
+		t.Fatalf("execution diverged from serial\n got: %.200s\nwant: %.200s", got, want)
+	}
+	if g.ExecutedEvents() != wantEvents {
+		t.Fatalf("ExecutedEvents = %d, want %d", g.ExecutedEvents(), wantEvents)
+	}
+	for _, e := range envs {
+		if e.Now() != horizon {
+			t.Fatalf("env clock at %v, want %v", e.Now(), horizon)
 		}
 	}
 }
 
-// TestShardGroupSendDeterministic checks cross-shard mail: messages are
-// delivered at their requested instants in a total order independent of the
-// partition, and a delay below the lookahead panics.
-func TestShardGroupSendDeterministic(t *testing.T) {
-	const lookahead = 200 * time.Microsecond
-	run := func(shards int) string {
-		envs := make([]*Env, 4)
-		logs := make([]*[]string, 4)
-		for i := range envs {
-			envs[i] = NewEnv(int64(7 + i))
-			logs[i] = &[]string{}
-		}
-		var g *ShardGroup
-		g = NewShardGroup(lookahead, shards, envs...)
-		for i := range envs {
-			i := i
-			e := envs[i]
-			var ping func()
-			ping = func() {
-				*logs[i] = append(*logs[i], fmt.Sprintf("ping %d@%v", i, e.Now()))
-				if e.Now() < 5*time.Millisecond {
-					to := (i + 1) % len(envs)
-					g.Send(i, to, lookahead+time.Duration(i)*50*time.Microsecond, func() {
-						*logs[to] = append(*logs[to], fmt.Sprintf("recv %d->%d@%v", i, to, envs[to].Now()))
-					})
-					e.After(300*time.Microsecond, ping)
-				}
-			}
-			e.After(time.Duration(i+1)*100*time.Microsecond, ping)
-		}
-		g.RunUntil(6 * time.Millisecond)
-		g.Close()
-		out := flattenLogs(logs)
-		for _, e := range envs {
-			e.Close()
-		}
-		return out
+// TestShardGroupStartsNoGoroutines: a group runs every environment on the
+// calling goroutine, so building one starts none, whatever shard count it
+// is given.
+func TestShardGroupStartsNoGoroutines(t *testing.T) {
+	envs, _ := shardRig(4)
+	defer closeAll(envs)
+	before := runtime.NumGoroutine()
+	g := NewShardGroup(500*time.Microsecond, 4, envs...)
+	defer g.Close()
+	if started := runtime.NumGoroutine() - before; started > 0 {
+		t.Fatalf("NewShardGroup started %d goroutines, want none", started)
 	}
-	want := run(1)
-	if want == "" {
-		t.Fatal("empty run log")
-	}
-	for _, shards := range []int{2, 4} {
-		if got := run(shards); got != want {
-			t.Fatalf("shards=%d: mail delivery diverged\n got: %.200s\nwant: %.200s", shards, got, want)
-		}
-	}
-
-	// Sub-lookahead sends are a protocol violation, not a silent reorder.
-	envs, _ := shardRig(2)
-	g := NewShardGroup(lookahead, 2, envs...)
-	defer func() {
-		g.Close()
-		for _, e := range envs {
-			e.Close()
-		}
-	}()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Send below lookahead did not panic")
-		}
-	}()
-	g.Send(0, 1, lookahead-time.Microsecond, func() {})
 }
 
 // TestShardGroupBarrierHooks checks the shared-resource synchronization
 // point: hooks run at every window barrier with contiguous, monotone
-// window bounds covering the whole run, identically at every shard count.
+// window bounds covering the whole run.
 func TestShardGroupBarrierHooks(t *testing.T) {
-	run := func(shards int) []string {
-		envs, _ := shardRig(4)
-		g := NewShardGroup(time.Millisecond, shards, envs...)
-		var windows []string
-		prevEnd := Time(0)
-		g.AtBarrier(func(prev, now Time) {
-			if prev != prevEnd {
-				t.Errorf("window start %v, want previous end %v", prev, prevEnd)
-			}
-			if now <= prev {
-				t.Errorf("non-advancing window [%v, %v]", prev, now)
-			}
-			prevEnd = now
-			windows = append(windows, fmt.Sprintf("[%v %v]", prev, now))
-		})
-		g.RunUntil(25 * time.Millisecond)
-		if prevEnd != 25*time.Millisecond {
-			t.Errorf("last window ended at %v, want the horizon", prevEnd)
+	envs, _ := shardRig(4)
+	defer closeAll(envs)
+	g := NewShardGroup(time.Millisecond, 1, envs...)
+	defer g.Close()
+	windows := 0
+	prevEnd := Time(0)
+	g.AtBarrier(func(prev, now Time) {
+		if prev != prevEnd {
+			t.Errorf("window start %v, want previous end %v", prev, prevEnd)
 		}
-		g.Close()
-		for _, e := range envs {
-			e.Close()
+		if now <= prev {
+			t.Errorf("non-advancing window [%v, %v]", prev, now)
 		}
-		return windows
+		prevEnd = now
+		windows++
+	})
+	g.RunUntil(25 * time.Millisecond)
+	if prevEnd != 25*time.Millisecond {
+		t.Errorf("last window ended at %v, want the horizon", prevEnd)
 	}
-	want := run(1)
-	if len(want) < 5 {
-		t.Fatalf("only %d windows; the rig should produce many", len(want))
-	}
-	for _, shards := range []int{2, 4} {
-		got := run(shards)
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("shards=%d: window sequence diverged", shards)
-		}
+	if windows < 5 {
+		t.Fatalf("only %d windows; the rig should produce many", windows)
 	}
 }
 
-// TestShardGroupClampsAndDegenerates covers the boundary shapes: more
-// shards than environments clamps, and a single environment still honors
-// RunUntil semantics (events at the horizon execute).
+// TestShardGroupClampsAndDegenerates covers the boundary shapes: a shard
+// count above the environment count is accepted, and a single environment
+// still honors RunUntil semantics (events at the horizon execute).
 func TestShardGroupClampsAndDegenerates(t *testing.T) {
 	e := NewEnv(1)
 	defer e.Close()
@@ -204,9 +138,6 @@ func TestShardGroupClampsAndDegenerates(t *testing.T) {
 	e.After(10*time.Millisecond, func() { ranAtHorizon = true })
 	g := NewShardGroup(time.Millisecond, 8, e)
 	defer g.Close()
-	if g.Shards() != 1 {
-		t.Fatalf("Shards() = %d, want clamped to 1", g.Shards())
-	}
 	g.RunUntil(10 * time.Millisecond)
 	if !ranAtHorizon {
 		t.Fatal("event at the horizon did not execute (RunUntil bound must be inclusive)")
@@ -218,5 +149,11 @@ func TestShardGroupClampsAndDegenerates(t *testing.T) {
 	g.RunUntil(50 * time.Millisecond)
 	if e.Now() != 50*time.Millisecond {
 		t.Fatalf("idle advance left clock at %v", e.Now())
+	}
+}
+
+func closeAll(envs []*Env) {
+	for _, e := range envs {
+		e.Close()
 	}
 }

@@ -33,8 +33,8 @@ type DetectorMeta struct {
 
 // MonReport is the machine-readable monitor report: header, the retained
 // window series, and the incident log. It is a pure function of the
-// simulation — equal seeds give byte-identical JSON at every worker and
-// shard count — and Digest fingerprints the whole encoding.
+// simulation — equal seeds give byte-identical JSON at every worker count
+// — and Digest fingerprints the whole encoding.
 type MonReport struct {
 	Schema   int     `json:"schema"`
 	WindowMS float64 `json:"window_ms"`

@@ -14,7 +14,7 @@
 // sample streams folded in fixed (window, tenant) order at seal points
 // whose sequence depends only on the event stream. Equal seeds therefore
 // produce byte-identical window series and incident reports at every
-// worker and shard count. The layer is observe-only: attaching it never
+// worker count. The layer is observe-only: attaching it never
 // schedules simulation events, so results are byte-identical with
 // monitoring on or off; with it off (no Monitor constructed) the
 // instrumented paths cost nothing.
@@ -28,18 +28,14 @@ import (
 	"repro/internal/prof"
 )
 
-// TenantConfig declares one monitored guest and its QoS contract, mirroring
-// the fleetobs tenant declaration so drivers can share one source of truth.
-type TenantConfig struct {
-	// Name labels the tenant in windows and incident reports.
-	Name string
-	// FPSFloor is the per-window presented-frame floor (frames/s); the
-	// default fps threshold detector fires below it. 0 disables it.
-	FPSFloor float64
-	// M2PSLO bounds motion-to-photon latency; samples above it count as
-	// SLO violations for the burn-rate detector. 0 disables SLO tracking.
-	M2PSLO time.Duration
-}
+// TenantConfig declares one monitored guest and its QoS contract. It is
+// the fleetobs declaration, so a driver builds one list for both layers.
+// The monitor reads Name as the label in windows and incident reports,
+// FPSFloor as the per-window frame-rate floor below which the default fps
+// threshold detector fires, and M2PSLO as the bound above which
+// motion-to-photon samples count as violations for the burn-rate detector;
+// 0 disables either check.
+type TenantConfig = fleetobs.TenantConfig
 
 // Config sizes the monitor.
 type Config struct {
@@ -89,11 +85,11 @@ type probe struct {
 // in-window percentiles merge-order independent; they are reset (not
 // reallocated) as windows seal.
 type accum struct {
-	frames, drops      uint32
-	m2pCount, m2pViol  uint32
-	m2p                fleetobs.LogHistogram
-	fetchCount         uint32
-	fetch              fleetobs.LogHistogram
+	frames, drops     uint32
+	m2pCount, m2pViol uint32
+	m2p               fleetobs.LogHistogram
+	fetchCount        uint32
+	fetch             fleetobs.LogHistogram
 }
 
 // Tenant is one guest's feed into the monitor. It implements the emulator
