@@ -1,6 +1,7 @@
 # Tier-1 gate is `make check`: everything CI (and the roadmap) requires to
 # pass before a change lands. `make verify` adds the race detector over the
-# concurrency-bearing packages and a benchmark smoke run of the sim core.
+# concurrency-bearing packages and a benchmark smoke run of the sim core and
+# the SVM access path.
 
 GO ?= go
 
@@ -32,11 +33,14 @@ docs-check:
 race:
 	$(GO) test -race ./internal/sim/... ./internal/experiments/...
 
-# One short iteration of the scheduler microbenchmarks: catches gross
-# regressions (and any return of per-event allocation) without the noise
-# sensitivity of a full benchmark run.
+# One short iteration of the scheduler microbenchmarks and of the SVM
+# access path's (write->read cycles per protocol, the guest driver's
+# prediction query, a hypergraph edge hit): catches gross regressions, and
+# shows any return of per-event or per-access allocation in the allocs/op
+# column, without the noise sensitivity of a full benchmark run.
 bench-smoke:
 	$(GO) test -run=NONE -bench='SteadyState|ZeroDelay|RunUntil|SpawnChurn' -benchtime=10000x -benchmem ./internal/sim/bench
+	$(GO) test -run=NONE -bench='PipelineCycle|PredictCompensation|EdgeHit' -benchtime=10000x -benchmem ./internal/svm ./internal/hypergraph
 
 # Fault-injection gate: the faults package under the race detector, plus one
 # short seeded robustness sweep so the degradation/recovery story stays

@@ -85,6 +85,11 @@ func main() {
 			experiments.UsageText())
 	}
 	flag.Parse()
+	if err := checkFlags(*apps, *popular, *duration, *workers); err != nil {
+		fmt.Fprintf(os.Stderr, "vsocbench: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	cfg := experiments.Config{
 		Duration:        *duration,
@@ -272,6 +277,31 @@ func main() {
 		fmt.Printf("[bench report written to %s]\n", *jsonPath)
 	}
 	fmt.Printf("[total %.1fs, %d workers]\n", time.Since(wallStart).Seconds(), cfg.EffectiveWorkers())
+}
+
+// Table 1 lists 10 emerging apps per category; Fig. 15 runs the top 25
+// popular apps.
+const (
+	maxApps    = 10
+	maxPopular = 25
+)
+
+// checkFlags rejects counts and durations the experiments cannot run, which
+// would otherwise panic (a negative -popular slices the app mix), print an
+// all-n/a report, or fall back silently to a default (-duration 0 runs the
+// session default, a negative -workers one worker per CPU).
+func checkFlags(apps, popular int, duration time.Duration, workers int) error {
+	switch {
+	case apps < 1 || apps > maxApps:
+		return fmt.Errorf("-apps must be in 1..%d, got %d", maxApps, apps)
+	case popular < 1 || popular > maxPopular:
+		return fmt.Errorf("-popular must be in 1..%d, got %d", maxPopular, popular)
+	case duration <= 0:
+		return fmt.Errorf("-duration must be > 0, got %v", duration)
+	case workers < 0:
+		return fmt.Errorf("-workers must be >= 0 (0 = one per CPU), got %d", workers)
+	}
+	return nil
 }
 
 // writeFolded writes the micro run's folded-stack flamegraph export.

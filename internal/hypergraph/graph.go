@@ -18,7 +18,7 @@ package hypergraph
 import (
 	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 	"time"
 
 	"repro/internal/metrics"
@@ -29,25 +29,59 @@ import (
 type NodeID int
 
 // EdgeKey canonically identifies a hyperedge by its source and destination
-// node sets.
+// node sets: the sorted, duplicate-free decimal IDs of each, as in
+// "3,12->7,10".
 type EdgeKey string
 
-func keyOf(sources, dests []NodeID) EdgeKey {
-	var b strings.Builder
-	for i, s := range sources {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%d", s)
+// setArray and keyArray size the stack buffers an edge lookup canonicalizes
+// into. The SVM manager's sets hold one to three devices; larger sets and
+// longer keys spill to the heap.
+const (
+	setArray = 8
+	keyArray = 64
+)
+
+// InsertNode adds id to set, which must be sorted and duplicate-free, and
+// returns the result: set itself when id is already present, otherwise set
+// with id appended in sorted position (in place when capacity allows).
+func InsertNode(set []NodeID, id NodeID) []NodeID {
+	i := len(set)
+	for i > 0 && set[i-1] > id {
+		i--
 	}
-	b.WriteString("->")
-	for i, d := range dests {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%d", d)
+	if i > 0 && set[i-1] == id {
+		return set
 	}
-	return EdgeKey(b.String())
+	set = append(set, 0)
+	copy(set[i+1:], set[i:])
+	set[i] = id
+	return set
+}
+
+// appendSet inserts every id into the canonical set dst.
+func appendSet(dst, ids []NodeID) []NodeID {
+	for _, id := range ids {
+		dst = InsertNode(dst, id)
+	}
+	return dst
+}
+
+// appendKey appends the key text of the canonical sets s and d to buf.
+func appendKey(buf []byte, s, d []NodeID) []byte {
+	for i, id := range s {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = strconv.AppendInt(buf, int64(id), 10)
+	}
+	buf = append(buf, "->"...)
+	for i, id := range d {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = strconv.AppendInt(buf, int64(id), 10)
+	}
+	return buf
 }
 
 // Edge is one directed hyperedge: a data flow from the source device set to
@@ -70,15 +104,6 @@ type Edge struct {
 	// "prefetch_ms"). Series are created on first observation with the
 	// paper's alpha.
 	series map[string]*metrics.EWMA
-}
-
-func newEdge(sources, dests []NodeID) *Edge {
-	return &Edge{
-		Key:     keyOf(sources, dests),
-		Sources: sources,
-		Dests:   dests,
-		series:  make(map[string]*metrics.EWMA),
-	}
 }
 
 // Observe folds an observation into the named smoothed series.
@@ -172,10 +197,16 @@ func (g *Graph) NumEdges() int { return len(g.edges) }
 // Edge finds or creates the hyperedge for the given source and destination
 // sets. The sets are canonicalized (sorted, deduplicated), so argument
 // order never creates duplicate edges. Unregistered nodes panic: the node
-// sets are fixed at startup.
+// sets are fixed at startup. Finding an existing edge allocates nothing;
+// only a new edge allocates its key and copies of its node sets.
 func (g *Graph) Edge(sources, dests []NodeID) *Edge {
-	s := canon(sources)
-	d := canon(dests)
+	var sa, da [setArray]NodeID
+	var ka [keyArray]byte
+	s, d := appendSet(sa[:0], sources), appendSet(da[:0], dests)
+	key := appendKey(ka[:0], s, d)
+	if e, ok := g.edges[EdgeKey(key)]; ok {
+		return e
+	}
 	for _, id := range s {
 		if _, ok := g.nodes[id]; !ok {
 			panic(fmt.Sprintf("hypergraph: unknown source node %d in %s", id, g.Name))
@@ -186,13 +217,14 @@ func (g *Graph) Edge(sources, dests []NodeID) *Edge {
 			panic(fmt.Sprintf("hypergraph: unknown dest node %d in %s", id, g.Name))
 		}
 	}
-	key := keyOf(s, d)
-	if e, ok := g.edges[key]; ok {
-		return e
+	e := &Edge{
+		Key:     EdgeKey(key),
+		Sources: append([]NodeID(nil), s...),
+		Dests:   append([]NodeID(nil), d...),
+		series:  make(map[string]*metrics.EWMA),
 	}
-	e := newEdge(s, d)
-	g.edges[key] = e
-	for _, id := range s {
+	g.edges[e.Key] = e
+	for _, id := range e.Sources {
 		g.bySource[id] = append(g.bySource[id], e)
 	}
 	return e
@@ -200,7 +232,10 @@ func (g *Graph) Edge(sources, dests []NodeID) *Edge {
 
 // Lookup returns the edge for the given sets without creating it.
 func (g *Graph) Lookup(sources, dests []NodeID) (*Edge, bool) {
-	e, ok := g.edges[keyOf(canon(sources), canon(dests))]
+	var sa, da [setArray]NodeID
+	var ka [keyArray]byte
+	key := appendKey(ka[:0], appendSet(sa[:0], sources), appendSet(da[:0], dests))
+	e, ok := g.edges[EdgeKey(key)]
 	return e, ok
 }
 
@@ -233,17 +268,4 @@ func (g *Graph) HottestFrom(id NodeID) (*Edge, bool) {
 		}
 	}
 	return best, best != nil
-}
-
-func canon(ids []NodeID) []NodeID {
-	out := make([]NodeID, 0, len(ids))
-	seen := make(map[NodeID]bool, len(ids))
-	for _, id := range ids {
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

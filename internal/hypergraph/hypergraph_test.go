@@ -1,6 +1,9 @@
 package hypergraph
 
 import (
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -31,6 +34,82 @@ func TestEdgeDedupesNodeSets(t *testing.T) {
 	e := g.Edge([]NodeID{0, 0}, []NodeID{1, 1, 2})
 	if len(e.Sources) != 1 || len(e.Dests) != 2 {
 		t.Fatalf("sets = %v -> %v, want deduped", e.Sources, e.Dests)
+	}
+}
+
+func TestEdgeKeyText(t *testing.T) {
+	// Multi-digit IDs, unsorted and duplicated: the key lists each set
+	// sorted and deduplicated, in decimal.
+	g := New("test")
+	for _, id := range []NodeID{3, 7, 10, 12} {
+		g.AddNode(id, "n")
+	}
+	e := g.Edge([]NodeID{12, 3, 12}, []NodeID{10, 7})
+	if e.Key != "3,12->7,10" {
+		t.Fatalf("Key = %q, want %q", e.Key, "3,12->7,10")
+	}
+	if got, ok := g.Lookup([]NodeID{3, 12}, []NodeID{7, 10, 7}); !ok || got != e {
+		t.Fatalf("Lookup = %v/%v, want the same edge", got, ok)
+	}
+}
+
+func TestEdgeHitAllocatesNothing(t *testing.T) {
+	g := newTestGraph()
+	src, dst := []NodeID{2, 0, 2}, []NodeID{5, 1, 3, 1}
+	e := g.Edge(src, dst)
+	allocs := testing.AllocsPerRun(100, func() {
+		if g.Edge(src, dst) != e {
+			t.Fatal("hit returned a different edge")
+		}
+		if _, ok := g.Lookup(src, dst); !ok {
+			t.Fatal("lookup missed")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("edge hit allocates %v times, want 0", allocs)
+	}
+}
+
+func TestQuickEdgeMatchesReference(t *testing.T) {
+	// Node sets past the stack array spill to the heap; the edge's sets and
+	// key still equal a sort-and-dedupe reference.
+	g := New("test")
+	for i := NodeID(0); i < 40; i++ {
+		g.AddNode(i, "n")
+	}
+	// Every set holds the random nodes plus these setArray+1 distinct
+	// ones, in descending order so each insertion shifts the set.
+	spill := make([]NodeID, setArray+1)
+	for i := range spill {
+		spill[i] = NodeID(3 * (setArray - i))
+	}
+	set := func(raw []uint8) []NodeID {
+		ids := make([]NodeID, 0, len(raw)+len(spill))
+		for _, v := range raw {
+			ids = append(ids, NodeID(v%40))
+		}
+		return append(ids, spill...)
+	}
+	ref := func(ids []NodeID) ([]NodeID, string) {
+		ids = slices.Clone(ids)
+		slices.Sort(ids)
+		ids = slices.Compact(ids)
+		parts := make([]string, len(ids))
+		for i, id := range ids {
+			parts[i] = strconv.Itoa(int(id))
+		}
+		return ids, strings.Join(parts, ",")
+	}
+	f := func(srcRaw, dstRaw []uint8) bool {
+		src, dst := set(srcRaw), set(dstRaw)
+		wantSrc, srcKey := ref(src)
+		wantDst, dstKey := ref(dst)
+		e := g.Edge(src, dst)
+		return slices.Equal(e.Sources, wantSrc) && slices.Equal(e.Dests, wantDst) &&
+			string(e.Key) == srcKey+"->"+dstKey
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -222,5 +301,21 @@ func TestQuickEdgeCanonicalization(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// edgeSink keeps BenchmarkEdgeHit's result live.
+var edgeSink *Edge
+
+// BenchmarkEdgeHit measures the per-read flow lookup of the SVM access path:
+// an existing edge found from unsorted, duplicated node sets.
+func BenchmarkEdgeHit(b *testing.B) {
+	g := newTestGraph()
+	src, dst := []NodeID{2}, []NodeID{4, 1, 4}
+	g.Edge(src, dst)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		edgeSink = g.Edge(src, dst)
 	}
 }

@@ -117,8 +117,11 @@ func (e *Engine) SetObs(tr *obs.Tracer, reg *obs.Registry) {
 // Predict produces the prefetch decision for a write of size bytes to the
 // given region by the given physical writer at time now. ok is false when
 // no prediction is possible (no mapped flow and no history for the writer).
-func (e *Engine) Predict(region uint64, writerPhys hypergraph.NodeID, size int64, now time.Duration) (Prediction, bool) {
-	var pred Prediction
+// Prediction.Readers is built in readers' backing array (reused from
+// length 0; nil allocates a fresh one), so a caller that keeps the buffer
+// across calls predicts without allocating.
+func (e *Engine) Predict(region uint64, writerPhys hypergraph.NodeID, size int64, now time.Duration, readers []hypergraph.NodeID) (Prediction, bool) {
+	pred := Prediction{Readers: readers[:0]}
 	var vEdge, pEdge *hypergraph.Edge
 	if m, ok := e.twin.Lookup(region); ok && m.Physical != nil {
 		vEdge, pEdge = m.Virtual, m.Physical

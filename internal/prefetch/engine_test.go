@@ -37,7 +37,7 @@ func TestPredictFromMappedFlow(t *testing.T) {
 	pe := tw.Physical.Edge([]hypergraph.NodeID{pCam}, []hypergraph.NodeID{pGPU})
 	tw.Map(1, hypergraph.Mapping{Virtual: ve, Physical: pe})
 
-	pred, ok := e.Predict(1, pCam, 1<<20, 0)
+	pred, ok := e.Predict(1, pCam, 1<<20, 0, nil)
 	if !ok {
 		t.Fatal("expected a prediction")
 	}
@@ -60,7 +60,7 @@ func TestPredictZeroShotFromHottestFlow(t *testing.T) {
 
 	// Region 99 was never mapped: zero-shot prediction via the writer's
 	// hottest flow.
-	pred, ok := e.Predict(99, pCam, 1<<20, 10*ms)
+	pred, ok := e.Predict(99, pCam, 1<<20, 10*ms, nil)
 	if !ok {
 		t.Fatal("expected zero-shot prediction")
 	}
@@ -74,7 +74,7 @@ func TestPredictZeroShotFromHottestFlow(t *testing.T) {
 
 func TestPredictNoHistory(t *testing.T) {
 	e := New(newTwin(), DefaultConfig())
-	if _, ok := e.Predict(1, pCam, 1024, 0); ok {
+	if _, ok := e.Predict(1, pCam, 1024, 0, nil); ok {
 		t.Fatal("no flows at all: prediction must fail")
 	}
 }
@@ -90,7 +90,7 @@ func TestCompensationWhenSlackTooShort(t *testing.T) {
 	// 10 MiB at 1 GiB/s => ~10 ms prefetch.
 	pe.Observe(StatBandwidthBps, float64(1<<30))
 
-	pred, ok := e.Predict(1, pCam, 10*(1<<20), 0)
+	pred, ok := e.Predict(1, pCam, 10*(1<<20), 0, nil)
 	if !ok || !pred.HaveTiming {
 		t.Fatalf("want timed prediction, got ok=%v have=%v", ok, pred.HaveTiming)
 	}
@@ -116,7 +116,7 @@ func TestNoCompensationWhenSlackCovers(t *testing.T) {
 	ve.Observe(StatSlackMS, 20)
 	pe.Observe(StatBandwidthBps, float64(10<<30)) // very fast copies
 
-	pred, _ := e.Predict(1, pCam, 1<<20, 0)
+	pred, _ := e.Predict(1, pCam, 1<<20, 0, nil)
 	if pred.Compensation != 0 {
 		t.Fatalf("Compensation = %v, want 0", pred.Compensation)
 	}
@@ -131,7 +131,7 @@ func TestPrefetchTimeFallbackToDurationSeries(t *testing.T) {
 	ve.Observe(StatSlackMS, 5)
 	pe.Observe(StatPrefetchMS, 7) // no bandwidth series
 
-	pred, _ := e.Predict(1, pCam, 1<<20, 0)
+	pred, _ := e.Predict(1, pCam, 1<<20, 0, nil)
 	if !pred.HaveTiming {
 		t.Fatal("want timing from prefetch_ms fallback")
 	}
@@ -219,12 +219,12 @@ func TestPredictAfterRemapFollowsNewFlow(t *testing.T) {
 	pe1 := tw.Physical.Edge([]hypergraph.NodeID{pCam}, []hypergraph.NodeID{pISP})
 	pe2 := tw.Physical.Edge([]hypergraph.NodeID{pCam}, []hypergraph.NodeID{pGPU})
 	tw.Map(1, hypergraph.Mapping{Physical: pe1})
-	pred, _ := e.Predict(1, pCam, 1024, 0)
+	pred, _ := e.Predict(1, pCam, 1024, 0, nil)
 	if pred.Readers[0] != pISP {
 		t.Fatalf("Readers = %v, want isp", pred.Readers)
 	}
 	tw.Map(1, hypergraph.Mapping{Physical: pe2})
-	pred, _ = e.Predict(1, pCam, 1024, 0)
+	pred, _ = e.Predict(1, pCam, 1024, 0, nil)
 	if pred.Readers[0] != pGPU {
 		t.Fatalf("Readers = %v, want gpu after remap", pred.Readers)
 	}
@@ -240,7 +240,7 @@ func TestPredictFiltersWriterFromReaders(t *testing.T) {
 	pe := tw.Physical.Edge([]hypergraph.NodeID{pGPU}, []hypergraph.NodeID{pGPU, pISP})
 	tw.Map(1, hypergraph.Mapping{Physical: pe})
 
-	pred, ok := e.Predict(1, pGPU, 1024, 0)
+	pred, ok := e.Predict(1, pGPU, 1024, 0, nil)
 	if !ok {
 		t.Fatal("expected a prediction")
 	}
@@ -257,7 +257,7 @@ func TestPredictSameNodeOnlyFlowHasNoPrediction(t *testing.T) {
 	pe := tw.Physical.Edge([]hypergraph.NodeID{pGPU}, []hypergraph.NodeID{pGPU})
 	tw.Map(1, hypergraph.Mapping{Physical: pe})
 
-	if _, ok := e.Predict(1, pGPU, 1024, 0); ok {
+	if _, ok := e.Predict(1, pGPU, 1024, 0, nil); ok {
 		t.Fatal("self-only flow must not produce a prediction")
 	}
 }

@@ -115,7 +115,7 @@ func (m *Manager) trackReadFlow(r *Region, acc Accessor, bytes hostsim.Bytes, re
 	if !r.hasWriter || acc.same(r.lastWriter) {
 		return // reading own data: no cross-device flow
 	}
-	firstReader := len(r.genReaders) == 0
+	firstReader := len(r.genVirtuals) == 0
 
 	// Score the device prediction once per generation, on the first
 	// cross-device reader (§5.2's accuracy metric).
@@ -137,11 +137,12 @@ func (m *Manager) trackReadFlow(r *Region, acc Accessor, bytes hostsim.Bytes, re
 		}
 	}
 
-	r.genReaders = append(r.genReaders, acc)
+	r.genVirtuals = hypergraph.InsertNode(r.genVirtuals, acc.Virtual)
+	r.genPhysicals = hypergraph.InsertNode(r.genPhysicals, acc.Physical)
 	vEdge := m.twin.Virtual.Edge(
-		[]hypergraph.NodeID{r.lastWriter.Virtual}, r.readerVirtuals())
+		[]hypergraph.NodeID{r.lastWriter.Virtual}, r.genVirtuals)
 	pEdge := m.twin.Physical.Edge(
-		[]hypergraph.NodeID{r.lastWriter.Physical}, r.readerPhysicals())
+		[]hypergraph.NodeID{r.lastWriter.Physical}, r.genPhysicals)
 	m.twin.Map(uint64(r.ID), hypergraph.Mapping{Virtual: vEdge, Physical: pEdge})
 	now := m.env.Now()
 	vEdge.Touch(now)
@@ -198,10 +199,12 @@ func (a *Access) End(p *sim.Proc) (EndInfo, error) {
 		}
 		r.version++
 		r.owner = a.acc.Domain
-		r.copies = map[*hostsim.Domain]uint64{a.acc.Domain: r.version}
+		clear(r.copies)
+		r.copies[a.acc.Domain] = r.version
 		r.hasWriter = true
 		r.lastWriter = a.acc
-		r.genReaders = r.genReaders[:0]
+		r.genVirtuals = r.genVirtuals[:0]
+		r.genPhysicals = r.genPhysicals[:0]
 		r.predChecked = false
 		if m.coal != nil {
 			m.coal.beginWrite()

@@ -54,9 +54,21 @@ func (m *Manager) copyCoherenceOpts(p *sim.Proc, from, to *hostsim.Domain, bytes
 	// time counts, so that fixed scheduling cost and incidental queueing
 	// on small copies do not masquerade as congestion.
 	if m.engine != nil && service > 0 && !sync {
-		m.engine.ObserveBandwidth(from.Name+"->"+to.Name, float64(bytes)/service.Seconds(), p.Now())
+		m.engine.ObserveBandwidth(m.pathKey(from, to), float64(bytes)/service.Seconds(), p.Now())
 	}
 	return elapsed
+}
+
+// pathKey returns the "from->to" name the prefetch engine (and the fault
+// layer) key a transfer path's bandwidth by, built once per domain pair.
+func (m *Manager) pathKey(from, to *hostsim.Domain) string {
+	k := [2]*hostsim.Domain{from, to}
+	s, ok := m.pathKeys[k]
+	if !ok {
+		s = from.Name + "->" + to.Name
+		m.pathKeys[k] = s
+	}
+	return s
 }
 
 // demandFetch synchronously brings acc.Domain current from the owner. It

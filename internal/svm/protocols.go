@@ -24,7 +24,7 @@ func (pp *prefetchProtocol) onWriteEnd(p *sim.Proc, r *Region, acc Accessor, byt
 	now := p.Now()
 	r.predValid = false
 	r.predTimed = false
-	pred, ok := m.engine.Predict(uint64(r.ID), acc.Physical, bytes, now)
+	pred, ok := m.engine.Predict(uint64(r.ID), acc.Physical, bytes, now, r.predReaders[:0])
 	if !ok || m.engine.Suspended(now) {
 		return 0
 	}

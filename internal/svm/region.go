@@ -53,12 +53,15 @@ type Region struct {
 	// accounting).
 	accessedDomains []*hostsim.Domain
 
-	// Flow tracking: the writer of the current generation and the readers
-	// observed since, used to build hyperedges.
+	// Flow tracking: the writer of the current generation and the virtual
+	// and physical node sets (sorted, duplicate-free) of the cross-device
+	// readers observed since, used to build hyperedges. A write truncates
+	// the sets and keeps their backing arrays.
 	hasWriter    bool
 	lastWriter   Accessor
 	lastWriteEnd time.Duration
-	genReaders   []Accessor
+	genVirtuals  []hypergraph.NodeID
+	genPhysicals []hypergraph.NodeID
 
 	// Prediction bookkeeping for the current generation.
 	predValid   bool
@@ -90,27 +93,4 @@ func (r *Region) Owner() *hostsim.Domain { return r.owner }
 // HasCurrentCopy reports whether the domain holds the latest version.
 func (r *Region) HasCurrentCopy(d *hostsim.Domain) bool {
 	return r.version > 0 && r.copies[d] == r.version
-}
-
-// readerVirtuals returns the deduplicated virtual node set of gen readers.
-func (r *Region) readerVirtuals() []hypergraph.NodeID {
-	return dedupeNodes(r.genReaders, func(a Accessor) hypergraph.NodeID { return a.Virtual })
-}
-
-// readerPhysicals returns the deduplicated physical node set of gen readers.
-func (r *Region) readerPhysicals() []hypergraph.NodeID {
-	return dedupeNodes(r.genReaders, func(a Accessor) hypergraph.NodeID { return a.Physical })
-}
-
-func dedupeNodes(accs []Accessor, key func(Accessor) hypergraph.NodeID) []hypergraph.NodeID {
-	seen := make(map[hypergraph.NodeID]bool, len(accs))
-	out := make([]hypergraph.NodeID, 0, len(accs))
-	for _, a := range accs {
-		id := key(a)
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
-		}
-	}
-	return out
 }

@@ -169,6 +169,9 @@ type Manager struct {
 	nextID  RegionID
 
 	physDomain map[hypergraph.NodeID]*hostsim.Domain
+	// pathKeys interns the engine's per-path bandwidth keys by
+	// (from, to) domain pair; nil without a prefetch engine.
+	pathKeys map[[2]*hostsim.Domain]string
 
 	stats    Stats
 	observer AccessObserver
@@ -225,6 +228,7 @@ func NewManager(env *sim.Env, mach *hostsim.Machine, cfg Config) *Manager {
 	case KindPrefetch:
 		m.engine = prefetch.New(m.twin, cfg.Prefetch)
 		m.engine.SetObs(m.tr, reg)
+		m.pathKeys = make(map[[2]*hostsim.Domain]string)
 		m.proto = &prefetchProtocol{m: m}
 	case KindWriteInvalidate:
 		m.proto = &writeInvalidateProtocol{m: m}
@@ -329,7 +333,8 @@ func (m *Manager) PredictCompensation(id RegionID, acc Accessor, bytes hostsim.B
 	if m.engine.Suspended(now) {
 		return 0
 	}
-	pred, ok := m.engine.Predict(uint64(id), acc.Physical, bytes, now)
+	var readers [4]hypergraph.NodeID
+	pred, ok := m.engine.Predict(uint64(id), acc.Physical, bytes, now, readers[:0])
 	if !ok {
 		return 0
 	}
