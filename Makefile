@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: check build vet test docs-check race bench-smoke chaos-smoke trace-smoke tune-smoke mon-smoke bench perf-smoke perf-gate verify
+.PHONY: check build vet test docs-check bench-module race bench-smoke chaos-smoke trace-smoke tune-smoke mon-smoke bench perf-smoke perf-gate verify
 
-check: vet build test docs-check
+check: vet build test docs-check bench-module
 
 build:
 	$(GO) build ./...
@@ -21,10 +21,17 @@ test:
 # Documentation gate: every internal package doc must name its paper section
 # and determinism contract, README/DESIGN/EXPERIMENTS must not reference
 # paths that left the tree, DESIGN.md §14 must name every knob the
-# internal/tune registry declares, and EXPERIMENTS.md must document every
-# experiment the internal/experiments registry declares.
+# internal/tune registry declares, EXPERIMENTS.md must document every
+# experiment the internal/experiments registry declares, and every exported
+# declaration under internal/ must have a non-test reference.
 docs-check:
 	$(GO) run ./cmd/docscheck .
+
+# The benchmark is a module of its own (benchmark/go.mod), so the root
+# ./... patterns skip it; it is the one consumer of internal/ that does not
+# change with it, so vet and test it here.
+bench-module:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # The experiment fan-out runs independent sessions on a worker pool — the
 # concurrent code — over the sim kernel, so both run under the race

@@ -1,6 +1,6 @@
 // Command docscheck lints the repository's documentation contract.
 //
-// Four checks:
+// Five checks:
 //
 //  1. Every package under internal/ must carry a package doc comment that
 //     names the paper section it reproduces (a "§" reference) and states
@@ -22,6 +22,15 @@
 //     documented in EXPERIMENTS.md: the literal "-exp <name>" invocation
 //     has to appear, so a new experiment cannot ship without its entry.
 //     Like check 3, this lints against the live compiled registry.
+//
+//  5. Every exported package-level func, type, var and const, and every
+//     exported method, declared in a non-test file under internal/ must be
+//     referenced from non-test code: a command, an example, another
+//     package, or the nested benchmark/ module. The non-test files of every
+//     module in the tree are type-checked from source (stdlib go/parser and
+//     go/types, offline); a method also counts as referenced when its
+//     receiver implements an interface that declares it. Code only tests
+//     reach is deleted, or moved into a _test.go file, not kept.
 //
 // Usage: docscheck [repo root] (defaults to "."). Exits non-zero with one
 // line per violation; prints nothing on success.
@@ -47,18 +56,23 @@ func main() {
 	if len(os.Args) > 1 {
 		root = os.Args[1]
 	}
-	var problems []string
-	problems = append(problems, checkPackageDocs(root)...)
-	problems = append(problems, checkMarkdownRefs(root)...)
-	problems = append(problems, checkKnobDocs(root)...)
-	problems = append(problems, checkExperimentDocs(root)...)
-	if len(problems) > 0 {
+	if problems := check(root); len(problems) > 0 {
 		for _, p := range problems {
 			fmt.Fprintln(os.Stderr, p)
 		}
 		fmt.Fprintf(os.Stderr, "docscheck: %d problem(s)\n", len(problems))
 		os.Exit(1)
 	}
+}
+
+// check runs the five checks on the tree at root.
+func check(root string) []string {
+	var problems []string
+	problems = append(problems, checkPackageDocs(root)...)
+	problems = append(problems, checkMarkdownRefs(root)...)
+	problems = append(problems, checkKnobDocs(root)...)
+	problems = append(problems, checkExperimentDocs(root)...)
+	return append(problems, checkUnreferenced(root)...)
 }
 
 // checkPackageDocs walks internal/ and verifies each package's doc comment.

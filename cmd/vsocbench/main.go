@@ -51,6 +51,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -279,29 +280,20 @@ func main() {
 	fmt.Printf("[total %.1fs, %d workers]\n", time.Since(wallStart).Seconds(), cfg.EffectiveWorkers())
 }
 
-// Table 1 lists 10 emerging apps per category; Fig. 15 runs the top 25
-// popular apps.
-const (
-	maxApps    = 10
-	maxPopular = 25
-)
+// maxPopular is the size of Fig. 15's popular-app mix.
+const maxPopular = 25
 
 // checkFlags rejects counts and durations the experiments cannot run, which
 // would otherwise panic (a negative -popular slices the app mix), print an
 // all-n/a report, or fall back silently to a default (-duration 0 runs the
 // session default, a negative -workers one worker per CPU).
 func checkFlags(apps, popular int, duration time.Duration, workers int) error {
-	switch {
-	case apps < 1 || apps > maxApps:
-		return fmt.Errorf("-apps must be in 1..%d, got %d", maxApps, apps)
-	case popular < 1 || popular > maxPopular:
-		return fmt.Errorf("-popular must be in 1..%d, got %d", maxPopular, popular)
-	case duration <= 0:
-		return fmt.Errorf("-duration must be > 0, got %v", duration)
-	case workers < 0:
-		return fmt.Errorf("-workers must be >= 0 (0 = one per CPU), got %d", workers)
+	var popErr error
+	if popular < 1 || popular > maxPopular {
+		popErr = fmt.Errorf("-popular must be in 1..%d, got %d", maxPopular, popular)
 	}
-	return nil
+	return errors.Join(experiments.CheckApps(apps), popErr,
+		experiments.CheckDuration(duration), experiments.CheckWorkers(workers))
 }
 
 // writeFolded writes the micro run's folded-stack flamegraph export.

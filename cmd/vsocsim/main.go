@@ -80,7 +80,7 @@ func main() {
 	mon := flag.Bool("mon", false, "attach the streaming telemetry engine (DESIGN.md §15): windowed rollups, online detectors, incident flight recorder")
 	monOut := flag.String("monout", "", "write the machine-readable monitor report (for cmd/vsocmon) to this path")
 	flag.Parse()
-	if err := checkFarmFlags(*guests, *fleet); err != nil {
+	if err := checkFlags(*duration, *guests, *fleet); err != nil {
 		fmt.Fprintf(os.Stderr, "vsocsim: %v\n", err)
 		flag.Usage()
 		os.Exit(2)
@@ -172,6 +172,13 @@ func main() {
 			fmt.Printf("  thermal             %.0f C, throttled=%v\n", th.Temperature(), th.Throttled())
 		}
 	}
+}
+
+// checkFlags rejects a non-positive -duration, which would otherwise run
+// the session default (0) or fail before the app starts (negative), and the
+// farm flags checkFarmFlags rejects.
+func checkFlags(duration time.Duration, guests int, fleet bool) error {
+	return errors.Join(experiments.CheckDuration(duration), checkFarmFlags(guests, fleet))
 }
 
 // checkFarmFlags rejects farm flags that would otherwise be silently

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -37,13 +38,11 @@ func main() {
 	}
 	flag.Parse()
 
-	// Validate the figure selection before running the study — the study is
-	// the expensive part, and a typo should fail fast with usage, not after
-	// half a minute of simulation.
-	switch *fig {
-	case 0, 4, 5, 6:
-	default:
-		fmt.Fprintf(os.Stderr, "unknown figure %d (want 0, 4, 5, or 6)\n", *fig)
+	// Validate the flags before running the study — the study is the
+	// expensive part, and a typo should fail fast with usage, not after half
+	// a minute of simulation.
+	if err := checkFlags(*fig, *apps, *duration); err != nil {
+		fmt.Fprintf(os.Stderr, "vsoctrace: %v\n", err)
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -82,4 +81,17 @@ func printCDFs(study *experiments.StudyResult, title string,
 			fmt.Printf("  F=%.2f  %8.2f\n", p.F, p.Value)
 		}
 	}
+}
+
+// checkFlags rejects an unknown -fig and the experiments' bad counts and
+// durations (a negative -apps prints an all-zero Fig. 6, -duration 0 runs
+// the session default).
+func checkFlags(fig, apps int, duration time.Duration) error {
+	var figErr error
+	switch fig {
+	case 0, 4, 5, 6:
+	default:
+		figErr = fmt.Errorf("unknown figure %d (want 0, 4, 5, or 6)", fig)
+	}
+	return errors.Join(figErr, experiments.CheckApps(apps), experiments.CheckDuration(duration))
 }

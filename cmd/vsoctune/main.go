@@ -29,6 +29,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -52,6 +53,11 @@ func main() {
 	out := flag.String("out", "", "write <out>-<preset>-default.json and <out>-<preset>-best.json bench reports")
 	verbose := flag.Bool("v", false, "print the full per-candidate search trace")
 	flag.Parse()
+	if err := checkFlags(*apps, *duration, *workers, *budget, *randseeds, *patience); err != nil {
+		fmt.Fprintf(os.Stderr, "vsoctune: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	var presets []emulator.Preset
 	switch *preset {
@@ -107,4 +113,20 @@ func main() {
 		}
 	}
 	fmt.Printf("[total %.1fs, %d workers]\n", time.Since(wallStart).Seconds(), cfg.EffectiveWorkers())
+}
+
+// checkFlags rejects the experiments' bad counts and durations (a negative
+// -apps panics the evaluation probe) and search sizes below one, which the
+// tuner would otherwise replace silently with its defaults.
+func checkFlags(apps int, duration time.Duration, workers, budget, randseeds, patience int) error {
+	errs := []error{experiments.CheckApps(apps), experiments.CheckDuration(duration), experiments.CheckWorkers(workers)}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"budget", budget}, {"randseeds", randseeds}, {"patience", patience}} {
+		if f.v < 1 {
+			errs = append(errs, fmt.Errorf("-%s must be >= 1, got %d", f.name, f.v))
+		}
+	}
+	return errors.Join(errs...)
 }

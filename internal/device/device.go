@@ -130,9 +130,6 @@ type Ticket struct {
 	Ready *sim.Event
 }
 
-// Done reports host-side completion (cheap MMIO-style status query).
-func (t *Ticket) Done() bool { return t.Cmd.Done.Fired() }
-
 // ProfNode returns the op's critical-path profiler node (nil when
 // profiling is off), so consumers waiting on this ticket can record the
 // op as a wait-for dependency.
@@ -261,25 +258,8 @@ func (d *Device) Accessor() svm.Accessor {
 	return svm.Accessor{Virtual: d.vid, Physical: d.pid, Domain: d.domain, Name: d.Name}
 }
 
-// VirtualID returns the device's virtual node ID.
-func (d *Device) VirtualID() hypergraph.NodeID { return d.vid }
-
-// PhysicalID returns the current physical mapping's node ID.
-func (d *Device) PhysicalID() hypergraph.NodeID { return d.pid }
-
-// Domain returns the device's current local memory domain.
-func (d *Device) Domain() *hostsim.Domain { return d.domain }
-
 // HostDevice returns the physical device currently backing this one.
 func (d *Device) HostDevice() *hostsim.Device { return d.host }
-
-// Remap points the virtual device at a different physical device — e.g.
-// codec falling back from NVDEC to CPU software decode (§3.2).
-func (d *Device) Remap(pid hypergraph.NodeID, host *hostsim.Device, domain *hostsim.Domain) {
-	d.pid = pid
-	d.host = host
-	d.domain = domain
-}
 
 // Stats returns the device's counters.
 func (d *Device) Stats() Stats { return d.stats }
@@ -299,9 +279,6 @@ func (d *Device) IRQ() *virtio.IRQLine { return d.irq }
 
 // batching reports whether the notification-batching layer is on.
 func (d *Device) batching() bool { return d.cfg.Transport.Batch.Enabled }
-
-// QueueDepth returns pending host commands.
-func (d *Device) QueueDepth() int { return d.ring.Pending() }
 
 // Submit dispatches op from guest driver context p and returns its ticket.
 // Blocking behaviour depends on the ordering mode:

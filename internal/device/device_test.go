@@ -213,32 +213,22 @@ func TestEventDrivenOrderingSerializesOnIRQ(t *testing.T) {
 func TestMIMDPacingEngagesUnderFloodedQueue(t *testing.T) {
 	rg := newRig(t, ModeFence)
 	r, _ := rg.mgr.Alloc(hostsim.MiB)
+	var longest time.Duration
 	rg.env.Spawn("driver", func(p *sim.Proc) {
 		for i := 0; i < 500; i++ {
+			start := p.Now()
 			rg.codec.Submit(p, Op{Kind: OpExec, Region: r.ID, Exec: 1 * ms})
+			longest = max(longest, p.Now()-start)
 		}
 	})
 	rg.env.RunUntil(5 * time.Second)
-	if rg.codec.mimd.Stalls() == 0 {
-		t.Fatal("MIMD should have paced a flooding driver")
+	// An unpaced fence-mode submit returns in microseconds; a paced one
+	// waits for a 1 ms op to complete and free a window slot.
+	if longest < ms {
+		t.Fatalf("longest submit took %v: MIMD should have paced a flooding driver", longest)
 	}
 	if rg.codec.Stats().Executed != 500 {
 		t.Fatalf("Executed = %d, want 500", rg.codec.Stats().Executed)
-	}
-}
-
-func TestRemapChangesAccessor(t *testing.T) {
-	rg := newRig(t, ModeFence)
-	if rg.codec.Accessor().Physical != pCodecHW {
-		t.Fatal("initial mapping wrong")
-	}
-	rg.codec.Remap(pCPU, rg.mach.CPU, rg.mach.DRAM)
-	acc := rg.codec.Accessor()
-	if acc.Physical != pCPU || acc.Domain != rg.mach.DRAM {
-		t.Fatalf("remapped accessor = %+v", acc)
-	}
-	if rg.codec.VirtualID() != vCodec {
-		t.Fatal("virtual identity must survive remap")
 	}
 }
 
@@ -335,52 +325,6 @@ func TestQuickOrderingMatchesSequentialOracle(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRemapMidStreamPrefetchAdapts(t *testing.T) {
-	// §3.2: a virtual device can fall back to a different physical device
-	// mid-run (e.g. codec dropping from NVDEC to software decode). The
-	// twin hypergraphs keep per-physical-device flows, so the prefetch
-	// engine re-learns the new flow and reads stay coherent throughout.
-	rg := newRig(t, ModeFence)
-	r, _ := rg.mgr.Alloc(8 * hostsim.MiB)
-	runPhase := func(frames int) {
-		rg.env.Spawn("driver", func(p *sim.Proc) {
-			for i := 0; i < frames; i++ {
-				w := rg.codec.Submit(p, Op{Kind: OpWrite, Region: r.ID, Exec: 2 * ms})
-				p.Sleep(16 * ms)
-				rd := rg.gpu.Submit(p, Op{Kind: OpRead, Region: r.ID, Exec: ms, After: w})
-				rd.Ready.Wait(p)
-				reg, _ := rg.mgr.Region(r.ID)
-				if !reg.HasCurrentCopy(rg.mach.VRAM) {
-					t.Error("stale read after remap")
-					return
-				}
-			}
-		})
-		rg.env.RunFor(time.Duration(frames) * 40 * ms)
-	}
-	runPhase(10)
-	hitsBefore := rg.mgr.Stats().PrefetchHits
-	if hitsBefore < 5 {
-		t.Fatalf("phase 1 hits = %d, want warmed prefetch", hitsBefore)
-	}
-	// Fallback: codec moves from its hardware engine to the CPU.
-	rg.codec.Remap(pCPU, rg.mach.CPU, rg.mach.DRAM)
-	runPhase(10)
-	if got := rg.mgr.Stats().PrefetchHits; got <= hitsBefore+3 {
-		t.Fatalf("prefetch did not recover after remap: %d -> %d", hitsBefore, got)
-	}
-	// Both physical flows exist in the physical layer.
-	tw := rg.mgr.Twin()
-	if _, ok := tw.Physical.Lookup(
-		[]hypergraph.NodeID{pCodecHW}, []hypergraph.NodeID{pGPU}); !ok {
-		t.Fatal("missing pre-remap physical flow")
-	}
-	if _, ok := tw.Physical.Lookup(
-		[]hypergraph.NodeID{pCPU}, []hypergraph.NodeID{pGPU}); !ok {
-		t.Fatal("missing post-remap physical flow")
 	}
 }
 

@@ -57,13 +57,11 @@ type Preset struct {
 
 	// Device capabilities.
 	HWDecode bool // virtual codec uses the host's hardware decoder
-	HWEncode bool
 	// HostSideCodec marks software decoding in the emulator process (host
 	// CPU + host RAM) rather than inside the guest.
 	HostSideCodec bool
 	ISPInGPU      bool // colorspace conversion as a GPU shader vs CPU swscale
-	HasCamera     bool // Trinity lacks cameras and encoders (§5.3)
-	HasEncoder    bool
+	HasCamera     bool // Trinity lacks cameras (§5.3)
 
 	// Efficiency multipliers on device execution costs (1.0 = native).
 	GPUCostFactor   float64
@@ -239,21 +237,10 @@ func (e *Emulator) Devices() []*device.Device {
 // CodecIsHardware reports whether decode runs on the GPU's codec engine.
 func (e *Emulator) CodecIsHardware() bool { return e.Codec.HostDevice() == e.Machine.GPU }
 
-// EncodeIsHardware reports whether encoding runs on the GPU (NVENC-style).
-func (e *Emulator) EncodeIsHardware() bool {
-	return e.Preset.HWEncode && e.Machine.HWEncode
-}
-
 // DecodeCost returns the codec execution cost for a frame of mp megapixels,
 // applying the preset's efficiency factor.
 func (e *Emulator) DecodeCost(mp float64) time.Duration {
 	c := e.Machine.Perf.DecodeCost(mp, e.CodecIsHardware())
-	return time.Duration(float64(c) * e.Preset.CodecCostFactor)
-}
-
-// EncodeCost returns the encoder execution cost for mp megapixels.
-func (e *Emulator) EncodeCost(mp float64) time.Duration {
-	c := e.Machine.Perf.EncodeCost(mp, e.EncodeIsHardware())
 	return time.Duration(float64(c) * e.Preset.CodecCostFactor)
 }
 
@@ -272,9 +259,4 @@ func (e *Emulator) ISPCost(mp float64) time.Duration {
 // GPU3DCost returns the heavy-3D frame cost (popular-app workloads).
 func (e *Emulator) GPU3DCost() time.Duration {
 	return time.Duration(float64(e.Machine.Perf.GPU3DFrame) * e.Preset.GPUCostFactor)
-}
-
-// UICost returns the ordinary UI frame cost.
-func (e *Emulator) UICost() time.Duration {
-	return time.Duration(float64(e.Machine.Perf.UIFrame) * e.Preset.GPUCostFactor)
 }

@@ -18,6 +18,35 @@ func build(t *testing.T, p Preset) (*sim.Env, *Emulator) {
 	return env, e
 }
 
+// cpuWriteLandsIn reports whether a write through the emulator's HAL (the
+// guest CPU's side of the Fig. 3 interface) leaves the region's current
+// copy in dom.
+func cpuWriteLandsIn(t *testing.T, e *Emulator, dom *hostsim.Domain) bool {
+	t.Helper()
+	landed := false
+	e.Env.Spawn("cpu-write", func(p *sim.Proc) {
+		h, err := e.HAL.Alloc(p, hostsim.MiB)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		a, err := e.HAL.BeginAccess(p, h, svm.UsageWrite, 0)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := a.End(p); err != nil {
+			t.Error(err)
+			return
+		}
+		id, _ := e.HAL.RegionOf(h)
+		r, _ := e.Manager.Region(id)
+		landed = r.HasCurrentCopy(dom)
+	})
+	e.Env.RunUntil(e.Env.Now() + time.Second)
+	return landed
+}
+
 func TestAllPresetsAssemble(t *testing.T) {
 	for _, p := range All() {
 		p := p
@@ -47,10 +76,10 @@ func TestVSoCUsesUnifiedSVMAndHardwareCodec(t *testing.T) {
 	if !e.CodecIsHardware() {
 		t.Fatal("vSoC codec should land on the GPU")
 	}
-	if e.Display.Domain() != e.Machine.VRAM {
+	if e.Display.Accessor().Domain != e.Machine.VRAM {
 		t.Fatal("virtual display should be managed by the physical GPU")
 	}
-	if e.HAL.CPUAccessor().Domain != e.Machine.DRAM {
+	if !cpuWriteLandsIn(t, e, e.Machine.DRAM) {
 		t.Fatal("unified SVM keeps CPU data host-side")
 	}
 }
@@ -58,7 +87,7 @@ func TestVSoCUsesUnifiedSVMAndHardwareCodec(t *testing.T) {
 func TestGuestSyncPresetsMapCPUToGuestPages(t *testing.T) {
 	for _, p := range Mainstream() {
 		_, e := build(t, p)
-		if e.HAL.CPUAccessor().Domain != e.Machine.Guest {
+		if !cpuWriteLandsIn(t, e, e.Machine.Guest) {
 			t.Fatalf("%s: guest-backed CPU accessor should live in guest pages", p.Name)
 		}
 	}
@@ -69,9 +98,6 @@ func TestTrinityLacksCameraAndEncoder(t *testing.T) {
 	_, e := build(t, p)
 	if e.Camera != nil {
 		t.Fatal("Trinity has no camera support (§5.3)")
-	}
-	if p.HasEncoder {
-		t.Fatal("Trinity has no encoder support (§5.3)")
 	}
 	if e.CodecIsHardware() {
 		t.Fatal("Trinity codec is software-only")
@@ -129,8 +155,15 @@ func TestAblationPresets(t *testing.T) {
 
 func TestVSyncRunsAt60Hz(t *testing.T) {
 	env, e := build(t, VSoC())
+	got := 0
+	env.Spawn("compositor", func(p *sim.Proc) {
+		for {
+			e.VSync.Wait(p)
+			got++
+		}
+	})
 	env.RunUntil(time.Second)
-	if got := e.VSync.Tick(); got != 60 {
+	if got != 60 {
 		t.Fatalf("ticks in 1s = %d, want 60", got)
 	}
 }
@@ -139,12 +172,6 @@ func TestCostHelpersScaleWithPresetFactors(t *testing.T) {
 	_, vsoc := build(t, VSoC())
 	_, gae := build(t, GAE())
 	const uhdMP = 3840 * 2160 / 1e6
-	if !vsoc.EncodeIsHardware() || gae.EncodeIsHardware() {
-		t.Fatal("encode placement wrong")
-	}
-	if vsoc.EncodeCost(uhdMP) >= gae.EncodeCost(uhdMP) {
-		t.Fatal("NVENC must beat software encode")
-	}
 	if gae.RenderCost(uhdMP) <= vsoc.RenderCost(uhdMP) {
 		t.Fatal("GAE's GPU factor should inflate render cost")
 	}
@@ -154,9 +181,6 @@ func TestCostHelpersScaleWithPresetFactors(t *testing.T) {
 	if vsoc.ISPCost(uhdMP) >= gae.ISPCost(uhdMP)*10 {
 		t.Fatal("ISP costs out of range")
 	}
-	if vsoc.UICost() <= 0 {
-		t.Fatal("UICost must be positive")
-	}
 }
 
 func TestNativeDevicePresetOnPixel(t *testing.T) {
@@ -164,7 +188,7 @@ func TestNativeDevicePresetOnPixel(t *testing.T) {
 	defer env.Close()
 	mach := hostsim.Pixel6a(env)
 	e := New(env, mach, NativeDevice())
-	if e.Codec.Domain() != mach.DRAM || e.GPU.Domain() != mach.DRAM {
+	if e.Codec.Accessor().Domain != mach.DRAM || e.GPU.Accessor().Domain != mach.DRAM {
 		t.Fatal("unified memory: every device domain is main memory")
 	}
 	if !e.CodecIsHardware() {

@@ -28,10 +28,8 @@ func VSoC() Preset {
 		Ordering:        device.ModeFence,
 		UseFlowControl:  true,
 		HWDecode:        true,
-		HWEncode:        true,
 		ISPInGPU:        true,
 		HasCamera:       true,
-		HasEncoder:      true,
 		GPUCostFactor:   1.0, // inherits Trinity's high-performance virtual GPU
 		CodecCostFactor: 1.0,
 		ISPCostFactor:   1.0,
@@ -75,11 +73,9 @@ func GAE() Preset {
 		},
 		Ordering:           device.ModeAtomic,
 		HWDecode:           false, // software decoder despite capable hardware
-		HWEncode:           false,
-		HostSideCodec:      true, // goldfish-style host-process decoder
+		HostSideCodec:      true,  // goldfish-style host-process decoder
 		ISPInGPU:           true,
 		HasCamera:          true,
-		HasEncoder:         true,
 		CameraFPSCap:       30,
 		CameraStackLatency: 40 * time.Millisecond,
 		GPUCostFactor:      2.0, // ANGLE translation overhead on heavy GL
@@ -104,10 +100,8 @@ func QEMUKVM() Preset {
 		},
 		Ordering:           device.ModeAtomic,
 		HWDecode:           false,
-		HWEncode:           false,
 		ISPInGPU:           false,
 		HasCamera:          true,
-		HasEncoder:         true,
 		CameraFPSCap:       30,
 		CameraStackLatency: 50 * time.Millisecond,
 		GPUCostFactor:      1.2,
@@ -130,10 +124,8 @@ func LDPlayer() Preset {
 		},
 		Ordering:           device.ModeAtomic,
 		HWDecode:           false,
-		HWEncode:           false,
 		ISPInGPU:           false,
 		HasCamera:          true,
-		HasEncoder:         true,
 		CameraFPSCap:       30,
 		CameraStackLatency: 70 * time.Millisecond,
 		GPUCostFactor:      1.25,
@@ -157,11 +149,9 @@ func Bluestacks() Preset {
 		},
 		Ordering:           device.ModeAtomic,
 		HWDecode:           false,
-		HWEncode:           false,
 		HostSideCodec:      true,
 		ISPInGPU:           false,
 		HasCamera:          true,
-		HasEncoder:         true,
 		CameraFPSCap:       30,
 		CameraStackLatency: 70 * time.Millisecond,
 		GPUCostFactor:      1.15,
@@ -187,10 +177,8 @@ func Trinity() Preset {
 		Ordering:        device.ModeFence,
 		UseFlowControl:  true,
 		HWDecode:        false,
-		HWEncode:        false,
 		ISPInGPU:        false,
 		HasCamera:       false,
-		HasEncoder:      false,
 		GPUCostFactor:   1.05,
 		CodecCostFactor: 7.0, // guest ARM codec paths under binary translation
 		ISPCostFactor:   1.5,
@@ -216,10 +204,8 @@ func NativeDevice() Preset {
 		Ordering:        device.ModeFence,
 		UseFlowControl:  true,
 		HWDecode:        true,
-		HWEncode:        true,
 		ISPInGPU:        true,
 		HasCamera:       true,
-		HasEncoder:      true,
 		GPUCostFactor:   1.0,
 		CodecCostFactor: 1.0,
 		ISPCostFactor:   1.0,

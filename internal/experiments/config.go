@@ -11,6 +11,7 @@
 package experiments
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/emulator"
@@ -74,20 +75,36 @@ type Config struct {
 	MonPath string
 }
 
-// Quick returns a configuration suitable for tests and benchmarks.
-func Quick() Config {
-	return Config{Duration: 10 * time.Second, AppsPerCategory: 2, PopularApps: 6, Seed: 1}
+// The flag rules below are shared by the commands, so a count or duration
+// the experiments cannot run is a usage error everywhere: never a panic, an
+// all-zero report or a silent fallback to a default.
+
+// MaxApps is the size of each Table 1 category, the ceiling of -apps.
+const MaxApps = 10
+
+// CheckApps rejects an apps-per-category count outside 1..MaxApps.
+func CheckApps(apps int) error {
+	if apps < 1 || apps > MaxApps {
+		return fmt.Errorf("-apps must be in 1..%d, got %d", MaxApps, apps)
+	}
+	return nil
 }
 
-// Standard returns the configuration used for EXPERIMENTS.md numbers.
-func Standard() Config {
-	return Config{Duration: 30 * time.Second, AppsPerCategory: 10, PopularApps: 25, Seed: 1}
+// CheckDuration rejects a non-positive simulated duration, which sessions
+// would otherwise replace with their default or never start an app in.
+func CheckDuration(d time.Duration) error {
+	if d <= 0 {
+		return fmt.Errorf("-duration must be > 0, got %v", d)
+	}
+	return nil
 }
 
-// Full mirrors the paper's methodology most closely (5-minute runs expose
-// the laptop thermal story in full).
-func Full() Config {
-	return Config{Duration: 2 * time.Minute, AppsPerCategory: 10, PopularApps: 25, Seed: 1}
+// CheckWorkers rejects a negative worker count (0 means one per CPU).
+func CheckWorkers(workers int) error {
+	if workers < 0 {
+		return fmt.Errorf("-workers must be >= 0 (0 = one per CPU), got %d", workers)
+	}
+	return nil
 }
 
 // MachineSpec names a machine preset.

@@ -3,7 +3,64 @@ package experiments
 import (
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/faults"
+	"repro/internal/obs"
+	"repro/internal/prof"
 )
+
+// Quick returns a configuration small enough for tests.
+func Quick() Config {
+	return Config{Duration: 10 * time.Second, AppsPerCategory: 2, PopularApps: 6, Seed: 1}
+}
+
+// Of returns a platform's trace.
+func (s *StudyResult) Of(platform string) *PlatformTrace {
+	for i := range s.Traces {
+		if s.Traces[i].Platform == platform {
+			return &s.Traces[i]
+		}
+	}
+	return nil
+}
+
+// Of returns a protocol's cell.
+func (r *ProtocolResult) Of(name string) *ProtocolCell {
+	for i := range r.Cells {
+		if r.Cells[i].Protocol == name {
+			return &r.Cells[i]
+		}
+	}
+	return nil
+}
+
+// Cell returns the cell for (emulator, fault class), or nil.
+func (r *RobustnessResult) Cell(emu string, class faults.Class) *RobustnessCell {
+	for i := range r.Cells {
+		if r.Cells[i].Emulator == emu && r.Cells[i].Fault == class {
+			return &r.Cells[i]
+		}
+	}
+	return nil
+}
+
+// folded renders a profile report's folded stacks as a string.
+func folded(r *prof.Report) string {
+	var b strings.Builder
+	_ = r.WriteFolded(&b)
+	return b.String()
+}
+
+// counterValue reads a counter through the registry's snapshot.
+func counterValue(reg *obs.Registry, name string) int64 {
+	for _, e := range reg.Snapshot() {
+		if e.Kind == "counter" && e.Name == name {
+			return e.Count
+		}
+	}
+	return 0
+}
 
 func TestTable1MatchesPaper(t *testing.T) {
 	rows := Table1()

@@ -99,16 +99,6 @@ type ProtocolResult struct {
 	Cells []ProtocolCell
 }
 
-// Of returns a protocol's cell.
-func (r *ProtocolResult) Of(name string) *ProtocolCell {
-	for i := range r.Cells {
-		if r.Cells[i].Protocol == name {
-			return &r.Cells[i]
-		}
-	}
-	return nil
-}
-
 // RunProtocols compares the three coherence protocols on a pipeline with
 // occasional consumer churn — a codec stream mostly read by the GPU, with
 // every 20th frame also shared out through the NIC (a short-form-style

@@ -94,14 +94,14 @@ func TestFetchEnabledDeterminism(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			serial := RunMicro(fetchDetCfg(seed, 1))
 			parallel := RunMicro(fetchDetCfg(seed, workers))
-			if a, b := serial.Report.FoldedString(), parallel.Report.FoldedString(); a != b {
+			if a, b := folded(serial.Report), folded(parallel.Report); a != b {
 				t.Errorf("chunked folded export diverges between 1 and %d workers:\n%s\nvs\n%s", workers, a, b)
 			}
 			if a, b := FormatMicro(serial), FormatMicro(parallel); a != b {
 				t.Errorf("chunked micro report diverges between 1 and %d workers:\n%s\nvs\n%s", workers, a, b)
 			}
 			rerun := RunMicro(fetchDetCfg(seed, 1))
-			if a, b := serial.Report.FoldedString(), rerun.Report.FoldedString(); a != b {
+			if a, b := folded(serial.Report), folded(rerun.Report); a != b {
 				t.Errorf("chunked folded export diverges across equal-seed runs:\n%s\nvs\n%s", a, b)
 			}
 			if serial.ChunkedFetches != rerun.ChunkedFetches || serial.FetchJoins != rerun.FetchJoins {

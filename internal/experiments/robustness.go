@@ -71,16 +71,6 @@ type RobustnessResult struct {
 	Cells    []RobustnessCell // emulator-major, fault-class-minor
 }
 
-// Cell returns the cell for (emulator, fault class), or nil.
-func (r *RobustnessResult) Cell(emu string, class faults.Class) *RobustnessCell {
-	for i := range r.Cells {
-		if r.Cells[i].Emulator == emu && r.Cells[i].Fault == class {
-			return &r.Cells[i]
-		}
-	}
-	return nil
-}
-
 // robustnessWatchdog bounds host-executor fence waits during robustness
 // runs so a stalled device reads as counted timeouts, not a hung pipeline.
 const robustnessWatchdog = 250 * time.Millisecond

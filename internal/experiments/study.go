@@ -48,16 +48,6 @@ type StudyResult struct {
 	Traces []PlatformTrace // native device, GAE, QEMU-KVM
 }
 
-// Of returns a platform's trace.
-func (s *StudyResult) Of(platform string) *PlatformTrace {
-	for i := range s.Traces {
-		if s.Traces[i].Platform == platform {
-			return &s.Traces[i]
-		}
-	}
-	return nil
-}
-
 // studyPlatform describes one measured platform.
 type studyPlatform struct {
 	preset  emulator.Preset

@@ -25,7 +25,6 @@
 package faults
 
 import (
-	"fmt"
 	"math/rand"
 	"time"
 
@@ -66,20 +65,6 @@ type Fault interface {
 	clear(i *Injector, now time.Duration)
 }
 
-// Event is one entry of the injector's transition log.
-type Event struct {
-	At     time.Duration
-	Class  Class
-	Target string
-	// Phase is "inject" or "clear".
-	Phase string
-}
-
-func (e Event) String() string {
-	return fmt.Sprintf("%8.3fs %-16s %-8s %s",
-		e.At.Seconds(), e.Class, e.Phase, e.Target)
-}
-
 // window is one scheduled fault occurrence.
 type window struct {
 	at, dur time.Duration
@@ -93,7 +78,6 @@ type Injector struct {
 	engine *prefetch.Engine // optional; see BindEngine
 
 	windows []window
-	events  []Event
 	armed   bool
 
 	tr  *obs.Tracer
@@ -145,8 +129,6 @@ func (i *Injector) Arm() {
 		i.env.After(w.at, func() {
 			now := i.env.Now()
 			openedAt = now
-			i.events = append(i.events, Event{
-				At: now, Class: w.fault.Class(), Target: w.fault.Target(), Phase: "inject"})
 			if i.tr != nil {
 				i.tr.Instant(i.tk, "inject:"+string(w.fault.Class()))
 			}
@@ -155,8 +137,6 @@ func (i *Injector) Arm() {
 		})
 		i.env.After(w.at+w.dur, func() {
 			now := i.env.Now()
-			i.events = append(i.events, Event{
-				At: now, Class: w.fault.Class(), Target: w.fault.Target(), Phase: "clear"})
 			if i.tr != nil {
 				// One span per fault window, stamped retroactively at close
 				// so its duration reflects the actual open interval.
@@ -168,11 +148,4 @@ func (i *Injector) Arm() {
 			w.fault.clear(i, now)
 		})
 	}
-}
-
-// Events returns the transition log in virtual-time order.
-func (i *Injector) Events() []Event {
-	out := make([]Event, len(i.events))
-	copy(out, i.events)
-	return out
 }

@@ -1,7 +1,6 @@
 package faults
 
 import (
-	"reflect"
 	"testing"
 	"time"
 
@@ -75,27 +74,23 @@ func TestLinkCollapseDegradesAndRestores(t *testing.T) {
 	inj.Arm()
 
 	nominal := rg.link.TransferTime(64 * hostsim.MiB)
+	// The window opens at 10ms and clears at 30ms, exactly.
+	for at, open := range map[time.Duration]bool{9 * ms: false, 11 * ms: true, 29 * ms: true, 31 * ms: false} {
+		rg.env.After(at, func() {
+			if got := rg.link.TransferTime(64*hostsim.MiB) != nominal; got != open {
+				t.Errorf("at %v: link degraded = %v, want %v", at, got, open)
+			}
+		})
+	}
 	rg.env.After(20*ms, func() {
-		if got := rg.link.Degradation(); got != 0.4 {
-			t.Errorf("in-window degradation = %v, want 0.4", got)
-		}
 		if got := rg.link.TransferTime(64 * hostsim.MiB); got <= nominal*2 {
 			t.Errorf("collapsed transfer %v not ~2.5x nominal %v", got, nominal)
 		}
 	})
 	rg.env.RunUntil(100 * ms)
 
-	if got := rg.link.Degradation(); got != 1 {
-		t.Fatalf("degradation after window = %v, want 1 (restored)", got)
-	}
 	if got := rg.link.TransferTime(64 * hostsim.MiB); got != nominal {
 		t.Fatalf("transfer time after window = %v, want nominal %v", got, nominal)
-	}
-	events := inj.Events()
-	if len(events) != 2 ||
-		events[0].Phase != "inject" || events[0].At != 10*ms ||
-		events[1].Phase != "clear" || events[1].At != 30*ms {
-		t.Fatalf("event log = %v", events)
 	}
 }
 
@@ -240,7 +235,7 @@ func TestTransportSpikeScalesCostsForWindowOnly(t *testing.T) {
 }
 
 func TestDeterminismAcrossIdenticalRuns(t *testing.T) {
-	run := func() ([]Event, int, time.Duration) {
+	run := func() (int, time.Duration) {
 		env := sim.NewEnv(11)
 		defer env.Close()
 		mach := hostsim.HighEndDesktop(env)
@@ -257,14 +252,11 @@ func TestDeterminismAcrossIdenticalRuns(t *testing.T) {
 			}
 		})
 		env.RunUntil(time.Second)
-		return inj.Events(), link.DMARetries(), total
+		return link.DMARetries(), total
 	}
 
-	e1, r1, t1 := run()
-	e2, r2, t2 := run()
-	if !reflect.DeepEqual(e1, e2) {
-		t.Fatalf("event logs differ:\n%v\n%v", e1, e2)
-	}
+	r1, t1 := run()
+	r2, t2 := run()
 	if r1 != r2 || t1 != t2 {
 		t.Fatalf("run divergence: retries %d/%d, total %v/%v", r1, r2, t1, t2)
 	}
@@ -310,7 +302,7 @@ func TestDemandFetchCorrectUnderLinkFaults(t *testing.T) {
 			if err != nil {
 				t.Fatalf("read begin: %v", err)
 			}
-			if !w.Region().HasCurrentCopy(mach.VRAM) {
+			if !reg.HasCurrentCopy(mach.VRAM) {
 				t.Fatalf("iteration %d: reader began without a current copy", i)
 			}
 			if _, err := r.End(p); err != nil {

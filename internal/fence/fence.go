@@ -13,9 +13,7 @@
 // Fence status lives in a virtual fence table limited to a single 4 KiB
 // guest page shared with the host over MMIO, so status queries are free of
 // transport cost; signaled indices are recycled when the supply of unused
-// indices runs low (§4). Device-specific synchronization primitives (the
-// glFenceSync-style handles of real GPUs) are tracked per physical device in
-// physical fence tables.
+// indices runs low (§4).
 //
 // Fence retirement is driven purely by simulated completion events, so
 // signal/wait interleavings are deterministic: equal seeds retire the same
@@ -52,9 +50,6 @@ type Fence struct {
 	ev    sim.Event // by value: one allocation per Alloc, not two
 	prov  *prof.Node
 }
-
-// Index returns the fence's slot index in the virtual fence table.
-func (f *Fence) Index() int { return f.idx }
 
 // SetProvenance records the profiler node of the op that will signal this
 // fence, so waiters can attribute their wait to the signaler's critical

@@ -189,91 +189,6 @@ func TestHappensBeforeAcrossQueues(t *testing.T) {
 	}
 }
 
-func TestPhysicalTableChainSignal(t *testing.T) {
-	// A virtual signal fence must not retire until the device-specific
-	// syncs issued before it complete (asynchronous GPU work).
-	env := sim.NewEnv(1)
-	defer env.Close()
-	tab := NewTable(env)
-	pt := NewPhysicalTable(env, "gpu")
-
-	gpuDone := sim.NewEvent(env)
-	pt.Insert(gpuDone)
-	f := tab.Alloc()
-	pt.ChainSignal(f)
-
-	var retiredAt time.Duration
-	env.Spawn("observer", func(p *sim.Proc) {
-		f.Wait(p)
-		retiredAt = p.Now()
-	})
-	env.After(8*ms, gpuDone.Signal)
-	env.Run()
-	if retiredAt != 8*ms {
-		t.Fatalf("fence retired at %v, want 8ms (after device sync)", retiredAt)
-	}
-}
-
-func TestPhysicalTableChainSignalNoPending(t *testing.T) {
-	env := sim.NewEnv(1)
-	defer env.Close()
-	tab := NewTable(env)
-	pt := NewPhysicalTable(env, "gpu")
-	f := tab.Alloc()
-	pt.ChainSignal(f)
-	if !f.Signaled() {
-		t.Fatal("fence with no pending syncs should retire immediately")
-	}
-}
-
-func TestPhysicalTableWaitAll(t *testing.T) {
-	env := sim.NewEnv(1)
-	defer env.Close()
-	pt := NewPhysicalTable(env, "gpu")
-	a, b := sim.NewEvent(env), sim.NewEvent(env)
-	pt.Insert(a)
-	pt.Insert(b)
-	if pt.Outstanding() != 2 {
-		t.Fatalf("Outstanding = %d, want 2", pt.Outstanding())
-	}
-	var doneAt time.Duration
-	env.Spawn("finisher", func(p *sim.Proc) {
-		pt.WaitAll(p)
-		doneAt = p.Now()
-	})
-	env.After(3*ms, a.Signal)
-	env.After(9*ms, b.Signal)
-	env.Run()
-	if doneAt != 9*ms {
-		t.Fatalf("WaitAll returned at %v, want 9ms", doneAt)
-	}
-	if pt.Outstanding() != 0 {
-		t.Fatal("completed syncs should be pruned")
-	}
-}
-
-func TestPhysicalTableMultipleSyncsChain(t *testing.T) {
-	env := sim.NewEnv(1)
-	defer env.Close()
-	tab := NewTable(env)
-	pt := NewPhysicalTable(env, "gpu")
-	a, b := sim.NewEvent(env), sim.NewEvent(env)
-	pt.Insert(a)
-	pt.Insert(b)
-	f := tab.Alloc()
-	pt.ChainSignal(f)
-	env.After(2*ms, a.Signal)
-	env.RunUntil(5 * ms)
-	if f.Signaled() {
-		t.Fatal("fence retired before all device syncs completed")
-	}
-	env.After(1*ms, b.Signal)
-	env.RunUntil(10 * ms)
-	if !f.Signaled() {
-		t.Fatal("fence should retire after all syncs complete")
-	}
-}
-
 func TestQuickFenceOrderingUnderRandomSignalTimes(t *testing.T) {
 	// Property: for any set of fences signaled at arbitrary times, every
 	// waiter wakes at exactly its fence's signal time (or immediately if
@@ -413,7 +328,7 @@ func TestRecyclingUnderPressureKeepsStaleFencesSignaled(t *testing.T) {
 		}
 		for _, f := range stale {
 			if !f.Signaled() {
-				t.Errorf("stale fence %d lost its signaled state after recycle", f.Index())
+				t.Errorf("stale fence %d lost its signaled state after recycle", f.idx)
 			}
 		}
 	})
@@ -453,14 +368,14 @@ func TestRecyclingNeverReclaimsActiveFences(t *testing.T) {
 	seen := make(map[int]bool)
 	for _, f := range held {
 		if f.Signaled() {
-			t.Fatalf("active fence %d was signaled by recycling", f.Index())
+			t.Fatalf("active fence %d was signaled by recycling", f.idx)
 		}
-		if seen[f.Index()] {
-			t.Fatalf("two active fences share slot %d", f.Index())
+		if seen[f.idx] {
+			t.Fatalf("two active fences share slot %d", f.idx)
 		}
-		seen[f.Index()] = true
-		if tab.slots[f.Index()] != f {
-			t.Fatalf("slot %d no longer holds its active fence", f.Index())
+		seen[f.idx] = true
+		if tab.slots[f.idx] != f {
+			t.Fatalf("slot %d no longer holds its active fence", f.idx)
 		}
 	}
 	for _, f := range held {

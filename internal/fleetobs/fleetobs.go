@@ -110,12 +110,6 @@ func (f *Fleet) Tenant(i int) *Tenant { return f.tenants[i] }
 // Tracer returns the fleet trace sink (nil when tracing is off).
 func (f *Fleet) Tracer() *obs.Tracer { return f.cfg.Tracer }
 
-// Registry returns the fleet metrics registry (nil when metrics are off).
-func (f *Fleet) Registry() *obs.Registry { return f.cfg.Registry }
-
-// Tenants returns the number of configured tenants.
-func (f *Fleet) Tenants() int { return len(f.tenants) }
-
 // Attach registers the fleet as the group's shard observer and, when sh is
 // non-nil, as the shared host's window observer.
 func (f *Fleet) Attach(g *sim.ShardGroup, sh *hostsim.SharedHost) {

@@ -11,6 +11,22 @@ import (
 	"repro/internal/sim"
 )
 
+// addFaultWindow declares an injected-fault interval for downtime
+// accounting.
+func (t *Tenant) addFaultWindow(start, dur time.Duration) {
+	t.faults = append(t.faults, faultWindow{start: start, end: start + dur})
+}
+
+// counterValue reads a counter through the registry's snapshot.
+func counterValue(reg *obs.Registry, name string) int64 {
+	for _, e := range reg.Snapshot() {
+		if e.Kind == "counter" && e.Name == name {
+			return e.Count
+		}
+	}
+	return 0
+}
+
 // feedTenant drives a synthetic steady guest: fps frames per second for
 // secs seconds, with every frame carrying an m2p latency.
 func feedTenant(t *Tenant, fps int, secs int, m2p time.Duration) {
@@ -70,7 +86,7 @@ func TestTenantAttainmentAndViolations(t *testing.T) {
 	if tr.M2PViolations != 10 || tr.M2PAttainment < wantM2P-0.01 || tr.M2PAttainment > wantM2P+0.01 {
 		t.Fatalf("m2p: %d violations, attainment %g; want 10, ~%.3f", tr.M2PViolations, tr.M2PAttainment, wantM2P)
 	}
-	if got := tn.FloorViolationSeconds(3 * time.Second); len(got) != 1 || got[0] != 2 {
+	if got := tn.floorViolationSeconds(3 * time.Second); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("violation seconds = %v, want [2]", got)
 	}
 }
@@ -103,7 +119,7 @@ func TestStragglerDetection(t *testing.T) {
 
 func TestDowntimeClipsToRun(t *testing.T) {
 	f := New(Config{Tenants: []TenantConfig{{Name: "g"}}})
-	f.Tenant(0).AddFaultWindow(2*time.Second, 3*time.Second) // clips at end=4s
+	f.Tenant(0).addFaultWindow(2*time.Second, 3*time.Second) // clips at end=4s
 	r := f.Report(4 * time.Second)
 	if got := r.Tenants[0].DowntimeMS; got != 2000 {
 		t.Fatalf("downtime = %g ms, want 2000", got)
@@ -197,7 +213,7 @@ func TestViolationSpansAndCounters(t *testing.T) {
 	})
 	feedTenant(f.Tenant(0), 40, 1, 0) // second 0 healthy
 	// seconds 1-2 silent: floor violations
-	f.Tenant(0).AddFaultWindow(time.Second, time.Second)
+	f.Tenant(0).addFaultWindow(time.Second, time.Second)
 	f.ShardWindow(&sim.ShardWindowStats{
 		Base: 0, Limit: 2 * time.Millisecond, Lookahead: 2 * time.Millisecond, Events: 10,
 	})
@@ -218,7 +234,7 @@ func TestViolationSpansAndCounters(t *testing.T) {
 	if viol != 1 || fault != 1 {
 		t.Fatalf("spans: %d violation, %d fault; want 1, 1", viol, fault)
 	}
-	if got := reg.Counter("shard.window.count").Value(); got != 1 {
+	if got := counterValue(reg, "shard.window.count"); got != 1 {
 		t.Fatalf("shard.window.count = %d, want 1", got)
 	}
 }

@@ -52,9 +52,6 @@ func newTenant(cfg TenantConfig, index int) *Tenant {
 	return &Tenant{cfg: cfg, index: index}
 }
 
-// Name returns the tenant's label.
-func (t *Tenant) Name() string { return t.cfg.Name }
-
 // grow extends s so index i exists.
 func grow(s []uint32, i int) []uint32 {
 	for len(s) <= i {
@@ -95,16 +92,6 @@ func (t *Tenant) DemandFetch(at, latency time.Duration) {
 	t.fetch.ObserveDuration(latency)
 }
 
-// AddFaultWindow declares an injected-fault interval for downtime
-// accounting; drivers that schedule faults also announce them here.
-func (t *Tenant) AddFaultWindow(start, dur time.Duration) {
-	t.faults = append(t.faults, faultWindow{start: start, end: start + dur})
-}
-
-// FetchPercentile exposes the demand-fetch tail (ms) for tests and
-// drivers.
-func (t *Tenant) FetchPercentile(q float64) float64 { return t.fetch.Percentile(q) }
-
 // wholeSeconds returns how many complete virtual seconds [0,end) holds.
 func wholeSeconds(end time.Duration) int { return int(end / time.Second) }
 
@@ -128,12 +115,6 @@ func (t *Tenant) floorViolationSeconds(end time.Duration) []int {
 		}
 	}
 	return out
-}
-
-// FloorViolationSeconds is the exported form of the per-second floor
-// check, for chaos-cell assertions.
-func (t *Tenant) FloorViolationSeconds(end time.Duration) []int {
-	return t.floorViolationSeconds(end)
 }
 
 // downtime sums the tenant's fault windows clipped to [0, end].

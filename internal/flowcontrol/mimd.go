@@ -44,11 +44,6 @@ type MIMD struct {
 	window   float64
 	inflight int
 	waiters  []*mimdWaiter
-
-	// stats
-	increases int
-	decreases int
-	stalls    int
 }
 
 type mimdWaiter struct {
@@ -63,15 +58,6 @@ func New(env *sim.Env, cfg Config) *MIMD {
 	return &MIMD{env: env, cfg: cfg, window: cfg.InitialWindow}
 }
 
-// Window returns the current window size.
-func (m *MIMD) Window() float64 { return m.window }
-
-// InFlight returns the commands currently charged to the window.
-func (m *MIMD) InFlight() int { return m.inflight }
-
-// Stalls returns how many Acquire calls had to block.
-func (m *MIMD) Stalls() int { return m.stalls }
-
 // Acquire charges one command to the window, blocking the guest driver while
 // the window is full. FIFO among blocked drivers.
 func (m *MIMD) Acquire(p *sim.Proc) {
@@ -79,7 +65,6 @@ func (m *MIMD) Acquire(p *sim.Proc) {
 		m.inflight++
 		return
 	}
-	m.stalls++
 	w := &mimdWaiter{granted: sim.NewEvent(m.env)}
 	m.waiters = append(m.waiters, w)
 	w.granted.Wait(p)
@@ -94,13 +79,11 @@ func (m *MIMD) Complete(hostQueueDepth int) {
 	m.inflight--
 	if hostQueueDepth > m.cfg.BacklogThreshold {
 		m.window *= m.cfg.Decrease
-		m.decreases++
 		if m.window < m.cfg.MinWindow {
 			m.window = m.cfg.MinWindow
 		}
 	} else {
 		m.window *= m.cfg.Increase
-		m.increases++
 		if m.window > m.cfg.MaxWindow {
 			m.window = m.cfg.MaxWindow
 		}
@@ -116,6 +99,3 @@ func (m *MIMD) grant() {
 		w.granted.Signal()
 	}
 }
-
-// Adjustments returns (increases, decreases) counts for telemetry.
-func (m *MIMD) Adjustments() (int, int) { return m.increases, m.decreases }

@@ -34,8 +34,8 @@ func TestAcquireWithinWindowDoesNotBlock(t *testing.T) {
 	if at != 0 {
 		t.Fatalf("acquires within window blocked until %v", at)
 	}
-	if m.InFlight() != 2 {
-		t.Fatalf("InFlight = %d, want 2", m.InFlight())
+	if m.inflight != 2 {
+		t.Fatalf("InFlight = %d, want 2", m.inflight)
 	}
 }
 
@@ -58,9 +58,6 @@ func TestAcquireBlocksWhenWindowFull(t *testing.T) {
 	if third != 5*ms {
 		t.Fatalf("third acquire at %v, want 5ms", third)
 	}
-	if m.Stalls() != 1 {
-		t.Fatalf("Stalls = %d, want 1", m.Stalls())
-	}
 }
 
 func TestWindowGrowsWhenHostKeepsUp(t *testing.T) {
@@ -74,8 +71,8 @@ func TestWindowGrowsWhenHostKeepsUp(t *testing.T) {
 		}
 	})
 	env.Run()
-	if m.Window() != 16 {
-		t.Fatalf("Window = %v, want 16 (2 -> 4 -> 8 -> 16)", m.Window())
+	if m.window != 16 {
+		t.Fatalf("Window = %v, want 16 (2 -> 4 -> 8 -> 16)", m.window)
 	}
 }
 
@@ -90,8 +87,8 @@ func TestWindowCappedAtMax(t *testing.T) {
 		}
 	})
 	env.Run()
-	if m.Window() != 16 {
-		t.Fatalf("Window = %v, want capped at 16", m.Window())
+	if m.window != 16 {
+		t.Fatalf("Window = %v, want capped at 16", m.window)
 	}
 }
 
@@ -104,12 +101,8 @@ func TestWindowShrinksOnBacklog(t *testing.T) {
 		m.Complete(100) // deep host queue
 	})
 	env.Run()
-	if m.Window() != 1 {
-		t.Fatalf("Window = %v, want 1 (2 * 0.5)", m.Window())
-	}
-	inc, dec := m.Adjustments()
-	if inc != 0 || dec != 1 {
-		t.Fatalf("adjustments = %d/%d, want 0/1", inc, dec)
+	if m.window != 1 {
+		t.Fatalf("Window = %v, want 1 (2 * 0.5)", m.window)
 	}
 }
 
@@ -124,8 +117,8 @@ func TestWindowFloorAtMin(t *testing.T) {
 		}
 	})
 	env.Run()
-	if m.Window() != 1 {
-		t.Fatalf("Window = %v, want floored at 1", m.Window())
+	if m.window != 1 {
+		t.Fatalf("Window = %v, want floored at 1", m.window)
 	}
 }
 
@@ -153,8 +146,8 @@ func TestPacingBoundsInflight(t *testing.T) {
 	env.Spawn("guest", func(p *sim.Proc) {
 		for i := 0; i < 100; i++ {
 			m.Acquire(p)
-			if m.InFlight() > peak {
-				peak = m.InFlight()
+			if m.inflight > peak {
+				peak = m.inflight
 			}
 			hostQ.Put(p, i)
 		}
@@ -170,7 +163,7 @@ func TestPacingBoundsInflight(t *testing.T) {
 	if float64(peak) > c.MaxWindow {
 		t.Fatalf("peak in-flight %d exceeded max window %v", peak, c.MaxWindow)
 	}
-	if m.InFlight() != 0 {
-		t.Fatalf("InFlight = %d after drain, want 0", m.InFlight())
+	if m.inflight != 0 {
+		t.Fatalf("InFlight = %d after drain, want 0", m.inflight)
 	}
 }

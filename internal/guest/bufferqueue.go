@@ -43,7 +43,6 @@ type BufferQueue struct {
 	env    *sim.Env
 	free   *sim.Queue[*Buffer]
 	filled *sim.Queue[*Buffer]
-	depth  int
 }
 
 // NewBufferQueue creates a queue of depth buffers, each of the given size,
@@ -54,7 +53,6 @@ func NewBufferQueue(p *sim.Proc, mod *svm.Module, depth int, size hostsim.Bytes)
 		env:    env,
 		free:   sim.NewQueue[*Buffer](env, 0),
 		filled: sim.NewQueue[*Buffer](env, 0),
-		depth:  depth,
 	}
 	for i := 0; i < depth; i++ {
 		h, err := mod.Alloc(p, size)
@@ -69,12 +67,6 @@ func NewBufferQueue(p *sim.Proc, mod *svm.Module, depth int, size hostsim.Bytes)
 	}
 	return q, nil
 }
-
-// Depth returns the pool size.
-func (q *BufferQueue) Depth() int { return q.depth }
-
-// FreeCount returns currently free buffers.
-func (q *BufferQueue) FreeCount() int { return q.free.Len() }
 
 // FilledCount returns queued, unconsumed buffers.
 func (q *BufferQueue) FilledCount() int { return q.filled.Len() }
@@ -101,20 +93,4 @@ func (q *BufferQueue) Release(p *sim.Proc, b *Buffer) {
 	b.SourceTime = 0
 	b.Dirty = 0
 	q.free.Put(p, b)
-}
-
-// FreeAll releases the pool's regions back to the HAL.
-func (q *BufferQueue) FreeAll(p *sim.Proc, mod *svm.Module) error {
-	for {
-		b, ok := q.free.TryGet()
-		if !ok {
-			b, ok = q.filled.TryGet()
-		}
-		if !ok {
-			return nil
-		}
-		if err := mod.Free(p, b.Handle); err != nil {
-			return err
-		}
-	}
 }

@@ -28,9 +28,6 @@ func TestVSyncPeriodicTicks(t *testing.T) {
 			t.Fatalf("ticks = %v, want %v", ticks, want)
 		}
 	}
-	if v.Tick() != 10 {
-		t.Fatalf("Tick = %d after 100ms, want 10", v.Tick())
-	}
 }
 
 func TestVSyncMultipleWaitersSameTick(t *testing.T) {
@@ -61,19 +58,6 @@ func TestVSyncLateWaiterCatchesNextTick(t *testing.T) {
 	}
 }
 
-func TestVSyncNextDeadline(t *testing.T) {
-	env := sim.NewEnv(1)
-	defer env.Close()
-	v := NewVSync(env, 10*ms)
-	if v.NextDeadline() != 10*ms {
-		t.Fatalf("initial NextDeadline = %v, want 10ms", v.NextDeadline())
-	}
-	env.RunUntil(25 * ms)
-	if v.NextDeadline() != 30*ms {
-		t.Fatalf("NextDeadline = %v, want 30ms", v.NextDeadline())
-	}
-}
-
 func newModule(t *testing.T) (*sim.Env, *svm.Module) {
 	t.Helper()
 	env := sim.NewEnv(5)
@@ -94,8 +78,8 @@ func TestBufferQueueCycle(t *testing.T) {
 			t.Errorf("NewBufferQueue: %v", err)
 			return
 		}
-		if q.FreeCount() != 3 || q.FilledCount() != 0 {
-			t.Errorf("fresh queue: free=%d filled=%d", q.FreeCount(), q.FilledCount())
+		if q.free.Len() != 3 || q.FilledCount() != 0 {
+			t.Errorf("fresh queue: free=%d filled=%d", q.free.Len(), q.FilledCount())
 		}
 		b := q.Dequeue(p)
 		b.Seq = 1
@@ -109,8 +93,8 @@ func TestBufferQueueCycle(t *testing.T) {
 		if got.PTS != 0 {
 			t.Error("Release should clear frame metadata")
 		}
-		if q.FreeCount() != 3 {
-			t.Errorf("free=%d after release, want 3", q.FreeCount())
+		if q.free.Len() != 3 {
+			t.Errorf("free=%d after release, want 3", q.free.Len())
 		}
 	})
 	env.Run()
@@ -154,22 +138,6 @@ func TestBufferQueueFIFODelivery(t *testing.T) {
 			if got := q.Acquire(p); got.Seq != i {
 				t.Errorf("acquired seq %d, want %d", got.Seq, i)
 			}
-		}
-	})
-	env.Run()
-}
-
-func TestBufferQueueFreeAll(t *testing.T) {
-	env, mod := newModule(t)
-	env.Spawn("test", func(p *sim.Proc) {
-		q, _ := NewBufferQueue(p, mod, 4, hostsim.MiB)
-		b := q.Dequeue(p)
-		q.Queue(p, b)
-		if err := q.FreeAll(p, mod); err != nil {
-			t.Errorf("FreeAll: %v", err)
-		}
-		if mod.Live() != 0 {
-			t.Errorf("Live = %d after FreeAll, want 0", mod.Live())
 		}
 	})
 	env.Run()

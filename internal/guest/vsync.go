@@ -19,21 +19,16 @@ import (
 
 // VSync is a periodic display-synchronization clock (Android's VSYNC).
 type VSync struct {
-	env    *sim.Env
-	period time.Duration
-	tick   int64
-	next   *sim.Event
-	last   time.Duration
+	env  *sim.Env
+	next *sim.Event
 }
 
 // NewVSync starts a VSync clock with the given period (16.67 ms for 60 Hz).
 // The first tick fires one period from now.
 func NewVSync(env *sim.Env, period time.Duration) *VSync {
-	v := &VSync{env: env, period: period, next: sim.NewEvent(env)}
+	v := &VSync{env: env, next: sim.NewEvent(env)}
 	var fire func()
 	fire = func() {
-		v.tick++
-		v.last = env.Now()
 		cur := v.next
 		v.next = sim.NewEvent(env)
 		cur.Signal()
@@ -43,22 +38,8 @@ func NewVSync(env *sim.Env, period time.Duration) *VSync {
 	return v
 }
 
-// Period returns the VSync period.
-func (v *VSync) Period() time.Duration { return v.period }
-
-// Tick returns the number of ticks elapsed.
-func (v *VSync) Tick() int64 { return v.tick }
-
 // Wait blocks p until the next VSync tick and returns the tick time.
 func (v *VSync) Wait(p *sim.Proc) time.Duration {
 	v.next.Wait(p)
 	return p.Now()
-}
-
-// NextDeadline returns the absolute time of the upcoming tick.
-func (v *VSync) NextDeadline() time.Duration {
-	if v.tick == 0 {
-		return v.period
-	}
-	return v.last + v.period
 }

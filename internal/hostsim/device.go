@@ -36,8 +36,7 @@ type Device struct {
 	env    *sim.Env
 	units  *sim.Semaphore
 	speed  func() float64 // current speed factor in (0,1]
-	busy   time.Duration
-	thermo *Thermal // non-nil when execution heats a thermal model
+	thermo *Thermal       // non-nil when execution heats a thermal model
 
 	// lastUser tracks which virtual device last executed here, so the
 	// virtualization layer can charge context-switch stalls when several
@@ -109,9 +108,6 @@ func (d *Device) SetThermal(t *Thermal) {
 	d.SetSpeedSource(t.SpeedFactor)
 }
 
-// Speed returns the current speed factor.
-func (d *Device) Speed() float64 { return d.speed() }
-
 // Exec runs a work item whose cost is the given duration at nominal speed,
 // occupying one execution unit. The elapsed time stretches when the device
 // is throttled. It returns total elapsed time including queueing.
@@ -133,27 +129,10 @@ func (d *Device) Exec(p *sim.Proc, cost time.Duration) time.Duration {
 		}
 	}
 	d.units.Release(1)
-	d.busy += eff
 	if d.thermo != nil {
 		d.thermo.AddWork(eff)
 	}
 	return p.Now() - start
-}
-
-// TryExec runs the work only if a unit is free right now, reporting whether
-// it ran.
-func (d *Device) TryExec(p *sim.Proc, cost time.Duration) bool {
-	if !d.units.TryAcquire(1) {
-		return false
-	}
-	eff := time.Duration(float64(cost) / d.speed())
-	p.Sleep(eff)
-	d.units.Release(1)
-	d.busy += eff
-	if d.thermo != nil {
-		d.thermo.AddWork(eff)
-	}
-	return true
 }
 
 // SwitchUser records that the named virtual device is about to execute and
@@ -164,20 +143,6 @@ func (d *Device) SwitchUser(name string) bool {
 	}
 	d.lastUser = name
 	return true
-}
-
-// Units returns the total execution units.
-func (d *Device) Units() int64 { return d.units.Capacity() }
-
-// BusyTime returns cumulative execution time across units.
-func (d *Device) BusyTime() time.Duration { return d.busy }
-
-// Utilization returns busy time divided by (elapsed × units).
-func (d *Device) Utilization(elapsed time.Duration) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(d.busy) / (float64(elapsed) * float64(d.units.Capacity()))
 }
 
 func (d *Device) String() string { return d.Name }

@@ -35,7 +35,6 @@ type Bytes = int64
 const (
 	KiB Bytes = 1 << 10
 	MiB Bytes = 1 << 20
-	GiB Bytes = 1 << 30
 )
 
 // DomainKind classifies a memory domain's physical location.

@@ -136,21 +136,6 @@ func (m *Machine) CopyChunkedStart(from, to *Domain, size Bytes, cfg FetchConfig
 	return ct
 }
 
-// CopyChunkedDetailed is CopyDetailed's pipelined variant: it drives the
-// copy as a chunked transfer and blocks until every chunk lands, returning
-// the total elapsed time and the final hop's summed service (wire) time.
-// Callers that want the overlap use CopyChunkedStart directly and wait only
-// for the range they need.
-func (m *Machine) CopyChunkedDetailed(p *sim.Proc, from, to *Domain, size Bytes, cfg FetchConfig) (elapsed, service time.Duration) {
-	start := p.Now()
-	ct := m.CopyChunkedStart(from, to, size, cfg)
-	ct.WaitRange(p, size)
-	for i := range ct.recs {
-		service += ct.recs[i].end - ct.recs[i].svcStart
-	}
-	return p.Now() - start, service
-}
-
 // chunkSize returns the payload of chunk i (the last chunk carries the
 // residue).
 func (ct *ChunkedTransfer) chunkSize(i int) Bytes {
@@ -160,12 +145,6 @@ func (ct *ChunkedTransfer) chunkSize(i int) Bytes {
 	return ct.cfg.ChunkBytes
 }
 
-// Chunks returns the transfer's chunk count.
-func (ct *ChunkedTransfer) Chunks() int { return ct.n }
-
-// Total returns the transfer's full byte length.
-func (ct *ChunkedTransfer) Total() Bytes { return ct.total }
-
 // Covers reports whether waiting on [0, upTo) can ever be satisfied by this
 // transfer. WaitRange silently clamps ranges past the tail to the whole
 // transfer, so a joiner whose accessed range outruns the transfer would
@@ -174,12 +153,6 @@ func (ct *ChunkedTransfer) Total() Bytes { return ct.total }
 func (ct *ChunkedTransfer) Covers(upTo Bytes) bool {
 	return upTo <= ct.total
 }
-
-// Landed returns how many chunks have fully arrived.
-func (ct *ChunkedTransfer) Landed() int { return ct.landed }
-
-// Done reports whether every chunk has landed.
-func (ct *ChunkedTransfer) Done() bool { return ct.done }
 
 // OnComplete registers fn to run (in the driver's context) when the last
 // chunk lands; if the transfer already finished, fn runs immediately.

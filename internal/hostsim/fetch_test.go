@@ -11,6 +11,19 @@ import (
 	"repro/internal/sim"
 )
 
+// copyChunked drives a copy as a chunked transfer and blocks until every
+// chunk lands, returning the total elapsed time and the final hop's summed
+// service (wire) time.
+func copyChunked(p *sim.Proc, m *Machine, from, to *Domain, size Bytes, cfg FetchConfig) (elapsed, service time.Duration) {
+	start := p.Now()
+	ct := m.CopyChunkedStart(from, to, size, cfg)
+	ct.WaitRange(p, size)
+	for i := range ct.recs {
+		service += ct.recs[i].end - ct.recs[i].svcStart
+	}
+	return p.Now() - start, service
+}
+
 func TestFetchConfigResolvedDefaults(t *testing.T) {
 	c := FetchConfig{Enabled: true}.Resolved()
 	if c.ChunkBytes != 256*KiB || c.DMAThreshold != 64*KiB || c.MaxInflight != 4 {
@@ -31,7 +44,7 @@ func TestChunkedTransferMovesAllBytes(t *testing.T) {
 	const size = 10*MiB + 17*KiB // deliberately not chunk-aligned
 	var elapsed time.Duration
 	env.Spawn("x", func(p *sim.Proc) {
-		elapsed, _ = m.CopyChunkedDetailed(p, m.DRAM, m.VRAM, size, EnabledFetch())
+		elapsed, _ = copyChunked(p, m, m.DRAM, m.VRAM, size, EnabledFetch())
 	})
 	env.Run()
 	if l.BytesMoved() != size {
@@ -51,9 +64,9 @@ func TestChunkedTransferFasterThanSyncCopy(t *testing.T) {
 		var elapsed time.Duration
 		env.Spawn("x", func(p *sim.Proc) {
 			if chunked {
-				elapsed, _ = m.CopyChunkedDetailed(p, m.DRAM, m.VRAM, size, EnabledFetch())
+				elapsed, _ = copyChunked(p, m, m.DRAM, m.VRAM, size, EnabledFetch())
 			} else {
-				elapsed = m.CopySync(p, m.DRAM, m.VRAM, size)
+				elapsed, _ = m.CopyDetailed(p, m.DRAM, m.VRAM, size, true)
 			}
 		})
 		env.Run()
@@ -78,7 +91,7 @@ func TestChunkedPromotionThreshold(t *testing.T) {
 		cfg := FetchConfig{Enabled: true, ChunkBytes: 256 * KiB, DMAThreshold: threshold}
 		var elapsed time.Duration
 		env.Spawn("x", func(p *sim.Proc) {
-			elapsed, _ = m.CopyChunkedDetailed(p, m.DRAM, m.VRAM, size, cfg)
+			elapsed, _ = copyChunked(p, m, m.DRAM, m.VRAM, size, cfg)
 		})
 		env.Run()
 		return elapsed
@@ -101,7 +114,7 @@ func TestChunkedWaitRangeUnblocksBeforeCompletion(t *testing.T) {
 		ct := m.CopyChunkedStart(m.DRAM, m.VRAM, size, EnabledFetch())
 		ct.WaitRange(p, MiB) // reader touches only the first MiB
 		partial = p.Now()
-		doneAtPartial = ct.Done()
+		doneAtPartial = ct.done
 		ct.WaitRange(p, size)
 		full = p.Now()
 	})
@@ -129,7 +142,7 @@ func TestChunkedTransferInterleavesWithOtherTraffic(t *testing.T) {
 	const big = 64 * MiB
 	var fetchDone, smallDone time.Duration
 	env.Spawn("fetch", func(p *sim.Proc) {
-		_, _ = m.CopyChunkedDetailed(p, m.DRAM, m.VRAM, big, EnabledFetch())
+		_, _ = copyChunked(p, m, m.DRAM, m.VRAM, big, EnabledFetch())
 		fetchDone = p.Now()
 	})
 	env.Spawn("push", func(p *sim.Proc) {
@@ -155,7 +168,7 @@ func TestChunkedLossRetriesWithoutDoubleCounting(t *testing.T) {
 	const size = 8 * MiB
 	var service time.Duration
 	env.Spawn("x", func(p *sim.Proc) {
-		_, service = m.CopyChunkedDetailed(p, m.DRAM, m.VRAM, size, EnabledFetch())
+		_, service = copyChunked(p, m, m.DRAM, m.VRAM, size, EnabledFetch())
 	})
 	env.Run()
 	if l.BytesMoved() != size {
@@ -196,7 +209,7 @@ func TestDMAGiveupCounterOnChunkedPath(t *testing.T) {
 	l := m.LinkBetween(m.DRAM, m.VRAM)
 	l.SetDMALoss(1.0, rand.New(rand.NewSource(7)))
 	env.Spawn("x", func(p *sim.Proc) {
-		m.CopyChunkedDetailed(p, m.DRAM, m.VRAM, MiB, EnabledFetch())
+		copyChunked(p, m, m.DRAM, m.VRAM, MiB, EnabledFetch())
 	})
 	env.Run()
 	// 4 chunks of 256 KiB, every one exhausts its retry budget.
@@ -277,16 +290,16 @@ func TestChunkedTransferRoutesViaDRAM(t *testing.T) {
 	env := sim.NewEnv(1)
 	defer env.Close()
 	m := HighEndDesktop(env)
-	if m.HasDirectLink(m.Guest, m.VRAM) {
+	if m.LinkBetween(m.Guest, m.VRAM) != nil {
 		t.Skip("guest->vram unexpectedly direct")
 	}
 	const size = 2 * MiB
 	env.Spawn("x", func(p *sim.Proc) {
-		m.CopyChunkedDetailed(p, m.Guest, m.VRAM, size, EnabledFetch())
+		copyChunked(p, m, m.Guest, m.VRAM, size, EnabledFetch())
 	})
 	env.Run()
-	if m.TotalBytesMoved() != 2*size {
-		t.Fatalf("TotalBytesMoved = %d, want %d (two hops)", m.TotalBytesMoved(), 2*size)
+	if totalBytesMoved(m) != 2*size {
+		t.Fatalf("bytes moved = %d, want %d (two hops)", totalBytesMoved(m), 2*size)
 	}
 }
 
@@ -299,7 +312,7 @@ func TestChunkedOnCompleteRunsOnce(t *testing.T) {
 		ct := m.CopyChunkedStart(m.DRAM, m.VRAM, MiB, EnabledFetch())
 		ct.OnComplete(func() { calls++ })
 		ct.WaitRange(p, MiB)
-		if !ct.Done() {
+		if !ct.done {
 			t.Error("transfer not done after full WaitRange")
 		}
 		// Registering after completion fires immediately.
@@ -435,8 +448,8 @@ func TestCloseReleasesInflightChunkFences(t *testing.T) {
 		ct = m.CopyChunkedStart(m.DRAM, m.VRAM, 64*MiB, EnabledFetch())
 		ct.WaitRange(p, 64*MiB)
 	})
-	env.RunFor(500 * time.Microsecond)
-	if ct == nil || ct.Done() {
+	env.RunUntil(env.Now() + 500*time.Microsecond)
+	if ct == nil || ct.done {
 		t.Fatal("transfer should still be in flight at 500us")
 	}
 	if m.dmaFences.InUse() == 0 {

@@ -1,6 +1,7 @@
 package hostsim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -9,7 +10,10 @@ import (
 	"repro/internal/sim"
 )
 
-const ms = time.Millisecond
+const (
+	ms  = time.Millisecond
+	GiB = 1024 * MiB
+)
 
 func TestLinkTransferTime(t *testing.T) {
 	env := sim.NewEnv(1)
@@ -58,9 +62,6 @@ func TestDeviceExecOccupiesUnit(t *testing.T) {
 	if second != 20*ms {
 		t.Fatalf("second exec at %v, want 20ms (serialized)", second)
 	}
-	if dev.BusyTime() != 20*ms {
-		t.Fatalf("BusyTime = %v, want 20ms", dev.BusyTime())
-	}
 }
 
 func TestDeviceSpeedFactorStretchesWork(t *testing.T) {
@@ -77,12 +78,34 @@ func TestDeviceSpeedFactorStretchesWork(t *testing.T) {
 	}
 }
 
+// pathTime estimates the uncontended duration to copy size bytes from one
+// domain to another by DMA, routing via DRAM when no direct link exists.
+func pathTime(m *Machine, from, to *Domain, size Bytes) (time.Duration, error) {
+	if l := m.LinkBetween(from, to); l != nil {
+		return l.TransferTime(size), nil
+	}
+	l1, l2 := m.LinkBetween(from, m.DRAM), m.LinkBetween(m.DRAM, to)
+	if l1 == nil || l2 == nil {
+		return 0, fmt.Errorf("hostsim: no path %s -> %s", from, to)
+	}
+	return l1.TransferTime(size) + l2.TransferTime(size), nil
+}
+
+// totalBytesMoved sums the bytes carried across every link.
+func totalBytesMoved(m *Machine) Bytes {
+	var total Bytes
+	for _, l := range m.Links() {
+		total += l.BytesMoved()
+	}
+	return total
+}
+
 func TestMachineDirectCopy(t *testing.T) {
 	env := sim.NewEnv(1)
 	defer env.Close()
 	m := HighEndDesktop(env)
 	var d time.Duration
-	env.Spawn("c", func(p *sim.Proc) { d = m.Copy(p, m.DRAM, m.VRAM, 11*GiB) })
+	env.Spawn("c", func(p *sim.Proc) { d, _ = m.CopyDetailed(p, m.DRAM, m.VRAM, 11*GiB, false) })
 	env.Run()
 	want := 25*time.Microsecond + 1*time.Second
 	if d != want {
@@ -94,14 +117,14 @@ func TestMachineRoutedCopyViaDRAM(t *testing.T) {
 	env := sim.NewEnv(1)
 	defer env.Close()
 	m := HighEndDesktop(env)
-	if m.HasDirectLink(m.Guest, m.VRAM) {
+	if m.LinkBetween(m.Guest, m.VRAM) != nil {
 		t.Fatal("guest->vram should have no direct link")
 	}
 	var d time.Duration
-	env.Spawn("c", func(p *sim.Proc) { d = m.Copy(p, m.Guest, m.VRAM, 24*MiB) })
+	env.Spawn("c", func(p *sim.Proc) { d, _ = m.CopyDetailed(p, m.Guest, m.VRAM, 24*MiB, false) })
 	env.Run()
 	// Two hops: guest->dram at 2.4 GiB/s plus dram->vram at 11 GiB/s.
-	est, err := m.PathTime(m.Guest, m.VRAM, 24*MiB)
+	est, err := pathTime(m, m.Guest, m.VRAM, 24*MiB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,11 +143,11 @@ func TestBoundaryCopyCostDominatesDirectDMA(t *testing.T) {
 	defer env.Close()
 	m := HighEndDesktop(env)
 	const frame = 1659 * 10 * KiB // ~16.2 MiB, a UHD NV12-ish frame
-	bounce, err := m.PathTime(m.Guest, m.VRAM, frame)
+	bounce, err := pathTime(m, m.Guest, m.VRAM, frame)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := m.PathTime(m.DRAM, m.VRAM, frame)
+	direct, err := pathTime(m, m.DRAM, m.VRAM, frame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +166,7 @@ func TestPathTimeNoRoute(t *testing.T) {
 	env := sim.NewEnv(1)
 	defer env.Close()
 	m := NewMachine(env, "bare")
-	if _, err := m.PathTime(m.DRAM, m.VRAM, MiB); err == nil {
+	if _, err := pathTime(m, m.DRAM, m.VRAM, MiB); err == nil {
 		t.Fatal("want error for missing route")
 	}
 }
@@ -270,12 +293,12 @@ func TestQuickPathTimeTriangle(t *testing.T) {
 	m := HighEndDesktop(env)
 	f := func(sz uint32) bool {
 		size := Bytes(sz) + 1
-		via, err := m.PathTime(m.Guest, m.VRAM, size)
+		via, err := pathTime(m, m.Guest, m.VRAM, size)
 		if err != nil {
 			return false
 		}
-		h1, _ := m.PathTime(m.Guest, m.DRAM, size)
-		h2, _ := m.PathTime(m.DRAM, m.VRAM, size)
+		h1, _ := pathTime(m, m.Guest, m.DRAM, size)
+		h2, _ := pathTime(m, m.DRAM, m.VRAM, size)
 		return math.Abs(float64(via-(h1+h2))) < float64(time.Microsecond)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -295,7 +318,7 @@ func TestMachinePresetsComplete(t *testing.T) {
 			{m.DRAM, m.VRAM}, {m.VRAM, m.DRAM}, {m.VRAM, m.VRAM},
 			{m.CamBuf, m.DRAM}, {m.NICBuf, m.DRAM},
 		} {
-			if !m.HasDirectLink(pair[0], pair[1]) {
+			if !(m.LinkBetween(pair[0], pair[1]) != nil) {
 				t.Errorf("%s: missing link %s->%s", m.Name, pair[0], pair[1])
 			}
 		}
@@ -333,10 +356,10 @@ func TestSyncTransferSlowerThanDMA(t *testing.T) {
 		t.Fatalf("sync transfer %v should be far slower than DMA %v (Fig. 16)", syn, dma)
 	}
 	var got time.Duration
-	env.Spawn("x", func(p *sim.Proc) { got = l.TransferSync(p, frame) })
+	env.Spawn("x", func(p *sim.Proc) { got, _ = l.transfer(p, frame, true) })
 	env.Run()
 	if got != syn {
-		t.Fatalf("TransferSync elapsed %v, want %v", got, syn)
+		t.Fatalf("sync transfer elapsed %v, want %v", got, syn)
 	}
 	if l.BusyTime() != syn {
 		t.Fatalf("BusyTime = %v, want %v", l.BusyTime(), syn)
@@ -351,47 +374,21 @@ func TestCopySyncAndDetailed(t *testing.T) {
 	var syncElapsed time.Duration
 	env.Spawn("x", func(p *sim.Proc) {
 		elapsed, service = m.CopyDetailed(p, m.Guest, m.VRAM, 8*MiB, false)
-		syncElapsed = m.CopySync(p, m.DRAM, m.VRAM, 8*MiB)
+		syncElapsed, _ = m.CopyDetailed(p, m.DRAM, m.VRAM, 8*MiB, true)
 	})
 	env.Run()
 	if service <= 0 || service > elapsed {
 		t.Fatalf("service %v vs elapsed %v", service, elapsed)
 	}
-	dmaTime, _ := m.PathTime(m.DRAM, m.VRAM, 8*MiB)
+	dmaTime, _ := pathTime(m, m.DRAM, m.VRAM, 8*MiB)
 	if syncElapsed <= dmaTime {
 		t.Fatalf("sync copy %v should exceed DMA estimate %v", syncElapsed, dmaTime)
 	}
-	if m.TotalBytesMoved() != 3*8*MiB {
-		t.Fatalf("TotalBytesMoved = %d, want 3 hops x 8 MiB", m.TotalBytesMoved())
+	if totalBytesMoved(m) != 3*8*MiB {
+		t.Fatalf("TotalBytesMoved = %d, want 3 hops x 8 MiB", totalBytesMoved(m))
 	}
 	if len(m.Links()) == 0 {
 		t.Fatal("Links() empty")
-	}
-}
-
-func TestDeviceTryExecAndUtilization(t *testing.T) {
-	env := sim.NewEnv(1)
-	defer env.Close()
-	dom := &Domain{Name: "d", Kind: HostDRAM}
-	dev := NewDevice(env, "cpu", DevCPU, dom, 1)
-	if dev.Units() != 1 {
-		t.Fatalf("Units = %d", dev.Units())
-	}
-	ran, rejected := false, false
-	env.Spawn("a", func(p *sim.Proc) { ran = dev.TryExec(p, 10*ms) })
-	env.Spawn("b", func(p *sim.Proc) {
-		p.Sleep(ms)
-		rejected = !dev.TryExec(p, ms) // unit busy
-	})
-	env.RunUntil(20 * ms)
-	if !ran || !rejected {
-		t.Fatalf("TryExec ran=%v rejected=%v", ran, rejected)
-	}
-	if u := dev.Utilization(20 * ms); u < 0.45 || u > 0.55 {
-		t.Fatalf("Utilization = %.2f, want ~0.5", u)
-	}
-	if dev.Speed() != 1 {
-		t.Fatalf("Speed = %v", dev.Speed())
 	}
 }
 
@@ -419,7 +416,7 @@ func TestPixel6aUnifiedMemory(t *testing.T) {
 		t.Fatal("Pixel domains must alias unified memory")
 	}
 	var d time.Duration
-	env.Spawn("x", func(p *sim.Proc) { d = m.Copy(p, m.Guest, m.VRAM, 16*MiB) })
+	env.Spawn("x", func(p *sim.Proc) { d, _ = m.CopyDetailed(p, m.Guest, m.VRAM, 16*MiB, false) })
 	env.Run()
 	if d > 2*ms {
 		t.Fatalf("unified copy took %v, want ~memcpy speed", d)

@@ -113,9 +113,6 @@ func (l *Link) SetDegradation(f float64) {
 	l.degGauge.Set(f)
 }
 
-// Degradation returns the current bandwidth scale factor (1 = nominal).
-func (l *Link) Degradation() float64 { return l.degrade }
-
 // SetSharedScale sets the cross-guest arbitration scale in (0,1]; 1 means
 // the link has its full budget share. Driven at shard-group barriers by the
 // SharedHost arbiter; composes multiplicatively with fault degradation.
@@ -214,12 +211,6 @@ func (l *Link) Transfer(p *sim.Proc, size Bytes) time.Duration {
 	return elapsed
 }
 
-// TransferSync moves size bytes with a synchronous CPU-driven copy.
-func (l *Link) TransferSync(p *sim.Proc, size Bytes) time.Duration {
-	elapsed, _ := l.transfer(p, size, true)
-	return elapsed
-}
-
 // transfer returns the total elapsed time (including queueing) and the pure
 // service (wire) time.
 func (l *Link) transfer(p *sim.Proc, size Bytes, sync bool) (time.Duration, time.Duration) {
@@ -268,6 +259,3 @@ func (l *Link) BytesMoved() Bytes { return l.moved }
 
 // BusyTime returns the cumulative time the link spent transferring.
 func (l *Link) BusyTime() time.Duration { return l.busy }
-
-// QueueDepth returns the number of transfers waiting or in flight.
-func (l *Link) QueueDepth() int64 { return l.sem.InUse() }

@@ -42,8 +42,8 @@ type Machine struct {
 	// faster than the desktop's USB camera).
 	CameraLatency time.Duration
 
-	// HWDecode/HWEncode report hardware codec support (NVDEC/NVENC).
-	HWDecode, HWEncode bool
+	// HWDecode reports hardware decoder support (NVDEC).
+	HWDecode bool
 
 	links map[linkKey]*Link
 	// linkOrder preserves registration order so link enumeration (and
@@ -101,33 +101,6 @@ func (m *Machine) Links() []*Link {
 	return out
 }
 
-// PathTime estimates the uncontended duration to copy size bytes from one
-// domain to another by DMA, routing via DRAM when no direct link exists.
-func (m *Machine) PathTime(from, to *Domain, size Bytes) (time.Duration, error) {
-	if l := m.links[linkKey{from, to}]; l != nil {
-		return l.TransferTime(size), nil
-	}
-	l1 := m.links[linkKey{from, m.DRAM}]
-	l2 := m.links[linkKey{m.DRAM, to}]
-	if l1 == nil || l2 == nil {
-		return 0, fmt.Errorf("hostsim: no path %s -> %s", from, to)
-	}
-	return l1.TransferTime(size) + l2.TransferTime(size), nil
-}
-
-// Copy moves size bytes between domains by DMA in process context.
-func (m *Machine) Copy(p *sim.Proc, from, to *Domain, size Bytes) time.Duration {
-	elapsed, _ := m.copy(p, from, to, size, false)
-	return elapsed
-}
-
-// CopySync moves size bytes with a synchronous CPU-driven copy, the slow
-// path demand fetches are stuck with (§5.4 / Fig. 16).
-func (m *Machine) CopySync(p *sim.Proc, from, to *Domain, size Bytes) time.Duration {
-	elapsed, _ := m.copy(p, from, to, size, true)
-	return elapsed
-}
-
 // CopyDetailed is Copy/CopySync with the pure service (wire) time also
 // returned, so callers can separate congestion from queueing noise when
 // estimating available bandwidth (§3.3's suspension heuristic).
@@ -166,19 +139,4 @@ func (m *Machine) heatBoundary(from, to *Domain, d time.Duration) {
 	if from.Kind == GuestPages || to.Kind == GuestPages {
 		m.Thermal.AddWork(d)
 	}
-}
-
-// HasDirectLink reports whether a direct link exists between the domains.
-func (m *Machine) HasDirectLink(from, to *Domain) bool {
-	return m.links[linkKey{from, to}] != nil
-}
-
-// TotalBytesMoved sums bytes carried across every link (telemetry for the
-// memory-bandwidth comparisons in §3.2).
-func (m *Machine) TotalBytesMoved() Bytes {
-	var total Bytes
-	for _, l := range m.links {
-		total += l.BytesMoved()
-	}
-	return total
 }

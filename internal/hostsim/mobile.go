@@ -34,12 +34,9 @@ func Pixel6a(env *sim.Env) *Machine {
 
 	m.CameraLatency = 20 * time.Millisecond
 	m.HWDecode = true
-	m.HWEncode = true
 	m.Perf = Perf{
 		HWDecodePerMP: 450 * time.Microsecond,
 		SWDecodePerMP: 4000 * time.Microsecond,
-		HWEncodePerMP: 600 * time.Microsecond,
-		SWEncodePerMP: 5000 * time.Microsecond,
 		RenderPerMP:   200 * time.Microsecond,
 		ISPGPUPerMP:   100 * time.Microsecond,
 		ISPSWPerMP:    2500 * time.Microsecond,

@@ -8,8 +8,6 @@ type Perf struct {
 	// Codec costs per megapixel of frame area.
 	HWDecodePerMP time.Duration // hardware decoder (NVDEC-class, on GPU)
 	SWDecodePerMP time.Duration // software decoder on one CPU core
-	HWEncodePerMP time.Duration
-	SWEncodePerMP time.Duration
 
 	// RenderPerMP is the GPU cost to sample/composite one frame.
 	RenderPerMP time.Duration
@@ -32,14 +30,6 @@ func (p Perf) DecodeCost(mp float64, hw bool) time.Duration {
 		return scaleMP(p.HWDecodePerMP, mp)
 	}
 	return scaleMP(p.SWDecodePerMP, mp)
-}
-
-// EncodeCost returns the encoder cost for a frame of mp megapixels.
-func (p Perf) EncodeCost(mp float64, hw bool) time.Duration {
-	if hw {
-		return scaleMP(p.HWEncodePerMP, mp)
-	}
-	return scaleMP(p.SWEncodePerMP, mp)
 }
 
 // RenderCost returns the GPU cost to render a frame of mp megapixels.

@@ -55,12 +55,9 @@ func HighEndDesktop(env *sim.Env) *Machine {
 
 	m.CameraLatency = 25 * time.Millisecond
 	m.HWDecode = true
-	m.HWEncode = true
 	m.Perf = Perf{
 		HWDecodePerMP: 350 * time.Microsecond,
 		SWDecodePerMP: 2400 * time.Microsecond,
-		HWEncodePerMP: 500 * time.Microsecond,
-		SWEncodePerMP: 3200 * time.Microsecond,
 		RenderPerMP:   120 * time.Microsecond,
 		ISPGPUPerMP:   80 * time.Microsecond,
 		ISPSWPerMP:    1500 * time.Microsecond,
@@ -93,12 +90,9 @@ func MidEndLaptop(env *sim.Env) *Machine {
 	// USB camera (§5.3, DirectShow measurement).
 	m.CameraLatency = 15 * time.Millisecond
 	m.HWDecode = true
-	m.HWEncode = true
 	m.Perf = Perf{
 		HWDecodePerMP: 500 * time.Microsecond,
 		SWDecodePerMP: 3200 * time.Microsecond,
-		HWEncodePerMP: 700 * time.Microsecond,
-		SWEncodePerMP: 4200 * time.Microsecond,
 		RenderPerMP:   180 * time.Microsecond,
 		ISPGPUPerMP:   120 * time.Microsecond,
 		ISPSWPerMP:    2000 * time.Microsecond,

@@ -133,15 +133,6 @@ func (sh *SharedHost) Attach(g *sim.ShardGroup) {
 	g.AtBarrier(sh.Arbitrate)
 }
 
-// Scale returns the share currently applied to the tracked links.
-func (sh *SharedHost) Scale() float64 { return sh.scale }
-
-// Throttled reports whether the thermal envelope is limiting the host.
-func (sh *SharedHost) Throttled() bool { return sh.throttled }
-
-// Heat returns the accumulated thermal level (model units over ambient).
-func (sh *SharedHost) Heat() float64 { return sh.heat }
-
 // Arbitrate is the barrier hook: fold the window [prev, now] of per-guest
 // PCIe draw into the budget and thermal models, and apply the resulting
 // share to every tracked link for the next window.

@@ -25,7 +25,7 @@ func TestSharedHostBudgetArbitration(t *testing.T) {
 	// Budget well below what two guests can pull through PCIe in a window.
 	sh := NewSharedHost(SharedHostConfig{Window: time.Millisecond, PCIeBudget: 1e9}, m1, m2)
 
-	if got := sh.Scale(); got != 1 {
+	if got := sh.scale; got != 1 {
 		t.Fatalf("initial scale = %v, want 1", got)
 	}
 	if la := sh.Lookahead(); la != time.Millisecond {
@@ -38,7 +38,7 @@ func TestSharedHostBudgetArbitration(t *testing.T) {
 	// Window 1: both guests move 4 MiB in 1 ms — demand far over 1 GB/s.
 	driveWindow(t, env, []*Machine{m1, m2}, 4*MiB, time.Millisecond)
 	sh.Arbitrate(0, time.Millisecond)
-	over := sh.Scale()
+	over := sh.scale
 	if over >= 1 {
 		t.Fatalf("scale after overload = %v, want < 1", over)
 	}
@@ -54,7 +54,7 @@ func TestSharedHostBudgetArbitration(t *testing.T) {
 	// Window 2: idle — demand zero, so the full share comes back.
 	env.RunUntil(sim.Time(2 * time.Millisecond))
 	sh.Arbitrate(time.Millisecond, 2*time.Millisecond)
-	if got := sh.Scale(); got != 1 {
+	if got := sh.scale; got != 1 {
 		t.Fatalf("scale after idle window = %v, want 1", got)
 	}
 }
@@ -67,7 +67,7 @@ func TestSharedHostMinScaleFloor(t *testing.T) {
 
 	driveWindow(t, env, []*Machine{m}, 4*MiB, time.Millisecond)
 	sh.Arbitrate(0, time.Millisecond)
-	if got := sh.Scale(); got != 0.5 {
+	if got := sh.scale; got != 0.5 {
 		t.Fatalf("scale under a starvation budget = %v, want MinScale 0.5", got)
 	}
 }
@@ -87,30 +87,30 @@ func TestSharedHostThermalHysteresis(t *testing.T) {
 
 	// Heat up: keep the link busy until the envelope trips.
 	at := time.Duration(0)
-	for i := 0; i < 50 && !sh.Throttled(); i++ {
+	for i := 0; i < 50 && !sh.throttled; i++ {
 		driveWindow(t, env, []*Machine{m}, 16*MiB, at+time.Millisecond)
 		sh.Arbitrate(at, at+time.Millisecond)
 		at += time.Millisecond
 	}
-	if !sh.Throttled() {
-		t.Fatalf("host never throttled under sustained load (heat %v)", sh.Heat())
+	if !sh.throttled {
+		t.Fatalf("host never throttled under sustained load (heat %v)", sh.heat)
 	}
-	if got := sh.Scale(); got != 0.4 {
+	if got := sh.scale; got != 0.4 {
 		t.Fatalf("throttled scale = %v, want ThrottledSpeed 0.4", got)
 	}
 
 	// Cool down: idle windows with cooling enabled must cross ResumeAt and
 	// restore the full share.
 	sh.cfg.CoolPerSecond = 100
-	for i := 0; i < 50 && sh.Throttled(); i++ {
+	for i := 0; i < 50 && sh.throttled; i++ {
 		env.RunUntil(sim.Time(at + time.Millisecond))
 		sh.Arbitrate(at, at+time.Millisecond)
 		at += time.Millisecond
 	}
-	if sh.Throttled() {
-		t.Fatalf("host never resumed after cooling (heat %v)", sh.Heat())
+	if sh.throttled {
+		t.Fatalf("host never resumed after cooling (heat %v)", sh.heat)
 	}
-	if got := sh.Scale(); got != 1 {
+	if got := sh.scale; got != 1 {
 		t.Fatalf("scale after resume = %v, want 1", got)
 	}
 }

@@ -112,9 +112,6 @@ func (t *Thermal) ForceExcursion(on bool) {
 	t.forced = on
 }
 
-// Forced reports whether a forced excursion is active.
-func (t *Thermal) Forced() bool { return t.forced }
-
 // SpeedFactor returns the current speed multiplier.
 func (t *Thermal) SpeedFactor() float64 {
 	if t.Throttled() {

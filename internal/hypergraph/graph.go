@@ -132,26 +132,6 @@ func (e *Edge) Touch(t time.Duration) {
 	e.LastUseAt = t
 }
 
-// HasSource reports whether id is among the edge's sources.
-func (e *Edge) HasSource(id NodeID) bool {
-	for _, s := range e.Sources {
-		if s == id {
-			return true
-		}
-	}
-	return false
-}
-
-// HasDest reports whether id is among the edge's destinations.
-func (e *Edge) HasDest(id NodeID) bool {
-	for _, d := range e.Dests {
-		if d == id {
-			return true
-		}
-	}
-	return false
-}
-
 func (e *Edge) String() string { return string(e.Key) }
 
 // Graph is one directed hypergraph layer. Nodes are registered at startup
@@ -187,9 +167,6 @@ func (g *Graph) NodeName(id NodeID) string {
 	}
 	return "?"
 }
-
-// NumNodes returns the registered node count.
-func (g *Graph) NumNodes() int { return len(g.nodes) }
 
 // NumEdges returns the discovered edge count.
 func (g *Graph) NumEdges() int { return len(g.edges) }
@@ -229,18 +206,6 @@ func (g *Graph) Edge(sources, dests []NodeID) *Edge {
 	}
 	return e
 }
-
-// Lookup returns the edge for the given sets without creating it.
-func (g *Graph) Lookup(sources, dests []NodeID) (*Edge, bool) {
-	var sa, da [setArray]NodeID
-	var ka [keyArray]byte
-	key := appendKey(ka[:0], appendSet(sa[:0], sources), appendSet(da[:0], dests))
-	e, ok := g.edges[EdgeKey(key)]
-	return e, ok
-}
-
-// EdgesFrom returns the edges whose source set contains id.
-func (g *Graph) EdgesFrom(id NodeID) []*Edge { return g.bySource[id] }
 
 // Edges returns all edges in deterministic key order.
 func (g *Graph) Edges() []*Edge {

@@ -48,8 +48,8 @@ func TestEdgeKeyText(t *testing.T) {
 	if e.Key != "3,12->7,10" {
 		t.Fatalf("Key = %q, want %q", e.Key, "3,12->7,10")
 	}
-	if got, ok := g.Lookup([]NodeID{3, 12}, []NodeID{7, 10, 7}); !ok || got != e {
-		t.Fatalf("Lookup = %v/%v, want the same edge", got, ok)
+	if got := g.Edge([]NodeID{3, 12}, []NodeID{7, 10, 7}); got != e || g.NumEdges() != 1 {
+		t.Fatalf("Edge = %v with %d edges, want the same edge", got, g.NumEdges())
 	}
 }
 
@@ -60,9 +60,6 @@ func TestEdgeHitAllocatesNothing(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		if g.Edge(src, dst) != e {
 			t.Fatal("hit returned a different edge")
-		}
-		if _, ok := g.Lookup(src, dst); !ok {
-			t.Fatal("lookup missed")
 		}
 	})
 	if allocs != 0 {
@@ -123,33 +120,23 @@ func TestUnknownNodePanics(t *testing.T) {
 	g.Edge([]NodeID{99}, []NodeID{1})
 }
 
-func TestLookupDoesNotCreate(t *testing.T) {
-	g := newTestGraph()
-	if _, ok := g.Lookup([]NodeID{0}, []NodeID{1}); ok {
-		t.Fatal("lookup should miss")
-	}
-	if g.NumEdges() != 0 {
-		t.Fatal("lookup must not create edges")
-	}
-}
-
 func TestEdgesFromIndex(t *testing.T) {
 	g := newTestGraph()
 	g.Edge([]NodeID{0}, []NodeID{1})
 	g.Edge([]NodeID{0}, []NodeID{2})
 	g.Edge([]NodeID{1}, []NodeID{2})
-	if got := len(g.EdgesFrom(0)); got != 2 {
-		t.Fatalf("EdgesFrom(0) = %d edges, want 2", got)
+	if got := len(g.bySource[0]); got != 2 {
+		t.Fatalf("bySource[0] holds %d edges, want 2", got)
 	}
-	if got := len(g.EdgesFrom(2)); got != 0 {
-		t.Fatalf("EdgesFrom(2) = %d edges, want 0", got)
+	if got := len(g.bySource[2]); got != 0 {
+		t.Fatalf("bySource[2] holds %d edges, want 0", got)
 	}
 }
 
 func TestMultiSourceEdgeIndexedUnderEachSource(t *testing.T) {
 	g := newTestGraph()
 	g.Edge([]NodeID{0, 1}, []NodeID{2})
-	if len(g.EdgesFrom(0)) != 1 || len(g.EdgesFrom(1)) != 1 {
+	if len(g.bySource[0]) != 1 || len(g.bySource[1]) != 1 {
 		t.Fatal("multi-source edge should index under both sources")
 	}
 }
@@ -181,17 +168,6 @@ func TestForecastSeries(t *testing.T) {
 	v, ok := e.Forecast("slack_ms")
 	if !ok || v != 17 {
 		t.Fatalf("Forecast = %v/%v, want 17/true", v, ok)
-	}
-}
-
-func TestHasSourceHasDest(t *testing.T) {
-	g := newTestGraph()
-	e := g.Edge([]NodeID{0}, []NodeID{1, 2})
-	if !e.HasSource(0) || e.HasSource(1) {
-		t.Fatal("HasSource wrong")
-	}
-	if !e.HasDest(2) || e.HasDest(0) {
-		t.Fatal("HasDest wrong")
 	}
 }
 
@@ -241,8 +217,8 @@ func TestTwinRemapReplaces(t *testing.T) {
 	if m.Virtual != e2 {
 		t.Fatal("remap should replace mapping")
 	}
-	if tw.NumMapped() != 1 {
-		t.Fatalf("NumMapped = %d, want 1", tw.NumMapped())
+	if len(tw.regions) != 1 {
+		t.Fatalf("NumMapped = %d, want 1", len(tw.regions))
 	}
 }
 

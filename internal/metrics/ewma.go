@@ -36,8 +36,5 @@ func (e *EWMA) Observe(x float64) {
 // Value returns the current forecast (0 before any observation).
 func (e *EWMA) Value() float64 { return e.value }
 
-// Count returns the number of observations.
-func (e *EWMA) Count() int64 { return e.n }
-
 // Warm reports whether at least one observation has been folded in.
 func (e *EWMA) Warm() bool { return e.n > 0 }

@@ -15,7 +15,7 @@ func TestEWMAFirstObservationInitializes(t *testing.T) {
 	if e.Value() != 10 {
 		t.Fatalf("Value = %v, want 10", e.Value())
 	}
-	if !e.Warm() || e.Count() != 1 {
+	if !e.Warm() || e.n != 1 {
 		t.Fatal("should be warm with count 1")
 	}
 }

@@ -14,9 +14,6 @@ type FPSCounter struct {
 	perSecond map[int64]int
 }
 
-// NewFPSCounter returns a fresh counter. The zero value is also usable.
-func NewFPSCounter() *FPSCounter { return &FPSCounter{} }
-
 // Present records a frame presented at virtual time t.
 func (c *FPSCounter) Present(t time.Duration) {
 	if !c.hasFirst {
@@ -65,13 +62,4 @@ func (c *FPSCounter) PerSecond(end time.Duration) []float64 {
 		}
 	}
 	return out
-}
-
-// DropRate returns dropped/(dropped+presented), or 0 with no frames.
-func (c *FPSCounter) DropRate() float64 {
-	total := c.frames + c.dropped
-	if total == 0 {
-		return 0
-	}
-	return float64(c.dropped) / float64(total)
 }

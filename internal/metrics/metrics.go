@@ -24,18 +24,11 @@ type Distribution struct {
 	sorted  bool
 	sum     float64
 	sumSq   float64
-	min     float64
 	max     float64
 }
 
-// NewDistribution returns an empty distribution.
-func NewDistribution() *Distribution { return &Distribution{} }
-
 // Add records one sample.
 func (d *Distribution) Add(v float64) {
-	if len(d.samples) == 0 || v < d.min {
-		d.min = v
-	}
 	if len(d.samples) == 0 || v > d.max {
 		d.max = v
 	}
@@ -60,9 +53,6 @@ func (d *Distribution) Mean() float64 {
 	}
 	return d.sum / float64(len(d.samples))
 }
-
-// Min returns the smallest sample, or 0 when empty.
-func (d *Distribution) Min() float64 { return d.min }
 
 // Max returns the largest sample, or 0 when empty.
 func (d *Distribution) Max() float64 { return d.max }
@@ -122,9 +112,6 @@ func (d *Distribution) Percentile(q float64) float64 {
 	return d.samples[lo]*(1-frac) + d.samples[hi]*frac
 }
 
-// Median returns the 50th percentile.
-func (d *Distribution) Median() float64 { return d.Percentile(50) }
-
 // CDFPoint is one point of an empirical CDF: fraction F of samples <= Value.
 type CDFPoint struct {
 	Value float64
@@ -175,9 +162,6 @@ func (d *Distribution) Merge(other *Distribution) {
 	if len(other.samples) == 0 {
 		return
 	}
-	if len(d.samples) == 0 || other.min < d.min {
-		d.min = other.min
-	}
 	if len(d.samples) == 0 || other.max > d.max {
 		d.max = other.max
 	}
@@ -189,15 +173,6 @@ func (d *Distribution) Merge(other *Distribution) {
 	}
 	d.samples = append(d.samples, other.samples...)
 	d.sorted = false
-}
-
-// MergeAll merges each source in argument order, skipping nils.
-func (d *Distribution) MergeAll(srcs ...*Distribution) {
-	for _, s := range srcs {
-		if s != nil {
-			d.Merge(s)
-		}
-	}
 }
 
 // Samples returns a copy of the raw samples (unsorted order not preserved).

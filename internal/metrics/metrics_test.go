@@ -9,7 +9,7 @@ import (
 )
 
 func TestDistributionEmpty(t *testing.T) {
-	d := NewDistribution()
+	d := &Distribution{}
 	if d.Count() != 0 || d.Mean() != 0 || d.Stddev() != 0 || d.Percentile(50) != 0 {
 		t.Fatal("empty distribution should report zeros")
 	}
@@ -19,7 +19,7 @@ func TestDistributionEmpty(t *testing.T) {
 }
 
 func TestDistributionBasicStats(t *testing.T) {
-	d := NewDistribution()
+	d := &Distribution{}
 	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
 		d.Add(v)
 	}
@@ -32,13 +32,13 @@ func TestDistributionBasicStats(t *testing.T) {
 	if d.Stddev() != 2 {
 		t.Fatalf("Stddev = %v, want 2", d.Stddev())
 	}
-	if d.Min() != 2 || d.Max() != 9 {
-		t.Fatalf("Min/Max = %v/%v, want 2/9", d.Min(), d.Max())
+	if d.Percentile(0) != 2 || d.Max() != 9 {
+		t.Fatalf("Min/Max = %v/%v, want 2/9", d.Percentile(0), d.Max())
 	}
 }
 
 func TestPercentileInterpolation(t *testing.T) {
-	d := NewDistribution()
+	d := &Distribution{}
 	for i := 1; i <= 100; i++ {
 		d.Add(float64(i))
 	}
@@ -48,24 +48,24 @@ func TestPercentileInterpolation(t *testing.T) {
 	if got := d.Percentile(100); got != 100 {
 		t.Errorf("p100 = %v, want 100", got)
 	}
-	if got := d.Median(); math.Abs(got-50.5) > 1e-9 {
+	if got := d.Percentile(50); math.Abs(got-50.5) > 1e-9 {
 		t.Errorf("median = %v, want 50.5", got)
 	}
 }
 
 func TestPercentileAfterLateAdd(t *testing.T) {
-	d := NewDistribution()
+	d := &Distribution{}
 	d.Add(1)
 	d.Add(3)
-	_ = d.Median() // forces a sort
-	d.Add(2)       // must invalidate sort
-	if got := d.Median(); got != 2 {
+	_ = d.Percentile(50) // forces a sort
+	d.Add(2)             // must invalidate sort
+	if got := d.Percentile(50); got != 2 {
 		t.Fatalf("median = %v, want 2", got)
 	}
 }
 
 func TestFractionBelow(t *testing.T) {
-	d := NewDistribution()
+	d := &Distribution{}
 	for _, v := range []float64{1, 2, 3, 4} {
 		d.Add(v)
 	}
@@ -81,7 +81,7 @@ func TestFractionBelow(t *testing.T) {
 }
 
 func TestCDFShape(t *testing.T) {
-	d := NewDistribution()
+	d := &Distribution{}
 	for i := 0; i < 1000; i++ {
 		d.Add(float64(i))
 	}
@@ -100,7 +100,7 @@ func TestCDFShape(t *testing.T) {
 }
 
 func TestAddDuration(t *testing.T) {
-	d := NewDistribution()
+	d := &Distribution{}
 	d.AddDuration(1500 * time.Microsecond)
 	if got := d.Mean(); got != 1.5 {
 		t.Fatalf("Mean = %v ms, want 1.5", got)
@@ -108,7 +108,7 @@ func TestAddDuration(t *testing.T) {
 }
 
 func TestMerge(t *testing.T) {
-	a, b := NewDistribution(), NewDistribution()
+	a, b := &Distribution{}, &Distribution{}
 	a.Add(1)
 	b.Add(3)
 	a.Merge(b)
@@ -119,7 +119,7 @@ func TestMerge(t *testing.T) {
 
 func TestQuickPercentileWithinRange(t *testing.T) {
 	f := func(vals []float64, q float64) bool {
-		d := NewDistribution()
+		d := &Distribution{}
 		any := false
 		for _, v := range vals {
 			if !math.IsNaN(v) && !math.IsInf(v, 0) {
@@ -132,7 +132,7 @@ func TestQuickPercentileWithinRange(t *testing.T) {
 		}
 		q = math.Mod(math.Abs(q), 100)
 		p := d.Percentile(q)
-		return p >= d.Min() && p <= d.Max()
+		return p >= d.Percentile(0) && p <= d.Max()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -142,11 +142,11 @@ func TestQuickPercentileWithinRange(t *testing.T) {
 func TestQuickMeanBounded(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		r := rand.New(rand.NewSource(seed))
-		d := NewDistribution()
+		d := &Distribution{}
 		for i := 0; i < int(n)+1; i++ {
 			d.Add(r.Float64() * 100)
 		}
-		return d.Mean() >= d.Min()-1e-9 && d.Mean() <= d.Max()+1e-9
+		return d.Mean() >= d.Percentile(0)-1e-9 && d.Mean() <= d.Max()+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -154,7 +154,7 @@ func TestQuickMeanBounded(t *testing.T) {
 }
 
 func TestFPSCounterBasic(t *testing.T) {
-	c := NewFPSCounter()
+	c := &FPSCounter{}
 	// 61 frames at exactly 60 FPS starting at t=0.
 	for i := 0; i <= 60; i++ {
 		c.Present(time.Duration(i) * time.Second / 60)
@@ -169,25 +169,25 @@ func TestFPSCounterBasic(t *testing.T) {
 }
 
 func TestFPSCounterEmpty(t *testing.T) {
-	c := NewFPSCounter()
+	c := &FPSCounter{}
 	if c.FPS(time.Second) != 0 {
 		t.Fatal("empty counter should report 0 FPS")
 	}
 }
 
 func TestFPSCounterDropRate(t *testing.T) {
-	c := NewFPSCounter()
+	c := &FPSCounter{}
 	c.Present(0)
 	c.Present(time.Second / 60)
 	c.Present(2 * time.Second / 60)
 	c.Drop()
-	if got := c.DropRate(); got != 0.25 {
-		t.Fatalf("DropRate = %v, want 0.25", got)
+	if c.Frames() != 3 || c.Dropped() != 1 {
+		t.Fatalf("frames/dropped = %d/%d, want 3/1", c.Frames(), c.Dropped())
 	}
 }
 
 func TestFPSPerSecond(t *testing.T) {
-	c := NewFPSCounter()
+	c := &FPSCounter{}
 	for i := 0; i < 90; i++ { // 60 in second 0, 30 in second 1
 		var at time.Duration
 		if i < 60 {
@@ -204,7 +204,7 @@ func TestFPSPerSecond(t *testing.T) {
 }
 
 func TestStdErr(t *testing.T) {
-	d := NewDistribution()
+	d := &Distribution{}
 	for i := 0; i < 4; i++ {
 		d.Add(float64(i%2) * 2) // 0,2,0,2 -> std 1, stderr 0.5
 	}

@@ -11,8 +11,8 @@ func TestPercentileEmpty(t *testing.T) {
 			t.Errorf("empty Percentile(%v) = %v, want 0", q, got)
 		}
 	}
-	if d.Median() != 0 {
-		t.Errorf("empty Median() = %v, want 0", d.Median())
+	if d.Percentile(50) != 0 {
+		t.Errorf("empty Median() = %v, want 0", d.Percentile(50))
 	}
 }
 

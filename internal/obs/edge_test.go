@@ -18,17 +18,17 @@ func TestCounterClampFloor(t *testing.T) {
 	c := r.Counter("x")
 	c.Add(10)
 	c.Add(-3)
-	if c.Value() != 7 {
-		t.Fatalf("10-3 = %d, want 7", c.Value())
+	if c.n != 7 {
+		t.Fatalf("10-3 = %d, want 7", c.n)
 	}
 	// A correction larger than the count saturates at zero, not negative.
 	c.Add(-100)
-	if c.Value() != 0 {
-		t.Fatalf("over-correction left %d, want clamp at 0", c.Value())
+	if c.n != 0 {
+		t.Fatalf("over-correction left %d, want clamp at 0", c.n)
 	}
 	c.Add(-1)
-	if c.Value() != 0 {
-		t.Fatalf("negative add on empty counter left %d", c.Value())
+	if c.n != 0 {
+		t.Fatalf("negative add on empty counter left %d", c.n)
 	}
 }
 
@@ -38,39 +38,39 @@ func TestCounterClampCeiling(t *testing.T) {
 	c.Add(math.MaxInt64 - 1)
 	// A positive delta that would wrap saturates at MaxInt64.
 	c.Add(math.MaxInt64)
-	if c.Value() != math.MaxInt64 {
-		t.Fatalf("wrapping add left %d, want MaxInt64", c.Value())
+	if c.n != math.MaxInt64 {
+		t.Fatalf("wrapping add left %d, want MaxInt64", c.n)
 	}
 	c.Inc()
-	if c.Value() != math.MaxInt64 {
-		t.Fatalf("Inc at ceiling left %d, want MaxInt64", c.Value())
+	if c.n != math.MaxInt64 {
+		t.Fatalf("Inc at ceiling left %d, want MaxInt64", c.n)
 	}
 	// The saturated counter still accepts corrections downward.
 	c.Add(-5)
-	if c.Value() != math.MaxInt64-5 {
-		t.Fatalf("correction from ceiling left %d", c.Value())
+	if c.n != math.MaxInt64-5 {
+		t.Fatalf("correction from ceiling left %d", c.n)
 	}
 }
 
 func TestSameNameSharesState(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("shared").Add(3)
-	if got := r.Counter("shared").Value(); got != 3 {
+	if got := r.Counter("shared").n; got != 3 {
 		t.Fatalf("re-looked-up counter reads %d, want 3", got)
 	}
 	if r.Counter("shared") != r.Counter("shared") {
 		t.Fatal("same name returned distinct counter instances")
 	}
 	r.Gauge("g").Set(1.5)
-	if got := r.Gauge("g").Value(); got != 1.5 {
+	if got := r.Gauge("g").v; got != 1.5 {
 		t.Fatalf("re-looked-up gauge reads %g, want 1.5", got)
 	}
 	r.Histogram("h").Observe(2)
-	if got := r.Histogram("h").Dist().Count(); got != 1 {
+	if got := r.Histogram("h").d.Count(); got != 1 {
 		t.Fatalf("re-looked-up histogram count %d, want 1", got)
 	}
 	// Different kinds under the same name are distinct namespaces.
-	if got := r.Counter("g").Value(); got != 0 {
+	if got := r.Counter("g").n; got != 0 {
 		t.Fatalf("counter namespace leaked the gauge value: %d", got)
 	}
 }

@@ -37,8 +37,8 @@ func TestNilSafety(t *testing.T) {
 	h := reg.Histogram("h")
 	h.Observe(4)
 	h.ObserveDuration(time.Millisecond)
-	if c.Value() != 0 || g.Value() != 0 || g.Smoothed() != 0 || g.Sets() != 0 || h.Dist() != nil {
-		t.Fatal("nil registry handles returned non-zero state")
+	if c != nil || g != nil || h != nil {
+		t.Fatal("nil registry returned non-nil handles")
 	}
 	if reg.Snapshot() != nil || reg.FormatText() != "" {
 		t.Fatal("nil registry snapshot not empty")

@@ -62,14 +62,6 @@ func (c *Counter) Add(d int64) {
 	c.n = n
 }
 
-// Value returns the current count (0 for a nil counter).
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.n
-}
-
 // Gauge is a last-value metric with an EWMA-smoothed companion (the
 // paper's alpha = 0.5 smoother), useful for noisy instantaneous readings
 // like temperature or queue depth.
@@ -87,30 +79,6 @@ func (g *Gauge) Set(v float64) {
 	g.v = v
 	g.n++
 	g.ewma.Observe(v)
-}
-
-// Value returns the last set value (0 for a nil or never-set gauge).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
-}
-
-// Smoothed returns the EWMA of set values.
-func (g *Gauge) Smoothed() float64 {
-	if g == nil {
-		return 0
-	}
-	return g.ewma.Value()
-}
-
-// Sets returns how many times the gauge was set.
-func (g *Gauge) Sets() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.n
 }
 
 // Histogram accumulates float64 samples with percentile queries, backed by
@@ -131,15 +99,6 @@ func (h *Histogram) ObserveDuration(v time.Duration) {
 		return
 	}
 	h.d.AddDuration(v)
-}
-
-// Dist exposes the underlying distribution for percentile queries; nil for
-// a nil histogram.
-func (h *Histogram) Dist() *metrics.Distribution {
-	if h == nil {
-		return nil
-	}
-	return &h.d
 }
 
 // Counter returns the named counter, creating it on first use.

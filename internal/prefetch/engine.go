@@ -263,7 +263,3 @@ func (e *Engine) Suspended(now time.Duration) bool { return now < e.suspendedUnt
 
 // Suspensions returns how many times the engine suspended.
 func (e *Engine) Suspensions() int { return e.suspensions }
-
-// MaxBandwidth returns the maximum observed bandwidth (bytes/sec) on the
-// given transfer path.
-func (e *Engine) MaxBandwidth(path string) float64 { return e.maxBandwidth[path] }

@@ -203,7 +203,7 @@ func TestBandwidthFloorIsPerPath(t *testing.T) {
 	if e.Suspended(2 * ms) {
 		t.Fatal("steady slow path suspended against unrelated fast path")
 	}
-	if e.MaxBandwidth("camera") != 2e9 {
+	if e.maxBandwidth["camera"] != 2e9 {
 		t.Fatal("per-path max wrong")
 	}
 	// Real congestion on the fast path still suspends.
@@ -290,7 +290,7 @@ func TestSeedPathMaxKeepsHigherObservedMax(t *testing.T) {
 	e := New(newTwin(), DefaultConfig())
 	e.ObserveBandwidth("pcie", 12e9, 0) // measured above nominal
 	e.SeedPathMax("pcie", 11e9)
-	if e.MaxBandwidth("pcie") != 12e9 {
-		t.Fatalf("MaxBandwidth = %v, want the higher observed 12e9", e.MaxBandwidth("pcie"))
+	if e.maxBandwidth["pcie"] != 12e9 {
+		t.Fatalf("maxBandwidth = %v, want the higher observed 12e9", e.maxBandwidth["pcie"])
 	}
 }

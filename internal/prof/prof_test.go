@@ -1,6 +1,7 @@
 package prof
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -8,10 +9,10 @@ import (
 // fakeClock drives a profiler without a simulator.
 type fakeClock struct{ t time.Duration }
 
-func (c *fakeClock) now() time.Duration    { return c.t }
-func (c *fakeClock) at(d time.Duration)    { c.t = d }
-func ms_(n int) time.Duration              { return time.Duration(n) * time.Millisecond }
-func attach(pf *Profiler, c *fakeClock)    { pf.SetNow(c.now) }
+func (c *fakeClock) now() time.Duration { return c.t }
+func (c *fakeClock) at(d time.Duration) { c.t = d }
+func ms_(n int) time.Duration           { return time.Duration(n) * time.Millisecond }
+func attach(pf *Profiler, c *fakeClock) { pf.SetNow(c.now) }
 
 // buildFrame records a frame that waits on an op which splits its time
 // between queueing, exec, and a throttle stretch, then finishes 2ms of
@@ -130,13 +131,20 @@ func TestClassCoverage(t *testing.T) {
 	}
 }
 
+// folded renders a report's folded stacks as a string.
+func folded(r *Report) string {
+	var b strings.Builder
+	_ = r.WriteFolded(&b)
+	return b.String()
+}
+
 func TestFoldedDeterministic(t *testing.T) {
 	render := func() string {
 		c := &fakeClock{}
 		pf := New()
 		attach(pf, c)
 		buildFrame(pf, c)
-		return pf.Report().FoldedString()
+		return folded(pf.Report())
 	}
 	a, b := render(), render()
 	if a != b {
@@ -183,7 +191,6 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("nil profiler returned a node")
 	}
 	pf.Bind("k", n)
-	_ = pf.Current("k")
 	pf.Charge("k", "c", 0)
 	pf.ChargeSpan("k", "c", 0, 1)
 	pf.Wait("k", "c", 0, nil)

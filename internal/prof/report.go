@@ -198,13 +198,6 @@ func (r *Report) WriteFolded(w io.Writer) error {
 	return nil
 }
 
-// FoldedString renders WriteFolded into a string (tests, byte comparison).
-func (r *Report) FoldedString() string {
-	var b strings.Builder
-	_ = r.WriteFolded(&b)
-	return b.String()
-}
-
 // FormatAttribution renders the per-component attribution table, the
 // per-class tables, and the top-K slowest frames — the text block that
 // accompanies the metrics dump.

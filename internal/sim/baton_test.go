@@ -220,8 +220,8 @@ func TestEventSingleWaiterAllocatesNothing(t *testing.T) {
 			ev.Signal()
 		}
 	})
-	env.RunFor(10 * time.Microsecond) // warm up the queues and free lists
-	if allocs := testing.AllocsPerRun(100, func() { env.RunFor(time.Microsecond) }); allocs != 0 {
+	env.RunUntil(env.Now() + 10*time.Microsecond) // warm up the queues and free lists
+	if allocs := testing.AllocsPerRun(100, func() { env.RunUntil(env.Now() + time.Microsecond) }); allocs != 0 {
 		t.Fatalf("single-waiter Wait/Signal allocates %.2f per cycle, want 0", allocs)
 	}
 }
@@ -235,7 +235,7 @@ func TestEventWakeOrderSurvivesRemoval(t *testing.T) {
 	var order []string
 	wait := func(p *Proc) {
 		ev.Wait(p)
-		order = append(order, p.Name())
+		order = append(order, p.name)
 	}
 	env.Spawn("timeout", func(p *Proc) {
 		if ev.WaitTimeout(p, ms) {
@@ -272,7 +272,7 @@ func TestCloseFromCallbackPanics(t *testing.T) {
 
 // TestStepExecutesOneEvent: Step dispatches exactly one event even when a
 // parking process could hand the baton on — to another ready process, or
-// back to itself through a Yield.
+// back to itself through a zero-length Sleep.
 func TestStepExecutesOneEvent(t *testing.T) {
 	env := NewEnv(1)
 	defer env.Close()
@@ -280,8 +280,8 @@ func TestStepExecutesOneEvent(t *testing.T) {
 	for _, name := range []string{"a", "b"} {
 		env.Spawn(name, func(p *Proc) {
 			for i := 0; i < 3; i++ {
-				log = append(log, fmt.Sprintf("%s%d", p.Name(), i))
-				p.Yield()
+				log = append(log, fmt.Sprintf("%s%d", p.name, i))
+				p.Sleep(0)
 			}
 		})
 	}
@@ -307,7 +307,7 @@ func TestStepExecutesOneEvent(t *testing.T) {
 	solo.Spawn("solo", func(p *Proc) {
 		for {
 			n++
-			p.Yield()
+			p.Sleep(0)
 		}
 	})
 	for i := 1; i <= 3; i++ {
@@ -350,13 +350,13 @@ func TestBatonRunMatchesStepRun(t *testing.T) {
 		defer env.Close()
 		var b strings.Builder
 		q := NewQueue[int](env, 2)
-		mu := NewMutex(env)
+		mu := NewSemaphore(env, 1)
 		for w := 0; w < 3; w++ {
 			env.Spawn("producer", func(p *Proc) {
 				for i := 0; ; i++ {
-					mu.Lock(p)
+					mu.Acquire(p, 1)
 					p.Sleep(Time(env.Rand().Intn(50)) * time.Microsecond)
-					mu.Unlock()
+					mu.Release(1)
 					q.Put(p, w*1000+i)
 				}
 			})
@@ -407,9 +407,9 @@ func TestSemaphoreContendedCycleAllocatesNothing(t *testing.T) {
 			}
 		})
 	}
-	env.RunFor(ms) // warm up: queues and free lists reach steady depth
+	env.RunUntil(env.Now() + ms) // warm up: queues and free lists reach steady depth
 	before := cycles
-	allocs := testing.AllocsPerRun(100, func() { env.RunFor(10 * time.Microsecond) })
+	allocs := testing.AllocsPerRun(100, func() { env.RunUntil(env.Now() + 10*time.Microsecond) })
 	if cycles-before < 1000 {
 		t.Fatalf("only %d contended cycles measured", cycles-before)
 	}

@@ -44,7 +44,7 @@ func BenchmarkSteadyState256(b *testing.B)  { steadyState(b, 256) }
 func BenchmarkSteadyState4096(b *testing.B) { steadyState(b, 4096) }
 
 // BenchmarkZeroDelay measures the same-instant path: a zero-delay callback
-// rescheduling itself never advances the clock, the pattern behind Yield and
+// rescheduling itself never advances the clock, the pattern behind Sleep(0) and
 // signal-at-now wakeups.
 func BenchmarkZeroDelay(b *testing.B) {
 	env := sim.NewEnv(1)
@@ -76,7 +76,7 @@ func BenchmarkTimerStop(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		t := env.AfterFunc(time.Millisecond, tick)
 		t.Stop()
-		env.RunFor(time.Microsecond)
+		env.RunUntil(env.Now() + time.Microsecond)
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/s")
@@ -123,7 +123,7 @@ func runUntil(b *testing.B, env *sim.Env) {
 	before := env.ExecutedEvents()
 	b.ReportAllocs()
 	b.ResetTimer()
-	env.RunFor(time.Duration(b.N) * time.Microsecond)
+	env.RunUntil(env.Now() + time.Duration(b.N)*time.Microsecond)
 	b.StopTimer()
 	b.ReportMetric(float64(env.ExecutedEvents()-before)/b.Elapsed().Seconds(), "events/s")
 }
@@ -192,13 +192,13 @@ func BenchmarkSpawnChurn(b *testing.B) {
 	defer env.Close()
 	churn := func(p *sim.Proc) { p.Sleep(time.Microsecond) }
 	env.Spawn("warm", churn)
-	env.RunFor(time.Microsecond)
+	env.RunUntil(env.Now() + time.Microsecond)
 	before := env.ExecutedEvents()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		env.Spawn("churn", churn)
-		env.RunFor(time.Microsecond)
+		env.RunUntil(env.Now() + time.Microsecond)
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(env.ExecutedEvents()-before)/b.Elapsed().Seconds(), "events/s")

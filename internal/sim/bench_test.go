@@ -35,7 +35,7 @@ func BenchmarkProcessSwitch(b *testing.B) {
 	}
 	b.StopTimer()
 	done = true
-	env.RunFor(time.Millisecond)
+	env.RunUntil(env.Now() + time.Millisecond)
 }
 
 // BenchmarkQueueHandoff measures producer/consumer handoff through a Queue.
@@ -47,7 +47,7 @@ func BenchmarkQueueHandoff(b *testing.B) {
 	env.Spawn("producer", func(p *Proc) {
 		for i := 0; i < n; i++ {
 			q.Put(p, i)
-			p.Yield()
+			p.Sleep(0)
 		}
 	})
 	consumed := 0

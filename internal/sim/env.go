@@ -73,11 +73,6 @@ func (t Timer) Stop() bool {
 	return true
 }
 
-// Pending reports whether the callback has yet to fire or be stopped.
-func (t Timer) Pending() bool {
-	return t.rec != nil && t.rec.gen == t.gen && !t.rec.cancelled
-}
-
 // Env is a simulation environment: a virtual clock, an event queue, and the
 // set of live processes. An Env is not safe for concurrent use; all calls
 // must come either from process context, from a callback, or from the single
@@ -85,11 +80,11 @@ func (t Timer) Pending() bool {
 // coroutine (see dispatch), but never concurrently with anything else.
 //
 // The event queue is two structures: a 4-ary min-heap of future events and a
-// FIFO ring for events scheduled at the current instant (Yield, zero-delay
-// wakeups), which bypass the heap entirely. Heap entries at the current
-// instant always predate — and therefore run before — every ring entry, so
-// the combined order is exactly the (timestamp, sequence) order a single
-// heap would produce.
+// FIFO ring for events scheduled at the current instant (zero-length
+// sleeps, zero-delay wakeups), which bypass the heap entirely. Heap entries
+// at the current instant always predate — and therefore run before — every
+// ring entry, so the combined order is exactly the (timestamp, sequence)
+// order a single heap would produce.
 type Env struct {
 	now      Time
 	heap     []event // future events, 4-ary min-heap by (at, seq)
@@ -432,9 +427,6 @@ func (e *Env) Run() { e.drive(maxTime, true, noStop) }
 // clock to exactly t.
 func (e *Env) RunUntil(t Time) { e.runWindow(t, true) }
 
-// RunFor advances the simulation by d from the current instant.
-func (e *Env) RunFor(d Time) { e.RunUntil(e.now + d) }
-
 // RunUntilEvery is RunUntil(t) with an observer hook: fn runs at every
 // multiple of `every` on the way to t (after all events at or before that
 // instant, exactly as a plain RunUntil to the same point would leave the
@@ -476,9 +468,6 @@ func (e *Env) runWindow(limit Time, inclusive bool) {
 // equal seeds execute equal event counts regardless of how the run is
 // windowed.
 func (e *Env) ExecutedEvents() uint64 { return e.executed }
-
-// Idle reports whether no live events remain.
-func (e *Env) Idle() bool { return e.PendingEvents() == 0 }
 
 // PendingEvents returns the number of live scheduled events; stopped timers
 // awaiting lazy reclamation are not counted.

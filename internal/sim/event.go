@@ -14,12 +14,10 @@ type waiter struct {
 }
 
 // Event is a one-shot broadcast: processes wait until some party signals,
-// after which all current and future waits return immediately. Value may be
-// set by the signaler before Signal to pass a result to waiters.
+// after which all current and future waits return immediately.
 type Event struct {
 	env   *Env
 	fired bool
-	Value any
 	// w1 is the first waiter, held inline so a single-waiter Wait does not
 	// allocate; waiters holds the rest in FIFO order and is empty whenever
 	// w1 is nil.

@@ -139,9 +139,6 @@ func (p *Proc) park() {
 // Env returns the environment this process belongs to.
 func (p *Proc) Env() *Env { return p.env }
 
-// Name returns the process's diagnostic name.
-func (p *Proc) Name() string { return p.name }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.env.now }
 
@@ -154,9 +151,5 @@ func (p *Proc) Sleep(d Time) {
 	p.env.schedule(p.env.now+d, p, nil)
 	p.park()
 }
-
-// Yield cedes the processor until all other events at the current instant
-// have run.
-func (p *Proc) Yield() { p.Sleep(0) }
 
 func (p *Proc) String() string { return "proc:" + p.name }

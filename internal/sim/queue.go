@@ -76,12 +76,3 @@ func (q *Queue[T]) TryGet() (T, bool) {
 	q.wakeOne(&q.putWaiters)
 	return v, true
 }
-
-// Peek returns the head item without removing it.
-func (q *Queue[T]) Peek() (T, bool) {
-	if q.items.len() == 0 {
-		var zero T
-		return zero, false
-	}
-	return q.items.peek(), true
-}

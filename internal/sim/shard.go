@@ -93,10 +93,6 @@ func (g *ShardGroup) SetObserver(o ShardObserver) { g.obs = o }
 // Lookahead returns the window size.
 func (g *ShardGroup) Lookahead() Time { return g.lookahead }
 
-// Now returns the group's barrier clock: every environment has advanced to
-// at least this instant.
-func (g *ShardGroup) Now() Time { return g.now }
-
 // AtBarrier registers fn to run at every window barrier, after every
 // environment has run the window. prev and now bound the window just
 // executed. This is the shared-host-resource synchronization point: PCIe

@@ -6,12 +6,17 @@ import (
 	"time"
 )
 
+// pending reports whether a timer's callback has yet to fire or be stopped.
+func pending(t Timer) bool {
+	return t.rec != nil && t.rec.gen == t.gen && !t.rec.cancelled
+}
+
 func TestTimerStopCancels(t *testing.T) {
 	env := NewEnv(1)
 	defer env.Close()
 	fired := false
 	tm := env.AfterFunc(10*time.Millisecond, func() { fired = true })
-	if !tm.Pending() {
+	if !pending(tm) {
 		t.Fatal("timer not pending after AfterFunc")
 	}
 	if env.PendingEvents() != 1 {
@@ -20,13 +25,13 @@ func TestTimerStopCancels(t *testing.T) {
 	if !tm.Stop() {
 		t.Fatal("Stop returned false on a pending timer")
 	}
-	if tm.Pending() {
+	if pending(tm) {
 		t.Fatal("timer still pending after Stop")
 	}
 	if env.PendingEvents() != 0 {
 		t.Fatalf("PendingEvents = %d after Stop, want 0 (cancelled timers must not count)", env.PendingEvents())
 	}
-	env.RunFor(time.Second)
+	env.RunUntil(env.Now() + time.Second)
 	if fired {
 		t.Fatal("stopped timer fired")
 	}
@@ -40,14 +45,14 @@ func TestTimerStopAfterFire(t *testing.T) {
 	defer env.Close()
 	fired := 0
 	tm := env.AfterFunc(time.Millisecond, func() { fired++ })
-	env.RunFor(10 * time.Millisecond)
+	env.RunUntil(env.Now() + 10*time.Millisecond)
 	if fired != 1 {
 		t.Fatalf("timer fired %d times, want 1", fired)
 	}
 	if tm.Stop() {
 		t.Fatal("Stop returned true after the timer fired")
 	}
-	if tm.Pending() {
+	if pending(tm) {
 		t.Fatal("timer pending after firing")
 	}
 }
@@ -59,16 +64,16 @@ func TestTimerHandleSurvivesRecycling(t *testing.T) {
 	env := NewEnv(1)
 	defer env.Close()
 	old := env.AfterFunc(time.Millisecond, func() {})
-	env.RunFor(10 * time.Millisecond) // fires; record returns to the free list
+	env.RunUntil(env.Now() + 10*time.Millisecond) // fires; record returns to the free list
 	fired := false
 	fresh := env.AfterFunc(time.Millisecond, func() { fired = true })
 	if old.Stop() {
 		t.Fatal("stale handle stopped a recycled record")
 	}
-	if !fresh.Pending() {
+	if !pending(fresh) {
 		t.Fatal("fresh timer lost its registration")
 	}
-	env.RunFor(10 * time.Millisecond)
+	env.RunUntil(env.Now() + 10*time.Millisecond)
 	if !fired {
 		t.Fatal("fresh timer did not fire")
 	}
@@ -108,12 +113,12 @@ func TestWaitTimeoutExpiredLeavesNoWaiter(t *testing.T) {
 			t.Error("WaitTimeout reported signal despite timeout")
 		}
 	})
-	env.RunFor(10 * time.Millisecond)
+	env.RunUntil(env.Now() + 10*time.Millisecond)
 	if ev.w1 != nil || len(ev.waiters) != 0 {
 		t.Fatalf("event holds waiters after timeout: first %v, rest %d", ev.w1, len(ev.waiters))
 	}
 	ev.Signal() // must be a no-op wake
-	env.RunFor(10 * time.Millisecond)
+	env.RunUntil(env.Now() + 10*time.Millisecond)
 	if got := env.PendingEvents(); got != 0 {
 		t.Fatalf("PendingEvents = %d, want 0", got)
 	}
@@ -131,7 +136,7 @@ func TestCloseFreesGoroutines(t *testing.T) {
 		env.Spawn("waiter", func(p *Proc) { ev.Wait(p) })
 		env.Spawn("timed", func(p *Proc) { ev.WaitTimeout(p, time.Hour) })
 	}
-	env.RunFor(time.Millisecond) // park everyone
+	env.RunUntil(env.Now() + time.Millisecond) // park everyone
 	// Close hooks run after the processes unwind and the queues are
 	// discarded — the window where subsystems release externally pinned
 	// resources (e.g. in-flight DMA chunk fences).

@@ -218,12 +218,3 @@ func (a *Access) End(p *sim.Proc) (EndInfo, error) {
 	m.stats.BytesAccessed += a.bytes
 	return info, nil
 }
-
-// Region returns the region this access touches.
-func (a *Access) Region() *Region { return a.r }
-
-// Usage returns the access direction.
-func (a *Access) Usage() Usage { return a.usage }
-
-// Bytes returns the accessed byte count.
-func (a *Access) Bytes() hostsim.Bytes { return a.bytes }

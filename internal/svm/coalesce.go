@@ -1,8 +1,6 @@
 package svm
 
 import (
-	"time"
-
 	"repro/internal/hostsim"
 	"repro/internal/obs"
 	"repro/internal/prof"
@@ -35,7 +33,6 @@ type batchItem struct {
 type PushBatch struct {
 	dest     *hostsim.Domain
 	items    []batchItem
-	bytes    hostsim.Bytes
 	timer    sim.Timer
 	hasTimer bool
 	started  bool
@@ -47,15 +44,6 @@ type PushBatch struct {
 	// completes (fence piggybacking).
 	callbacks []func()
 }
-
-// Len returns the number of pushes in the batch.
-func (b *PushBatch) Len() int { return len(b.items) }
-
-// Bytes returns the total payload carried by the batch.
-func (b *PushBatch) Bytes() hostsim.Bytes { return b.bytes }
-
-// Completed reports whether every push in the batch has finished.
-func (b *PushBatch) Completed() bool { return b.complete }
 
 // OnComplete registers fn to run when the batch completes; if it already
 // has, fn runs immediately in the caller's context.
@@ -129,7 +117,6 @@ func (c *pushCoalescer) enqueue(r *Region, from, dom *hostsim.Domain,
 	if b := c.pending[dom]; b != nil {
 		inf.node = b.node
 		b.items = append(b.items, it)
-		b.bytes += bytes
 		m.stats.PushesCoalesced++
 		c.coalCtr.Inc()
 		if len(b.items) >= c.cfg.MaxBatch {
@@ -137,7 +124,7 @@ func (c *pushCoalescer) enqueue(r *Region, from, dom *hostsim.Domain,
 		}
 		return b
 	}
-	b := &PushBatch{dest: dom, items: []batchItem{it}, bytes: bytes}
+	b := &PushBatch{dest: dom, items: []batchItem{it}}
 	if m.pf != nil {
 		b.node = m.pf.NewNode("svm:push-batch", "svm:coalesce-window")
 		inf.node = b.node
@@ -249,24 +236,4 @@ func (c *pushCoalescer) takeWriteBatches() []*PushBatch {
 	out := make([]*PushBatch, len(c.writeBatches))
 	copy(out, c.writeBatches)
 	return out
-}
-
-// PendingPushes returns how many pushes are parked in dom's open batch.
-func (m *Manager) PendingPushes(dom *hostsim.Domain) int {
-	if m.coal == nil {
-		return 0
-	}
-	if b := m.coal.pending[dom]; b != nil {
-		return len(b.items)
-	}
-	return 0
-}
-
-// PushWindow returns the coalescing window currently in force toward dom
-// (zero when batching is off, cold, or under pressure).
-func (m *Manager) PushWindow(dom *hostsim.Domain) time.Duration {
-	if m.coal == nil {
-		return 0
-	}
-	return m.coal.windowFor(dom).Window(m.env.Now())
 }

@@ -40,8 +40,8 @@ func TestSingleElementBatchCostsExactlyUnbatched(t *testing.T) {
 	// The window must actually have been in force (warm, not pinned by
 	// pressure) — otherwise every push took the cold immediate-flush path
 	// and the test proves nothing about timer-expired singleton batches.
-	if w := onRig.m.PushWindow(onRig.mach.VRAM); w <= 0 {
-		t.Fatalf("PushWindow = %v after warm pipeline, want > 0", w)
+	if w := onRig.m.coal.windowFor(onRig.mach.VRAM).Window(onRig.env.Now()); w <= 0 {
+		t.Fatalf("push window = %v after warm pipeline, want > 0", w)
 	}
 
 	if on.PushesCoalesced != 0 {

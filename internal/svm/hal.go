@@ -36,12 +36,6 @@ func NewModule(m *Manager, cpu Accessor) *Module {
 	return &Module{m: m, cpu: cpu, handles: make(map[Handle]RegionID)}
 }
 
-// Manager returns the backing SVM manager.
-func (h *Module) Manager() *Manager { return h.m }
-
-// CPUAccessor returns the accessor used for API-side accesses.
-func (h *Module) CPUAccessor() Accessor { return h.cpu }
-
 // Alloc allocates a shared memory region and returns a handle to it.
 func (h *Module) Alloc(p *sim.Proc, size hostsim.Bytes) (Handle, error) {
 	r, err := h.m.Alloc(size)
@@ -83,11 +77,3 @@ func (h *Module) BeginAccess(p *sim.Proc, hd Handle, usage Usage, bytes hostsim.
 	}
 	return h.m.BeginAccess(p, id, h.cpu, usage, bytes)
 }
-
-// EndAccess ends a CPU access.
-func (h *Module) EndAccess(p *sim.Proc, a *Access) (EndInfo, error) {
-	return a.End(p)
-}
-
-// Live returns the number of live handles.
-func (h *Module) Live() int { return len(h.handles) }

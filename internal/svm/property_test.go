@@ -79,7 +79,7 @@ func TestQuickRandomOpSequences(t *testing.T) {
 							ok = false
 							return
 						}
-						if r.Version() > 0 && !r.HasCurrentCopy(acc.Domain) {
+						if r.version > 0 && !r.HasCurrentCopy(acc.Domain) {
 							ok = false // stale read: the core coherence invariant broke
 							return
 						}
@@ -128,7 +128,7 @@ func TestQuickVersionMonotonic(t *testing.T) {
 		ok := true
 		env.Spawn("writers", func(p *sim.Proc) {
 			rng := rand.New(rand.NewSource(seed))
-			last := r.Version()
+			last := r.version
 			for i := 0; i < int(writes); i++ {
 				a, err := m.BeginAccess(p, r.ID, accs[rng.Intn(2)], UsageWrite, 0)
 				if err != nil {
@@ -136,11 +136,11 @@ func TestQuickVersionMonotonic(t *testing.T) {
 					return
 				}
 				_, _ = a.End(p)
-				if v := r.Version(); v != last+1 {
+				if v := r.version; v != last+1 {
 					ok = false
 					return
 				}
-				last = r.Version()
+				last = r.version
 				p.Sleep(time.Millisecond)
 			}
 		})

@@ -15,7 +15,6 @@ import (
 // returns the guest-driver compensation time (nonzero only for the prefetch
 // protocol's adaptive synchronism, §3.3).
 type protocol interface {
-	name() string
 	ensureReadable(p *sim.Proc, r *Region, acc Accessor, bytes hostsim.Bytes)
 	onWriteEnd(p *sim.Proc, r *Region, acc Accessor, bytes hostsim.Bytes) time.Duration
 }

@@ -13,8 +13,6 @@ import (
 // short to hide the copy.
 type prefetchProtocol struct{ m *Manager }
 
-func (pp *prefetchProtocol) name() string { return "prefetch" }
-
 func (pp *prefetchProtocol) ensureReadable(p *sim.Proc, r *Region, acc Accessor, bytes hostsim.Bytes) {
 	pp.m.awaitOrDemand(p, r, acc, bytes)
 }
@@ -55,8 +53,6 @@ func (pp *prefetchProtocol) onWriteEnd(p *sim.Proc, r *Region, acc Accessor, byt
 // begin_access, putting the whole coherence cost on the access latency.
 type writeInvalidateProtocol struct{ m *Manager }
 
-func (wi *writeInvalidateProtocol) name() string { return "write-invalidate" }
-
 func (wi *writeInvalidateProtocol) ensureReadable(p *sim.Proc, r *Region, acc Accessor, bytes hostsim.Bytes) {
 	if r.HasCurrentCopy(acc.Domain) {
 		if acc.Domain == r.owner {
@@ -75,8 +71,6 @@ func (wi *writeInvalidateProtocol) onWriteEnd(*sim.Proc, *Region, Accessor, host
 // to every domain that holds a copy, trading bandwidth for latency. Pushes
 // toward domains that never read the data are pure waste.
 type broadcastProtocol struct{ m *Manager }
-
-func (bp *broadcastProtocol) name() string { return "broadcast" }
 
 func (bp *broadcastProtocol) ensureReadable(p *sim.Proc, r *Region, acc Accessor, bytes hostsim.Bytes) {
 	bp.m.awaitOrDemand(p, r, acc, bytes)
@@ -98,8 +92,6 @@ func (bp *broadcastProtocol) onWriteEnd(p *sim.Proc, r *Region, acc Accessor, by
 // memory before each read. Both copies cross the virtualization boundary,
 // which is precisely the inefficiency vSoC removes.
 type guestSyncProtocol struct{ m *Manager }
-
-func (gs *guestSyncProtocol) name() string { return "guest-sync" }
 
 func (gs *guestSyncProtocol) ensureReadable(p *sim.Proc, r *Region, acc Accessor, bytes hostsim.Bytes) {
 	m := gs.m

@@ -84,12 +84,6 @@ func (r *Region) noteDomain(d *hostsim.Domain) {
 	r.accessedDomains = append(r.accessedDomains, d)
 }
 
-// Version returns the committed write count.
-func (r *Region) Version() uint64 { return r.version }
-
-// Owner returns the domain holding the newest data (nil before any write).
-func (r *Region) Owner() *hostsim.Domain { return r.owner }
-
 // HasCurrentCopy reports whether the domain holds the latest version.
 func (r *Region) HasCurrentCopy(d *hostsim.Domain) bool {
 	return r.version > 0 && r.copies[d] == r.version

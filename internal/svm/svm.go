@@ -259,12 +259,6 @@ func (m *Manager) trackFor(name string) obs.Track {
 	return tk
 }
 
-// Env returns the simulation environment.
-func (m *Manager) Env() *sim.Env { return m.env }
-
-// Machine returns the host machine.
-func (m *Manager) Machine() *hostsim.Machine { return m.mach }
-
 // Twin returns the twin hypergraphs (read-only use by callers).
 func (m *Manager) Twin() *hypergraph.Twin { return m.twin }
 
@@ -273,9 +267,6 @@ func (m *Manager) Engine() *prefetch.Engine { return m.engine }
 
 // Kind returns the active protocol kind.
 func (m *Manager) Kind() Kind { return m.cfg.Kind }
-
-// ProtocolName returns the active coherence protocol's name.
-func (m *Manager) ProtocolName() string { return m.proto.name() }
 
 // Stats returns the manager's accumulated statistics.
 func (m *Manager) Stats() *Stats { return &m.stats }
@@ -305,12 +296,6 @@ func (m *Manager) RegisterVirtualDevice(id hypergraph.NodeID, name string) {
 func (m *Manager) RegisterPhysicalDevice(id hypergraph.NodeID, name string, domain *hostsim.Domain) {
 	m.twin.Physical.AddNode(id, name)
 	m.physDomain[id] = domain
-}
-
-// DomainOf returns the registered memory domain of a physical device.
-func (m *Manager) DomainOf(id hypergraph.NodeID) (*hostsim.Domain, bool) {
-	d, ok := m.physDomain[id]
-	return d, ok
 }
 
 // PredictCompensation returns the guest-driver blocking time the prefetch
@@ -386,9 +371,6 @@ func (m *Manager) Free(id RegionID) error {
 	m.stats.RegionsFreed++
 	return nil
 }
-
-// LiveRegions returns the number of live regions.
-func (m *Manager) LiveRegions() int { return len(m.regions) }
 
 // MemoryFootprint estimates the manager's own resident bytes: the twin
 // hypergraphs plus region-table entries (the §5.2 "3.1 MiB" bound).

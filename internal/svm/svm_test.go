@@ -1,6 +1,7 @@
 package svm
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -120,8 +121,8 @@ func TestAllocAssignsUniqueIDs(t *testing.T) {
 	if a.ID == b.ID {
 		t.Fatal("region IDs must be unique")
 	}
-	if rg.m.LiveRegions() != 2 {
-		t.Fatalf("LiveRegions = %d, want 2", rg.m.LiveRegions())
+	if len(rg.m.regions) != 2 {
+		t.Fatalf("live regions = %d, want 2", len(rg.m.regions))
 	}
 }
 
@@ -529,7 +530,7 @@ func TestHypergraphMappingBuiltFromAccesses(t *testing.T) {
 	if len(m.Virtual.Dests) != 2 {
 		t.Fatalf("virtual dests = %v, want 2 (hyperedge)", m.Virtual.Dests)
 	}
-	if !m.Virtual.HasSource(vCam) || !m.Physical.HasSource(pCam) {
+	if !slices.Contains(m.Virtual.Sources, vCam) || !slices.Contains(m.Physical.Sources, pCam) {
 		t.Fatal("edge sources should be the camera")
 	}
 }
@@ -584,7 +585,7 @@ func TestHALLifecycle(t *testing.T) {
 			t.Errorf("begin: %v", err)
 			return
 		}
-		if _, err := mod.EndAccess(p, a); err != nil {
+		if _, err := a.End(p); err != nil {
 			t.Errorf("end: %v", err)
 		}
 		if err := mod.Free(p, h); err != nil {
@@ -598,8 +599,8 @@ func TestHALLifecycle(t *testing.T) {
 		}
 	})
 	rg.env.Run()
-	if mod.Live() != 0 {
-		t.Fatalf("Live = %d, want 0", mod.Live())
+	if len(mod.handles) != 0 {
+		t.Fatalf("live handles = %d, want 0", len(mod.handles))
 	}
 }
 
@@ -696,26 +697,20 @@ func TestCPUOnlyIPCHasNoCoherenceCost(t *testing.T) {
 
 func TestManagerAccessors(t *testing.T) {
 	rg := newRig(t, KindPrefetch)
-	if rg.m.Env() != rg.env || rg.m.Machine() != rg.mach {
-		t.Fatal("accessors wrong")
+	if rg.m.Kind() != KindPrefetch {
+		t.Fatalf("kind = %v, want prefetch", rg.m.Kind())
 	}
-	if rg.m.Kind() != KindPrefetch || rg.m.ProtocolName() != "prefetch" {
-		t.Fatalf("kind/protocol = %v/%s", rg.m.Kind(), rg.m.ProtocolName())
-	}
-	if d, ok := rg.m.DomainOf(pGPU); !ok || d != rg.mach.VRAM {
-		t.Fatal("DomainOf wrong")
-	}
-	if _, ok := rg.m.DomainOf(999); ok {
-		t.Fatal("unknown physical device should miss")
+	if d, ok := rg.m.physDomain[pGPU]; !ok || d != rg.mach.VRAM {
+		t.Fatal("physical device registered in the wrong domain")
 	}
 	for kind, want := range map[Kind]string{
+		KindPrefetch:        "prefetch",
 		KindWriteInvalidate: "write-invalidate",
 		KindBroadcast:       "broadcast",
 		KindGuestSync:       "guest-sync",
 	} {
-		rg2 := newRig(t, kind)
-		if rg2.m.ProtocolName() != want {
-			t.Fatalf("protocol name = %s, want %s", rg2.m.ProtocolName(), want)
+		if kind.String() != want {
+			t.Fatalf("kind name = %s, want %s", kind, want)
 		}
 	}
 	for u, s := range map[Usage]string{UsageRead: "RO", UsageWrite: "WO", UsageReadWrite: "RW", Usage(9): "Usage(9)"} {
@@ -734,14 +729,14 @@ func TestAccessAccessorsAndStats(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if a.Region() != r || a.Usage() != UsageWrite || a.Bytes() != hostsim.MiB {
+		if a.r != r || a.usage != UsageWrite || a.bytes != hostsim.MiB {
 			t.Error("access accessors wrong")
 		}
-		if r.Owner() != nil {
+		if r.owner != nil {
 			t.Error("owner should be nil before first commit")
 		}
 		_, _ = a.End(p)
-		if r.Owner() != rg.mach.DRAM {
+		if r.owner != rg.mach.DRAM {
 			t.Error("owner should be the writer's domain")
 		}
 	})

@@ -59,10 +59,6 @@ var builtinSignals = []Signal{
 		value: func(s *TenantSample, _ float64) (float64, bool) { return float64(s.FetchCount), true }},
 }
 
-// Signals lists the built-in signal registry (excluding "probe:*", whose
-// space is whatever probes a driver registers).
-func Signals() []Signal { return builtinSignals }
-
 // signalValue extracts signal `name` for tenant ti from sealed window w,
 // resolving "probe:<name>" against the tenant's registered probes. Missing
 // probes and unknown names read as absent (ok=false) so a detector spec

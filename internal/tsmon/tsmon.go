@@ -110,9 +110,6 @@ type Tenant struct {
 	open []accum
 }
 
-// Name returns the tenant's label.
-func (t *Tenant) Name() string { return t.cfg.Name }
-
 // at returns the open accumulator for the window containing virtual
 // instant `at`, growing the open slice as the tenant's clock runs ahead.
 // Samples below the seal watermark (impossible under the barrier

@@ -315,7 +315,7 @@ func TestSignalSeriesAndFormatText(t *testing.T) {
 
 func TestSignalsRegistryResolves(t *testing.T) {
 	names := map[string]bool{}
-	for _, s := range Signals() {
+	for _, s := range builtinSignals {
 		if s.Name == "" || s.Desc == "" || names[s.Name] {
 			t.Fatalf("bad or duplicate signal entry %+v", s)
 		}

@@ -185,6 +185,3 @@ func (c *Cache) Put(key string, m Metrics) {
 	}
 	c.m[key] = m
 }
-
-// Len returns how many distinct vectors the cache holds.
-func (c *Cache) Len() int { return len(c.m) }

@@ -88,7 +88,6 @@ func DefaultConfig() Config {
 type Stats struct {
 	Commands int
 	Kicks    int
-	IRQs     int
 	// ElidedKicks counts dispatches whose VM-exit was suppressed because
 	// the host executor was still processing (event-index semantics).
 	// Always zero with batching off.
@@ -248,50 +247,12 @@ func (r *Ring) Recv(p *sim.Proc) *Command {
 	return c
 }
 
-// TryRecv pops a command without blocking. A miss publishes the idle state,
-// mirroring Recv's going-to-sleep check.
-func (r *Ring) TryRecv() (*Command, bool) {
-	c, ok := r.q.TryGet()
-	if ok {
-		r.peerIdle = false
-	} else {
-		r.peerIdle = true
-	}
-	if ok && r.tr != nil {
-		r.tr.AsyncEnd(r.tk, "queued", c.Seq)
-		r.tr.Count(r.tk, "pending", float64(r.q.Len()))
-	}
-	return c, ok
-}
-
-// PeerIdle reports the published event-index state: whether the next
-// dispatch must pay a kick. Exposed for tests.
-func (r *Ring) PeerIdle() bool { return r.peerIdle }
-
 // ObserveRoundTrip feeds one dispatch->completion round trip into the
 // ring's adaptive window. No-op when batching is off.
 func (r *Ring) ObserveRoundTrip(d time.Duration) {
 	if r.win != nil {
 		r.win.ObserveRTT(d)
 	}
-}
-
-// Window returns the ring's current adaptive coalescing window (zero when
-// batching is off, cold, or under pressure).
-func (r *Ring) Window() time.Duration {
-	if r.win == nil {
-		return 0
-	}
-	return r.win.Window(r.env.Now())
-}
-
-// RTT returns the ring's smoothed notify->completion round trip (zero when
-// batching is off or no round trip has been observed).
-func (r *Ring) RTT() time.Duration {
-	if r.win == nil {
-		return 0
-	}
-	return r.win.RTT()
 }
 
 // Pending returns the queued command count.
@@ -304,11 +265,10 @@ func (r *Ring) Stats() Stats { return r.stats }
 // costs the receiving guest process IRQCost, the "extra VM-Exits from
 // interrupts" that make the event-driven ordering paradigm expensive (§3.4).
 type IRQLine struct {
-	Name  string
-	env   *sim.Env
-	cfg   Config
-	q     *sim.Queue[any]
-	count int
+	Name string
+	env  *sim.Env
+	cfg  Config
+	q    *sim.Queue[any]
 	// delivered counts IRQCost charges on the guest (one per Wait, one per
 	// WaitBatch drain); coalesced counts payloads that rode an interrupt
 	// already pending (event-index suppression on the used ring). Both
@@ -342,7 +302,6 @@ func NewIRQLine(env *sim.Env, name string, cfg Config) *IRQLine {
 // guest has not drained the previous one rides the pending interrupt
 // instead of injecting another.
 func (l *IRQLine) Raise(v any) {
-	l.count++
 	if l.cfg.Batch.Enabled && l.q.Len() > 0 {
 		l.coalesced++
 		if l.tr != nil {
@@ -407,10 +366,6 @@ func (l *IRQLine) WaitBatch(p *sim.Proc) []any {
 	return out
 }
 
-// Raised returns the number of completion payloads raised (including ones
-// that coalesced onto a pending interrupt).
-func (l *IRQLine) Raised() int { return l.count }
-
 // Delivered returns the number of interrupts the guest paid IRQCost for.
 func (l *IRQLine) Delivered() int { return l.delivered }
 
@@ -435,12 +390,4 @@ func (s *SharedPage) Reserve(n int) bool {
 	}
 	s.Size += n
 	return true
-}
-
-// Free returns n bytes.
-func (s *SharedPage) Free(n int) {
-	s.Size -= n
-	if s.Size < 0 {
-		panic("virtio: shared page over-freed")
-	}
 }

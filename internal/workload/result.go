@@ -30,9 +30,6 @@ type Result struct {
 	PerSecondFPS []float64
 }
 
-// MeanLatencyMS returns the mean motion-to-photon latency.
-func (r *Result) MeanLatencyMS() float64 { return r.Latency.Mean() }
-
 func (r *Result) String() string {
 	if r.Latency.Count() > 0 {
 		return fmt.Sprintf("%s on %s: %.1f FPS, %d drops, m2p %.1f ms",

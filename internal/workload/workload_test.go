@@ -309,57 +309,8 @@ func TestResultStringForms(t *testing.T) {
 		t.Fatal("String() empty")
 	}
 	r.Latency.Add(42)
-	if r.MeanLatencyMS() != 42 {
-		t.Fatal("MeanLatencyMS wrong")
-	}
-}
-
-func TestBroadcastRequiresEncoder(t *testing.T) {
-	sess := NewSession(emulator.Trinity(), hostsim.HighEndDesktop, 1)
-	defer sess.Close()
-	if _, err := RunBroadcast(sess.Emulator, DefaultSpec(emulator.CatLivestream, 0, time.Second)); err == nil {
-		t.Fatal("Trinity lacks an encoder; broadcast must fail (§5.3)")
-	}
-}
-
-func TestBroadcastVSoCSustainsUplink(t *testing.T) {
-	sess := NewSession(emulator.VSoC(), hostsim.HighEndDesktop, 41)
-	defer sess.Close()
-	spec := DefaultSpec(emulator.CatLivestream, 0, 12*time.Second)
-	r, err := RunBroadcast(sess.Emulator, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.FPS < 50 {
-		t.Fatalf("vSoC broadcast = %.1f FPS, want near 60", r.FPS)
-	}
-	if r.Latency.Mean() <= 0 || r.Latency.Mean() > 150 {
-		t.Fatalf("glass-to-uplink = %.1f ms, want sane", r.Latency.Mean())
-	}
-	// The encoder consumed SVM frames: the twin hypergraphs must have an
-	// ISP->codec (or camera->codec) flow.
-	if sess.Emulator.Manager.Twin().Physical.NumEdges() < 2 {
-		t.Fatal("expected encoder flows in the hypergraphs")
-	}
-}
-
-func TestBroadcastGAEWorseThanVSoC(t *testing.T) {
-	run := func(p emulator.Preset) *Result {
-		sess := NewSession(p, hostsim.HighEndDesktop, 43)
-		defer sess.Close()
-		r, err := RunBroadcast(sess.Emulator, DefaultSpec(emulator.CatLivestream, 0, 12*time.Second))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	v, g := run(emulator.VSoC()), run(emulator.GAE())
-	if v.FPS <= g.FPS {
-		t.Fatalf("vSoC broadcast %.1f FPS should beat GAE %.1f", v.FPS, g.FPS)
-	}
-	if v.Latency.Mean() >= g.Latency.Mean() {
-		t.Fatalf("vSoC uplink latency %.1f should beat GAE %.1f",
-			v.Latency.Mean(), g.Latency.Mean())
+	if r.Latency.Mean() != 42 {
+		t.Fatal("mean latency wrong")
 	}
 }
 
