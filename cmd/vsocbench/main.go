@@ -11,10 +11,12 @@
 //	          [-metrics] [-profile out.folded] [-json bench.json] [-fetch]
 //	          [-fleet] [-mon] [-monout mon.json]
 //
-// Run with -h for the experiment list; names, aliases, ordering, and the
-// per-experiment -trace behavior all come from the shared experiments
-// registry (internal/experiments/registry.go), which cmd/vsoctrace's usage
-// is generated from too.
+// Run with -h for the experiment list. Everything about an experiment —
+// name, aliases, ordering, usage text, how it runs and prints, which output
+// flags it honours and the bench metrics it contributes — comes from the
+// experiments registry (internal/experiments/registry.go); vsocbench loops
+// over the entries -exp selects. The one exception is tune, whose runner is
+// here because internal/tune imports the experiments package.
 //
 // -workers bounds how many app sessions simulate concurrently (0 = one per
 // CPU, 1 = serial). Results are identical at every setting; only wall-clock
@@ -26,9 +28,10 @@
 // reports. Both observe only: with them off, output is byte-identical to a
 // build without the observability layer.
 //
-// `-exp all` runs every registered experiment except the batching sweep and
-// the profiled micro run, so its output stays comparable across builds; run
-// `-exp batching` / `-exp micro` explicitly.
+// `-exp all` runs the paper's tables and figures (the entries marked
+// InAll), so its output stays comparable across builds; the sweeps, the
+// profiled micro run, the farm scenarios and the tuner run only when named.
+// `all` may also sit inside a list (`-exp micro,all`).
 //
 // -fleet enables the fleet observability layer (DESIGN.md §13) for the
 // shardscale farm: per-tenant QoS/SLO tracking, the deterministic fleet
@@ -46,8 +49,10 @@
 // -profile writes the critical-path profiler's folded-stack flamegraph
 // export for the experiments that support it (micro); feed it to any
 // flamegraph renderer. -json writes the machine-readable bench report —
-// a stable, sorted JSON trajectory of named metrics — for cmd/vsocperf
-// to diff against a baseline run.
+// a stable, sorted JSON trajectory of every selected experiment's named
+// metrics — for cmd/vsocperf to diff against a baseline run. -trace,
+// -profile or -json with no selected experiment that writes the file is a
+// usage error (exit 2), as are bad counts and unknown experiments.
 package main
 
 import (
@@ -64,211 +69,55 @@ import (
 )
 
 func main() {
+	var cfg experiments.Config
 	exp := flag.String("exp", "all", "experiment to run, or a comma-separated list ("+experiments.ExperimentNames()+")")
-	duration := flag.Duration("duration", 30*time.Second, "simulated duration per app")
-	apps := flag.Int("apps", 10, "apps per emerging category")
-	popular := flag.Int("popular", 25, "popular apps to run")
-	seed := flag.Int64("seed", 1, "simulation seed")
-	workers := flag.Int("workers", 0, "concurrent app sessions (0 = one per CPU, 1 = serial)")
-	tracePath := flag.String("trace", "", "write Chrome/Perfetto trace JSON where the experiment supports it (see -h)")
-	metrics := flag.Bool("metrics", false, "append a metrics dump to supporting experiment reports")
-	profilePath := flag.String("profile", "", "write the folded-stack flamegraph export where the experiment supports it (see -h)")
+	flag.DurationVar(&cfg.Duration, "duration", 30*time.Second, "simulated duration per app")
+	flag.IntVar(&cfg.AppsPerCategory, "apps", 10, "apps per emerging category")
+	flag.IntVar(&cfg.PopularApps, "popular", 25, "popular apps to run")
+	flag.Int64Var(&cfg.Seed, "seed", 1, "simulation seed")
+	flag.IntVar(&cfg.Workers, "workers", 0, "concurrent app sessions (0 = one per CPU, 1 = serial)")
+	flag.StringVar(&cfg.TracePath, "trace", "", "write Chrome/Perfetto trace JSON where the experiment supports it (see -h)")
+	flag.BoolVar(&cfg.Metrics, "metrics", false, "append a metrics dump to supporting experiment reports")
+	flag.StringVar(&cfg.ProfilePath, "profile", "", "write the folded-stack flamegraph export where the experiment supports it (see -h)")
 	jsonPath := flag.String("json", "", "write the machine-readable bench report (for cmd/vsocperf) to this path")
-	fetch := flag.Bool("fetch", false, "enable chunked, DMA-promoted demand fetches (DESIGN.md §11) for supporting experiments (micro, fig16)")
-	fleet := flag.Bool("fleet", false, "enable fleet telemetry (DESIGN.md §13) for the shardscale farm: QoS/SLO report and the window loop's wall-clock split")
-	mon := flag.Bool("mon", false, "enable the streaming telemetry engine (DESIGN.md §15) for supporting experiments (shardscale); phasedload monitors unconditionally")
-	monOut := flag.String("monout", "", "write the machine-readable monitor report (for cmd/vsocmon) to this path")
+	flag.BoolVar(&cfg.Fetch, "fetch", false, "enable chunked, DMA-promoted demand fetches (DESIGN.md §11) for supporting experiments (micro, fig16)")
+	flag.BoolVar(&cfg.Fleet, "fleet", false, "enable fleet telemetry (DESIGN.md §13) for the shardscale farm: QoS/SLO report and the window loop's wall-clock split")
+	flag.BoolVar(&cfg.Monitor, "mon", false, "enable the streaming telemetry engine (DESIGN.md §15) for supporting experiments (shardscale); phasedload monitors unconditionally")
+	flag.StringVar(&cfg.MonPath, "monout", "", "write the machine-readable monitor report (for cmd/vsocmon) to this path")
 	flag.Usage = func() {
 		out := flag.CommandLine.Output()
 		fmt.Fprintf(out, "Usage of %s:\n", os.Args[0])
 		flag.PrintDefaults()
-		fmt.Fprintf(out, "\nExperiments ('all' runs each of these except batching):\n%s",
+		fmt.Fprintf(out, "\nExperiments ('all' runs each one not excluded from it):\n%s",
 			experiments.UsageText())
 	}
 	flag.Parse()
-	if err := checkFlags(*apps, *popular, *duration, *workers); err != nil {
+
+	entries, labels, err := checkFlags(*exp, cfg, *jsonPath)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "vsocbench: %v\n", err)
 		flag.Usage()
 		os.Exit(2)
 	}
 
-	cfg := experiments.Config{
-		Duration:        *duration,
-		AppsPerCategory: *apps,
-		PopularApps:     *popular,
-		Seed:            *seed,
-		Workers:         *workers,
-		TracePath:       *tracePath,
-		Metrics:         *metrics,
-		ProfilePath:     *profilePath,
-		Fetch:           *fetch,
-		Fleet:           *fleet,
-		Monitor:         *mon,
-		MonPath:         *monOut,
-	}
-
-	// Runners by canonical experiment name (see the registry for aliases).
-	// A runner prints its report and returns any metrics it contributes to
-	// the -json bench report (nil for experiments outside the trajectory).
-	runners := map[string]func() []experiments.BenchMetric{
-		"table1": func() []experiments.BenchMetric {
-			fmt.Print(experiments.FormatTable1(experiments.Table1()))
-			return nil
-		},
-		"table2": func() []experiments.BenchMetric {
-			fmt.Print(experiments.FormatTable2(experiments.RunTable2(cfg)))
-			return nil
-		},
-		"fig10": func() []experiments.BenchMetric {
-			fmt.Print(experiments.FormatEmerging(experiments.RunEmergingSweep(cfg, experiments.HighEnd), "10", "13"))
-			return nil
-		},
-		"fig11": func() []experiments.BenchMetric {
-			fmt.Print(experiments.FormatEmerging(experiments.RunEmergingSweep(cfg, experiments.MidEnd), "11", "14"))
-			return nil
-		},
-		"fig12": func() []experiments.BenchMetric {
-			fmt.Print(experiments.FormatAblation(experiments.RunAblation(cfg)))
-			return nil
-		},
-		"fig15": func() []experiments.BenchMetric {
-			fmt.Print(experiments.FormatPopular(experiments.RunPopular(cfg)))
-			return nil
-		},
-		"popablation": func() []experiments.BenchMetric {
-			fmt.Print(experiments.FormatPopularAblation(experiments.RunPopularAblation(cfg)))
-			return nil
-		},
-		"prediction": func() []experiments.BenchMetric {
-			fmt.Print(experiments.FormatPrediction(experiments.RunPrediction(cfg)))
-			return nil
-		},
-		"overhead": func() []experiments.BenchMetric {
-			fmt.Print(experiments.FormatOverhead(experiments.RunOverhead(cfg)))
-			return nil
-		},
-		"fig16": func() []experiments.BenchMetric {
-			fmt.Print(experiments.FormatFig16(experiments.RunFig16(cfg)))
-			return nil
-		},
-		"micro": func() []experiments.BenchMetric {
-			r := experiments.RunMicro(cfg)
-			fmt.Print(experiments.FormatMicro(r))
-			if cfg.ProfilePath != "" {
-				if err := writeFolded(cfg.ProfilePath, r); err != nil {
-					fmt.Fprintf(os.Stderr, "vsocbench: %v\n", err)
-					os.Exit(1)
-				}
-				fmt.Printf("[folded-stack profile written to %s]\n", cfg.ProfilePath)
-			}
-			return experiments.MicroBenchMetrics(r)
-		},
-		"services": func() []experiments.BenchMetric {
-			fmt.Print(experiments.FormatServices(experiments.RunServices(cfg)))
-			return nil
-		},
-		"protocols": func() []experiments.BenchMetric {
-			fmt.Print(experiments.FormatProtocols(experiments.RunProtocols(cfg)))
-			return nil
-		},
-		"thermal": func() []experiments.BenchMetric {
-			fmt.Print(experiments.FormatThermal(experiments.RunThermal(cfg)))
-			return nil
-		},
-		"resolution": func() []experiments.BenchMetric {
-			fmt.Print(experiments.FormatResolution(experiments.RunResolutionSweep(cfg)))
-			return nil
-		},
-		"robustness": func() []experiments.BenchMetric {
-			r := experiments.RunRobustness(cfg)
-			fmt.Print(experiments.FormatRobustness(r))
-			fmt.Print(experiments.FormatRobustnessObs(r))
-			return nil
-		},
-		"batching": func() []experiments.BenchMetric {
-			fmt.Print(experiments.FormatBatching(experiments.RunBatching(cfg)))
-			return nil
-		},
-		"fetchpipe": func() []experiments.BenchMetric {
-			fmt.Print(experiments.FormatFetchPipe(experiments.RunFetchPipe(cfg)))
-			return nil
-		},
-		"shardscale": func() []experiments.BenchMetric {
-			r := experiments.RunShardScale(cfg)
-			fmt.Print(experiments.FormatShardScale(r))
-			return experiments.ShardScaleBenchMetrics(r)
-		},
-		"phasedload": func() []experiments.BenchMetric {
-			r := experiments.RunPhasedLoad(cfg)
-			fmt.Print(experiments.FormatPhasedLoad(r))
-			return experiments.PhasedLoadBenchMetrics(r)
-		},
-		"tune": func() []experiments.BenchMetric {
-			// The tuner re-runs the evaluation probe once per candidate, so
-			// cap the per-evaluation cost: full -duration/-apps would
-			// multiply a 30s session by the whole search budget. cmd/vsoctune
-			// exposes the uncapped flag set.
-			tcfg := cfg
-			if tcfg.Duration > 6*time.Second {
-				tcfg.Duration = 6 * time.Second
-			}
-			if tcfg.AppsPerCategory > 2 {
-				tcfg.AppsPerCategory = 2
-			}
-			opts := tune.Options{Seed: cfg.Seed, Budget: 24}
-			for _, p := range []emulator.Preset{emulator.VSoCNoPrefetch(), emulator.VSoC()} {
-				fmt.Print(tune.Run(tcfg, p, opts).FormatResult())
-			}
-			return nil
-		},
-	}
-
-	// -exp accepts a comma-separated list (e.g. micro,shardscale), run in
-	// the order given with their bench metrics merged into one -json report.
-	var entries []experiments.Entry
-	var labels []string
-	if *exp != "all" {
-		for _, name := range strings.Split(*exp, ",") {
-			name = strings.TrimSpace(name)
-			if name == "" {
-				continue
-			}
-			e, known := experiments.LookupExperiment(name)
-			if !known {
-				fmt.Fprintf(os.Stderr, "unknown experiment %q\n", name)
-				flag.Usage()
-				os.Exit(2)
-			}
-			entries = append(entries, e)
-			labels = append(labels, name)
-		}
-		if len(entries) == 0 {
-			fmt.Fprintf(os.Stderr, "empty -exp list\n")
-			flag.Usage()
-			os.Exit(2)
-		}
-	}
-
 	wallStart := time.Now()
 	bench := map[string][]experiments.BenchMetric{}
-	timed := func(name, label string, fn func() []experiments.BenchMetric) {
+	for i, e := range entries {
+		run := e.Run
+		if e.Name == "tune" {
+			run = runTune
+		}
 		start := time.Now()
-		if ms := fn(); len(ms) > 0 {
-			bench[name] = ms
+		text, ms, err := run(cfg)
+		fmt.Print(text)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "vsocbench: %v\n", err)
+			os.Exit(1)
 		}
-		fmt.Printf("[%s in %.1fs]\n\n", label, time.Since(start).Seconds())
-	}
-	if *exp == "all" {
-		for _, e := range experiments.Registry() {
-			if e.InAll {
-				timed(e.Name, e.Name, runners[e.Name])
-			}
+		if len(ms) > 0 {
+			bench[e.Name] = ms
 		}
-	} else {
-		// Label with the names as typed, so alias runs log as requested.
-		for i, e := range entries {
-			timed(e.Name, labels[i], runners[e.Name])
-		}
+		fmt.Printf("[%s in %.1fs]\n\n", labels[i], time.Since(start).Seconds())
 	}
 	if *jsonPath != "" {
 		if err := experiments.NewBenchReport(bench).WriteJSONFile(*jsonPath); err != nil {
@@ -283,28 +132,77 @@ func main() {
 // maxPopular is the size of Fig. 15's popular-app mix.
 const maxPopular = 25
 
-// checkFlags rejects counts and durations the experiments cannot run, which
-// would otherwise panic (a negative -popular slices the app mix), print an
-// all-n/a report, or fall back silently to a default (-duration 0 runs the
-// session default, a negative -workers one worker per CPU).
-func checkFlags(apps, popular int, duration time.Duration, workers int) error {
-	var popErr error
-	if popular < 1 || popular > maxPopular {
-		popErr = fmt.Errorf("-popular must be in 1..%d, got %d", maxPopular, popular)
+// checkFlags resolves -exp and rejects, before anything runs, the flags
+// the selected experiments cannot honour: counts and durations that would
+// otherwise panic (a negative -popular slices the app mix), print an all-n/a
+// report, or fall back silently to a default (-duration 0 runs the session
+// default, a negative -workers one worker per CPU), and -trace, -profile or
+// -json when no selected experiment writes that file.
+//
+// -exp is a comma-separated list of names, aliases and "all" (every InAll
+// experiment), run in the order given; labels holds each run's name as
+// typed, so alias runs log as requested.
+func checkFlags(exp string, cfg experiments.Config, jsonPath string) (entries []experiments.Entry, labels []string, err error) {
+	var errs []error
+	for _, name := range strings.Split(exp, ",") {
+		name = strings.TrimSpace(name)
+		if name == "all" {
+			for _, e := range experiments.Registry() {
+				if e.InAll {
+					entries, labels = append(entries, e), append(labels, e.Name)
+				}
+			}
+		} else if e, ok := experiments.LookupExperiment(name); ok {
+			entries, labels = append(entries, e), append(labels, name)
+		} else if name != "" {
+			errs = append(errs, fmt.Errorf("unknown experiment %q", name))
+		}
 	}
-	return errors.Join(experiments.CheckApps(apps), popErr,
-		experiments.CheckDuration(duration), experiments.CheckWorkers(workers))
+	if len(entries) == 0 && len(errs) == 0 {
+		errs = append(errs, errors.New("empty -exp list"))
+	}
+	var trace, profile, json bool
+	for _, e := range entries {
+		trace = trace || e.Trace != ""
+		profile = profile || e.Profile != ""
+		json = json || e.Bench
+	}
+	for _, out := range []struct {
+		flag, path string
+		honoured   bool
+	}{
+		{"-trace", cfg.TracePath, trace},
+		{"-profile", cfg.ProfilePath, profile},
+		{"-json", jsonPath, json},
+	} {
+		if out.path != "" && !out.honoured && len(entries) > 0 {
+			errs = append(errs, fmt.Errorf("%s %s: no selected experiment writes it (see -h)", out.flag, out.path))
+		}
+	}
+	var popErr error
+	if cfg.PopularApps < 1 || cfg.PopularApps > maxPopular {
+		popErr = fmt.Errorf("-popular must be in 1..%d, got %d", maxPopular, cfg.PopularApps)
+	}
+	errs = append(errs, experiments.CheckApps(cfg.AppsPerCategory), popErr,
+		experiments.CheckDuration(cfg.Duration), experiments.CheckWorkers(cfg.Workers))
+	if err := errors.Join(errs...); err != nil {
+		return nil, nil, err
+	}
+	return entries, labels, nil
 }
 
-// writeFolded writes the micro run's folded-stack flamegraph export.
-func writeFolded(path string, r *experiments.MicroResult) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+// runTune is the tune entry's Run: internal/tune imports experiments, so
+// the registry cannot hold it. The tuner re-runs the evaluation probe once
+// per candidate, so it caps the per-evaluation cost: full -duration/-apps
+// would multiply a 30s session by the whole search budget. cmd/vsoctune
+// exposes the uncapped flag set.
+func runTune(cfg experiments.Config) (string, []experiments.BenchMetric, error) {
+	tcfg := cfg
+	tcfg.Duration = min(tcfg.Duration, 6*time.Second)
+	tcfg.AppsPerCategory = min(tcfg.AppsPerCategory, 2)
+	var b strings.Builder
+	for _, p := range []emulator.Preset{emulator.VSoCNoPrefetch(), emulator.VSoC()} {
+		b.WriteString(tune.Run(tcfg, p, tune.Options{Seed: cfg.Seed, Budget: 24}).FormatResult())
 	}
-	if err := r.Report.WriteFolded(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return b.String(), nil, nil
 }

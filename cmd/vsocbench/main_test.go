@@ -3,17 +3,22 @@ package main
 import (
 	"testing"
 	"time"
+
+	"repro/internal/experiments"
 )
 
 // TestCheckFlags: app counts outside the paper's app tables, non-positive
-// durations and negative worker counts are usage errors; the bounds
-// themselves are accepted.
+// durations, negative worker counts, unknown experiments and output flags
+// no selected experiment honours are usage errors; the bounds themselves,
+// and every Makefile invocation's flags, are accepted.
 func TestCheckFlags(t *testing.T) {
 	for _, tc := range []struct {
-		apps, popular int
-		duration      time.Duration
-		workers       int
-		ok            bool
+		exp                   string
+		apps, popular         int
+		duration              time.Duration
+		workers               int
+		trace, profile, json_ string
+		ok                    bool
 	}{
 		{apps: 10, popular: 25, duration: 30 * time.Second, workers: 0, ok: true},
 		{apps: 1, popular: 1, duration: time.Millisecond, workers: 1, ok: true},
@@ -27,11 +32,43 @@ func TestCheckFlags(t *testing.T) {
 		{apps: 10, popular: 25, duration: 0, ok: false},
 		{apps: 10, popular: 25, duration: -time.Second, ok: false},
 		{apps: 10, popular: 25, duration: 30 * time.Second, workers: -1, ok: false},
+
+		// -exp resolution.
+		{exp: "fig13,fig14", ok: true},
+		{exp: "table2,nosuch", ok: false},
+		{exp: " , ", ok: false},
+
+		// Output flags must reach a selected experiment that writes them.
+		{exp: "table2", profile: "p.folded", trace: "t.json", ok: false},
+		{exp: "table2", trace: "t.json", ok: false},
+		{exp: "table2", profile: "p.folded", ok: false},
+		{exp: "table1", json_: "t.json", ok: false},
+		{exp: "all", profile: "p.folded", ok: false},
+		{exp: "all", trace: "t.json", json_: "t.json", ok: true},
+		{exp: "table1,table2", json_: "t.json", ok: true},
+
+		// The Makefile's invocations.
+		{exp: "robustness", ok: true},
+		{exp: "robustness", trace: "/tmp/vsoc-trace.json", ok: true},
+		{exp: "shardscale", trace: "/tmp/vsoc-shardscale.json", ok: true},
+		{exp: "phasedload", ok: true},
+		{exp: "micro,shardscale,phasedload,all", json_: "/tmp/vsoc-bench.json", profile: "/tmp/vsoc-bench.folded", ok: true},
 	} {
-		err := checkFlags(tc.apps, tc.popular, tc.duration, tc.workers)
+		// The count cases run -exp all; the -exp cases valid counts.
+		exp := tc.exp
+		cfg := experiments.Config{
+			AppsPerCategory: tc.apps, PopularApps: tc.popular,
+			Duration: tc.duration, Workers: tc.workers,
+			TracePath: tc.trace, ProfilePath: tc.profile,
+		}
+		if exp == "" {
+			exp = "all"
+		} else {
+			cfg.AppsPerCategory, cfg.PopularApps, cfg.Duration = 2, 6, 8*time.Second
+		}
+		_, _, err := checkFlags(exp, cfg, tc.json_)
 		if (err == nil) != tc.ok {
-			t.Errorf("checkFlags(%d, %d, %v, %d) = %v, want ok=%v",
-				tc.apps, tc.popular, tc.duration, tc.workers, err, tc.ok)
+			t.Errorf("checkFlags(%q, %+v, %q) = %v, want ok=%v", exp, cfg, tc.json_, err, tc.ok)
 		}
 	}
 }

@@ -10,8 +10,10 @@
 // is better); a change past the threshold in the bad direction is a
 // regression and makes vsocperf exit 1. The default threshold applies to
 // every metric; -metric overrides it per metric name and may repeat.
-// Metrics present in only one report are listed but never fail the run
-// (the trajectory is allowed to grow).
+// A metric the old report holds and the new one lacks is a dropped metric
+// and also makes vsocperf exit 1: a gate cannot pass on a measurement that
+// disappeared. Metrics only the new report holds are listed but never fail
+// the run (the trajectory is allowed to grow).
 //
 // The diff is deterministic: reports are compared metric-by-metric in
 // name order, the same order `vsocbench -json` writes them in.
@@ -84,37 +86,37 @@ func main() {
 		fmt.Fprintf(os.Stderr, "vsocperf: %v\n", err)
 		os.Exit(2)
 	}
-	regressions := diff(os.Stdout, oldRep, newRep, th)
-	if regressions > 0 {
-		fmt.Printf("FAIL: %d regression(s)\n", regressions)
+	if failures := diff(os.Stdout, oldRep, newRep, th); failures > 0 {
+		fmt.Printf("FAIL: %d regressed or dropped metric(s)\n", failures)
 		os.Exit(1)
 	}
 	fmt.Println("OK: no regressions")
 }
 
 // diff prints the metric-by-metric comparison and returns how many metrics
-// regressed past their threshold.
+// regressed past their threshold or are missing from the new report.
 func diff(w *os.File, oldRep, newRep *experiments.Report, th *thresholds) int {
-	regressions := 0
-	fmt.Fprintf(w, "%-36s %14s %14s %9s  %s\n", "metric", "old", "new", "change", "verdict")
+	failures := 0
+	fmt.Fprintf(w, "%-40s %14s %14s %9s  %s\n", "metric", "old", "new", "change", "verdict")
 	for _, nm := range newRep.Metrics {
 		om, ok := oldRep.Lookup(nm.Name)
 		if !ok {
-			fmt.Fprintf(w, "%-36s %14s %14.6g %9s  new metric\n", nm.Name, "-", nm.Value, "-")
+			fmt.Fprintf(w, "%-40s %14s %14.6g %9s  new metric\n", nm.Name, "-", nm.Value, "-")
 			continue
 		}
 		rel, verdict := judge(om, nm, th.for_(nm.Name))
 		if verdict == "REGRESSION" {
-			regressions++
+			failures++
 		}
-		fmt.Fprintf(w, "%-36s %14.6g %14.6g %+8.2f%%  %s\n", nm.Name, om.Value, nm.Value, 100*rel, verdict)
+		fmt.Fprintf(w, "%-40s %14.6g %14.6g %+8.2f%%  %s\n", nm.Name, om.Value, nm.Value, 100*rel, verdict)
 	}
 	for _, om := range oldRep.Metrics {
 		if _, ok := newRep.Lookup(om.Name); !ok {
-			fmt.Fprintf(w, "%-36s %14.6g %14s %9s  dropped metric\n", om.Name, om.Value, "-", "-")
+			fmt.Fprintf(w, "%-40s %14.6g %14s %9s  DROPPED\n", om.Name, om.Value, "-", "-")
+			failures++
 		}
 	}
-	return regressions
+	return failures
 }
 
 // judge classifies one metric's change. rel is the signed relative change

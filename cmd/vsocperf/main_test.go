@@ -77,18 +77,39 @@ func TestImprovementNotFlagged(t *testing.T) {
 	}
 }
 
-// New and dropped metrics are reported but never fail the run.
+// New metrics are reported but never fail the run.
 func TestTrajectoryGrowth(t *testing.T) {
 	oldRep := sampleReport(1)
 	newRep := experiments.NewBenchReport(map[string][]experiments.BenchMetric{
-		"micro": {
-			{Name: "micro.access_latency_mean_ms", Value: 4.05, Unit: "ms", Better: "lower"},
-			{Name: "micro.new_metric", Value: 1, Unit: "count", Better: "higher"},
-		},
+		"micro": append(sampleReport(1).Metrics,
+			experiments.BenchMetric{Name: "micro.new_metric", Value: 1, Unit: "count", Better: "higher"}),
 	})
 	th := &thresholds{def: 0.05}
 	if got := diff(os.Stdout, oldRep, newRep, th); got != 0 {
-		t.Fatalf("trajectory growth produced %d regressions", got)
+		t.Fatalf("trajectory growth produced %d failures", got)
+	}
+}
+
+// A metric the baseline holds and the new report lacks fails the diff, one
+// failure per dropped metric, whatever else the new report adds.
+func TestDroppedMetricFails(t *testing.T) {
+	all := sampleReport(1).Metrics
+	extra := experiments.BenchMetric{Name: "micro.new_metric", Value: 1, Unit: "count", Better: "higher"}
+	for _, tc := range []struct {
+		name string
+		kept []experiments.BenchMetric
+		want int
+	}{
+		{"none dropped", all, 0},
+		{"one dropped", all[1:], 1},
+		{"one dropped, one added", append([]experiments.BenchMetric{extra}, all[1:]...), 1},
+		{"all dropped", nil, len(all)},
+		{"all dropped, one added", []experiments.BenchMetric{extra}, len(all)},
+	} {
+		newRep := experiments.NewBenchReport(map[string][]experiments.BenchMetric{"micro": tc.kept})
+		if got := diff(os.Stdout, sampleReport(1), newRep, &thresholds{def: 0.05}); got != tc.want {
+			t.Errorf("%s: %d failures, want %d", tc.name, got, tc.want)
+		}
 	}
 }
 

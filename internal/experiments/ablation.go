@@ -3,7 +3,6 @@ package experiments
 import (
 	"repro/internal/emulator"
 	"repro/internal/metrics"
-	"repro/internal/workload"
 )
 
 // AblationResult is Fig. 12: per-category FPS of full vSoC against the
@@ -47,68 +46,28 @@ func avgDrop(full, ablated []float64) float64 {
 
 // RunAblation reproduces Fig. 12 on the high-end machine. The
 // (variant, category, app) sessions fan out across Config.Workers and are
-// averaged in loop order.
+// averaged in cell order.
 func RunAblation(cfg Config) *AblationResult {
 	variants := []emulator.Preset{
 		emulator.VSoC(), emulator.VSoCNoPrefetch(), emulator.VSoCNoFence(),
 	}
-	type job struct{ vi, cat, app int }
-	type result struct {
-		fps float64
-		ok  bool
+	var cells []cell
+	for vi, v := range variants {
+		cells = append(cells, appCells(cfg, v, HighEnd, 100+vi, allCats)...)
 	}
-	var jobs []job
-	for vi := range variants {
-		for cat := 0; cat < emulator.NumCategories; cat++ {
-			runnable := variants[vi].EmergingCompat[cat]
-			if runnable > cfg.AppsPerCategory {
-				runnable = cfg.AppsPerCategory
-			}
-			for app := 0; app < runnable; app++ {
-				jobs = append(jobs, job{vi, cat, app})
-			}
-		}
-	}
-	results := parmap(cfg.workers(), len(jobs), func(i int) result {
-		j := jobs[i]
-		sess := workload.NewSession(variants[j.vi], HighEnd.New, appSeed(cfg.Seed, 100+j.vi, j.cat, j.app))
-		defer sess.Close()
-		spec := workload.DefaultSpec(j.cat, j.app, cfg.Duration)
-		r, err := workload.RunEmerging(sess.Emulator, spec)
-		if err != nil {
-			return result{}
-		}
-		return result{fps: r.FPS, ok: true}
-	})
+	runs := sweep(cfg, cells, result)
 	out := &AblationResult{}
 	for cat := 0; cat < emulator.NumCategories; cat++ {
 		out.Categories = append(out.Categories, emulator.CategoryNames[cat])
 	}
-	for vi := range variants {
+	means := make([][]float64, len(variants))
+	for vi, v := range variants {
 		for cat := 0; cat < emulator.NumCategories; cat++ {
-			var fps float64
-			n := 0
-			for i, j := range jobs {
-				if j.vi != vi || j.cat != cat || !results[i].ok {
-					continue
-				}
-				fps += results[i].fps
-				n++
-			}
-			mean := 0.0
-			if n > 0 {
-				mean = fps / float64(n)
-			}
-			switch vi {
-			case 0:
-				out.Full = append(out.Full, mean)
-			case 1:
-				out.NoPrefetch = append(out.NoPrefetch, mean)
-			case 2:
-				out.NoFence = append(out.NoFence, mean)
-			}
+			mean, _ := meanFPS(cells, runs, func(c cell) bool { return c.preset.Name == v.Name && c.cat == cat })
+			means[vi] = append(means[vi], mean)
 		}
 	}
+	out.Full, out.NoPrefetch, out.NoFence = means[0], means[1], means[2]
 	return out
 }
 
@@ -126,30 +85,25 @@ type PopularAblationResult struct {
 // RunPopularAblation reproduces the §5.5 ablation numbers (paper: 80% and
 // 96% of apps drop; average FPS -6% and -8%).
 func RunPopularAblation(cfg Config) *PopularAblationResult {
-	mix := workload.PopularMix()
-	if cfg.PopularApps < len(mix) {
-		mix = mix[:cfg.PopularApps]
-	}
+	mix := popularMix(cfg)
 	variants := []emulator.Preset{
 		emulator.VSoC(), emulator.VSoCNoPrefetch(), emulator.VSoCNoFence(),
 	}
 	// Every (variant, app) pair is one independent session; failures record
-	// 0 FPS, matching the serial bookkeeping.
-	flat := parmap(cfg.workers(), len(variants)*len(mix), func(i int) float64 {
-		vi, app := i/len(mix), i%len(mix)
-		kind := mix[app]
-		sess := workload.NewSession(variants[vi], HighEnd.New, appSeed(cfg.Seed, 200+vi, int(kind), app))
-		defer sess.Close()
-		spec := workload.PopularSpec(kind, app, cfg.Duration)
-		r, err := workload.RunPopular(sess.Emulator, kind, spec)
-		if err != nil {
-			return 0
-		}
-		return r.FPS
-	})
+	// 0 FPS.
+	var cells []cell
+	for vi, p := range variants {
+		cells = append(cells, popularCells(cfg, p, 200+vi, mix, len(mix))...)
+	}
+	runs := sweep(cfg, cells, result)
 	fps := make([][]float64, len(variants))
-	for vi := range variants {
-		fps[vi] = flat[vi*len(mix) : (vi+1)*len(mix)]
+	for i, r := range runs {
+		vi := i / len(mix)
+		v := 0.0
+		if r != nil {
+			v = r.FPS
+		}
+		fps[vi] = append(fps[vi], v)
 	}
 	out := &PopularAblationResult{Apps: len(mix)}
 	var d metrics.Distribution

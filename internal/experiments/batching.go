@@ -60,25 +60,6 @@ type BatchingResult struct {
 	GuardRegressionPct float64
 }
 
-// batchingSettings is the window sweep: off, suppression-only (a 1 ns cap
-// keeps the doorbell/IRQ machinery on but gives the coalescer no window),
-// two fixed caps, and the adaptive default (2 ms cap, EWMA-driven).
-func batchingSettings() []struct {
-	Label string
-	Batch virtio.BatchConfig
-} {
-	return []struct {
-		Label string
-		Batch virtio.BatchConfig
-	}{
-		{"off", virtio.BatchConfig{}},
-		{"suppress", virtio.BatchConfig{Enabled: true, MaxWindow: time.Nanosecond}},
-		{"cap-200us", virtio.BatchConfig{Enabled: true, MaxWindow: 200 * time.Microsecond}},
-		{"cap-500us", virtio.BatchConfig{Enabled: true, MaxWindow: 500 * time.Microsecond}},
-		{"adaptive", virtio.EnabledBatch()},
-	}
-}
-
 // runBatchingStress runs the slice-streaming stress under one batch config
 // and returns its accounting row.
 //
@@ -212,41 +193,41 @@ func runBatchingStress(cfg Config, label string, preset emulator.Preset) Batchin
 // slice-streaming stress across batch-window settings, then the Fig. 16
 // demand-fetch guardrail with batching on versus off.
 func RunBatching(cfg Config) *BatchingResult {
-	type job struct {
-		label  string
-		preset emulator.Preset
-	}
-	var jobs []job
-	for _, s := range batchingSettings() {
-		p := emulator.VSoC()
-		p.Batch = s.Batch
-		jobs = append(jobs, job{s.Label, p})
-	}
-	// vSoC completes ops through the shared fence page, so its IRQ lines
-	// stay quiet; two event-driven rows show the interrupt-coalescing half
-	// of the layer on a transport that actually delivers completion IRQs.
-	for _, s := range []struct {
+	// The window sweep: off, suppression-only (a 1 ns cap keeps the
+	// doorbell/IRQ machinery on but gives the coalescer no window), two
+	// fixed caps, and the adaptive default (2 ms cap, EWMA-driven). vSoC
+	// completes ops through the shared fence page, so its IRQ lines stay
+	// quiet; the two evt- rows show the interrupt-coalescing half of the
+	// layer on a transport that actually delivers completion IRQs.
+	settings := []struct {
 		label string
 		batch virtio.BatchConfig
+		evt   bool
 	}{
-		{"evt-off", virtio.BatchConfig{}},
-		{"evt-adaptive", virtio.EnabledBatch()},
-	} {
-		p := emulator.VSoC()
-		p.Ordering = device.ModeEventDriven
-		p.Batch = s.batch
-		jobs = append(jobs, job{s.label, p})
+		{"off", virtio.BatchConfig{}, false},
+		{"suppress", virtio.BatchConfig{Enabled: true, MaxWindow: time.Nanosecond}, false},
+		{"cap-200us", virtio.BatchConfig{Enabled: true, MaxWindow: 200 * time.Microsecond}, false},
+		{"cap-500us", virtio.BatchConfig{Enabled: true, MaxWindow: 500 * time.Microsecond}, false},
+		{"adaptive", virtio.EnabledBatch(), false},
+		{"evt-off", virtio.BatchConfig{}, true},
+		{"evt-adaptive", virtio.EnabledBatch(), true},
 	}
-	rows := parmap(cfg.workers(), len(jobs), func(i int) BatchingRow {
-		return runBatchingStress(cfg, jobs[i].label, jobs[i].preset)
+	rows := ParMap(cfg.EffectiveWorkers(), len(settings), func(i int) BatchingRow {
+		s := settings[i]
+		p := emulator.VSoC()
+		p.Batch = s.batch
+		if s.evt {
+			p.Ordering = device.ModeEventDriven
+		}
+		return runBatchingStress(cfg, s.label, p)
 	})
 	out := &BatchingResult{Rows: rows}
 
 	// Guardrail runs fan out internally, so they stay sequential here.
-	out.GuardOff = runFig16Preset(cfg, emulator.VSoCNoPrefetch())
+	out.GuardOff = runMicroPreset(cfg, emulator.VSoCNoPrefetch(), false).Fig16
 	bp := emulator.VSoCNoPrefetch()
 	bp.Batch = virtio.EnabledBatch()
-	out.GuardOn = runFig16Preset(cfg, bp)
+	out.GuardOn = runMicroPreset(cfg, bp, false).Fig16
 	if out.GuardOff.MeanMS > 0 {
 		out.GuardRegressionPct = (out.GuardOn.MeanMS - out.GuardOff.MeanMS) /
 			out.GuardOff.MeanMS * 100

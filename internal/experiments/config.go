@@ -6,15 +6,15 @@
 // CDF (Fig. 16), and the shared-memory characterization CDFs (Figs. 4-6).
 //
 // Each experiment is a pure function of a Config, deterministic for a given
-// seed, returning printable result structures. cmd/vsocbench formats them;
-// bench_test.go wraps them in testing.B benchmarks.
+// seed. The registry (Registry) describes every experiment once: how to run
+// it, print it and project it onto bench metrics. cmd/vsocbench and
+// bench_test.go loop over it.
 package experiments
 
 import (
 	"fmt"
 	"time"
 
-	"repro/internal/emulator"
 	"repro/internal/hostsim"
 	"repro/internal/sim"
 )
@@ -126,6 +126,3 @@ var (
 func appSeed(base int64, emuIdx, category, app int) int64 {
 	return base + int64(emuIdx)*10007 + int64(category)*101 + int64(app)*13 + 1
 }
-
-// presets returns vSoC + the five baselines.
-func presets() []emulator.Preset { return emulator.All() }

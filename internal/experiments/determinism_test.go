@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -19,28 +20,29 @@ func detCfg(seed int64, workers int) Config {
 	}
 }
 
-// TestParallelDeterminism is the fan-out contract: the formatted output of
-// the study and Table 2 runners must be byte-identical between the serial
-// path and a heavily oversubscribed parallel run, across seeds.
+// TestParallelDeterminism is the fan-out contract: the §2.3 study and every
+// experiment `-exp all` runs must print byte-identical reports and bench
+// metrics on the serial path and on a heavily oversubscribed pool, across
+// seeds.
 func TestParallelDeterminism(t *testing.T) {
-	workers := runtime.NumCPU()
-	if workers < 4 {
-		workers = 4 // oversubscribe so interleaving actually happens
-	}
+	workers := max(runtime.NumCPU(), 4) // oversubscribe so interleaving actually happens
 	for _, seed := range []int64{1, 7} {
-		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			serialStudy := FormatStudy(RunStudy(detCfg(seed, 1)))
-			parallelStudy := FormatStudy(RunStudy(detCfg(seed, workers)))
-			if serialStudy != parallelStudy {
+			serial, parallel := FormatStudy(RunStudy(detCfg(seed, 1))), FormatStudy(RunStudy(detCfg(seed, workers)))
+			if serial != parallel {
 				t.Errorf("RunStudy diverges between 1 and %d workers:\nserial:\n%s\nparallel:\n%s",
-					workers, serialStudy, parallelStudy)
+					workers, serial, parallel)
 			}
-			serialT2 := FormatTable2(RunTable2(detCfg(seed, 1)))
-			parallelT2 := FormatTable2(RunTable2(detCfg(seed, workers)))
-			if serialT2 != parallelT2 {
-				t.Errorf("RunTable2 diverges between 1 and %d workers:\nserial:\n%s\nparallel:\n%s",
-					workers, serialT2, parallelT2)
+			for _, e := range Registry() {
+				if !e.InAll {
+					continue
+				}
+				serial, sms, _ := e.Run(detCfg(seed, 1))
+				parallel, pms, _ := e.Run(detCfg(seed, workers))
+				if serial != parallel || !reflect.DeepEqual(sms, pms) {
+					t.Errorf("%s diverges between 1 and %d workers:\nserial:\n%s%v\nparallel:\n%s%v",
+						e.Name, workers, serial, sms, parallel, pms)
+				}
 			}
 		})
 	}
@@ -51,7 +53,7 @@ func TestParallelDeterminism(t *testing.T) {
 func TestParmap(t *testing.T) {
 	for _, workers := range []int{1, 2, 7, 64} {
 		var calls atomic.Int64
-		out := parmap(workers, 50, func(i int) int {
+		out := ParMap(workers, 50, func(i int) int {
 			calls.Add(1)
 			return i * i
 		})
@@ -67,7 +69,7 @@ func TestParmap(t *testing.T) {
 }
 
 func TestParmapEmpty(t *testing.T) {
-	out := parmap(8, 0, func(i int) int {
+	out := ParMap(8, 0, func(i int) int {
 		t.Fatal("fn called for n=0")
 		return 0
 	})
@@ -93,30 +95,35 @@ func TestSerialEnvOverride(t *testing.T) {
 	}
 }
 
+// microRuns runs the micro experiment at cfg(seed, ·) serially, on an
+// oversubscribed pool, and serially again: the folded exports and reports
+// must match byte for byte. It returns the two serial runs.
+func microRuns(t *testing.T, cfg func(seed int64, workers int) Config, seed int64) (serial, rerun *MicroResult) {
+	t.Helper()
+	workers := max(runtime.NumCPU(), 4) // oversubscribe so interleaving happens
+	serial = RunMicro(cfg(seed, 1))
+	parallel := RunMicro(cfg(seed, workers))
+	if a, b := folded(serial.Report), folded(parallel.Report); a != b {
+		t.Errorf("folded export diverges between 1 and %d workers:\n%s\nvs\n%s", workers, a, b)
+	}
+	if a, b := FormatMicro(serial), FormatMicro(parallel); a != b {
+		t.Errorf("micro report diverges between 1 and %d workers:\n%s\nvs\n%s", workers, a, b)
+	}
+	rerun = RunMicro(cfg(seed, 1))
+	if a, b := folded(serial.Report), folded(rerun.Report); a != b {
+		t.Errorf("folded export diverges across equal-seed runs:\n%s\nvs\n%s", a, b)
+	}
+	return serial, rerun
+}
+
 // TestProfilerDeterminism is the profiler's observer contract, both ways:
 // equal seeds produce byte-identical folded-stack exports (at any worker
 // count), and attaching the profiler leaves the simulation's results
 // byte-identical to a profiler-off run.
 func TestProfilerDeterminism(t *testing.T) {
-	workers := runtime.NumCPU()
-	if workers < 4 {
-		workers = 4
-	}
 	for _, seed := range []int64{1, 7} {
-		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			serial := RunMicro(detCfg(seed, 1))
-			parallel := RunMicro(detCfg(seed, workers))
-			if a, b := folded(serial.Report), folded(parallel.Report); a != b {
-				t.Errorf("folded export diverges between 1 and %d workers:\n%s\nvs\n%s", workers, a, b)
-			}
-			if a, b := FormatMicro(serial), FormatMicro(parallel); a != b {
-				t.Errorf("micro report diverges between 1 and %d workers:\n%s\nvs\n%s", workers, a, b)
-			}
-			rerun := RunMicro(detCfg(seed, 1))
-			if a, b := folded(serial.Report), folded(rerun.Report); a != b {
-				t.Errorf("folded export diverges across equal-seed runs:\n%s\nvs\n%s", a, b)
-			}
+			serial, _ := microRuns(t, detCfg, seed)
 
 			// Profiler on vs off: the Fig. 16 stats must match exactly.
 			off := RunFig16(detCfg(seed, 1))
@@ -155,10 +162,6 @@ func TestMicroAttribution(t *testing.T) {
 		if f.Latency() <= 0 {
 			t.Errorf("top frame %s has non-positive latency %v", f.Label, f.Latency())
 		}
-	}
-	ms := MicroBenchMetrics(r)
-	if len(ms) < 5 {
-		t.Fatalf("MicroBenchMetrics returned %d metrics, want >= 5", len(ms))
 	}
 }
 

@@ -3,7 +3,6 @@ package experiments
 import (
 	"repro/internal/emulator"
 	"repro/internal/metrics"
-	"repro/internal/workload"
 )
 
 // FPSCell is one bar of Figs. 10/11: an emulator's mean FPS over the
@@ -74,62 +73,26 @@ func (r *EmergingResult) MeanLatencyOf(emu string) float64 {
 // RunEmergingSweep reproduces Figs. 10/13 (HighEnd) or 11/14 (MidEnd): all
 // six emulators across the five Table 1 categories.
 func RunEmergingSweep(cfg Config, machine MachineSpec) *EmergingResult {
-	emus := presets()
-	type job struct{ ei, cat, app int }
-	type result struct {
-		fps     float64
-		latMean float64
-		hasLat  bool
-		ok      bool
+	emus := emulator.All()
+	var cells []cell
+	for ei, p := range emus {
+		cells = append(cells, appCells(cfg, p, machine, ei, allCats)...)
 	}
-	var jobs []job
-	for ei := range emus {
-		for cat := 0; cat < emulator.NumCategories; cat++ {
-			runnable := emus[ei].EmergingCompat[cat]
-			if runnable > cfg.AppsPerCategory {
-				runnable = cfg.AppsPerCategory
-			}
-			for app := 0; app < runnable; app++ {
-				jobs = append(jobs, job{ei, cat, app})
-			}
-		}
-	}
-	results := parmap(cfg.workers(), len(jobs), func(i int) result {
-		j := jobs[i]
-		sess := workload.NewSession(emus[j.ei], machine.New, appSeed(cfg.Seed, j.ei, j.cat, j.app))
-		defer sess.Close()
-		spec := workload.DefaultSpec(j.cat, j.app, cfg.Duration)
-		r, err := workload.RunEmerging(sess.Emulator, spec)
-		if err != nil {
-			return result{}
-		}
-		res := result{fps: r.FPS, ok: true}
-		if r.Latency.Count() > 0 {
-			res.latMean, res.hasLat = r.Latency.Mean(), true
-		}
-		return res
-	})
+	runs := sweep(cfg, cells, result)
 	out := &EmergingResult{Machine: machine.Name}
-	for ei, preset := range emus {
+	for _, p := range emus {
 		for cat := 0; cat < emulator.NumCategories; cat++ {
-			cell := FPSCell{Emulator: preset.Name, Category: emulator.CategoryNames[cat]}
-			var fps float64
+			match := func(c cell) bool { return c.preset.Name == p.Name && c.cat == cat }
+			fc := FPSCell{Emulator: p.Name, Category: emulator.CategoryNames[cat]}
+			fc.MeanFPS, fc.Apps = meanFPS(cells, runs, match)
 			var lat metrics.Distribution
-			for i, j := range jobs {
-				if j.ei != ei || j.cat != cat || !results[i].ok {
-					continue
+			for i, c := range cells {
+				if r := runs[i]; r != nil && match(c) && r.Latency.Count() > 0 {
+					lat.Add(r.Latency.Mean())
 				}
-				fps += results[i].fps
-				if results[i].hasLat {
-					lat.Add(results[i].latMean)
-				}
-				cell.Apps++
 			}
-			if cell.Apps > 0 {
-				cell.MeanFPS = fps / float64(cell.Apps)
-				cell.MeanLatencyMS = lat.Mean()
-			}
-			out.Cells = append(out.Cells, cell)
+			fc.MeanLatencyMS = lat.Mean()
+			out.Cells = append(out.Cells, fc)
 		}
 	}
 	return out

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -329,6 +331,80 @@ func TestReportsRenderNonEmpty(t *testing.T) {
 		if !strings.Contains(s, "\n") || len(s) < 40 {
 			t.Fatalf("%s report too short: %q", name, s)
 		}
+	}
+}
+
+// TestRegistryContract runs every entry but tune (cmd/vsocbench supplies
+// its runner) at a tiny config with `make bench`'s -fleet and -fetch: each
+// prints a report, returns bench metrics exactly when it declares Bench,
+// and names them uniquely across the registry under its own "<experiment>."
+// prefix. Together they are exactly the metrics of the committed baseline,
+// so a renamed or dropped metric fails here before it fails the perf gate.
+func TestRegistryContract(t *testing.T) {
+	base, err := ReadBenchReportFile("../../BENCH.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Duration: time.Second, AppsPerCategory: 1, PopularApps: 1, Seed: 1, Fleet: true, Fetch: true}
+	// The farm scenarios' fleet. and phased. names predate the convention;
+	// the committed baseline keeps them.
+	legacy := map[string]string{"shardscale": "fleet.", "phasedload": "phased."}
+	owner := map[string]string{}
+	for _, e := range Registry() {
+		if e.Run == nil {
+			if e.Name != "tune" {
+				t.Errorf("%s: no Run", e.Name)
+			}
+			continue
+		}
+		text, ms, err := e.Run(cfg)
+		if err != nil {
+			t.Errorf("%s: %v", e.Name, err)
+		}
+		if !strings.Contains(text, "\n") || len(text) < 40 {
+			t.Errorf("%s: report too short: %q", e.Name, text)
+		}
+		if (len(ms) > 0) != e.Bench {
+			t.Errorf("%s: %d bench metrics, but Bench = %v", e.Name, len(ms), e.Bench)
+		}
+		for _, m := range ms {
+			if !strings.HasPrefix(m.Name, e.Name+".") &&
+				(legacy[e.Name] == "" || !strings.HasPrefix(m.Name, legacy[e.Name])) {
+				t.Errorf("%s: metric %s lacks the experiment's prefix", e.Name, m.Name)
+			}
+			if prev, dup := owner[m.Name]; dup {
+				t.Errorf("%s: metric %s already reported by %s", e.Name, m.Name, prev)
+			}
+			owner[m.Name] = e.Name
+			if _, ok := base.Lookup(m.Name); !ok {
+				t.Errorf("%s: metric %s is not in BENCH.json; regenerate the baseline", e.Name, m.Name)
+			}
+		}
+	}
+	for _, m := range base.Metrics {
+		if owner[m.Name] == "" {
+			t.Errorf("BENCH.json metric %s is reported by no experiment", m.Name)
+		}
+	}
+}
+
+// TestMicroProfileExport: the micro entry writes its folded-stack profile
+// to Config.ProfilePath and says so after the report; a failed write comes
+// back as an error alongside the report text.
+func TestMicroProfileExport(t *testing.T) {
+	e, _ := LookupExperiment("micro")
+	cfg := Config{Duration: time.Second, AppsPerCategory: 1, Seed: 1}
+	cfg.ProfilePath = filepath.Join(t.TempDir(), "micro.folded")
+	text, _, err := e.Run(cfg)
+	if err != nil || !strings.HasSuffix(text, "[folded-stack profile written to "+cfg.ProfilePath+"]\n") {
+		t.Fatalf("err %v, report tail %q", err, text[max(0, len(text)-80):])
+	}
+	if data, err := os.ReadFile(cfg.ProfilePath); err != nil || len(data) == 0 {
+		t.Fatalf("folded profile: %d bytes, err %v", len(data), err)
+	}
+	cfg.ProfilePath = filepath.Join(cfg.ProfilePath, "not-a-dir.folded")
+	if text, _, err := e.Run(cfg); err == nil || text == "" {
+		t.Fatalf("write under a file: err %v, %d-byte report", err, len(text))
 	}
 }
 

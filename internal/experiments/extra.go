@@ -28,33 +28,22 @@ type ServicesResult struct {
 // RunServices traces the emerging-app mix on vSoC with §2.3-style process
 // attribution.
 func RunServices(cfg Config) *ServicesResult {
-	type job struct{ cat, app int }
-	var jobs []job
-	for cat := 0; cat < emulator.NumCategories; cat++ {
-		apps := cfg.AppsPerCategory
-		if apps > 2 {
-			apps = 2
-		}
-		for app := 0; app < apps; app++ {
-			jobs = append(jobs, job{cat, app})
+	capped := cfg
+	capped.AppsPerCategory = min(cfg.AppsPerCategory, 2)
+	cells := appCells(capped, emulator.VSoC(), HighEnd, 700, allCats)
+	traces := make([]*trace.Collector, len(cells))
+	for i := range cells {
+		appTrace := trace.NewCollector()
+		traces[i] = appTrace
+		cells[i].setup = func(s *workload.Session, _ *workload.Spec) {
+			trace.Attach(s.Emulator.Manager, appTrace, trace.AndroidServiceOf)
 		}
 	}
-	traces := parmap(cfg.workers(), len(jobs), func(i int) *trace.Collector {
-		j := jobs[i]
-		sess := workload.NewSession(emulator.VSoC(), HighEnd.New, appSeed(cfg.Seed, 700, j.cat, j.app))
-		defer sess.Close()
-		appTrace := trace.NewCollector()
-		trace.Attach(sess.Emulator.Manager, appTrace, trace.AndroidServiceOf)
-		spec := workload.DefaultSpec(j.cat, j.app, cfg.Duration)
-		if _, err := workload.RunEmerging(sess.Emulator, spec); err != nil {
-			return nil
-		}
-		return appTrace
-	})
+	ran := sweep(cfg, cells, func(*workload.Session, *workload.Result) bool { return true })
 	c := trace.NewCollector()
 	var total time.Duration
-	for _, appTrace := range traces {
-		if appTrace != nil {
+	for i, appTrace := range traces {
+		if ran[i] {
 			c.Merge(appTrace)
 			total += cfg.Duration
 		}
@@ -107,7 +96,7 @@ type ProtocolResult struct {
 // prefetch protocol follows the flow.
 func RunProtocols(cfg Config) *ProtocolResult {
 	kinds := []svm.Kind{svm.KindPrefetch, svm.KindWriteInvalidate, svm.KindBroadcast}
-	cells := parmap(cfg.workers(), len(kinds), func(ki int) ProtocolCell {
+	cells := ParMap(cfg.EffectiveWorkers(), len(kinds), func(ki int) ProtocolCell {
 		kind := kinds[ki]
 		env := sim.NewEnv(cfg.Seed + int64(kind))
 		mach := hostsim.HighEndDesktop(env)
@@ -187,47 +176,33 @@ type ThermalResult struct {
 // FPS on the laptop and collapses within a minute as the CPU throttles,
 // while vSoC's hardware decode never heats the package.
 func RunThermal(cfg Config) *ThermalResult {
-	duration := cfg.Duration
-	if duration < 100*time.Second {
-		duration = 100 * time.Second
-	}
 	const bucket = 10
-	out := &ThermalResult{BucketSeconds: bucket}
-	run := func(preset emulator.Preset) ([]float64, bool) {
-		sess := workload.NewSession(preset, MidEnd.New, cfg.Seed)
-		defer sess.Close()
-		spec := workload.DefaultSpec(emulator.CatUHDVideo, 0, duration)
-		r, err := workload.RunEmerging(sess.Emulator, spec)
-		if err != nil {
-			return nil, false
-		}
-		perSec := perSecondOf(r)
-		var buckets []float64
-		for i := 0; i+bucket <= len(perSec); i += bucket {
-			var s float64
-			for _, v := range perSec[i : i+bucket] {
-				s += v
-			}
-			buckets = append(buckets, s/bucket)
-		}
-		return buckets, sess.Machine.Thermal != nil && sess.Machine.Thermal.Throttled()
-	}
+	long := cfg
+	long.Duration = max(cfg.Duration, 100*time.Second)
 	type thermalRun struct {
 		buckets   []float64
 		throttled bool
 	}
-	presets := []emulator.Preset{emulator.GAE(), emulator.VSoC()}
-	runs := parmap(cfg.workers(), len(presets), func(i int) thermalRun {
-		b, throttled := run(presets[i])
-		return thermalRun{buckets: b, throttled: throttled}
+	var cells []cell
+	for _, p := range []emulator.Preset{emulator.GAE(), emulator.VSoC()} {
+		cells = append(cells, cell{preset: p, machine: MidEnd, cat: emulator.CatUHDVideo, seed: cfg.Seed})
+	}
+	runs := sweep(long, cells, func(s *workload.Session, r *workload.Result) thermalRun {
+		var buckets []float64
+		for i := 0; i+bucket <= len(r.PerSecondFPS); i += bucket {
+			var sum float64
+			for _, v := range r.PerSecondFPS[i : i+bucket] {
+				sum += v
+			}
+			buckets = append(buckets, sum/bucket)
+		}
+		return thermalRun{buckets, s.Machine.Thermal != nil && s.Machine.Thermal.Throttled()}
 	})
+	out := &ThermalResult{BucketSeconds: bucket}
 	out.GAE, out.GAEThrottled = runs[0].buckets, runs[0].throttled
 	out.VSoC, out.VSoCThrottled = runs[1].buckets, runs[1].throttled
 	return out
 }
-
-// perSecondOf extracts the per-second FPS series from a result.
-func perSecondOf(r *workload.Result) []float64 { return r.PerSecondFPS }
 
 // FormatThermal renders the degradation trajectories.
 func FormatThermal(r *ThermalResult) string {
@@ -277,20 +252,27 @@ func RunResolutionSweep(cfg Config) *ResolutionResult {
 	targets := []emulator.Preset{
 		emulator.VSoC(), emulator.LDPlayer(), emulator.Bluestacks(), emulator.Trinity(),
 	}
-	cells := parmap(cfg.workers(), len(targets)*len(resolutions), func(i int) ResolutionCell {
-		ei, ri := i/len(resolutions), i%len(resolutions)
-		preset, res := targets[ei], resolutions[ri]
-		sess := workload.NewSession(preset, HighEnd.New, appSeed(cfg.Seed, 800+ei, ri, 0))
-		defer sess.Close()
-		spec := workload.DefaultSpec(emulator.CatUHDVideo, 0, cfg.Duration)
-		spec.VideoW, spec.VideoH = res[0], res[1]
-		cell := ResolutionCell{Emulator: preset.Name, Width: res[0], Height: res[1]}
-		if r, err := workload.RunEmerging(sess.Emulator, spec); err == nil {
-			cell.FPS = r.FPS
+	var cells []cell
+	for ei, p := range targets {
+		for ri, res := range resolutions {
+			cells = append(cells, cell{preset: p, machine: HighEnd, cat: emulator.CatUHDVideo,
+				seed: appSeed(cfg.Seed, 800+ei, ri, 0),
+				setup: func(_ *workload.Session, spec *workload.Spec) {
+					spec.VideoW, spec.VideoH = res[0], res[1]
+				}})
 		}
-		return cell
-	})
-	return &ResolutionResult{Cells: cells}
+	}
+	runs := sweep(cfg, cells, result)
+	out := &ResolutionResult{}
+	for i, c := range cells {
+		res := resolutions[i%len(resolutions)]
+		rc := ResolutionCell{Emulator: c.preset.Name, Width: res[0], Height: res[1]}
+		if runs[i] != nil {
+			rc.FPS = runs[i].FPS
+		}
+		out.Cells = append(out.Cells, rc)
+	}
+	return out
 }
 
 // FormatResolution renders the sweep.

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"testing"
 	"time"
 
@@ -19,35 +18,39 @@ func fetchDetCfg(seed int64, workers int) Config {
 	return cfg
 }
 
+// matchMicroBaseline runs the registry's micro entry at cfg and checks
+// every metric it reports against the committed baseline at path.
+func matchMicroBaseline(t *testing.T, path string, cfg Config) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("full bench-parameter micro run")
+	}
+	base, err := ReadBenchReportFile(path)
+	if err != nil {
+		t.Fatalf("reading committed baseline: %v", err)
+	}
+	e, _ := LookupExperiment("micro")
+	_, ms, err := e.Run(cfg)
+	if err != nil || len(ms) == 0 {
+		t.Fatalf("micro run produced %d metrics, err %v", len(ms), err)
+	}
+	for _, m := range NewBenchReport(map[string][]BenchMetric{"micro": ms}).Metrics {
+		if want, ok := base.Lookup(m.Name); !ok {
+			t.Errorf("metric %s missing from %s", m.Name, path)
+		} else if m.Value != want.Value {
+			t.Errorf("%s = %.6f, %s holds %.6f: the run must stay byte-identical", m.Name, m.Value, path, want.Value)
+		}
+	}
+}
+
 // TestFetchDisabledMatchesCommittedBaseline is the backward half of the
 // chunking determinism contract: with FetchConfig off (the default), the
 // micro run's bench metrics are byte-identical to the committed PR5
 // baseline — the chunking layer adds zero observable behavior when off.
 func TestFetchDisabledMatchesCommittedBaseline(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full bench-parameter micro run")
-	}
-	base, err := ReadBenchReportFile("../../BENCH_PR5.json")
-	if err != nil {
-		t.Fatalf("reading committed baseline: %v", err)
-	}
-	// Exactly the committed `make bench` parameters.
-	cfg := Config{Duration: 8 * time.Second, AppsPerCategory: 2, Seed: 1}
-	got := NewBenchReport(map[string][]BenchMetric{"micro": MicroBenchMetrics(RunMicro(cfg))})
-	if len(got.Metrics) == 0 {
-		t.Fatal("micro run produced no metrics")
-	}
-	for _, m := range got.Metrics {
-		want, ok := base.Lookup(m.Name)
-		if !ok {
-			t.Errorf("metric %s missing from committed baseline", m.Name)
-			continue
-		}
-		if m.Value != want.Value {
-			t.Errorf("%s = %.6f, baseline %.6f: disabled chunking must be byte-identical to HEAD",
-				m.Name, m.Value, want.Value)
-		}
-	}
+	// Exactly the committed PR 5 `make bench` parameters.
+	matchMicroBaseline(t, "testdata/BENCH_PR5.json",
+		Config{Duration: 8 * time.Second, AppsPerCategory: 2, Seed: 1})
 }
 
 // TestSerialPathMatchesCommittedPR6Baseline pins the parallel scheduler's
@@ -55,55 +58,17 @@ func TestFetchDisabledMatchesCommittedBaseline(t *testing.T) {
 // run at the committed bench parameters (chunking on, the PR 6 `make bench`
 // line) reproduces BENCH_PR6.json metric for metric.
 func TestSerialPathMatchesCommittedPR6Baseline(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full bench-parameter micro run")
-	}
-	base, err := ReadBenchReportFile("../../BENCH_PR6.json")
-	if err != nil {
-		t.Fatalf("reading committed baseline: %v", err)
-	}
-	// Exactly the committed PR 6 `make bench` parameters.
-	cfg := Config{Duration: 8 * time.Second, AppsPerCategory: 2, Seed: 1, Fetch: true}
-	got := NewBenchReport(map[string][]BenchMetric{"micro": MicroBenchMetrics(RunMicro(cfg))})
-	if len(got.Metrics) == 0 {
-		t.Fatal("micro run produced no metrics")
-	}
-	for _, m := range got.Metrics {
-		want, ok := base.Lookup(m.Name)
-		if !ok {
-			t.Errorf("metric %s missing from committed baseline", m.Name)
-			continue
-		}
-		if m.Value != want.Value {
-			t.Errorf("%s = %.6f, baseline %.6f: the serial path must stay byte-identical",
-				m.Name, m.Value, want.Value)
-		}
-	}
+	matchMicroBaseline(t, "testdata/BENCH_PR6.json",
+		Config{Duration: 8 * time.Second, AppsPerCategory: 2, Seed: 1, Fetch: true})
 }
 
 // TestFetchEnabledDeterminism is the forward half: with chunking on, equal
 // seeds produce byte-identical folded exports and reports at any worker
 // count and across reruns (the TestProfilerDeterminism pattern).
 func TestFetchEnabledDeterminism(t *testing.T) {
-	workers := runtime.NumCPU()
-	if workers < 4 {
-		workers = 4
-	}
 	for _, seed := range []int64{1, 7} {
-		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			serial := RunMicro(fetchDetCfg(seed, 1))
-			parallel := RunMicro(fetchDetCfg(seed, workers))
-			if a, b := folded(serial.Report), folded(parallel.Report); a != b {
-				t.Errorf("chunked folded export diverges between 1 and %d workers:\n%s\nvs\n%s", workers, a, b)
-			}
-			if a, b := FormatMicro(serial), FormatMicro(parallel); a != b {
-				t.Errorf("chunked micro report diverges between 1 and %d workers:\n%s\nvs\n%s", workers, a, b)
-			}
-			rerun := RunMicro(fetchDetCfg(seed, 1))
-			if a, b := folded(serial.Report), folded(rerun.Report); a != b {
-				t.Errorf("chunked folded export diverges across equal-seed runs:\n%s\nvs\n%s", a, b)
-			}
+			serial, rerun := microRuns(t, fetchDetCfg, seed)
 			if serial.ChunkedFetches != rerun.ChunkedFetches || serial.FetchJoins != rerun.FetchJoins {
 				t.Errorf("chunked counters diverge across equal-seed runs: %d/%d vs %d/%d",
 					serial.ChunkedFetches, serial.FetchJoins, rerun.ChunkedFetches, rerun.FetchJoins)
@@ -179,8 +144,8 @@ func TestChunkedChaosRecovers(t *testing.T) {
 }
 
 // TestFetchPipeSweepShape checks the sweep runner end to end at a small
-// config: the off row reproduces the monolithic shape, every chunked row
-// beats it, and the formatter renders all rows.
+// config: the off row reproduces the monolithic shape and every chunked row
+// beats it.
 func TestFetchPipeSweepShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-setting sweep")
@@ -209,9 +174,5 @@ func TestFetchPipeSweepShape(t *testing.T) {
 			t.Errorf("%s: sync share %.1f%% not below baseline %.1f%%",
 				row.Label, row.SyncSharePct, off.SyncSharePct)
 		}
-	}
-	out := FormatFetchPipe(r)
-	if len(out) == 0 {
-		t.Fatal("empty fetchpipe report")
 	}
 }

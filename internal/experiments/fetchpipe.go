@@ -70,7 +70,7 @@ func RunFetchPipe(cfg Config) *FetchPipeResult {
 	for i, s := range settings {
 		preset := emulator.VSoCNoPrefetch()
 		preset.Fetch = s.Fetch
-		r := runMicroPreset(cfg, preset)
+		r := runMicroPreset(cfg, preset, true)
 		row := FetchPipeRow{
 			Label:          s.Label,
 			AccessMeanMS:   r.Fig16.MeanMS,

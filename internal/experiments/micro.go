@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/emulator"
-	"repro/internal/hostsim"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/svm"
@@ -68,36 +67,26 @@ func mergeStats(merged, st *svm.Stats) {
 func RunTable2(cfg Config) *Table2Result {
 	machines := []MachineSpec{HighEnd, MidEnd}
 	targets := []emulator.Preset{emulator.VSoC(), emulator.GAE(), emulator.QEMUKVM()}
-	type job struct{ mi, ti, cat int }
-	var jobs []job
-	for mi := range machines {
-		for ti := range targets {
+	var cells []cell
+	for mi, m := range machines {
+		for ti, p := range targets {
 			for cat := 0; cat < emulator.NumCategories; cat++ {
-				if targets[ti].EmergingCompat[cat] == 0 {
+				if p.EmergingCompat[cat] == 0 {
 					continue
 				}
-				jobs = append(jobs, job{mi, ti, cat})
+				cells = append(cells, cell{preset: p, machine: m, cat: cat,
+					seed: cfg.Seed + int64(mi*1000+ti*100) + int64(cat)})
 			}
 		}
 	}
-	stats := parmap(cfg.workers(), len(jobs), func(i int) *svm.Stats {
-		j := jobs[i]
-		seed := cfg.Seed + int64(j.mi*1000+j.ti*100) + int64(j.cat)
-		sess := workload.NewSession(targets[j.ti], machines[j.mi].New, seed)
-		defer sess.Close()
-		spec := workload.DefaultSpec(j.cat, 0, cfg.Duration)
-		if _, err := workload.RunEmerging(sess.Emulator, spec); err != nil {
-			return nil
-		}
-		return sess.SVMStats()
-	})
+	stats := sweep(cfg, cells, svmStats)
 	out := &Table2Result{}
-	for mi, machine := range machines {
-		for ti, preset := range targets {
+	for _, machine := range machines {
+		for _, preset := range targets {
 			merged := &svm.Stats{}
 			var total time.Duration
-			for i, j := range jobs {
-				if j.mi != mi || j.ti != ti || stats[i] == nil {
+			for i, c := range cells {
+				if c.machine.Name != machine.Name || c.preset.Name != preset.Name || stats[i] == nil {
 					continue
 				}
 				mergeStats(merged, stats[i])
@@ -134,41 +123,23 @@ type PredictionResult struct {
 // RunPrediction reproduces the §5.2 prediction-accuracy measurements on the
 // high-end machine.
 func RunPrediction(cfg Config) *PredictionResult {
-	preset := emulator.VSoC()
-	type job struct{ cat, app int }
 	type result struct {
 		st   *svm.Stats
 		susp int
 	}
-	var jobs []job
-	for cat := 0; cat < emulator.NumCategories; cat++ {
-		apps := preset.EmergingCompat[cat]
-		if apps > cfg.AppsPerCategory {
-			apps = cfg.AppsPerCategory
-		}
-		for app := 0; app < apps; app++ {
-			jobs = append(jobs, job{cat, app})
-		}
-	}
-	results := parmap(cfg.workers(), len(jobs), func(i int) result {
-		j := jobs[i]
-		sess := workload.NewSession(preset, HighEnd.New, appSeed(cfg.Seed, 400, j.cat, j.app))
-		defer sess.Close()
-		spec := workload.DefaultSpec(j.cat, j.app, cfg.Duration)
-		if _, err := workload.RunEmerging(sess.Emulator, spec); err != nil {
-			return result{}
-		}
-		return result{st: sess.SVMStats(), susp: sess.Emulator.Manager.Engine().Suspensions()}
+	cells := appCells(cfg, emulator.VSoC(), HighEnd, 400, allCats)
+	results := sweep(cfg, cells, func(s *workload.Session, _ *workload.Result) result {
+		return result{st: s.SVMStats(), susp: s.Emulator.Manager.Engine().Suspensions()}
 	})
 	out := &PredictionResult{DeviceAccuracy: make(map[string]float64)}
 	var slackErr, pfErr metrics.Distribution
 	for cat := 0; cat < emulator.NumCategories; cat++ {
 		var correct, total int
-		for i, j := range jobs {
-			if j.cat != cat || results[i].st == nil {
+		for i, c := range cells {
+			r := results[i]
+			if c.cat != cat || r.st == nil {
 				continue
 			}
-			r := results[i]
 			correct += r.st.PredCorrect
 			total += r.st.PredTotal
 			out.Suspensions += r.susp
@@ -218,11 +189,7 @@ func RunOverhead(cfg Config) *OverheadResult {
 	out := &OverheadResult{}
 	finishObs := func() {
 		if tr != nil {
-			if err := writeTraceFile(cfg.TracePath, tr); err != nil {
-				out.TraceFile = "error: " + err.Error()
-			} else {
-				out.TraceFile = cfg.TracePath
-			}
+			out.TraceFile = written(cfg.TracePath, writeTraceFile(cfg.TracePath, tr))
 		}
 		if reg != nil {
 			out.MetricsDump = reg.FormatText()
@@ -254,50 +221,8 @@ type Fig16Result struct {
 
 // RunFig16 reproduces Fig. 16: access latency on the high-end machine with
 // the prefetch engine replaced by write-invalidate, on the video apps whose
-// render threads the coherence blocks.
+// render threads the coherence blocks. It is the micro run without the
+// profiler.
 func RunFig16(cfg Config) *Fig16Result {
-	preset := emulator.VSoCNoPrefetch()
-	if cfg.Fetch {
-		preset.Fetch = hostsim.EnabledFetch()
-	}
-	return runFig16Preset(cfg, preset)
-}
-
-// runFig16Preset is RunFig16's body with the preset injectable, so the
-// batching sweep can rerun the demand-fetch-heavy workload with batching on
-// as its latency guardrail.
-func runFig16Preset(cfg Config, preset emulator.Preset) *Fig16Result {
-	type job struct{ cat, app int }
-	var jobs []job
-	for _, cat := range []int{emulator.CatUHDVideo, emulator.Cat360Video} {
-		apps := cfg.AppsPerCategory
-		if apps > preset.EmergingCompat[cat] {
-			apps = preset.EmergingCompat[cat]
-		}
-		for app := 0; app < apps; app++ {
-			jobs = append(jobs, job{cat, app})
-		}
-	}
-	stats := parmap(cfg.workers(), len(jobs), func(i int) *svm.Stats {
-		j := jobs[i]
-		sess := workload.NewSession(preset, HighEnd.New, appSeed(cfg.Seed, 500, j.cat, j.app))
-		defer sess.Close()
-		spec := workload.DefaultSpec(j.cat, j.app, cfg.Duration)
-		if _, err := workload.RunEmerging(sess.Emulator, spec); err != nil {
-			return nil
-		}
-		return sess.SVMStats()
-	})
-	var all metrics.Distribution
-	for _, st := range stats {
-		if st != nil {
-			all.Merge(&st.AccessLatency)
-		}
-	}
-	return &Fig16Result{
-		CDF:    all.CDF(40),
-		MeanMS: all.Mean(),
-		P99MS:  all.Percentile(99),
-		MaxMS:  all.Max(),
-	}
+	return runMicroPreset(cfg, fig16Preset(cfg), false).Fig16
 }

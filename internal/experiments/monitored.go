@@ -2,7 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"os"
+	"io"
 	"strings"
 	"time"
 
@@ -218,39 +218,18 @@ func RunPhasedLoad(cfg Config) *PhasedLoadResult {
 		base := strings.TrimSuffix(cfg.TracePath, ".json")
 		for seq := range res.Mon.Incidents {
 			path := fmt.Sprintf("%s-incident%d.json", base, seq)
-			if err := writeIncidentTraceFile(path, mon, seq); err != nil {
-				res.IncidentTraces = append(res.IncidentTraces, "error: "+err.Error())
-				continue
-			}
-			res.IncidentTraces = append(res.IncidentTraces, path)
+			err := writeFile(path, func(w io.Writer) error { return mon.WriteIncidentTrace(w, seq) })
+			res.IncidentTraces = append(res.IncidentTraces, written(path, err))
 		}
 	}
 	if cfg.MonPath != "" {
-		if err := res.Mon.WriteJSONFile(cfg.MonPath); err != nil {
-			res.MonFile = "error: " + err.Error()
-		} else {
-			res.MonFile = cfg.MonPath
-		}
+		res.MonFile = written(cfg.MonPath, res.Mon.WriteJSONFile(cfg.MonPath))
 	}
 	return res
 }
 
 // msOf converts a virtual duration to milliseconds for phase reporting.
 func msOf(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
-// writeIncidentTraceFile writes incident seq's flight-recorder snapshot as
-// a Perfetto trace file.
-func writeIncidentTraceFile(path string, mon *tsmon.Monitor, seq int) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := mon.WriteIncidentTrace(f, seq); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
 
 // FormatPhasedLoad renders the scenario report: the phase timeline, the
 // monitor summary, and which detector classes fired in which phase.
@@ -276,9 +255,9 @@ func FormatPhasedLoad(r *PhasedLoadResult) string {
 	return b.String()
 }
 
-// PhasedLoadBenchMetrics projects the scenario into the bench trajectory.
+// phasedLoadMetrics projects the scenario into the bench trajectory.
 // Everything here is deterministic (virtual-time derived).
-func PhasedLoadBenchMetrics(r *PhasedLoadResult) []BenchMetric {
+func phasedLoadMetrics(r *PhasedLoadResult) []BenchMetric {
 	byClass := r.Mon.IncidentsByClass()
 	ms := []BenchMetric{
 		{Name: "phased.fps", Value: r.FPS, Unit: "fps", Better: "higher"},

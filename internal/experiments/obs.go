@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -51,36 +52,30 @@ func sanitizeName(s string) string {
 	return b.String()
 }
 
-// writeTraceFile exports t as Chrome/Perfetto trace-event JSON at path.
-func writeTraceFile(path string, t *obs.Tracer) error {
+// writeFile creates path and fills it with write: how every experiment
+// writes its side files (traces, folded profiles, incident snapshots).
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := obs.WritePerfetto(f, t); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}
 	return f.Close()
 }
 
-// FormatRobustnessObs renders the observability addendum of a robustness
-// sweep: the trace files written per cell and any per-cell metrics dumps.
-// It returns "" when neither -trace nor -metrics was active, so the main
-// report stays byte-identical with observability off.
-func FormatRobustnessObs(r *RobustnessResult) string {
-	var b strings.Builder
-	for i := range r.Cells {
-		c := &r.Cells[i]
-		if c.TraceFile != "" {
-			fmt.Fprintf(&b, "trace %-16s %-16s %s\n", c.Emulator, c.Fault, c.TraceFile)
-		}
+// writeTraceFile exports t as Chrome/Perfetto trace-event JSON at path.
+func writeTraceFile(path string, t *obs.Tracer) error {
+	return writeFile(path, func(w io.Writer) error { return obs.WritePerfetto(w, t) })
+}
+
+// written is how a report names a side file: its path, or the error that
+// kept it from being written.
+func written(path string, err error) string {
+	if err != nil {
+		return "error: " + err.Error()
 	}
-	for i := range r.Cells {
-		c := &r.Cells[i]
-		if c.MetricsDump != "" {
-			fmt.Fprintf(&b, "\n== metrics %s / %s ==\n%s", c.Emulator, c.Fault, c.MetricsDump)
-		}
-	}
-	return b.String()
+	return path
 }

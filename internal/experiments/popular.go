@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"repro/internal/emulator"
 	"repro/internal/workload"
 )
 
@@ -27,58 +28,30 @@ func (r *PopularResult) Of(name string) *PopularCell {
 	return nil
 }
 
+// popularMix is the first cfg.PopularApps apps of the Fig. 15 mix.
+func popularMix(cfg Config) []workload.PopularKind {
+	mix := workload.PopularMix()
+	return mix[:min(cfg.PopularApps, len(mix))]
+}
+
 // RunPopular reproduces Fig. 15: the top-25 popular apps across the six
 // emulators on the high-end machine.
 func RunPopular(cfg Config) *PopularResult {
-	mix := workload.PopularMix()
-	if cfg.PopularApps < len(mix) {
-		mix = mix[:cfg.PopularApps]
-	}
-	emus := presets()
-	type job struct{ ei, app int }
-	type result struct {
-		fps float64
-		ok  bool
-	}
-	var jobs []job
-	for ei := range emus {
+	mix := popularMix(cfg)
+	emus := emulator.All()
+	var cells []cell
+	for ei, p := range emus {
 		// Compatibility: the preset runs only PopularCompat of the 25;
 		// scale proportionally for smaller configs.
-		runnable := emus[ei].PopularCompat * len(mix) / 25
-		if runnable > len(mix) {
-			runnable = len(mix)
-		}
-		for app := 0; app < runnable; app++ {
-			jobs = append(jobs, job{ei, app})
-		}
+		runnable := min(p.PopularCompat*len(mix)/25, len(mix))
+		cells = append(cells, popularCells(cfg, p, 300+ei, mix, runnable)...)
 	}
-	results := parmap(cfg.workers(), len(jobs), func(i int) result {
-		j := jobs[i]
-		kind := mix[j.app]
-		sess := workload.NewSession(emus[j.ei], HighEnd.New, appSeed(cfg.Seed, 300+j.ei, int(kind), j.app))
-		defer sess.Close()
-		spec := workload.PopularSpec(kind, j.app, cfg.Duration)
-		r, err := workload.RunPopular(sess.Emulator, kind, spec)
-		if err != nil {
-			return result{}
-		}
-		return result{fps: r.FPS, ok: true}
-	})
+	runs := sweep(cfg, cells, result)
 	out := &PopularResult{Machine: HighEnd.Name}
-	for ei, preset := range emus {
-		cell := PopularCell{Emulator: preset.Name}
-		var fps float64
-		for i, j := range jobs {
-			if j.ei != ei || !results[i].ok {
-				continue
-			}
-			fps += results[i].fps
-			cell.Apps++
-		}
-		if cell.Apps > 0 {
-			cell.MeanFPS = fps / float64(cell.Apps)
-		}
-		out.Cells = append(out.Cells, cell)
+	for _, p := range emus {
+		pc := PopularCell{Emulator: p.Name}
+		pc.MeanFPS, pc.Apps = meanFPS(cells, runs, func(c cell) bool { return c.preset.Name == p.Name })
+		out.Cells = append(out.Cells, pc)
 	}
 	return out
 }

@@ -17,7 +17,8 @@ import (
 // so the numbers are identical to RunFig16's) plus the walked attribution
 // of where that latency comes from — the §5.4 demand-fetch breakdown.
 type MicroResult struct {
-	Fig16  *Fig16Result
+	Fig16 *Fig16Result
+	// Report is the merged attribution; nil when the profiler was off.
 	Report *prof.Report
 	// Fetch-path counters summed across sessions (the fetchpipe sweep
 	// reports them; zero when chunking is off).
@@ -26,62 +27,62 @@ type MicroResult struct {
 	FetchJoins     int
 }
 
-// RunMicro reruns the Fig. 16 workload (write-invalidate video on the
-// high-end machine) with a per-session critical-path profiler. Sessions
-// use the same seeds as RunFig16, so its stats are byte-identical to a
-// profiler-off run; per-session reports merge in fixed job order, so the
-// result is independent of worker count.
-func RunMicro(cfg Config) *MicroResult {
+// fig16Preset is the Fig. 16 emulator: vSoC with write-invalidate in place
+// of the prefetch engine, chunked demand fetches on when cfg.Fetch is set.
+func fig16Preset(cfg Config) emulator.Preset {
 	preset := emulator.VSoCNoPrefetch()
 	if cfg.Fetch {
 		preset.Fetch = hostsim.EnabledFetch()
 	}
-	return runMicroPreset(cfg, preset)
+	return preset
 }
 
-// runMicroPreset is RunMicro's body with the preset injectable, so the
-// fetchpipe sweep can rerun the same jobs across chunked-fetch settings.
-func runMicroPreset(cfg Config, preset emulator.Preset) *MicroResult {
-	type job struct{ cat, app int }
-	var jobs []job
-	for _, cat := range []int{emulator.CatUHDVideo, emulator.Cat360Video} {
-		apps := cfg.AppsPerCategory
-		if apps > preset.EmergingCompat[cat] {
-			apps = preset.EmergingCompat[cat]
-		}
-		for app := 0; app < apps; app++ {
-			jobs = append(jobs, job{cat, app})
-		}
+// RunMicro reruns the Fig. 16 workload (write-invalidate video on the
+// high-end machine) with a per-session critical-path profiler. Sessions
+// use the same seeds as RunFig16, so its stats are byte-identical to a
+// profiler-off run; per-session reports merge in fixed cell order, so the
+// result is independent of worker count.
+func RunMicro(cfg Config) *MicroResult {
+	return runMicroPreset(cfg, fig16Preset(cfg), true)
+}
+
+// runMicroPreset runs the Fig. 16 jobs on preset, with or without the
+// profiler: RunFig16 and RunMicro share it, the batching sweep reruns it as
+// its latency guardrail, and the fetchpipe sweep across chunked-fetch
+// settings.
+func runMicroPreset(cfg Config, preset emulator.Preset, profile bool) *MicroResult {
+	cells := appCells(cfg, preset, HighEnd, 500, videoCats)
+	for i := range cells {
+		cells[i].profile = profile
 	}
-	type out struct {
+	type run struct {
 		st  *svm.Stats
 		rep *prof.Report
 	}
-	outs := parmap(cfg.workers(), len(jobs), func(i int) out {
-		j := jobs[i]
-		pf := prof.New()
-		sess := workload.NewProfiledSession(preset, HighEnd.New,
-			appSeed(cfg.Seed, 500, j.cat, j.app), nil, nil, pf)
-		defer sess.Close()
-		spec := workload.DefaultSpec(j.cat, j.app, cfg.Duration)
-		if _, err := workload.RunEmerging(sess.Emulator, spec); err != nil {
-			return out{}
+	runs := sweep(cfg, cells, func(s *workload.Session, _ *workload.Result) run {
+		r := run{st: s.SVMStats()}
+		if pf := s.Env.Profiler(); pf != nil {
+			r.rep = pf.Report()
 		}
-		return out{st: sess.SVMStats(), rep: pf.Report()}
+		return r
 	})
 	var all metrics.Distribution
-	merged := prof.New().Report()
 	res := &MicroResult{}
-	for i, o := range outs {
-		if o.st == nil {
+	if profile {
+		res.Report = prof.New().Report()
+	}
+	for i, r := range runs {
+		if r.st == nil {
 			continue
 		}
-		all.Merge(&o.st.AccessLatency)
-		res.DemandFetches += o.st.DemandFetches
-		res.ChunkedFetches += o.st.ChunkedFetches
-		res.FetchJoins += o.st.FetchJoins
-		o.rep.Retag(fmt.Sprintf("%s/%d", emulator.CategoryNames[jobs[i].cat], jobs[i].app))
-		merged.Merge(o.rep)
+		all.Merge(&r.st.AccessLatency)
+		res.DemandFetches += r.st.DemandFetches
+		res.ChunkedFetches += r.st.ChunkedFetches
+		res.FetchJoins += r.st.FetchJoins
+		if r.rep != nil {
+			r.rep.Retag(fmt.Sprintf("%s/%d", emulator.CategoryNames[cells[i].cat], cells[i].app))
+			res.Report.Merge(r.rep)
+		}
 	}
 	res.Fig16 = &Fig16Result{
 		CDF:    all.CDF(40),
@@ -89,7 +90,6 @@ func runMicroPreset(cfg Config, preset emulator.Preset) *MicroResult {
 		P99MS:  all.Percentile(99),
 		MaxMS:  all.Max(),
 	}
-	res.Report = merged
 	return res
 }
 
@@ -108,8 +108,22 @@ func FormatMicro(r *MicroResult) string {
 	return b.String()
 }
 
-// MicroBenchMetrics projects the micro run onto the bench trajectory.
-func MicroBenchMetrics(r *MicroResult) []BenchMetric {
+// runMicroEntry is the micro entry's Run: the report and its bench metrics,
+// plus the folded-stack export when cfg.ProfilePath is set.
+func runMicroEntry(cfg Config) (string, []BenchMetric, error) {
+	r := RunMicro(cfg)
+	text := FormatMicro(r)
+	if cfg.ProfilePath != "" {
+		if err := writeFile(cfg.ProfilePath, r.Report.WriteFolded); err != nil {
+			return text, nil, err
+		}
+		text += fmt.Sprintf("[folded-stack profile written to %s]\n", cfg.ProfilePath)
+	}
+	return text, microMetrics(r), nil
+}
+
+// microMetrics projects the micro run onto the bench trajectory.
+func microMetrics(r *MicroResult) []BenchMetric {
 	cov, _ := r.Report.ClassCoverage("demand-fetch")
 	ms := make([]BenchMetric, 0, 8)
 	ms = append(ms,

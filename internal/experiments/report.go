@@ -56,7 +56,7 @@ func FormatEmerging(r *EmergingResult, figFPS, figLat string) string {
 		fmt.Fprintf(&b, " %10s", emulator.CategoryNames[c])
 	}
 	fmt.Fprintf(&b, " %8s\n", "mean")
-	for _, p := range presets() {
+	for _, p := range emulator.All() {
 		fmt.Fprintf(&b, "%-12s", p.Name)
 		for c := 0; c < emulator.NumCategories; c++ {
 			cell := r.Cell(p.Name, c)
@@ -74,7 +74,7 @@ func FormatEmerging(r *EmergingResult, figFPS, figLat string) string {
 		fmt.Fprintf(&b, " %10s", emulator.CategoryNames[c])
 	}
 	fmt.Fprintf(&b, " %8s\n", "mean")
-	for _, p := range presets() {
+	for _, p := range emulator.All() {
 		fmt.Fprintf(&b, "%-12s", p.Name)
 		for _, c := range []int{emulator.CatCamera, emulator.CatAR, emulator.CatLivestream} {
 			cell := r.Cell(p.Name, c)

@@ -78,7 +78,7 @@ const robustnessWatchdog = 250 * time.Millisecond
 // RunRobustness sweeps every emulator preset across every fault class on
 // the high-end machine.
 func RunRobustness(cfg Config) *RobustnessResult {
-	return RunRobustnessOn(cfg, HighEnd, presets(), faults.Classes())
+	return RunRobustnessOn(cfg, HighEnd, emulator.All(), faults.Classes())
 }
 
 // RunRobustnessOn runs the robustness sweep for the given presets and
@@ -93,17 +93,9 @@ func RunRobustnessOn(cfg Config, machine MachineSpec, emus []emulator.Preset, cl
 	faultAt := (dur / 3).Truncate(time.Second)
 	faultFor := faultAt
 
-	type job struct{ ei, ci int }
-	jobs := make([]job, 0, len(emus)*len(classes))
-	for ei := range emus {
-		for ci := range classes {
-			jobs = append(jobs, job{ei, ci})
-		}
-	}
-	cells := parmap(cfg.workers(), len(jobs), func(k int) RobustnessCell {
-		j := jobs[k]
-		return runRobustnessCell(cfg, machine, emus[j.ei], j.ei, classes[j.ci], j.ci,
-			dur, faultAt, faultFor)
+	cells := ParMap(cfg.EffectiveWorkers(), len(emus)*len(classes), func(k int) RobustnessCell {
+		ei, ci := k/len(classes), k%len(classes)
+		return runRobustnessCell(cfg, machine, emus[ei], ei, classes[ci], ci, dur, faultAt, faultFor)
 	})
 	return &RobustnessResult{
 		Machine:  machine.Name,
@@ -164,11 +156,7 @@ func runRobustnessCell(cfg Config, machine MachineSpec, preset emulator.Preset,
 	finishObs := func() {
 		if tr != nil {
 			path := cellTracePath(cfg.TracePath, preset.Name, class)
-			if err := writeTraceFile(path, tr); err != nil {
-				cell.TraceFile = "error: " + err.Error()
-			} else {
-				cell.TraceFile = path
-			}
+			cell.TraceFile = written(path, writeTraceFile(path, tr))
 		}
 		if reg != nil {
 			cell.MetricsDump = reg.FormatText()
@@ -246,7 +234,9 @@ func meanFPSRange(series []float64, from, to int) float64 {
 	return sum / float64(to-from)
 }
 
-// FormatRobustness renders the degradation table.
+// FormatRobustness renders the degradation table, then the trace files
+// written per cell and any per-cell metrics dumps (nothing more when neither
+// -trace nor -metrics was active).
 func FormatRobustness(r *RobustnessResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Robustness under injected faults — %s, UHD video, fault window [%ds, %ds) of a %ds run\n",
@@ -261,6 +251,18 @@ func FormatRobustness(r *RobustnessResult) string {
 			c.Emulator, c.Fault, c.BaselineFPS, c.FaultFPS, c.RecoveredFPS,
 			100*c.Recovery(), c.BaselineLatencyMS, c.FaultLatencyMS,
 			c.Suspensions, c.FenceTimeouts, c.DMARetries, c.DroppedOps)
+	}
+	for i := range r.Cells {
+		c := &r.Cells[i]
+		if c.TraceFile != "" {
+			fmt.Fprintf(&b, "trace %-16s %-16s %s\n", c.Emulator, c.Fault, c.TraceFile)
+		}
+	}
+	for i := range r.Cells {
+		c := &r.Cells[i]
+		if c.MetricsDump != "" {
+			fmt.Fprintf(&b, "\n== metrics %s / %s ==\n%s", c.Emulator, c.Fault, c.MetricsDump)
+		}
 	}
 	return b.String()
 }

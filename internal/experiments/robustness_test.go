@@ -14,9 +14,9 @@ import (
 // scenario — a 60% link collapse during a video-pipeline run — measurably
 // suspends prefetch and degrades FPS on vSoC.
 func TestChaosSweepTerminatesAndRecovers(t *testing.T) {
-	r := RunRobustnessOn(Quick(), HighEnd, presets(), faults.Classes())
+	r := RunRobustnessOn(Quick(), HighEnd, emulator.All(), faults.Classes())
 
-	if want := len(presets()) * len(faults.Classes()); len(r.Cells) != want {
+	if want := len(emulator.All()) * len(faults.Classes()); len(r.Cells) != want {
 		t.Fatalf("got %d cells, want %d", len(r.Cells), want)
 	}
 	for i := range r.Cells {

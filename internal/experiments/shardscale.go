@@ -176,11 +176,7 @@ func RunShardScale(cfg Config) *ShardScaleResult {
 		res.Stall = fl.StallReport()
 		if cfg.TracePath != "" {
 			path := strings.TrimSuffix(cfg.TracePath, ".json") + "-fleet.json"
-			if err := writeTraceFile(path, fl.Tracer()); err != nil {
-				res.FleetTrace = "error: " + err.Error()
-			} else {
-				res.FleetTrace = path
-			}
+			res.FleetTrace = written(path, writeTraceFile(path, fl.Tracer()))
 		}
 	}
 
@@ -188,11 +184,7 @@ func RunShardScale(cfg Config) *ShardScaleResult {
 		mon.Finalize(stop)
 		res.Mon = mon.Report()
 		if cfg.MonPath != "" {
-			if err := res.Mon.WriteJSONFile(cfg.MonPath); err != nil {
-				res.MonFile = "error: " + err.Error()
-			} else {
-				res.MonFile = cfg.MonPath
-			}
+			res.MonFile = written(cfg.MonPath, res.Mon.WriteJSONFile(cfg.MonPath))
 		}
 	}
 
@@ -309,11 +301,11 @@ func FormatShardScale(r *ShardScaleResult) string {
 	return b.String()
 }
 
-// ShardScaleBenchMetrics projects the farm run into the bench trajectory.
+// shardScaleMetrics projects the farm run into the bench trajectory.
 // The fps/frames/events/windows and fleet metrics are deterministic;
 // events_per_sec_serial measures the build host and needs a threshold
 // override in perf gates. The names match the committed bench baselines.
-func ShardScaleBenchMetrics(r *ShardScaleResult) []BenchMetric {
+func shardScaleMetrics(r *ShardScaleResult) []BenchMetric {
 	ms := []BenchMetric{
 		{Name: "shardscale.mean_fps", Value: r.MeanFPS, Unit: "fps", Better: "higher"},
 		{Name: "shardscale.frames", Value: float64(r.Frames), Unit: "frames", Better: "higher"},

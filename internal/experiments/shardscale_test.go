@@ -93,7 +93,7 @@ func TestShardScaleFleetDeterministicAcrossCounts(t *testing.T) {
 
 func TestShardScaleBenchMetricsShape(t *testing.T) {
 	res := RunShardScale(Config{Duration: time.Second, Seed: 1})
-	ms := ShardScaleBenchMetrics(res)
+	ms := shardScaleMetrics(res)
 	names := map[string]bool{}
 	for _, m := range ms {
 		names[m.Name] = true

@@ -3,13 +3,10 @@ package experiments
 import "testing"
 
 func TestQuickSnapshot(t *testing.T) {
-	cfg := Quick()
-	t.Log("\n" + FormatTable2(RunTable2(cfg)))
-	t.Log("\n" + FormatEmerging(RunEmergingSweep(cfg, HighEnd), "10", "13"))
-	t.Log("\n" + FormatAblation(RunAblation(cfg)))
-	t.Log("\n" + FormatPopular(RunPopular(cfg)))
-	t.Log("\n" + FormatPrediction(RunPrediction(cfg)))
-	t.Log("\n" + FormatOverhead(RunOverhead(cfg)))
-	t.Log("\n" + FormatFig16(RunFig16(cfg)))
-	t.Log("\n" + FormatStudy(RunStudy(cfg)))
+	for _, name := range []string{"table2", "fig10", "fig12", "fig15", "prediction", "overhead", "fig16"} {
+		e, _ := LookupExperiment(name)
+		text, _, _ := e.Run(Quick())
+		t.Log("\n" + text)
+	}
+	t.Log("\n" + FormatStudy(RunStudy(Quick())))
 }

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/emulator"
 	"repro/internal/metrics"
-	"repro/internal/svm"
 	"repro/internal/workload"
 )
 
@@ -48,59 +47,41 @@ type StudyResult struct {
 	Traces []PlatformTrace // native device, GAE, QEMU-KVM
 }
 
-// studyPlatform describes one measured platform.
-type studyPlatform struct {
-	preset  emulator.Preset
-	machine MachineSpec
-}
-
 // RunStudy reproduces the §2.3 measurement: the emerging-app mix traced on
 // the physical device and the two open-source emulators, yielding the data
 // behind Figs. 4, 5, and 6.
 func RunStudy(cfg Config) *StudyResult {
-	platforms := []studyPlatform{
+	platforms := []struct {
+		preset  emulator.Preset
+		machine MachineSpec
+	}{
 		{emulator.NativeDevice(), Pixel},
 		{emulator.GAE(), HighEnd},
 		{emulator.QEMUKVM(), HighEnd},
 	}
-	type job struct{ pi, cat, app int }
-	var jobs []job
+	var cells []cell
 	for pi, plat := range platforms {
-		for cat := 0; cat < emulator.NumCategories; cat++ {
-			apps := cfg.AppsPerCategory
-			if apps > plat.preset.EmergingCompat[cat] {
-				apps = plat.preset.EmergingCompat[cat]
-			}
-			for app := 0; app < apps; app++ {
-				jobs = append(jobs, job{pi, cat, app})
-			}
-		}
+		cells = append(cells, appCells(cfg, plat.preset, plat.machine, 600+pi, allCats)...)
 	}
-	stats := parmap(cfg.workers(), len(jobs), func(i int) *svm.Stats {
-		j := jobs[i]
-		plat := platforms[j.pi]
-		sess := workload.NewSession(plat.preset, plat.machine.New, appSeed(cfg.Seed, 600+j.pi, j.cat, j.app))
-		defer sess.Close()
-		spec := workload.DefaultSpec(j.cat, j.app, cfg.Duration)
+	for i := range cells {
 		// The §2.3 study ran Full-HD+ panels (2400x1080), which is where
 		// Fig. 4's 9.9 MiB display-buffer mode comes from; the UHD panels
 		// belong to §5's evaluation.
-		spec.DisplayW, spec.DisplayH = workload.FHDPWidth, workload.FHDPHeight
-		if _, err := workload.RunEmerging(sess.Emulator, spec); err != nil {
-			return nil
+		cells[i].setup = func(_ *workload.Session, spec *workload.Spec) {
+			spec.DisplayW, spec.DisplayH = workload.FHDPWidth, workload.FHDPHeight
 		}
-		return sess.SVMStats()
-	})
+	}
+	stats := sweep(cfg, cells, svmStats)
 	out := &StudyResult{Table1: Table1()}
-	for pi, plat := range platforms {
+	for _, plat := range platforms {
 		trace := PlatformTrace{Platform: plat.preset.Name}
 		var accesses int
 		var total time.Duration
-		for i, j := range jobs {
-			if j.pi != pi || stats[i] == nil {
+		for i, c := range cells {
+			st := stats[i]
+			if c.preset.Name != plat.preset.Name || st == nil {
 				continue
 			}
-			st := stats[i]
 			trace.RegionSizes.Merge(&st.RegionSizes)
 			trace.CoherenceCost.Merge(&st.CoherenceCost)
 			trace.SlackIntervals.Merge(&st.SlackIntervals)

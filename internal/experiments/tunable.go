@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/emulator"
 	"repro/internal/hostsim"
-	"repro/internal/metrics"
 	"repro/internal/prefetch"
 	"repro/internal/prof"
 	"repro/internal/svm"
@@ -71,46 +70,26 @@ const (
 // byte-identical metrics at every worker count.
 func RunTuneEval(cfg Config, preset emulator.Preset, t Tunable) []BenchMetric {
 	preset = t.ApplyTo(preset)
-	type job struct{ cat, app int }
-	var jobs []job
-	for _, cat := range []int{emulator.CatUHDVideo, emulator.Cat360Video} {
-		apps := cfg.AppsPerCategory
-		if apps > preset.EmergingCompat[cat] {
-			apps = preset.EmergingCompat[cat]
-		}
-		for app := 0; app < apps; app++ {
-			jobs = append(jobs, job{cat, app})
-		}
+	cells := appCells(cfg, preset, HighEnd, 900, videoCats)
+	for i := range cells {
+		cells[i].profile = true
 	}
 	type out struct {
 		st  *svm.Stats
 		rep *prof.Report
 		res *workload.Result
 		// Notification accounting (the batching-sweep formula).
-		ops, kicks, irqs, piggy int
+		ops, notifs int
 	}
-	outs := parmap(cfg.workers(), len(jobs), func(i int) out {
-		j := jobs[i]
-		pf := prof.New()
-		sess := workload.NewProfiledSession(preset, HighEnd.New,
-			appSeed(cfg.Seed, 900, j.cat, j.app), nil, nil, pf)
-		defer sess.Close()
-		spec := workload.DefaultSpec(j.cat, j.app, cfg.Duration)
-		res, err := workload.RunEmerging(sess.Emulator, spec)
-		if err != nil {
-			return out{}
-		}
-		o := out{st: sess.SVMStats(), rep: pf.Report(), res: res}
-		for _, d := range sess.Emulator.Devices() {
+	outs := sweep(cfg, cells, func(s *workload.Session, res *workload.Result) out {
+		o := out{st: s.SVMStats(), rep: s.Env.Profiler().Report(), res: res}
+		for _, d := range s.Emulator.Devices() {
 			o.ops += d.Stats().Executed
-			o.kicks += d.Ring().Stats().Kicks
-			o.irqs += d.IRQ().Delivered()
-			o.piggy += d.PiggybackedFences()
+			o.notifs += d.Ring().Stats().Kicks + d.IRQ().Delivered()
 		}
 		return o
 	})
 
-	var access metrics.Distribution
 	merged := prof.New().Report()
 	st := &svm.Stats{}
 	var fpsSum float64
@@ -121,7 +100,6 @@ func RunTuneEval(cfg Config, preset emulator.Preset, t Tunable) []BenchMetric {
 			continue
 		}
 		sessions++
-		access.Merge(&o.st.AccessLatency)
 		mergeStats(st, o.st)
 		st.CoherenceBatches += o.st.CoherenceBatches
 		st.DemandFetches += o.st.DemandFetches
@@ -129,13 +107,13 @@ func RunTuneEval(cfg Config, preset emulator.Preset, t Tunable) []BenchMetric {
 		fpsSum += o.res.FPS
 		frames += o.res.Frames
 		ops += o.ops
-		notifs += o.kicks + o.irqs
+		notifs += o.notifs
 	}
 	notifs += 2*st.CoherenceBatches + 2*st.DemandFetches
 
 	ms := []BenchMetric{
-		{Name: TuneAccessMean, Value: access.Mean(), Unit: "ms", Better: "lower"},
-		{Name: TuneAccessP99, Value: access.Percentile(99), Unit: "ms", Better: "lower"},
+		{Name: TuneAccessMean, Value: st.AccessLatency.Mean(), Unit: "ms", Better: "lower"},
+		{Name: TuneAccessP99, Value: st.AccessLatency.Percentile(99), Unit: "ms", Better: "lower"},
 		{Name: TuneFrames, Value: float64(frames), Unit: "count", Better: "higher"},
 	}
 	if sessions > 0 {
