@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check build vet test docs-check bench-module race bench-smoke chaos-smoke trace-smoke tune-smoke mon-smoke bench perf-smoke perf-gate verify
+.PHONY: check build vet test docs-check bench-module race bench-smoke examples-smoke chaos-smoke trace-smoke tune-smoke mon-smoke bench perf-smoke perf-gate verify
 
 check: vet build test docs-check bench-module
 
@@ -22,8 +22,9 @@ test:
 # and determinism contract, README/DESIGN/EXPERIMENTS must not reference
 # paths that left the tree, DESIGN.md §14 must name every knob the
 # internal/tune registry declares, EXPERIMENTS.md must document every
-# experiment the internal/experiments registry declares, and every exported
-# declaration under internal/ must have a non-test reference.
+# experiment the internal/experiments registry declares, every exported
+# declaration under internal/ must have a non-test reference, and every
+# struct field under internal/ must have a non-test reader.
 docs-check:
 	$(GO) run ./cmd/docscheck .
 
@@ -48,6 +49,14 @@ race:
 bench-smoke:
 	$(GO) test -run=NONE -bench='SteadyState|ZeroDelay|RunUntil|SpawnChurn' -benchtime=10000x -benchmem ./internal/sim/bench
 	$(GO) test -run=NONE -bench='PipelineCycle|PredictCompensation|EdgeHit' -benchtime=10000x -benchmem ./internal/svm ./internal/hypergraph
+
+# Examples gate: `go build ./...` compiles examples/, but only running them
+# exercises the public API they are the sole non-test callers of (e.g.
+# svm.Module.Free). Each must exit 0.
+examples-smoke:
+	@for e in examples/*/; do \
+		$(GO) run ./$$e > /dev/null || { echo "examples-smoke: $$e failed" >&2; exit 1; }; \
+	done
 
 # Fault-injection gate: the faults package under the race detector, plus one
 # short seeded robustness sweep so the degradation/recovery story stays
@@ -117,4 +126,4 @@ perf-smoke: bench
 perf-gate: bench
 	$(GO) run ./cmd/vsocperf $(PERF_NOISY) BENCH.json /tmp/vsoc-bench.json
 
-verify: check race bench-smoke chaos-smoke trace-smoke tune-smoke mon-smoke perf-smoke perf-gate
+verify: check race bench-smoke examples-smoke chaos-smoke trace-smoke tune-smoke mon-smoke perf-smoke perf-gate

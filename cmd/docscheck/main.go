@@ -1,6 +1,6 @@
 // Command docscheck lints the repository's documentation contract.
 //
-// Five checks:
+// Six checks:
 //
 //  1. Every package under internal/ must carry a package doc comment that
 //     names the paper section it reproduces (a "§" reference) and states
@@ -31,6 +31,13 @@
 //     go/types, offline); a method also counts as referenced when its
 //     receiver implements an interface that declares it. Code only tests
 //     reach is deleted, or moved into a _test.go file, not kept.
+//
+//  6. Every named struct field declared in a non-test file under internal/
+//     must be read by non-test code in some module of the tree: assigning
+//     it, incrementing it or keying it in a composite literal does not
+//     count. A field with a struct tag is exempt (reflection reads it), as
+//     is every field of a struct compared whole or used as a map key
+//     (equality reads it). State nothing reads is deleted, not kept.
 //
 // Usage: docscheck [repo root] (defaults to "."). Exits non-zero with one
 // line per violation; prints nothing on success.
@@ -65,14 +72,19 @@ func main() {
 	}
 }
 
-// check runs the five checks on the tree at root.
+// check runs the six checks on the tree at root.
 func check(root string) []string {
 	var problems []string
 	problems = append(problems, checkPackageDocs(root)...)
 	problems = append(problems, checkMarkdownRefs(root)...)
 	problems = append(problems, checkKnobDocs(root)...)
 	problems = append(problems, checkExperimentDocs(root)...)
-	return append(problems, checkUnreferenced(root)...)
+	l, loadProblems := loadTree(root)
+	if len(loadProblems) > 0 {
+		return append(problems, loadProblems...)
+	}
+	problems = append(problems, checkUnreferenced(l)...)
+	return append(problems, checkUnreadFields(l)...)
 }
 
 // checkPackageDocs walks internal/ and verifies each package's doc comment.

@@ -17,30 +17,37 @@ import (
 	"strings"
 )
 
-// checkUnreferenced is check 5: it type-checks the non-test files of every
-// module in the tree (the root module and nested ones such as benchmark/)
-// and reports each exported package-level func, type, var or const, and
-// each exported method, declared in a non-test file under internal/ that no
-// non-test code references. A declaration's own body, and a type's own
-// method receivers, do not count as references. A method also counts as
-// referenced when its receiver type implements an interface that declares
-// it, so methods that exist to satisfy an interface (error, fmt.Stringer,
-// sort.Interface or one of the tree's own) stay.
-func checkUnreferenced(root string) []string {
+// loadTree type-checks the non-test files of every module in the tree at
+// root (the root module and nested ones such as benchmark/), for checks 5
+// and 6. problems lists what failed to load; the loader is usable only when
+// it is empty.
+func loadTree(root string) (l *loader, problems []string) {
 	l, err := newLoader(root)
 	if err != nil {
-		return []string{fmt.Sprintf("docscheck: %v", err)}
+		return nil, []string{fmt.Sprintf("docscheck: %v", err)}
 	}
-	var problems []string
 	for _, dir := range l.dirs {
 		if _, err := l.load(l.importPath(dir)); err != nil && !errors.As(err, new(*build.NoGoError)) {
 			problems = append(problems, fmt.Sprintf("%s: %v", rel(l.root, dir), err))
 		}
 	}
-	if len(problems) > 0 {
-		return problems
-	}
+	return l, problems
+}
 
+// isInternal reports whether file sits under the tree's internal/.
+func (l *loader) isInternal(file string) bool {
+	return strings.HasPrefix(file, filepath.Join(l.root, "internal")+string(filepath.Separator))
+}
+
+// checkUnreferenced is check 5: it reports each exported package-level
+// func, type, var or const, and each exported method, declared in a
+// non-test file under internal/ that no non-test code references. A
+// declaration's own body, and a type's own method receivers, do not count
+// as references. A method also counts as referenced when its receiver type
+// implements an interface that declares it, so methods that exist to
+// satisfy an interface (error, fmt.Stringer, sort.Interface or one of the
+// tree's own) stay.
+func checkUnreferenced(l *loader) []string {
 	used := map[types.Object]bool{}
 	own := ownSpans(l)
 	for _, p := range l.pkgs {
@@ -53,15 +60,10 @@ func checkUnreferenced(root string) []string {
 	}
 	markInterfaceMethods(l, used)
 
-	type hit struct {
-		pos  token.Position
-		name string
-	}
 	var hits []hit
-	internal := filepath.Join(l.root, "internal") + string(filepath.Separator)
 	for _, p := range l.pkgs {
 		for _, f := range p.files {
-			if !strings.HasPrefix(l.fset.File(f.Pos()).Name(), internal) {
+			if !l.isInternal(l.fset.File(f.Pos()).Name()) {
 				continue
 			}
 			for _, id := range exportedDecls(f) {
@@ -72,6 +74,17 @@ func checkUnreferenced(root string) []string {
 			}
 		}
 	}
+	return l.report(hits, "has no non-test reference")
+}
+
+// hit is one declaration a check reports.
+type hit struct {
+	pos  token.Position
+	name string
+}
+
+// report renders hits as "file:line: name <what>" lines in file order.
+func (l *loader) report(hits []hit, what string) []string {
 	sort.Slice(hits, func(i, j int) bool {
 		a, b := hits[i].pos, hits[j].pos
 		if a.Filename != b.Filename {
@@ -79,9 +92,10 @@ func checkUnreferenced(root string) []string {
 		}
 		return a.Line < b.Line
 	})
+	var problems []string
 	for _, h := range hits {
-		problems = append(problems, fmt.Sprintf("%s:%d: %s has no non-test reference",
-			rel(l.root, h.pos.Filename), h.pos.Line, h.name))
+		problems = append(problems, fmt.Sprintf("%s:%d: %s %s",
+			rel(l.root, h.pos.Filename), h.pos.Line, h.name, what))
 	}
 	return problems
 }
@@ -214,8 +228,9 @@ func (l *loader) load(path string) (*pkgInfo, error) {
 		return nil, err
 	}
 	p := &pkgInfo{info: &types.Info{
-		Defs: map[*ast.Ident]types.Object{},
-		Uses: map[*ast.Ident]types.Object{},
+		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
 	}}
 	for _, name := range bp.GoFiles {
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, 0)
@@ -347,8 +362,11 @@ func markInterfaceMethods(l *loader, used map[types.Object]bool) {
 }
 
 func origin(obj types.Object) types.Object {
-	if fn, ok := obj.(*types.Func); ok {
-		return fn.Origin()
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
 	}
 	return obj
 }

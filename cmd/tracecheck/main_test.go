@@ -21,8 +21,8 @@ func TestFleetFixtureRecognized(t *testing.T) {
 	if len(s.unknown) != 0 {
 		t.Fatalf("fleet tracks flagged unknown: %v", s.unknown)
 	}
-	if s.counters != 6 || s.spans != 3 {
-		t.Fatalf("counted %d counters, %d spans; want 6, 3", s.counters, s.spans)
+	if s.counters != 5 || s.spans != 2 {
+		t.Fatalf("counted %d counters, %d spans; want 5, 2", s.counters, s.spans)
 	}
 }
 

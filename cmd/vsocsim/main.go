@@ -263,7 +263,7 @@ func runMonitoredSingle(preset emulator.Preset, machine experiments.MachineSpec,
 	if err != nil {
 		die("run failed: %v", err)
 	}
-	sess.Env.RunUntilEvery(pd.Stop(), mon.WindowWidth(), mon.Seal)
+	sess.Env.RunUntilEvery(pd.Stop(), tsmon.WindowWidth, mon.Seal)
 	r, err := pd.Wait()
 	if err != nil {
 		die("run failed: %v", err)

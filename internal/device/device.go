@@ -54,20 +54,22 @@ var modeNames = map[OrderingMode]string{
 
 func (m OrderingMode) String() string { return modeNames[m] }
 
+// ctxSwitchSync is the stall when a virtual device takes over a physical
+// device from another virtual device under synchronous ordering;
+// ctxSwitchDeferred is the same under fences, which §3.4 applies to GPU
+// context switches precisely to avoid driver stalls.
+const (
+	ctxSwitchSync     = 600 * time.Microsecond
+	ctxSwitchDeferred = 60 * time.Microsecond
+)
+
 // Config parameterizes a virtual device.
 type Config struct {
-	Mode        OrderingMode
-	Transport   virtio.Config
-	FlowControl flowcontrol.Config
+	Mode      OrderingMode
+	Transport virtio.Config
 	// UseFlowControl enables MIMD pacing (fence mode benefits; the other
 	// modes self-pace by blocking).
 	UseFlowControl bool
-	// CtxSwitchSync is the stall when this virtual device takes over a
-	// physical device from another virtual device under synchronous
-	// ordering; CtxSwitchDeferred is the same under fences, which §3.4
-	// applies to GPU context switches precisely to avoid driver stalls.
-	CtxSwitchSync     time.Duration
-	CtxSwitchDeferred time.Duration
 	// WatchdogTimeout bounds how long the host executor waits on a wait
 	// fence before giving up and proceeding (GPU-hang recovery): a stalled
 	// signaling device then surfaces as a counted, diagnosable timeout
@@ -77,14 +79,7 @@ type Config struct {
 
 // DefaultConfig returns a vSoC-style device configuration.
 func DefaultConfig() Config {
-	return Config{
-		Mode:              ModeFence,
-		Transport:         virtio.DefaultConfig(),
-		FlowControl:       flowcontrol.DefaultConfig(),
-		UseFlowControl:    true,
-		CtxSwitchSync:     600 * time.Microsecond,
-		CtxSwitchDeferred: 60 * time.Microsecond,
-	}
+	return Config{Mode: ModeFence, UseFlowControl: true}
 }
 
 // OpKind classifies device commands.
@@ -164,7 +159,6 @@ type Device struct {
 
 	mgr  *svm.Manager
 	cfg  Config
-	env  *sim.Env
 	ring *virtio.Ring
 	irq  *virtio.IRQLine
 	ftab *fence.Table
@@ -182,12 +176,8 @@ type Device struct {
 	// struct's printed form is unchanged with batching off).
 	piggybacked int
 
-	tr         *obs.Tracer
-	tk         obs.Track
-	subCtr     *obs.Counter
-	execCtr    *obs.Counter
-	dropCtr    *obs.Counter
-	timeoutCtr *obs.Counter
+	tr *obs.Tracer
+	tk obs.Track
 
 	// Critical-path profiler plus labels precomputed at construction so
 	// the enabled path builds no strings per op.
@@ -216,7 +206,6 @@ func New(env *sim.Env, mgr *svm.Manager, name string, vid, pid hypergraph.NodeID
 		Name:   name,
 		mgr:    mgr,
 		cfg:    cfg,
-		env:    env,
 		ring:   virtio.NewRing(env, name+"-vq", cfg.Transport),
 		irq:    virtio.NewIRQLine(env, name+"-irq", cfg.Transport),
 		ftab:   ftab,
@@ -232,13 +221,13 @@ func New(env *sim.Env, mgr *svm.Manager, name string, vid, pid hypergraph.NodeID
 		d.tk = d.tr.Track("dev:" + name)
 	}
 	if reg := env.Metrics(); reg != nil {
-		d.subCtr = reg.Counter("dev." + name + ".submitted")
-		d.execCtr = reg.Counter("dev." + name + ".executed")
-		d.dropCtr = reg.Counter("dev." + name + ".dropped_ops")
-		d.timeoutCtr = reg.Counter("dev." + name + ".fence_timeouts")
+		reg.Count("dev."+name+".submitted", &d.stats.Submitted)
+		reg.Count("dev."+name+".executed", &d.stats.Executed)
+		reg.Count("dev."+name+".dropped_ops", &d.stats.DroppedOps)
+		reg.Count("dev."+name+".fence_timeouts", &d.stats.FenceTimeouts)
 	}
 	if cfg.UseFlowControl && cfg.Mode == ModeFence {
-		d.mimd = flowcontrol.New(env, cfg.FlowControl)
+		d.mimd = flowcontrol.New(env)
 	}
 	if d.pf = env.Profiler(); d.pf != nil {
 		for _, k := range []OpKind{OpWrite, OpRead, OpExec} {
@@ -290,7 +279,6 @@ func (d *Device) batching() bool { return d.cfg.Transport.Batch.Enabled }
 //     interrupt is handled.
 func (d *Device) Submit(p *sim.Proc, op Op) *Ticket {
 	d.stats.Submitted++
-	d.subCtr.Inc()
 	t := &Ticket{}
 	cmd := d.ring.NewCommand(opName(op.Kind), nil)
 	t.Cmd = cmd
@@ -327,7 +315,7 @@ func (d *Device) Submit(p *sim.Proc, op Op) *Ticket {
 		}
 		// Batched commands share one kick; only marshaling scales.
 		marshalStart := p.Now()
-		p.Sleep(d.cfg.Transport.Scaled(time.Duration(extra) * d.cfg.Transport.PerCommandCost))
+		p.Sleep(d.cfg.Transport.Scaled(time.Duration(extra) * virtio.PerCommandCost))
 		if d.pf != nil {
 			d.pf.Charge(p, "virtio:marshal", marshalStart)
 		}
@@ -347,7 +335,7 @@ func (d *Device) Submit(p *sim.Proc, op Op) *Ticket {
 		// guest-host round trip before the final dispatch-and-wait.
 		marshalStart := p.Now()
 		p.Sleep(d.cfg.Transport.Scaled(time.Duration(extra) *
-			(d.cfg.Transport.PerCommandCost + d.cfg.Transport.KickCost + d.cfg.Transport.IRQCost)))
+			(virtio.PerCommandCost + virtio.KickCost + virtio.IRQCost)))
 		if d.pf != nil {
 			d.pf.Charge(p, "virtio:marshal", marshalStart)
 		}
@@ -373,7 +361,7 @@ func (d *Device) Submit(p *sim.Proc, op Op) *Ticket {
 			}
 		}
 		marshalStart := p.Now()
-		p.Sleep(d.cfg.Transport.Scaled(time.Duration(extra) * (d.cfg.Transport.PerCommandCost + d.cfg.Transport.KickCost)))
+		p.Sleep(d.cfg.Transport.Scaled(time.Duration(extra) * (virtio.PerCommandCost + virtio.KickCost)))
 		if d.pf != nil {
 			d.pf.Charge(p, "virtio:marshal", marshalStart)
 		}
@@ -399,7 +387,6 @@ func (d *Device) hostLoop(p *sim.Proc) {
 			if wd := d.cfg.WatchdogTimeout; wd > 0 {
 				if !ho.waitFence.WaitTimeout(p, wd) {
 					d.stats.FenceTimeouts++
-					d.timeoutCtr.Inc()
 					if d.tr != nil {
 						d.tr.Instant(d.tk, "fence-timeout")
 					}
@@ -452,7 +439,6 @@ func (d *Device) hostLoop(p *sim.Proc) {
 			d.mimd.Complete(d.ring.Pending())
 		}
 		d.stats.Executed++
-		d.execCtr.Inc()
 	}
 }
 
@@ -465,9 +451,9 @@ func (d *Device) execute(p *sim.Proc, ho *hostOp) svm.EndInfo {
 		}
 		ctxStart := p.Now()
 		if d.cfg.Mode == ModeFence {
-			p.Sleep(d.cfg.CtxSwitchDeferred)
+			p.Sleep(ctxSwitchDeferred)
 		} else {
-			p.Sleep(d.cfg.CtxSwitchSync)
+			p.Sleep(ctxSwitchSync)
 		}
 		if d.pf != nil {
 			d.pf.Charge(p, d.lblCtx, ctxStart)
@@ -509,7 +495,6 @@ func (d *Device) accessExec(p *sim.Proc, op Op, usage svm.Usage) svm.EndInfo {
 	if err != nil {
 		if errors.Is(err, svm.ErrFreed) || errors.Is(err, svm.ErrUnknownRegion) {
 			d.stats.DroppedOps++
-			d.dropCtr.Inc()
 			if d.tr != nil {
 				d.tr.Instant(d.tk, "dropped-op")
 			}
@@ -523,7 +508,6 @@ func (d *Device) accessExec(p *sim.Proc, op Op, usage svm.Usage) svm.EndInfo {
 	if err != nil {
 		if errors.Is(err, svm.ErrFreed) {
 			d.stats.DroppedOps++
-			d.dropCtr.Inc()
 			if d.tr != nil {
 				d.tr.Instant(d.tk, "dropped-op")
 			}

@@ -30,16 +30,16 @@ type BatchingRow struct {
 
 	Kicks, ElidedKicks       int
 	IRQsDelivered, Coalesced int
-	// Pushes/Batches/PushesCoalesced mirror svm.Stats: with batching off
-	// Batches == Pushes.
-	Pushes, Batches, PushesCoalesced int
+	// Pushes/Batches mirror svm.Stats: with batching off Batches ==
+	// Pushes.
+	Pushes, Batches int
 	// AvgBatch is Pushes/Batches.
 	AvgBatch float64
 	// PiggybackedFences counts signal fences that rode a push batch's
 	// completion instead of their own IRQ.
 	PiggybackedFences int
 
-	PrefetchHits, PrefetchWaits, DemandFetches int
+	DemandFetches int
 
 	// Table-2 metrics for this setting (delta columns in FormatBatching).
 	AccessMeanMS    float64
@@ -170,9 +170,6 @@ func runBatchingStress(cfg Config, label string, preset emulator.Preset) Batchin
 	st := sess.SVMStats()
 	row.Pushes = st.CoherencePushes
 	row.Batches = st.CoherenceBatches
-	row.PushesCoalesced = st.PushesCoalesced
-	row.PrefetchHits = st.PrefetchHits
-	row.PrefetchWaits = st.PrefetchWaits
 	row.DemandFetches = st.DemandFetches
 	if row.Batches > 0 {
 		row.AvgBatch = float64(row.Pushes) / float64(row.Batches)

@@ -42,14 +42,14 @@ func TestBatchingHalvesNotificationsPerOp(t *testing.T) {
 	if on.ElidedKicks == 0 {
 		t.Fatal("adaptive run elided no kicks")
 	}
-	if on.AvgBatch <= 1 || on.PushesCoalesced == 0 {
-		t.Fatalf("avg batch = %.2f coalesced = %d, want coalescing to engage",
-			on.AvgBatch, on.PushesCoalesced)
+	if on.AvgBatch <= 1 || on.Batches >= on.Pushes {
+		t.Fatalf("avg batch = %.2f (%d pushes in %d batches), want coalescing to engage",
+			on.AvgBatch, on.Pushes, on.Batches)
 	}
 	if on.PiggybackedFences == 0 {
 		t.Fatal("adaptive run piggybacked no fences")
 	}
-	if off.ElidedKicks != 0 || off.PushesCoalesced != 0 || off.PiggybackedFences != 0 {
+	if off.ElidedKicks != 0 || off.Batches != off.Pushes || off.PiggybackedFences != 0 {
 		t.Fatalf("batching-off run shows batching activity: %+v", off)
 	}
 }

@@ -410,8 +410,8 @@ func TestMicroProfileExport(t *testing.T) {
 
 func TestServicesShape(t *testing.T) {
 	res := RunServices(Quick())
-	if res.Events < 1000 {
-		t.Fatalf("events = %d", res.Events)
+	if res.CallsPerSecond < 100 {
+		t.Fatalf("calls/s = %.0f, want a busy trace", res.CallsPerSecond)
 	}
 	if len(res.Top) < 3 {
 		t.Fatalf("top = %+v", res.Top)

@@ -22,7 +22,6 @@ type ServicesResult struct {
 	FewSharerFraction float64
 	CyclicFraction    float64
 	CallsPerSecond    float64
-	Events            int
 }
 
 // RunServices traces the emerging-app mix on vSoC with §2.3-style process
@@ -53,7 +52,6 @@ func RunServices(cfg Config) *ServicesResult {
 		FewSharerFraction: c.FewSharerFraction(),
 		CyclicFraction:    c.CyclicFraction(),
 		CallsPerSecond:    c.CallRate(total),
-		Events:            c.Events(),
 	}
 }
 

@@ -32,9 +32,6 @@ import (
 // short -duration.
 const phasedMinDuration = 16 * time.Second
 
-// phasedWindow is the monitor's rollup window width for the scenario.
-const phasedWindow = 200 * time.Millisecond
-
 // phasedCollapseFactor is the fault phase's remaining DRAM->VRAM
 // bandwidth fraction (0.12 = an 88% collapse — hard enough to crash FPS
 // through the floor, the threshold detector's trigger).
@@ -157,10 +154,8 @@ func RunPhasedLoad(cfg Config) *PhasedLoadResult {
 	specs := append(tsmon.DefaultSpecs(), tsmon.Spec{
 		Name: "dma-drift", Class: tsmon.ClassDrift, Signal: "probe:link_mb",
 		MinDelta: 50,
-		Desc:     "EWMA changepoint on per-window host-to-GPU DMA traffic",
 	})
 	mon := tsmon.New(tsmon.Config{
-		Window:    phasedWindow,
 		Tenants:   []tsmon.TenantConfig{phasedTenant()},
 		Detectors: specs,
 		Tracer:    tr,
@@ -200,7 +195,7 @@ func RunPhasedLoad(cfg Config) *PhasedLoadResult {
 	// Drive the run at window grain: RunUntilEvery executes the identical
 	// event stream as a plain RunUntil(dur) and calls Seal at each window
 	// boundary with all samples below it recorded.
-	sess.Env.RunUntilEvery(pd.Stop(), phasedWindow, mon.Seal)
+	sess.Env.RunUntilEvery(pd.Stop(), tsmon.WindowWidth, mon.Seal)
 	mon.Finalize(pd.Stop())
 
 	r, err := pd.Wait()

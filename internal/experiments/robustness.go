@@ -43,7 +43,6 @@ type RobustnessCell struct {
 	Suspensions   int
 	FenceTimeouts int
 	DMARetries    int
-	Stalls        int
 	DroppedOps    int
 
 	// TraceFile is the per-cell fault-window trace written when the run was
@@ -184,7 +183,6 @@ func runRobustnessCell(cfg Config, machine MachineSpec, preset emulator.Preset,
 	if l := mach.LinkBetween(mach.DRAM, mach.VRAM); l != nil {
 		cell.DMARetries = l.DMARetries()
 	}
-	cell.Stalls = mach.GPU.Stalls()
 	cell.FenceTimeouts, cell.DroppedOps = deviceTotals(sess.Emulator)
 	finishObs()
 	return cell

@@ -58,8 +58,8 @@ func TestChaosSweepTerminatesAndRecovers(t *testing.T) {
 	if c := r.Cell("vSoC", faults.ClassDMALoss); c == nil || c.DMARetries == 0 {
 		t.Error("vSoC dma-loss: no DMA retries recorded")
 	}
-	if c := r.Cell("vSoC", faults.ClassDeviceStall); c == nil || c.Stalls != 1 || c.FenceTimeouts == 0 {
-		t.Error("vSoC device-stall: stall or watchdog timeouts not recorded")
+	if c := r.Cell("vSoC", faults.ClassDeviceStall); c == nil || c.FenceTimeouts == 0 {
+		t.Error("vSoC device-stall: watchdog timeouts not recorded")
 	}
 }
 

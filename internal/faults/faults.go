@@ -79,10 +79,11 @@ type Injector struct {
 
 	windows []window
 	armed   bool
+	// transitions counts fault windows opened and closed so far.
+	transitions int
 
-	tr  *obs.Tracer
-	tk  obs.Track
-	ctr *obs.Counter
+	tr *obs.Tracer
+	tk obs.Track
 }
 
 // NewInjector returns an injector for env. seed drives every probabilistic
@@ -92,7 +93,9 @@ func NewInjector(env *sim.Env, seed int64) *Injector {
 	if i.tr = env.Tracer(); i.tr != nil {
 		i.tk = i.tr.Track("faults")
 	}
-	i.ctr = env.Metrics().Counter("faults.transitions")
+	if reg := env.Metrics(); reg != nil {
+		reg.Count("faults.transitions", &i.transitions)
+	}
 	return i
 }
 
@@ -132,7 +135,7 @@ func (i *Injector) Arm() {
 			if i.tr != nil {
 				i.tr.Instant(i.tk, "inject:"+string(w.fault.Class()))
 			}
-			i.ctr.Inc()
+			i.transitions++
 			w.fault.inject(i, now)
 		})
 		i.env.After(w.at+w.dur, func() {
@@ -144,7 +147,7 @@ func (i *Injector) Arm() {
 					openedAt, now-openedAt)
 				i.tr.Instant(i.tk, "clear:"+string(w.fault.Class()))
 			}
-			i.ctr.Inc()
+			i.transitions++
 			w.fault.clear(i, now)
 		})
 	}

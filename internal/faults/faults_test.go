@@ -166,9 +166,6 @@ func TestDeviceStallBlocksExecUntilClear(t *testing.T) {
 	if done < 25*ms {
 		t.Fatalf("exec finished at %v, want >= 25ms (blocked until window close)", done)
 	}
-	if rg.mach.GPU.Stalls() != 1 {
-		t.Fatalf("Stalls = %d, want 1", rg.mach.GPU.Stalls())
-	}
 }
 
 func TestSwitchStormForcesContextSwitches(t *testing.T) {

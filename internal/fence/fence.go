@@ -83,7 +83,9 @@ func (f *Fence) Signal() {
 		t.tr.Instant(t.tk, "signal")
 		t.tr.Count(t.tk, "in_use", float64(t.InUse()))
 	}
-	t.inUseGauge.Set(float64(t.InUse()))
+	if t.inUseGauge != nil {
+		t.inUseGauge.Set(float64(t.InUse()))
+	}
 }
 
 // Wait parks p until the fence retires. Multiple waiters are allowed.
@@ -104,7 +106,6 @@ func (f *Fence) WaitTimeout(p *sim.Proc, d sim.Time) bool {
 // one shared guest page.
 type Table struct {
 	env   *sim.Env
-	page  *virtio.SharedPage
 	slots []*Fence // current occupant per slot; nil when unused
 	free  []int    // unused slot indices, handed out from the front
 	// freeBuf is the whole backing array behind free: reclaiming slots
@@ -118,8 +119,6 @@ type Table struct {
 
 	tr         *obs.Tracer
 	tk         obs.Track
-	allocCtr   *obs.Counter
-	recycleCtr *obs.Counter
 	inUseGauge *obs.Gauge
 }
 
@@ -130,7 +129,7 @@ func NewTable(env *sim.Env) *Table {
 	if !page.Reserve(n * slotBytes) {
 		panic("fence: slot layout exceeds page")
 	}
-	t := &Table{env: env, page: page, slots: make([]*Fence, n), freeBuf: make([]int, n)}
+	t := &Table{env: env, slots: make([]*Fence, n), freeBuf: make([]int, n)}
 	for i := range t.freeBuf {
 		t.freeBuf[i] = i
 	}
@@ -139,8 +138,8 @@ func NewTable(env *sim.Env) *Table {
 		t.tk = t.tr.Track("fences")
 	}
 	if reg := env.Metrics(); reg != nil {
-		t.allocCtr = reg.Counter("fence.allocs")
-		t.recycleCtr = reg.Counter("fence.recycles")
+		reg.Count("fence.allocs", &t.allocs)
+		reg.Count("fence.recycles", &t.recycles)
 		t.inUseGauge = reg.Gauge("fence.in_use")
 	}
 	// Closing the environment aborts every process mid-protocol, so active
@@ -202,11 +201,8 @@ func (t *Table) maybeRecycle(force bool) {
 			reclaimed++
 		}
 	}
-	if reclaimed > 0 {
-		if t.tr != nil {
-			t.tr.Instant(t.tk, "recycle")
-		}
-		t.recycleCtr.Add(int64(reclaimed))
+	if reclaimed > 0 && t.tr != nil {
+		t.tr.Instant(t.tk, "recycle")
 	}
 }
 
@@ -238,7 +234,8 @@ func (t *Table) Alloc() *Fence {
 		t.tr.Instant(t.tk, "alloc")
 		t.tr.Count(t.tk, "in_use", float64(t.InUse()))
 	}
-	t.allocCtr.Inc()
-	t.inUseGauge.Set(float64(t.InUse()))
+	if t.inUseGauge != nil {
+		t.inUseGauge.Set(float64(t.InUse()))
+	}
 	return f
 }

@@ -2,12 +2,11 @@
 // loop (DESIGN.md §13, building on the §12 shard group and the §8 obs
 // infrastructure). It watches three planes at once: the window loop
 // (per-window advance span and event count, lookahead utilization),
-// shared-host arbitration (per-window demand vs budget, applied scale,
-// thermal state), and per-tenant QoS (FPS vs a configurable floor,
-// motion-to-photon vs SLO, demand-fetch tail latency from a fixed-bucket
-// log-scale histogram, fault-window downtime), folding them into Perfetto
-// counter tracks, violation spans, a wall-clock split of the loop's host
-// time, and a machine-readable fleet report.
+// shared-host arbitration (per-window demand vs budget, applied scale),
+// and per-tenant QoS (FPS vs a configurable floor, motion-to-photon vs
+// SLO, demand-fetch tail latency from a fixed-bucket log-scale histogram),
+// folding them into Perfetto counter tracks, violation spans, a wall-clock
+// split of the loop's host time, and a machine-readable fleet report.
 //
 // Determinism contract: the layer is observe-only — with a Fleet attached,
 // simulation results are byte-identical to a run without one, and the
@@ -31,10 +30,6 @@ import (
 type Config struct {
 	// Tenants declares the guests in fleet order (one per environment).
 	Tenants []TenantConfig
-	// StragglerK flags a tenant whose tail p99 exceeds K times the fleet
-	// median p99 (computed independently for motion-to-photon and
-	// demand-fetch pools). Default 1.5.
-	StragglerK float64
 	// Tracer, when non-nil, receives fleet counter tracks (fleet:sched,
 	// fleet:host) and per-tenant violation spans (tenant:<name>). The
 	// fleet owns the tracer's clock: it binds SetNow to the barrier clock.
@@ -67,25 +62,20 @@ type Fleet struct {
 	wallArb      time.Duration
 
 	// Shared-host plane (all deterministic).
-	hostWindows   int
-	hostDemand    hostsim.Bytes
-	hostBusy      time.Duration
-	hostThrottled int
-	hostScaleSum  float64
-	hostMinScale  float64
+	hostWindows  int
+	hostDemand   hostsim.Bytes
+	hostBusy     time.Duration
+	hostScaleSum float64
+	hostMinScale float64
 
 	now time.Duration // fleet barrier clock; drives the tracer
 
 	schedTk, hostTk obs.Track
-	winCount        *obs.Counter
 }
 
 // New builds a Fleet over the configured tenants. A nil-tracer,
 // nil-registry config is valid: the fleet then only aggregates.
 func New(cfg Config) *Fleet {
-	if cfg.StragglerK <= 0 {
-		cfg.StragglerK = 1.5
-	}
 	f := &Fleet{cfg: cfg, hostMinScale: 1}
 	for i, tc := range cfg.Tenants {
 		f.tenants = append(f.tenants, newTenant(tc, i))
@@ -99,8 +89,7 @@ func New(cfg Config) *Fleet {
 		}
 		tr.SetNow(func() time.Duration { return f.now })
 	}
-	reg := cfg.Registry
-	f.winCount = reg.Counter("shard.window.count")
+	cfg.Registry.Count("shard.window.count", &f.windows)
 	return f
 }
 
@@ -134,7 +123,6 @@ func (f *Fleet) ShardWindow(w *sim.ShardWindowStats) {
 	f.wallScan += w.WallScan
 	f.wallExec += w.WallExec
 	f.wallArb += w.WallArb
-	f.winCount.Inc()
 	if tr := f.cfg.Tracer; tr != nil {
 		tr.Count(f.schedTk, "advance_us", float64(adv)/1e3)
 		util := 0.0
@@ -152,9 +140,6 @@ func (f *Fleet) HostWindow(w *hostsim.SharedWindowStats) {
 	f.hostWindows++
 	f.hostDemand += w.DemandBytes
 	f.hostBusy += w.BusyTime
-	if w.Throttled {
-		f.hostThrottled++
-	}
 	f.hostScaleSum += w.Scale
 	if w.Scale < f.hostMinScale {
 		f.hostMinScale = w.Scale
@@ -167,12 +152,11 @@ func (f *Fleet) HostWindow(w *hostsim.SharedWindowStats) {
 		}
 		tr.Count(f.hostTk, "demand_gbps", gbps)
 		tr.Count(f.hostTk, "scale", w.Scale)
-		tr.Count(f.hostTk, "heat", w.Heat)
 	}
 }
 
 // Finalize closes the run at virtual instant end: it emits each tenant's
-// violation and fault-window spans to the tracer. Call once, after the
+// violation spans to the tracer. Call once, after the
 // group has finished; Report and StallReport remain valid afterwards.
 func (f *Fleet) Finalize(end time.Duration) {
 	f.now = end

@@ -11,12 +11,6 @@ import (
 	"repro/internal/sim"
 )
 
-// addFaultWindow declares an injected-fault interval for downtime
-// accounting.
-func (t *Tenant) addFaultWindow(start, dur time.Duration) {
-	t.faults = append(t.faults, faultWindow{start: start, end: start + dur})
-}
-
 // counterValue reads a counter through the registry's snapshot.
 func counterValue(reg *obs.Registry, name string) int64 {
 	for _, e := range reg.Snapshot() {
@@ -92,7 +86,7 @@ func TestTenantAttainmentAndViolations(t *testing.T) {
 }
 
 func TestStragglerDetection(t *testing.T) {
-	cfg := Config{StragglerK: 1.5}
+	var cfg Config
 	for _, n := range []string{"a", "b", "c", "d"} {
 		cfg.Tenants = append(cfg.Tenants, TenantConfig{Name: n})
 	}
@@ -114,15 +108,6 @@ func TestStragglerDetection(t *testing.T) {
 		if tr.Straggler != (tr.Name == "d") {
 			t.Fatalf("straggler flag wrong on %q", tr.Name)
 		}
-	}
-}
-
-func TestDowntimeClipsToRun(t *testing.T) {
-	f := New(Config{Tenants: []TenantConfig{{Name: "g"}}})
-	f.Tenant(0).addFaultWindow(2*time.Second, 3*time.Second) // clips at end=4s
-	r := f.Report(4 * time.Second)
-	if got := r.Tenants[0].DowntimeMS; got != 2000 {
-		t.Fatalf("downtime = %g ms, want 2000", got)
 	}
 }
 
@@ -213,13 +198,12 @@ func TestViolationSpansAndCounters(t *testing.T) {
 	})
 	feedTenant(f.Tenant(0), 40, 1, 0) // second 0 healthy
 	// seconds 1-2 silent: floor violations
-	f.Tenant(0).addFaultWindow(time.Second, time.Second)
 	f.ShardWindow(&sim.ShardWindowStats{
 		Base: 0, Limit: 2 * time.Millisecond, Lookahead: 2 * time.Millisecond, Events: 10,
 	})
 	f.Finalize(3 * time.Second)
 
-	var viol, fault int
+	var viol int
 	for _, ev := range tr.Events() {
 		if ev.Name == "fps-floor-violation" {
 			viol++
@@ -227,12 +211,9 @@ func TestViolationSpansAndCounters(t *testing.T) {
 				t.Fatalf("violation span [%v +%v], want [1s +2s]", ev.At, ev.Dur)
 			}
 		}
-		if ev.Name == "fault-window" {
-			fault++
-		}
 	}
-	if viol != 1 || fault != 1 {
-		t.Fatalf("spans: %d violation, %d fault; want 1, 1", viol, fault)
+	if viol != 1 {
+		t.Fatalf("spans: %d violation, want 1", viol)
 	}
 	if got := counterValue(reg, "shard.window.count"); got != 1 {
 		t.Fatalf("shard.window.count = %d, want 1", got)

@@ -15,7 +15,12 @@ import (
 // loop (never deterministic, and therefore kept out of Report entirely).
 
 // ReportSchema versions the fleet report JSON.
-const ReportSchema = 1
+const ReportSchema = 2
+
+// stragglerK flags a tenant whose tail p99 exceeds K times the fleet
+// median p99 (computed independently for motion-to-photon and demand-fetch
+// pools).
+const stragglerK = 1.5
 
 // TenantReport is one guest's QoS summary.
 type TenantReport struct {
@@ -43,8 +48,7 @@ type TenantReport struct {
 	FetchP95MS float64 `json:"fetch_p95_ms"`
 	FetchP99MS float64 `json:"fetch_p99_ms"`
 
-	DowntimeMS float64 `json:"downtime_ms"`
-	Straggler  bool    `json:"straggler"`
+	Straggler bool `json:"straggler"`
 }
 
 // SchedReport summarizes the farm's window loop.
@@ -58,12 +62,11 @@ type SchedReport struct {
 
 // HostReport summarizes the shared-host arbiter's window sequence.
 type HostReport struct {
-	Windows          int     `json:"windows"`
-	DemandBytes      int64   `json:"demand_bytes"`
-	BusyMS           float64 `json:"busy_ms"`
-	MeanScale        float64 `json:"mean_scale"`
-	MinScale         float64 `json:"min_scale"`
-	ThrottledWindows int     `json:"throttled_windows"`
+	Windows     int     `json:"windows"`
+	DemandBytes int64   `json:"demand_bytes"`
+	BusyMS      float64 `json:"busy_ms"`
+	MeanScale   float64 `json:"mean_scale"`
+	MinScale    float64 `json:"min_scale"`
 }
 
 // FleetTails is the cross-tenant aggregate: merged tail percentiles and
@@ -147,12 +150,11 @@ func (f *Fleet) Report(end time.Duration) *Report {
 		minScale = 1
 	}
 	r.Host = HostReport{
-		Windows:          f.hostWindows,
-		DemandBytes:      int64(f.hostDemand),
-		BusyMS:           round6(float64(f.hostBusy) / 1e6),
-		MeanScale:        round6(ratio(f.hostScaleSum, float64(f.hostWindows), 1)),
-		MinScale:         round6(minScale),
-		ThrottledWindows: f.hostThrottled,
+		Windows:     f.hostWindows,
+		DemandBytes: int64(f.hostDemand),
+		BusyMS:      round6(float64(f.hostBusy) / 1e6),
+		MeanScale:   round6(ratio(f.hostScaleSum, float64(f.hostWindows), 1)),
+		MinScale:    round6(minScale),
 	}
 
 	secs := float64(end) / float64(time.Second)
@@ -179,8 +181,6 @@ func (f *Fleet) Report(end time.Duration) *Report {
 			FetchP50MS: round6(t.fetch.Percentile(50)),
 			FetchP95MS: round6(t.fetch.Percentile(95)),
 			FetchP99MS: round6(t.fetch.Percentile(99)),
-
-			DowntimeMS: round6(float64(t.downtime(end)) / 1e6),
 		}
 		tr.MeanFPS = round6(ratio(float64(t.frames), secs, 0))
 		// Floor attainment over complete seconds; no floor or no complete
@@ -223,7 +223,7 @@ func (f *Fleet) Report(end time.Duration) *Report {
 			return
 		}
 		for i := range rows {
-			if count(&rows[i]) > 0 && p99(&rows[i]) > f.cfg.StragglerK*med {
+			if count(&rows[i]) > 0 && p99(&rows[i]) > stragglerK*med {
 				rows[i].Straggler = true
 			}
 		}
@@ -251,7 +251,7 @@ func (f *Fleet) Report(end time.Duration) *Report {
 		FetchP50MS:      round6(fetchAll.Percentile(50)),
 		FetchP95MS:      round6(fetchAll.Percentile(95)),
 		FetchP99MS:      round6(fetchAll.Percentile(99)),
-		StragglerK:      round6(f.cfg.StragglerK),
+		StragglerK:      stragglerK,
 		Stragglers:      []string{},
 	}
 	for i := range rows {
@@ -279,21 +279,21 @@ func (r *Report) FormatText() string {
 	fmt.Fprintf(&b, "  sched: %d windows (%d final), lookahead util %.3f, %.0f events/window\n",
 		r.Sched.Windows, r.Sched.FinalWindows, r.Sched.LookaheadUtil,
 		r.Sched.EventsPerWindow)
-	fmt.Fprintf(&b, "  host:  %d windows, %.2f GB demand, %.1f ms busy, scale mean %.3f / min %.3f, throttled %d\n",
+	fmt.Fprintf(&b, "  host:  %d windows, %.2f GB demand, %.1f ms busy, scale mean %.3f / min %.3f\n",
 		r.Host.Windows, float64(r.Host.DemandBytes)/1e9, r.Host.BusyMS,
-		r.Host.MeanScale, r.Host.MinScale, r.Host.ThrottledWindows)
-	fmt.Fprintf(&b, "  %-14s %7s %6s %8s %7s %7s %9s %9s %10s %5s\n",
-		"tenant", "fps", "floor%", "m2p_p99", "slo%", "fetches", "fetch_p50", "fetch_p99", "downtime", "strag")
+		r.Host.MeanScale, r.Host.MinScale)
+	fmt.Fprintf(&b, "  %-14s %7s %6s %8s %7s %7s %9s %9s %5s\n",
+		"tenant", "fps", "floor%", "m2p_p99", "slo%", "fetches", "fetch_p50", "fetch_p99", "strag")
 	for i := range r.Tenants {
 		t := &r.Tenants[i]
 		strag := ""
 		if t.Straggler {
 			strag = "YES"
 		}
-		fmt.Fprintf(&b, "  %-14s %7.2f %6.1f %7.2fms %7.1f %7d %7.2fms %7.2fms %8.0fms %5s\n",
+		fmt.Fprintf(&b, "  %-14s %7.2f %6.1f %7.2fms %7.1f %7d %7.2fms %7.2fms %5s\n",
 			t.Name, t.MeanFPS, t.FloorAttainment*100, t.M2PP99MS,
 			t.M2PAttainment*100, t.FetchCount, t.FetchP50MS, t.FetchP99MS,
-			t.DowntimeMS, strag)
+			strag)
 	}
 	fmt.Fprintf(&b, "  fleet: mean %.2f FPS, floor %.1f%%, SLO %.1f%%, m2p p99 %.2f ms, fetch p99 %.2f ms, stragglers (k=%.1f): %s\n",
 		r.Fleet.MeanFPS, r.Fleet.FloorAttainment*100, r.Fleet.SLOAttainment*100,

@@ -18,9 +18,6 @@ type TenantConfig struct {
 	M2PSLO time.Duration
 }
 
-// faultWindow is one injected-fault interval, for downtime accounting.
-type faultWindow struct{ start, end time.Duration }
-
 // Tenant is one guest's streaming QoS telemetry. It implements the
 // emulator frame-observer hook (FramePresented/FrameDropped/
 // MotionToPhoton) and the svm fetch-observer hook (DemandFetch) without
@@ -45,7 +42,6 @@ type Tenant struct {
 	m2p     LogHistogram
 	m2pViol uint64
 	fetch   LogHistogram
-	faults  []faultWindow
 }
 
 func newTenant(cfg TenantConfig, index int) *Tenant {
@@ -117,28 +113,10 @@ func (t *Tenant) floorViolationSeconds(end time.Duration) []int {
 	return out
 }
 
-// downtime sums the tenant's fault windows clipped to [0, end].
-func (t *Tenant) downtime(end time.Duration) time.Duration {
-	var d time.Duration
-	for _, w := range t.faults {
-		s, e := w.start, w.end
-		if s < 0 {
-			s = 0
-		}
-		if e > end {
-			e = end
-		}
-		if e > s {
-			d += e - s
-		}
-	}
-	return d
-}
-
-// emitSpans writes the tenant's violation and fault-window spans to the
-// trace: contiguous runs of floor-violating seconds, seconds with SLO
-// violations, and declared fault windows, all with explicit virtual
-// timestamps so emission order never shapes the trace clock.
+// emitSpans writes the tenant's violation spans to the trace: contiguous
+// runs of floor-violating seconds and seconds with SLO violations, all with
+// explicit virtual timestamps so emission order never shapes the trace
+// clock.
 func (t *Tenant) emitSpans(tr *obs.Tracer, end time.Duration) {
 	emitRuns := func(name string, secs []int) {
 		for i := 0; i < len(secs); {
@@ -160,10 +138,5 @@ func (t *Tenant) emitSpans(tr *obs.Tracer, end time.Duration) {
 			}
 		}
 		emitRuns("m2p-slo-violation", secs)
-	}
-	for _, w := range t.faults {
-		if w.end > w.start {
-			tr.SpanAt(t.track, "fault-window", w.start, w.end-w.start)
-		}
 	}
 }

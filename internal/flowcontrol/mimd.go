@@ -13,34 +13,21 @@ package flowcontrol
 
 import "repro/internal/sim"
 
-// Config sets the MIMD parameters.
-type Config struct {
-	InitialWindow float64 // starting in-flight budget
-	MinWindow     float64
-	MaxWindow     float64
-	Increase      float64 // multiplicative growth per well-paced completion (>1)
-	Decrease      float64 // multiplicative shrink on backlog (<1)
-	// BacklogThreshold is the host-queue depth above which the host is
+// The MIMD parameters, mirroring Trinity-style pacing.
+const (
+	initialWindow = 8.0 // starting in-flight budget
+	minWindow     = 1.0
+	maxWindow     = 256.0
+	increase      = 1.25 // multiplicative growth per well-paced completion
+	decrease      = 0.5  // multiplicative shrink on backlog
+	// backlogThreshold is the host-queue depth above which the host is
 	// considered backed up.
-	BacklogThreshold int
-}
-
-// DefaultConfig mirrors Trinity-style pacing.
-func DefaultConfig() Config {
-	return Config{
-		InitialWindow:    8,
-		MinWindow:        1,
-		MaxWindow:        256,
-		Increase:         1.25,
-		Decrease:         0.5,
-		BacklogThreshold: 32,
-	}
-}
+	backlogThreshold = 32
+)
 
 // MIMD is one flow-control instance, typically per guest driver.
 type MIMD struct {
 	env      *sim.Env
-	cfg      Config
 	window   float64
 	inflight int
 	waiters  []*mimdWaiter
@@ -51,11 +38,8 @@ type mimdWaiter struct {
 }
 
 // New returns a MIMD pacer.
-func New(env *sim.Env, cfg Config) *MIMD {
-	if cfg.InitialWindow < cfg.MinWindow {
-		cfg.InitialWindow = cfg.MinWindow
-	}
-	return &MIMD{env: env, cfg: cfg, window: cfg.InitialWindow}
+func New(env *sim.Env) *MIMD {
+	return &MIMD{env: env, window: initialWindow}
 }
 
 // Acquire charges one command to the window, blocking the guest driver while
@@ -77,15 +61,15 @@ func (m *MIMD) Complete(hostQueueDepth int) {
 		panic("flowcontrol: Complete without Acquire")
 	}
 	m.inflight--
-	if hostQueueDepth > m.cfg.BacklogThreshold {
-		m.window *= m.cfg.Decrease
-		if m.window < m.cfg.MinWindow {
-			m.window = m.cfg.MinWindow
+	if hostQueueDepth > backlogThreshold {
+		m.window *= decrease
+		if m.window < minWindow {
+			m.window = minWindow
 		}
 	} else {
-		m.window *= m.cfg.Increase
-		if m.window > m.cfg.MaxWindow {
-			m.window = m.cfg.MaxWindow
+		m.window *= increase
+		if m.window > maxWindow {
+			m.window = maxWindow
 		}
 	}
 	m.grant()

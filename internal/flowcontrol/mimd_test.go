@@ -9,21 +9,10 @@ import (
 
 const ms = time.Millisecond
 
-func cfg() Config {
-	return Config{
-		InitialWindow:    2,
-		MinWindow:        1,
-		MaxWindow:        16,
-		Increase:         2,
-		Decrease:         0.5,
-		BacklogThreshold: 4,
-	}
-}
-
 func TestAcquireWithinWindowDoesNotBlock(t *testing.T) {
 	env := sim.NewEnv(1)
 	defer env.Close()
-	m := New(env, cfg())
+	m := New(env)
 	var at time.Duration = -1
 	env.Spawn("g", func(p *sim.Proc) {
 		m.Acquire(p)
@@ -42,28 +31,29 @@ func TestAcquireWithinWindowDoesNotBlock(t *testing.T) {
 func TestAcquireBlocksWhenWindowFull(t *testing.T) {
 	env := sim.NewEnv(1)
 	defer env.Close()
-	m := New(env, cfg())
-	var third time.Duration
+	m := New(env)
+	var blocked time.Duration
 	env.Spawn("g", func(p *sim.Proc) {
-		m.Acquire(p)
-		m.Acquire(p)
-		m.Acquire(p) // window=2: blocks until a completion
-		third = p.Now()
+		for i := 0; i < initialWindow; i++ {
+			m.Acquire(p)
+		}
+		m.Acquire(p) // window full: blocks until a completion
+		blocked = p.Now()
 	})
 	env.Spawn("host", func(p *sim.Proc) {
 		p.Sleep(5 * ms)
 		m.Complete(0)
 	})
 	env.Run()
-	if third != 5*ms {
-		t.Fatalf("third acquire at %v, want 5ms", third)
+	if blocked != 5*ms {
+		t.Fatalf("acquire past the window at %v, want 5ms", blocked)
 	}
 }
 
 func TestWindowGrowsWhenHostKeepsUp(t *testing.T) {
 	env := sim.NewEnv(1)
 	defer env.Close()
-	m := New(env, cfg())
+	m := New(env)
 	env.Spawn("g", func(p *sim.Proc) {
 		for i := 0; i < 3; i++ {
 			m.Acquire(p)
@@ -71,45 +61,45 @@ func TestWindowGrowsWhenHostKeepsUp(t *testing.T) {
 		}
 	})
 	env.Run()
-	if m.window != 16 {
-		t.Fatalf("Window = %v, want 16 (2 -> 4 -> 8 -> 16)", m.window)
+	if m.window != 15.625 {
+		t.Fatalf("Window = %v, want 15.625 (8 -> 10 -> 12.5 -> 15.625)", m.window)
 	}
 }
 
 func TestWindowCappedAtMax(t *testing.T) {
 	env := sim.NewEnv(1)
 	defer env.Close()
-	m := New(env, cfg())
+	m := New(env)
 	env.Spawn("g", func(p *sim.Proc) {
-		for i := 0; i < 10; i++ {
+		for i := 0; i < 20; i++ { // 8 * 1.25^20 is far past the cap
 			m.Acquire(p)
 			m.Complete(0)
 		}
 	})
 	env.Run()
-	if m.window != 16 {
-		t.Fatalf("Window = %v, want capped at 16", m.window)
+	if m.window != maxWindow {
+		t.Fatalf("Window = %v, want capped at %v", m.window, maxWindow)
 	}
 }
 
 func TestWindowShrinksOnBacklog(t *testing.T) {
 	env := sim.NewEnv(1)
 	defer env.Close()
-	m := New(env, cfg())
+	m := New(env)
 	env.Spawn("g", func(p *sim.Proc) {
 		m.Acquire(p)
 		m.Complete(100) // deep host queue
 	})
 	env.Run()
-	if m.window != 1 {
-		t.Fatalf("Window = %v, want 1 (2 * 0.5)", m.window)
+	if m.window != 4 {
+		t.Fatalf("Window = %v, want 4 (8 * 0.5)", m.window)
 	}
 }
 
 func TestWindowFloorAtMin(t *testing.T) {
 	env := sim.NewEnv(1)
 	defer env.Close()
-	m := New(env, cfg())
+	m := New(env)
 	env.Spawn("g", func(p *sim.Proc) {
 		for i := 0; i < 5; i++ {
 			m.Acquire(p)
@@ -117,15 +107,15 @@ func TestWindowFloorAtMin(t *testing.T) {
 		}
 	})
 	env.Run()
-	if m.window != 1 {
-		t.Fatalf("Window = %v, want floored at 1", m.window)
+	if m.window != minWindow {
+		t.Fatalf("Window = %v, want floored at %v", m.window, minWindow)
 	}
 }
 
 func TestCompleteWithoutAcquirePanics(t *testing.T) {
 	env := sim.NewEnv(1)
 	defer env.Close()
-	m := New(env, cfg())
+	m := New(env)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("want panic")
@@ -139,8 +129,7 @@ func TestPacingBoundsInflight(t *testing.T) {
 	// exceed the max window.
 	env := sim.NewEnv(1)
 	defer env.Close()
-	c := cfg()
-	m := New(env, c)
+	m := New(env)
 	hostQ := sim.NewQueue[int](env, 0)
 	peak := 0
 	env.Spawn("guest", func(p *sim.Proc) {
@@ -160,8 +149,8 @@ func TestPacingBoundsInflight(t *testing.T) {
 		}
 	})
 	env.Run()
-	if float64(peak) > c.MaxWindow {
-		t.Fatalf("peak in-flight %d exceeded max window %v", peak, c.MaxWindow)
+	if float64(peak) > maxWindow {
+		t.Fatalf("peak in-flight %d exceeded max window %v", peak, maxWindow)
 	}
 	if m.inflight != 0 {
 		t.Fatalf("InFlight = %d after drain, want 0", m.inflight)

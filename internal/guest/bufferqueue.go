@@ -40,7 +40,6 @@ type Buffer struct {
 // depth is the pipeline's buffering, which smooths jitter and lengthens
 // slack intervals (§2.3).
 type BufferQueue struct {
-	env    *sim.Env
 	free   *sim.Queue[*Buffer]
 	filled *sim.Queue[*Buffer]
 }
@@ -50,7 +49,6 @@ type BufferQueue struct {
 func NewBufferQueue(p *sim.Proc, mod *svm.Module, depth int, size hostsim.Bytes) (*BufferQueue, error) {
 	env := p.Env()
 	q := &BufferQueue{
-		env:    env,
 		free:   sim.NewQueue[*Buffer](env, 0),
 		filled: sim.NewQueue[*Buffer](env, 0),
 	}

@@ -19,14 +19,13 @@ import (
 
 // VSync is a periodic display-synchronization clock (Android's VSYNC).
 type VSync struct {
-	env  *sim.Env
 	next *sim.Event
 }
 
 // NewVSync starts a VSync clock with the given period (16.67 ms for 60 Hz).
 // The first tick fires one period from now.
 func NewVSync(env *sim.Env, period time.Duration) *VSync {
-	v := &VSync{env: env, next: sim.NewEvent(env)}
+	v := &VSync{next: sim.NewEvent(env)}
 	var fire func()
 	fire = func() {
 		cur := v.next

@@ -7,32 +7,11 @@ import (
 	"repro/internal/sim"
 )
 
-// DeviceKind classifies physical host devices.
-type DeviceKind int
-
-const (
-	DevCPU DeviceKind = iota
-	DevGPU
-	DevCamera
-	DevNIC
-)
-
-var deviceKindNames = map[DeviceKind]string{
-	DevCPU:    "cpu",
-	DevGPU:    "gpu",
-	DevCamera: "camera",
-	DevNIC:    "nic",
-}
-
-func (k DeviceKind) String() string { return deviceKindNames[k] }
-
 // Device is a physical compute device: it executes work items that occupy
 // one of its execution units for a duration, scaled by the device's current
 // speed factor (thermal throttling slows the CPU on laptops, §5.3).
 type Device struct {
 	Name   string
-	Kind   DeviceKind
-	Local  *Domain // the memory domain holding this device's local data
 	env    *sim.Env
 	units  *sim.Semaphore
 	speed  func() float64 // current speed factor in (0,1]
@@ -47,8 +26,7 @@ type Device struct {
 	// storm forces every SwitchUser to report a context switch — the
 	// fault layer's context-switch-storm model (a pathological scheduler
 	// interleaving where no virtual device ever runs twice in a row).
-	storm  bool
-	stalls int
+	storm bool
 
 	// Critical-path profiler plus labels precomputed at construction.
 	pf          *prof.Profiler
@@ -58,12 +36,10 @@ type Device struct {
 }
 
 // NewDevice returns a device with the given number of parallel execution
-// units whose local data lives in local.
-func NewDevice(env *sim.Env, name string, kind DeviceKind, local *Domain, units int64) *Device {
+// units.
+func NewDevice(env *sim.Env, name string, units int64) *Device {
 	d := &Device{
 		Name:  name,
-		Kind:  kind,
-		Local: local,
 		env:   env,
 		units: sim.NewSemaphore(env, units),
 		speed: func() float64 { return 1 },
@@ -82,7 +58,6 @@ func NewDevice(env *sim.Env, name string, kind DeviceKind, local *Domain, units 
 // clears. The occupation is FIFO-fair through the unit semaphore, so the
 // stall is deterministic with respect to in-flight work.
 func (d *Device) Stall(release *sim.Event) {
-	d.stalls++
 	n := d.units.Capacity()
 	d.env.Spawn(d.Name+"-stall", func(p *sim.Proc) {
 		d.units.Acquire(p, n)
@@ -90,9 +65,6 @@ func (d *Device) Stall(release *sim.Event) {
 		d.units.Release(n)
 	})
 }
-
-// Stalls returns how many stall faults have been injected on this device.
-func (d *Device) Stalls() int { return d.stalls }
 
 // ForceSwitchStorm toggles the context-switch storm: while on, every
 // SwitchUser call reports a switch, charging the per-switch stall to every

@@ -198,7 +198,6 @@ func (ct *ChunkedTransfer) drive(p *sim.Proc) {
 				service := l.lossyDMASleep(p, d, dma)
 				l.moved += size
 				l.busy += service
-				l.bytesCtr.Add(int64(size))
 				if lastHop {
 					ct.recs = append(ct.recs, chunkRec{l: l, svcStart: svcStart, end: p.Now(), dma: dma})
 					ct.land()

@@ -50,8 +50,7 @@ func TestLinkSerializesTransfers(t *testing.T) {
 func TestDeviceExecOccupiesUnit(t *testing.T) {
 	env := sim.NewEnv(1)
 	defer env.Close()
-	dom := &Domain{Name: "d", Kind: HostDRAM}
-	dev := NewDevice(env, "cpu", DevCPU, dom, 1)
+	dev := NewDevice(env, "cpu", 1)
 	var second time.Duration
 	env.Spawn("a", func(p *sim.Proc) { dev.Exec(p, 10*ms) })
 	env.Spawn("b", func(p *sim.Proc) {
@@ -67,8 +66,7 @@ func TestDeviceExecOccupiesUnit(t *testing.T) {
 func TestDeviceSpeedFactorStretchesWork(t *testing.T) {
 	env := sim.NewEnv(1)
 	defer env.Close()
-	dom := &Domain{Name: "d", Kind: HostDRAM}
-	dev := NewDevice(env, "cpu", DevCPU, dom, 1)
+	dev := NewDevice(env, "cpu", 1)
 	dev.SetSpeedSource(func() float64 { return 0.5 })
 	var elapsed time.Duration
 	env.Spawn("a", func(p *sim.Proc) { elapsed = dev.Exec(p, 10*ms) })
@@ -395,8 +393,7 @@ func TestCopySyncAndDetailed(t *testing.T) {
 func TestSwitchUserDetectsContextSwitches(t *testing.T) {
 	env := sim.NewEnv(1)
 	defer env.Close()
-	dom := &Domain{Name: "d", Kind: GPUVRAM}
-	gpu := NewDevice(env, "gpu", DevGPU, dom, 2)
+	gpu := NewDevice(env, "gpu", 2)
 	if !gpu.SwitchUser("render") {
 		t.Fatal("first user is a switch")
 	}
@@ -433,7 +430,7 @@ func TestStringers(t *testing.T) {
 	if m.CPU.String() == "" || m.DRAM.String() == "" {
 		t.Fatal("empty stringers")
 	}
-	if DevGPU.String() != "gpu" || HostDRAM.String() != "host-dram" {
+	if HostDRAM.String() != "host-dram" {
 		t.Fatal("kind names wrong")
 	}
 	if DomainKind(99).String() == "" {

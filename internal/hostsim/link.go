@@ -47,16 +47,13 @@ type Link struct {
 	lossRng *rand.Rand
 	retries int
 	// giveups counts transfers that exhausted maxDMARetries re-drives and
-	// proceeded anyway; each one is also a metrics counter tick and a trace
+	// proceeded anyway; each one is also a metrics count and a trace
 	// instant, so exhausted retries are visible instead of silent.
 	giveups int
 
-	tr        *obs.Tracer
-	tk        obs.Track
-	bytesCtr  *obs.Counter
-	retryCtr  *obs.Counter
-	giveupCtr *obs.Counter
-	degGauge  *obs.Gauge
+	tr       *obs.Tracer
+	tk       obs.Track
+	degGauge *obs.Gauge
 
 	// Critical-path profiler plus labels precomputed at construction so
 	// the enabled path does not build strings per transfer.
@@ -84,9 +81,9 @@ func NewLink(env *sim.Env, name string, bandwidth float64, latency time.Duration
 		l.tk = l.tr.Track("link:" + name)
 	}
 	if reg := env.Metrics(); reg != nil {
-		l.bytesCtr = reg.Counter("link." + name + ".bytes")
-		l.retryCtr = reg.Counter("link." + name + ".dma_retries")
-		l.giveupCtr = reg.Counter("link." + name + ".dma_giveups")
+		reg.CounterFunc("link."+name+".bytes", func() int64 { return int64(l.moved) })
+		reg.Count("link."+name+".dma_retries", &l.retries)
+		reg.Count("link."+name+".dma_giveups", &l.giveups)
 		l.degGauge = reg.Gauge("link." + name + ".degradation")
 	}
 	if l.pf = env.Profiler(); l.pf != nil {
@@ -110,7 +107,9 @@ func (l *Link) SetDegradation(f float64) {
 	if l.tr != nil {
 		l.tr.Count(l.tk, "degradation", f)
 	}
-	l.degGauge.Set(f)
+	if l.degGauge != nil {
+		l.degGauge.Set(f)
+	}
 }
 
 // SetSharedScale sets the cross-guest arbitration scale in (0,1]; 1 means
@@ -155,7 +154,6 @@ func (l *Link) noteRetry() {
 	if l.tr != nil {
 		l.tr.Instant(l.tk, "dma-retry")
 	}
-	l.retryCtr.Inc()
 }
 
 // noteGiveup records a transfer that hit maxDMARetries and stopped
@@ -167,7 +165,6 @@ func (l *Link) noteGiveup() {
 	if l.tr != nil {
 		l.tr.Instant(l.tk, "dma-giveup")
 	}
-	l.giveupCtr.Inc()
 }
 
 // lossyDMASleep sleeps out one transfer of wire time d, re-driving it on
@@ -250,7 +247,6 @@ func (l *Link) transfer(p *sim.Proc, size Bytes, sync bool) (time.Duration, time
 	l.sem.Release(1)
 	l.moved += size
 	l.busy += service
-	l.bytesCtr.Add(int64(size))
 	return p.Now() - start, service
 }
 

@@ -27,10 +27,10 @@ func Pixel6a(env *sim.Env) *Machine {
 	const unified = 20 * gbps
 	m.AddLink(m.DRAM, m.DRAM, "lpddr5", unified, 2*time.Microsecond)
 
-	m.CPU = NewDevice(env, "tensor-cpu", DevCPU, m.DRAM, 8)
-	m.GPU = NewDevice(env, "mali-g78", DevGPU, m.VRAM, 2)
-	m.Camera = NewDevice(env, "sony-imx", DevCamera, m.CamBuf, 1)
-	m.NIC = NewDevice(env, "wifi-nic", DevNIC, m.NICBuf, 1)
+	m.CPU = NewDevice(env, "tensor-cpu", 8)
+	m.GPU = NewDevice(env, "mali-g78", 2)
+	m.Camera = NewDevice(env, "sony-imx", 1)
+	m.NIC = NewDevice(env, "wifi-nic", 1)
 
 	m.CameraLatency = 20 * time.Millisecond
 	m.HWDecode = true

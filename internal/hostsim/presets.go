@@ -48,10 +48,10 @@ func HighEndDesktop(env *sim.Env) *Machine {
 	// Gigabit NIC.
 	m.AddDuplexLink(m.NICBuf, m.DRAM, "gige", 118*mbps, 200*time.Microsecond)
 
-	m.CPU = NewDevice(env, "i9-13900K", DevCPU, m.DRAM, 16)
-	m.GPU = NewDevice(env, "RTX-3060", DevGPU, m.VRAM, 2)
-	m.Camera = NewDevice(env, "hikvision-v148", DevCamera, m.CamBuf, 1)
-	m.NIC = NewDevice(env, "gige-nic", DevNIC, m.NICBuf, 1)
+	m.CPU = NewDevice(env, "i9-13900K", 16)
+	m.GPU = NewDevice(env, "RTX-3060", 2)
+	m.Camera = NewDevice(env, "hikvision-v148", 1)
+	m.NIC = NewDevice(env, "gige-nic", 1)
 
 	m.CameraLatency = 25 * time.Millisecond
 	m.HWDecode = true
@@ -81,10 +81,10 @@ func MidEndLaptop(env *sim.Env) *Machine {
 	m.AddLink(m.CamBuf, m.DRAM, "int-cam", 2*gbps, 80*time.Microsecond)
 	m.AddDuplexLink(m.NICBuf, m.DRAM, "gige", 118*mbps, 250*time.Microsecond)
 
-	m.CPU = NewDevice(env, "i7-10750H", DevCPU, m.DRAM, 6)
-	m.GPU = NewDevice(env, "GTX-1660Ti", DevGPU, m.VRAM, 2)
-	m.Camera = NewDevice(env, "integrated-cam", DevCamera, m.CamBuf, 1)
-	m.NIC = NewDevice(env, "gige-nic", DevNIC, m.NICBuf, 1)
+	m.CPU = NewDevice(env, "i7-10750H", 6)
+	m.GPU = NewDevice(env, "GTX-1660Ti", 2)
+	m.Camera = NewDevice(env, "integrated-cam", 1)
+	m.NIC = NewDevice(env, "gige-nic", 1)
 
 	// Integrated camera: ~10 ms lower capture latency than the desktop's
 	// USB camera (§5.3, DirectShow measurement).

@@ -13,8 +13,6 @@ import (
 // §5.3 observation that video apps on the middle-end laptop start near 30
 // FPS and degrade within a minute once the package saturates.
 type Thermal struct {
-	env *sim.Env
-
 	// HeatPerBusySecond is the temperature rise (°C) per second of
 	// execution-unit busy time.
 	HeatPerBusySecond float64
@@ -32,8 +30,7 @@ type Thermal struct {
 
 	temp      float64
 	throttled bool
-	forced    bool // fault-layer override: throttle regardless of temperature
-	lastTick  time.Duration
+	forced    bool          // fault-layer override: throttle regardless of temperature
 	pending   time.Duration // busy time accumulated since last tick
 
 	tr        *obs.Tracer
@@ -45,7 +42,7 @@ type Thermal struct {
 // A nil-safe zero configuration never throttles; callers set the exported
 // fields before the first tick.
 func NewThermal(env *sim.Env, interval time.Duration) *Thermal {
-	t := &Thermal{env: env, ThrottledSpeed: 1, Ambient: 40}
+	t := &Thermal{ThrottledSpeed: 1, Ambient: 40}
 	t.temp = t.Ambient
 	if t.tr = env.Tracer(); t.tr != nil {
 		t.tk = t.tr.Track("thermal")
@@ -87,7 +84,9 @@ func (t *Thermal) step(interval time.Duration) {
 			t.tr.Instant(t.tk, "resume")
 		}
 	}
-	t.tempGauge.Set(t.temp)
+	if t.tempGauge != nil {
+		t.tempGauge.Set(t.temp)
+	}
 }
 
 // Temperature returns the modeled package temperature.

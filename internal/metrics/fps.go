@@ -10,7 +10,6 @@ type FPSCounter struct {
 	dropped   int
 	hasFirst  bool
 	first     time.Duration
-	last      time.Duration
 	perSecond map[int64]int
 }
 
@@ -23,7 +22,6 @@ func (c *FPSCounter) Present(t time.Duration) {
 	if c.perSecond == nil {
 		c.perSecond = make(map[int64]int)
 	}
-	c.last = t
 	c.frames++
 	c.perSecond[int64(t/time.Second)]++
 }

@@ -3,75 +3,57 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"math"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/metrics"
 )
 
-// Edge cases of the registry clamp contract and the tracer's ring mode —
-// the behaviors the streaming monitor leans on (bounded flight-recorder
-// ring, counters that never go negative under correction deltas).
+// Edge cases of the registry view and the tracer's ring mode — the
+// behaviors the streaming monitor leans on (bounded flight-recorder ring,
+// one metric per name however many objects feed it).
 
-func TestCounterClampFloor(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("x")
-	c.Add(10)
-	c.Add(-3)
-	if c.n != 7 {
-		t.Fatalf("10-3 = %d, want 7", c.n)
-	}
-	// A correction larger than the count saturates at zero, not negative.
-	c.Add(-100)
-	if c.n != 0 {
-		t.Fatalf("over-correction left %d, want clamp at 0", c.n)
-	}
-	c.Add(-1)
-	if c.n != 0 {
-		t.Fatalf("negative add on empty counter left %d", c.n)
-	}
-}
-
-func TestCounterClampCeiling(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("x")
-	c.Add(math.MaxInt64 - 1)
-	// A positive delta that would wrap saturates at MaxInt64.
-	c.Add(math.MaxInt64)
-	if c.n != math.MaxInt64 {
-		t.Fatalf("wrapping add left %d, want MaxInt64", c.n)
-	}
-	c.Inc()
-	if c.n != math.MaxInt64 {
-		t.Fatalf("Inc at ceiling left %d, want MaxInt64", c.n)
-	}
-	// The saturated counter still accepts corrections downward.
-	c.Add(-5)
-	if c.n != math.MaxInt64-5 {
-		t.Fatalf("correction from ceiling left %d", c.n)
-	}
-}
-
+// TestSameNameSharesState: sources registered under one name read as one
+// metric — counters sum, histograms pool their samples — and the view
+// reads each source's current value at snapshot time.
 func TestSameNameSharesState(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("shared").Add(3)
-	if got := r.Counter("shared").n; got != 3 {
-		t.Fatalf("re-looked-up counter reads %d, want 3", got)
-	}
-	if r.Counter("shared") != r.Counter("shared") {
-		t.Fatal("same name returned distinct counter instances")
+	a, b := 3, 4
+	r.Count("shared", &a)
+	r.CounterFunc("shared", func() int64 { return int64(b) })
+	var d1, d2 metrics.Distribution
+	d1.Add(1)
+	d2.Add(3)
+	r.HistogramFunc("h", func() *metrics.Distribution { return &d1 })
+	r.HistogramFunc("h", func() *metrics.Distribution { return &d2 })
+	if r.Gauge("g") != r.Gauge("g") {
+		t.Fatal("same name returned distinct gauge instances")
 	}
 	r.Gauge("g").Set(1.5)
-	if got := r.Gauge("g").v; got != 1.5 {
-		t.Fatalf("re-looked-up gauge reads %g, want 1.5", got)
+	a++
+	got := map[string]SnapshotEntry{}
+	for _, e := range r.Snapshot() {
+		got[e.Kind+" "+e.Name] = e
 	}
-	r.Histogram("h").Observe(2)
-	if got := r.Histogram("h").d.Count(); got != 1 {
-		t.Fatalf("re-looked-up histogram count %d, want 1", got)
+	if c := got["counter shared"]; c.Count != 8 {
+		t.Fatalf("shared counter reads %d, want 4+4", c.Count)
+	}
+	if h := got["histogram h"]; h.Count != 2 || h.Mean != 2 || h.Max != 3 {
+		t.Fatalf("pooled histogram = %+v, want n=2 mean=2 max=3", h)
+	}
+	if g := got["gauge g"]; g.Value != 1.5 {
+		t.Fatalf("gauge reads %g, want 1.5", g.Value)
 	}
 	// Different kinds under the same name are distinct namespaces.
-	if got := r.Counter("g").n; got != 0 {
-		t.Fatalf("counter namespace leaked the gauge value: %d", got)
+	if _, ok := got["counter g"]; ok {
+		t.Fatal("counter namespace leaked the gauge")
+	}
+	// Snapshotting never re-sorts a source: insertion order survives.
+	d1.Add(0)
+	r.Snapshot()
+	if s := d1.Samples(); s[0] != 1 || s[1] != 0 {
+		t.Fatalf("snapshot reordered a source's samples: %v", s)
 	}
 }
 

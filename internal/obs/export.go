@@ -7,6 +7,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"repro/internal/metrics"
 )
 
 // SnapshotEntry is one metric in a deterministically ordered snapshot.
@@ -33,8 +35,12 @@ func (r *Registry) Snapshot() []SnapshotEntry {
 		return nil
 	}
 	out := make([]SnapshotEntry, 0, len(r.counters)+len(r.gauges)+len(r.hists))
-	for name, c := range r.counters {
-		out = append(out, SnapshotEntry{Name: name, Kind: "counter", Count: c.n})
+	for name, reads := range r.counters {
+		var n int64
+		for _, read := range reads {
+			n += read()
+		}
+		out = append(out, SnapshotEntry{Name: name, Kind: "counter", Count: n})
 	}
 	for name, g := range r.gauges {
 		out = append(out, SnapshotEntry{
@@ -42,12 +48,23 @@ func (r *Registry) Snapshot() []SnapshotEntry {
 			Value: finite(g.v), Smoothed: finite(g.ewma.Value()),
 		})
 	}
-	for name, h := range r.hists {
-		out = append(out, SnapshotEntry{
-			Name: name, Kind: "histogram", Count: int64(h.d.Count()),
-			Mean: finite(h.d.Mean()), P50: finite(h.d.Percentile(50)),
-			P99: finite(h.d.Percentile(99)), Max: finite(h.d.Max()),
-		})
+	for name, reads := range r.hists {
+		// Percentiles come from a pooled copy, so the sources are never
+		// re-sorted; the mean divides the sources' own running sums.
+		var all metrics.Distribution
+		var sum float64
+		for _, read := range reads {
+			d := read()
+			all.Merge(d)
+			sum += d.Sum()
+		}
+		e := SnapshotEntry{Name: name, Kind: "histogram", Count: int64(all.Count())}
+		if e.Count > 0 {
+			e.Mean = finite(sum / float64(e.Count))
+			e.P50, e.P99 = finite(all.Percentile(50)), finite(all.Percentile(99))
+			e.Max = finite(all.Max())
+		}
+		out = append(out, e)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Kind != out[j].Kind {

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // TestNilSafety calls every method on nil receivers: the disabled path must
@@ -29,16 +31,14 @@ func TestNilSafety(t *testing.T) {
 	}
 
 	var reg *Registry
-	c := reg.Counter("c")
-	c.Inc()
-	c.Add(2)
+	n := 1
+	reg.Count("c", &n)
+	reg.CounterFunc("f", func() int64 { return 2 })
+	reg.HistogramFunc("h", func() *metrics.Distribution { return &metrics.Distribution{} })
 	g := reg.Gauge("g")
 	g.Set(3)
-	h := reg.Histogram("h")
-	h.Observe(4)
-	h.ObserveDuration(time.Millisecond)
-	if c != nil || g != nil || h != nil {
-		t.Fatal("nil registry returned non-nil handles")
+	if g != nil {
+		t.Fatal("nil registry returned a non-nil gauge")
 	}
 	if reg.Snapshot() != nil || reg.FormatText() != "" {
 		t.Fatal("nil registry snapshot not empty")
@@ -46,12 +46,11 @@ func TestNilSafety(t *testing.T) {
 }
 
 // TestDisabledPathZeroAlloc pins the disabled-path contract: with a nil
-// tracer and nil metric handles, the instrumentation pattern used at hot
-// call sites allocates nothing.
+// tracer and a nil gauge, the instrumentation pattern used at hot call
+// sites allocates nothing.
 func TestDisabledPathZeroAlloc(t *testing.T) {
 	var tr *Tracer
 	var reg *Registry
-	ctr := reg.Counter("x")
 	ga := reg.Gauge("y")
 	allocs := testing.AllocsPerRun(1000, func() {
 		if tr != nil {
@@ -60,8 +59,9 @@ func TestDisabledPathZeroAlloc(t *testing.T) {
 			tr.Instant(0, "tick")
 			tr.Count(0, "depth", 1)
 		}
-		ctr.Inc()
-		ga.Set(2)
+		if ga != nil {
+			ga.Set(2)
+		}
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled observability allocated %.1f per op, want 0", allocs)
@@ -137,15 +137,18 @@ func TestWindowFiltering(t *testing.T) {
 	}
 }
 
-// TestSnapshotDeterministic: two registries fed the same operations in
+// TestSnapshotDeterministic: two registries given the same sources in
 // different orders snapshot identically, sorted by (kind, name).
 func TestSnapshotDeterministic(t *testing.T) {
 	fill := func(names []string) *Registry {
 		r := NewRegistry()
 		for _, n := range names {
-			r.Counter("c." + n).Add(int64(len(n)))
-			r.Gauge("g." + n).Set(float64(len(n)))
-			r.Histogram("h." + n).Observe(float64(len(n)))
+			k := len(n)
+			var d metrics.Distribution
+			d.Add(float64(k))
+			r.Count("c."+n, &k)
+			r.Gauge("g." + n).Set(float64(k))
+			r.HistogramFunc("h."+n, func() *metrics.Distribution { return &d })
 		}
 		return r
 	}
@@ -239,10 +242,11 @@ func TestPerfettoExport(t *testing.T) {
 // non-finite samples must dump finite numbers and valid Perfetto JSON.
 func TestEmptyAndNonFiniteExports(t *testing.T) {
 	reg := NewRegistry()
-	reg.Histogram("svm.empty")
-	poisoned := reg.Histogram("svm.poisoned")
-	poisoned.Observe(math.NaN())
-	poisoned.Observe(math.Inf(1))
+	var empty, poisoned metrics.Distribution
+	reg.HistogramFunc("svm.empty", func() *metrics.Distribution { return &empty })
+	reg.HistogramFunc("svm.poisoned", func() *metrics.Distribution { return &poisoned })
+	poisoned.Add(math.NaN())
+	poisoned.Add(math.Inf(1))
 	g := reg.Gauge("svm.gauge")
 	g.Set(math.NaN())
 

@@ -1,65 +1,64 @@
 package obs
 
-import (
-	"math"
-	"time"
+import "repro/internal/metrics"
 
-	"repro/internal/metrics"
-)
-
-// Registry holds named counters, gauges, and histograms. A nil *Registry
-// is a valid receiver: its getters return nil handles, whose methods are
-// in turn nil-safe no-ops — so instrumented code pays one pointer check
-// when metrics are off.
+// Registry is the named metrics view behind the -metrics dump. It keeps no
+// counts of its own: each instrumented layer registers, at construction, a
+// closure over a count it already keeps (CounterFunc) or over one of its
+// own sample distributions (HistogramFunc), and Snapshot reads them when
+// asked. Gauges sample a series no layer keeps, so they are the only push
+// instruments. Several registrations under one name read as one metric —
+// counters sum, distributions pool their samples — so two objects of one
+// kind in an environment (the emulator's and the DMA engine's fence
+// tables) report one total.
+//
+// A nil *Registry is a valid receiver: registration is a no-op and Gauge
+// returns a nil handle whose Set is a no-op. Layers register only when a
+// registry is attached, so with metrics off they carry no registry code
+// on any per-event path.
 //
 // Registration order does not matter; Snapshot sorts by name.
 type Registry struct {
-	counters map[string]*Counter
+	counters map[string][]func() int64
 	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
+	hists    map[string][]func() *metrics.Distribution
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: make(map[string]*Counter),
+		counters: make(map[string][]func() int64),
 		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
+		hists:    make(map[string][]func() *metrics.Distribution),
 	}
 }
 
-// Counter is a monotonically increasing integer metric. Its value is
-// clamped to [0, math.MaxInt64]: a negative Add delta (a caller folding a
-// correction, or a re-registered name re-counting from a smaller base)
-// saturates at zero instead of going negative, and a positive delta that
-// would wrap past MaxInt64 saturates there — Snapshot and the exporters
-// never see a negative or wrapped counter.
-type Counter struct{ n int64 }
-
-// Inc adds one.
-func (c *Counter) Inc() {
-	if c == nil {
+// CounterFunc registers read as a source of the named counter: a closure
+// over a monotonically increasing count its caller keeps.
+func (r *Registry) CounterFunc(name string, read func() int64) {
+	if r == nil {
 		return
 	}
-	if c.n == math.MaxInt64 {
-		return
-	}
-	c.n++
+	r.counters[name] = append(r.counters[name], read)
 }
 
-// Add adds d, saturating at the [0, MaxInt64] clamp (see Counter).
-func (c *Counter) Add(d int64) {
-	if c == nil {
+// Count registers *n, an int count its caller keeps, as a source of the
+// named counter.
+func (r *Registry) Count(name string, n *int) {
+	if r == nil {
 		return
 	}
-	n := c.n + d
-	if d > 0 && n < c.n {
-		n = math.MaxInt64
+	r.CounterFunc(name, func() int64 { return int64(*n) })
+}
+
+// HistogramFunc registers read as a source of the named histogram: a
+// closure returning a sample distribution its caller keeps. Snapshot
+// never modifies the distribution it reads.
+func (r *Registry) HistogramFunc(name string, read func() *metrics.Distribution) {
+	if r == nil {
+		return
 	}
-	if n < 0 {
-		n = 0
-	}
-	c.n = n
+	r.hists[name] = append(r.hists[name], read)
 }
 
 // Gauge is a last-value metric with an EWMA-smoothed companion (the
@@ -81,39 +80,6 @@ func (g *Gauge) Set(v float64) {
 	g.ewma.Observe(v)
 }
 
-// Histogram accumulates float64 samples with percentile queries, backed by
-// metrics.Distribution.
-type Histogram struct{ d metrics.Distribution }
-
-// Observe records one sample.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	h.d.Add(v)
-}
-
-// ObserveDuration records a duration sample in milliseconds.
-func (h *Histogram) ObserveDuration(v time.Duration) {
-	if h == nil {
-		return
-	}
-	h.d.AddDuration(v)
-}
-
-// Counter returns the named counter, creating it on first use.
-func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
-}
-
 // Gauge returns the named gauge, creating it on first use.
 func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
@@ -125,17 +91,4 @@ func (r *Registry) Gauge(name string) *Gauge {
 		r.gauges[name] = g
 	}
 	return g
-}
-
-// Histogram returns the named histogram, creating it on first use.
-func (r *Registry) Histogram(name string) *Histogram {
-	if r == nil {
-		return nil
-	}
-	h, ok := r.hists[name]
-	if !ok {
-		h = &Histogram{}
-		r.hists[name] = h
-	}
-	return h
 }

@@ -83,12 +83,11 @@ type Engine struct {
 	consecutiveFailures int
 	suspendedUntil      time.Duration
 	suspensions         int
+	mispredictions      int
 	maxBandwidth        map[string]float64 // per transfer path
 
-	tr      *obs.Tracer
-	tk      obs.Track
-	suspCtr *obs.Counter
-	missCtr *obs.Counter
+	tr *obs.Tracer
+	tk obs.Track
 }
 
 // New returns an engine reading flow state from twin.
@@ -110,8 +109,10 @@ func (e *Engine) SetObs(tr *obs.Tracer, reg *obs.Registry) {
 	if tr != nil {
 		e.tk = tr.Track("prefetch")
 	}
-	e.suspCtr = reg.Counter("prefetch.suspensions")
-	e.missCtr = reg.Counter("prefetch.mispredictions")
+	if reg != nil {
+		reg.Count("prefetch.suspensions", &e.suspensions)
+		reg.Count("prefetch.mispredictions", &e.mispredictions)
+	}
 }
 
 // Predict produces the prefetch decision for a write of size bytes to the
@@ -200,7 +201,7 @@ func (e *Engine) RecordOutcome(correct bool, now time.Duration) {
 	if e.tr != nil {
 		e.tr.Instant(e.tk, "mispredict")
 	}
-	e.missCtr.Inc()
+	e.mispredictions++
 	e.consecutiveFailures++
 	if e.consecutiveFailures >= e.cfg.FailureLimit {
 		e.suspend(now)
@@ -254,7 +255,6 @@ func (e *Engine) suspend(now time.Duration) {
 		}
 		e.suspendedUntil = until
 		e.suspensions++
-		e.suspCtr.Inc()
 	}
 }
 

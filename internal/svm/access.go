@@ -13,13 +13,12 @@ import (
 // Access is one open access to a region, created by BeginAccess and closed
 // by End — the begin_access/end_access pair of the Fig. 3 interface.
 type Access struct {
-	m       *Manager
-	r       *Region
-	acc     Accessor
-	usage   Usage
-	bytes   hostsim.Bytes
-	started time.Duration
-	ended   bool
+	m     *Manager
+	r     *Region
+	acc   Accessor
+	usage Usage
+	bytes hostsim.Bytes
+	ended bool
 }
 
 // EndInfo is returned by End. Compensation is how long the guest driver
@@ -78,7 +77,6 @@ func (m *Manager) BeginAccess(p *sim.Proc, id RegionID, acc Accessor, usage Usag
 	if m.tr != nil {
 		m.tr.EndAsync(tk, asp)
 	}
-	m.om.accessLatency.ObserveDuration(p.Now() - start)
 	m.stats.AccessLatency.AddDuration(p.Now() - start)
 	if acc.CPU {
 		m.stats.HALAccessLatency.AddDuration(p.Now() - start)
@@ -87,16 +85,13 @@ func (m *Manager) BeginAccess(p *sim.Proc, id RegionID, acc Accessor, usage Usag
 		m.observer(start, acc, r.ID, bytes, usage, p.Now()-start)
 	}
 	m.stats.Accesses++
-	m.om.accesses.Inc()
 	if usage.reads() {
 		m.stats.Reads++
-		m.om.reads.Inc()
 	}
 	if usage.writes() {
 		m.stats.Writes++
-		m.om.writes.Inc()
 	}
-	return &Access{m: m, r: r, acc: acc, usage: usage, bytes: bytes, started: start}, nil
+	return &Access{m: m, r: r, acc: acc, usage: usage, bytes: bytes}, nil
 }
 
 // materialize lazily commits the region's backing on first access (§3.2).

@@ -2,6 +2,7 @@ package svm
 
 import (
 	"repro/internal/hostsim"
+	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/prof"
 	"repro/internal/sim"
@@ -31,11 +32,9 @@ type batchItem struct {
 // destination domain. The device layer piggybacks fence signals onto its
 // completion (the batch's completion IRQ carries them for free).
 type PushBatch struct {
-	dest     *hostsim.Domain
 	items    []batchItem
 	timer    sim.Timer
 	hasTimer bool
-	started  bool
 	complete bool
 	// node is the batch's wait-for graph vertex; its base component
 	// "svm:coalesce-window" absorbs the open-window parking time.
@@ -70,11 +69,11 @@ type pushCoalescer struct {
 	// piggybacking. Scratch, reset at each write commit.
 	writeBatches []*PushBatch
 
-	// Registered only when batching is on: the metrics dump prints every
-	// registered metric, and batching off must stay byte-identical.
-	batchCtr *obs.Counter
-	coalCtr  *obs.Counter
-	sizeHist *obs.Histogram
+	// sizes[n] counts dispatched batches of n pushes. The join that
+	// reaches MaxBatch flushes (a batch opens with one push, so the cap is
+	// never below two), so the table is sized once and counting never
+	// allocates.
+	sizes []int
 }
 
 func newPushCoalescer(m *Manager, cfg virtio.BatchConfig) *pushCoalescer {
@@ -84,11 +83,26 @@ func newPushCoalescer(m *Manager, cfg virtio.BatchConfig) *pushCoalescer {
 		pending: make(map[*hostsim.Domain]*PushBatch),
 		win:     make(map[*hostsim.Domain]*virtio.AdaptiveWindow),
 	}
-	reg := m.env.Metrics()
-	c.batchCtr = reg.Counter("svm.push_batches")
-	c.coalCtr = reg.Counter("svm.pushes_coalesced")
-	c.sizeHist = reg.Histogram("svm.push_batch_size")
+	c.sizes = make([]int, max(c.cfg.MaxBatch, 2)+1)
 	return c
+}
+
+// register exposes the batch counts to the metrics view. Only managers
+// with batching on have a coalescer, so with batching off the dump holds
+// no push-batch metrics at all; with it on, every push rides a batch, so
+// the manager's CoherenceBatches counts exactly the dispatched batches.
+func (c *pushCoalescer) register(reg *obs.Registry) {
+	reg.Count("svm.push_batches", &c.m.stats.CoherenceBatches)
+	reg.Count("svm.pushes_coalesced", &c.m.stats.PushesCoalesced)
+	reg.HistogramFunc("svm.push_batch_size", func() *metrics.Distribution {
+		var d metrics.Distribution
+		for n, k := range c.sizes {
+			for ; k > 0; k-- {
+				d.Add(float64(n))
+			}
+		}
+		return &d
+	})
 }
 
 // windowFor interns the adaptive window of one destination domain.
@@ -108,7 +122,7 @@ func (c *pushCoalescer) enqueue(r *Region, from, dom *hostsim.Domain,
 	bytes hostsim.Bytes, recordTiming bool) *PushBatch {
 
 	m := c.m
-	inf := &inflightFetch{done: sim.NewEvent(m.env), version: r.version, started: m.env.Now()}
+	inf := &inflightFetch{done: sim.NewEvent(m.env), version: r.version}
 	r.inflight[dom] = inf
 	m.stats.CoherencePushes++
 	it := batchItem{r: r, from: from, bytes: bytes, version: r.version,
@@ -118,13 +132,12 @@ func (c *pushCoalescer) enqueue(r *Region, from, dom *hostsim.Domain,
 		inf.node = b.node
 		b.items = append(b.items, it)
 		m.stats.PushesCoalesced++
-		c.coalCtr.Inc()
 		if len(b.items) >= c.cfg.MaxBatch {
 			c.flush(dom)
 		}
 		return b
 	}
-	b := &PushBatch{dest: dom, items: []batchItem{it}}
+	b := &PushBatch{items: []batchItem{it}}
 	if m.pf != nil {
 		b.node = m.pf.NewNode("svm:push-batch", "svm:coalesce-window")
 		inf.node = b.node
@@ -171,11 +184,9 @@ func (c *pushCoalescer) flush(dom *hostsim.Domain) {
 	if b.hasTimer {
 		b.timer.Stop()
 	}
-	b.started = true
 	m := c.m
 	m.stats.CoherenceBatches++
-	c.batchCtr.Inc()
-	c.sizeHist.Observe(float64(len(b.items)))
+	c.sizes[len(b.items)]++
 	if m.tr != nil {
 		m.tr.Count(m.prefTk, "push-batch-size", float64(len(b.items)))
 	}

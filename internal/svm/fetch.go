@@ -24,7 +24,6 @@ type chunkedFetch struct {
 // returning once the chunks covering the accessed byte range have landed.
 func (m *Manager) chunkedDemandFetch(p *sim.Proc, r *Region, acc Accessor, bytes hostsim.Bytes, direct bool) {
 	m.stats.DemandFetches++
-	m.om.demandFetches.Inc()
 	if m.pf != nil {
 		m.pf.BeginClass(p, "demand-fetch")
 		defer m.pf.EndClass(p)
@@ -104,7 +103,6 @@ func (m *Manager) startChunkedFetch(p *sim.Proc, r *Region, dom *hostsim.Domain,
 	m.stats.ChunkedFetches++
 	ct.OnComplete(func() {
 		elapsed := m.env.Now() - start
-		m.om.coherenceCost.ObserveDuration(elapsed)
 		m.stats.CoherenceCost.AddDuration(elapsed)
 		m.stats.BytesCoherence += size
 		if direct {

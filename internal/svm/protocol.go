@@ -40,7 +40,6 @@ func (m *Manager) copyCoherenceOpts(p *sim.Proc, from, to *hostsim.Domain, bytes
 	}
 	_, service := m.mach.CopyDetailed(p, from, to, bytes, sync)
 	elapsed := p.Now() - start
-	m.om.coherenceCost.ObserveDuration(elapsed)
 	m.stats.CoherenceCost.AddDuration(elapsed)
 	m.stats.BytesCoherence += bytes
 	if direct {
@@ -90,7 +89,6 @@ func (m *Manager) demandFetchInner(p *sim.Proc, r *Region, acc Accessor, bytes h
 		return
 	}
 	m.stats.DemandFetches++
-	m.om.demandFetches.Inc()
 	if m.pf != nil {
 		// Class scope: every component charged inside the fetch (fixed
 		// cost, link queue, sync copy) also lands in the "demand-fetch"
@@ -130,7 +128,7 @@ func (m *Manager) asyncPush(r *Region, from, dom *hostsim.Domain, bytes hostsim.
 		return
 	}
 	version := r.version
-	inf := &inflightFetch{done: sim.NewEvent(m.env), version: version, started: m.env.Now()}
+	inf := &inflightFetch{done: sim.NewEvent(m.env), version: version}
 	if m.pf != nil {
 		inf.node = m.pf.NewNode("svm:push", "svm:push-pending")
 	}
@@ -196,9 +194,6 @@ func (m *Manager) awaitOrDemand(p *sim.Proc, r *Region, acc Accessor, bytes host
 		if r.delivered[acc.Domain] {
 			r.delivered[acc.Domain] = false
 			m.stats.PrefetchHits++
-			m.om.prefetchHits.Inc()
-		} else if acc.Domain == r.owner {
-			m.stats.SameDomainHits++
 		}
 		return
 	}
@@ -210,7 +205,6 @@ func (m *Manager) awaitOrDemand(p *sim.Proc, r *Region, acc Accessor, bytes host
 			m.coal.expedite(acc.Domain)
 		}
 		m.stats.PrefetchWaits++
-		m.om.prefetchWaits.Inc()
 		pwStart := p.Now()
 		inf.done.Wait(p)
 		if m.pf != nil {

@@ -55,9 +55,6 @@ type writeInvalidateProtocol struct{ m *Manager }
 
 func (wi *writeInvalidateProtocol) ensureReadable(p *sim.Proc, r *Region, acc Accessor, bytes hostsim.Bytes) {
 	if r.HasCurrentCopy(acc.Domain) {
-		if acc.Domain == r.owner {
-			wi.m.stats.SameDomainHits++
-		}
 		return
 	}
 	wi.m.demandFetch(p, r, acc, bytes, true)
@@ -96,9 +93,6 @@ type guestSyncProtocol struct{ m *Manager }
 func (gs *guestSyncProtocol) ensureReadable(p *sim.Proc, r *Region, acc Accessor, bytes hostsim.Bytes) {
 	m := gs.m
 	if r.HasCurrentCopy(acc.Domain) {
-		if acc.Domain == r.owner {
-			m.stats.SameDomainHits++
-		}
 		return
 	}
 	m.stats.DemandFetches++

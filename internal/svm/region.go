@@ -14,7 +14,6 @@ import (
 type inflightFetch struct {
 	done    *sim.Event
 	version uint64
-	started time.Duration
 	// node is the push's wait-for graph vertex (the batch's vertex when
 	// the push rides a coalesced batch); nil when profiling is off.
 	node *prof.Node
@@ -23,9 +22,8 @@ type inflightFetch struct {
 // Region is one SVM region: a handle-addressed buffer whose latest contents
 // live in the owner domain, with possibly stale copies elsewhere.
 type Region struct {
-	ID        RegionID
-	Size      hostsim.Bytes
-	CreatedAt time.Duration
+	ID   RegionID
+	Size hostsim.Bytes
 
 	// version counts committed writes; owner is the domain holding the
 	// newest data. copies maps each domain to the version it holds.

@@ -34,8 +34,6 @@ type Stats struct {
 	BytesCoherence hostsim.Bytes
 	// BytesWasted counts prefetch/broadcast bytes never consumed.
 	BytesWasted hostsim.Bytes
-	// BytesReserved counts allocated region sizes.
-	BytesReserved hostsim.Bytes
 
 	// Device-prediction accuracy (§5.2: 99-100%).
 	PredTotal   int
@@ -61,15 +59,12 @@ type Stats struct {
 	PrefetchHits    int // data was already in place at begin_access
 	PrefetchWaits   int // begin_access waited for an in-flight prefetch
 	DemandFetches   int // begin_access had to fetch synchronously
-	SameDomainHits  int // accessor shares the owner's domain (in-GPU path)
 	GuestCoherence  int // guest-bounce coherence copies (modular baseline)
 	DirectCoherence int // host-direct coherence copies (vSoC path)
 
-	RegionsAllocated int
-	RegionsFreed     int
-	Accesses         int
-	Writes           int
-	Reads            int
+	Accesses int
+	Writes   int
+	Reads    int
 }
 
 // PredictionAccuracy returns the device-prediction hit rate in [0,1].

@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/hostsim"
 	"repro/internal/hypergraph"
+	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/prefetch"
 	"repro/internal/prof"
@@ -177,22 +178,12 @@ type Manager struct {
 	observer AccessObserver
 	fetchObs FetchObserver
 
-	// Observability (all nil-safe when tracing/metrics are off). Accessor
-	// tracks are interned lazily: most runs touch a handful of accessors.
+	// Observability (all nil-safe when tracing is off). Accessor tracks
+	// are interned lazily: most runs touch a handful of accessors.
 	tr     *obs.Tracer
 	pf     *prof.Profiler
 	prefTk obs.Track
 	accTk  map[string]obs.Track
-	om     struct {
-		accesses      *obs.Counter
-		reads         *obs.Counter
-		writes        *obs.Counter
-		demandFetches *obs.Counter
-		prefetchHits  *obs.Counter
-		prefetchWaits *obs.Counter
-		accessLatency *obs.Histogram
-		coherenceCost *obs.Histogram
-	}
 }
 
 // AccessObserver receives every completed BeginAccess — the instrumentation
@@ -216,14 +207,9 @@ func NewManager(env *sim.Env, mach *hostsim.Machine, cfg Config) *Manager {
 	}
 	m.pf = env.Profiler()
 	reg := env.Metrics()
-	m.om.accesses = reg.Counter("svm.accesses")
-	m.om.reads = reg.Counter("svm.reads")
-	m.om.writes = reg.Counter("svm.writes")
-	m.om.demandFetches = reg.Counter("svm.demand_fetches")
-	m.om.prefetchHits = reg.Counter("svm.prefetch_hits")
-	m.om.prefetchWaits = reg.Counter("svm.prefetch_waits")
-	m.om.accessLatency = reg.Histogram("svm.access_latency_ms")
-	m.om.coherenceCost = reg.Histogram("svm.coherence_cost_ms")
+	if reg != nil {
+		m.register(reg)
+	}
 	switch cfg.Kind {
 	case KindPrefetch:
 		m.engine = prefetch.New(m.twin, cfg.Prefetch)
@@ -241,11 +227,34 @@ func NewManager(env *sim.Env, mach *hostsim.Machine, cfg Config) *Manager {
 	}
 	if cfg.Batch.Enabled {
 		m.coal = newPushCoalescer(m, cfg.Batch)
+		if reg != nil {
+			m.coal.register(reg)
+		}
 	}
 	if cfg.Fetch.Enabled {
 		m.cfg.Fetch = cfg.Fetch.Resolved()
 	}
 	return m
+}
+
+// register exposes the manager's own counts to the metrics view.
+func (m *Manager) register(reg *obs.Registry) {
+	st := &m.stats
+	reg.Count("svm.accesses", &st.Accesses)
+	reg.Count("svm.reads", &st.Reads)
+	reg.Count("svm.writes", &st.Writes)
+	reg.Count("svm.prefetch_hits", &st.PrefetchHits)
+	reg.Count("svm.prefetch_waits", &st.PrefetchWaits)
+	reg.CounterFunc("svm.demand_fetches", func() int64 {
+		if m.cfg.Kind == KindGuestSync {
+			// Guest-sync reads pull through guest memory (§2.2) and never
+			// take the demand-fetch path this metric counts.
+			return 0
+		}
+		return int64(st.DemandFetches)
+	})
+	reg.HistogramFunc("svm.access_latency_ms", func() *metrics.Distribution { return &st.AccessLatency })
+	reg.HistogramFunc("svm.coherence_cost_ms", func() *metrics.Distribution { return &st.CoherenceCost })
 }
 
 // trackFor interns the trace track of one accessor. Only called with a
@@ -336,14 +345,11 @@ func (m *Manager) Alloc(size hostsim.Bytes) (*Region, error) {
 	r := &Region{
 		ID:        m.nextID,
 		Size:      size,
-		CreatedAt: m.env.Now(),
 		copies:    make(map[*hostsim.Domain]uint64),
 		inflight:  make(map[*hostsim.Domain]*inflightFetch),
 		delivered: make(map[*hostsim.Domain]bool),
 	}
 	m.regions[r.ID] = r
-	m.stats.RegionsAllocated++
-	m.stats.BytesReserved += size
 	return r, nil
 }
 
@@ -368,7 +374,6 @@ func (m *Manager) Free(id RegionID) error {
 	r.freed = true
 	m.twin.Unmap(uint64(id))
 	delete(m.regions, id)
-	m.stats.RegionsFreed++
 	return nil
 }
 

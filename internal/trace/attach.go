@@ -12,19 +12,17 @@ import (
 // service operating them, matching §2.3's process attribution — pass nil to
 // record raw device names.
 func Attach(m *svm.Manager, c *Collector, rename func(string) string) {
-	m.SetObserver(func(at time.Duration, acc svm.Accessor, region svm.RegionID,
-		bytes hostsim.Bytes, usage svm.Usage, latency time.Duration) {
+	m.SetObserver(func(_ time.Duration, acc svm.Accessor, region svm.RegionID,
+		bytes hostsim.Bytes, usage svm.Usage, _ time.Duration) {
 		caller := acc.Name
 		if rename != nil {
 			caller = rename(caller)
 		}
 		c.Record(Event{
-			At:       at,
-			Caller:   caller,
-			Region:   uint64(region),
-			Bytes:    int64(bytes),
-			Write:    usage&svm.UsageWrite != 0,
-			Duration: latency,
+			Caller: caller,
+			Region: uint64(region),
+			Bytes:  int64(bytes),
+			Write:  usage&svm.UsageWrite != 0,
 		})
 	})
 }

@@ -4,30 +4,29 @@
 // the study asks of the data — which services dominate SVM usage, how many
 // processes share each region, and how cyclic the R/W patterns are.
 //
-// Recording is deterministic: events append in simulation order with no
-// wall-clock input, so equal seeds produce identical traces and identical
-// study answers.
+// Recording is deterministic: events fold in simulation order with no
+// wall-clock input, so equal seeds produce identical study answers.
 package trace
 
 import (
+	"maps"
 	"sort"
 	"time"
 )
 
 // Event is one recorded shared-memory access.
 type Event struct {
-	At       time.Duration
-	Caller   string // process/thread name (§2.3 footnote 2)
-	Region   uint64
-	Bytes    int64
-	Write    bool
-	Duration time.Duration
+	Caller string // process/thread name (§2.3 footnote 2)
+	Region uint64
+	Bytes  int64
+	Write  bool
 }
 
-// Collector accumulates events. It is not safe for concurrent use; in the
-// simulation exactly one access executes at a time.
+// Collector folds events into the study's per-caller and per-region
+// statistics as they arrive; it keeps no event log. It is not safe for
+// concurrent use; in the simulation exactly one access executes at a time.
 type Collector struct {
-	events    []Event
+	events    int
 	byOwner   map[string]int64 // caller -> bytes accessed
 	regions   map[uint64]*regionStats
 	total     int64
@@ -55,7 +54,7 @@ func NewCollector() *Collector {
 
 // Record adds one access event.
 func (c *Collector) Record(ev Event) {
-	c.events = append(c.events, ev)
+	c.events++
 	if ev.Region > c.maxRegion {
 		c.maxRegion = ev.Region
 	}
@@ -84,26 +83,35 @@ func (c *Collector) Record(ev Event) {
 	rs.ops++
 }
 
-// Merge folds other's events into c (used to combine per-app traces into
-// one §2.3-style study). Region IDs are namespaced so regions from
-// different emulator instances never collide.
+// Merge folds other's statistics into c (used to combine per-app traces
+// into one §2.3-style study), exactly as if other's events had been
+// recorded into c after its own. Region IDs are namespaced by an offset
+// past c's highest region, so regions from different emulator instances
+// never collide and their per-region statistics carry over whole.
 func (c *Collector) Merge(other *Collector) {
-	offset := c.maxRegion + 1
-	for _, ev := range other.events {
-		ev.Region += offset
-		c.Record(ev)
+	if other.events == 0 {
+		return
 	}
+	offset := c.maxRegion + 1
+	for id, rs := range other.regions {
+		cp := *rs
+		cp.callers = maps.Clone(rs.callers)
+		c.regions[id+offset] = &cp
+	}
+	for caller, b := range other.byOwner {
+		c.byOwner[caller] += b
+	}
+	c.total += other.total
+	c.events += other.events
+	c.maxRegion = other.maxRegion + offset
 }
-
-// Events returns the recorded event count.
-func (c *Collector) Events() int { return len(c.events) }
 
 // CallRate returns API calls per second over the given span.
 func (c *Collector) CallRate(span time.Duration) float64 {
 	if span <= 0 {
 		return 0
 	}
-	return float64(len(c.events)) / span.Seconds()
+	return float64(c.events) / span.Seconds()
 }
 
 // UsageShare is one caller's share of SVM traffic.

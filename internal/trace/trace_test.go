@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -59,6 +60,43 @@ func TestCallRate(t *testing.T) {
 	}
 }
 
+// TestMergeEqualsOneStream: merging a second collector equals recording
+// both event streams into one collector, the second with its regions
+// shifted past the first's highest region.
+func TestMergeEqualsOneStream(t *testing.T) {
+	a := []Event{
+		{Caller: "w", Region: 1, Bytes: 10, Write: true},
+		{Caller: "r", Region: 1, Bytes: 10},
+		{Caller: "w", Region: 3, Bytes: 5, Write: true},
+	}
+	b := []Event{
+		{Caller: "w", Region: 1, Bytes: 7, Write: true},
+		{Caller: "x", Region: 2, Bytes: 7},
+		{Caller: "r", Region: 1, Bytes: 7},
+		{Caller: "w", Region: 2, Bytes: 1, Write: true},
+	}
+	merged, other, whole := NewCollector(), NewCollector(), NewCollector()
+	for _, ev := range a {
+		merged.Record(ev)
+		whole.Record(ev)
+	}
+	for _, ev := range b {
+		other.Record(ev)
+		ev.Region += 4 // past a's highest region, 3
+		whole.Record(ev)
+	}
+	merged.Merge(other)
+	merged.Merge(NewCollector()) // an empty merge changes nothing
+	if !reflect.DeepEqual(merged, whole) {
+		t.Fatalf("merged collector %+v, want %+v", merged, whole)
+	}
+	// The merged copy is independent of its source.
+	other.Record(Event{Caller: "late", Region: 1, Bytes: 1})
+	if len(merged.regions[5].callers) != 2 {
+		t.Fatalf("merged region tracks a later write to its source: %v", merged.regions[5].callers)
+	}
+}
+
 func TestAndroidServiceMapping(t *testing.T) {
 	cases := map[string]string{
 		"codec": "media-service", "gpu": "surfaceflinger", "display": "surfaceflinger",
@@ -88,8 +126,8 @@ func TestAttachedCollectorReproducesStudyObservations(t *testing.T) {
 		c.Merge(app)
 		sess.Close()
 	}
-	if c.Events() < 1000 {
-		t.Fatalf("events = %d, want a busy trace", c.Events())
+	if c.events < 1000 {
+		t.Fatalf("events = %d, want a busy trace", c.events)
 	}
 	top := c.TopUsers(3)
 	if len(top) < 3 {

@@ -11,10 +11,11 @@ package tsmon
 //     single-window blips but catches sustained SLO burn quickly.
 //   - drift: EWMA changepoint — tracks an EWMA mean and an EWMA absolute
 //     deviation of a window-mean signal; fires when the value departs the
-//     mean by more than K deviations (plus an absolute floor) for Consec
-//     consecutive windows. Catches regime changes with no fixed bound.
-//   - threshold: fixed bound — fires when the signal sits past Limit for
-//     Consec consecutive windows (Below inverts the comparison).
+//     mean by more than driftK deviations (plus an absolute floor) for
+//     Consec consecutive windows. Catches regime changes with no fixed
+//     bound.
+//   - threshold: fixed bound — fires when the signal sits above zero, or
+//     below the tenant's FPS floor, for Consec consecutive windows.
 //
 // Every fired detector enters a per-tenant holdoff for Holdoff windows so
 // one sustained episode reports one incident, not one per window.
@@ -29,8 +30,23 @@ const (
 	ClassThreshold Class = "threshold"
 )
 
-// Spec declares one detector. Zero parameter fields take the class
-// defaults filled in by normalize.
+// The class parameters every detector of a class shares.
+const (
+	// Burn: window counts and mean-error thresholds for the fast and slow
+	// windows.
+	burnFastWindows = 4
+	burnSlowWindows = 16
+	burnFast        = 0.5
+	burnSlow        = 0.25
+	// Drift: EWMA weight, deviation multiplier, and windows of warmup
+	// before arming.
+	driftAlpha  = 0.25
+	driftK      = 5
+	driftWarmup = 8
+)
+
+// Spec declares one detector. Zero Consec, Holdoff and MinDelta take the
+// class defaults filled in by normalize.
 type Spec struct {
 	// Name labels the detector in incidents (unique per registry).
 	Name string
@@ -39,25 +55,14 @@ type Spec struct {
 	// Signal is the watched series: a built-in signal name or
 	// "probe:<name>". Tenants missing the signal never fire it.
 	Signal string
-	// Desc is the one-line registry description.
-	Desc string
 
-	// Burn: window counts and mean-error thresholds for the fast and slow
-	// windows. Defaults 4/16 windows at 0.5/0.25.
-	FastWindows, SlowWindows int
-	FastBurn, SlowBurn       float64
+	// Drift: the absolute departure floor that keeps a near-zero deviation
+	// from firing on jitter (default 0.05 in the signal's unit).
+	MinDelta float64
 
-	// Drift: EWMA weight (default 0.25), deviation multiplier (default 5),
-	// windows of warmup before arming (default 8), and the absolute
-	// departure floor that keeps a near-zero deviation from firing on
-	// jitter (default 0.05 in the signal's unit).
-	Alpha, K, MinDelta float64
-	Warmup             int
-
-	// Threshold: the bound, its direction, and TenantLimit, which reads
-	// the bound from the tenant's FPSFloor instead (for per-tenant QoS
-	// floors declared in TenantConfig).
-	Limit       float64
+	// Threshold: the bound's direction, and TenantLimit, which reads the
+	// bound from the tenant's FPSFloor (for per-tenant QoS floors declared
+	// in TenantConfig) instead of zero.
 	Below       bool
 	TenantLimit bool
 
@@ -73,31 +78,10 @@ type Spec struct {
 func (s *Spec) normalize() {
 	switch s.Class {
 	case ClassBurn:
-		if s.FastWindows <= 0 {
-			s.FastWindows = 4
-		}
-		if s.SlowWindows < s.FastWindows {
-			s.SlowWindows = 4 * s.FastWindows
-		}
-		if s.FastBurn <= 0 {
-			s.FastBurn = 0.5
-		}
-		if s.SlowBurn <= 0 {
-			s.SlowBurn = 0.25
-		}
 		if s.Consec <= 0 {
 			s.Consec = 1
 		}
 	case ClassDrift:
-		if s.Alpha <= 0 {
-			s.Alpha = 0.25
-		}
-		if s.K <= 0 {
-			s.K = 5
-		}
-		if s.Warmup <= 0 {
-			s.Warmup = 8
-		}
 		if s.MinDelta <= 0 {
 			s.MinDelta = 0.05
 		}
@@ -119,16 +103,16 @@ func (s *Spec) normalize() {
 // tripwire for tenants that register the probe.
 func DefaultSpecs() []Spec {
 	return []Spec{
-		{Name: "slo-burn", Class: ClassBurn, Signal: "m2p_viol_frac",
-			Desc: "fast/slow dual-window motion-to-photon SLO burn rate"},
-		{Name: "fetch-drift", Class: ClassDrift, Signal: "fetch_mean_ms",
-			Desc: "EWMA changepoint on the demand-fetch window mean"},
+		// Fast/slow dual-window motion-to-photon SLO burn rate.
+		{Name: "slo-burn", Class: ClassBurn, Signal: "m2p_viol_frac"},
+		// EWMA changepoint on the demand-fetch window mean.
+		{Name: "fetch-drift", Class: ClassDrift, Signal: "fetch_mean_ms"},
+		// Presented FPS under the tenant's declared floor.
 		{Name: "fps-floor", Class: ClassThreshold, Signal: "fps",
-			TenantLimit: true, Below: true, Consec: 3,
-			Desc: "presented FPS under the tenant's declared floor"},
+			TenantLimit: true, Below: true, Consec: 3},
+		// Any watchdog-abandoned fence waits in a window.
 		{Name: "fence-timeouts", Class: ClassThreshold, Signal: "probe:fence_timeouts",
-			Limit: 0, Consec: 1, Holdoff: 8,
-			Desc: "any watchdog-abandoned fence waits in a window"},
+			Consec: 1, Holdoff: 8},
 	}
 }
 
@@ -136,7 +120,7 @@ func DefaultSpecs() []Spec {
 // values updated in window order, so equal window series produce equal
 // firing decisions.
 type detState struct {
-	// burn: sliding ring of the last SlowWindows values.
+	// burn: sliding ring of the last burnSlowWindows values.
 	ring []float64
 	head int
 	n    int
@@ -152,7 +136,7 @@ type detState struct {
 func (d *detState) init(s *Spec) {
 	s.normalize()
 	if s.Class == ClassBurn {
-		d.ring = make([]float64, s.SlowWindows)
+		d.ring = make([]float64, burnSlowWindows)
 	}
 }
 
@@ -170,19 +154,19 @@ func (d *detState) step(s *Spec, tenant *TenantConfig, v float64) (fire bool, va
 		if d.n < len(d.ring) {
 			d.n++
 		}
-		if d.n >= s.FastWindows {
-			fast := d.tailMean(s.FastWindows)
+		if d.n >= burnFastWindows {
+			fast := d.tailMean(burnFastWindows)
 			slow := d.tailMean(d.n)
-			breach = fast >= s.FastBurn && slow >= s.SlowBurn
-			value, bound = fast, s.FastBurn
+			breach = fast >= burnFast && slow >= burnSlow
+			value, bound = fast, burnFast
 		}
 	case ClassDrift:
-		if d.warm < s.Warmup {
-			d.seed(s, v)
+		if d.warm < driftWarmup {
+			d.seed(v)
 			return false, 0, 0
 		}
 		dev := d.dev
-		margin := s.K*dev + s.MinDelta
+		margin := driftK*dev + s.MinDelta
 		delta := v - d.mean
 		if delta < 0 {
 			delta = -delta
@@ -192,10 +176,10 @@ func (d *detState) step(s *Spec, tenant *TenantConfig, v float64) (fire bool, va
 		if !breach {
 			// Track the regime only while inside it: a changepoint should
 			// fire on sustained departure, not silently re-center on it.
-			d.seed(s, v)
+			d.seed(v)
 		}
 	case ClassThreshold:
-		limit := s.Limit
+		limit := 0.0
 		if s.TenantLimit {
 			limit = tenant.FPSFloor
 			if limit <= 0 {
@@ -229,7 +213,7 @@ func (d *detState) step(s *Spec, tenant *TenantConfig, v float64) (fire bool, va
 }
 
 // seed folds v into the drift EWMAs.
-func (d *detState) seed(s *Spec, v float64) {
+func (d *detState) seed(v float64) {
 	if d.warm == 0 {
 		d.mean = v
 	} else {
@@ -237,10 +221,10 @@ func (d *detState) seed(s *Spec, v float64) {
 		if delta < 0 {
 			delta = -delta
 		}
-		d.dev += s.Alpha * (delta - d.dev)
-		d.mean += s.Alpha * (v - d.mean)
+		d.dev += driftAlpha * (delta - d.dev)
+		d.mean += driftAlpha * (v - d.mean)
 	}
-	if d.warm < s.Warmup {
+	if d.warm < driftWarmup {
 		d.warm++
 	}
 }

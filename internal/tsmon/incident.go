@@ -34,7 +34,7 @@ type Incident struct {
 	// drift detector's learned mean).
 	Value float64 `json:"value"`
 	Bound float64 `json:"bound"`
-	// Series is the triggering signal over the trailing Context windows
+	// Series is the triggering signal over the trailing contextWindows
 	// (windows without a sample are omitted), trigger last.
 	Series []SeriesPoint `json:"series"`
 	// Dominant names the critical-path component charged the most virtual
@@ -69,7 +69,7 @@ func (m *Monitor) record(s *Spec, ti int, w *Window, value, bound float64) {
 		Value:    round6(value),
 		Bound:    round6(bound),
 	}
-	for idx := w.Index - m.context + 1; idx <= w.Index; idx++ {
+	for idx := w.Index - contextWindows + 1; idx <= w.Index; idx++ {
 		cw := m.windowAt(idx)
 		if cw == nil {
 			continue

@@ -10,7 +10,7 @@ import (
 )
 
 // MonReportSchema versions the monitor report encoding.
-const MonReportSchema = 1
+const MonReportSchema = 2
 
 // TenantMeta describes one tenant in the report header.
 type TenantMeta struct {
@@ -18,6 +18,10 @@ type TenantMeta struct {
 	FPSFloor float64  `json:"fps_floor,omitempty"`
 	M2PSLOMS float64  `json:"m2p_slo_ms,omitempty"`
 	Probes   []string `json:"probes,omitempty"`
+	// Frames and Drops are the run totals, counted as samples arrive, so
+	// evicted windows and samples at the final bound still count.
+	Frames uint64 `json:"frames"`
+	Drops  uint64 `json:"drops"`
 	// Run-long demand-fetch / motion-to-photon tails, merged from every
 	// sealed window's log-scale histogram (ms).
 	FetchP99MS float64 `json:"fetch_p99_ms"`
@@ -52,7 +56,7 @@ type MonReport struct {
 func (m *Monitor) Report() *MonReport {
 	r := &MonReport{
 		Schema:    MonReportSchema,
-		WindowMS:  ms(m.window),
+		WindowMS:  ms(WindowWidth),
 		Sealed:    m.sealed,
 		Windows:   m.Windows(),
 		Incidents: m.Incidents(),
@@ -68,6 +72,8 @@ func (m *Monitor) Report() *MonReport {
 			Name:       t.cfg.Name,
 			FPSFloor:   t.cfg.FPSFloor,
 			M2PSLOMS:   ms(t.cfg.M2PSLO),
+			Frames:     t.frames,
+			Drops:      t.drops,
 			FetchP99MS: round6(m.cumFetch[ti].Percentile(99)),
 			M2PP99MS:   round6(m.cumM2P[ti].Percentile(99)),
 		}
@@ -154,14 +160,8 @@ func (r *MonReport) FormatText() string {
 		r.Sealed, r.WindowMS, len(r.Windows), len(r.Incidents), r.Digest)
 	for ti := range r.Tenants {
 		t := &r.Tenants[ti]
-		frames, drops := uint64(0), uint64(0)
-		for wi := range r.Windows {
-			s := &r.Windows[wi].Tenants[ti]
-			frames += uint64(s.Frames)
-			drops += uint64(s.Drops)
-		}
 		fmt.Fprintf(&b, "  tenant %-24s frames=%d drops=%d fetch_p99=%.2fms m2p_p99=%.2fms\n",
-			t.Name, frames, drops, t.FetchP99MS, t.M2PP99MS)
+			t.Name, t.Frames, t.Drops, t.FetchP99MS, t.M2PP99MS)
 	}
 	if len(r.Incidents) == 0 {
 		b.WriteString("  no incidents\n")
@@ -209,7 +209,7 @@ func (r *MonReport) SignalSeries(tenant int, signal string) []SeriesPoint {
 		}
 		for i := range builtinSignals {
 			if builtinSignals[i].Name == signal {
-				if v, ok := builtinSignals[i].value(s, w.EndMS-w.StartMS); ok {
+				if v, ok := builtinSignals[i].value(s); ok {
 					out = append(out, SeriesPoint{Window: w.Index, Value: v})
 				}
 				break

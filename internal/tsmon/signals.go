@@ -3,60 +3,64 @@ package tsmon
 import "strings"
 
 // Signal is one named per-window, per-tenant series detectors can watch.
-// Value returns (value, ok); ok is false when the window carries no sample
+// value returns (value, ok); ok is false when the window carries no sample
 // for the signal (e.g. a motion-to-photon fraction in a window with no
 // measured frames), and detectors skip such windows without resetting.
 type Signal struct {
-	Name string
-	Desc string
-	Unit string
-
-	value func(s *TenantSample, span float64) (float64, bool)
+	Name  string
+	value func(s *TenantSample) (float64, bool)
 }
 
 // builtinSignals is the fixed signal registry; probe signals are addressed
 // as "probe:<name>" and resolve against each tenant's registered probes.
 var builtinSignals = []Signal{
-	{Name: "fps", Desc: "presented frames per second over the window", Unit: "fps",
-		value: func(s *TenantSample, _ float64) (float64, bool) { return s.FPS, true }},
-	{Name: "drop_frac", Desc: "dropped / (presented + dropped) frames", Unit: "frac",
-		value: func(s *TenantSample, _ float64) (float64, bool) {
+	// fps: presented frames per second over the window (fps).
+	{Name: "fps",
+		value: func(s *TenantSample) (float64, bool) { return s.FPS, true }},
+	// drop_frac: dropped / (presented + dropped) frames (frac).
+	{Name: "drop_frac",
+		value: func(s *TenantSample) (float64, bool) {
 			n := s.Frames + s.Drops
 			if n == 0 {
 				return 0, false
 			}
 			return round6(float64(s.Drops) / float64(n)), true
 		}},
-	{Name: "m2p_viol_frac", Desc: "motion-to-photon SLO violation fraction", Unit: "frac",
-		value: func(s *TenantSample, _ float64) (float64, bool) {
+	// m2p_viol_frac: motion-to-photon SLO violation fraction (frac).
+	{Name: "m2p_viol_frac",
+		value: func(s *TenantSample) (float64, bool) {
 			if s.M2PCount == 0 {
 				return 0, false
 			}
 			return s.M2PViolFrac, true
 		}},
-	{Name: "m2p_p99_ms", Desc: "motion-to-photon p99 latency", Unit: "ms",
-		value: func(s *TenantSample, _ float64) (float64, bool) {
+	// m2p_p99_ms: motion-to-photon p99 latency (ms).
+	{Name: "m2p_p99_ms",
+		value: func(s *TenantSample) (float64, bool) {
 			if s.M2PCount == 0 {
 				return 0, false
 			}
 			return s.M2PP99MS, true
 		}},
-	{Name: "fetch_mean_ms", Desc: "demand-fetch mean latency", Unit: "ms",
-		value: func(s *TenantSample, _ float64) (float64, bool) {
+	// fetch_mean_ms: demand-fetch mean latency (ms).
+	{Name: "fetch_mean_ms",
+		value: func(s *TenantSample) (float64, bool) {
 			if s.FetchCount == 0 {
 				return 0, false
 			}
 			return s.FetchMeanMS, true
 		}},
-	{Name: "fetch_p99_ms", Desc: "demand-fetch p99 latency", Unit: "ms",
-		value: func(s *TenantSample, _ float64) (float64, bool) {
+	// fetch_p99_ms: demand-fetch p99 latency (ms).
+	{Name: "fetch_p99_ms",
+		value: func(s *TenantSample) (float64, bool) {
 			if s.FetchCount == 0 {
 				return 0, false
 			}
 			return s.FetchP99MS, true
 		}},
-	{Name: "fetch_count", Desc: "demand fetches completed in the window", Unit: "fetches",
-		value: func(s *TenantSample, _ float64) (float64, bool) { return float64(s.FetchCount), true }},
+	// fetch_count: demand fetches completed in the window (fetches).
+	{Name: "fetch_count",
+		value: func(s *TenantSample) (float64, bool) { return float64(s.FetchCount), true }},
 }
 
 // signalValue extracts signal `name` for tenant ti from sealed window w,
@@ -74,7 +78,7 @@ func (m *Monitor) signalValue(name string, w *Window, ti int) (float64, bool) {
 	}
 	for i := range builtinSignals {
 		if builtinSignals[i].Name == name {
-			return builtinSignals[i].value(s, w.EndMS-w.StartMS)
+			return builtinSignals[i].value(s)
 		}
 	}
 	return 0, false

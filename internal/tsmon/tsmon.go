@@ -37,16 +37,20 @@ import (
 // 0 disables either check.
 type TenantConfig = fleetobs.TenantConfig
 
-// Config sizes the monitor.
+// WindowWidth is the virtual-time rollup window width.
+const WindowWidth = 200 * time.Millisecond
+
+const (
+	// ringWindows bounds how many sealed windows are retained (older
+	// windows are evicted; the run totals keep counting).
+	ringWindows = 256
+	// contextWindows is how many trailing windows of the triggering signal
+	// an incident snapshots.
+	contextWindows = 16
+)
+
+// Config declares what the monitor watches.
 type Config struct {
-	// Window is the virtual-time rollup window width. Default 200 ms.
-	Window time.Duration
-	// Ring bounds how many sealed windows are retained (older windows are
-	// evicted; totals keep counting). Default 256.
-	Ring int
-	// Context is how many trailing windows of the triggering signal an
-	// incident snapshots. Default 16 (clamped to Ring).
-	Context int
 	// Tenants declares the monitored guests, in index order.
 	Tenants []TenantConfig
 	// Detectors declares the online detectors; nil means DefaultSpecs().
@@ -101,8 +105,11 @@ type accum struct {
 type Tenant struct {
 	cfg    TenantConfig
 	mon    *Monitor
-	index  int
 	probes []probe
+	// frames and drops are the run totals, counted as samples arrive: a
+	// sample at or past the final bound, or in a window the ring has
+	// evicted, still counts.
+	frames, drops uint64
 	// open[i] accumulates window (mon.nextSeal + i): the windows at or
 	// above the seal watermark that this tenant has already seen samples
 	// for. Its length is bounded by how far the tenant's clock runs ahead
@@ -115,7 +122,7 @@ type Tenant struct {
 // Samples below the seal watermark (impossible under the barrier
 // discipline, but cheap to guard) fold into the oldest open window.
 func (t *Tenant) at(at time.Duration) *accum {
-	idx := int(at / t.mon.window)
+	idx := int(at / WindowWidth)
 	off := idx - t.mon.nextSeal
 	if off < 0 {
 		off = 0
@@ -128,10 +135,16 @@ func (t *Tenant) at(at time.Duration) *accum {
 
 // FramePresented records a frame reaching the display (the emulator
 // FrameObserver hook).
-func (t *Tenant) FramePresented(now time.Duration) { t.at(now).frames++ }
+func (t *Tenant) FramePresented(now time.Duration) {
+	t.frames++
+	t.at(now).frames++
+}
 
 // FrameDropped records a frame discarded stale or past deadline.
-func (t *Tenant) FrameDropped(now time.Duration) { t.at(now).drops++ }
+func (t *Tenant) FrameDropped(now time.Duration) {
+	t.drops++
+	t.at(now).drops++
+}
 
 // MotionToPhoton records a measured source-to-display latency and checks it
 // against the tenant's SLO.
@@ -211,14 +224,10 @@ type Window struct {
 // accumulation, a bounded ring of sealed windows, the detector registry's
 // instantiated state machines, and the incident flight recorder.
 type Monitor struct {
-	window  time.Duration
-	ringCap int
-	context int
-
 	tenants []*Tenant
 
-	// Sealed-window ring: ring[(ringStart+i) % ringCap] for i < ringLen,
-	// oldest first.
+	// Sealed-window ring: ring[(ringStart+i) % ringWindows] for i <
+	// ringLen, oldest first.
 	ring      []Window
 	ringStart int
 	ringLen   int
@@ -252,32 +261,17 @@ type faultWindow struct {
 // global seal point (shard barrier or stepped RunUntil) and Finalize once
 // at the end.
 func New(cfg Config) *Monitor {
-	if cfg.Window <= 0 {
-		cfg.Window = 200 * time.Millisecond
-	}
-	if cfg.Ring <= 0 {
-		cfg.Ring = 256
-	}
-	if cfg.Context <= 0 {
-		cfg.Context = 16
-	}
-	if cfg.Context > cfg.Ring {
-		cfg.Context = cfg.Ring
-	}
 	if cfg.Detectors == nil {
 		cfg.Detectors = DefaultSpecs()
 	}
 	m := &Monitor{
-		window:   cfg.Window,
-		ringCap:  cfg.Ring,
-		context:  cfg.Context,
-		ring:     make([]Window, cfg.Ring),
+		ring:     make([]Window, ringWindows),
 		specs:    cfg.Detectors,
 		tracer:   cfg.Tracer,
 		profiler: cfg.Profiler,
 	}
-	for i, tc := range cfg.Tenants {
-		m.tenants = append(m.tenants, &Tenant{cfg: tc, mon: m, index: i})
+	for _, tc := range cfg.Tenants {
+		m.tenants = append(m.tenants, &Tenant{cfg: tc, mon: m})
 	}
 	m.cumFetch = make([]fleetobs.LogHistogram, len(m.tenants))
 	m.cumM2P = make([]fleetobs.LogHistogram, len(m.tenants))
@@ -294,9 +288,6 @@ func New(cfg Config) *Monitor {
 // Tenant returns the i-th declared tenant's feed.
 func (m *Monitor) Tenant(i int) *Tenant { return m.tenants[i] }
 
-// WindowWidth returns the configured rollup window width.
-func (m *Monitor) WindowWidth() time.Duration { return m.window }
-
 // AddFaultWindow announces an injected-fault interval so incidents can
 // report the faults active at their trigger. tenant < 0 declares a
 // host-wide fault affecting every tenant.
@@ -311,8 +302,8 @@ func (m *Monitor) AddFaultWindow(tenant int, class string, start, dur time.Durat
 // after a single-env RunUntil(now). Observe-only: sealing never touches
 // the simulation.
 func (m *Monitor) Seal(now time.Duration) {
-	for time.Duration(m.nextSeal+1)*m.window <= now {
-		end := time.Duration(m.nextSeal+1) * m.window
+	for time.Duration(m.nextSeal+1)*WindowWidth <= now {
+		end := time.Duration(m.nextSeal+1) * WindowWidth
 		m.sealOne(end, false)
 	}
 }
@@ -321,14 +312,14 @@ func (m *Monitor) Seal(now time.Duration) {
 // mid-window, one trailing partial window (skipped by detectors).
 func (m *Monitor) Finalize(end time.Duration) {
 	m.Seal(end)
-	if start := time.Duration(m.nextSeal) * m.window; end > start {
+	if start := time.Duration(m.nextSeal) * WindowWidth; end > start {
 		m.sealOne(end, true)
 	}
 }
 
 // sealOne seals the window m.nextSeal as [nextSeal*W, end).
 func (m *Monitor) sealOne(end time.Duration, partial bool) {
-	start := time.Duration(m.nextSeal) * m.window
+	start := time.Duration(m.nextSeal) * WindowWidth
 	w := Window{
 		Index:   m.nextSeal,
 		StartMS: ms(start),
@@ -389,18 +380,18 @@ func (m *Monitor) sealOne(end time.Duration, partial bool) {
 // push appends a sealed window to the ring, evicting the oldest at
 // capacity.
 func (m *Monitor) push(w Window) {
-	if m.ringLen < m.ringCap {
-		m.ring[(m.ringStart+m.ringLen)%m.ringCap] = w
+	if m.ringLen < ringWindows {
+		m.ring[(m.ringStart+m.ringLen)%ringWindows] = w
 		m.ringLen++
 		return
 	}
 	m.ring[m.ringStart] = w
-	m.ringStart = (m.ringStart + 1) % m.ringCap
+	m.ringStart = (m.ringStart + 1) % ringWindows
 }
 
 // latest returns the most recently sealed window.
 func (m *Monitor) latest() *Window {
-	return &m.ring[(m.ringStart+m.ringLen-1)%m.ringCap]
+	return &m.ring[(m.ringStart+m.ringLen-1)%ringWindows]
 }
 
 // windowAt returns the retained window with the given index, nil if
@@ -410,7 +401,7 @@ func (m *Monitor) windowAt(index int) *Window {
 	// back from the newest (ringLen is small and this runs only while
 	// assembling incidents).
 	for i := m.ringLen - 1; i >= 0; i-- {
-		w := &m.ring[(m.ringStart+i)%m.ringCap]
+		w := &m.ring[(m.ringStart+i)%ringWindows]
 		if w.Index == index {
 			return w
 		}
@@ -425,7 +416,7 @@ func (m *Monitor) windowAt(index int) *Window {
 func (m *Monitor) Windows() []Window {
 	out := make([]Window, 0, m.ringLen)
 	for i := 0; i < m.ringLen; i++ {
-		out = append(out, m.ring[(m.ringStart+i)%m.ringCap])
+		out = append(out, m.ring[(m.ringStart+i)%ringWindows])
 	}
 	return out
 }

@@ -79,8 +79,7 @@ type Step struct {
 	Index    int    // consideration order, 0-based
 	Phase    string // baseline | grid | random | climb | restart
 	Vec      Vector
-	Cached   bool // metrics replayed from the cache, no evaluator call
-	Score    float64
+	Cached   bool    // metrics replayed from the cache, no evaluator call
 	Value    float64 // objective metric's raw value
 	Feasible bool
 	Violated string // first violated constraint's metric (when infeasible)
@@ -95,7 +94,6 @@ type Result struct {
 	Options   Options
 
 	Baseline       Metrics
-	BaselineVec    Vector
 	Best           Metrics
 	BestVec        Vector
 	BestScore      float64
@@ -143,7 +141,6 @@ func Search(preset string, space Space, ev Evaluator, obj Objective, opts Option
 	// constraints and is the first candidate. It is feasible by
 	// construction (every relative bound scales its own value).
 	def := space.DefaultVector()
-	s.res.BaselineVec = def
 	base, cached, _ := s.evalOne(def)
 	s.res.Baseline = base
 	s.bind(base)
@@ -279,7 +276,7 @@ func (s *searcher) record(phase string, v Vector, m Metrics, cached bool) bool {
 	score, value, feasible, violated := s.judge(m)
 	st := Step{
 		Index: len(s.res.Trace), Phase: phase, Vec: v.clone(),
-		Cached: cached, Score: score, Value: value,
+		Cached: cached, Value: value,
 		Feasible: feasible, Violated: violated,
 	}
 	if feasible && score < s.res.BestScore {

@@ -117,7 +117,7 @@ func TestCacheHitsReplayWithoutRerun(t *testing.T) {
 	}
 	for i := range first.Trace {
 		a, b := first.Trace[i], second.Trace[i]
-		if !reflect.DeepEqual(a.Vec, b.Vec) || a.Score != b.Score || a.Feasible != b.Feasible {
+		if !reflect.DeepEqual(a.Vec, b.Vec) || a.Value != b.Value || a.Feasible != b.Feasible {
 			t.Fatalf("trace step %d drifted under warm cache: %+v vs %+v", i, a, b)
 		}
 	}

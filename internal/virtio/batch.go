@@ -29,11 +29,6 @@ type BatchConfig struct {
 	// MaxWindow caps the adaptive coalescing window. Zero means the
 	// DefaultMaxWindow when batching is enabled.
 	MaxWindow time.Duration
-	// WindowGain is the fraction of the observed round-trip EWMA used as
-	// the coalescing window (<=0 means DefaultWindowGain). The rationale:
-	// delaying a push by less than the notification round trip it saves is
-	// always amortized.
-	WindowGain float64
 	// MaxBatch flushes a batch when it accumulates this many elements
 	// (<=0 means DefaultMaxBatch).
 	MaxBatch int
@@ -47,10 +42,14 @@ type BatchConfig struct {
 // left zero on an enabled config.
 const (
 	DefaultMaxWindow    = 2 * time.Millisecond
-	DefaultWindowGain   = 1.0
 	DefaultMaxBatch     = 64
 	DefaultPressureHold = 5 * time.Millisecond
 )
+
+// windowGain is the fraction of the observed round-trip EWMA used as the
+// coalescing window. The rationale: delaying a push by less than the
+// notification round trip it saves is always amortized.
+const windowGain = 1.0
 
 // EnabledBatch returns an enabled config with all defaults.
 func EnabledBatch() BatchConfig { return BatchConfig{Enabled: true} }
@@ -59,7 +58,6 @@ func EnabledBatch() BatchConfig { return BatchConfig{Enabled: true} }
 // layers outside this package that need the effective tunables.
 func (c BatchConfig) Resolved() BatchConfig {
 	c.MaxWindow = c.maxWindow()
-	c.WindowGain = c.windowGain()
 	c.MaxBatch = c.maxBatch()
 	c.PressureHold = c.pressureHold()
 	return c
@@ -70,13 +68,6 @@ func (c BatchConfig) maxWindow() time.Duration {
 		return c.MaxWindow
 	}
 	return DefaultMaxWindow
-}
-
-func (c BatchConfig) windowGain() float64 {
-	if c.WindowGain > 0 {
-		return c.WindowGain
-	}
-	return DefaultWindowGain
 }
 
 func (c BatchConfig) maxBatch() int {
@@ -104,7 +95,7 @@ func (c BatchConfig) pressureHold() time.Duration {
 //     evidence that there is a round-trip cost worth amortizing.
 //  2. Under pressure (a latency-sensitive demand fetch within
 //     PressureHold): window 0. Tail latency beats notification savings.
-//  3. Otherwise: WindowGain x the round-trip EWMA, capped at MaxWindow.
+//  3. Otherwise: windowGain x the round-trip EWMA, capped at MaxWindow.
 type AdaptiveWindow struct {
 	cfg           BatchConfig
 	rtt           *metrics.EWMA
@@ -143,7 +134,7 @@ func (w *AdaptiveWindow) Window(now time.Duration) time.Duration {
 	if !w.rtt.Warm() || w.UnderPressure(now) {
 		return 0
 	}
-	win := time.Duration(w.cfg.windowGain() * w.rtt.Value())
+	win := time.Duration(windowGain * w.rtt.Value())
 	if max := w.cfg.maxWindow(); win > max {
 		win = max
 	}

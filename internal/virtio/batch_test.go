@@ -7,11 +7,7 @@ import (
 	"repro/internal/sim"
 )
 
-func batchTestConfig() Config {
-	cfg := testConfig()
-	cfg.Batch = EnabledBatch()
-	return cfg
-}
+func batchTestConfig() Config { return Config{Batch: EnabledBatch()} }
 
 // TestElidedKickSurvivesPeerIdleRace exercises both edges of the event-index
 // state machine. A dispatch landing while the host executor is mid-command
@@ -36,11 +32,11 @@ func TestElidedKickSurvivesPeerIdleRace(t *testing.T) {
 		// t=0: host is blocked in Recv with the ring empty -> kick.
 		r.Dispatch(p, r.NewCommand("a", nil))
 		p.Sleep(10 * us)
-		// t=21us: host is executing "a" until t=61us -> kick elided; the
+		// t=32us: host is executing "a" until t=72us -> kick elided; the
 		// host's next Recv finds "b" already queued.
 		r.Dispatch(p, r.NewCommand("b", nil))
 		p.Sleep(128 * us)
-		// t=150us: host drained the ring at t=111us, republished idle, and
+		// t=162us: host drained the ring at t=122us, republished idle, and
 		// blocked -> the race resolved toward idle, so this dispatch must
 		// pay the kick that wakes it.
 		r.Dispatch(p, r.NewCommand("c", nil))
@@ -87,8 +83,8 @@ func TestIRQCoalescingRidesPendingInterrupt(t *testing.T) {
 	if l.Delivered() != 1 || l.Coalesced() != 2 {
 		t.Fatalf("delivered=%d coalesced=%d, want 1/2", l.Delivered(), l.Coalesced())
 	}
-	if handled != 65*us {
-		t.Fatalf("handled at %v, want 65us (60 wait + one 5us IRQ cost for the batch)", handled)
+	if handled != 60*us+IRQCost {
+		t.Fatalf("handled at %v, want %v (60us wait + one IRQ cost for the batch)", handled, 60*us+IRQCost)
 	}
 }
 
@@ -97,7 +93,7 @@ func TestIRQCoalescingRidesPendingInterrupt(t *testing.T) {
 func TestCoalescingOffDeliversEveryInterrupt(t *testing.T) {
 	env := sim.NewEnv(1)
 	defer env.Close()
-	l := NewIRQLine(env, "irq", testConfig())
+	l := NewIRQLine(env, "irq", Config{})
 
 	env.After(50*us, func() {
 		l.Raise(1)

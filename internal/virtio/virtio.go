@@ -50,15 +50,20 @@ func (s *CostScale) Factor() float64 {
 	return s.factor
 }
 
-// Config holds the transport cost model.
-type Config struct {
+// The transport cost model mirrors measured KVM-class transport costs: tens
+// of microseconds per exit once emulator dispatch overhead is included.
+const (
 	// KickCost is the guest-side cost of notifying the host after
 	// publishing descriptors (a VM-exit).
-	KickCost time.Duration
+	KickCost = 20 * time.Microsecond
 	// IRQCost is the guest-side cost of fielding a host interrupt.
-	IRQCost time.Duration
+	IRQCost = 15 * time.Microsecond
 	// PerCommandCost is the marshaling cost per command on the guest side.
-	PerCommandCost time.Duration
+	PerCommandCost = 2 * time.Microsecond
+)
+
+// Config holds the transport's per-emulator settings.
+type Config struct {
 	// Scale, when non-nil, multiplies every transport cost at charge time.
 	// It is shared (by pointer) across the rings and IRQ lines of one
 	// emulator so a single injected spike slows them all.
@@ -72,16 +77,6 @@ type Config struct {
 // Scaled applies the config's dynamic cost scale to a duration.
 func (c Config) Scaled(d time.Duration) time.Duration {
 	return time.Duration(float64(d) * c.Scale.Factor())
-}
-
-// DefaultConfig mirrors measured KVM-class transport costs: tens of
-// microseconds per exit once emulator dispatch overhead is included.
-func DefaultConfig() Config {
-	return Config{
-		KickCost:       20 * time.Microsecond,
-		IRQCost:        15 * time.Microsecond,
-		PerCommandCost: 2 * time.Microsecond,
-	}
 }
 
 // Stats counts transport events for the overhead reports.
@@ -110,7 +105,6 @@ type Command struct {
 // Ring is a virtqueue: a FIFO of commands from a guest driver to its host
 // device counterpart.
 type Ring struct {
-	Name  string
 	env   *sim.Env
 	cfg   Config
 	q     *sim.Queue[*Command]
@@ -127,33 +121,30 @@ type Ring struct {
 	// dispatch->completion round trips. Nil when batching is off.
 	win *AdaptiveWindow
 
-	tr       *obs.Tracer
-	tk       obs.Track
-	cmdCtr   *obs.Counter
-	kickCtr  *obs.Counter
-	elideCtr *obs.Counter
-	pf       *prof.Profiler
+	tr *obs.Tracer
+	tk obs.Track
+	pf *prof.Profiler
 }
 
 // NewRing returns a ring with unbounded descriptor capacity (flow control
 // is layered above, see internal/flowcontrol).
 func NewRing(env *sim.Env, name string, cfg Config) *Ring {
-	r := &Ring{Name: name, env: env, cfg: cfg, q: sim.NewQueue[*Command](env, 0), peerIdle: true}
+	r := &Ring{env: env, cfg: cfg, q: sim.NewQueue[*Command](env, 0), peerIdle: true}
 	if r.tr = env.Tracer(); r.tr != nil {
 		r.tk = r.tr.Track("vq:" + name)
-	}
-	if reg := env.Metrics(); reg != nil {
-		r.cmdCtr = reg.Counter("vq." + name + ".commands")
-		r.kickCtr = reg.Counter("vq." + name + ".kicks")
 	}
 	r.pf = env.Profiler()
 	if cfg.Batch.Enabled {
 		r.win = NewAdaptiveWindow(cfg.Batch)
-		// Registered only when batching is on: the metrics dump prints
-		// every registered counter, and batching off must stay
-		// byte-identical to the pre-batching transport.
-		if reg := env.Metrics(); reg != nil {
-			r.elideCtr = reg.Counter("vq." + name + ".elided_kicks")
+	}
+	if reg := env.Metrics(); reg != nil {
+		reg.Count("vq."+name+".commands", &r.stats.Commands)
+		reg.Count("vq."+name+".kicks", &r.stats.Kicks)
+		if cfg.Batch.Enabled {
+			// Registered only when batching is on: the metrics dump prints
+			// every registered counter, and batching off must stay
+			// byte-identical to the pre-batching transport.
+			reg.Count("vq."+name+".elided_kicks", &r.stats.ElidedKicks)
 		}
 	}
 	return r
@@ -186,9 +177,9 @@ func (r *Ring) DispatchBatch(p *sim.Proc, cmds []*Command) {
 	if r.tr != nil {
 		sp = r.tr.Begin(r.tk, "dispatch")
 	}
-	cost := time.Duration(len(cmds)) * r.cfg.PerCommandCost
+	cost := time.Duration(len(cmds)) * PerCommandCost
 	if kick {
-		cost += r.cfg.KickCost
+		cost += KickCost
 	}
 	dispatchStart := p.Now()
 	p.Sleep(r.cfg.Scaled(cost))
@@ -222,12 +213,6 @@ func (r *Ring) DispatchBatch(p *sim.Proc, cmds []*Command) {
 			r.tr.Instant(r.tk, "kick-elided")
 		}
 		r.tr.Count(r.tk, "pending", float64(r.q.Len()))
-	}
-	r.cmdCtr.Add(int64(len(cmds)))
-	if kick {
-		r.kickCtr.Inc()
-	} else {
-		r.elideCtr.Inc()
 	}
 }
 
@@ -265,34 +250,34 @@ func (r *Ring) Stats() Stats { return r.stats }
 // costs the receiving guest process IRQCost, the "extra VM-Exits from
 // interrupts" that make the event-driven ordering paradigm expensive (§3.4).
 type IRQLine struct {
-	Name string
-	env  *sim.Env
-	cfg  Config
-	q    *sim.Queue[any]
-	// delivered counts IRQCost charges on the guest (one per Wait, one per
-	// WaitBatch drain); coalesced counts payloads that rode an interrupt
-	// already pending (event-index suppression on the used ring). Both
-	// equal the naive accounting when batching is off.
+	cfg Config
+	q   *sim.Queue[any]
+	// raised counts injected interrupts; delivered counts IRQCost charges
+	// on the guest (one per Wait, one per WaitBatch drain); coalesced
+	// counts payloads that rode an interrupt already pending (event-index
+	// suppression on the used ring). All equal the naive accounting when
+	// batching is off.
+	raised    int
 	delivered int
 	coalesced int
 
-	tr       *obs.Tracer
-	tk       obs.Track
-	raiseCtr *obs.Counter
-	coalCtr  *obs.Counter
-	pf       *prof.Profiler
+	tr *obs.Tracer
+	tk obs.Track
+	pf *prof.Profiler
 }
 
 // NewIRQLine returns an interrupt line.
 func NewIRQLine(env *sim.Env, name string, cfg Config) *IRQLine {
-	l := &IRQLine{Name: name, env: env, cfg: cfg, q: sim.NewQueue[any](env, 0), pf: env.Profiler()}
+	l := &IRQLine{cfg: cfg, q: sim.NewQueue[any](env, 0), pf: env.Profiler()}
 	if l.tr = env.Tracer(); l.tr != nil {
 		l.tk = l.tr.Track("irq:" + name)
 	}
-	l.raiseCtr = env.Metrics().Counter("irq." + name + ".raised")
-	if cfg.Batch.Enabled {
-		// Only registered when batching is on (metrics-dump byte-identity).
-		l.coalCtr = env.Metrics().Counter("irq." + name + ".coalesced")
+	if reg := env.Metrics(); reg != nil {
+		reg.Count("irq."+name+".raised", &l.raised)
+		if cfg.Batch.Enabled {
+			// Only registered when batching is on (metrics-dump byte-identity).
+			reg.Count("irq."+name+".coalesced", &l.coalesced)
+		}
 	}
 	return l
 }
@@ -307,14 +292,13 @@ func (l *IRQLine) Raise(v any) {
 		if l.tr != nil {
 			l.tr.Instant(l.tk, "raise-coalesced")
 		}
-		l.coalCtr.Inc()
 		l.q.TryPut(v)
 		return
 	}
 	if l.tr != nil {
 		l.tr.Instant(l.tk, "raise")
 	}
-	l.raiseCtr.Inc()
+	l.raised++
 	l.q.TryPut(v)
 }
 
@@ -328,7 +312,7 @@ func (l *IRQLine) Wait(p *sim.Proc) any {
 		sp = l.tr.Begin(l.tk, "irq-handle")
 	}
 	handleStart := p.Now()
-	p.Sleep(l.cfg.Scaled(l.cfg.IRQCost))
+	p.Sleep(l.cfg.Scaled(IRQCost))
 	if l.pf != nil {
 		l.pf.Charge(p, "virtio:irq", handleStart)
 	}
@@ -356,7 +340,7 @@ func (l *IRQLine) WaitBatch(p *sim.Proc) []any {
 		sp = l.tr.Begin(l.tk, "irq-handle")
 	}
 	handleStart := p.Now()
-	p.Sleep(l.cfg.Scaled(l.cfg.IRQCost))
+	p.Sleep(l.cfg.Scaled(IRQCost))
 	if l.pf != nil {
 		l.pf.Charge(p, "virtio:irq", handleStart)
 	}

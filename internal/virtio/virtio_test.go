@@ -9,29 +9,25 @@ import (
 
 const us = time.Microsecond
 
-func testConfig() Config {
-	return Config{KickCost: 10 * us, IRQCost: 5 * us, PerCommandCost: 1 * us}
-}
-
 func TestDispatchPaysKickAndMarshal(t *testing.T) {
 	env := sim.NewEnv(1)
 	defer env.Close()
-	r := NewRing(env, "q", testConfig())
+	r := NewRing(env, "q", Config{})
 	var after time.Duration
 	env.Spawn("guest", func(p *sim.Proc) {
 		r.Dispatch(p, r.NewCommand("write", nil))
 		after = p.Now()
 	})
 	env.Run()
-	if after != 11*us {
-		t.Fatalf("dispatch cost %v, want 11us (1 marshal + 10 kick)", after)
+	if after != PerCommandCost+KickCost {
+		t.Fatalf("dispatch cost %v, want %v (1 marshal + 1 kick)", after, PerCommandCost+KickCost)
 	}
 }
 
 func TestBatchSingleKick(t *testing.T) {
 	env := sim.NewEnv(1)
 	defer env.Close()
-	r := NewRing(env, "q", testConfig())
+	r := NewRing(env, "q", Config{})
 	var after time.Duration
 	env.Spawn("guest", func(p *sim.Proc) {
 		cmds := []*Command{r.NewCommand("a", nil), r.NewCommand("b", nil), r.NewCommand("c", nil)}
@@ -39,8 +35,8 @@ func TestBatchSingleKick(t *testing.T) {
 		after = p.Now()
 	})
 	env.Run()
-	if after != 13*us {
-		t.Fatalf("batch cost %v, want 13us (3 marshal + 1 kick)", after)
+	if want := 3*PerCommandCost + KickCost; after != want {
+		t.Fatalf("batch cost %v, want %v (3 marshal + 1 kick)", after, want)
 	}
 	if s := r.Stats(); s.Kicks != 1 || s.Commands != 3 {
 		t.Fatalf("stats = %+v, want 1 kick / 3 commands", s)
@@ -50,7 +46,7 @@ func TestBatchSingleKick(t *testing.T) {
 func TestRingFIFODelivery(t *testing.T) {
 	env := sim.NewEnv(1)
 	defer env.Close()
-	r := NewRing(env, "q", testConfig())
+	r := NewRing(env, "q", Config{})
 	var got []uint64
 	env.Spawn("host", func(p *sim.Proc) {
 		for i := 0; i < 3; i++ {
@@ -73,7 +69,7 @@ func TestRingFIFODelivery(t *testing.T) {
 func TestCommandDoneRoundTrip(t *testing.T) {
 	env := sim.NewEnv(1)
 	defer env.Close()
-	r := NewRing(env, "q", testConfig())
+	r := NewRing(env, "q", Config{})
 	var doneAt time.Duration
 	env.Spawn("host", func(p *sim.Proc) {
 		c := r.Recv(p)
@@ -87,15 +83,15 @@ func TestCommandDoneRoundTrip(t *testing.T) {
 		doneAt = p.Now()
 	})
 	env.Run()
-	if doneAt != 111*us {
-		t.Fatalf("round trip = %v, want 111us", doneAt)
+	if want := PerCommandCost + KickCost + 100*us; doneAt != want {
+		t.Fatalf("round trip = %v, want %v", doneAt, want)
 	}
 }
 
 func TestIRQCostsGuestTime(t *testing.T) {
 	env := sim.NewEnv(1)
 	defer env.Close()
-	l := NewIRQLine(env, "irq", testConfig())
+	l := NewIRQLine(env, "irq", Config{})
 	var handled time.Duration
 	env.Spawn("guest", func(p *sim.Proc) {
 		l.Wait(p)
@@ -103,8 +99,8 @@ func TestIRQCostsGuestTime(t *testing.T) {
 	})
 	env.After(50*us, func() { l.Raise("done") })
 	env.Run()
-	if handled != 55*us {
-		t.Fatalf("handled at %v, want 55us (50 raise + 5 irq cost)", handled)
+	if handled != 50*us+IRQCost {
+		t.Fatalf("handled at %v, want %v (50us raise + irq cost)", handled, 50*us+IRQCost)
 	}
 	if l.Delivered() != 1 {
 		t.Fatalf("Delivered = %d, want 1", l.Delivered())
@@ -124,7 +120,7 @@ func TestSharedPageLimit(t *testing.T) {
 func TestPendingCount(t *testing.T) {
 	env := sim.NewEnv(1)
 	defer env.Close()
-	r := NewRing(env, "q", testConfig())
+	r := NewRing(env, "q", Config{})
 	env.Spawn("guest", func(p *sim.Proc) {
 		r.Dispatch(p, r.NewCommand("a", nil))
 		r.Dispatch(p, r.NewCommand("b", nil))

@@ -11,8 +11,6 @@ import (
 type Result struct {
 	App      string
 	Emulator string
-	Machine  string
-	Category int
 	Duration time.Duration
 
 	// FPS is the presented frame rate (the dumpsys metric, §5.3).

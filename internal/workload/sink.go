@@ -17,7 +17,6 @@ import (
 // the guest CPU and composited by the GPU every frame. UI layers are why
 // popular apps also benefit from SVM improvements (§5.5: Skia).
 type uiOverlay struct {
-	handle svm.Handle
 	region svm.RegionID
 	dirty  hostsim.Bytes
 	mp     float64 // dirty megapixels
@@ -38,7 +37,6 @@ func newUIOverlay(p *sim.Proc, e *emulator.Emulator, spec *Spec, stop time.Durat
 		return nil, err
 	}
 	ui := &uiOverlay{
-		handle: h,
 		region: region,
 		dirty:  spec.UIDirtyBytes(),
 		mp:     MPixels(spec.DisplayW, spec.DisplayH) * spec.UIDirtyFraction,
@@ -298,8 +296,6 @@ func (s *sink) result(e *emulator.Emulator, spec *Spec) *Result {
 	r := &Result{
 		App:      spec.Name,
 		Emulator: e.Preset.Name,
-		Machine:  e.Machine.Name,
-		Category: spec.Category,
 		Duration: spec.Duration,
 		FPS:      s.fps.FPS(s.stop),
 		Frames:   s.fps.Frames(),
