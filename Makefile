@@ -41,14 +41,15 @@ bench-module:
 race:
 	$(GO) test -race ./internal/sim/... ./internal/experiments/...
 
-# One short iteration of the scheduler microbenchmarks and of the SVM
-# access path's (write->read cycles per protocol, the guest driver's
-# prediction query, a hypergraph edge hit): catches gross regressions, and
-# shows any return of per-event or per-access allocation in the allocs/op
-# column, without the noise sensitivity of a full benchmark run.
+# One short iteration of the scheduler microbenchmarks, of the SVM access
+# path's (write->read cycles per protocol, the guest driver's prediction
+# query, a hypergraph edge hit) and of the chunked demand-fetch path (one
+# 10 MiB transfer with a whole-range reader): catches gross regressions, and
+# shows any return of per-event, per-access or per-chunk allocation in the
+# allocs/op column, without the noise sensitivity of a full benchmark run.
 bench-smoke:
 	$(GO) test -run=NONE -bench='SteadyState|ZeroDelay|RunUntil|SpawnChurn' -benchtime=10000x -benchmem ./internal/sim/bench
-	$(GO) test -run=NONE -bench='PipelineCycle|PredictCompensation|EdgeHit' -benchtime=10000x -benchmem ./internal/svm ./internal/hypergraph
+	$(GO) test -run=NONE -bench='PipelineCycle|PredictCompensation|EdgeHit|ChunkedTransfer' -benchtime=10000x -benchmem ./internal/svm ./internal/hypergraph ./internal/hostsim
 
 # Examples gate: `go build ./...` compiles examples/, but only running them
 # exercises the public API they are the sole non-test callers of (e.g.

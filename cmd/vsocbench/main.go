@@ -50,9 +50,10 @@
 // export for the experiments that support it (micro); feed it to any
 // flamegraph renderer. -json writes the machine-readable bench report —
 // a stable, sorted JSON trajectory of every selected experiment's named
-// metrics — for cmd/vsocperf to diff against a baseline run. -trace,
-// -profile or -json with no selected experiment that writes the file is a
-// usage error (exit 2), as are bad counts and unknown experiments.
+// metrics — for cmd/vsocperf to diff against a baseline run. Any of -trace,
+// -profile, -json, -fetch, -metrics, -fleet, -mon or -monout with no
+// selected experiment that honours it is a usage error (exit 2), as are bad
+// counts and unknown experiments; -h lists what each experiment honours.
 package main
 
 import (
@@ -77,13 +78,13 @@ func main() {
 	flag.Int64Var(&cfg.Seed, "seed", 1, "simulation seed")
 	flag.IntVar(&cfg.Workers, "workers", 0, "concurrent app sessions (0 = one per CPU, 1 = serial)")
 	flag.StringVar(&cfg.TracePath, "trace", "", "write Chrome/Perfetto trace JSON where the experiment supports it (see -h)")
-	flag.BoolVar(&cfg.Metrics, "metrics", false, "append a metrics dump to supporting experiment reports")
+	flag.BoolVar(&cfg.Metrics, "metrics", false, "append a metrics dump to supporting experiment reports (overhead, robustness)")
 	flag.StringVar(&cfg.ProfilePath, "profile", "", "write the folded-stack flamegraph export where the experiment supports it (see -h)")
 	jsonPath := flag.String("json", "", "write the machine-readable bench report (for cmd/vsocperf) to this path")
 	flag.BoolVar(&cfg.Fetch, "fetch", false, "enable chunked, DMA-promoted demand fetches (DESIGN.md §11) for supporting experiments (micro, fig16)")
 	flag.BoolVar(&cfg.Fleet, "fleet", false, "enable fleet telemetry (DESIGN.md §13) for the shardscale farm: QoS/SLO report and the window loop's wall-clock split")
 	flag.BoolVar(&cfg.Monitor, "mon", false, "enable the streaming telemetry engine (DESIGN.md §15) for supporting experiments (shardscale); phasedload monitors unconditionally")
-	flag.StringVar(&cfg.MonPath, "monout", "", "write the machine-readable monitor report (for cmd/vsocmon) to this path")
+	flag.StringVar(&cfg.MonPath, "monout", "", "write the machine-readable monitor report (for cmd/vsocmon) to this path (phasedload; shardscale with -mon)")
 	flag.Usage = func() {
 		out := flag.CommandLine.Output()
 		fmt.Fprintf(out, "Usage of %s:\n", os.Args[0])
@@ -136,8 +137,9 @@ const maxPopular = 25
 // the selected experiments cannot honour: counts and durations that would
 // otherwise panic (a negative -popular slices the app mix), print an all-n/a
 // report, or fall back silently to a default (-duration 0 runs the session
-// default, a negative -workers one worker per CPU), and -trace, -profile or
-// -json when no selected experiment writes that file.
+// default, a negative -workers one worker per CPU), and any of -trace,
+// -profile, -json, -fetch, -metrics, -fleet, -mon or -monout that no
+// selected experiment honours (registry Trace, Profile, Bench and Flags).
 //
 // -exp is a comma-separated list of names, aliases and "all" (every InAll
 // experiment), run in the order given; labels holds each run's name as
@@ -161,22 +163,32 @@ func checkFlags(exp string, cfg experiments.Config, jsonPath string) (entries []
 	if len(entries) == 0 && len(errs) == 0 {
 		errs = append(errs, errors.New("empty -exp list"))
 	}
-	var trace, profile, json bool
+	honoured := map[string]bool{}
 	for _, e := range entries {
-		trace = trace || e.Trace != ""
-		profile = profile || e.Profile != ""
-		json = json || e.Bench
+		honoured["-trace"] = honoured["-trace"] || e.Trace != ""
+		honoured["-profile"] = honoured["-profile"] || e.Profile != ""
+		honoured["-json"] = honoured["-json"] || e.Bench
+		for _, f := range e.Flags {
+			honoured[f] = true
+		}
 	}
-	for _, out := range []struct {
-		flag, path string
-		honoured   bool
+	// An experiment that monitors under -mon writes the report -monout names.
+	honoured["-monout"] = honoured["-monout"] || cfg.Monitor && honoured["-mon"]
+	for _, f := range []struct {
+		name, path string // path: the file a file flag names
+		set        bool
 	}{
-		{"-trace", cfg.TracePath, trace},
-		{"-profile", cfg.ProfilePath, profile},
-		{"-json", jsonPath, json},
+		{"-trace", cfg.TracePath, cfg.TracePath != ""},
+		{"-profile", cfg.ProfilePath, cfg.ProfilePath != ""},
+		{"-json", jsonPath, jsonPath != ""},
+		{"-fetch", "", cfg.Fetch},
+		{"-metrics", "", cfg.Metrics},
+		{"-fleet", "", cfg.Fleet},
+		{"-mon", "", cfg.Monitor},
+		{"-monout", cfg.MonPath, cfg.MonPath != ""},
 	} {
-		if out.path != "" && !out.honoured && len(entries) > 0 {
-			errs = append(errs, fmt.Errorf("%s %s: no selected experiment writes it (see -h)", out.flag, out.path))
+		if f.set && !honoured[f.name] && len(entries) > 0 {
+			errs = append(errs, fmt.Errorf("%s: no selected experiment honours it (see -h)", strings.TrimSpace(f.name+" "+f.path)))
 		}
 	}
 	var popErr error

@@ -30,6 +30,12 @@ type Entry struct {
 	// report (the machine-readable trajectory cmd/vsocperf diffs): exactly
 	// those whose Run returns metrics.
 	Bench bool
+	// Flags lists the other optional vsocbench flags the experiment honours
+	// (-fetch, -metrics, -fleet, -mon, -monout); vsocbench rejects one that
+	// no selected experiment lists. phasedload lists -mon because it always
+	// monitors; shardscale, which monitors only under -mon, honours -monout
+	// only alongside it.
+	Flags []string
 	// InAll marks experiments included in `-exp all`. The batching sweep
 	// is excluded so `-exp all` output stays byte-comparable with builds
 	// that predate it.
@@ -74,13 +80,16 @@ func Registry() []Entry {
 		{Name: "overhead", InAll: true, Bench: true,
 			Summary: "SVM framework memory/CPU overhead and fence-table peak (§5.2)",
 			Trace:   "writes exactly the given path",
+			Flags:   []string{"-metrics"},
 			Run:     runner(RunOverhead, FormatOverhead, overheadMetrics)},
 		{Name: "fig16", InAll: true, Bench: true,
 			Summary: "write-invalidate access-latency CDF (Fig. 16, §5.4)",
+			Flags:   []string{"-fetch"},
 			Run:     runner(RunFig16, FormatFig16, fig16Metrics)},
 		{Name: "micro", Bench: true,
 			Summary: "Fig. 16 rerun with the critical-path profiler: per-component latency attribution, demand-fetch breakdown, top-K slowest frames (§5.4); excluded from -exp all",
 			Profile: "writes the folded-stack flamegraph export to the given path",
+			Flags:   []string{"-fetch"},
 			Run:     runMicroEntry},
 		{Name: "services", InAll: true, Bench: true,
 			Summary: "shared-memory usage by Android service (§2.3 attribution study)",
@@ -97,6 +106,7 @@ func Registry() []Entry {
 		{Name: "robustness", InAll: true,
 			Summary: "fault-injection degradation and recovery curves",
 			Trace:   "writes one file per (emulator, fault) cell next to the given path",
+			Flags:   []string{"-metrics"},
 			Run:     runner(RunRobustness, FormatRobustness, nil)},
 		{Name: "batching",
 			Summary: "notification-batching sweep: notifications/op and Table-2 deltas across batch windows (DESIGN.md §9); excluded from -exp all",
@@ -107,10 +117,12 @@ func Registry() []Entry {
 		{Name: "shardscale", Bench: true,
 			Summary: "four-guest farm sharing one host's PCIe budget, run in 2 ms arbitration windows: per-guest FPS, events and events/s (DESIGN.md §12); -fleet adds the QoS/SLO fleet report and the window loop's wall-clock split (§13), -mon the monitor report (§15); excluded from -exp all",
 			Trace:   "with -fleet, writes the fleet-counter trace next to the given path, as *-fleet.json",
+			Flags:   []string{"-fleet", "-mon"},
 			Run:     runner(RunShardScale, FormatShardScale, shardScaleMetrics)},
 		{Name: "phasedload", Bench: true,
 			Summary: "monitored phased-load scenario (steady/spike/fault/recovery) exercising the streaming telemetry engine's windowed rollups, online detectors, and incident flight recorder (DESIGN.md §15); -monout writes the monitor report for cmd/vsocmon; excluded from -exp all",
 			Trace:   "writes one flight-recorder Perfetto snippet per incident next to the given path",
+			Flags:   []string{"-mon", "-monout"},
 			Run:     runner(RunPhasedLoad, FormatPhasedLoad, phasedLoadMetrics)},
 		{Name: "tune",
 			Summary: "auto-tune the batching/fetch/prefetch config space per preset: deterministic grid + hill-climb search with constrained objectives (DESIGN.md §14, cmd/vsoctune has the full flag set); excluded from -exp all"},
@@ -292,7 +304,8 @@ func ExperimentNames() string {
 }
 
 // UsageText returns the generated experiment list for long-form usage:
-// one line per experiment with its summary and any -trace interaction.
+// one line per experiment with its summary, any -trace or -profile
+// interaction, and the other flags it honours.
 func UsageText() string {
 	var b strings.Builder
 	for _, e := range Registry() {
@@ -311,6 +324,10 @@ func UsageText() string {
 		if e.Profile != "" {
 			b.WriteString("\n        -profile: ")
 			b.WriteString(e.Profile)
+		}
+		if len(e.Flags) > 0 {
+			b.WriteString("\n        flags: ")
+			b.WriteString(strings.Join(e.Flags, ", "))
 		}
 		b.WriteString("\n")
 	}

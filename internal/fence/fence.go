@@ -142,28 +142,7 @@ func NewTable(env *sim.Env) *Table {
 		reg.Count("fence.recycles", &t.recycles)
 		t.inUseGauge = reg.Gauge("fence.in_use")
 	}
-	// Closing the environment aborts every process mid-protocol, so active
-	// fences whose signalers unwound would otherwise pin their slots forever
-	// (a chunked transfer's alloc-before-signal holds up to two). Drain the
-	// table once the processes are gone: no signaler remains, so every
-	// occupied slot is reclaimable.
-	env.OnClose(t.drain)
 	return t
-}
-
-// drain releases every occupied slot, active or signaled. Only called after
-// the owning environment has closed — fence pointers stay valid (late
-// status queries see whatever state the fence died in), but the table is
-// empty again, so InUse reports zero and leak checks stay meaningful across
-// repeated build/Close cycles.
-func (t *Table) drain() {
-	t.rewindFree()
-	for i, f := range t.slots {
-		if f != nil {
-			t.slots[i] = nil
-			t.free = append(t.free, i)
-		}
-	}
 }
 
 // Capacity returns the total number of fence slots (128 for 4 KiB / 32 B).

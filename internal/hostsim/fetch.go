@@ -4,15 +4,15 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/fence"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
 // This file implements chunked, DMA-promoted transfers (DESIGN.md §11): a
 // large copy is split into fixed-size chunks driven as pipelined DMA
-// descriptors with per-chunk completion fences, instead of one monolithic
-// CPU-driven copy that holds the link for its whole duration. Chunks at or
+// descriptors, instead of one monolithic CPU-driven copy that holds the link
+// for its whole duration. A reader registers the landed-chunk count its
+// range needs and is woken once, by the landing that reaches it. Chunks at or
 // above a promotion threshold ride the asynchronous DMA path (Bandwidth);
 // smaller residues fall back to the synchronous rate (SyncBandwidth). The
 // link semaphore is released between descriptor batches, so coherence pushes
@@ -21,8 +21,8 @@ import (
 //
 // Determinism: the driver is an ordinary simulation process; chunk loss
 // retries consume the link's loss rng exactly as monolithic DMA transfers
-// do, and completion fences retire at simulated instants, so equal seeds
-// produce identical chunk schedules.
+// do, and readers resume at the simulated instant their last chunk lands,
+// in registration order, so equal seeds produce identical chunk schedules.
 
 // FetchConfig parameterizes chunked demand fetches. The zero value disables
 // chunking entirely; Resolved fills the remaining knobs with defaults.
@@ -91,22 +91,19 @@ type ChunkedTransfer struct {
 	n     int // chunk count
 
 	landed int
-	// cur signals completion of the next chunk to land; allocated just
-	// before the previous chunk's fence fires, so a transfer holds at most
-	// two fence-table slots at once regardless of chunk count.
-	cur  *fence.Fence
-	done bool
+	done   bool
+	// readers are the parked WaitRange callers, in registration order.
+	readers []chunkReader
 
 	recs       []chunkRec
 	onComplete []func()
 }
 
-// dmaFenceTable lazily creates the machine's DMA completion-fence table.
-func (m *Machine) dmaFenceTable() *fence.Table {
-	if m.dmaFences == nil {
-		m.dmaFences = fence.NewTable(m.Env)
-	}
-	return m.dmaFences
+// chunkReader is one parked WaitRange caller, released once need chunks
+// have landed.
+type chunkReader struct {
+	need int
+	ev   *sim.Event
 }
 
 // CopyChunkedStart begins a chunked copy of size bytes from one domain to
@@ -131,7 +128,6 @@ func (m *Machine) CopyChunkedStart(from, to *Domain, size Bytes, cfg FetchConfig
 		n = 1
 	}
 	ct := &ChunkedTransfer{m: m, hops: hops, cfg: cfg, total: size, n: n, recs: make([]chunkRec, 0, n)}
-	ct.cur = m.dmaFenceTable().Alloc()
 	m.Env.Spawn("dma-chunks", ct.drive)
 	return ct
 }
@@ -212,19 +208,20 @@ func (ct *ChunkedTransfer) drive(p *sim.Proc) {
 	}
 }
 
-// land completes one chunk: the next chunk's fence is allocated before the
-// finished one signals, so woken waiters always find an unsignaled fence to
-// park on (and the transfer never holds more than two table slots).
+// land completes one chunk: it wakes, in registration order, the readers
+// this chunk satisfies and keeps the rest parked.
 func (ct *ChunkedTransfer) land() {
 	ct.landed++
-	finished := ct.cur
-	if ct.landed < ct.n {
-		ct.cur = ct.m.dmaFenceTable().Alloc()
-	} else {
-		ct.cur = nil
-		ct.done = true
+	ct.done = ct.landed == ct.n
+	waiting := ct.readers[:0]
+	for _, r := range ct.readers {
+		if r.need <= ct.landed {
+			r.ev.Signal()
+		} else {
+			waiting = append(waiting, r)
+		}
 	}
-	finished.Signal()
+	ct.readers = waiting
 	if ct.done {
 		cbs := ct.onComplete
 		ct.onComplete = nil
@@ -234,8 +231,9 @@ func (ct *ChunkedTransfer) land() {
 	}
 }
 
-// WaitRange parks p until the chunks covering [0, upTo) have landed.
-// upTo <= 0 or beyond the transfer waits for everything.
+// WaitRange parks p until the chunks covering [0, upTo) have landed, and
+// resumes it exactly once, at the landing of the last of them. upTo <= 0 or
+// beyond the transfer waits for everything.
 func (ct *ChunkedTransfer) WaitRange(p *sim.Proc, upTo Bytes) {
 	if upTo <= 0 || upTo > ct.total {
 		upTo = ct.total
@@ -247,9 +245,12 @@ func (ct *ChunkedTransfer) WaitRange(p *sim.Proc, upTo Bytes) {
 	if need > ct.n {
 		need = ct.n
 	}
-	for ct.landed < need {
-		ct.cur.Wait(p)
+	if ct.landed >= need {
+		return
 	}
+	ev := sim.NewEvent(ct.m.Env)
+	ct.readers = append(ct.readers, chunkReader{need, ev})
+	ev.Wait(p)
 }
 
 // ChargeWait attributes a reader's blocked interval [from, to] to the

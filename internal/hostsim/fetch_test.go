@@ -435,29 +435,146 @@ func TestChargeWaitNeverOvercharges(t *testing.T) {
 	}
 }
 
-// TestCloseReleasesInflightChunkFences is the satellite leak regression:
-// closing the environment while a chunked transfer is mid-flight aborts the
-// driver between fence alloc and signal, which used to pin the allocated
-// slots forever. The close hook must drain the table.
-func TestCloseReleasesInflightChunkFences(t *testing.T) {
+// transferEvents runs one chunked DRAM->VRAM copy of size bytes alongside one
+// process per entry of upTo, spawned in slice order, and returns the events
+// the run executed, the transfer, and each process's finish instant. With
+// wait set, process i calls WaitRange(upTo[i]); without it, it returns at
+// once, so the difference between the two runs' counts is what the readers'
+// waits cost.
+func transferEvents(t *testing.T, size Bytes, upTo []Bytes, wait bool) (uint64, *ChunkedTransfer, []time.Duration) {
+	t.Helper()
+	env := sim.NewEnv(1)
+	defer env.Close()
+	m := HighEndDesktop(env)
+	resumed := make([]time.Duration, len(upTo))
+	var ct *ChunkedTransfer
+	env.Spawn("start", func(p *sim.Proc) {
+		ct = m.CopyChunkedStart(m.DRAM, m.VRAM, size, EnabledFetch())
+		for i, r := range upTo {
+			i, r := i, r
+			env.Spawn("reader", func(p *sim.Proc) {
+				if wait {
+					ct.WaitRange(p, r)
+				}
+				resumed[i] = p.Now()
+			})
+		}
+	})
+	env.Run()
+	if !ct.done {
+		t.Fatal("transfer did not finish")
+	}
+	return env.ExecutedEvents(), ct, resumed
+}
+
+// TestChunkedWholeRangeReaderWakesOnce: waiting for the whole transfer costs
+// one resume, however many chunks it spans, not one per landed chunk.
+func TestChunkedWholeRangeReaderWakesOnce(t *testing.T) {
+	for _, size := range []Bytes{MiB, 16 * MiB} { // 4 and 64 chunks
+		idle, _, _ := transferEvents(t, size, []Bytes{size}, false)
+		read, _, _ := transferEvents(t, size, []Bytes{size}, true)
+		if got := read - idle; got != 1 {
+			t.Errorf("%d MiB: a whole-range reader added %d events, want 1", size/MiB, got)
+		}
+	}
+}
+
+// TestChunkedReadersResumeAtTheirLastChunk: readers of several ranges each
+// resume once, exactly when the last chunk their range needs lands.
+func TestChunkedReadersResumeAtTheirLastChunk(t *testing.T) {
+	const size = 4 * MiB // 16 chunks of 256 KiB
+	upTo := []Bytes{1, MiB, 2*MiB + 1, size}
+	need := []int{1, 4, 9, 16}
+	idle, _, _ := transferEvents(t, size, upTo, false)
+	read, ct, resumed := transferEvents(t, size, upTo, true)
+	if got := read - idle; got != uint64(len(upTo)) {
+		t.Errorf("%d readers added %d events, want one resume each", len(upTo), got)
+	}
+	for i := range upTo {
+		if want := ct.recs[need[i]-1].end; resumed[i] != want {
+			t.Errorf("reader of [0, %d) resumed at %v, want %v (landing of chunk %d)", upTo[i], resumed[i], want, need[i])
+		}
+	}
+}
+
+// TestChunkedReadersResumeInRegistrationOrder: two readers released by the
+// same landing resume in the order they registered. A registers for the
+// whole transfer first; B first waits for a prefix and only then registers
+// for the whole transfer, so B's registration comes second.
+func TestChunkedReadersResumeInRegistrationOrder(t *testing.T) {
+	env := sim.NewEnv(1)
+	defer env.Close()
+	m := HighEndDesktop(env)
+	const size = 4 * MiB
+	var order []string
+	env.Spawn("start", func(p *sim.Proc) {
+		ct := m.CopyChunkedStart(m.DRAM, m.VRAM, size, EnabledFetch())
+		env.Spawn("B", func(p *sim.Proc) {
+			ct.WaitRange(p, MiB)
+			ct.WaitRange(p, size)
+			order = append(order, "B")
+		})
+		env.Spawn("A", func(p *sim.Proc) {
+			ct.WaitRange(p, size)
+			order = append(order, "A")
+		})
+	})
+	env.Run()
+	if len(order) != 2 || order[0] != "A" || order[1] != "B" {
+		t.Fatalf("resume order %v, want [A B] (registration order)", order)
+	}
+}
+
+// TestChunkedCopyAllocsIndependentOfChunkCount: a whole-range chunked copy
+// allocates the same at 4 chunks as at 64 — nothing per landed chunk.
+func TestChunkedCopyAllocsIndependentOfChunkCount(t *testing.T) {
+	allocs := func(size Bytes) float64 {
+		env := sim.NewEnv(1)
+		defer env.Close()
+		m := HighEndDesktop(env)
+		return testing.AllocsPerRun(20, func() {
+			env.Spawn("x", func(p *sim.Proc) {
+				m.CopyChunkedStart(m.DRAM, m.VRAM, size, EnabledFetch()).WaitRange(p, size)
+			})
+			env.Run()
+		})
+	}
+	if few, many := allocs(MiB), allocs(16*MiB); few != many {
+		t.Fatalf("allocs per whole-range copy: %v at 4 chunks, %v at 64", few, many)
+	}
+}
+
+// TestCloseMidTransferFreesParkedReaders: closing the environment while a
+// chunked transfer is in flight, with readers parked at several ranges,
+// unwinds the driver and every reader without a panic and returns every
+// goroutine.
+func TestCloseMidTransferFreesParkedReaders(t *testing.T) {
 	before := runtime.NumGoroutine()
 	env := sim.NewEnv(1)
 	m := HighEndDesktop(env)
+	const size = 64 * MiB
 	var ct *ChunkedTransfer
+	resumed := 0
 	env.Spawn("fetch", func(p *sim.Proc) {
-		ct = m.CopyChunkedStart(m.DRAM, m.VRAM, 64*MiB, EnabledFetch())
-		ct.WaitRange(p, 64*MiB)
+		ct = m.CopyChunkedStart(m.DRAM, m.VRAM, size, EnabledFetch())
+		for _, upTo := range []Bytes{8 * MiB, 32 * MiB, 48 * MiB, size} {
+			upTo := upTo
+			env.Spawn("reader", func(p *sim.Proc) {
+				ct.WaitRange(p, upTo)
+				resumed++
+			})
+		}
 	})
 	env.RunUntil(env.Now() + 500*time.Microsecond)
 	if ct == nil || ct.done {
 		t.Fatal("transfer should still be in flight at 500us")
 	}
-	if m.dmaFences.InUse() == 0 {
-		t.Fatal("in-flight transfer should hold fence slots")
+	if len(ct.readers) != 4 {
+		t.Fatalf("%d readers parked at 500us, want 4", len(ct.readers))
 	}
 	env.Close()
-	if got := m.dmaFences.InUse(); got != 0 {
-		t.Fatalf("fence slots leaked across Close: InUse = %d, want 0", got)
+	if resumed != 0 {
+		t.Fatalf("%d readers resumed across Close", resumed)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {

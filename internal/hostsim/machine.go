@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/fence"
 	"repro/internal/sim"
 )
 
@@ -49,12 +48,6 @@ type Machine struct {
 	// linkOrder preserves registration order so link enumeration (and
 	// anything seeded from it, like fault schedules) is deterministic.
 	linkOrder []*Link
-
-	// dmaFences is the DMA engine's completion-fence table, backing
-	// per-chunk signaling on chunked transfers. Allocated lazily on the
-	// first chunked copy so machines that never chunk (chunking off — the
-	// default) carry no extra state.
-	dmaFences *fence.Table
 }
 
 // NewMachine returns a machine shell with domains created but no links or

@@ -121,10 +121,6 @@ type Env struct {
 	// executed counts events dispatched, the simulator-throughput
 	// numerator the shardscale farm reports as events/s.
 	executed uint64
-	// closeHooks run at the end of Close, after processes unwind and the
-	// queues are discarded — the point where external resources pinned by
-	// aborted processes (in-flight DMA completion fences) can be released.
-	closeHooks []func()
 
 	// Observability attachments, both optional (nil = disabled). They live
 	// on the Env so every subsystem constructed against it finds them
@@ -508,28 +504,6 @@ func (e *Env) Close() {
 	e.current = nil
 	e.carriers, e.carrierFree = nil, nil
 	e.discardEvents()
-	hooks := e.closeHooks
-	e.closeHooks = nil
-	for _, fn := range hooks {
-		fn()
-	}
-}
-
-// OnClose registers fn to run at the end of Close, after every process has
-// unwound and the event queues are discarded. Hooks run in registration
-// order, once; registering on a closed environment runs fn immediately.
-// Subsystems that pin external slots from process context (the DMA fence
-// table's alloc-before-signal chunk fences) use this to release them when
-// the simulation is torn down mid-flight.
-func (e *Env) OnClose(fn func()) {
-	if fn == nil {
-		panic("sim: OnClose with nil hook")
-	}
-	if e.closed {
-		fn()
-		return
-	}
-	e.closeHooks = append(e.closeHooks, fn)
 }
 
 func (e *Env) discardEvents() {
