@@ -100,13 +100,13 @@ mon-smoke:
 # attribution, DESIGN.md §10) with chunked demand fetches on (§11), plus the
 # four-guest farm (§12) with fleet telemetry attached (§13), plus the
 # monitored phased-load scenario (§15) — incident counts and the
-# first-trigger window join the trajectory — plus every paper table and
-# figure (`all`: Table 2, Figs. 10-16, the §5.2/§5.5 reports), written as
-# one machine-readable bench report plus the micro run's folded-stack
-# flamegraph, under /tmp like the other smoke outputs. CI uploads both as
-# artifacts.
+# first-trigger window join the trajectory — plus the §2.3 study behind
+# Figs. 4-6, plus every paper table and figure (`all`: Table 2, Figs.
+# 10-16, the §5.2/§5.5 reports), written as one machine-readable bench
+# report plus the micro run's folded-stack flamegraph, under /tmp like the
+# other smoke outputs. CI uploads both as artifacts.
 bench:
-	$(GO) run ./cmd/vsocbench -exp micro,shardscale,phasedload,all -duration 8s -apps 2 -fetch -fleet -json /tmp/vsoc-bench.json -profile /tmp/vsoc-bench.folded > /dev/null
+	$(GO) run ./cmd/vsocbench -exp micro,shardscale,phasedload,study,all -duration 8s -apps 2 -fetch -fleet -json /tmp/vsoc-bench.json -profile /tmp/vsoc-bench.folded > /dev/null
 
 # The shardscale events/s metric measures the build host's wall clock, not
 # the simulation; gate it at a wide 90% threshold so machine noise never

@@ -1,10 +1,8 @@
 package repro
 
-// One benchmark per registered experiment, plus the §2.3 study behind
-// Figs. 4-6 (cmd/vsoctrace's, not a registry entry). Each runs at a reduced
-// configuration and reports its headline quantities as custom benchmark
-// metrics — for the registry experiments, the bench metrics `vsocbench
-// -json` writes — so
+// One benchmark per registered experiment. Each runs at a reduced
+// configuration and reports its bench metrics — the ones `vsocbench -json`
+// writes — as custom benchmark metrics, so
 //
 //	go test -bench=. -benchmem
 //
@@ -29,13 +27,10 @@ func benchCfg() experiments.Config {
 	}
 }
 
-// BenchmarkExperiments runs every registry entry with a runner (tune's is
-// cmd/vsocbench's) and reports its bench metrics.
+// BenchmarkExperiments runs every registry entry and reports its bench
+// metrics.
 func BenchmarkExperiments(b *testing.B) {
 	for _, e := range experiments.Registry() {
-		if e.Run == nil {
-			continue
-		}
 		b.Run(e.Name, func(b *testing.B) {
 			var ms []experiments.BenchMetric
 			for i := 0; i < b.N; i++ {
@@ -49,21 +44,5 @@ func BenchmarkExperiments(b *testing.B) {
 				b.ReportMetric(m.Value, m.Name)
 			}
 		})
-	}
-}
-
-// BenchmarkStudy regenerates the §2.3 study behind Figs. 4-6: per platform,
-// the region-size distribution (Fig. 4), coherence cost (Fig. 5) and slack
-// intervals (Fig. 6).
-func BenchmarkStudy(b *testing.B) {
-	var res *experiments.StudyResult
-	for i := 0; i < b.N; i++ {
-		res = experiments.RunStudy(benchCfg())
-	}
-	for _, tr := range res.Traces {
-		b.ReportMetric(tr.RegionSizes.Percentile(50), tr.Platform+"-size-p50-MiB")
-		b.ReportMetric(tr.RegionSizes.FractionAbove(1)*100, tr.Platform+"-over-1MiB-pct")
-		b.ReportMetric(tr.CoherenceCost.Mean(), tr.Platform+"-coherence-ms")
-		b.ReportMetric(tr.SlackIntervals.Mean(), tr.Platform+"-slack-ms")
 	}
 }

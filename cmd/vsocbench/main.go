@@ -1,8 +1,9 @@
-// Command vsocbench regenerates the paper's evaluation tables and figures
-// (§5): the SVM microbenchmarks of Table 2, the FPS and motion-to-photon
-// comparisons of Figs. 10-15, the ablation breakdowns, the prediction and
-// overhead reports of §5.2, the write-invalidate CDF of Fig. 16, and the
-// notification-batching sweep of DESIGN.md §9.
+// Command vsocbench regenerates the paper's tables and figures: the §2.3
+// measurement study behind Figs. 4-6, the SVM microbenchmarks of Table 2,
+// the FPS and motion-to-photon comparisons of Figs. 10-15, the ablation
+// breakdowns, the prediction and overhead reports of §5.2, the
+// write-invalidate CDF of Fig. 16, and the notification-batching sweep of
+// DESIGN.md §9.
 //
 // Usage:
 //
@@ -15,8 +16,7 @@
 // name, aliases, ordering, usage text, how it runs and prints, which output
 // flags it honours and the bench metrics it contributes — comes from the
 // experiments registry (internal/experiments/registry.go); vsocbench loops
-// over the entries -exp selects. The one exception is tune, whose runner is
-// here because internal/tune imports the experiments package.
+// over the entries -exp selects. cmd/vsoctune drives the config search.
 //
 // -workers bounds how many app sessions simulate concurrently (0 = one per
 // CPU, 1 = serial). Results are identical at every setting; only wall-clock
@@ -29,8 +29,8 @@
 // build without the observability layer.
 //
 // `-exp all` runs the paper's tables and figures (the entries marked
-// InAll), so its output stays comparable across builds; the sweeps, the
-// profiled micro run, the farm scenarios and the tuner run only when named.
+// InAll), so its output stays comparable across builds; the study, the
+// sweeps, the profiled micro run and the farm scenarios run only when named.
 // `all` may also sit inside a list (`-exp micro,all`).
 //
 // -fleet enables the fleet observability layer (DESIGN.md §13) for the
@@ -64,9 +64,7 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/emulator"
 	"repro/internal/experiments"
-	"repro/internal/tune"
 )
 
 func main() {
@@ -104,12 +102,8 @@ func main() {
 	wallStart := time.Now()
 	bench := map[string][]experiments.BenchMetric{}
 	for i, e := range entries {
-		run := e.Run
-		if e.Name == "tune" {
-			run = runTune
-		}
 		start := time.Now()
-		text, ms, err := run(cfg)
+		text, ms, err := e.Run(cfg)
 		fmt.Print(text)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "vsocbench: %v\n", err)
@@ -201,20 +195,4 @@ func checkFlags(exp string, cfg experiments.Config, jsonPath string) (entries []
 		return nil, nil, err
 	}
 	return entries, labels, nil
-}
-
-// runTune is the tune entry's Run: internal/tune imports experiments, so
-// the registry cannot hold it. The tuner re-runs the evaluation probe once
-// per candidate, so it caps the per-evaluation cost: full -duration/-apps
-// would multiply a 30s session by the whole search budget. cmd/vsoctune
-// exposes the uncapped flag set.
-func runTune(cfg experiments.Config) (string, []experiments.BenchMetric, error) {
-	tcfg := cfg
-	tcfg.Duration = min(tcfg.Duration, 6*time.Second)
-	tcfg.AppsPerCategory = min(tcfg.AppsPerCategory, 2)
-	var b strings.Builder
-	for _, p := range []emulator.Preset{emulator.VSoCNoPrefetch(), emulator.VSoC()} {
-		b.WriteString(tune.Run(tcfg, p, tune.Options{Seed: cfg.Seed, Budget: 24}).FormatResult())
-	}
-	return b.String(), nil, nil
 }

@@ -13,6 +13,11 @@
 // fetch_mean_ms, or "probe:<name>") across the retained windows for
 // -tenant. -incidents appends each incident's context series.
 //
+// A negative -tenant or a -width below 8 exits 2 with usage before any
+// report is read. A tenant or signal a report lacks is an error naming
+// that report (exit 1); a known signal with no samples in the retained
+// windows prints "(no samples)".
+//
 // The scripting flags make vsocmon a CI gate: -digest prints only each
 // report's digest (one per line), and -min-incidents N exits non-zero
 // unless every report carries at least N incidents — `make mon-smoke`
@@ -21,6 +26,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -36,11 +42,15 @@ func main() {
 	incidents := flag.Bool("incidents", false, "append each incident's context series")
 	digest := flag.Bool("digest", false, "print only each report's digest")
 	minIncidents := flag.Int("min-incidents", -1, "exit non-zero unless every report has at least this many incidents")
+	flag.Usage = func() {
+		fmt.Fprintln(flag.CommandLine.Output(), "usage: vsocmon [flags] report.json...")
+		flag.PrintDefaults()
+	}
 	flag.Parse()
 
-	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: vsocmon [flags] report.json...")
-		flag.PrintDefaults()
+	if err := checkFlags(*tenant, *width, flag.NArg()); err != nil {
+		fmt.Fprintf(os.Stderr, "vsocmon: %v\n", err)
+		flag.Usage()
 		os.Exit(2)
 	}
 	fail := false
@@ -58,7 +68,12 @@ func main() {
 			}
 			fmt.Print(r.FormatText())
 			if *signal != "" {
-				fmt.Print(renderSeries(r, *tenant, *signal, *width))
+				chart, err := renderSeries(r, *tenant, *signal, *width)
+				if err != nil {
+					fmt.Fprintf(os.Stderr, "vsocmon: %s: %v\n", path, err)
+					os.Exit(1)
+				}
+				fmt.Print(chart)
 			}
 			if *incidents {
 				fmt.Print(renderIncidents(r, *width))
@@ -75,22 +90,41 @@ func main() {
 	}
 }
 
-// renderSeries charts one tenant signal across the retained windows as a
-// fixed-width ASCII column chart (one row per bucket of windows).
-func renderSeries(r *tsmon.MonReport, tenant int, signal string, width int) string {
-	pts := r.SignalSeries(tenant, signal)
-	if len(pts) == 0 {
-		return fmt.Sprintf("\n  (no %q samples for tenant %d)\n", signal, tenant)
+// minWidth is the narrowest chart -width draws.
+const minWidth = 8
+
+// checkFlags rejects, before any report is read, a negative -tenant, a
+// -width below minWidth, and a command line naming no report.
+func checkFlags(tenant, width, reports int) error {
+	var errs []error
+	if reports == 0 {
+		errs = append(errs, errors.New("no report given"))
 	}
-	name := "?"
-	if tenant >= 0 && tenant < len(r.Tenants) {
-		name = r.Tenants[tenant].Name
+	if tenant < 0 {
+		errs = append(errs, fmt.Errorf("-tenant must be >= 0, got %d", tenant))
+	}
+	if width < minWidth {
+		errs = append(errs, fmt.Errorf("-width must be >= %d, got %d", minWidth, width))
+	}
+	return errors.Join(errs...)
+}
+
+// renderSeries charts one tenant signal across the retained windows as a
+// fixed-width ASCII column chart (one row per bucket of windows). A tenant
+// or signal the report lacks is an error.
+func renderSeries(r *tsmon.MonReport, tenant int, signal string, width int) (string, error) {
+	pts, err := r.SignalSeries(tenant, signal)
+	if err != nil {
+		return "", err
+	}
+	if len(pts) == 0 {
+		return fmt.Sprintf("\n  (no %q samples for tenant %d)\n", signal, tenant), nil
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "\n  %s %s over windows %d..%d:\n",
-		name, signal, pts[0].Window, pts[len(pts)-1].Window)
+		r.Tenants[tenant].Name, signal, pts[0].Window, pts[len(pts)-1].Window)
 	b.WriteString(sparkline(pts, width))
-	return b.String()
+	return b.String(), nil
 }
 
 // renderIncidents prints each incident's context series as its own chart.
@@ -117,9 +151,6 @@ func renderIncidents(r *tsmon.MonReport, width int) string {
 // sparkline renders points as a left-to-right bar chart scaled into width
 // columns, with the value range labelled.
 func sparkline(pts []tsmon.SeriesPoint, width int) string {
-	if width < 8 {
-		width = 8
-	}
 	lo, hi := pts[0].Value, pts[0].Value
 	for _, p := range pts {
 		if p.Value < lo {

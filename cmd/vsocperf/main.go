@@ -10,6 +10,8 @@
 // is better); a change past the threshold in the bad direction is a
 // regression and makes vsocperf exit 1. The default threshold applies to
 // every metric; -metric overrides it per metric name and may repeat.
+// A threshold is a non-negative fraction: a negative or NaN -threshold
+// exits 2 with usage, as -metric rejects one.
 // A metric the old report holds and the new one lacks is a dropped metric
 // and also makes vsocperf exit 1: a gate cannot pass on a measurement that
 // disappeared. Metrics only the new report holds are listed but never fail
@@ -45,13 +47,26 @@ func (t *thresholds) Set(s string) error {
 		return fmt.Errorf("want name=frac, got %q", s)
 	}
 	f, err := strconv.ParseFloat(val, 64)
-	if err != nil || f < 0 {
-		return fmt.Errorf("bad threshold in %q", s)
+	if err == nil {
+		err = checkThreshold(f)
+	}
+	if err != nil {
+		return fmt.Errorf("bad threshold in %q: %v", s, err)
 	}
 	if t.per == nil {
 		t.per = map[string]float64{}
 	}
 	t.per[name] = f
+	return nil
+}
+
+// checkThreshold rejects a threshold that would misjudge every change: a
+// negative one flags improvements as regressions, and NaN passes
+// everything.
+func checkThreshold(f float64) error {
+	if !(f >= 0) {
+		return fmt.Errorf("threshold must be a fraction >= 0, got %v", f)
+	}
 	return nil
 }
 
@@ -72,6 +87,11 @@ func main() {
 		flag.PrintDefaults()
 	}
 	flag.Parse()
+	if err := checkThreshold(th.def); err != nil {
+		fmt.Fprintf(os.Stderr, "vsocperf: -threshold: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 	if flag.NArg() != 2 {
 		flag.Usage()
 		os.Exit(2)

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
 
 	"repro/internal/experiments"
@@ -130,5 +131,34 @@ func TestRoundTripStable(t *testing.T) {
 	}
 	if m, ok := got.Lookup("micro.frames"); !ok || m.Value != 109 {
 		t.Fatalf("lookup after round trip: %+v %v", m, ok)
+	}
+}
+
+// TestCheckFlags: a negative or NaN threshold, as -threshold or in a
+// -metric override, is a usage error; zero and positive fractions are
+// accepted.
+func TestCheckFlags(t *testing.T) {
+	for _, tc := range []struct {
+		val string
+		ok  bool
+	}{
+		{"0", true},
+		{"0.05", true},
+		{"0.9", true},
+		{"-0.1", false},
+		{"-1", false},
+		{"NaN", false},
+		{"x", false},
+	} {
+		f, err := strconv.ParseFloat(tc.val, 64)
+		if err == nil {
+			err = checkThreshold(f)
+		}
+		if (err == nil) != tc.ok {
+			t.Errorf("-threshold %s: %v, want ok=%v", tc.val, err, tc.ok)
+		}
+		if err := (&thresholds{}).Set("m=" + tc.val); (err == nil) != tc.ok {
+			t.Errorf("-metric m=%s: %v, want ok=%v", tc.val, err, tc.ok)
+		}
 	}
 }

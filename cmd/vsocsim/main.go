@@ -10,10 +10,11 @@
 //	        [-duration 30s] [-seed 1] [-v] [-guests N] [-fleet] [-mon] [-monout mon.json]
 //
 // With -guests N the command switches to farm mode: N guest instances of
-// the app run on one physical host (DESIGN.md §12), in 2 ms windows with
-// the shared-host arbiter coupling their PCIe links at each window
-// barrier. Per-guest results are deterministic per seed; the trailing
-// events/s line measures the host.
+// the app run on one physical host (DESIGN.md §12), assembled and driven by
+// experiments.RunFarm, the code behind `vsocbench -exp shardscale`: 2 ms
+// windows, with the shared-host arbiter coupling their PCIe links at each
+// window barrier (here with no aggregate cap). Per-guest results are
+// deterministic per seed; the trailing events/s line measures the host.
 //
 // -fleet (farm mode only) attaches the fleet observability layer
 // (DESIGN.md §13): it appends the per-tenant QoS/SLO fleet report and the
@@ -41,10 +42,7 @@ import (
 
 	"repro/internal/emulator"
 	"repro/internal/experiments"
-	"repro/internal/fleetobs"
 	"repro/internal/hostsim"
-	"repro/internal/obs"
-	"repro/internal/sim"
 	"repro/internal/tsmon"
 	"repro/internal/workload"
 )
@@ -68,19 +66,20 @@ var machinesByName = map[string]experiments.MachineSpec{
 }
 
 func main() {
+	var cfg experiments.Config
 	emuName := flag.String("emulator", "vsoc", "emulator preset")
 	machName := flag.String("machine", "highend", "machine preset")
 	appName := flag.String("app", "uhd", "app kind (uhd, 360, camera, ar, livestream, heavy3d, ui, social)")
-	duration := flag.Duration("duration", 30*time.Second, "simulated duration")
-	seed := flag.Int64("seed", 1, "simulation seed")
+	flag.DurationVar(&cfg.Duration, "duration", 30*time.Second, "simulated duration")
+	flag.Int64Var(&cfg.Seed, "seed", 1, "simulation seed")
 	verbose := flag.Bool("v", false, "print SVM internals")
 	fetch := flag.Bool("fetch", false, "enable chunked, DMA-promoted demand fetches (DESIGN.md §11)")
 	guests := flag.Int("guests", 0, "farm mode: run N guest instances of the app on one host (DESIGN.md §12); 0 = single instance")
-	fleet := flag.Bool("fleet", false, "farm mode: append the fleet QoS/SLO report and the window loop's wall-clock split (DESIGN.md §13)")
-	mon := flag.Bool("mon", false, "attach the streaming telemetry engine (DESIGN.md §15): windowed rollups, online detectors, incident flight recorder")
-	monOut := flag.String("monout", "", "write the machine-readable monitor report (for cmd/vsocmon) to this path")
+	flag.BoolVar(&cfg.Fleet, "fleet", false, "farm mode: append the fleet QoS/SLO report and the window loop's wall-clock split (DESIGN.md §13)")
+	flag.BoolVar(&cfg.Monitor, "mon", false, "attach the streaming telemetry engine (DESIGN.md §15): windowed rollups, online detectors, incident flight recorder")
+	flag.StringVar(&cfg.MonPath, "monout", "", "write the machine-readable monitor report (for cmd/vsocmon) to this path")
 	flag.Parse()
-	if err := checkFlags(*duration, *guests, *fleet); err != nil {
+	if err := checkFlags(cfg.Duration, *guests, cfg.Fleet); err != nil {
 		fmt.Fprintf(os.Stderr, "vsocsim: %v\n", err)
 		flag.Usage()
 		os.Exit(2)
@@ -100,35 +99,35 @@ func main() {
 		preset.Fetch = hostsim.EnabledFetch()
 	}
 	if *guests > 0 {
-		runFarm(preset, machine, strings.ToLower(*appName), *duration, *seed, *guests, *fleet, *mon, *monOut)
+		runFarm(cfg, preset, machine, strings.ToLower(*appName), *guests)
 		return
 	}
-	if *mon {
-		runMonitoredSingle(preset, machine, strings.ToLower(*appName), *duration, *seed, *monOut)
+	if cfg.Monitor {
+		runMonitoredSingle(cfg, preset, machine, strings.ToLower(*appName))
 		return
 	}
-	sess := workload.NewSession(preset, machine.New, *seed)
+	sess := workload.NewSession(preset, machine.New, cfg.Seed)
 	defer sess.Close()
 
 	var r *workload.Result
 	var err error
 	switch strings.ToLower(*appName) {
 	case "uhd":
-		r, err = workload.RunEmerging(sess.Emulator, workload.DefaultSpec(emulator.CatUHDVideo, 0, *duration))
+		r, err = workload.RunEmerging(sess.Emulator, workload.DefaultSpec(emulator.CatUHDVideo, 0, cfg.Duration))
 	case "360":
-		r, err = workload.RunEmerging(sess.Emulator, workload.DefaultSpec(emulator.Cat360Video, 0, *duration))
+		r, err = workload.RunEmerging(sess.Emulator, workload.DefaultSpec(emulator.Cat360Video, 0, cfg.Duration))
 	case "camera":
-		r, err = workload.RunEmerging(sess.Emulator, workload.DefaultSpec(emulator.CatCamera, 0, *duration))
+		r, err = workload.RunEmerging(sess.Emulator, workload.DefaultSpec(emulator.CatCamera, 0, cfg.Duration))
 	case "ar":
-		r, err = workload.RunEmerging(sess.Emulator, workload.DefaultSpec(emulator.CatAR, 0, *duration))
+		r, err = workload.RunEmerging(sess.Emulator, workload.DefaultSpec(emulator.CatAR, 0, cfg.Duration))
 	case "livestream":
-		r, err = workload.RunEmerging(sess.Emulator, workload.DefaultSpec(emulator.CatLivestream, 0, *duration))
+		r, err = workload.RunEmerging(sess.Emulator, workload.DefaultSpec(emulator.CatLivestream, 0, cfg.Duration))
 	case "heavy3d":
-		r, err = workload.RunPopular(sess.Emulator, workload.PopularHeavy3D, workload.PopularSpec(workload.PopularHeavy3D, 0, *duration))
+		r, err = workload.RunPopular(sess.Emulator, workload.PopularHeavy3D, workload.PopularSpec(workload.PopularHeavy3D, 0, cfg.Duration))
 	case "ui":
-		r, err = workload.RunPopular(sess.Emulator, workload.PopularUI, workload.PopularSpec(workload.PopularUI, 0, *duration))
+		r, err = workload.RunPopular(sess.Emulator, workload.PopularUI, workload.PopularSpec(workload.PopularUI, 0, cfg.Duration))
 	case "social":
-		r, err = workload.RunPopular(sess.Emulator, workload.PopularSocialVideo, workload.PopularSpec(workload.PopularSocialVideo, 0, *duration))
+		r, err = workload.RunPopular(sess.Emulator, workload.PopularSocialVideo, workload.PopularSpec(workload.PopularSocialVideo, 0, cfg.Duration))
 	default:
 		die("unknown app %q", *appName)
 	}
@@ -164,7 +163,7 @@ func main() {
 			st.SlackIntervals.Mean(), st.SlackIntervals.Count())
 		fmt.Printf("  bytes               %d MiB accessed, %d MiB coherence, %d MiB wasted\n",
 			st.BytesAccessed>>20, st.BytesCoherence>>20, st.BytesWasted>>20)
-		fmt.Printf("  throughput          %.2f GB/s\n", st.Throughput(*duration)/1e9)
+		fmt.Printf("  throughput          %.2f GB/s\n", st.Throughput(cfg.Duration)/1e9)
 		fmt.Printf("  fence table         peak %d/%d slots, %d allocs, %d recycles\n",
 			sess.Emulator.Fences.Peak(), sess.Emulator.Fences.Capacity(),
 			sess.Emulator.Fences.Allocs(), sess.Emulator.Fences.Recycles())
@@ -204,45 +203,16 @@ var farmCategories = map[string]int{
 	"livestream": emulator.CatLivestream,
 }
 
-// farmSLO mirrors the shardscale farm's QoS contracts: the interactive
-// categories carry the paper's tight motion-to-photon bounds, streaming
-// ones a looser budget, pure playback none.
-func farmSLO(cat int) time.Duration {
-	switch cat {
-	case emulator.CatCamera, emulator.CatAR:
-		return 100 * time.Millisecond
-	case emulator.CatLivestream:
-		return 250 * time.Millisecond
-	}
-	return 0
-}
-
-// farmTenants declares n guests of the app with the farm's QoS contracts,
-// for the fleet layer and the monitor alike.
-func farmTenants(app string, cat, n int) []fleetobs.TenantConfig {
-	tenants := make([]fleetobs.TenantConfig, n)
-	for g := range tenants {
-		tenants[g] = fleetobs.TenantConfig{
-			Name:     fmt.Sprintf("g%d:%s", g, app),
-			FPSFloor: 30,
-			M2PSLO:   farmSLO(cat),
-		}
-	}
-	return tenants
-}
-
-// finishMonitor finalizes the monitor, prints its report, and writes the
-// machine-readable file when requested.
-func finishMonitor(mon *tsmon.Monitor, stop time.Duration, monOut string) {
-	mon.Finalize(stop)
-	rep := mon.Report()
+// printMonitor prints the monitor report, and writes its machine-readable
+// file when path is set.
+func printMonitor(rep *tsmon.MonReport, path string) {
 	fmt.Println()
 	fmt.Print(rep.FormatText())
-	if monOut != "" {
-		if err := rep.WriteJSONFile(monOut); err != nil {
+	if path != "" {
+		if err := rep.WriteJSONFile(path); err != nil {
 			die("write monitor report: %v", err)
 		}
-		fmt.Printf("monitor report written to %s\n", monOut)
+		fmt.Printf("monitor report written to %s\n", path)
 	}
 }
 
@@ -250,16 +220,16 @@ func finishMonitor(mon *tsmon.Monitor, stop time.Duration, monOut string) {
 // attached, driving the simulation at window grain so rollups seal as
 // virtual time passes each boundary. Emerging apps only: the popular-app
 // kinds drive their own environment loop.
-func runMonitoredSingle(preset emulator.Preset, machine experiments.MachineSpec, app string, dur time.Duration, seed int64, monOut string) {
+func runMonitoredSingle(cfg experiments.Config, preset emulator.Preset, machine experiments.MachineSpec, app string) {
 	cat, ok := farmCategories[app]
 	if !ok {
 		die("-mon supports the emerging apps only (uhd, 360, camera, ar, livestream)")
 	}
-	sess := workload.NewSession(preset, machine.New, seed)
+	sess := workload.NewSession(preset, machine.New, cfg.Seed)
 	defer sess.Close()
-	mon := tsmon.New(tsmon.Config{Tenants: farmTenants(app, cat, 1)})
+	mon := tsmon.New(tsmon.Config{Tenants: []tsmon.TenantConfig{experiments.FarmTenant("g0:"+app, cat)}})
 	experiments.WireGuest(sess, 0, nil, mon)
-	pd, err := workload.StartEmerging(sess.Emulator, workload.DefaultSpec(cat, 0, dur))
+	pd, err := workload.StartEmerging(sess.Emulator, workload.DefaultSpec(cat, 0, cfg.Duration))
 	if err != nil {
 		die("run failed: %v", err)
 	}
@@ -271,76 +241,39 @@ func runMonitoredSingle(preset emulator.Preset, machine experiments.MachineSpec,
 	fmt.Println(r)
 	fmt.Printf("frames=%d drops=%d (stale %d, deadline %d)\n",
 		r.Frames, r.Drops, r.StaleDrops, r.DeadlineDrops)
-	finishMonitor(mon, pd.Stop(), monOut)
+	mon.Finalize(pd.Stop())
+	printMonitor(mon.Report(), cfg.MonPath)
 }
 
-// runFarm runs n guest instances of the app as a farm: one environment per
-// guest, coupled through the shared-host arbiter at window barriers.
-func runFarm(preset emulator.Preset, machine experiments.MachineSpec, app string, dur time.Duration, seed int64, n int, fleet, monOn bool, monOut string) {
+// runFarm runs n guest instances of the app as a farm, guest g seeded
+// seed+g*1000003.
+func runFarm(cfg experiments.Config, preset emulator.Preset, machine experiments.MachineSpec, app string, n int) {
 	cat, ok := farmCategories[app]
 	if !ok {
 		die("-guests farm mode supports the emerging apps only (uhd, 360, camera, ar, livestream)")
 	}
-	tenants := farmTenants(app, cat, n)
-	var fl *fleetobs.Fleet
-	if fleet {
-		fl = fleetobs.New(fleetobs.Config{Tenants: tenants, Registry: obs.NewRegistry()})
+	guests := make([]experiments.FarmGuest, n)
+	for g := range guests {
+		name := fmt.Sprintf("g%d:%s", g, app)
+		guests[g] = experiments.FarmGuest{Cat: cat, Tenant: experiments.FarmTenant(name, cat), Seed: cfg.Seed + int64(g)*1000003}
 	}
-	var mon *tsmon.Monitor
-	if monOn {
-		mon = tsmon.New(tsmon.Config{Tenants: tenants})
+	run, err := experiments.RunFarm(cfg, preset, machine, guests, 0)
+	if err != nil {
+		die("%v", err)
 	}
-	envs := make([]*sim.Env, 0, n)
-	machs := make([]*hostsim.Machine, 0, n)
-	pend := make([]*workload.Pending, 0, n)
-	var stop time.Duration
-	for g := 0; g < n; g++ {
-		sess := workload.NewSession(preset, machine.New, seed+int64(g)*1000003)
-		defer sess.Close()
-		envs = append(envs, sess.Env)
-		machs = append(machs, sess.Machine)
-		experiments.WireGuest(sess, g, fl, mon)
-		pd, err := workload.StartEmerging(sess.Emulator, workload.DefaultSpec(cat, g, dur))
-		if err != nil {
-			die("guest %d: %v", g, err)
-		}
-		pend = append(pend, pd)
-		if pd.Stop() > stop {
-			stop = pd.Stop()
-		}
-	}
-	sh := hostsim.NewSharedHost(hostsim.SharedHostConfig{}, machs...)
-	grp := sim.NewShardGroup(sh.Lookahead(), 1, envs...)
-	defer grp.Close()
-	sh.Attach(grp)
-	if fl != nil {
-		fl.Attach(grp, sh)
-	}
-	if mon != nil {
-		grp.AtBarrier(func(prev, now time.Duration) { mon.Seal(now) })
-	}
-	wallStart := time.Now()
-	grp.RunUntil(stop)
-	wall := time.Since(wallStart)
-	for g, pd := range pend {
-		r, err := pd.Wait()
-		if err != nil {
-			die("guest %d: %v", g, err)
-		}
+	for g, r := range run.Results {
 		fmt.Printf("guest %d: %v\n", g, r)
 	}
-	events := grp.ExecutedEvents()
 	fmt.Printf("farm: %d guests, window %v, %d events in %.2fs wall (%.0f events/s)\n",
-		n, grp.Lookahead(), events, wall.Seconds(), float64(events)/wall.Seconds())
-	if fl != nil {
-		fl.Finalize(stop)
+		n, run.Lookahead, run.Events, run.Wall.Seconds(), run.EventsPerSec())
+	if run.Fleet != nil {
 		fmt.Println()
-		fmt.Print(fl.Report(stop).FormatText())
+		fmt.Print(run.Fleet.FormatText())
 		fmt.Println()
-		fmt.Print(fl.StallReport().FormatText())
+		fmt.Print(run.Stall.FormatText())
 	}
-	if mon != nil {
-		finishMonitor(mon, stop, monOut)
+	if run.Mon != nil {
+		printMonitor(run.Mon, cfg.MonPath)
 	}
 }
 

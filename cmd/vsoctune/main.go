@@ -10,8 +10,7 @@
 // Usage:
 //
 //	vsoctune [-preset vsoc|vsoc-noprefetch|both] [-seed 1] [-budget 40]
-//	         [-randseeds 6] [-patience 2] [-duration 6s] [-apps 2]
-//	         [-workers 0] [-out prefix] [-v]
+//	         [-duration 6s] [-apps 2] [-workers 0] [-out prefix] [-v]
 //
 // -out writes a before/after bench-report pair per preset —
 // <prefix>-<preset>-default.json and <prefix>-<preset>-best.json — for
@@ -45,15 +44,13 @@ func main() {
 	preset := flag.String("preset", "both", "preset to tune: vsoc, vsoc-noprefetch, or both")
 	seed := flag.Int64("seed", 1, "search seed (drives random seeding and restarts)")
 	budget := flag.Int("budget", 40, "evaluation budget per preset (cache hits are free)")
-	randseeds := flag.Int("randseeds", 6, "random seed vectors after the axis grid")
-	patience := flag.Int("patience", 2, "consecutive fruitless restarts before stopping")
 	duration := flag.Duration("duration", 6*time.Second, "simulated duration per app session")
 	apps := flag.Int("apps", 2, "apps per video category in the evaluation probe")
 	workers := flag.Int("workers", 0, "concurrent evaluations (0 = one per CPU, 1 = serial)")
 	out := flag.String("out", "", "write <out>-<preset>-default.json and <out>-<preset>-best.json bench reports")
 	verbose := flag.Bool("v", false, "print the full per-candidate search trace")
 	flag.Parse()
-	if err := checkFlags(*apps, *duration, *workers, *budget, *randseeds, *patience); err != nil {
+	if err := checkFlags(*apps, *duration, *workers, *budget); err != nil {
 		fmt.Fprintf(os.Stderr, "vsoctune: %v\n", err)
 		flag.Usage()
 		os.Exit(2)
@@ -78,12 +75,7 @@ func main() {
 		Seed:            *seed,
 		Workers:         *workers,
 	}
-	opts := tune.Options{
-		Seed:        *seed,
-		Budget:      *budget,
-		RandomSeeds: *randseeds,
-		Patience:    *patience,
-	}
+	opts := tune.Options{Seed: *seed, Budget: *budget}
 
 	wallStart := time.Now()
 	for _, p := range presets {
@@ -116,17 +108,12 @@ func main() {
 }
 
 // checkFlags rejects the experiments' bad counts and durations (a negative
-// -apps panics the evaluation probe) and search sizes below one, which the
-// tuner would otherwise replace silently with its defaults.
-func checkFlags(apps int, duration time.Duration, workers, budget, randseeds, patience int) error {
-	errs := []error{experiments.CheckApps(apps), experiments.CheckDuration(duration), experiments.CheckWorkers(workers)}
-	for _, f := range []struct {
-		name string
-		v    int
-	}{{"budget", budget}, {"randseeds", randseeds}, {"patience", patience}} {
-		if f.v < 1 {
-			errs = append(errs, fmt.Errorf("-%s must be >= 1, got %d", f.name, f.v))
-		}
+// -apps panics the evaluation probe) and a budget below one, which the
+// search cannot run.
+func checkFlags(apps int, duration time.Duration, workers, budget int) error {
+	var budgetErr error
+	if budget < 1 {
+		budgetErr = fmt.Errorf("-budget must be >= 1, got %d", budget)
 	}
-	return errors.Join(errs...)
+	return errors.Join(experiments.CheckApps(apps), experiments.CheckDuration(duration), experiments.CheckWorkers(workers), budgetErr)
 }

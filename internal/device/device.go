@@ -65,11 +65,10 @@ const (
 
 // Config parameterizes a virtual device.
 type Config struct {
+	// Mode selects the ordering paradigm. Fence mode also paces dispatch
+	// with MIMD flow control; the other modes self-pace by blocking.
 	Mode      OrderingMode
 	Transport virtio.Config
-	// UseFlowControl enables MIMD pacing (fence mode benefits; the other
-	// modes self-pace by blocking).
-	UseFlowControl bool
 	// WatchdogTimeout bounds how long the host executor waits on a wait
 	// fence before giving up and proceeding (GPU-hang recovery): a stalled
 	// signaling device then surfaces as a counted, diagnosable timeout
@@ -79,7 +78,7 @@ type Config struct {
 
 // DefaultConfig returns a vSoC-style device configuration.
 func DefaultConfig() Config {
-	return Config{Mode: ModeFence, UseFlowControl: true}
+	return Config{Mode: ModeFence}
 }
 
 // OpKind classifies device commands.
@@ -226,7 +225,7 @@ func New(env *sim.Env, mgr *svm.Manager, name string, vid, pid hypergraph.NodeID
 		reg.Count("dev."+name+".dropped_ops", &d.stats.DroppedOps)
 		reg.Count("dev."+name+".fence_timeouts", &d.stats.FenceTimeouts)
 	}
-	if cfg.UseFlowControl && cfg.Mode == ModeFence {
+	if cfg.Mode == ModeFence {
 		d.mimd = flowcontrol.New(env)
 	}
 	if d.pf = env.Profiler(); d.pf != nil {

@@ -50,10 +50,9 @@ type Preset struct {
 
 	// SVM architecture.
 	SVM svm.Config
-	// Ordering selects the access-ordering paradigm (§3.4).
+	// Ordering selects the access-ordering paradigm (§3.4); fence mode
+	// also paces dispatch with MIMD flow control.
 	Ordering device.OrderingMode
-	// UseFlowControl enables MIMD pacing (fence mode).
-	UseFlowControl bool
 
 	// Device capabilities.
 	HWDecode bool // virtual codec uses the host's hardware decoder
@@ -170,7 +169,6 @@ func New(env *sim.Env, mach *hostsim.Machine, p Preset) *Emulator {
 	scale := virtio.NewCostScale()
 	dcfg := device.DefaultConfig()
 	dcfg.Mode = p.Ordering
-	dcfg.UseFlowControl = p.UseFlowControl
 	dcfg.WatchdogTimeout = p.DeviceWatchdog
 	dcfg.Transport.Scale = scale
 	dcfg.Transport.Batch = p.Batch

@@ -26,7 +26,6 @@ func VSoC() Preset {
 			Prefetch:           prefetch.DefaultConfig(),
 		},
 		Ordering:        device.ModeFence,
-		UseFlowControl:  true,
 		HWDecode:        true,
 		ISPInGPU:        true,
 		HasCamera:       true,
@@ -55,7 +54,6 @@ func VSoCNoFence() Preset {
 	p := VSoC()
 	p.Name = "vSoC-nofence"
 	p.Ordering = device.ModeAtomic
-	p.UseFlowControl = false
 	return p
 }
 
@@ -175,7 +173,6 @@ func Trinity() Preset {
 			CoherenceFixedCost: 600 * time.Microsecond,
 		},
 		Ordering:        device.ModeFence,
-		UseFlowControl:  true,
 		HWDecode:        false,
 		ISPInGPU:        false,
 		HasCamera:       false,
@@ -202,7 +199,6 @@ func NativeDevice() Preset {
 			Prefetch:           prefetch.DefaultConfig(),
 		},
 		Ordering:        device.ModeFence,
-		UseFlowControl:  true,
 		HWDecode:        true,
 		ISPInGPU:        true,
 		HasCamera:       true,

@@ -33,7 +33,7 @@ type Config struct {
 	Seed int64
 	// Workers bounds how many app sessions the Run* drivers simulate
 	// concurrently. 0 means one worker per CPU (GOMAXPROCS); 1 forces the
-	// serial path, as does setting VSOC_SERIAL=1 in the environment.
+	// serial path.
 	// Results are identical for every setting — sessions are independent
 	// simulations merged in a fixed order — so Workers only trades
 	// wall-clock time for cores.

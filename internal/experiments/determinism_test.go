@@ -78,23 +78,6 @@ func TestParmapEmpty(t *testing.T) {
 	}
 }
 
-// TestSerialEnvOverride checks the VSOC_SERIAL escape hatch beats both the
-// Workers field and the GOMAXPROCS default.
-func TestSerialEnvOverride(t *testing.T) {
-	cfg := Config{Workers: 8}
-	if got := cfg.EffectiveWorkers(); got != 8 {
-		t.Fatalf("EffectiveWorkers = %d, want 8", got)
-	}
-	t.Setenv(SerialEnv, "1")
-	if got := cfg.EffectiveWorkers(); got != 1 {
-		t.Fatalf("EffectiveWorkers with %s=1 = %d, want 1", SerialEnv, got)
-	}
-	cfg.Workers = 0
-	if got := cfg.EffectiveWorkers(); got != 1 {
-		t.Fatalf("EffectiveWorkers default with %s=1 = %d, want 1", SerialEnv, got)
-	}
-}
-
 // microRuns runs the micro experiment at cfg(seed, ·) serially, on an
 // oversubscribed pool, and serially again: the folded exports and reports
 // must match byte for byte. It returns the two serial runs.

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/faults"
+	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/prof"
 )
@@ -319,6 +321,67 @@ func TestStudyShape(t *testing.T) {
 	}
 }
 
+// TestStudyEntryReport: the study entry prints Table 1, the Figs. 4-6
+// summaries, then one CDF block per figure, each holding one CDF per
+// platform with samples and a "no samples" line for the others.
+func TestStudyEntryReport(t *testing.T) {
+	e, ok := LookupExperiment("study")
+	if !ok || e.InAll || !e.Bench {
+		t.Fatalf("study entry: found %v, InAll %v, Bench %v", ok, e.InAll, e.Bench)
+	}
+	cfg := Config{Duration: 2 * time.Second, AppsPerCategory: 1, Seed: 1}
+	text, _, err := e.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := RunStudy(cfg)
+	for _, summary := range []string{
+		"Figure 4: shared memory region sizes (MiB)\n",
+		"\nFigure 5: coherence maintenance cost (ms, emulators)\n",
+		"\nFigure 6: slack intervals (ms)\n",
+	} {
+		if !strings.Contains(text, summary) {
+			t.Errorf("report lacks summary %q", summary)
+		}
+	}
+	figs := []struct {
+		title string
+		pick  func(*PlatformTrace) *metrics.Distribution
+	}{
+		{"Figure 4: shared memory region sizes (MiB)\n\n", func(t *PlatformTrace) *metrics.Distribution { return &t.RegionSizes }},
+		{"Figure 5: coherence maintenance cost (ms)\n\n", func(t *PlatformTrace) *metrics.Distribution { return &t.CoherenceCost }},
+		{"Figure 6: slack intervals (ms)\n\n", func(t *PlatformTrace) *metrics.Distribution { return &t.SlackIntervals }},
+	}
+	// The blocks close the report, in figure order.
+	starts := make([]int, len(figs)+1)
+	for i, f := range figs {
+		starts[i] = strings.Index(text, f.title)
+		if starts[i] < 0 || i > 0 && starts[i] < starts[i-1] {
+			t.Fatalf("report lacks the %q CDF block, or has it out of order", f.title)
+		}
+	}
+	starts[len(figs)] = len(text)
+	for i, f := range figs {
+		block := text[starts[i]:starts[i+1]]
+		points := 0
+		for j := range res.Traces {
+			tr := &res.Traces[j]
+			d := f.pick(tr)
+			head := fmt.Sprintf("\n%s: no samples\n", tr.Platform)
+			if d.Count() > 0 {
+				head = fmt.Sprintf("\n%s (n=%d, mean=%.2f):\n", tr.Platform, d.Count(), d.Mean())
+				points += 20
+			}
+			if n := strings.Count(block, head); n != 1 {
+				t.Errorf("%s block: %q appears %d times, want once", strings.TrimSpace(f.title), head, n)
+			}
+		}
+		if n := strings.Count(block, "  F="); n != points {
+			t.Errorf("%s block: %d CDF points, want %d (20 per platform with samples)", strings.TrimSpace(f.title), n, points)
+		}
+	}
+}
+
 func TestReportsRenderNonEmpty(t *testing.T) {
 	cfg := Quick()
 	cfg.AppsPerCategory = 1
@@ -334,9 +397,9 @@ func TestReportsRenderNonEmpty(t *testing.T) {
 	}
 }
 
-// TestRegistryContract runs every entry but tune (cmd/vsocbench supplies
-// its runner) at a tiny config with `make bench`'s -fleet and -fetch: each
-// prints a report, returns bench metrics exactly when it declares Bench,
+// TestRegistryContract runs every entry at a tiny config with `make
+// bench`'s -fleet and -fetch: each prints a report, returns bench metrics
+// exactly when it declares Bench,
 // and names them uniquely across the registry under its own "<experiment>."
 // prefix. Together they are exactly the metrics of the committed baseline,
 // so a renamed or dropped metric fails here before it fails the perf gate.
@@ -352,9 +415,7 @@ func TestRegistryContract(t *testing.T) {
 	owner := map[string]string{}
 	for _, e := range Registry() {
 		if e.Run == nil {
-			if e.Name != "tune" {
-				t.Errorf("%s: no Run", e.Name)
-			}
+			t.Errorf("%s: no Run", e.Name)
 			continue
 		}
 		text, ms, err := e.Run(cfg)

@@ -184,7 +184,7 @@ func RunOverhead(cfg Config) *OverheadResult {
 	if cfg.Metrics {
 		reg = obs.NewRegistry()
 	}
-	sess := workload.NewObservedSession(emulator.VSoC(), HighEnd.New, cfg.Seed, tr, reg)
+	sess := workload.NewProfiledSession(emulator.VSoC(), HighEnd.New, cfg.Seed, tr, reg, nil)
 	defer sess.Close()
 	out := &OverheadResult{}
 	finishObs := func() {

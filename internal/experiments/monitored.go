@@ -62,16 +62,6 @@ type PhasedLoadResult struct {
 	IncidentTraces []string
 }
 
-// phasedTenant is the scenario's QoS contract: the shardscale livestream
-// contract (30 FPS floor, 250 ms motion-to-photon SLO).
-func phasedTenant() tsmon.TenantConfig {
-	return tsmon.TenantConfig{
-		Name:     "g0:livestream",
-		FPSFloor: shardFarmFPSFloor,
-		M2PSLO:   250 * time.Millisecond,
-	}
-}
-
 // MonitorProbes registers the standard pull-signal set on a tenant: link
 // busy time and bytes moved (per-window deltas on the host-to-GPU DMA
 // path), the cross-guest arbitration scale, thermal state, watchdog fence
@@ -156,7 +146,7 @@ func RunPhasedLoad(cfg Config) *PhasedLoadResult {
 		MinDelta: 50,
 	})
 	mon := tsmon.New(tsmon.Config{
-		Tenants:   []tsmon.TenantConfig{phasedTenant()},
+		Tenants:   []tsmon.TenantConfig{FarmTenant("g0:livestream", emulator.CatLivestream)},
 		Detectors: specs,
 		Tracer:    tr,
 		Profiler:  pf,

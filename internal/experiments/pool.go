@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -22,18 +21,9 @@ import (
 // cell index, and the driver then merges the slice in cell order. The output
 // is byte-identical to the serial path; only wall-clock time changes.
 
-// SerialEnv is an environment variable that forces every experiment runner
-// onto the single-worker path when set to "1", overriding Config.Workers.
-// It exists for A/B-testing the fan-out itself.
-const SerialEnv = "VSOC_SERIAL"
-
 // EffectiveWorkers reports the concurrency the Run* drivers use for this
-// configuration: the VSOC_SERIAL escape hatch first, then Config.Workers,
-// then one worker per CPU.
+// configuration: Config.Workers, or one worker per CPU when it is 0.
 func (c Config) EffectiveWorkers() int {
-	if os.Getenv(SerialEnv) == "1" {
-		return 1
-	}
 	if c.Workers > 0 {
 		return c.Workers
 	}

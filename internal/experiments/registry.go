@@ -11,7 +11,7 @@ import (
 // registry is the single description of every experiment: its name,
 // ordering, aliases and usage text, how to run and print it, and what it
 // contributes to the bench trajectory. cmd/vsocbench and bench_test.go loop
-// over it, and cmd/vsoctrace generates its usage text from it.
+// over it.
 type Entry struct {
 	// Name is the canonical -exp value.
 	Name string
@@ -36,16 +36,14 @@ type Entry struct {
 	// monitors; shardscale, which monitors only under -mon, honours -monout
 	// only alongside it.
 	Flags []string
-	// InAll marks experiments included in `-exp all`. The batching sweep
-	// is excluded so `-exp all` output stays byte-comparable with builds
-	// that predate it.
+	// InAll marks experiments included in `-exp all`. The sweeps and the
+	// study are excluded so `-exp all` output stays byte-comparable with
+	// builds that predate them.
 	InAll bool
 	// Run runs the experiment at cfg and returns its report text and its
 	// bench metrics, named "<experiment>.<quantity>" (shardscale's fleet.*
 	// and phasedload's phased.* names predate that rule). err reports a
-	// side file that could not be written. Run is nil for tune, whose
-	// runner (internal/tune) imports this package; cmd/vsocbench supplies
-	// it.
+	// side file that could not be written.
 	Run func(cfg Config) (text string, metrics []BenchMetric, err error)
 }
 
@@ -56,6 +54,9 @@ func Registry() []Entry {
 		{Name: "table1", InAll: true,
 			Summary: "emerging-app taxonomy and compatibility (Table 1)",
 			Run:     runner(func(Config) []Table1Row { return Table1() }, FormatTable1, nil)},
+		{Name: "study", Bench: true,
+			Summary: "shared-memory characterization on the physical device, GAE and QEMU-KVM: region sizes, coherence cost and slack CDFs (§2.3, Figs. 4-6); excluded from -exp all",
+			Run:     runner(RunStudy, FormatStudy, studyMetrics)},
 		{Name: "table2", InAll: true, Bench: true,
 			Summary: "SVM microbenchmarks: access latency, coherence cost, throughput (Table 2)",
 			Run:     runner(RunTable2, FormatTable2, table2Metrics)},
@@ -124,8 +125,6 @@ func Registry() []Entry {
 			Trace:   "writes one flight-recorder Perfetto snippet per incident next to the given path",
 			Flags:   []string{"-mon", "-monout"},
 			Run:     runner(RunPhasedLoad, FormatPhasedLoad, phasedLoadMetrics)},
-		{Name: "tune",
-			Summary: "auto-tune the batching/fetch/prefetch config space per preset: deterministic grid + hill-climb search with constrained objectives (DESIGN.md §14, cmd/vsoctune has the full flag set); excluded from -exp all"},
 	}
 }
 
@@ -158,6 +157,26 @@ func emerging(machine MachineSpec, figFPS, figLat string) func(Config) (string, 
 // metricKey turns an emulator or protocol name into a metric-name token:
 // "QEMU-KVM" -> "qemu_kvm".
 func metricKey(name string) string { return strings.ToLower(strings.ReplaceAll(name, "-", "_")) }
+
+// studyMetrics: per platform, the Fig. 4 region-size median and share above
+// 1 MiB, the Fig. 5 coherence mean (only where copies happen; unified memory
+// has none to average), the Fig. 6 slack mean and the HAL call rate.
+func studyMetrics(s *StudyResult) []BenchMetric {
+	var ms []BenchMetric
+	for _, t := range s.Traces {
+		k := "study." + metricKey(t.Platform) + "."
+		ms = append(ms,
+			BenchMetric{k + "region_p50_mib", t.RegionSizes.Percentile(50), "MiB", "higher"},
+			BenchMetric{k + "region_over_1mib_frac", t.RegionSizes.FractionAbove(1), "frac", "higher"})
+		if t.CoherenceCost.Count() > 0 {
+			ms = append(ms, BenchMetric{k + "coherence_mean_ms", t.CoherenceCost.Mean(), "ms", "lower"})
+		}
+		ms = append(ms,
+			BenchMetric{k + "slack_mean_ms", t.SlackIntervals.Mean(), "ms", "higher"},
+			BenchMetric{k + "api_calls_per_s", t.APICallsPerSecond, "1/s", "higher"})
+	}
+	return ms
+}
 
 func table2Metrics(t *Table2Result) []BenchMetric {
 	machine := map[string]string{HighEnd.Name: "desktop", MidEnd.Name: "laptop"}

@@ -190,7 +190,8 @@ func FormatFig16(r *Fig16Result) string {
 	return b.String()
 }
 
-// FormatStudy renders the §2.3 measurement study (Figs. 4-6).
+// FormatStudy renders the §2.3 measurement study: Table 1, the Figs. 4-6
+// summaries, then each figure's per-platform CDFs.
 func FormatStudy(s *StudyResult) string {
 	var b strings.Builder
 	b.WriteString(FormatTable1(s.Table1))
@@ -218,6 +219,32 @@ func FormatStudy(s *StudyResult) string {
 			t.Platform, t.SlackIntervals.Count(), t.SlackIntervals.Mean(),
 			t.SlackIntervals.Percentile(50), t.SlackIntervals.Percentile(90),
 			t.APICallsPerSecond)
+	}
+	b.WriteString(formatStudyCDFs(s, "Figure 4: shared memory region sizes (MiB)",
+		func(t *PlatformTrace) *metrics.Distribution { return &t.RegionSizes }))
+	b.WriteString(formatStudyCDFs(s, "Figure 5: coherence maintenance cost (ms)",
+		func(t *PlatformTrace) *metrics.Distribution { return &t.CoherenceCost }))
+	b.WriteString(formatStudyCDFs(s, "Figure 6: slack intervals (ms)",
+		func(t *PlatformTrace) *metrics.Distribution { return &t.SlackIntervals }))
+	return b.String()
+}
+
+// formatStudyCDFs renders one figure's distribution as a 20-point CDF per
+// platform.
+func formatStudyCDFs(s *StudyResult, title string, pick func(*PlatformTrace) *metrics.Distribution) string {
+	var b strings.Builder
+	b.WriteString(title + "\n")
+	for i := range s.Traces {
+		tr := &s.Traces[i]
+		d := pick(tr)
+		if d.Count() == 0 {
+			fmt.Fprintf(&b, "\n%s: no samples\n", tr.Platform)
+			continue
+		}
+		fmt.Fprintf(&b, "\n%s (n=%d, mean=%.2f):\n", tr.Platform, d.Count(), d.Mean())
+		for _, p := range d.CDF(20) {
+			fmt.Fprintf(&b, "  F=%.2f  %8.2f\n", p.F, p.Value)
+		}
 	}
 	return b.String()
 }

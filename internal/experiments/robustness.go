@@ -111,7 +111,7 @@ func runRobustnessCell(cfg Config, machine MachineSpec, preset emulator.Preset,
 	preset.DeviceWatchdog = robustnessWatchdog
 	seed := appSeed(cfg.Seed, 900+ei, ci, 0)
 	tr, reg := cellObs(cfg, faultAt, faultFor)
-	sess := workload.NewObservedSession(preset, machine.New, seed, tr, reg)
+	sess := workload.NewProfiledSession(preset, machine.New, seed, tr, reg, nil)
 	defer sess.Close()
 	mach := sess.Machine
 

@@ -40,19 +40,14 @@ var shardFarmCategories = [shardFarmGuests]int{
 // lone guest never notices.
 const shardFarmPCIeBudget = 6e9
 
-// shardFarmFPSFloor is every farm tenant's QoS floor: half the 60 Hz
-// content rate, the point below which streaming is visibly broken.
-const shardFarmFPSFloor = 30
-
-// shardFarmTenant maps guest g running category cat onto its fleet QoS
-// contract. Motion-to-photon SLOs apply only to the categories whose sink
-// measures latency (camera- and network-fed pipelines); the video
+// FarmTenant is the farm's QoS contract for the guest called name, running
+// Table 1 category cat. Every guest gets a 30 FPS floor: half the 60 Hz
+// content rate, the point below which streaming is visibly broken. The
+// categories whose sink measures latency also get a motion-to-photon SLO:
+// 100 ms for the camera-fed pipelines, 250 ms for livestream. The video
 // categories are floor-only.
-func shardFarmTenant(g, cat int) fleetobs.TenantConfig {
-	tc := fleetobs.TenantConfig{
-		Name:     fmt.Sprintf("g%d:%s", g, emulator.CategoryNames[cat]),
-		FPSFloor: shardFarmFPSFloor,
-	}
+func FarmTenant(name string, cat int) fleetobs.TenantConfig {
+	tc := fleetobs.TenantConfig{Name: name, FPSFloor: 30}
 	switch cat {
 	case emulator.CatCamera, emulator.CatAR:
 		tc.M2PSLO = 100 * time.Millisecond
@@ -62,66 +57,63 @@ func shardFarmTenant(g, cat int) fleetobs.TenantConfig {
 	return tc
 }
 
-// ShardScaleResult is the `-exp shardscale` report: one run of the farm.
-type ShardScaleResult struct {
-	Guests    int
-	Lookahead time.Duration
-
-	// Deterministic simulation results.
-	GuestFPS []float64
-	MeanFPS  float64
-	Frames   int
-	Events   uint64
-	Windows  int
-
-	// Wall-clock throughput: host-dependent and noisy, excluded from the
-	// determinism contract (and from byte-identity assertions).
-	WallMS       float64
-	EventsPerSec float64
-
-	// Fleet telemetry, populated when Config.Fleet is set (DESIGN.md §13).
-	// Fleet is the deterministic fleet report; Stall is the wall-clock split
-	// of the window loop, excluded from the determinism contract like the
-	// wall columns.
-	Fleet *fleetobs.Report
-	Stall *fleetobs.StallReport
-	// FleetTrace is the Perfetto trace file written when Config.Fleet and
-	// Config.TracePath are both set.
-	FleetTrace string
-
-	// Mon is the streaming-telemetry report, populated when Config.Monitor
-	// is set (DESIGN.md §15). Windows seal at the group's barriers, so the
-	// report — digest included — is a pure function of the seed. MonFile is
-	// the report file written when Config.MonPath is also set.
-	Mon     *tsmon.MonReport
-	MonFile string
+// FarmGuest is one guest of a farm: the Table 1 category its app runs, its
+// tenant contract, and its session seed.
+type FarmGuest struct {
+	Cat    int
+	Tenant fleetobs.TenantConfig
+	Seed   int64
 }
 
-// RunShardScale builds the farm — four sessions, a shared-host arbiter, a
-// shard group — runs it to the last guest's stop time, and folds the
-// results into one report.
-func RunShardScale(cfg Config) *ShardScaleResult {
-	res := &ShardScaleResult{Guests: shardFarmGuests}
-	sessions := make([]*workload.Session, 0, shardFarmGuests)
-	defer func() {
-		for _, s := range sessions {
-			s.Close()
-		}
-	}()
-	envs := make([]*sim.Env, 0, shardFarmGuests)
-	machs := make([]*hostsim.Machine, 0, shardFarmGuests)
-	pend := make([]*workload.Pending, 0, shardFarmGuests)
-	tenants := make([]fleetobs.TenantConfig, shardFarmGuests)
-	for g := range tenants {
-		tenants[g] = shardFarmTenant(g, shardFarmCategories[g])
-	}
+// FarmRun is one run of a farm.
+type FarmRun struct {
+	Lookahead time.Duration
+	// Results are the guests' app results, in guest order.
+	Results []*workload.Result
+	Events  uint64
+	Windows int
+	// Wall is the host time of the run alone, not of building the farm. It
+	// measures the build host, so it is outside the determinism contract.
+	Wall time.Duration
 
-	// Fleet observability (cfg.Fleet) and streaming telemetry (cfg.Monitor)
-	// share the tenant contracts. Both are observe-only — results are
-	// byte-identical with either layer on or off.
+	// Fleet is the fleet report and Stall the wall-clock split of the
+	// window loop, set when Config.Fleet is (DESIGN.md §13). FleetTrace is
+	// the fleet-counter trace file, written when Config.TracePath is set
+	// too.
+	Fleet      *fleetobs.Report
+	Stall      *fleetobs.StallReport
+	FleetTrace string
+
+	// Mon is the monitor report, set when Config.Monitor is (DESIGN.md
+	// §15). Windows seal at the group's barriers, so the report, digest
+	// included, is a pure function of the guests' seeds.
+	Mon *tsmon.MonReport
+}
+
+// EventsPerSec is the run's simulation throughput on the build host.
+func (r *FarmRun) EventsPerSec() float64 {
+	if s := r.Wall.Seconds(); s > 0 {
+		return float64(r.Events) / s
+	}
+	return 0
+}
+
+// RunFarm builds a farm of preset on machine (DESIGN.md §12) and runs it.
+// Each guest gets its own session with its app started for cfg.Duration. A
+// shared host arbitrates the guests' PCIe links under pcieBudget bytes/s
+// (0 = uncapped) at the barriers of one window group. The fleet layer
+// (cfg.Fleet) and the monitor (cfg.Monitor) are wired to every guest; both
+// observe only, so results are byte-identical with either on or off. The
+// group runs to the last guest's stop time, and only that run is timed. An
+// app that cannot start or finish is an error.
+func RunFarm(cfg Config, preset emulator.Preset, machine MachineSpec, guests []FarmGuest, pcieBudget float64) (*FarmRun, error) {
+	tenants := make([]fleetobs.TenantConfig, len(guests))
+	for g, gu := range guests {
+		tenants[g] = gu.Tenant
+	}
 	var fl *fleetobs.Fleet
 	if cfg.Fleet {
-		fcfg := fleetobs.Config{Tenants: tenants, Registry: obs.NewRegistry()}
+		fcfg := fleetobs.Config{Tenants: tenants}
 		if cfg.TracePath != "" {
 			fcfg.Tracer = obs.NewTracer()
 		}
@@ -132,31 +124,28 @@ func RunShardScale(cfg Config) *ShardScaleResult {
 		mon = tsmon.New(tsmon.Config{Tenants: tenants})
 	}
 
+	envs := make([]*sim.Env, len(guests))
+	machs := make([]*hostsim.Machine, len(guests))
+	pend := make([]*workload.Pending, len(guests))
 	var stop time.Duration
-	for g := 0; g < shardFarmGuests; g++ {
-		cat := shardFarmCategories[g]
-		sess := workload.NewSession(emulator.VSoC(), HighEnd.New, appSeed(cfg.Seed, 700+g, cat, 0))
-		sessions = append(sessions, sess)
-		envs = append(envs, sess.Env)
-		machs = append(machs, sess.Machine)
+	for g, gu := range guests {
+		sess := workload.NewSession(preset, machine.New, gu.Seed)
+		defer sess.Close()
+		envs[g], machs[g] = sess.Env, sess.Machine
 		WireGuest(sess, g, fl, mon)
-		pd, err := workload.StartEmerging(sess.Emulator, workload.DefaultSpec(cat, g, cfg.Duration))
+		pd, err := workload.StartEmerging(sess.Emulator, workload.DefaultSpec(gu.Cat, g, cfg.Duration))
 		if err != nil {
-			// vSoC runs every category; a failure here is a programming
-			// error, not a compat gap.
-			panic(fmt.Sprintf("shardscale: guest %d failed to start: %v", g, err))
+			return nil, fmt.Errorf("guest %d: %w", g, err)
 		}
-		pend = append(pend, pd)
-		if pd.Stop() > stop {
-			stop = pd.Stop()
-		}
+		pend[g] = pd
+		stop = max(stop, pd.Stop())
 	}
-	sh := hostsim.NewSharedHost(hostsim.SharedHostConfig{PCIeBudget: shardFarmPCIeBudget}, machs...)
-	res.Lookahead = sh.Lookahead()
+	sh := hostsim.NewSharedHost(hostsim.SharedHostConfig{PCIeBudget: pcieBudget}, machs...)
 	grp := sim.NewShardGroup(sh.Lookahead(), 1, envs...)
 	defer grp.Close()
 	sh.Attach(grp)
-	grp.AtBarrier(func(prev, now time.Duration) { res.Windows++ })
+	run := &FarmRun{Lookahead: sh.Lookahead()}
+	grp.AtBarrier(func(prev, now time.Duration) { run.Windows++ })
 	if fl != nil {
 		fl.Attach(grp, sh)
 	}
@@ -168,39 +157,65 @@ func RunShardScale(cfg Config) *ShardScaleResult {
 
 	wallStart := time.Now()
 	grp.RunUntil(stop)
-	wall := time.Since(wallStart)
+	run.Wall = time.Since(wallStart)
 
 	if fl != nil {
 		fl.Finalize(stop)
-		res.Fleet = fl.Report(stop)
-		res.Stall = fl.StallReport()
+		run.Fleet, run.Stall = fl.Report(stop), fl.StallReport()
 		if cfg.TracePath != "" {
 			path := strings.TrimSuffix(cfg.TracePath, ".json") + "-fleet.json"
-			res.FleetTrace = written(path, writeTraceFile(path, fl.Tracer()))
+			run.FleetTrace = written(path, writeTraceFile(path, fl.Tracer()))
 		}
 	}
-
 	if mon != nil {
 		mon.Finalize(stop)
-		res.Mon = mon.Report()
-		if cfg.MonPath != "" {
-			res.MonFile = written(cfg.MonPath, res.Mon.WriteJSONFile(cfg.MonPath))
-		}
+		run.Mon = mon.Report()
 	}
-
-	for _, pd := range pend {
+	for g, pd := range pend {
 		r, err := pd.Wait()
 		if err != nil {
-			panic(fmt.Sprintf("shardscale: guest result: %v", err))
+			return nil, fmt.Errorf("guest %d: %w", g, err)
 		}
+		run.Results = append(run.Results, r)
+	}
+	run.Events = grp.ExecutedEvents()
+	return run, nil
+}
+
+// ShardScaleResult is the `-exp shardscale` report: one run of the farm.
+// GuestFPS, MeanFPS and Frames fold the guests' results.
+type ShardScaleResult struct {
+	FarmRun
+	GuestFPS []float64
+	MeanFPS  float64
+	Frames   int
+	// MonFile is the monitor report file, written when Config.Monitor and
+	// Config.MonPath are both set.
+	MonFile string
+}
+
+// RunShardScale runs the four-guest vSoC farm on the high-end desktop under
+// the host's PCIe budget.
+func RunShardScale(cfg Config) *ShardScaleResult {
+	guests := make([]FarmGuest, shardFarmGuests)
+	for g, cat := range shardFarmCategories {
+		name := fmt.Sprintf("g%d:%s", g, emulator.CategoryNames[cat])
+		guests[g] = FarmGuest{Cat: cat, Tenant: FarmTenant(name, cat), Seed: appSeed(cfg.Seed, 700+g, cat, 0)}
+	}
+	run, err := RunFarm(cfg, emulator.VSoC(), HighEnd, guests, shardFarmPCIeBudget)
+	if err != nil {
+		// vSoC runs every category; a failure here is a programming
+		// error, not a compat gap.
+		panic(fmt.Sprintf("shardscale: %v", err))
+	}
+	res := &ShardScaleResult{FarmRun: *run}
+	for _, r := range run.Results {
 		res.GuestFPS = append(res.GuestFPS, r.FPS)
 		res.MeanFPS += r.FPS / shardFarmGuests
 		res.Frames += r.Frames
 	}
-	res.Events = grp.ExecutedEvents()
-	res.WallMS = float64(wall.Microseconds()) / 1000
-	if s := wall.Seconds(); s > 0 {
-		res.EventsPerSec = float64(res.Events) / s
+	if run.Mon != nil && cfg.MonPath != "" {
+		res.MonFile = written(cfg.MonPath, run.Mon.WriteJSONFile(cfg.MonPath))
 	}
 	return res
 }
@@ -261,7 +276,7 @@ func (t frameTee) MotionToPhoton(at, latency time.Duration) {
 func FormatShardScale(r *ShardScaleResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Farm run (%d-guest farm, lookahead %v, DESIGN.md §12):\n",
-		r.Guests, r.Lookahead)
+		len(r.Results), r.Lookahead)
 	b.WriteString("  mean FPS   per-guest FPS            frames    events     windows   wall ms    events/s")
 	if r.Fleet != nil {
 		b.WriteString("   floor%    slo%   m2p_p99   fetch_p99   strag")
@@ -273,7 +288,7 @@ func FormatShardScale(r *ShardScaleResult) string {
 	}
 	fmt.Fprintf(&b, "  %8.2f   %-22s   %6d   %8d   %7d   %7.1f   %9.0f",
 		r.MeanFPS, strings.Join(guests, " "), r.Frames, r.Events, r.Windows,
-		r.WallMS, r.EventsPerSec)
+		float64(r.Wall.Microseconds())/1000, r.EventsPerSec())
 	if f := r.Fleet; f != nil {
 		fmt.Fprintf(&b, "   %6.1f   %5.1f   %5.2fms   %7.2fms   %5d",
 			f.Fleet.FloorAttainment*100, f.Fleet.SLOAttainment*100,
@@ -311,7 +326,7 @@ func shardScaleMetrics(r *ShardScaleResult) []BenchMetric {
 		{Name: "shardscale.frames", Value: float64(r.Frames), Unit: "frames", Better: "higher"},
 		{Name: "shardscale.events_total", Value: float64(r.Events), Unit: "events", Better: "higher"},
 		{Name: "shardscale.windows", Value: float64(r.Windows), Unit: "windows", Better: "higher"},
-		{Name: "shardscale.events_per_sec_serial", Value: r.EventsPerSec, Unit: "events/s", Better: "higher"},
+		{Name: "shardscale.events_per_sec_serial", Value: r.EventsPerSec(), Unit: "events/s", Better: "higher"},
 	}
 	if f := r.Fleet; f != nil {
 		ms = append(ms,

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -44,8 +45,8 @@ func TestShardScaleDeterministicAcrossCounts(t *testing.T) {
 	if len(base.GuestFPS) != shardFarmGuests {
 		t.Fatalf("GuestFPS has %d entries, want %d", len(base.GuestFPS), shardFarmGuests)
 	}
-	if res.EventsPerSec <= 0 {
-		t.Fatalf("EventsPerSec = %v, want > 0", res.EventsPerSec)
+	if res.EventsPerSec() <= 0 {
+		t.Fatalf("EventsPerSec = %v, want > 0", res.EventsPerSec())
 	}
 	if got := project(RunShardScale(cfg)); !reflect.DeepEqual(got, base) {
 		t.Fatalf("equal-seed rerun diverged:\n got %+v\nwant %+v", got, base)
@@ -121,7 +122,7 @@ func runChaosFarm(t *testing.T, dur time.Duration, fault bool, reg *obs.Registry
 	cats := []int{emulator.CatUHDVideo, emulator.CatLivestream}
 	fcfg := fleetobs.Config{Registry: reg}
 	for g, cat := range cats {
-		fcfg.Tenants = append(fcfg.Tenants, shardFarmTenant(g, cat))
+		fcfg.Tenants = append(fcfg.Tenants, FarmTenant(fmt.Sprintf("g%d:%s", g, emulator.CategoryNames[cat]), cat))
 	}
 	fl := fleetobs.New(fcfg)
 	var (
@@ -217,4 +218,40 @@ func TestShardFarmChaosRecoversWithinEnvelope(t *testing.T) {
 		t.Fatalf("link collapse invisible in telemetry: %d floor-violation seconds vs %d unfaulted",
 			faultViol, baseViol)
 	}
+}
+
+// TestFarmTenantContract pins the farm QoS contract: a 30 FPS floor for
+// every category, a 100 ms motion-to-photon SLO for camera and AR, 250 ms
+// for livestream and none for the video categories; and the shardscale
+// and phasedload reports declare exactly FarmTenant's contracts.
+func TestFarmTenantContract(t *testing.T) {
+	slo := [emulator.NumCategories]time.Duration{
+		emulator.CatCamera:     100 * time.Millisecond,
+		emulator.CatAR:         100 * time.Millisecond,
+		emulator.CatLivestream: 250 * time.Millisecond,
+	}
+	for cat := 0; cat < emulator.NumCategories; cat++ {
+		want := fleetobs.TenantConfig{Name: "t", FPSFloor: 30, M2PSLO: slo[cat]}
+		if got := FarmTenant("t", cat); got != want {
+			t.Errorf("FarmTenant(%s) = %+v, want %+v", emulator.CategoryNames[cat], got, want)
+		}
+	}
+
+	declared := func(report string, name string, floor, sloMS float64, want fleetobs.TenantConfig) {
+		t.Helper()
+		if name != want.Name || floor != want.FPSFloor || sloMS != float64(want.M2PSLO)/float64(time.Millisecond) {
+			t.Errorf("%s declares %s floor %g slo %gms, want %+v", report, name, floor, sloMS, want)
+		}
+	}
+	ss := RunShardScale(Config{Duration: time.Second, Seed: 1, Fleet: true, Monitor: true})
+	names := []string{"g0:UHD Video", "g1:360 Video", "g2:Camera", "g3:Livestream"}
+	for g, cat := range shardFarmCategories {
+		want := FarmTenant(names[g], cat)
+		ft, mt := ss.Fleet.Tenants[g], ss.Mon.Tenants[g]
+		declared("shardscale fleet report", ft.Name, ft.FPSFloor, ft.M2PSLOMS, want)
+		declared("shardscale monitor report", mt.Name, mt.FPSFloor, mt.M2PSLOMS, want)
+	}
+	pl := RunPhasedLoad(Config{Duration: time.Second, Seed: 1})
+	mt := pl.Mon.Tenants[0]
+	declared("phasedload monitor report", mt.Name, mt.FPSFloor, mt.M2PSLOMS, FarmTenant("g0:livestream", emulator.CatLivestream))
 }

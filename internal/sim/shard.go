@@ -90,9 +90,6 @@ func NewShardGroup(lookahead Time, shards int, envs ...*Env) *ShardGroup {
 // SetObserver installs (or, with nil, removes) the per-window observer.
 func (g *ShardGroup) SetObserver(o ShardObserver) { g.obs = o }
 
-// Lookahead returns the window size.
-func (g *ShardGroup) Lookahead() Time { return g.lookahead }
-
 // AtBarrier registers fn to run at every window barrier, after every
 // environment has run the window. prev and now bound the window just
 // executed. This is the shared-host-resource synchronization point: PCIe

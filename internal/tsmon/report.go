@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"io"
 	"os"
+	"slices"
 	"strings"
 )
 
@@ -180,41 +181,44 @@ func (r *MonReport) FormatText() string {
 }
 
 // SignalSeries extracts one tenant's signal across the retained windows
-// (for rendering); windows without the sample are skipped.
-func (r *MonReport) SignalSeries(tenant int, signal string) []SeriesPoint {
+// (for rendering): a built-in signal name, or "probe:<name>" for one of
+// the tenant's probes. Windows without a sample are skipped. A tenant or
+// signal the report lacks is an error.
+func (r *MonReport) SignalSeries(tenant int, signal string) ([]SeriesPoint, error) {
 	if tenant < 0 || tenant >= len(r.Tenants) {
-		return nil
+		return nil, fmt.Errorf("no tenant %d (the report has %d)", tenant, len(r.Tenants))
 	}
-	probeIdx := -1
+	var value func(s *TenantSample) (float64, bool)
 	if pn, ok := strings.CutPrefix(signal, "probe:"); ok {
-		for i, n := range r.Tenants[tenant].Probes {
-			if n == pn {
-				probeIdx = i
-				break
-			}
+		pi := slices.Index(r.Tenants[tenant].Probes, pn)
+		if pi < 0 {
+			return nil, fmt.Errorf("tenant %d has no probe %q (probes: %s)",
+				tenant, pn, strings.Join(r.Tenants[tenant].Probes, ", "))
 		}
-		if probeIdx < 0 {
-			return nil
+		value = func(s *TenantSample) (float64, bool) {
+			if pi < len(s.Probes) {
+				return s.Probes[pi], true
+			}
+			return 0, false
+		}
+	} else {
+		var names []string
+		for i := range builtinSignals {
+			if builtinSignals[i].Name == signal {
+				value = builtinSignals[i].value
+			}
+			names = append(names, builtinSignals[i].Name)
+		}
+		if value == nil {
+			return nil, fmt.Errorf("unknown signal %q (want %s, or probe:<name>)", signal, strings.Join(names, ", "))
 		}
 	}
 	var out []SeriesPoint
 	for wi := range r.Windows {
 		w := &r.Windows[wi]
-		s := &w.Tenants[tenant]
-		if probeIdx >= 0 {
-			if probeIdx < len(s.Probes) {
-				out = append(out, SeriesPoint{Window: w.Index, Value: s.Probes[probeIdx]})
-			}
-			continue
-		}
-		for i := range builtinSignals {
-			if builtinSignals[i].Name == signal {
-				if v, ok := builtinSignals[i].value(s); ok {
-					out = append(out, SeriesPoint{Window: w.Index, Value: v})
-				}
-				break
-			}
+		if v, ok := value(&w.Tenants[tenant]); ok {
+			out = append(out, SeriesPoint{Window: w.Index, Value: v})
 		}
 	}
-	return out
+	return out, nil
 }

@@ -293,16 +293,25 @@ func TestSignalSeriesAndFormatText(t *testing.T) {
 	tn.Probe("x", ProbeGauge, func() float64 { return 3 })
 	sealWindows(m, 0, 3, func(w int) { feed(tn, w, 2+w, 0, 0) })
 	r := m.Report()
-	fps := r.SignalSeries(0, "fps")
-	if len(fps) != 3 || fps[2].Value != 20 {
-		t.Fatalf("fps series %+v", fps)
+	fps, err := r.SignalSeries(0, "fps")
+	if err != nil || len(fps) != 3 || fps[2].Value != 20 {
+		t.Fatalf("fps series %+v, %v", fps, err)
 	}
-	px := r.SignalSeries(0, "probe:x")
-	if len(px) != 3 || px[0].Value != 3 {
-		t.Fatalf("probe series %+v", px)
+	px, err := r.SignalSeries(0, "probe:x")
+	if err != nil || len(px) != 3 || px[0].Value != 3 {
+		t.Fatalf("probe series %+v, %v", px, err)
 	}
-	if r.SignalSeries(0, "probe:missing") != nil || r.SignalSeries(5, "fps") != nil {
-		t.Fatal("missing probe / out-of-range tenant must return nil")
+	// A known signal with no sample in any window is empty, not an error.
+	if m2p, err := r.SignalSeries(0, "m2p_p99_ms"); err != nil || len(m2p) != 0 {
+		t.Fatalf("m2p series %+v, %v: want empty", m2p, err)
+	}
+	for _, bad := range []struct {
+		tenant int
+		signal string
+	}{{0, "probe:missing"}, {0, "fsp"}, {5, "fps"}, {-1, "fps"}} {
+		if pts, err := r.SignalSeries(bad.tenant, bad.signal); err == nil {
+			t.Errorf("SignalSeries(%d, %q) = %+v, want an error", bad.tenant, bad.signal, pts)
+		}
 	}
 	txt := r.FormatText()
 	if !strings.Contains(txt, "digest "+r.Digest) || !strings.Contains(txt, "no incidents") {

@@ -8,11 +8,10 @@ import (
 
 // ExpEvaluator measures candidates with the real simulation: each vector
 // decodes onto the preset's shipped tunable and runs the Fig. 16 video
-// probe through experiments.RunTuneEval. It also implements
-// BatchEvaluator: a batch fans the candidates out over the experiments
-// worker pool with each candidate's inner run forced serial, which keeps
-// every per-candidate measurement byte-identical to a lone evaluation
-// while the pool overlaps whole candidates instead of sessions.
+// probe through experiments.RunTuneEval. A batch fans the candidates out
+// over the experiments worker pool with each candidate's inner run forced
+// serial: the pool overlaps whole candidates instead of sessions, and every
+// measurement stays byte-identical to a lone run at any worker count.
 type ExpEvaluator struct {
 	Cfg    experiments.Config
 	Preset emulator.Preset
@@ -26,16 +25,8 @@ func NewExpEvaluator(cfg experiments.Config, p emulator.Preset) *ExpEvaluator {
 	return &ExpEvaluator{Cfg: cfg, Preset: p, Space: SpaceFor(p.SVM.Kind), Base: experiments.TunableOf(p)}
 }
 
-// Evaluate runs one candidate serially (Workers from Cfg applies inside the
-// run, across its app sessions).
-func (e *ExpEvaluator) Evaluate(v Vector) Metrics {
-	return Metrics(experiments.RunTuneEval(e.Cfg, e.Preset, e.Space.Tunable(e.Base, v)))
-}
-
-// EvaluateBatch measures several candidates concurrently. The outer fan-out
-// takes the configured worker budget and each inner run goes serial, so the
-// metrics for every candidate are byte-identical to Evaluate's — the
-// determinism contract the search relies on when mixing the two paths.
+// EvaluateBatch measures the candidates concurrently, on the configured
+// worker budget.
 func (e *ExpEvaluator) EvaluateBatch(vs []Vector) []Metrics {
 	inner := e.Cfg
 	inner.Workers = 1

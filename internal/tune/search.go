@@ -39,38 +39,25 @@ type bound struct {
 	min, max float64 // absolute bounds; NaN = unbounded
 }
 
-// Options parameterizes a search; zero fields take the defaults below.
+// Options parameterizes a search.
 type Options struct {
 	// Seed drives the random phases (random seeding, restarts). Equal
 	// seeds over equal (space, evaluator) reproduce the identical search
 	// trajectory byte for byte.
 	Seed int64
-	// Budget caps evaluator calls (cache hits are free). Includes the
-	// baseline evaluation. Default 40.
+	// Budget caps the candidates evaluated (cache hits are free), the
+	// baseline included. It must be at least 1.
 	Budget int
-	// RandomSeeds is how many random vectors join the seeding phase after
-	// the axis grid. Default 6.
-	RandomSeeds int
-	// Patience is how many consecutive random restarts may fail to improve
-	// the global best before the search stops. Default 2.
-	Patience int
-	// Cache, when non-nil, is consulted and filled instead of a private
-	// one — sharing it across searches deduplicates overlapping cells.
-	Cache *Cache
 }
 
-func (o Options) resolved() Options {
-	if o.Budget <= 0 {
-		o.Budget = 40
-	}
-	if o.RandomSeeds <= 0 {
-		o.RandomSeeds = 6
-	}
-	if o.Patience <= 0 {
-		o.Patience = 2
-	}
-	return o
-}
+const (
+	// randomSeeds is how many random vectors join the seeding phase after
+	// the axis grid.
+	randomSeeds = 6
+	// patience is how many consecutive random restarts may fail to improve
+	// the global best before the search stops.
+	patience = 2
+)
 
 // Step is one trace entry: a candidate the search considered, in
 // consideration order. The rendered trace is part of the determinism
@@ -79,7 +66,7 @@ type Step struct {
 	Index    int    // consideration order, 0-based
 	Phase    string // baseline | grid | random | climb | restart
 	Vec      Vector
-	Cached   bool    // metrics replayed from the cache, no evaluator call
+	Cached   bool    // metrics replayed from the cache, not evaluated
 	Value    float64 // objective metric's raw value
 	Feasible bool
 	Violated string // first violated constraint's metric (when infeasible)
@@ -100,7 +87,7 @@ type Result struct {
 	BestIsBaseline bool
 
 	Trace     []Step
-	Evals     int // evaluator calls charged against the budget
+	Evals     int // candidates evaluated, charged against the budget
 	CacheHits int // steps replayed from the cache
 	Rejected  int // infeasible candidates
 }
@@ -113,71 +100,81 @@ type searcher struct {
 	obj    Objective
 	bounds []bound
 	dir    float64 // +1 minimize, -1 maximize
-	cache  *Cache
-	rng    *rand.Rand
+	// cache holds every evaluation by vector key, so revisited cells —
+	// hill-climb re-entering a neighborhood — replay their metrics without
+	// re-running the simulation.
+	cache map[string]Metrics
+	rng   *rand.Rand
 
 	res *Result
 }
 
 // Search runs the driver: baseline, axis-grid and random seeding, then
-// hill-climb with patience-bounded random restarts. Deterministic for
-// equal (space, evaluator, options); see the package doc.
+// hill-climb with patience-bounded random restarts. Each phase measures
+// its candidates in one evaluator batch. Deterministic for equal (space,
+// evaluator, options); see the package doc. A budget below 1 is a caller
+// bug and panics.
 func Search(preset string, space Space, ev Evaluator, obj Objective, opts Options) *Result {
-	opts = opts.resolved()
+	if opts.Budget < 1 {
+		panic(fmt.Sprintf("tune: budget %d, want >= 1", opts.Budget))
+	}
 	s := &searcher{
 		space: space, ev: ev, opts: opts, obj: obj,
-		cache: opts.Cache,
+		cache: map[string]Metrics{},
 		rng:   rand.New(rand.NewSource(opts.Seed)),
 		res: &Result{
 			Preset: preset, Space: space, Objective: obj, Options: opts,
 			BestScore: math.Inf(1),
 		},
 	}
-	if s.cache == nil {
-		s.cache = &Cache{}
-	}
 
 	// Baseline: the shipped default vector anchors the relative
 	// constraints and is the first candidate. It is feasible by
 	// construction (every relative bound scales its own value).
 	def := space.DefaultVector()
-	base, cached, _ := s.evalOne(def)
+	var b batch
+	s.add(&b, def)
+	base := s.measure(&b)[0]
 	s.res.Baseline = base
 	s.bind(base)
-	s.record("baseline", def, base, cached)
+	s.record("baseline", def, base, false)
 
 	// Axis grid: each knob swept level by level around the default, most
 	// impactful knob first (space order), so a truncated budget still
 	// probes the leading dimensions.
+	var grid batch
 	for ki := range space.Knobs {
 		for li := range space.Knobs[ki].Levels {
-			if li == space.Knobs[ki].Default || s.exhausted() {
+			if li == space.Knobs[ki].Default || !s.room(&grid) {
 				continue
 			}
 			v := def.clone()
 			v[ki] = li
-			s.consider("grid", v)
+			s.add(&grid, v)
 		}
 	}
+	s.run("grid", &grid)
 
 	// Random seeding: uniform vectors from the seeded rng.
-	for i := 0; i < opts.RandomSeeds && !s.exhausted(); i++ {
-		s.consider("random", s.randomVec())
+	var random batch
+	for i := 0; i < randomSeeds && s.room(&random); i++ {
+		s.add(&random, s.randomVec())
 	}
+	s.run("random", &random)
 
 	// Hill-climb with patience: from the best-known vector, move to the
 	// best strictly-improving neighbor until a local optimum, then restart
-	// from a random vector; stop after Patience consecutive restarts that
+	// from a random vector; stop after patience consecutive restarts that
 	// never improved the global best.
 	cur := s.res.BestVec.clone()
-	restartsLeft := opts.Patience
+	restartsLeft := patience
 	for !s.exhausted() {
 		prevBest := s.res.BestScore
 		next, ok := s.climbStep(cur)
 		if ok {
 			cur = next
 			if s.res.BestScore < prevBest {
-				restartsLeft = opts.Patience
+				restartsLeft = patience
 			}
 			continue
 		}
@@ -186,8 +183,10 @@ func Search(preset string, space Space, ev Evaluator, obj Objective, opts Option
 		}
 		restartsLeft--
 		cur = s.randomVec()
-		if s.consider("restart", cur) {
-			restartsLeft = opts.Patience
+		var restart batch
+		s.add(&restart, cur)
+		if s.run("restart", &restart) {
+			restartsLeft = patience
 		}
 	}
 	return s.res
@@ -196,9 +195,7 @@ func Search(preset string, space Space, ev Evaluator, obj Objective, opts Option
 // exhausted reports whether the evaluation budget is spent.
 func (s *searcher) exhausted() bool { return s.res.Evals >= s.opts.Budget }
 
-// randomVec draws a uniform vector from the seeded rng. Cache state never
-// influences rng consumption, so trajectories replay identically however
-// warm the cache starts.
+// randomVec draws a uniform vector from the seeded rng.
 func (s *searcher) randomVec() Vector {
 	v := make(Vector, len(s.space.Knobs))
 	for i, k := range s.space.Knobs {
@@ -207,22 +204,62 @@ func (s *searcher) randomVec() Vector {
 	return v
 }
 
-// evalOne returns v's metrics: from the cache (cached=true, free), or via
-// one budget-charged evaluator call. ok=false when the vector is uncached
-// and the budget is spent.
-func (s *searcher) evalOne(v Vector) (m Metrics, cached, ok bool) {
+// batch is one phase's candidates, gathered for a single evaluator call.
+type batch struct {
+	vecs   []Vector
+	cached []bool // per member: replayed from the cache or an earlier member
+	misses []Vector
+	keys   map[string]bool // the misses' cache keys
+}
+
+// room reports whether the budget can take one more evaluation beyond the
+// ones b already holds.
+func (s *searcher) room(b *batch) bool { return s.res.Evals+len(b.misses) < s.opts.Budget }
+
+// add takes v into b when it is free (cached, or a repeat of a member) or
+// the budget has room to evaluate it; otherwise v is dropped.
+func (s *searcher) add(b *batch, v Vector) {
 	key := s.space.Key(v)
-	if m, hit := s.cache.Get(key); hit {
-		s.res.CacheHits++
-		return m, true, true
+	_, cached := s.cache[key]
+	cached = cached || b.keys[key]
+	if !cached {
+		if !s.room(b) {
+			return
+		}
+		if b.keys == nil {
+			b.keys = map[string]bool{}
+		}
+		b.keys[key] = true
+		b.misses = append(b.misses, v)
 	}
-	if s.exhausted() {
-		return nil, false, false
+	b.vecs = append(b.vecs, v)
+	b.cached = append(b.cached, cached)
+}
+
+// measure evaluates b's misses in one evaluator call, charging each against
+// the budget, and returns every member's metrics in order.
+func (s *searcher) measure(b *batch) []Metrics {
+	if len(b.misses) > 0 {
+		for i, m := range s.ev.EvaluateBatch(b.misses) {
+			s.cache[s.space.Key(b.misses[i])] = m
+		}
+		s.res.Evals += len(b.misses)
 	}
-	m = s.ev.Evaluate(v)
-	s.cache.Put(key, m)
-	s.res.Evals++
-	return m, false, true
+	ms := make([]Metrics, len(b.vecs))
+	for i, v := range b.vecs {
+		ms[i] = s.cache[s.space.Key(v)]
+	}
+	return ms
+}
+
+// run measures b and records its members' steps in order. Returns whether
+// one became the global best.
+func (s *searcher) run(phase string, b *batch) bool {
+	best := false
+	for i, m := range s.measure(b) {
+		best = s.record(phase, b.vecs[i], m, b.cached[i]) || best
+	}
+	return best
 }
 
 // bind resolves the objective direction and the relative constraints
@@ -289,33 +326,24 @@ func (s *searcher) record(phase string, v Vector, m Metrics, cached bool) bool {
 	if !feasible {
 		s.res.Rejected++
 	}
+	if cached {
+		s.res.CacheHits++
+	}
 	s.res.Trace = append(s.res.Trace, st)
 	return st.Best
 }
 
-// consider measures one candidate and records its step. Returns whether it
-// became the global best; budget exhaustion on an uncached vector records
-// nothing.
-func (s *searcher) consider(phase string, v Vector) bool {
-	m, cached, ok := s.evalOne(v)
-	if !ok {
-		return false
-	}
-	return s.record(phase, v, m, cached)
-}
-
-// climbStep evaluates cur's neighborhood (each knob one level up and down,
-// in knob order) and returns the best neighbor strictly improving on cur.
-// Uncached neighbors batch through the evaluator's batch interface when it
-// offers one, so the worker pool overlaps their simulations.
+// climbStep measures cur's neighborhood (each knob one level up and down,
+// in knob order) in one batch and returns the best neighbor strictly
+// improving on cur. Cached neighbors replay even once the budget is spent.
 func (s *searcher) climbStep(cur Vector) (Vector, bool) {
 	curScore := math.Inf(1)
-	if m, ok := s.cache.Get(s.space.Key(cur)); ok {
+	if m, ok := s.cache[s.space.Key(cur)]; ok {
 		if sc, _, feasible, _ := s.judge(m); feasible {
 			curScore = sc
 		}
 	}
-	var neighbors []Vector
+	var nb batch
 	for ki := range s.space.Knobs {
 		for _, d := range []int{-1, 1} {
 			li := cur[ki] + d
@@ -324,65 +352,20 @@ func (s *searcher) climbStep(cur Vector) (Vector, bool) {
 			}
 			v := cur.clone()
 			v[ki] = li
-			neighbors = append(neighbors, v)
+			s.add(&nb, v)
 		}
 	}
-	charged := s.prefill(neighbors)
 	bestScore := curScore
 	var bestVec Vector
-	for _, v := range neighbors {
-		key := s.space.Key(v)
-		var m Metrics
-		var cached, ok bool
-		if charged[key] {
-			// Batch-evaluated just above: budget already charged, and the
-			// step is a real evaluation, not a cache replay.
-			m, _ = s.cache.Get(key)
-			cached, ok = false, true
-			delete(charged, key)
-		} else {
-			m, cached, ok = s.evalOne(v)
-		}
-		if !ok {
-			continue
-		}
-		s.record("climb", v, m, cached)
+	for i, m := range s.measure(&nb) {
+		v := nb.vecs[i]
+		s.record("climb", v, m, nb.cached[i])
 		if sc, _, feasible, _ := s.judge(m); feasible && sc < bestScore {
 			bestScore = sc
 			bestVec = v
 		}
 	}
 	return bestVec, bestVec != nil
-}
-
-// prefill batch-evaluates the uncached members of vs, truncated to the
-// remaining budget, and returns the keys it charged.
-func (s *searcher) prefill(vs []Vector) map[string]bool {
-	be, isBatch := s.ev.(BatchEvaluator)
-	if !isBatch {
-		return nil
-	}
-	var misses []Vector
-	for _, v := range vs {
-		if _, hit := s.cache.Get(s.space.Key(v)); hit {
-			continue
-		}
-		if s.res.Evals+len(misses) >= s.opts.Budget {
-			break
-		}
-		misses = append(misses, v)
-	}
-	if len(misses) < 2 {
-		return nil
-	}
-	charged := map[string]bool{}
-	for i, m := range be.EvaluateBatch(misses) {
-		key := s.space.Key(misses[i])
-		s.cache.Put(key, m)
-		s.res.Evals++
-		charged[key] = true
-	}
-	return charged
 }
 
 // FormatTrace renders the search trajectory, one line per step. The

@@ -8,7 +8,8 @@
 // configurable objective — minimize or maximize one evaluation metric
 // subject to constraints expressed relative to the shipped default — and
 // caching every evaluation by vector key so revisited cells replay their
-// scores without re-running.
+// scores without re-running. Each search phase hands its candidates to the
+// evaluator as one batch.
 //
 // Determinism contract: a search is a pure function of (space, evaluator,
 // options). The evaluator is required to be deterministic — the
@@ -150,38 +151,10 @@ func (m Metrics) Value(name string) float64 {
 	return bm.Value
 }
 
-// Evaluator measures candidate vectors. Evaluate must be deterministic:
-// equal vectors yield byte-identical metrics (after BenchMetric rounding).
+// Evaluator measures candidate vectors, every search phase's candidates in
+// one call. EvaluateBatch returns metrics index-aligned with vs and must be
+// deterministic: equal vectors yield byte-identical metrics (after
+// BenchMetric rounding), however they are batched.
 type Evaluator interface {
-	Evaluate(v Vector) Metrics
-}
-
-// BatchEvaluator is optionally implemented by evaluators that can measure
-// several candidates concurrently (the experiments-backed evaluator fans
-// out over the worker pool). Results are index-aligned with the input.
-type BatchEvaluator interface {
 	EvaluateBatch(vs []Vector) []Metrics
-}
-
-// Cache stores evaluation results by vector key, so revisited cells —
-// hill-climb re-entering a neighborhood, a resumed or overlapping search —
-// replay their metrics without re-running the simulation. The zero value
-// is ready to use; sharing one cache across searches over the same
-// (space, evaluator) pair is how overlap is deduplicated.
-type Cache struct {
-	m map[string]Metrics
-}
-
-// Get returns the cached metrics for key, if present.
-func (c *Cache) Get(key string) (Metrics, bool) {
-	m, ok := c.m[key]
-	return m, ok
-}
-
-// Put stores metrics under key.
-func (c *Cache) Put(key string, m Metrics) {
-	if c.m == nil {
-		c.m = map[string]Metrics{}
-	}
-	c.m[key] = m
 }

@@ -28,25 +28,31 @@ func testSpace() Space {
 // normalization contract of the real evaluator.
 type quadEval struct {
 	target   []int
-	calls    int
+	calls    int // candidates evaluated
+	batches  int // EvaluateBatch calls
 	penalize func(v Vector) bool
 }
 
-func (e *quadEval) Evaluate(v Vector) Metrics {
-	e.calls++
-	score := 0.0
-	for i, t := range e.target {
-		d := float64(v[i] - t)
-		score += d * d
+func (e *quadEval) EvaluateBatch(vs []Vector) []Metrics {
+	e.batches++
+	e.calls += len(vs)
+	out := make([]Metrics, len(vs))
+	for i, v := range vs {
+		score := 0.0
+		for i, t := range e.target {
+			d := float64(v[i] - t)
+			score += d * d
+		}
+		guard := 1.0
+		if e.penalize != nil && e.penalize(v) {
+			guard = 10
+		}
+		out[i] = Metrics{
+			{Name: "guard", Value: guard, Unit: "x", Better: "lower"},
+			{Name: "obj", Value: score, Unit: "x", Better: "lower"},
+		}
 	}
-	guard := 1.0
-	if e.penalize != nil && e.penalize(v) {
-		guard = 10
-	}
-	return Metrics{
-		{Name: "guard", Value: guard, Unit: "x", Better: "lower"},
-		{Name: "obj", Value: score, Unit: "x", Better: "lower"},
-	}
+	return out
 }
 
 func testObjective() Objective {
@@ -87,39 +93,24 @@ func TestHillClimbConverges(t *testing.T) {
 	}
 }
 
+// TestCacheHitsReplayWithoutRerun: within one search, revisited cells
+// replay from the cache. The evaluator measures exactly the charged
+// candidates, in fewer calls than candidates (a phase is one batch), and
+// every other trace step is a cache hit.
 func TestCacheHitsReplayWithoutRerun(t *testing.T) {
-	cache := &Cache{}
 	ev := &quadEval{target: []int{3, 1, 2}}
-	opts := Options{Seed: 7, Budget: 60, Cache: cache}
-	first := Search("test", testSpace(), ev, testObjective(), opts)
-	calls := ev.calls
-	if calls != first.Evals {
-		t.Fatalf("evaluator ran %d times but search charged %d evals", calls, first.Evals)
+	res := Search("test", testSpace(), ev, testObjective(), Options{Seed: 7, Budget: 60})
+	if ev.calls != res.Evals {
+		t.Fatalf("evaluator measured %d candidates but search charged %d evals", ev.calls, res.Evals)
 	}
-	if first.CacheHits == 0 {
-		t.Fatalf("expected some cache hits within the first search (hill-climb revisits)")
+	if res.CacheHits == 0 {
+		t.Fatalf("expected cache hits within the search (hill-climb revisits)")
 	}
-
-	// A second search over the warm cache replays the identical trajectory
-	// without a single evaluator call, and its scores are byte-identical.
-	second := Search("test", testSpace(), ev, testObjective(), opts)
-	if ev.calls != calls {
-		t.Fatalf("warm-cache search re-ran the evaluator: %d -> %d calls", calls, ev.calls)
+	if len(res.Trace) != res.Evals+res.CacheHits {
+		t.Fatalf("%d trace steps, want %d evals + %d cache hits", len(res.Trace), res.Evals, res.CacheHits)
 	}
-	if second.Evals != 0 {
-		t.Fatalf("warm-cache search charged %d evals, want 0", second.Evals)
-	}
-	if !reflect.DeepEqual(first.BestVec, second.BestVec) {
-		t.Fatalf("warm-cache best vector drifted: %v vs %v", first.BestVec, second.BestVec)
-	}
-	if !reflect.DeepEqual(first.Best, second.Best) {
-		t.Fatalf("warm-cache best metrics drifted:\n%v\n%v", first.Best, second.Best)
-	}
-	for i := range first.Trace {
-		a, b := first.Trace[i], second.Trace[i]
-		if !reflect.DeepEqual(a.Vec, b.Vec) || a.Value != b.Value || a.Feasible != b.Feasible {
-			t.Fatalf("trace step %d drifted under warm cache: %+v vs %+v", i, a, b)
-		}
+	if ev.batches >= ev.calls {
+		t.Fatalf("%d evaluator calls for %d candidates: phases are not batched", ev.batches, ev.calls)
 	}
 }
 
@@ -162,6 +153,21 @@ func TestBudgetBoundsEvaluatorCalls(t *testing.T) {
 	}
 	if res.BestVec == nil {
 		t.Fatalf("even a tiny budget must keep the baseline as best")
+	}
+}
+
+// TestBudgetBelowOneRejected: a search cannot run without evaluating its
+// baseline, so a budget below one is refused, not replaced by a default.
+func TestBudgetBelowOneRejected(t *testing.T) {
+	for _, budget := range []int{0, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Search ran with budget %d", budget)
+				}
+			}()
+			Search("test", testSpace(), &quadEval{target: []int{3, 1, 2}}, testObjective(), Options{Seed: 1, Budget: budget})
+		}()
 	}
 }
 

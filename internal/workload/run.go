@@ -159,19 +159,13 @@ type Session struct {
 // NewSession builds an isolated run (one app on one emulator on one
 // machine), seeded deterministically.
 func NewSession(preset emulator.Preset, machineFn func(*sim.Env) *hostsim.Machine, seed int64) *Session {
-	return NewObservedSession(preset, machineFn, seed, nil, nil)
+	return NewProfiledSession(preset, machineFn, seed, nil, nil, nil)
 }
 
-// NewObservedSession is NewSession with an observability layer attached
-// before the emulator is assembled, so every subsystem picks up its tracks
-// and metric handles at construction. Either of tr and reg may be nil.
-func NewObservedSession(preset emulator.Preset, machineFn func(*sim.Env) *hostsim.Machine,
-	seed int64, tr *obs.Tracer, reg *obs.Registry) *Session {
-	return NewProfiledSession(preset, machineFn, seed, tr, reg, nil)
-}
-
-// NewProfiledSession is NewObservedSession with a critical-path profiler
-// attached as well (nil disables profiling, costing nothing).
+// NewProfiledSession is NewSession with an observability layer attached
+// before the emulator is assembled, so every subsystem picks up its tracks,
+// metric handles and profiler labels at construction. Any of tr, reg and pf
+// may be nil; a nil profiler costs nothing.
 func NewProfiledSession(preset emulator.Preset, machineFn func(*sim.Env) *hostsim.Machine,
 	seed int64, tr *obs.Tracer, reg *obs.Registry, pf *prof.Profiler) *Session {
 	env := sim.NewEnv(seed)
