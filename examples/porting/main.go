@@ -76,7 +76,7 @@ func main() {
 				Kind: device.OpRead, Region: outRegion.ID,
 				Exec: 500 * time.Microsecond, After: detect,
 			})
-			overlay.Ready.Wait(p)
+			overlay.Wait(p)
 			results++
 			p.Sleep(16 * time.Millisecond)
 		}

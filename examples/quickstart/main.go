@@ -56,7 +56,7 @@ func main() {
 			done := e.Display.Submit(p, device.Op{
 				Kind: device.OpExec, Exec: 200 * time.Microsecond, After: render,
 			})
-			done.Ready.Wait(p)
+			done.Wait(p)
 			fmt.Printf("t=%-8v frame %d presented\n", p.Now().Round(time.Microsecond), frame)
 			p.Sleep(16 * time.Millisecond) // the slack prefetch hides under
 		}

@@ -107,35 +107,52 @@ type Op struct {
 	// head-of-queue blocking cost of §3.4. Zero means one command.
 	Commands int
 	// After orders this op behind a previously submitted one, possibly on
-	// a different device (the Fig. 9 write-then-read case).
-	After *Ticket
+	// a different device (the Fig. 9 write-then-read case). The zero
+	// Ticket orders nothing.
+	After Ticket
 	// OnComplete, when non-nil, runs in host context when the op finishes
 	// (used by displays to timestamp presented frames).
 	OnComplete func(at time.Duration)
 }
 
-// Ticket tracks one submitted op.
+// Ticket is a handle on one submitted op: its record plus the record's
+// generation at submission. Records are recycled once the op retires, so a
+// ticket whose generation has moved on reads as ready. The signal fence and
+// profiler node are copied into the ticket because both outlive the
+// record: a piggybacked fence stays pending after its op retires.
 type Ticket struct {
-	Cmd *virtio.Command
-	// Fence is the signal fence attached after the op (fence mode only).
-	Fence *fence.Fence
-	// Ready fires when the guest may consider the op complete, with the
-	// mode's notification cost already applied.
-	Ready *sim.Event
+	rec   *opRecord
+	gen   uint64
+	fence fence.Fence // signal fence attached after the op (fence mode only)
+	node  *prof.Node
+}
+
+// live returns the ticket's record while the op has not retired.
+func (t Ticket) live() *opRecord {
+	if t.rec != nil && t.rec.gen == t.gen {
+		return t.rec
+	}
+	return nil
+}
+
+// Ready reports whether the guest may consider the op complete, with the
+// mode's notification cost already applied. The zero Ticket is ready.
+func (t Ticket) Ready() bool {
+	r := t.live()
+	return r == nil || r.done.Fired()
+}
+
+// Wait parks p until the op is ready.
+func (t Ticket) Wait(p *sim.Proc) {
+	if r := t.live(); r != nil {
+		r.done.Wait(p)
+	}
 }
 
 // ProfNode returns the op's critical-path profiler node (nil when
 // profiling is off), so consumers waiting on this ticket can record the
 // op as a wait-for dependency.
-func (t *Ticket) ProfNode() *prof.Node {
-	if t == nil || t.Cmd == nil {
-		return nil
-	}
-	if ho, ok := t.Cmd.Payload.(*hostOp); ok {
-		return ho.node
-	}
-	return nil
-}
+func (t Ticket) ProfNode() *prof.Node { return t.node }
 
 // Stats counts per-device activity.
 type Stats struct {
@@ -170,6 +187,8 @@ type Device struct {
 	domain *hostsim.Domain
 
 	stats Stats
+	// free holds retired op records for reuse.
+	free *opRecord
 	// piggybacked counts fence signals deferred onto a push batch's
 	// completion IRQ (notification batching; kept out of Stats so the
 	// struct's printed form is unchanged with batching off).
@@ -185,14 +204,47 @@ type Device struct {
 	lblCtx  string
 }
 
-// hostOp is the payload carried in ring commands.
-type hostOp struct {
-	op         Op
-	waitFence  *fence.Fence
-	sigFence   *fence.Fence
-	notify     bool       // raise an IRQ at completion (event-driven mode)
-	readyEvent *sim.Event // guest-visible completion (event-driven mode)
-	node       *prof.Node // wait-for graph vertex (profiling only)
+// opRecord is one op in flight: the ring command that carries it (whose
+// payload points back at the record), its guest-visible completion event
+// and its fences. The host retires the record once nothing reads it — at
+// the end of its executor iteration, or in event-driven mode once the
+// completion interrupt has marked it ready — and the device reuses it.
+type opRecord struct {
+	gen  uint64
+	cmd  virtio.Command
+	done sim.Event // fires when the op is ready (Ticket.Wait)
+	op   Op
+	// wait is the predecessor's signal fence (fence mode), waitNode the
+	// predecessor's profiler node, read at submission while it is known.
+	wait     fence.Fence
+	waitNode *prof.Node
+	sig      fence.Fence
+	node     *prof.Node // wait-for graph vertex (profiling only)
+	next     *opRecord  // free-list link
+}
+
+// newRecord takes a retired record from the free list, or builds one.
+func (d *Device) newRecord(env *sim.Env) *opRecord {
+	r := d.free
+	if r == nil {
+		r = &opRecord{done: *sim.NewEvent(env)}
+		r.cmd.Payload = r
+		return r
+	}
+	d.free = r.next
+	r.next = nil
+	r.done.Reset()
+	return r
+}
+
+// retire recycles r: its generation moves on, so every outstanding ticket
+// reads ready, and what it referenced is released.
+func (d *Device) retire(r *opRecord) {
+	r.gen++
+	r.op = Op{}
+	r.wait, r.waitNode, r.sig, r.node = fence.Fence{}, nil, fence.Fence{}, nil
+	r.next = d.free
+	d.free = r
 }
 
 // New creates a virtual device mapped to the given physical device/domain
@@ -274,22 +326,21 @@ func (d *Device) batching() bool { return d.cfg.Transport.Batch.Enabled }
 //   - fence: never blocks on host execution; writes block only for the
 //     prefetch compensation (adaptive synchronism, §3.3).
 //   - atomic: blocks until the host finishes the op.
-//   - event-driven: returns immediately; Ready fires after the completion
-//     interrupt is handled.
-func (d *Device) Submit(p *sim.Proc, op Op) *Ticket {
+//   - event-driven: returns immediately; the ticket turns ready after the
+//     completion interrupt is handled.
+func (d *Device) Submit(p *sim.Proc, op Op) Ticket {
 	d.stats.Submitted++
-	t := &Ticket{}
-	cmd := d.ring.NewCommand(opName(op.Kind), nil)
-	t.Cmd = cmd
-	t.Ready = cmd.Done
-
-	ho := &hostOp{op: op}
-	cmd.Payload = ho
+	rec := d.newRecord(p.Env())
+	rec.op = op
+	rec.cmd.Kind = opName(op.Kind)
+	d.ring.Stamp(&rec.cmd)
 	if d.pf != nil {
 		// The node opens at submission; its base component "ring:queued"
 		// absorbs the dispatch-to-pickup residency.
-		ho.node = d.pf.NewNode(d.lblNode[op.Kind], "ring:queued")
+		rec.node = d.pf.NewNode(d.lblNode[op.Kind], "ring:queued")
 	}
+	t := Ticket{rec: rec, gen: rec.gen, node: rec.node}
+	cmd := &rec.cmd
 
 	extra := op.Commands - 1
 	if extra < 0 {
@@ -297,14 +348,11 @@ func (d *Device) Submit(p *sim.Proc, op Op) *Ticket {
 	}
 	switch d.cfg.Mode {
 	case ModeFence:
-		if op.After != nil && op.After.Fence != nil && !op.After.Fence.Signaled() {
-			ho.waitFence = op.After.Fence
+		if !op.After.fence.Signaled() {
+			rec.wait, rec.waitNode = op.After.fence, op.After.node
 		}
-		ho.sigFence = d.ftab.Alloc()
-		t.Fence = ho.sigFence
-		if d.pf != nil {
-			ho.sigFence.SetProvenance(ho.node)
-		}
+		rec.sig = d.ftab.Alloc()
+		t.fence = rec.sig
 		if d.mimd != nil {
 			paceStart := p.Now()
 			d.mimd.Acquire(p)
@@ -339,22 +387,20 @@ func (d *Device) Submit(p *sim.Proc, op Op) *Ticket {
 			d.pf.Charge(p, "virtio:marshal", marshalStart)
 		}
 		d.ring.Dispatch(p, cmd)
+		// The executor retires the record before this process resumes,
+		// so nothing past the wait may touch it: t carries what is left.
 		waitStart := p.Now()
-		cmd.Done.Wait(p)
+		t.Wait(p)
 		if d.pf != nil {
-			d.pf.Wait(p, "atomic:wait", waitStart, ho.node)
+			d.pf.Wait(p, "atomic:wait", waitStart, t.node)
 		}
 		d.stats.AtomicOps++
 	case ModeEventDriven:
-		ho.notify = true
-		ready := sim.NewEvent(p.Env())
-		t.Ready = ready
-		ho.readyEvent = ready
-		if op.After != nil && !op.After.Ready.Fired() {
+		if !op.After.Ready() {
 			// The guest serializes dependent ops on the completion IRQ
 			// of the predecessor.
 			orderStart := p.Now()
-			op.After.Ready.Wait(p)
+			op.After.Wait(p)
 			if d.pf != nil {
 				d.pf.Wait(p, "irq:order-wait", orderStart, op.After.ProfNode())
 			}
@@ -370,13 +416,14 @@ func (d *Device) Submit(p *sim.Proc, op Op) *Ticket {
 }
 
 func (d *Device) hostLoop(p *sim.Proc) {
+	notify := d.cfg.Mode == ModeEventDriven
 	for {
 		cmd := d.ring.Recv(p)
-		ho := cmd.Payload.(*hostOp)
+		rec := cmd.Payload.(*opRecord)
 		if d.pf != nil {
-			d.pf.Bind(p, ho.node)
+			d.pf.Bind(p, rec.node)
 		}
-		if ho.waitFence != nil {
+		if rec.wait != (fence.Fence{}) {
 			d.stats.FenceWaits++
 			var wsp obs.Span
 			if d.tr != nil {
@@ -384,17 +431,17 @@ func (d *Device) hostLoop(p *sim.Proc) {
 			}
 			fwStart := p.Now()
 			if wd := d.cfg.WatchdogTimeout; wd > 0 {
-				if !ho.waitFence.WaitTimeout(p, wd) {
+				if !rec.wait.WaitTimeout(p, wd) {
 					d.stats.FenceTimeouts++
 					if d.tr != nil {
 						d.tr.Instant(d.tk, "fence-timeout")
 					}
 				}
 			} else {
-				ho.waitFence.Wait(p)
+				rec.wait.Wait(p)
 			}
 			if d.pf != nil {
-				d.pf.Wait(p, "fence:wait", fwStart, ho.waitFence.Provenance())
+				d.pf.Wait(p, "fence:wait", fwStart, rec.waitNode)
 			}
 			if d.tr != nil {
 				d.tr.End(d.tk, wsp)
@@ -406,12 +453,12 @@ func (d *Device) hostLoop(p *sim.Proc) {
 		if d.tr != nil {
 			sp = d.tr.Begin(d.tk, cmd.Kind)
 		}
-		info := d.execute(p, ho)
+		info := d.execute(p, rec)
 		if d.tr != nil {
 			d.tr.End(d.tk, sp)
 		}
 		if d.pf != nil {
-			d.pf.Finish(ho.node) // no-op when execute already finished it
+			d.pf.Finish(rec.node) // no-op when execute already finished it
 			d.pf.Bind(p, nil)
 		}
 		if d.batching() {
@@ -419,30 +466,36 @@ func (d *Device) hostLoop(p *sim.Proc) {
 			// round trip the coalescing windows are sized against.
 			d.ring.ObserveRoundTrip(p.Now() - cmd.EnqueuedAt)
 		}
-		cmd.Done.Signal()
-		if ho.sigFence != nil {
+		if !notify {
+			rec.done.Signal()
+		}
+		if rec.sig != (fence.Fence{}) {
 			if len(info.PushBatches) > 0 {
 				// Fence piggybacking: the signal rides the push batch's
 				// completion IRQ. Downstream waiters then start with the
 				// pushed copy already in place. PushBatches is only ever
 				// non-nil with batching on.
-				d.piggybackFence(ho.sigFence, info.PushBatches)
+				d.piggybackFence(rec.sig, info.PushBatches)
 			} else {
-				ho.sigFence.Signal()
+				rec.sig.Signal()
 			}
 		}
-		if ho.notify {
-			d.irq.Raise(ho)
+		if notify {
+			// The record rides the interrupt; deliverIRQ retires it.
+			d.irq.Raise(rec)
 		}
 		if d.mimd != nil {
 			d.mimd.Complete(d.ring.Pending())
 		}
 		d.stats.Executed++
+		if !notify {
+			d.retire(rec)
+		}
 	}
 }
 
-func (d *Device) execute(p *sim.Proc, ho *hostOp) svm.EndInfo {
-	op := ho.op
+func (d *Device) execute(p *sim.Proc, rec *opRecord) svm.EndInfo {
+	op := rec.op
 	if d.host.SwitchUser(d.Name) {
 		// Taking over the physical device from another virtual device.
 		if d.tr != nil {
@@ -472,8 +525,8 @@ func (d *Device) execute(p *sim.Proc, ho *hostOp) svm.EndInfo {
 			// Finish the node before the callback so a FrameDone fired
 			// inside it sees a completed dependency, and publish it as
 			// the completing op for the final frame wait segment.
-			d.pf.Finish(ho.node)
-			d.pf.SetCompleting(ho.node)
+			d.pf.Finish(rec.node)
+			d.pf.SetCompleting(rec.node)
 		}
 		op.OnComplete(p.Now())
 		if d.pf != nil {
@@ -520,7 +573,7 @@ func (d *Device) accessExec(p *sim.Proc, op Op, usage svm.Usage) svm.EndInfo {
 // piggybackFence defers f's signal onto the completion of the write's push
 // batches: the last batch to finish signals the fence from its completion
 // context, so the fence needs no notification of its own.
-func (d *Device) piggybackFence(f *fence.Fence, batches []*svm.PushBatch) {
+func (d *Device) piggybackFence(f fence.Fence, batches []*svm.PushBatch) {
 	d.piggybacked++
 	if d.tr != nil {
 		d.tr.Instant(d.tk, "fence-piggyback")
@@ -554,10 +607,9 @@ func (d *Device) irqLoop(p *sim.Proc) {
 
 func (d *Device) deliverIRQ(v any) {
 	d.stats.IRQs++
-	ho := v.(*hostOp)
-	if ho.readyEvent != nil {
-		ho.readyEvent.Signal()
-	}
+	rec := v.(*opRecord)
+	rec.done.Signal()
+	d.retire(rec)
 }
 
 func opName(k OpKind) string {

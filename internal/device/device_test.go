@@ -8,8 +8,10 @@ import (
 	"repro/internal/fence"
 	"repro/internal/hostsim"
 	"repro/internal/hypergraph"
+	"repro/internal/prof"
 	"repro/internal/sim"
 	"repro/internal/svm"
+	"repro/internal/virtio"
 )
 
 const ms = time.Millisecond
@@ -33,21 +35,26 @@ type rig struct {
 	gpu   *Device
 }
 
-func newRig(t *testing.T, mode OrderingMode) *rig {
+func newRig(t testing.TB, mode OrderingMode) *rig {
 	return newRigSeeded(t, mode, 3)
 }
 
-func newRigSeeded(t *testing.T, mode OrderingMode, seed int64) *rig {
+func newRigSeeded(t testing.TB, mode OrderingMode, seed int64) *rig {
 	cfg := DefaultConfig()
 	cfg.Mode = mode
 	return newRigCfg(t, cfg, seed)
 }
 
-func newRigCfg(t *testing.T, cfg Config, seed int64) *rig {
+func newRigCfg(t testing.TB, cfg Config, seed int64) *rig {
+	return newRigEnv(t, sim.NewEnv(seed), cfg, svm.DefaultConfig())
+}
+
+// newRigEnv builds the rig on env, whose profiler, if any, must already
+// be attached.
+func newRigEnv(t testing.TB, env *sim.Env, cfg Config, scfg svm.Config) *rig {
 	t.Helper()
-	env := sim.NewEnv(seed)
 	mach := hostsim.HighEndDesktop(env)
-	mgr := svm.NewManager(env, mach, svm.DefaultConfig())
+	mgr := svm.NewManager(env, mach, scfg)
 	mgr.RegisterVirtualDevice(vCodec, "vcodec")
 	mgr.RegisterVirtualDevice(vGPU, "vgpu")
 	mgr.RegisterPhysicalDevice(pCodecHW, "codec-hw", mach.DRAM)
@@ -111,7 +118,7 @@ func TestEventDrivenReadyAfterIRQ(t *testing.T) {
 		start := p.Now()
 		tk := rg.codec.Submit(p, Op{Kind: OpWrite, Region: r.ID, Exec: 10 * ms})
 		submitTook = p.Now() - start
-		tk.Ready.Wait(p)
+		tk.Wait(p)
 		readyAt = p.Now()
 	})
 	rg.env.RunUntil(time.Second)
@@ -136,7 +143,7 @@ func TestFenceOrdersCrossDeviceWriteRead(t *testing.T) {
 	rg.env.Spawn("driver", func(p *sim.Proc) {
 		w := rg.codec.Submit(p, Op{Kind: OpWrite, Region: r.ID, Exec: 20 * ms})
 		rd := rg.gpu.Submit(p, Op{Kind: OpRead, Region: r.ID, Exec: 1 * ms, After: w})
-		rd.Ready.Wait(p)
+		rd.Wait(p)
 		readDone = p.Now()
 	})
 	rg.env.RunUntil(time.Second)
@@ -291,8 +298,7 @@ func TestQuickOrderingMatchesSequentialOracle(t *testing.T) {
 		var order []int
 		okc := true
 		rg.env.Spawn("driver", func(p *sim.Proc) {
-			var prev *Ticket
-			var last *Ticket
+			var prev, last Ticket
 			for i, k := range kinds {
 				dev := rg.codec
 				if k%2 == 1 {
@@ -310,7 +316,7 @@ func TestQuickOrderingMatchesSequentialOracle(t *testing.T) {
 				prev = tk
 				last = tk
 			}
-			last.Ready.Wait(p)
+			last.Wait(p)
 		})
 		rg.env.RunUntil(10 * time.Second)
 		if len(order) != len(kinds) {
@@ -424,5 +430,156 @@ func TestOpOnAlreadyFreedRegionIsDropped(t *testing.T) {
 	}
 	if st.Executed != 1 {
 		t.Fatalf("Executed = %d, want 1", st.Executed)
+	}
+}
+
+var modes = []OrderingMode{ModeFence, ModeAtomic, ModeEventDriven}
+
+// steadyCycle starts a codec driver that runs one write and one dependent
+// read of its own region per call of the returned step: a Submit → execute
+// → retire cycle of two SVM ops.
+func steadyCycle(tb testing.TB, mode OrderingMode) (rg *rig, step func()) {
+	rg = newRig(tb, mode)
+	r, _ := rg.mgr.Alloc(hostsim.MiB)
+	const period = 10 * ms
+	rg.env.Spawn("driver", func(p *sim.Proc) {
+		for {
+			w := rg.codec.Submit(p, Op{Kind: OpWrite, Region: r.ID, Exec: ms})
+			rd := rg.codec.Submit(p, Op{Kind: OpRead, Region: r.ID, Exec: ms, After: w})
+			rd.Wait(p)
+			p.Sleep(period - p.Now()%period)
+		}
+	})
+	return rg, func() { rg.env.RunUntil(rg.env.Now() + period) }
+}
+
+// TestSubmitRetireAllocatesNothing: once the record pools are warm, a
+// cycle allocates nothing in any ordering mode — no op record, command,
+// completion event, fence or SVM access.
+func TestSubmitRetireAllocatesNothing(t *testing.T) {
+	for _, mode := range modes {
+		t.Run(mode.String(), func(t *testing.T) {
+			rg, step := steadyCycle(t, mode)
+			step()
+			if allocs := testing.AllocsPerRun(200, step); allocs != 0 {
+				t.Fatalf("a Submit → execute → retire cycle allocates %.2f, want 0", allocs)
+			}
+			if got := rg.codec.Stats().Executed; got < 2*200 {
+				t.Fatalf("Executed = %d, want at least 400 ops", got)
+			}
+		})
+	}
+}
+
+func BenchmarkSubmit(b *testing.B) {
+	for _, mode := range modes {
+		b.Run(mode.String(), func(b *testing.B) {
+			_, step := steadyCycle(b, mode)
+			step()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				step()
+			}
+		})
+	}
+}
+
+// TestRecycledTicketReadsReady: once a ticket's op has retired and a later
+// op reuses its record, the ticket still reads ready, Wait neither parks
+// nor adds an event, ProfNode keeps the op's node, and as After it orders
+// nothing: no fence wait in fence mode, no IRQ order wait in event-driven
+// mode.
+func TestRecycledTicketReadsReady(t *testing.T) {
+	for _, mode := range modes {
+		t.Run(mode.String(), func(t *testing.T) {
+			env := sim.NewEnv(3)
+			pf := prof.New()
+			env.SetProfiler(pf)
+			cfg := DefaultConfig()
+			cfg.Mode = mode
+			rg := newRigEnv(t, env, cfg, svm.DefaultConfig())
+			env.Spawn("driver", func(p *sim.Proc) {
+				a := rg.codec.Submit(p, Op{Kind: OpExec, Exec: ms})
+				node := a.ProfNode()
+				a.Wait(p)
+				env.Spawn("next", func(p *sim.Proc) {
+					rg.codec.Submit(p, Op{Kind: OpExec, Exec: 50 * ms})
+				})
+				p.Sleep(ms)
+				if a.rec.gen != a.gen+1 || a.rec.done.Fired() {
+					t.Error("the next op is not in flight on a's record")
+					return
+				}
+				if !a.Ready() {
+					t.Error("recycled ticket reads its record's new op")
+				}
+				now, events := p.Now(), env.ExecutedEvents()
+				a.Wait(p)
+				if p.Now() != now || env.ExecutedEvents() != events {
+					t.Errorf("Wait on a recycled ticket parked: %v → %v, %d → %d events",
+						now, p.Now(), events, env.ExecutedEvents())
+				}
+				if node == nil || a.ProfNode() != node || a.rec.node == node {
+					t.Error("recycled ticket lost its profiler node")
+				}
+				start := p.Now()
+				c := rg.gpu.Submit(p, Op{Kind: OpExec, Exec: ms, After: a})
+				if mode == ModeEventDriven && p.Now()-start > ms {
+					t.Errorf("After a recycled ticket waited %v on an IRQ", p.Now()-start)
+				}
+				c.Wait(p)
+				if p.Now() >= 50*ms {
+					t.Errorf("c ordered behind the record's next op, done at %v", p.Now())
+				}
+			})
+			env.RunUntil(time.Second)
+			if got := rg.gpu.Stats().FenceWaits; got != 0 {
+				t.Fatalf("FenceWaits = %d, want 0 after a recycled ticket", got)
+			}
+		})
+	}
+}
+
+// TestRetiredTicketWithPendingFenceStillOrders: with batching on, a write's
+// signal fence rides its push batch and can still be pending after the op
+// has retired and its record is free. The ticket carries the fence, so a
+// fence-mode After still waits for it.
+func TestRetiredTicketWithPendingFenceStillOrders(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Transport.Batch = virtio.EnabledBatch()
+	scfg := svm.DefaultConfig()
+	scfg.Kind = svm.KindBroadcast
+	scfg.Batch = virtio.EnabledBatch()
+	rg := newRigEnv(t, sim.NewEnv(3), cfg, scfg)
+	r, _ := rg.mgr.Alloc(16 * hostsim.MiB)
+	var signaledAt, readDone time.Duration
+	rg.env.Spawn("driver", func(p *sim.Proc) {
+		// A GPU read first, so the codec's write pushes toward VRAM.
+		rg.gpu.Submit(p, Op{Kind: OpRead, Region: r.ID, Exec: ms}).Wait(p)
+		w := rg.codec.Submit(p, Op{Kind: OpWrite, Region: r.ID, Exec: ms})
+		w.Wait(p)
+		if w.live() != nil || w.fence.Signaled() {
+			t.Errorf("want the write retired with its fence pending (live %v, signaled %v)",
+				w.live() != nil, w.fence.Signaled())
+			return
+		}
+		rg.env.Spawn("fence-watch", func(p *sim.Proc) {
+			w.fence.Wait(p)
+			signaledAt = p.Now()
+		})
+		rd := rg.gpu.Submit(p, Op{Kind: OpRead, Region: r.ID, Exec: ms, After: w})
+		rd.Wait(p)
+		readDone = p.Now()
+	})
+	rg.env.RunUntil(time.Second)
+	if rg.codec.PiggybackedFences() != 1 {
+		t.Fatalf("PiggybackedFences = %d, want 1", rg.codec.PiggybackedFences())
+	}
+	if got := rg.gpu.Stats().FenceWaits; got != 1 {
+		t.Fatalf("FenceWaits = %d, want 1", got)
+	}
+	if signaledAt == 0 || readDone < signaledAt+ms {
+		t.Fatalf("read done at %v, want at least 1ms after the fence signaled at %v", readDone, signaledAt)
 	}
 }

@@ -112,7 +112,7 @@ func runBatchingStress(cfg Config, label string, preset emulator.Preset) Batchin
 					bufs = append(bufs, b)
 				}
 				for _, b := range bufs {
-					b.Ticket.Ready.Wait(dp)
+					b.Ticket.Wait(dp)
 				}
 				for _, b := range bufs {
 					q.Queue(dp, b)
@@ -125,7 +125,7 @@ func runBatchingStress(cfg Config, label string, preset emulator.Preset) Batchin
 		ins := make([]*guest.Buffer, 0, slices)
 		for p.Now() < stop {
 			ins = ins[:0]
-			var last *device.Ticket
+			var last device.Ticket
 			for s := 0; s < slices; s++ {
 				in := q.Acquire(p)
 				// Binding the slice as a texture is cheap; the full-frame
@@ -145,7 +145,7 @@ func runBatchingStress(cfg Config, label string, preset emulator.Preset) Batchin
 				Bytes: disp.Size, After: last,
 				Exec: e.RenderCost(workload.MPixels(3840, 2160)),
 			})
-			dt.Ready.Wait(p)
+			dt.Wait(p)
 			for _, in := range ins {
 				q.Release(p, in)
 			}

@@ -119,7 +119,7 @@ func TestPiggybackedFenceSurvivesFaultWindow(t *testing.T) {
 				Bytes: frameBytes, Exec: time.Millisecond,
 				After: in.Ticket,
 			})
-			rt.Ready.Wait(p)
+			rt.Wait(p)
 			q.Release(p, in)
 			frames++
 			lastDone = p.Now()

@@ -13,7 +13,10 @@
 // Fence status lives in a virtual fence table limited to a single 4 KiB
 // guest page shared with the host over MMIO, so status queries are free of
 // transport cost; signaled indices are recycled when the supply of unused
-// indices runs low (§4).
+// indices runs low (§4). A Fence is a value handle, a slot index plus a
+// generation, and slots are recycled in place, so handing out a fence
+// allocates no memory; a handle whose slot has since been recycled reads as
+// signaled.
 //
 // Fence retirement is driven purely by simulated completion events, so
 // signal/wait interleavings are deterministic: equal seeds retire the same
@@ -24,7 +27,6 @@ import (
 	"fmt"
 
 	"repro/internal/obs"
-	"repro/internal/prof"
 	"repro/internal/sim"
 	"repro/internal/virtio"
 )
@@ -32,52 +34,65 @@ import (
 // slotBytes is the shared-page footprint of one fence slot.
 const slotBytes = 32
 
-// fenceState tracks a fence's lifecycle.
-type fenceState int
+// slotState tracks a slot's lifecycle.
+type slotState int
 
 const (
-	stateActive fenceState = iota
-	stateSignaled
+	slotFree slotState = iota
+	slotActive
+	slotSignaled
 )
 
-// Fence is one virtual fence instance. Obtain fences from a Table. A fence
-// pointer stays valid after its slot is recycled: it remains signaled, so
-// late waiters return immediately.
-type Fence struct {
-	table *Table
-	idx   int
-	state fenceState
-	ev    sim.Event // by value: one allocation per Alloc, not two
-	prov  *prof.Node
+// slot is one fence-table entry: the occupant's state, the event its
+// waiters park on (re-armed for each occupant), and the generation naming
+// the occupant.
+type slot struct {
+	gen   uint64 // the occupant's allocation serial, 0 before the first
+	state slotState
+	ev    sim.Event
 }
 
-// SetProvenance records the profiler node of the op that will signal this
-// fence, so waiters can attribute their wait to the signaler's critical
-// path. Fence objects are never recycled (only slots are), so provenance
-// cannot go stale.
-func (f *Fence) SetProvenance(n *prof.Node) { f.prov = n }
+// Fence is a handle on one virtual fence: a slot index plus the generation
+// of the allocation that handed it out. Obtain fences from a Table. A handle
+// outlives its slot's recycling: once the generation has moved on, it
+// reads as signaled, so late waiters return immediately. The zero Fence
+// means "no fence" and reads as signaled too.
+type Fence struct {
+	t    *Table
+	slot int
+	gen  uint64
+}
 
-// Provenance returns the signaling op's profiler node, if recorded.
-func (f *Fence) Provenance() *prof.Node {
-	if f == nil {
+// live returns the slot f names while f is still its occupant, nil for the
+// zero Fence or once the slot has been handed to a later fence.
+func (f Fence) live() *slot {
+	if f.t == nil {
 		return nil
 	}
-	return f.prov
+	if s := &f.t.slots[f.slot]; s.gen == f.gen {
+		return s
+	}
+	return nil
 }
 
 // Signaled reports whether the fence has retired. This is the MMIO status
 // query: free of transport cost.
-func (f *Fence) Signaled() bool { return f.state == stateSignaled }
+func (f Fence) Signaled() bool {
+	s := f.live()
+	return s == nil || s.state != slotActive
+}
 
 // Signal retires the fence, waking all waiters. Signaling twice panics:
-// fences take effect in pairs and a double signal is a protocol bug.
-func (f *Fence) Signal() {
-	if f.state != stateActive {
-		panic(fmt.Sprintf("fence: double signal of fence %d", f.idx))
+// fences take effect in pairs and a double signal is a protocol bug. A
+// handle whose slot has been recycled was necessarily signaled already.
+func (f Fence) Signal() {
+	s := f.live()
+	if s == nil || s.state != slotActive {
+		panic(fmt.Sprintf("fence: double signal of fence %d", f.slot))
 	}
-	f.state = stateSignaled
-	f.ev.Signal()
-	t := f.table
+	s.state = slotSignaled
+	s.ev.Signal()
+	t := f.t
 	t.maybeRecycle(false)
 	if t.tr != nil {
 		t.tr.Instant(t.tk, "signal")
@@ -89,30 +104,39 @@ func (f *Fence) Signal() {
 }
 
 // Wait parks p until the fence retires. Multiple waiters are allowed.
-func (f *Fence) Wait(p *sim.Proc) { f.ev.Wait(p) }
+func (f Fence) Wait(p *sim.Proc) {
+	if s := f.live(); s != nil {
+		s.ev.Wait(p)
+	}
+}
 
 // WaitTimeout parks p until the fence retires or d elapses, reporting
 // whether the fence retired. It is the watchdog face of Wait: when the
 // signaling device is stalled, the waiter gets a diagnosable timeout
 // instead of hanging the simulation.
-func (f *Fence) WaitTimeout(p *sim.Proc, d sim.Time) bool {
-	if f.state == stateSignaled {
+func (f Fence) WaitTimeout(p *sim.Proc, d sim.Time) bool {
+	s := f.live()
+	if s == nil || s.state != slotActive {
 		return true
 	}
-	return f.ev.WaitTimeout(p, d)
+	return s.ev.WaitTimeout(p, d)
 }
 
 // Table is the virtual fence table: a fixed set of fence slots bounded by
-// one shared guest page.
+// one shared guest page. The slots are built on the first Alloc, so an
+// emulator whose ordering mode never allocates a fence pays nothing for
+// its table.
 type Table struct {
-	env   *sim.Env
-	slots []*Fence // current occupant per slot; nil when unused
-	free  []int    // unused slot indices, handed out from the front
+	env      *sim.Env
+	capacity int
+	slots    []slot // nil until the first Alloc
+	free     []int  // unused slot indices, handed out from the front
 	// freeBuf is the whole backing array behind free: reclaiming slots
 	// slides free back to its front instead of reallocating.
 	freeBuf []int
 
-	// stats
+	// stats; allocs doubles as the generation counter, so every fence
+	// handed out carries a distinct generation.
 	allocs   int
 	recycles int
 	peak     int
@@ -122,18 +146,14 @@ type Table struct {
 	inUseGauge *obs.Gauge
 }
 
-// NewTable returns a table backed by a fresh 4 KiB shared page.
+// NewTable returns a table bounded by a fresh 4 KiB shared page.
 func NewTable(env *sim.Env) *Table {
 	page := virtio.NewSharedPage()
 	n := page.Limit / slotBytes
 	if !page.Reserve(n * slotBytes) {
 		panic("fence: slot layout exceeds page")
 	}
-	t := &Table{env: env, slots: make([]*Fence, n), freeBuf: make([]int, n)}
-	for i := range t.freeBuf {
-		t.freeBuf[i] = i
-	}
-	t.free = t.freeBuf
+	t := &Table{env: env, capacity: n}
 	if t.tr = env.Tracer(); t.tr != nil {
 		t.tk = t.tr.Track("fences")
 	}
@@ -146,7 +166,7 @@ func NewTable(env *sim.Env) *Table {
 }
 
 // Capacity returns the total number of fence slots (128 for 4 KiB / 32 B).
-func (t *Table) Capacity() int { return len(t.slots) }
+func (t *Table) Capacity() int { return t.capacity }
 
 // InUse returns occupied slots (active or signaled-but-unrecycled).
 func (t *Table) InUse() int { return len(t.slots) - len(t.free) }
@@ -172,9 +192,9 @@ func (t *Table) maybeRecycle(force bool) {
 	}
 	t.rewindFree()
 	reclaimed := 0
-	for i, f := range t.slots {
-		if f != nil && f.state == stateSignaled {
-			t.slots[i] = nil
+	for i := range t.slots {
+		if s := &t.slots[i]; s.state == slotSignaled {
+			s.state = slotFree
 			t.free = append(t.free, i)
 			t.recycles++
 			reclaimed++
@@ -191,10 +211,24 @@ func (t *Table) rewindFree() {
 	t.free = t.freeBuf[:copy(t.freeBuf, t.free)]
 }
 
+// buildPage lays out the slots on the first Alloc.
+func (t *Table) buildPage() {
+	t.slots = make([]slot, t.capacity)
+	t.freeBuf = make([]int, t.capacity)
+	for i := range t.slots {
+		t.slots[i].ev = *sim.NewEvent(t.env)
+		t.freeBuf[i] = i
+	}
+	t.free = t.freeBuf
+}
+
 // Alloc reserves a fence slot. It panics when every slot holds an active
 // unsignaled fence — a full table of unretired fences means a deadlocked
 // protocol, not a capacity problem.
-func (t *Table) Alloc() *Fence {
+func (t *Table) Alloc() Fence {
+	if t.slots == nil {
+		t.buildPage()
+	}
 	if len(t.free) == 0 {
 		t.maybeRecycle(true)
 	}
@@ -203,9 +237,11 @@ func (t *Table) Alloc() *Fence {
 	}
 	idx := t.free[0]
 	t.free = t.free[1:]
-	f := &Fence{table: t, idx: idx, state: stateActive, ev: *sim.NewEvent(t.env)}
-	t.slots[idx] = f
 	t.allocs++
+	s := &t.slots[idx]
+	s.gen = uint64(t.allocs)
+	s.state = slotActive
+	s.ev.Reset()
 	if in := t.InUse(); in > t.peak {
 		t.peak = in
 	}
@@ -216,5 +252,5 @@ func (t *Table) Alloc() *Fence {
 	if t.inUseGauge != nil {
 		t.inUseGauge.Set(float64(t.InUse()))
 	}
-	return f
+	return Fence{t: t, slot: idx, gen: s.gen}
 }

@@ -30,16 +30,21 @@ func TestSignalWaitPair(t *testing.T) {
 	}
 }
 
-// TestAllocMakesOneAllocation pins the fence's inline event and the
-// rewinding free list: an Alloc/Signal cycle allocates the Fence and nothing
-// else, across many slot recycles.
-func TestAllocMakesOneAllocation(t *testing.T) {
+// TestAllocSignalAllocatesNothing pins the value handles, the in-place
+// slot events and the rewinding free list: once the first Alloc has laid
+// out the page, an Alloc/Signal cycle allocates nothing, across many slot
+// recycles.
+func TestAllocSignalAllocatesNothing(t *testing.T) {
 	env := sim.NewEnv(1)
 	defer env.Close()
 	tab := NewTable(env)
+	tab.Alloc().Signal()
 	allocs := testing.AllocsPerRun(1000, func() { tab.Alloc().Signal() })
-	if allocs != 1 {
-		t.Fatalf("Alloc/Signal allocates %.2f per fence, want 1", allocs)
+	if allocs != 0 {
+		t.Fatalf("Alloc/Signal allocates %.2f per fence, want 0", allocs)
+	}
+	if tab.Recycles() == 0 {
+		t.Fatal("expected the cycles to recycle slots")
 	}
 }
 
@@ -98,8 +103,21 @@ func TestTableCapacityIsOnePage(t *testing.T) {
 	env := sim.NewEnv(1)
 	defer env.Close()
 	tab := NewTable(env)
-	if tab.Capacity() != 4096/slotBytes {
-		t.Fatalf("Capacity = %d, want %d", tab.Capacity(), 4096/slotBytes)
+	// The page is laid out on the first Alloc; the capacity holds before.
+	if tab.slots != nil {
+		t.Fatal("NewTable built the slot page before the first Alloc")
+	}
+	if tab.Capacity() != 4096/slotBytes || tab.InUse() != 0 {
+		t.Fatalf("before Alloc: Capacity = %d, InUse = %d, want %d, 0",
+			tab.Capacity(), tab.InUse(), 4096/slotBytes)
+	}
+	tab.Alloc()
+	if tab.Capacity() != 4096/slotBytes || len(tab.slots) != tab.Capacity() {
+		t.Fatalf("after Alloc: Capacity = %d over %d slots, want %d",
+			tab.Capacity(), len(tab.slots), 4096/slotBytes)
+	}
+	if tab.InUse() != 1 {
+		t.Fatalf("InUse = %d, want 1", tab.InUse())
 	}
 }
 
@@ -148,6 +166,71 @@ func TestStaleFenceHandleStaysSignaledAfterRecycle(t *testing.T) {
 	if !ran {
 		t.Fatal("late waiter on recycled fence hung")
 	}
+}
+
+func TestZeroFenceMeansNoFence(t *testing.T) {
+	env := sim.NewEnv(1)
+	defer env.Close()
+	var f Fence
+	if !f.Signaled() {
+		t.Fatal("the zero Fence must read signaled")
+	}
+	env.Spawn("waiter", func(p *sim.Proc) {
+		f.Wait(p)
+		if !f.WaitTimeout(p, ms) || p.Now() != 0 {
+			t.Errorf("waits on the zero Fence blocked until %v", p.Now())
+		}
+	})
+	env.Run()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("want panic on signaling the zero Fence")
+		}
+	}()
+	f.Signal()
+}
+
+func TestStaleHandleNeverAliasesActiveOccupant(t *testing.T) {
+	// Recycle old's slot until a later fence occupies it and is still
+	// active: the stale handle must read signaled, return from waits at
+	// once, refuse a second signal, and leave the occupant untouched.
+	env := sim.NewEnv(1)
+	defer env.Close()
+	tab := NewTable(env)
+	old := tab.Alloc()
+	old.Signal()
+	var cur Fence
+	for i := 0; i < tab.Capacity()*3; i++ {
+		if cur = tab.Alloc(); cur.slot == old.slot {
+			break
+		}
+		cur.Signal()
+	}
+	if cur.slot != old.slot || cur.Signaled() {
+		t.Fatalf("slot %d never reoccupied by an active fence", old.slot)
+	}
+	if !old.Signaled() {
+		t.Fatal("stale handle reads its slot's active occupant")
+	}
+	env.Spawn("late", func(p *sim.Proc) {
+		old.Wait(p)
+		if !old.WaitTimeout(p, ms) || p.Now() != 0 {
+			t.Errorf("stale waits blocked until %v", p.Now())
+		}
+	})
+	env.Run()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("want panic on signaling a recycled handle")
+			}
+		}()
+		old.Signal()
+	}()
+	if cur.Signaled() {
+		t.Fatal("a stale handle's signal retired the slot's new occupant")
+	}
+	cur.Signal()
 }
 
 func TestExhaustionWithAllActivePanics(t *testing.T) {
@@ -307,7 +390,7 @@ func TestRecyclingUnderPressureKeepsStaleFencesSignaled(t *testing.T) {
 
 	const churn = 1000 // ~8 full table generations
 	env.Spawn("churn", func(p *sim.Proc) {
-		var stale []*Fence
+		var stale []Fence
 		for i := 0; i < churn; i++ {
 			f := tab.Alloc()
 			f.Signal()
@@ -328,7 +411,7 @@ func TestRecyclingUnderPressureKeepsStaleFencesSignaled(t *testing.T) {
 		}
 		for _, f := range stale {
 			if !f.Signaled() {
-				t.Errorf("stale fence %d lost its signaled state after recycle", f.idx)
+				t.Errorf("stale fence %d lost its signaled state after recycle", f.slot)
 			}
 		}
 	})
@@ -357,7 +440,7 @@ func TestRecyclingNeverReclaimsActiveFences(t *testing.T) {
 	defer env.Close()
 	tab := NewTable(env)
 
-	held := make([]*Fence, 0, 100)
+	held := make([]Fence, 0, 100)
 	for i := 0; i < 100; i++ {
 		held = append(held, tab.Alloc())
 	}
@@ -368,14 +451,14 @@ func TestRecyclingNeverReclaimsActiveFences(t *testing.T) {
 	seen := make(map[int]bool)
 	for _, f := range held {
 		if f.Signaled() {
-			t.Fatalf("active fence %d was signaled by recycling", f.idx)
+			t.Fatalf("active fence %d was signaled by recycling", f.slot)
 		}
-		if seen[f.idx] {
-			t.Fatalf("two active fences share slot %d", f.idx)
+		if seen[f.slot] {
+			t.Fatalf("two active fences share slot %d", f.slot)
 		}
-		seen[f.idx] = true
-		if tab.slots[f.idx] != f {
-			t.Fatalf("slot %d no longer holds its active fence", f.idx)
+		seen[f.slot] = true
+		if s := tab.slots[f.slot]; s.gen != f.gen || s.state != slotActive {
+			t.Fatalf("slot %d no longer holds its active fence", f.slot)
 		}
 	}
 	for _, f := range held {

@@ -19,7 +19,7 @@ type Buffer struct {
 
 	// Ticket is the producer's last write ticket, used by the consumer to
 	// order its read behind the write (fence mode) or await completion.
-	Ticket *device.Ticket
+	Ticket device.Ticket
 
 	// PTS is the presentation timestamp assigned by the producer
 	// (MediaCodec semantics, §5.4); zero when unused.
@@ -86,7 +86,7 @@ func (q *BufferQueue) TryAcquire() (*Buffer, bool) { return q.filled.TryGet() }
 
 // Release returns a consumed buffer to the producer.
 func (q *BufferQueue) Release(p *sim.Proc, b *Buffer) {
-	b.Ticket = nil
+	b.Ticket = device.Ticket{}
 	b.PTS = 0
 	b.SourceTime = 0
 	b.Dirty = 0

@@ -1,6 +1,7 @@
 package guest
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -55,6 +56,34 @@ func TestVSyncLateWaiterCatchesNextTick(t *testing.T) {
 	env.RunUntil(50 * ms)
 	if woke != 20*ms {
 		t.Fatalf("late waiter woke at %v, want 20ms", woke)
+	}
+}
+
+// TestVSyncTickAllocatesNothing: the clock re-arms one event, so a tick
+// that wakes several waiters, in the order they began waiting, allocates
+// nothing once warm.
+func TestVSyncTickAllocatesNothing(t *testing.T) {
+	env := sim.NewEnv(1)
+	defer env.Close()
+	v := NewVSync(env, 10*ms)
+	var order []string
+	for _, name := range []string{"a", "b", "c"} {
+		env.Spawn(name, func(p *sim.Proc) {
+			for i := 0; i < 200; i++ { // more ticks than the test runs
+				v.Wait(p)
+				if len(order) < cap(order) {
+					order = append(order, name)
+				}
+			}
+		})
+	}
+	order = make([]string, 0, 6)
+	env.RunUntil(20 * ms)
+	if got := fmt.Sprint(order); got != "[a b c a b c]" {
+		t.Fatalf("wake order %s, want [a b c a b c]", got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { env.RunUntil(env.Now() + 10*ms) }); allocs != 0 {
+		t.Fatalf("a VSync tick allocates %.2f, want 0", allocs)
 	}
 }
 

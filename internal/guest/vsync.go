@@ -19,18 +19,19 @@ import (
 
 // VSync is a periodic display-synchronization clock (Android's VSYNC).
 type VSync struct {
-	next *sim.Event
+	// next fires at the coming tick; each tick signals it and re-arms it
+	// for the one after.
+	next sim.Event
 }
 
 // NewVSync starts a VSync clock with the given period (16.67 ms for 60 Hz).
 // The first tick fires one period from now.
 func NewVSync(env *sim.Env, period time.Duration) *VSync {
-	v := &VSync{next: sim.NewEvent(env)}
+	v := &VSync{next: *sim.NewEvent(env)}
 	var fire func()
 	fire = func() {
-		cur := v.next
-		v.next = sim.NewEvent(env)
-		cur.Signal()
+		v.next.Signal()
+		v.next.Reset()
 		env.After(period, fire)
 	}
 	env.After(period, fire)

@@ -226,6 +226,67 @@ func TestEventSingleWaiterAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestEventOverwrittenBeforeWokenWaitersResume: an event embedded in a
+// recycled record can be re-armed, or zeroed, between its Signal and the
+// resumption of the waiters it woke. Both waits must resume at the signal
+// instant without reading the event again.
+func TestEventOverwrittenBeforeWokenWaitersResume(t *testing.T) {
+	env := NewEnv(1)
+	defer env.Close()
+	ev := NewEvent(env)
+	var woke, timedWoke Time = -1, -1
+	env.Spawn("waiter", func(p *Proc) {
+		ev.Wait(p)
+		woke = p.Now()
+	})
+	env.Spawn("timed", func(p *Proc) {
+		if ev.WaitTimeout(p, time.Second) {
+			timedWoke = p.Now()
+		}
+	})
+	env.After(5*ms, func() {
+		ev.Signal()
+		*ev = Event{}
+	})
+	if r := recovered(env.Run); r != nil {
+		t.Fatalf("a woken waiter read its overwritten event: %v", r)
+	}
+	if woke != 5*ms || timedWoke != 5*ms {
+		t.Fatalf("waiters resumed at %v and %v, want 5ms", woke, timedWoke)
+	}
+}
+
+// TestEventResetRearms: a reset event blocks new waiters until its next
+// Signal, while the waiters of the previous arming resume at theirs; reset
+// of an event that still has waiters panics.
+func TestEventResetRearms(t *testing.T) {
+	env := NewEnv(1)
+	defer env.Close()
+	ev := NewEvent(env)
+	var woke []Time
+	wait := func(p *Proc) {
+		ev.Wait(p)
+		woke = append(woke, p.Now())
+	}
+	env.Spawn("first", wait)
+	env.After(ms, func() {
+		ev.Signal()
+		ev.Reset()
+		env.Spawn("second", wait)
+	})
+	env.After(3*ms, ev.Signal)
+	env.Run()
+	if len(woke) != 2 || woke[0] != ms || woke[1] != 3*ms {
+		t.Fatalf("woke at %v, want [1ms 3ms]", woke)
+	}
+	ev.Reset()
+	env.Spawn("blocked", func(p *Proc) { ev.Wait(p) })
+	env.Run()
+	if r := recovered(ev.Reset); r == nil {
+		t.Fatal("Reset of an event with a waiter did not panic")
+	}
+}
+
 // TestEventWakeOrderSurvivesRemoval: when the first waiter times out, the
 // others still wake in the order they began waiting, ahead of later ones.
 func TestEventWakeOrderSurvivesRemoval(t *testing.T) {

@@ -14,7 +14,9 @@ type waiter struct {
 }
 
 // Event is a one-shot broadcast: processes wait until some party signals,
-// after which all current and future waits return immediately.
+// after which all current and future waits return immediately. Reset
+// re-arms a fired event, so one Event can be embedded by value in a
+// recycled record or serve a recurring condition.
 type Event struct {
 	env   *Env
 	fired bool
@@ -45,7 +47,20 @@ func (ev *Event) Signal() {
 	for _, w := range ev.waiters {
 		ev.wake(w)
 	}
-	ev.w1, ev.waiters = nil, nil
+	ev.w1 = nil
+	clear(ev.waiters)
+	ev.waiters = ev.waiters[:0] // kept for the next arming (Reset)
+}
+
+// Reset re-arms a fired event. Processes the previous Signal woke still
+// resume: a waiter reads nothing from the event after it parks, so the
+// event may be reset, or overwritten, before they run. Reset panics when
+// processes wait on the unfired event, since they would never wake.
+func (ev *Event) Reset() {
+	if ev.w1 != nil {
+		panic("sim: Reset of an event with waiters")
+	}
+	ev.fired = false
 }
 
 func (ev *Event) wake(w *waiter) {
@@ -88,10 +103,11 @@ func (ev *Event) Wait(p *Proc) {
 	if ev.fired {
 		return
 	}
-	w := ev.env.getWaiter(p)
+	env := ev.env // ev may be reset or recycled before p resumes
+	w := env.getWaiter(p)
 	ev.addWaiter(w)
 	p.park()
-	ev.env.putWaiter(w)
+	env.putWaiter(w)
 }
 
 // WaitTimeout blocks p until the event fires or d elapses. It reports true
@@ -103,14 +119,17 @@ func (ev *Event) WaitTimeout(p *Proc, d Time) bool {
 	if ev.fired {
 		return true
 	}
-	w := ev.env.getWaiter(p)
+	env := ev.env // as in Wait: nothing is read from ev after park
+	w := env.getWaiter(p)
 	ev.addWaiter(w)
-	t := ev.env.AfterFunc(d, func() {
+	t := env.AfterFunc(d, func() {
+		// Still registered, so ev has not fired and cannot have been
+		// reset or recycled.
 		if !w.woke {
 			w.woke = true
 			w.timedOut = true
 			ev.removeWaiter(w)
-			ev.env.schedule(ev.env.now, w.p, nil)
+			env.schedule(env.now, w.p, nil)
 		}
 	})
 	p.park()
@@ -120,6 +139,6 @@ func (ev *Event) WaitTimeout(p *Proc, d Time) bool {
 	}
 	// The timer either fired or was stopped, so its closure — the only
 	// other reference to w — is gone and the registration can be recycled.
-	ev.env.putWaiter(w)
+	env.putWaiter(w)
 	return !timedOut
 }

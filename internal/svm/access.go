@@ -10,15 +10,39 @@ import (
 	"repro/internal/sim"
 )
 
-// Access is one open access to a region, created by BeginAccess and closed
-// by End — the begin_access/end_access pair of the Fig. 3 interface.
+// Access is a handle on one open access to a region, created by
+// BeginAccess and closed by End — the begin_access/end_access pair of the
+// Fig. 3 interface. The access lives in a record its Manager recycles once
+// End has run; the handle names the record and its generation, so End on
+// any copy of an ended handle, or on the zero Access, returns
+// ErrAccessEnded.
 type Access struct {
+	rec *accessRec
+	gen uint64
+}
+
+// accessRec is the state of one open access.
+type accessRec struct {
 	m     *Manager
+	gen   uint64
 	r     *Region
 	acc   Accessor
 	usage Usage
 	bytes hostsim.Bytes
-	ended bool
+	next  *accessRec // free-list link
+}
+
+// openAccess records a begun access in a recycled record.
+func (m *Manager) openAccess(r *Region, acc Accessor, usage Usage, bytes hostsim.Bytes) Access {
+	rec := m.freeAccess
+	if rec == nil {
+		rec = &accessRec{m: m}
+	} else {
+		m.freeAccess = rec.next
+		rec.next = nil
+	}
+	rec.r, rec.acc, rec.usage, rec.bytes = r, acc, usage, bytes
+	return Access{rec: rec, gen: rec.gen}
 }
 
 // EndInfo is returned by End. Compensation is how long the guest driver
@@ -39,16 +63,16 @@ type EndInfo struct {
 // (dirty) range; 0 means the whole region. For read usages the call blocks
 // until acc's domain holds the current data — the blocking time is the
 // access latency the paper measures.
-func (m *Manager) BeginAccess(p *sim.Proc, id RegionID, acc Accessor, usage Usage, bytes hostsim.Bytes) (*Access, error) {
+func (m *Manager) BeginAccess(p *sim.Proc, id RegionID, acc Accessor, usage Usage, bytes hostsim.Bytes) (Access, error) {
 	r, err := m.Region(id)
 	if err != nil {
-		return nil, err
+		return Access{}, err
 	}
 	if bytes == 0 {
 		bytes = r.Size
 	}
 	if bytes < 0 || bytes > r.Size {
-		return nil, ErrBadSize
+		return Access{}, ErrBadSize
 	}
 	start := p.Now()
 	var asp obs.AsyncSpan
@@ -91,7 +115,7 @@ func (m *Manager) BeginAccess(p *sim.Proc, id RegionID, acc Accessor, usage Usag
 	if usage.writes() {
 		m.stats.Writes++
 	}
-	return &Access{m: m, r: r, acc: acc, usage: usage, bytes: bytes}, nil
+	return m.openAccess(r, acc, usage, bytes), nil
 }
 
 // materialize lazily commits the region's backing on first access (§3.2).
@@ -163,53 +187,59 @@ func (m *Manager) trackReadFlow(r *Region, acc Accessor, bytes hostsim.Bytes, re
 // End closes the access. For writes it commits a new version, invalidates
 // remote copies, and lets the protocol react (push, broadcast, or guest
 // sync); the returned compensation is applied by the guest driver.
-func (a *Access) End(p *sim.Proc) (EndInfo, error) {
-	if a.ended {
+func (a Access) End(p *sim.Proc) (EndInfo, error) {
+	rec := a.rec
+	if rec == nil || rec.gen != a.gen {
 		return EndInfo{}, ErrAccessEnded
 	}
-	a.ended = true
-	m, r := a.m, a.r
+	m, r, acc, usage, bytes := rec.m, rec.r, rec.acc, rec.usage, rec.bytes
+	// Retire the record before anything can block: End is the access's
+	// last use of it, and a later BeginAccess may take it over.
+	rec.gen++
+	rec.r, rec.acc = nil, Accessor{}
+	rec.next = m.freeAccess
+	m.freeAccess = rec
 	var info EndInfo
-	if a.usage.writes() && r.freed {
+	if usage.writes() && r.freed {
 		// The region was freed while the write was in flight: there is no
 		// live version to commit into, so the data is gone. Surface the
 		// use-after-free instead of silently dropping the commit, and keep
 		// the never-landed bytes out of the useful-throughput numerator.
 		return EndInfo{}, ErrFreed
 	}
-	if a.usage.writes() {
+	if usage.writes() {
 		var asp obs.AsyncSpan
 		var tk obs.Track
 		if m.tr != nil {
-			tk = m.trackFor(a.acc.Name)
+			tk = m.trackFor(acc.Name)
 			asp = m.tr.BeginAsync(tk, "commit")
 			defer func() { m.tr.EndAsync(tk, asp) }()
 		}
 		// Unconsumed pushed copies of the previous version are waste.
 		for _, dom := range r.accessedDomains {
 			if r.delivered[dom] && r.copies[dom] == r.version {
-				m.stats.BytesWasted += a.bytes
+				m.stats.BytesWasted += bytes
 			}
 			delete(r.delivered, dom)
 		}
 		r.version++
-		r.owner = a.acc.Domain
+		r.owner = acc.Domain
 		clear(r.copies)
-		r.copies[a.acc.Domain] = r.version
+		r.copies[acc.Domain] = r.version
 		r.hasWriter = true
-		r.lastWriter = a.acc
+		r.lastWriter = acc
 		r.genVirtuals = r.genVirtuals[:0]
 		r.genPhysicals = r.genPhysicals[:0]
 		r.predChecked = false
 		if m.coal != nil {
 			m.coal.beginWrite()
 		}
-		info.Compensation = m.proto.onWriteEnd(p, r, a.acc, a.bytes)
+		info.Compensation = m.proto.onWriteEnd(p, r, acc, bytes)
 		if m.coal != nil {
 			info.PushBatches = m.coal.takeWriteBatches()
 		}
 		r.lastWriteEnd = p.Now()
 	}
-	m.stats.BytesAccessed += a.bytes
+	m.stats.BytesAccessed += bytes
 	return info, nil
 }

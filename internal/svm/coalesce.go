@@ -122,7 +122,7 @@ func (c *pushCoalescer) enqueue(r *Region, from, dom *hostsim.Domain,
 	bytes hostsim.Bytes, recordTiming bool) *PushBatch {
 
 	m := c.m
-	inf := &inflightFetch{done: sim.NewEvent(m.env), version: r.version}
+	inf := &inflightFetch{done: *sim.NewEvent(m.env), version: r.version}
 	r.inflight[dom] = inf
 	m.stats.CoherencePushes++
 	it := batchItem{r: r, from: from, bytes: bytes, version: r.version,

@@ -70,10 +70,10 @@ func (h *Module) RegionOf(hd Handle) (RegionID, error) {
 // BeginAccess begins a CPU access to the shared memory. usage specifies
 // RO/WO/RW; bytes bounds the accessed range (0 = whole region). The
 // returned Access stands in for the mapped virtual address.
-func (h *Module) BeginAccess(p *sim.Proc, hd Handle, usage Usage, bytes hostsim.Bytes) (*Access, error) {
+func (h *Module) BeginAccess(p *sim.Proc, hd Handle, usage Usage, bytes hostsim.Bytes) (Access, error) {
 	id, ok := h.handles[hd]
 	if !ok {
-		return nil, ErrUnknownHandle
+		return Access{}, ErrUnknownHandle
 	}
 	return h.m.BeginAccess(p, id, h.cpu, usage, bytes)
 }

@@ -128,7 +128,7 @@ func (m *Manager) asyncPush(r *Region, from, dom *hostsim.Domain, bytes hostsim.
 		return
 	}
 	version := r.version
-	inf := &inflightFetch{done: sim.NewEvent(m.env), version: version}
+	inf := &inflightFetch{done: *sim.NewEvent(m.env), version: version}
 	if m.pf != nil {
 		inf.node = m.pf.NewNode("svm:push", "svm:push-pending")
 	}

@@ -12,7 +12,7 @@ import (
 // inflightFetch tracks one asynchronous copy (prefetch or broadcast push)
 // toward a domain.
 type inflightFetch struct {
-	done    *sim.Event
+	done    sim.Event // by value: one allocation per push, not two
 	version uint64
 	// node is the push's wait-for graph vertex (the batch's vertex when
 	// the push rides a coalesced batch); nil when profiling is off.

@@ -177,6 +177,8 @@ type Manager struct {
 	stats    Stats
 	observer AccessObserver
 	fetchObs FetchObserver
+	// freeAccess holds ended access records for reuse.
+	freeAccess *accessRec
 
 	// Observability (all nil-safe when tracing is off). Accessor tracks
 	// are interned lazily: most runs touch a handful of accessors.

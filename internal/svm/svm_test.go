@@ -183,6 +183,66 @@ func TestDoubleEndFails(t *testing.T) {
 	}
 }
 
+func TestEndOnCopyOfEndedAccessFails(t *testing.T) {
+	// Access is a value handle: every copy must see the End, even after
+	// the record behind it has been reused by a later access.
+	rg := newRig(t, KindPrefetch)
+	r, _ := rg.m.Alloc(hostsim.MiB)
+	var second, reused, zero error
+	rg.env.Spawn("t", func(p *sim.Proc) {
+		a, _ := rg.m.BeginAccess(p, r.ID, rg.cpu, UsageWrite, 0)
+		cp := a
+		_, _ = a.End(p)
+		_, second = cp.End(p)
+		b, _ := rg.m.BeginAccess(p, r.ID, rg.cpu, UsageRead, 0)
+		if b.rec != a.rec {
+			t.Error("the next access did not reuse the ended access's record")
+		}
+		_, reused = cp.End(p)
+		if _, err := b.End(p); err != nil {
+			t.Errorf("End of the live access: %v", err)
+		}
+		_, zero = Access{}.End(p)
+	})
+	rg.env.Run()
+	for name, err := range map[string]error{"copy": second, "copy after reuse": reused, "zero Access": zero} {
+		if err != ErrAccessEnded {
+			t.Errorf("End on %s = %v, want ErrAccessEnded", name, err)
+		}
+	}
+}
+
+// TestSteadyCycleAllocatesNoAccess: access records are recycled, so a
+// warm write->read cycle allocates no Access. What a cycle still
+// allocates is the coherence push: its in-flight record (with its done
+// event inline), the push closure and its process.
+func TestSteadyCycleAllocatesNoAccess(t *testing.T) {
+	for kind, want := range map[Kind]float64{
+		KindWriteInvalidate: 0, KindGuestSync: 0, KindPrefetch: 3, KindBroadcast: 3,
+	} {
+		t.Run(kind.String(), func(t *testing.T) {
+			rg := newRig(t, kind)
+			r, _ := rg.m.Alloc(16 * hostsim.MiB)
+			const period = 20 * time.Millisecond
+			rg.env.Spawn("pipeline", func(p *sim.Proc) {
+				for {
+					info := rg.write(t, p, r.ID, rg.codec)
+					p.Sleep(info.Compensation + 16*time.Millisecond)
+					rg.read(t, p, r.ID, rg.gpu)
+					p.Sleep(period - p.Now()%period)
+				}
+			})
+			step := func() { rg.env.RunUntil(rg.env.Now() + period) }
+			for i := 0; i < 5; i++ {
+				step()
+			}
+			if got := testing.AllocsPerRun(100, step); got != want {
+				t.Fatalf("write->read cycle allocates %.0f, want %.0f", got, want)
+			}
+		})
+	}
+}
+
 func TestSameDomainReadIsFree(t *testing.T) {
 	// Codec and a second reader in the same domain: the in-GPU-style
 	// shortest path — no coherence copy at all (§3.2).
@@ -730,7 +790,7 @@ func TestAccessAccessorsAndStats(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if a.r != r || a.usage != UsageWrite || a.bytes != hostsim.MiB {
+		if a.rec.r != r || a.rec.usage != UsageWrite || a.rec.bytes != hostsim.MiB {
 			t.Error("access accessors wrong")
 		}
 		if r.owner != nil {

@@ -30,16 +30,16 @@ func TestElidedKickSurvivesPeerIdleRace(t *testing.T) {
 	})
 	env.Spawn("guest", func(p *sim.Proc) {
 		// t=0: host is blocked in Recv with the ring empty -> kick.
-		r.Dispatch(p, r.NewCommand("a", nil))
+		r.Dispatch(p, newCmd(r, "a"))
 		p.Sleep(10 * us)
 		// t=32us: host is executing "a" until t=72us -> kick elided; the
 		// host's next Recv finds "b" already queued.
-		r.Dispatch(p, r.NewCommand("b", nil))
+		r.Dispatch(p, newCmd(r, "b"))
 		p.Sleep(128 * us)
 		// t=162us: host drained the ring at t=122us, republished idle, and
 		// blocked -> the race resolved toward idle, so this dispatch must
 		// pay the kick that wakes it.
-		r.Dispatch(p, r.NewCommand("c", nil))
+		r.Dispatch(p, newCmd(r, "c"))
 	})
 	env.Run()
 

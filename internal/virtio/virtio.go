@@ -90,14 +90,12 @@ type Stats struct {
 }
 
 // Command is one unit of work dispatched from a guest driver to a host
-// virtual device.
+// virtual device. The driver owns the command and may reuse it once the
+// host has finished with it; Stamp gives each use its sequence number.
 type Command struct {
 	Kind    string
 	Payload any
 	Seq     uint64
-	// Done fires when the host finishes executing the command. Guest
-	// drivers wait on it only in synchronous (atomic) modes.
-	Done *sim.Event
 	// EnqueuedAt is the virtual time the guest dispatched the command.
 	EnqueuedAt time.Duration
 }
@@ -105,7 +103,6 @@ type Command struct {
 // Ring is a virtqueue: a FIFO of commands from a guest driver to its host
 // device counterpart.
 type Ring struct {
-	env   *sim.Env
 	cfg   Config
 	q     *sim.Queue[*Command]
 	seq   uint64
@@ -129,7 +126,7 @@ type Ring struct {
 // NewRing returns a ring with unbounded descriptor capacity (flow control
 // is layered above, see internal/flowcontrol).
 func NewRing(env *sim.Env, name string, cfg Config) *Ring {
-	r := &Ring{env: env, cfg: cfg, q: sim.NewQueue[*Command](env, 0), peerIdle: true}
+	r := &Ring{cfg: cfg, q: sim.NewQueue[*Command](env, 0), peerIdle: true}
 	if r.tr = env.Tracer(); r.tr != nil {
 		r.tk = r.tr.Track("vq:" + name)
 	}
@@ -150,10 +147,11 @@ func NewRing(env *sim.Env, name string, cfg Config) *Ring {
 	return r
 }
 
-// NewCommand builds a command bound to this ring's sequence space.
-func (r *Ring) NewCommand(kind string, payload any) *Command {
+// Stamp gives c the next number in this ring's sequence space (the
+// trace's async id for the command's queue residency).
+func (r *Ring) Stamp(c *Command) {
 	r.seq++
-	return &Command{Kind: kind, Payload: payload, Seq: r.seq, Done: sim.NewEvent(r.env)}
+	c.Seq = r.seq
 }
 
 // Dispatch publishes one command and kicks the host. The calling guest

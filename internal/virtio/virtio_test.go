@@ -9,13 +9,33 @@ import (
 
 const us = time.Microsecond
 
+// newCmd returns a caller-owned command stamped in r's sequence space.
+func newCmd(r *Ring, kind string) *Command {
+	c := &Command{Kind: kind}
+	r.Stamp(c)
+	return c
+}
+
+func TestStampNumbersCommandsInOrder(t *testing.T) {
+	env := sim.NewEnv(1)
+	defer env.Close()
+	r := NewRing(env, "q", Config{})
+	var c Command
+	r.Stamp(&c)
+	first := c.Seq
+	r.Stamp(&c) // a reused command takes the next number
+	if first != 1 || c.Seq != 2 {
+		t.Fatalf("Seq = %d then %d, want 1 then 2", first, c.Seq)
+	}
+}
+
 func TestDispatchPaysKickAndMarshal(t *testing.T) {
 	env := sim.NewEnv(1)
 	defer env.Close()
 	r := NewRing(env, "q", Config{})
 	var after time.Duration
 	env.Spawn("guest", func(p *sim.Proc) {
-		r.Dispatch(p, r.NewCommand("write", nil))
+		r.Dispatch(p, newCmd(r, "write"))
 		after = p.Now()
 	})
 	env.Run()
@@ -30,7 +50,7 @@ func TestBatchSingleKick(t *testing.T) {
 	r := NewRing(env, "q", Config{})
 	var after time.Duration
 	env.Spawn("guest", func(p *sim.Proc) {
-		cmds := []*Command{r.NewCommand("a", nil), r.NewCommand("b", nil), r.NewCommand("c", nil)}
+		cmds := []*Command{newCmd(r, "a"), newCmd(r, "b"), newCmd(r, "c")}
 		r.DispatchBatch(p, cmds)
 		after = p.Now()
 	})
@@ -55,7 +75,7 @@ func TestRingFIFODelivery(t *testing.T) {
 	})
 	env.Spawn("guest", func(p *sim.Proc) {
 		for i := 0; i < 3; i++ {
-			r.Dispatch(p, r.NewCommand("x", i))
+			r.Dispatch(p, newCmd(r, "x"))
 		}
 	})
 	env.Run()
@@ -74,12 +94,14 @@ func TestCommandDoneRoundTrip(t *testing.T) {
 	env.Spawn("host", func(p *sim.Proc) {
 		c := r.Recv(p)
 		p.Sleep(100 * us) // host execution
-		c.Done.Signal()
+		c.Payload.(*sim.Event).Signal()
 	})
 	env.Spawn("guest", func(p *sim.Proc) {
-		c := r.NewCommand("write", nil)
+		done := sim.NewEvent(env)
+		c := newCmd(r, "write")
+		c.Payload = done
 		r.Dispatch(p, c)
-		c.Done.Wait(p) // atomic/synchronous mode
+		done.Wait(p) // atomic/synchronous mode
 		doneAt = p.Now()
 	})
 	env.Run()
@@ -122,8 +144,8 @@ func TestPendingCount(t *testing.T) {
 	defer env.Close()
 	r := NewRing(env, "q", Config{})
 	env.Spawn("guest", func(p *sim.Proc) {
-		r.Dispatch(p, r.NewCommand("a", nil))
-		r.Dispatch(p, r.NewCommand("b", nil))
+		r.Dispatch(p, newCmd(r, "a"))
+		r.Dispatch(p, newCmd(r, "b"))
 	})
 	env.Run()
 	if r.Pending() != 2 {

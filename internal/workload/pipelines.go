@@ -29,7 +29,7 @@ func startVideoProducer(e *emulator.Emulator, spec *Spec, q *guest.BufferQueue, 
 			// MediaCodec hands the output buffer to the app only when the
 			// decode completes (host completion is visible through the
 			// shared fence status, so this wait costs no transport).
-			tk.Ready.Wait(p)
+			tk.Wait(p)
 			b.Ticket = tk
 			b.Seq = seq
 			b.PTS = time.Duration(seq) * period
@@ -100,7 +100,7 @@ func startCameraPipeline(p *sim.Proc, e *emulator.Emulator, spec *Spec, out *gue
 			outB.Seq = in.Seq
 			outB.PTS = in.PTS
 			outB.SourceTime = in.SourceTime
-			wt.Ready.Wait(ip) // converted frame available
+			wt.Wait(ip) // converted frame available
 			camQ.Release(ip, in)
 			out.Queue(ip, outB)
 		}
@@ -160,7 +160,7 @@ func startLivestreamPipeline(p *sim.Proc, e *emulator.Emulator, spec *Spec, out 
 			outB.Seq = in.Seq
 			outB.PTS = in.PTS
 			outB.SourceTime = in.SourceTime
-			wt.Ready.Wait(dp) // decoded frame available
+			wt.Wait(dp) // decoded frame available
 			nicQ.Release(dp, in)
 			out.Queue(dp, outB)
 		}

@@ -154,7 +154,7 @@ func runFrameLoopApp(e *emulator.Emulator, kind PopularKind, spec Spec) (*Result
 					if _, err := a.End(rp); err != nil {
 						return
 					}
-					b.Ticket = nil
+					b.Ticket = device.Ticket{}
 					b.Dirty = dirty
 				}
 				b.Seq = seq

@@ -205,7 +205,7 @@ func (s *sink) run(p *sim.Proc) {
 		})
 		// The buffer may be reused once the GPU has sampled it.
 		readyStart := p.Now()
-		last.Ready.Wait(p)
+		last.Wait(p)
 		if pf != nil {
 			pf.Wait(p, "ready:wait", readyStart, last.ProfNode())
 		}
@@ -282,7 +282,7 @@ func (s *sink) runLatestWins(p *sim.Proc) {
 			},
 		})
 		readyStart := p.Now()
-		last.Ready.Wait(p)
+		last.Wait(p)
 		if pf != nil {
 			pf.Wait(p, "ready:wait", readyStart, last.ProfNode())
 		}
