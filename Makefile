@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check build vet test docs-check bench-module race bench-smoke examples-smoke chaos-smoke trace-smoke tune-smoke mon-smoke bench perf-smoke perf-gate verify
+.PHONY: check build vet test docs-check bench-module race bench-smoke examples-smoke sim-smoke chaos-smoke trace-smoke tune-smoke mon-smoke bench perf-smoke perf-gate verify
 
 check: vet build test docs-check bench-module
 
@@ -59,6 +59,17 @@ bench-smoke:
 examples-smoke:
 	@for e in examples/*/; do \
 		$(GO) run ./$$e > /dev/null || { echo "examples-smoke: $$e failed" >&2; exit 1; }; \
+	done
+
+# vsocsim gate: every app of its -app table, the five Table 1 categories and
+# the three popular-app kinds, runs three ways: a plain run with -v, a
+# monitored run (-mon) and a two-guest farm (-guests 2). Each must exit 0.
+sim-smoke:
+	$(GO) build -o /tmp/vsoc-sim ./cmd/vsocsim
+	@for a in uhd 360 camera ar livestream heavy3d ui social; do \
+		for f in -v -mon "-guests 2"; do \
+			/tmp/vsoc-sim -app $$a -duration 2s $$f > /dev/null || { echo "sim-smoke: -app $$a $$f failed" >&2; exit 1; }; \
+		done; \
 	done
 
 # Fault-injection gate: the faults package under the race detector, plus one
@@ -129,4 +140,4 @@ perf-smoke: bench
 perf-gate: bench
 	$(GO) run ./cmd/vsocperf $(PERF_NOISY) BENCH.json /tmp/vsoc-bench.json
 
-verify: check race bench-smoke examples-smoke chaos-smoke trace-smoke tune-smoke mon-smoke perf-smoke perf-gate
+verify: check race bench-smoke examples-smoke sim-smoke chaos-smoke trace-smoke tune-smoke mon-smoke perf-smoke perf-gate

@@ -69,20 +69,15 @@ import (
 
 func main() {
 	var cfg experiments.Config
+	cfg.BindFlags(flag.CommandLine)
 	exp := flag.String("exp", "all", "experiment to run, or a comma-separated list ("+experiments.ExperimentNames()+")")
-	flag.DurationVar(&cfg.Duration, "duration", 30*time.Second, "simulated duration per app")
 	flag.IntVar(&cfg.AppsPerCategory, "apps", 10, "apps per emerging category")
 	flag.IntVar(&cfg.PopularApps, "popular", 25, "popular apps to run")
-	flag.Int64Var(&cfg.Seed, "seed", 1, "simulation seed")
 	flag.IntVar(&cfg.Workers, "workers", 0, "concurrent app sessions (0 = one per CPU, 1 = serial)")
 	flag.StringVar(&cfg.TracePath, "trace", "", "write Chrome/Perfetto trace JSON where the experiment supports it (see -h)")
 	flag.BoolVar(&cfg.Metrics, "metrics", false, "append a metrics dump to supporting experiment reports (overhead, robustness)")
 	flag.StringVar(&cfg.ProfilePath, "profile", "", "write the folded-stack flamegraph export where the experiment supports it (see -h)")
 	jsonPath := flag.String("json", "", "write the machine-readable bench report (for cmd/vsocperf) to this path")
-	flag.BoolVar(&cfg.Fetch, "fetch", false, "enable chunked, DMA-promoted demand fetches (DESIGN.md §11) for supporting experiments (micro, fig16)")
-	flag.BoolVar(&cfg.Fleet, "fleet", false, "enable fleet telemetry (DESIGN.md §13) for the shardscale farm: QoS/SLO report and the window loop's wall-clock split")
-	flag.BoolVar(&cfg.Monitor, "mon", false, "enable the streaming telemetry engine (DESIGN.md §15) for supporting experiments (shardscale); phasedload monitors unconditionally")
-	flag.StringVar(&cfg.MonPath, "monout", "", "write the machine-readable monitor report (for cmd/vsocmon) to this path (phasedload; shardscale with -mon)")
 	flag.Usage = func() {
 		out := flag.CommandLine.Output()
 		fmt.Fprintf(out, "Usage of %s:\n", os.Args[0])

@@ -11,7 +11,9 @@
 // regression and makes vsocperf exit 1. The default threshold applies to
 // every metric; -metric overrides it per metric name and may repeat.
 // A threshold is a non-negative fraction: a negative or NaN -threshold
-// exits 2 with usage, as -metric rejects one.
+// exits 2 with usage, as -metric rejects one. A -metric naming a metric
+// neither report holds also exits 2, so a stale override cannot pass
+// unnoticed.
 // A metric the old report holds and the new one lacks is a dropped metric
 // and also makes vsocperf exit 1: a gate cannot pass on a measurement that
 // disappeared. Metrics only the new report holds are listed but never fail
@@ -25,6 +27,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -106,11 +109,33 @@ func main() {
 		fmt.Fprintf(os.Stderr, "vsocperf: %v\n", err)
 		os.Exit(2)
 	}
+	if err := checkOverrides(th, oldRep, newRep); err != nil {
+		fmt.Fprintf(os.Stderr, "vsocperf: %v\n", err)
+		os.Exit(2)
+	}
 	if failures := diff(os.Stdout, oldRep, newRep, th); failures > 0 {
 		fmt.Printf("FAIL: %d regressed or dropped metric(s)\n", failures)
 		os.Exit(1)
 	}
 	fmt.Println("OK: no regressions")
+}
+
+// checkOverrides rejects each -metric override that names a metric
+// neither report holds.
+func checkOverrides(th *thresholds, oldRep, newRep *experiments.Report) error {
+	var names []string
+	for name := range th.per {
+		_, inOld := oldRep.Lookup(name)
+		_, inNew := newRep.Lookup(name)
+		if !inOld && !inNew {
+			names = append(names, name)
+		}
+	}
+	if len(names) == 0 {
+		return nil
+	}
+	sort.Strings(names)
+	return fmt.Errorf("-metric %s: no such metric in either report", strings.Join(names, ", "))
 }
 
 // diff prints the metric-by-metric comparison and returns how many metrics

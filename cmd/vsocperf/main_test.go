@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/experiments"
@@ -159,6 +160,38 @@ func TestCheckFlags(t *testing.T) {
 		}
 		if err := (&thresholds{}).Set("m=" + tc.val); (err == nil) != tc.ok {
 			t.Errorf("-metric m=%s: %v, want ok=%v", tc.val, err, tc.ok)
+		}
+	}
+}
+
+// TestUnknownOverrideRejected: a -metric override naming a metric neither
+// report holds is an error that names it; one naming a metric of either
+// report is accepted.
+func TestUnknownOverrideRejected(t *testing.T) {
+	oldRep := sampleReport(1)
+	newRep := experiments.NewBenchReport(map[string][]experiments.BenchMetric{
+		"micro": append(sampleReport(1).Metrics,
+			experiments.BenchMetric{Name: "micro.new_metric", Value: 1, Unit: "count", Better: "higher"}),
+	})
+	for _, tc := range []struct {
+		override string
+		ok       bool
+	}{
+		{"micro.frames=0.1", true},
+		{"micro.new_metric=0.1", true},
+		{"foo=2", false},
+		{"micro.frame=0.1", false},
+	} {
+		th := &thresholds{def: 0.05}
+		if err := th.Set(tc.override); err != nil {
+			t.Fatal(err)
+		}
+		err := checkOverrides(th, oldRep, newRep)
+		if (err == nil) != tc.ok {
+			t.Errorf("-metric %s: %v, want ok=%v", tc.override, err, tc.ok)
+		}
+		if name, _, _ := strings.Cut(tc.override, "="); err != nil && !strings.Contains(err.Error(), name) {
+			t.Errorf("-metric %s: error %q does not name the override", tc.override, err)
 		}
 	}
 }

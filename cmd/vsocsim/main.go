@@ -4,17 +4,20 @@
 //
 // Usage:
 //
-//	vsocsim [-emulator vsoc|gae|qemu|ldplayer|bluestacks|trinity|vsoc-noprefetch|vsoc-nofence]
+//	vsocsim [-emulator vsoc|gae|qemu|ldplayer|bluestacks|trinity|vsoc-noprefetch|vsoc-nofence|native]
 //	        [-machine highend|midend|pixel]
 //	        [-app uhd|360|camera|ar|livestream|heavy3d|ui|social]
-//	        [-duration 30s] [-seed 1] [-v] [-guests N] [-fleet] [-mon] [-monout mon.json]
+//	        [-duration 30s] [-seed 1] [-fetch] [-v] [-guests N] [-fleet] [-mon]
+//	        [-monout mon.json]
 //
-// With -guests N the command switches to farm mode: N guest instances of
-// the app run on one physical host (DESIGN.md §12), assembled and driven by
-// experiments.RunFarm, the code behind `vsocbench -exp shardscale`: 2 ms
-// windows, with the shared-host arbiter coupling their PCIe links at each
-// window barrier (here with no aggregate cap). Per-guest results are
-// deterministic per seed; the trailing events/s line measures the host.
+// Every app, emerging or popular, starts through workload.StartEmerging, so
+// each takes every flag. With -guests N the command switches to farm mode:
+// N guest instances of the app run on one physical host (DESIGN.md §12),
+// assembled and driven by experiments.RunFarm, the code behind `vsocbench
+// -exp shardscale`: 2 ms windows, with the shared-host arbiter coupling
+// their PCIe links at each window barrier (here with no aggregate cap).
+// Per-guest results are deterministic per seed; the trailing events/s line
+// measures the host.
 //
 // -fleet (farm mode only) attaches the fleet observability layer
 // (DESIGN.md §13): it appends the per-tenant QoS/SLO fleet report and the
@@ -23,13 +26,14 @@
 //
 // -mon attaches the streaming telemetry engine (DESIGN.md §15): windowed
 // virtual-time rollups, online SLO/anomaly detectors, and the incident
-// flight recorder. In single mode the run is driven at window grain
-// (emerging apps only); in farm mode windows seal at the window barriers.
-// Observe-only like -fleet. -monout writes the machine-readable monitor
-// report for cmd/vsocmon to render.
+// flight recorder. In single mode the run is driven at window grain and
+// the monitor report follows the result; in farm mode windows seal at the
+// window barriers. Observe-only like -fleet. -monout writes the
+// machine-readable monitor report for cmd/vsocmon to render.
 //
-// A negative -guests, or -fleet without -guests, exits 2 with a usage
-// error.
+// A non-positive -duration, a negative -guests, -fleet without -guests, -v
+// with -guests (a farm has no single session to print), or -monout without
+// -mon exits 2 with a usage error.
 package main
 
 import (
@@ -67,19 +71,14 @@ var machinesByName = map[string]experiments.MachineSpec{
 
 func main() {
 	var cfg experiments.Config
+	cfg.BindFlags(flag.CommandLine)
 	emuName := flag.String("emulator", "vsoc", "emulator preset")
 	machName := flag.String("machine", "highend", "machine preset")
 	appName := flag.String("app", "uhd", "app kind (uhd, 360, camera, ar, livestream, heavy3d, ui, social)")
-	flag.DurationVar(&cfg.Duration, "duration", 30*time.Second, "simulated duration")
-	flag.Int64Var(&cfg.Seed, "seed", 1, "simulation seed")
 	verbose := flag.Bool("v", false, "print SVM internals")
-	fetch := flag.Bool("fetch", false, "enable chunked, DMA-promoted demand fetches (DESIGN.md §11)")
 	guests := flag.Int("guests", 0, "farm mode: run N guest instances of the app on one host (DESIGN.md §12); 0 = single instance")
-	flag.BoolVar(&cfg.Fleet, "fleet", false, "farm mode: append the fleet QoS/SLO report and the window loop's wall-clock split (DESIGN.md §13)")
-	flag.BoolVar(&cfg.Monitor, "mon", false, "attach the streaming telemetry engine (DESIGN.md §15): windowed rollups, online detectors, incident flight recorder")
-	flag.StringVar(&cfg.MonPath, "monout", "", "write the machine-readable monitor report (for cmd/vsocmon) to this path")
 	flag.Parse()
-	if err := checkFlags(cfg.Duration, *guests, cfg.Fleet); err != nil {
+	if err := checkFlags(cfg, *guests, *verbose); err != nil {
 		fmt.Fprintf(os.Stderr, "vsocsim: %v\n", err)
 		flag.Usage()
 		os.Exit(2)
@@ -93,44 +92,64 @@ func main() {
 	if !ok {
 		die("unknown machine %q", *machName)
 	}
+	app := strings.ToLower(*appName)
+	appSpec, ok := appSpecs[app]
+	if !ok {
+		die("unknown app %q", *appName)
+	}
 
 	preset := presetFn()
-	if *fetch {
+	if cfg.Fetch {
 		preset.Fetch = hostsim.EnabledFetch()
 	}
 	if *guests > 0 {
-		runFarm(cfg, preset, machine, strings.ToLower(*appName), *guests)
+		runFarm(cfg, preset, machine, app, appSpec, *guests)
 		return
 	}
-	if cfg.Monitor {
-		runMonitoredSingle(cfg, preset, machine, strings.ToLower(*appName))
-		return
-	}
+	runSingle(cfg, preset, machine, app, appSpec(0, cfg.Duration), *verbose)
+}
+
+// appSpecs maps each -app name to the spec of its app number app: the
+// five Table 1 categories and the three popular-app kinds.
+var appSpecs = map[string]func(app int, d time.Duration) workload.Spec{
+	"uhd":        emerging(emulator.CatUHDVideo),
+	"360":        emerging(emulator.Cat360Video),
+	"camera":     emerging(emulator.CatCamera),
+	"ar":         emerging(emulator.CatAR),
+	"livestream": emerging(emulator.CatLivestream),
+	"heavy3d":    popular(workload.PopularHeavy3D),
+	"ui":         popular(workload.PopularUI),
+	"social":     popular(workload.PopularSocialVideo),
+}
+
+func emerging(cat int) func(int, time.Duration) workload.Spec {
+	return func(app int, d time.Duration) workload.Spec { return workload.DefaultSpec(cat, app, d) }
+}
+
+func popular(kind workload.PopularKind) func(int, time.Duration) workload.Spec {
+	return func(app int, d time.Duration) workload.Spec { return workload.PopularSpec(kind, app, d) }
+}
+
+// runSingle runs one app and prints its result, then with -v the SVM
+// framework's internals, then with -mon the monitor report. The monitor
+// seals its windows as the run passes each boundary; without it the run
+// is a plain RunUntil.
+func runSingle(cfg experiments.Config, preset emulator.Preset, machine experiments.MachineSpec, app string, spec workload.Spec, verbose bool) {
 	sess := workload.NewSession(preset, machine.New, cfg.Seed)
 	defer sess.Close()
-
-	var r *workload.Result
-	var err error
-	switch strings.ToLower(*appName) {
-	case "uhd":
-		r, err = workload.RunEmerging(sess.Emulator, workload.DefaultSpec(emulator.CatUHDVideo, 0, cfg.Duration))
-	case "360":
-		r, err = workload.RunEmerging(sess.Emulator, workload.DefaultSpec(emulator.Cat360Video, 0, cfg.Duration))
-	case "camera":
-		r, err = workload.RunEmerging(sess.Emulator, workload.DefaultSpec(emulator.CatCamera, 0, cfg.Duration))
-	case "ar":
-		r, err = workload.RunEmerging(sess.Emulator, workload.DefaultSpec(emulator.CatAR, 0, cfg.Duration))
-	case "livestream":
-		r, err = workload.RunEmerging(sess.Emulator, workload.DefaultSpec(emulator.CatLivestream, 0, cfg.Duration))
-	case "heavy3d":
-		r, err = workload.RunPopular(sess.Emulator, workload.PopularHeavy3D, workload.PopularSpec(workload.PopularHeavy3D, 0, cfg.Duration))
-	case "ui":
-		r, err = workload.RunPopular(sess.Emulator, workload.PopularUI, workload.PopularSpec(workload.PopularUI, 0, cfg.Duration))
-	case "social":
-		r, err = workload.RunPopular(sess.Emulator, workload.PopularSocialVideo, workload.PopularSpec(workload.PopularSocialVideo, 0, cfg.Duration))
-	default:
-		die("unknown app %q", *appName)
+	var mon *tsmon.Monitor
+	var seal func(time.Duration)
+	if cfg.Monitor {
+		mon = tsmon.New(tsmon.Config{Tenants: []tsmon.TenantConfig{experiments.FarmTenant("g0:"+app, spec.Category)}})
+		experiments.WireGuest(sess, 0, nil, mon)
+		seal = mon.Seal
 	}
+	pd, err := workload.StartEmerging(sess.Emulator, spec)
+	if err != nil {
+		die("run failed: %v", err)
+	}
+	sess.Env.RunUntilEvery(pd.Stop(), tsmon.WindowWidth, seal)
+	r, err := pd.Wait()
 	if err != nil {
 		die("run failed: %v", err)
 	}
@@ -143,7 +162,7 @@ func main() {
 			r.Latency.Mean(), r.Latency.Percentile(95), r.Latency.Percentile(99))
 	}
 
-	if *verbose {
+	if verbose {
 		st := sess.SVMStats()
 		fmt.Printf("\nSVM framework (%s protocol):\n", sess.Emulator.Manager.Kind())
 		fmt.Printf("  accesses            %d (%d writes, %d reads)\n", st.Accesses, st.Writes, st.Reads)
@@ -171,36 +190,37 @@ func main() {
 			fmt.Printf("  thermal             %.0f C, throttled=%v\n", th.Temperature(), th.Throttled())
 		}
 	}
+	if mon != nil {
+		mon.Finalize(pd.Stop())
+		printMonitor(mon.Report(), cfg.MonPath)
+	}
 }
 
 // checkFlags rejects a non-positive -duration, which would otherwise run
-// the session default (0) or fail before the app starts (negative), and the
-// farm flags checkFarmFlags rejects.
-func checkFlags(duration time.Duration, guests int, fleet bool) error {
-	return errors.Join(experiments.CheckDuration(duration), checkFarmFlags(guests, fleet))
+// the session default (0) or fail before the app starts (negative),
+// -monout without -mon, which would write nothing, and the farm flags
+// checkFarmFlags rejects.
+func checkFlags(cfg experiments.Config, guests int, verbose bool) error {
+	var monErr error
+	if cfg.MonPath != "" && !cfg.Monitor {
+		monErr = errors.New("-monout needs -mon")
+	}
+	return errors.Join(experiments.CheckDuration(cfg.Duration), monErr, checkFarmFlags(guests, cfg.Fleet, verbose))
 }
 
-// checkFarmFlags rejects farm flags that would otherwise be silently
-// ignored: a negative guest count, and -fleet outside farm mode.
-func checkFarmFlags(guests int, fleet bool) error {
+// checkFarmFlags rejects flags that farm mode would otherwise silently
+// ignore or lack: a negative guest count, -fleet outside farm mode, and -v
+// (one session's SVM internals) in farm mode.
+func checkFarmFlags(guests int, fleet, verbose bool) error {
 	switch {
 	case guests < 0:
 		return fmt.Errorf("-guests must be >= 0, got %d", guests)
 	case fleet && guests == 0:
 		return errors.New("-fleet needs farm mode (-guests N)")
+	case verbose && guests > 0:
+		return errors.New("-v prints a single run's SVM internals; farm mode (-guests N) has none")
 	}
 	return nil
-}
-
-// farmCategories maps the emerging app names onto their Table 1 category
-// (the popular-app kinds drive their own environment loop and cannot join a
-// shard group).
-var farmCategories = map[string]int{
-	"uhd":        emulator.CatUHDVideo,
-	"360":        emulator.Cat360Video,
-	"camera":     emulator.CatCamera,
-	"ar":         emulator.CatAR,
-	"livestream": emulator.CatLivestream,
 }
 
 // printMonitor prints the monitor report, and writes its machine-readable
@@ -216,46 +236,14 @@ func printMonitor(rep *tsmon.MonReport, path string) {
 	}
 }
 
-// runMonitoredSingle runs one guest with the streaming telemetry engine
-// attached, driving the simulation at window grain so rollups seal as
-// virtual time passes each boundary. Emerging apps only: the popular-app
-// kinds drive their own environment loop.
-func runMonitoredSingle(cfg experiments.Config, preset emulator.Preset, machine experiments.MachineSpec, app string) {
-	cat, ok := farmCategories[app]
-	if !ok {
-		die("-mon supports the emerging apps only (uhd, 360, camera, ar, livestream)")
-	}
-	sess := workload.NewSession(preset, machine.New, cfg.Seed)
-	defer sess.Close()
-	mon := tsmon.New(tsmon.Config{Tenants: []tsmon.TenantConfig{experiments.FarmTenant("g0:"+app, cat)}})
-	experiments.WireGuest(sess, 0, nil, mon)
-	pd, err := workload.StartEmerging(sess.Emulator, workload.DefaultSpec(cat, 0, cfg.Duration))
-	if err != nil {
-		die("run failed: %v", err)
-	}
-	sess.Env.RunUntilEvery(pd.Stop(), tsmon.WindowWidth, mon.Seal)
-	r, err := pd.Wait()
-	if err != nil {
-		die("run failed: %v", err)
-	}
-	fmt.Println(r)
-	fmt.Printf("frames=%d drops=%d (stale %d, deadline %d)\n",
-		r.Frames, r.Drops, r.StaleDrops, r.DeadlineDrops)
-	mon.Finalize(pd.Stop())
-	printMonitor(mon.Report(), cfg.MonPath)
-}
-
-// runFarm runs n guest instances of the app as a farm, guest g seeded
-// seed+g*1000003.
-func runFarm(cfg experiments.Config, preset emulator.Preset, machine experiments.MachineSpec, app string, n int) {
-	cat, ok := farmCategories[app]
-	if !ok {
-		die("-guests farm mode supports the emerging apps only (uhd, 360, camera, ar, livestream)")
-	}
+// runFarm runs n guest instances of the app as a farm, guest g running app
+// number g seeded seed+g*1000003.
+func runFarm(cfg experiments.Config, preset emulator.Preset, machine experiments.MachineSpec, app string, appSpec func(int, time.Duration) workload.Spec, n int) {
 	guests := make([]experiments.FarmGuest, n)
 	for g := range guests {
+		spec := appSpec(g, cfg.Duration)
 		name := fmt.Sprintf("g%d:%s", g, app)
-		guests[g] = experiments.FarmGuest{Cat: cat, Tenant: experiments.FarmTenant(name, cat), Seed: cfg.Seed + int64(g)*1000003}
+		guests[g] = experiments.FarmGuest{Spec: spec, Tenant: experiments.FarmTenant(name, spec.Category), Seed: cfg.Seed + int64(g)*1000003}
 	}
 	run, err := experiments.RunFarm(cfg, preset, machine, guests, 0)
 	if err != nil {

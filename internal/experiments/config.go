@@ -12,6 +12,7 @@
 package experiments
 
 import (
+	"flag"
 	"fmt"
 	"time"
 
@@ -73,6 +74,18 @@ type Config struct {
 	// MonPath, when set, is where supporting experiments write the
 	// machine-readable monitor report (cmd/vsocmon renders it).
 	MonPath string
+}
+
+// BindFlags binds the flags vsocbench and vsocsim share to c's fields on
+// fs: -duration, -seed, -fetch, -fleet, -mon and -monout. Each command
+// rejects the ones its selected runs do not honour.
+func (c *Config) BindFlags(fs *flag.FlagSet) {
+	fs.DurationVar(&c.Duration, "duration", 30*time.Second, "simulated duration per app")
+	fs.Int64Var(&c.Seed, "seed", 1, "simulation seed")
+	fs.BoolVar(&c.Fetch, "fetch", false, "enable chunked, DMA-promoted demand fetches (DESIGN.md §11)")
+	fs.BoolVar(&c.Fleet, "fleet", false, "attach fleet telemetry to a farm (DESIGN.md §13): QoS/SLO report and the window loop's wall-clock split")
+	fs.BoolVar(&c.Monitor, "mon", false, "attach the streaming telemetry engine (DESIGN.md §15): windowed rollups, online detectors, incident flight recorder")
+	fs.StringVar(&c.MonPath, "monout", "", "write the machine-readable monitor report (for cmd/vsocmon) to this path")
 }
 
 // The flag rules below are shared by the commands, so a count or duration

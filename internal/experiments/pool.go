@@ -80,8 +80,8 @@ type cell struct {
 	// profile attaches a critical-path profiler, read back through
 	// Session.Env.Profiler; without it the session is a plain one.
 	profile bool
-	// setup, when set, adjusts the session and the emerging app's spec
-	// before the run.
+	// setup, when set, adjusts the session and the app's spec before the
+	// run.
 	setup func(*workload.Session, *workload.Spec)
 }
 
@@ -129,18 +129,16 @@ func sweep[R any](cfg Config, cells []cell, keep func(*workload.Session, *worklo
 		}
 		s := workload.NewProfiledSession(c.preset, c.machine.New, c.seed, nil, nil, pf)
 		defer s.Close()
-		var r *workload.Result
-		var err error
+		var spec workload.Spec
 		if c.popular {
-			kind := workload.PopularKind(c.cat)
-			r, err = workload.RunPopular(s.Emulator, kind, workload.PopularSpec(kind, c.app, cfg.Duration))
+			spec = workload.PopularSpec(workload.PopularKind(c.cat), c.app, cfg.Duration)
 		} else {
-			spec := workload.DefaultSpec(c.cat, c.app, cfg.Duration)
-			if c.setup != nil {
-				c.setup(s, &spec)
-			}
-			r, err = workload.RunEmerging(s.Emulator, spec)
+			spec = workload.DefaultSpec(c.cat, c.app, cfg.Duration)
 		}
+		if c.setup != nil {
+			c.setup(s, &spec)
+		}
+		r, err := workload.RunEmerging(s.Emulator, spec)
 		if err != nil {
 			var zero R
 			return zero

@@ -57,10 +57,10 @@ func FarmTenant(name string, cat int) fleetobs.TenantConfig {
 	return tc
 }
 
-// FarmGuest is one guest of a farm: the Table 1 category its app runs, its
-// tenant contract, and its session seed.
+// FarmGuest is one guest of a farm: the app it runs, its tenant contract,
+// and its session seed.
 type FarmGuest struct {
-	Cat    int
+	Spec   workload.Spec
 	Tenant fleetobs.TenantConfig
 	Seed   int64
 }
@@ -99,9 +99,9 @@ func (r *FarmRun) EventsPerSec() float64 {
 }
 
 // RunFarm builds a farm of preset on machine (DESIGN.md §12) and runs it.
-// Each guest gets its own session with its app started for cfg.Duration. A
-// shared host arbitrates the guests' PCIe links under pcieBudget bytes/s
-// (0 = uncapped) at the barriers of one window group. The fleet layer
+// Each guest gets its own session with its app started. A shared host
+// arbitrates the guests' PCIe links under pcieBudget bytes/s (0 =
+// uncapped) at the barriers of one window group. The fleet layer
 // (cfg.Fleet) and the monitor (cfg.Monitor) are wired to every guest; both
 // observe only, so results are byte-identical with either on or off. The
 // group runs to the last guest's stop time, and only that run is timed. An
@@ -133,7 +133,7 @@ func RunFarm(cfg Config, preset emulator.Preset, machine MachineSpec, guests []F
 		defer sess.Close()
 		envs[g], machs[g] = sess.Env, sess.Machine
 		WireGuest(sess, g, fl, mon)
-		pd, err := workload.StartEmerging(sess.Emulator, workload.DefaultSpec(gu.Cat, g, cfg.Duration))
+		pd, err := workload.StartEmerging(sess.Emulator, gu.Spec)
 		if err != nil {
 			return nil, fmt.Errorf("guest %d: %w", g, err)
 		}
@@ -200,7 +200,8 @@ func RunShardScale(cfg Config) *ShardScaleResult {
 	guests := make([]FarmGuest, shardFarmGuests)
 	for g, cat := range shardFarmCategories {
 		name := fmt.Sprintf("g%d:%s", g, emulator.CategoryNames[cat])
-		guests[g] = FarmGuest{Cat: cat, Tenant: FarmTenant(name, cat), Seed: appSeed(cfg.Seed, 700+g, cat, 0)}
+		guests[g] = FarmGuest{Spec: workload.DefaultSpec(cat, g, cfg.Duration),
+			Tenant: FarmTenant(name, cat), Seed: appSeed(cfg.Seed, 700+g, cat, 0)}
 	}
 	run, err := RunFarm(cfg, emulator.VSoC(), HighEnd, guests, shardFarmPCIeBudget)
 	if err != nil {

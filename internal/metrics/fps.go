@@ -7,7 +7,6 @@ import "time"
 // paper samples FPS through `adb dumpsys` (§5.3).
 type FPSCounter struct {
 	frames    int
-	dropped   int
 	hasFirst  bool
 	first     time.Duration
 	perSecond map[int64]int
@@ -26,14 +25,8 @@ func (c *FPSCounter) Present(t time.Duration) {
 	c.perSecond[int64(t/time.Second)]++
 }
 
-// Drop records a frame that missed its deadline and was discarded.
-func (c *FPSCounter) Drop() { c.dropped++ }
-
 // Frames returns the number of presented frames.
 func (c *FPSCounter) Frames() int { return c.frames }
-
-// Dropped returns the number of dropped frames.
-func (c *FPSCounter) Dropped() int { return c.dropped }
 
 // FPS returns presented frames divided by the observation span. The span is
 // measured from the first presented frame to end; pass the workload duration

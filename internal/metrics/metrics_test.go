@@ -175,17 +175,6 @@ func TestFPSCounterEmpty(t *testing.T) {
 	}
 }
 
-func TestFPSCounterDropRate(t *testing.T) {
-	c := &FPSCounter{}
-	c.Present(0)
-	c.Present(time.Second / 60)
-	c.Present(2 * time.Second / 60)
-	c.Drop()
-	if c.Frames() != 3 || c.Dropped() != 1 {
-		t.Fatalf("frames/dropped = %d/%d, want 3/1", c.Frames(), c.Dropped())
-	}
-}
-
 func TestFPSPerSecond(t *testing.T) {
 	c := &FPSCounter{}
 	for i := 0; i < 90; i++ { // 60 in second 0, 30 in second 1

@@ -42,9 +42,10 @@ func (pd *Pending) Wait() (*Result, error) {
 	return pd.s.result(pd.e, &pd.spec), nil
 }
 
-// RunEmerging runs one emerging app (any Table 1 category) on an assembled
-// emulator and returns its result. It drives the emulator's environment
-// until the spec duration elapses; the caller owns env setup and Close.
+// RunEmerging runs any app (a Table 1 category or a PopularSpec app) on an
+// assembled emulator and returns its result. It drives the emulator's
+// environment until the spec duration elapses; the caller owns env setup
+// and Close.
 //
 // Returns an error when the emulator cannot run the category at all
 // (Trinity lacks camera/encoder support, §5.3).
@@ -57,7 +58,7 @@ func RunEmerging(e *emulator.Emulator, spec Spec) (*Result, error) {
 	return pd.Wait()
 }
 
-// StartEmerging launches an emerging app's processes without driving the
+// StartEmerging launches any app's processes without driving the
 // environment, so several apps can share one emulator concurrently.
 func StartEmerging(e *emulator.Emulator, spec Spec) (*Pending, error) {
 	spec.normalize()
@@ -66,24 +67,30 @@ func StartEmerging(e *emulator.Emulator, spec Spec) (*Pending, error) {
 		if e.Camera == nil {
 			return nil, fmt.Errorf("workload: %s does not support cameras", e.Preset.Name)
 		}
+	case catFrameLoop:
+		if spec.popular != PopularHeavy3D && spec.popular != PopularUI {
+			return nil, fmt.Errorf("workload: popular kind %d is not a frame-loop app", spec.popular)
+		}
 	}
 	stop := e.Env.Now() + spec.Duration
 	pd := &Pending{e: e, spec: spec, stop: stop}
 
 	e.Env.Spawn("app-main", func(p *sim.Proc) {
-		var contentBytes hostsim.Bytes
+		contentBytes, overlay := spec.VideoFrameBytes(), spec.UIDirtyFraction
 		switch spec.Category {
 		case emulator.CatCamera, emulator.CatAR:
 			contentBytes = FrameBytes(spec.VideoW, spec.VideoH, 4) // ISP RGBA output
-		default:
-			contentBytes = spec.VideoFrameBytes()
+		case catFrameLoop:
+			// The app renders into display surfaces; the status-bar/HUD
+			// overlay is small next to them.
+			contentBytes, overlay = spec.DisplayFrameBytes(), 0.08
 		}
 		q, err := guest.NewBufferQueue(p, e.HAL, spec.Buffers, contentBytes)
 		if err != nil {
 			pd.err = err
 			return
 		}
-		ui, err := newUIOverlay(p, e, &pd.spec, stop)
+		ui, err := newUIOverlay(p, e, &pd.spec, overlay, stop)
 		if err != nil {
 			pd.err = err
 			return
@@ -102,11 +109,14 @@ func StartEmerging(e *emulator.Emulator, spec Spec) (*Pending, error) {
 		if spec.ARWorkload {
 			s.cpuPerFrame = 4 * time.Millisecond // pose tracking on the guest CPU
 		}
-		// Real apps spend variable CPU time per frame on UI logic, audio,
-		// and housekeeping; the jitter makes tight pipelines jank.
-		rng := e.Env.Rand()
-		s.appWork = func() time.Duration {
-			return time.Millisecond + time.Duration(rng.Float64()*3*float64(time.Millisecond))
+		if spec.Category != catFrameLoop {
+			// Real apps spend variable CPU time per frame on UI logic,
+			// audio, and housekeeping; the jitter makes tight pipelines
+			// jank. A frame-loop app's render loop does that work.
+			rng := e.Env.Rand()
+			s.appWork = func() time.Duration {
+				return time.Millisecond + time.Duration(rng.Float64()*3*float64(time.Millisecond))
+			}
 		}
 
 		pd.s = s
@@ -123,6 +133,8 @@ func StartEmerging(e *emulator.Emulator, spec Spec) (*Pending, error) {
 				pd.err = err
 				return
 			}
+		case catFrameLoop:
+			startFrameLoop(e, &pd.spec, q, stop)
 		default:
 			pd.err = fmt.Errorf("workload: unknown category %d", spec.Category)
 			return
@@ -137,6 +149,10 @@ func renderCostFor(e *emulator.Emulator, spec *Spec) func() time.Duration {
 	mp := MPixels(spec.VideoW, spec.VideoH)
 	base := e.RenderCost(mp)
 	switch {
+	case spec.Category == catFrameLoop:
+		// SurfaceFlinger composition of the app surface.
+		comp := e.RenderCost(MPixels(spec.DisplayW, spec.DisplayH) / 4)
+		return func() time.Duration { return comp }
 	case spec.ARWorkload:
 		// 3D overlay anchored on the camera stream.
 		extra := e.GPU3DCost()

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"time"
 
 	"repro/internal/device"
@@ -23,9 +24,10 @@ type uiOverlay struct {
 }
 
 // newUIOverlay allocates the overlay and starts the guest UI thread, which
-// redraws dirty bytes each frame period.
-func newUIOverlay(p *sim.Proc, e *emulator.Emulator, spec *Spec, stop time.Duration) (*uiOverlay, error) {
-	if spec.UIDirtyFraction <= 0 {
+// redraws the dirtyFraction share of it each frame period (0 disables the
+// overlay).
+func newUIOverlay(p *sim.Proc, e *emulator.Emulator, spec *Spec, dirtyFraction float64, stop time.Duration) (*uiOverlay, error) {
+	if dirtyFraction <= 0 {
 		return nil, nil
 	}
 	h, err := e.HAL.Alloc(p, spec.DisplayFrameBytes())
@@ -38,11 +40,11 @@ func newUIOverlay(p *sim.Proc, e *emulator.Emulator, spec *Spec, stop time.Durat
 	}
 	ui := &uiOverlay{
 		region: region,
-		dirty:  spec.UIDirtyBytes(),
-		mp:     MPixels(spec.DisplayW, spec.DisplayH) * spec.UIDirtyFraction,
+		dirty:  hostsim.Bytes(float64(spec.DisplayFrameBytes()) * dirtyFraction),
+		mp:     MPixels(spec.DisplayW, spec.DisplayH) * dirtyFraction,
 	}
 	period := spec.FramePeriod()
-	drawCost := time.Duration(float64(e.Machine.Perf.UIFrame) * spec.UIDirtyFraction * 2)
+	drawCost := time.Duration(float64(e.Machine.Perf.UIFrame) * dirtyFraction * 2)
 	p.Env().Spawn("ui-thread", func(up *sim.Proc) {
 		for up.Now() < stop {
 			a, err := e.HAL.BeginAccess(up, h, svm.UsageWrite, ui.dirty)
@@ -59,13 +61,18 @@ func newUIOverlay(p *sim.Proc, e *emulator.Emulator, spec *Spec, stop time.Durat
 	return ui, nil
 }
 
-// debugSink enables drop tracing during calibration.
-var debugSink = false
-
 // sink is the consumer end of every pipeline: a SurfaceFlinger-style
-// renderer that paces frames against their presentation timestamps, drops
-// stale or deadline-missing frames (§5.4's MediaCodec semantics), composites
-// the UI overlay, and presents through the display device.
+// renderer that latches one frame per iteration, composites the UI overlay,
+// and presents through the display device. Two latch policies share
+// everything after the latch:
+//
+//   - strict PTS (MediaCodec video, §5.4): pace each frame to its
+//     presentation timestamp; discard it unrendered when it is stale, or
+//     after rendering when it misses its presentation deadline;
+//   - latest wins (camera/AR/livestream compositors, games, UI apps):
+//     drain the queue to the newest frame, latch it at the next refresh
+//     and present it however late (latency shows up in motion-to-photon
+//     instead of drops).
 type sink struct {
 	e    *emulator.Emulator
 	spec *Spec
@@ -83,26 +90,24 @@ type sink struct {
 	appWork func() time.Duration
 	// measureLatency enables motion-to-photon recording from SourceTime.
 	measureLatency bool
-	// strictPTS selects MediaCodec video semantics: frames must present
-	// by their timestamp or be discarded (§5.4). When false the sink is a
-	// camera/AR-style compositor: it latches the newest available frame
-	// at each refresh and presents it regardless of age (latency shows up
-	// in motion-to-photon instead of drops).
+	// strictPTS selects the strict-PTS latch policy; otherwise latest
+	// wins.
 	strictPTS bool
 
 	fps metrics.FPSCounter
 	lat metrics.Distribution
 
-	// drop diagnostics
+	// staleDrops were discarded unrendered; deadlineDrops rendered but
+	// missed the presentation window.
 	staleDrops    int
 	deadlineDrops int
 }
 
+// noDeadline is the latest-wins policy's presentation deadline: every
+// latched frame presents.
+const noDeadline = time.Duration(math.MaxInt64)
+
 func (s *sink) run(p *sim.Proc) {
-	if !s.strictPTS {
-		s.runLatestWins(p)
-		return
-	}
 	period := s.spec.FramePeriod()
 	tol := s.spec.StaleTolerance
 	pf := s.e.Env.Profiler()
@@ -118,39 +123,53 @@ func (s *sink) run(p *sim.Proc) {
 		if pf != nil {
 			pf.Wait(p, "buffer:acquire", acqStart, b.Ticket.ProfNode())
 		}
-		backlog := s.q.FilledCount()
-		if anchor < 0 {
-			anchor = p.Now() - b.PTS
-		}
-		sched := anchor + b.PTS
-		if late := p.Now() - sched; late > 0 && backlog == 0 {
-			// Producer-limited playback: the frame arrived behind the
-			// media clock with nothing queued behind it. The player
-			// re-anchors to the arrival rate instead of discarding
-			// everything (slow-but-shown, §5.3's GAE behaviour).
-			anchor = p.Now() - b.PTS
-			sched = p.Now()
-		} else if late > tol {
-			// Renderer-limited backlog: discard the stale frame without
-			// rendering (releaseOutputBuffer(render=false)).
-			s.fps.Drop()
-			s.staleDrops++
-			if fo := s.e.FrameObs; fo != nil {
-				fo.FrameDropped(p.Now())
+		deadline := noDeadline
+		if s.strictPTS {
+			backlog := s.q.FilledCount()
+			if anchor < 0 {
+				anchor = p.Now() - b.PTS
 			}
-			if debugSink {
-				println("STALE", int64(p.Now()/1e6), "seq", b.Seq, "late_ms", int64(late/1e6), "backlog", backlog)
+			sched := anchor + b.PTS
+			if late := p.Now() - sched; late > 0 && backlog == 0 {
+				// Producer-limited playback: the frame arrived behind the
+				// media clock with nothing queued behind it. The player
+				// re-anchors to the arrival rate instead of discarding
+				// everything (slow-but-shown, §5.3's GAE behaviour).
+				anchor = p.Now() - b.PTS
+				sched = p.Now()
+			} else if late > tol {
+				// Renderer-limited backlog: discard the stale frame
+				// without rendering (releaseOutputBuffer(render=false)).
+				s.drop(p.Now(), true)
+				s.q.Release(p, b)
+				continue
 			}
-			s.q.Release(p, b)
-			continue
-		}
-		if wait := sched - p.Now(); wait > 0 {
-			paceStart := p.Now()
-			p.Sleep(wait)
+			if wait := sched - p.Now(); wait > 0 {
+				paceStart := p.Now()
+				p.Sleep(wait)
+				if pf != nil {
+					// Intentional idle: waiting for the frame's PTS slot,
+					// not a component at fault.
+					pf.Charge(p, "pacing", paceStart)
+				}
+			}
+			deadline = sched + period + tol
+		} else {
+			// Drop every older frame unrendered, then latch the newest at
+			// the next refresh.
+			for {
+				nb, ok := s.q.TryAcquire()
+				if !ok {
+					break
+				}
+				s.drop(p.Now(), true)
+				s.q.Release(p, b)
+				b = nb
+			}
+			vsStart := p.Now()
+			s.e.VSync.Wait(p)
 			if pf != nil {
-				// Intentional idle: waiting for the frame's PTS slot, not
-				// a component at fault.
-				pf.Charge(p, "pacing", paceStart)
+				pf.Wait(p, "vsync:wait", vsStart, nil)
 			}
 		}
 		if s.cpuPerFrame > 0 {
@@ -174,32 +193,15 @@ func (s *sink) run(p *sim.Proc) {
 			})
 		}
 		src := b.SourceTime
-		deadline := sched + period + tol
 		s.e.Display.Submit(p, device.Op{
 			Kind: device.OpExec, Exec: 200 * time.Microsecond, After: last, Commands: 4,
 			OnComplete: func(at time.Duration) {
 				if at > deadline {
 					// Rendered but missed the presentation window.
-					s.fps.Drop()
-					s.deadlineDrops++
-					if fo := s.e.FrameObs; fo != nil {
-						fo.FrameDropped(at)
-					}
-					if debugSink {
-						println("DEADLINE", int64(at/1e6), "sched", int64(sched/1e6), "deadline", int64(deadline/1e6))
-					}
+					s.drop(at, false)
 					return
 				}
-				s.fps.Present(at)
-				if fo := s.e.FrameObs; fo != nil {
-					fo.FramePresented(at)
-				}
-				if s.measureLatency && src > 0 {
-					s.lat.AddDuration(at - src)
-					if fo := s.e.FrameObs; fo != nil {
-						fo.MotionToPhoton(at, at-src)
-					}
-				}
+				s.present(at, src)
 				pf.FrameDone(frame, at)
 			},
 		})
@@ -214,96 +216,48 @@ func (s *sink) run(p *sim.Proc) {
 	pf.Bind(p, nil)
 }
 
-// runLatestWins is the compositor path: drain the queue to the freshest
-// frame (dropping older ones unrendered), latch at the next refresh, and
-// present unconditionally.
-func (s *sink) runLatestWins(p *sim.Proc) {
-	pf := s.e.Env.Profiler()
-	for p.Now() < s.stop {
-		var frame *prof.Node
-		if pf != nil {
-			frame = pf.NewNode("frame", "app")
-			pf.Bind(p, frame)
-		}
-		acqStart := p.Now()
-		b := s.q.Acquire(p)
-		if pf != nil {
-			pf.Wait(p, "buffer:acquire", acqStart, b.Ticket.ProfNode())
-		}
-		for {
-			nb, ok := s.q.TryAcquire()
-			if !ok {
-				break
-			}
-			s.fps.Drop()
-			s.staleDrops++
-			if fo := s.e.FrameObs; fo != nil {
-				fo.FrameDropped(p.Now())
-			}
-			s.q.Release(p, b)
-			b = nb
-		}
-		vsStart := p.Now()
-		s.e.VSync.Wait(p)
-		if pf != nil {
-			pf.Wait(p, "vsync:wait", vsStart, nil)
-		}
-		if s.cpuPerFrame > 0 {
-			s.e.Machine.CPU.Exec(p, s.cpuPerFrame)
-		}
-		if s.appWork != nil {
-			s.e.Machine.CPU.Exec(p, s.appWork())
-		}
-		last := s.e.GPU.Submit(p, device.Op{
-			Kind: device.OpRead, Region: b.Region, Bytes: b.Dirty,
-			Exec: s.renderExec(), After: b.Ticket, Commands: 30,
-		})
-		if s.ui != nil {
-			last = s.e.GPU.Submit(p, device.Op{
-				Kind: device.OpRead, Region: s.ui.region, Bytes: s.ui.dirty,
-				Exec: s.e.RenderCost(s.ui.mp), After: last, Commands: 20,
-			})
-		}
-		src := b.SourceTime
-		s.e.Display.Submit(p, device.Op{
-			Kind: device.OpExec, Exec: 200 * time.Microsecond, After: last, Commands: 4,
-			OnComplete: func(at time.Duration) {
-				s.fps.Present(at)
-				if fo := s.e.FrameObs; fo != nil {
-					fo.FramePresented(at)
-				}
-				if s.measureLatency && src > 0 {
-					s.lat.AddDuration(at - src)
-					if fo := s.e.FrameObs; fo != nil {
-						fo.MotionToPhoton(at, at-src)
-					}
-				}
-				pf.FrameDone(frame, at)
-			},
-		})
-		readyStart := p.Now()
-		last.Wait(p)
-		if pf != nil {
-			pf.Wait(p, "ready:wait", readyStart, last.ProfNode())
-		}
-		s.q.Release(p, b)
+// drop counts a frame discarded at virtual time at: stale (unrendered) or
+// past its presentation deadline.
+func (s *sink) drop(at time.Duration, stale bool) {
+	if stale {
+		s.staleDrops++
+	} else {
+		s.deadlineDrops++
 	}
-	pf.Bind(p, nil)
+	if fo := s.e.FrameObs; fo != nil {
+		fo.FrameDropped(at)
+	}
+}
+
+// present counts a frame presented at virtual time at, and its
+// motion-to-photon latency from source time src where the app measures it.
+func (s *sink) present(at, src time.Duration) {
+	s.fps.Present(at)
+	fo := s.e.FrameObs
+	if fo != nil {
+		fo.FramePresented(at)
+	}
+	if s.measureLatency && src > 0 {
+		s.lat.AddDuration(at - src)
+		if fo != nil {
+			fo.MotionToPhoton(at, at-src)
+		}
+	}
 }
 
 // result assembles the run's Result.
 func (s *sink) result(e *emulator.Emulator, spec *Spec) *Result {
 	r := &Result{
-		App:      spec.Name,
-		Emulator: e.Preset.Name,
-		Duration: spec.Duration,
-		FPS:      s.fps.FPS(s.stop),
-		Frames:   s.fps.Frames(),
-		Drops:    s.fps.Dropped(),
+		App:           spec.Name,
+		Emulator:      e.Preset.Name,
+		Duration:      spec.Duration,
+		FPS:           s.fps.FPS(s.stop),
+		Frames:        s.fps.Frames(),
+		Drops:         s.staleDrops + s.deadlineDrops,
+		StaleDrops:    s.staleDrops,
+		DeadlineDrops: s.deadlineDrops,
+		PerSecondFPS:  s.fps.PerSecond(s.stop),
 	}
-	r.StaleDrops = s.staleDrops
-	r.DeadlineDrops = s.deadlineDrops
-	r.PerSecondFPS = s.fps.PerSecond(s.stop)
 	r.Latency.Merge(&s.lat)
 	return r
 }

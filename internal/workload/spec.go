@@ -4,6 +4,8 @@
 // guest processes driving data pipelines across the emulator's virtual
 // devices, with frame pacing, buffering, presentation deadlines, and
 // motion-to-photon tagging — the machinery FPS and latency emerge from.
+// Every app, emerging or popular, starts through StartEmerging and ends in
+// one sink loop.
 //
 // App behaviour is deterministic: pacing, buffer churn, and scene
 // variation all derive from the session seed in virtual time, so equal
@@ -71,6 +73,10 @@ type Spec struct {
 	// discarded (§5.4's presentation deadline). Zero means one frame
 	// period.
 	StaleTolerance time.Duration
+
+	// popular is a frame-loop app's kind (heavy-3D game or UI app), set
+	// by PopularSpec; only Category catFrameLoop reads it.
+	popular PopularKind
 }
 
 // normalize fills defaults.

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/emulator"
 	"repro/internal/hostsim"
+	"repro/internal/sim"
 )
 
 func emerging(t *testing.T, preset emulator.Preset, cat int, seed int64, dur time.Duration) (*Result, *Session) {
@@ -197,8 +198,7 @@ func TestPopularHeavy3DVSoCMatchesTrinity(t *testing.T) {
 	run := func(p emulator.Preset) float64 {
 		sess := NewSession(p, hostsim.HighEndDesktop, 21)
 		defer sess.Close()
-		spec := PopularSpec(PopularHeavy3D, 0, 10*time.Second)
-		r, err := RunPopular(sess.Emulator, PopularHeavy3D, spec)
+		r, err := RunEmerging(sess.Emulator, PopularSpec(PopularHeavy3D, 0, 10*time.Second))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,8 +221,7 @@ func TestPopularUIAppsBenefitFromSVM(t *testing.T) {
 	run := func(p emulator.Preset) float64 {
 		sess := NewSession(p, hostsim.HighEndDesktop, 23)
 		defer sess.Close()
-		spec := PopularSpec(PopularUI, 0, 10*time.Second)
-		r, err := RunPopular(sess.Emulator, PopularUI, spec)
+		r, err := RunEmerging(sess.Emulator, PopularSpec(PopularUI, 0, 10*time.Second))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -355,5 +354,95 @@ func TestWaitBeforeDrivenErrors(t *testing.T) {
 	}
 	if _, err := pd.Wait(); err == nil {
 		t.Fatal("Wait before RunUntil should error")
+	}
+}
+
+// TestEveryAppKindStartsAsPending: the five Table 1 categories and the
+// three popular-app kinds all start through StartEmerging, share one
+// emulator, and present frames under one RunUntil.
+func TestEveryAppKindStartsAsPending(t *testing.T) {
+	const dur = 3 * time.Second
+	specs := []Spec{
+		PopularSpec(PopularHeavy3D, 0, dur),
+		PopularSpec(PopularUI, 0, dur),
+		PopularSpec(PopularSocialVideo, 0, dur),
+	}
+	for cat := range emulator.NumCategories {
+		specs = append(specs, DefaultSpec(cat, 0, dur))
+	}
+	sess := NewSession(emulator.VSoC(), hostsim.HighEndDesktop, 57)
+	defer sess.Close()
+	pend := make([]*Pending, len(specs))
+	for i, spec := range specs {
+		pd, err := StartEmerging(sess.Emulator, spec)
+		if err != nil {
+			t.Fatalf("%s: %v", spec.Name, err)
+		}
+		pend[i] = pd
+	}
+	sess.Env.RunUntil(pend[0].Stop())
+	for i, pd := range pend {
+		r, err := pd.Wait()
+		if err != nil {
+			t.Fatalf("%s: %v", specs[i].Name, err)
+		}
+		if r.Frames == 0 {
+			t.Errorf("%s presented no frames", specs[i].Name)
+		}
+	}
+	if _, err := StartEmerging(sess.Emulator, PopularSpec(PopularKind(7), 0, dur)); err == nil {
+		t.Error("an unknown popular kind started")
+	}
+}
+
+// frameCounter is a FrameObserver that counts what it sees.
+type frameCounter struct{ presented, dropped, m2p int }
+
+func (c *frameCounter) FramePresented(time.Duration)             { c.presented++ }
+func (c *frameCounter) FrameDropped(time.Duration)               { c.dropped++ }
+func (c *frameCounter) MotionToPhoton(at, latency time.Duration) { c.m2p++ }
+
+// TestFrameObserverSeesEveryOutcome: under both latch policies the frame
+// observer sees each presented frame, each drop and each motion-to-photon
+// sample exactly once, and every drop is either stale or past deadline.
+func TestFrameObserverSeesEveryOutcome(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		preset  emulator.Preset
+		machine func(*sim.Env) *hostsim.Machine
+		spec    Spec
+		seed    int64
+		// bothDrops requires stale and deadline drops alike.
+		bothDrops bool
+	}{
+		{"strict", emulator.VSoCNoPrefetch(), hostsim.HighEndDesktop,
+			DefaultSpec(emulator.CatUHDVideo, 0, 10*time.Second), 5, true},
+		{"compositor", emulator.QEMUKVM(), hostsim.MidEndLaptop,
+			DefaultSpec(emulator.CatCamera, 0, 5*time.Second), 5, false},
+		{"frame-loop", emulator.GAE(), hostsim.HighEndDesktop,
+			PopularSpec(PopularUI, 0, 5*time.Second), 5, false},
+	} {
+		sess := NewSession(tc.preset, tc.machine, tc.seed)
+		obs := &frameCounter{}
+		sess.Emulator.FrameObs = obs
+		r, err := RunEmerging(sess.Emulator, tc.spec)
+		sess.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if r.Frames == 0 {
+			t.Errorf("%s: no frames presented", tc.name)
+		}
+		if obs.presented != r.Frames || obs.dropped != r.Drops || obs.m2p != r.Latency.Count() {
+			t.Errorf("%s: observer saw %d presented, %d dropped, %d m2p; result has %d, %d, %d",
+				tc.name, obs.presented, obs.dropped, obs.m2p, r.Frames, r.Drops, r.Latency.Count())
+		}
+		if r.Drops != r.StaleDrops+r.DeadlineDrops {
+			t.Errorf("%s: %d drops, want %d stale + %d deadline", tc.name, r.Drops, r.StaleDrops, r.DeadlineDrops)
+		}
+		if tc.bothDrops && (r.StaleDrops == 0 || r.DeadlineDrops == 0) {
+			t.Errorf("%s: want both drop kinds, got %d stale, %d deadline", tc.name, r.StaleDrops, r.DeadlineDrops)
+		}
+		t.Logf("%s: %d frames, %d stale, %d deadline, %d m2p", tc.name, r.Frames, r.StaleDrops, r.DeadlineDrops, r.Latency.Count())
 	}
 }
