@@ -62,15 +62,19 @@ examples-smoke:
 	done
 
 # vsocsim gate: every app of its -app table, the five Table 1 categories and
-# the three popular-app kinds, runs three ways: a plain run with -v, a
-# monitored run (-mon) and a two-guest farm (-guests 2). Each must exit 0.
+# the three popular-app kinds, runs two ways: a single run with -v (result,
+# SVM internals, monitor report) and a two-guest farm (-guests 2: results,
+# fleet report, monitor report). Each must exit 0; an unknown app must be a
+# usage error (exit 2).
 sim-smoke:
 	$(GO) build -o /tmp/vsoc-sim ./cmd/vsocsim
 	@for a in uhd 360 camera ar livestream heavy3d ui social; do \
-		for f in -v -mon "-guests 2"; do \
+		for f in -v "-guests 2"; do \
 			/tmp/vsoc-sim -app $$a -duration 2s $$f > /dev/null || { echo "sim-smoke: -app $$a $$f failed" >&2; exit 1; }; \
 		done; \
 	done
+	@/tmp/vsoc-sim -app nosuch > /dev/null 2>&1; \
+	if [ $$? -ne 2 ]; then echo "sim-smoke: -app nosuch did not exit 2" >&2; exit 1; fi
 
 # Fault-injection gate: the faults package under the race detector, plus one
 # short seeded robustness sweep so the degradation/recovery story stays
@@ -81,11 +85,11 @@ chaos-smoke:
 
 # Observability gate: a traced robustness run must emit per-cell Perfetto
 # JSON that tracecheck accepts (valid JSON, required trace-event keys), and
-# a fleet-instrumented shardscale run must emit a fleet counter trace whose
-# track names tracecheck recognizes (§13).
+# a traced shardscale run must emit a fleet counter trace whose track names
+# tracecheck recognizes (§13).
 trace-smoke:
 	$(GO) run ./cmd/vsocbench -exp robustness -duration 12s -trace /tmp/vsoc-trace.json -metrics > /dev/null
-	$(GO) run ./cmd/vsocbench -exp shardscale -duration 4s -fleet -trace /tmp/vsoc-shardscale.json > /dev/null
+	$(GO) run ./cmd/vsocbench -exp shardscale -duration 4s -trace /tmp/vsoc-shardscale.json > /dev/null
 	$(GO) run ./cmd/tracecheck /tmp/vsoc-trace-*.json /tmp/vsoc-shardscale-fleet.json
 
 # Config-search gate (DESIGN.md §14): a tiny-budget deterministic search on
@@ -111,7 +115,7 @@ mon-smoke:
 
 # Benchmark trajectory: the profiled micro run (Fig. 16 + critical-path
 # attribution, DESIGN.md §10) with chunked demand fetches on (§11), plus the
-# four-guest farm (§12) with fleet telemetry attached (§13), plus the
+# four-guest farm (§12) with its fleet telemetry (§13), plus the
 # monitored phased-load scenario (§15) — incident counts and the
 # first-trigger window join the trajectory — plus the §2.3 study behind
 # Figs. 4-6, plus every paper table and figure (`all`: Table 2, Figs.
@@ -119,7 +123,7 @@ mon-smoke:
 # report plus the micro run's folded-stack flamegraph, under /tmp like the
 # other smoke outputs. CI uploads both as artifacts.
 bench:
-	$(GO) run ./cmd/vsocbench -exp micro,shardscale,phasedload,study,all -duration 8s -apps 2 -fetch -fleet -json /tmp/vsoc-bench.json -profile /tmp/vsoc-bench.folded > /dev/null
+	$(GO) run ./cmd/vsocbench -exp micro,shardscale,phasedload,study,all -duration 8s -apps 2 -fetch -json /tmp/vsoc-bench.json -profile /tmp/vsoc-bench.folded > /dev/null
 
 # The shardscale events/s metric measures the build host's wall clock, not
 # the simulation; gate it at a wide 90% threshold so machine noise never

@@ -10,7 +10,7 @@
 //	vsocbench [-exp <name>[,<name>...]] [-duration 30s] [-apps 10]
 //	          [-popular 25] [-seed 1] [-workers 0] [-trace out.json]
 //	          [-metrics] [-profile out.folded] [-json bench.json] [-fetch]
-//	          [-fleet] [-mon] [-monout mon.json]
+//	          [-monout mon.json]
 //
 // Run with -h for the experiment list. Everything about an experiment —
 // name, aliases, ordering, usage text, how it runs and prints, which output
@@ -33,27 +33,22 @@
 // sweeps, the profiled micro run and the farm scenarios run only when named.
 // `all` may also sit inside a list (`-exp micro,all`).
 //
-// -fleet enables the fleet observability layer (DESIGN.md §13) for the
-// shardscale farm: per-tenant QoS/SLO tracking, the deterministic fleet
-// report, and the wall-clock split of the window loop. Observe-only:
-// simulation results are byte-identical with it on or off. With -trace it
-// also writes the fleet-counter trace.
-//
-// -mon enables the streaming telemetry engine (DESIGN.md §15) for the
-// experiments that support it: windowed virtual-time rollups, online
-// SLO/anomaly detectors, and the incident flight recorder. The phasedload
-// scenario monitors unconditionally (monitoring is its subject); the
-// shardscale farm monitors when -mon is set. -monout writes the
-// machine-readable monitor report for cmd/vsocmon to render.
+// The farm scenarios always observe: the shardscale farm carries the fleet
+// layer (DESIGN.md §13: per-tenant QoS/SLO report, the window loop's
+// wall-clock split, and with -trace the fleet-counter trace) and the
+// streaming telemetry engine (§15: windowed virtual-time rollups, online
+// SLO/anomaly detectors, the incident flight recorder), and phasedload the
+// engine. Both layers only observe. -monout writes the machine-readable
+// monitor report for cmd/vsocmon to render.
 //
 // -profile writes the critical-path profiler's folded-stack flamegraph
 // export for the experiments that support it (micro); feed it to any
 // flamegraph renderer. -json writes the machine-readable bench report —
 // a stable, sorted JSON trajectory of every selected experiment's named
 // metrics — for cmd/vsocperf to diff against a baseline run. Any of -trace,
-// -profile, -json, -fetch, -metrics, -fleet, -mon or -monout with no
-// selected experiment that honours it is a usage error (exit 2), as are bad
-// counts and unknown experiments; -h lists what each experiment honours.
+// -profile, -json, -fetch, -metrics or -monout with no selected experiment
+// that honours it is a usage error (exit 2), as are bad counts and unknown
+// experiments; -h lists what each experiment honours.
 package main
 
 import (
@@ -127,8 +122,8 @@ const maxPopular = 25
 // otherwise panic (a negative -popular slices the app mix), print an all-n/a
 // report, or fall back silently to a default (-duration 0 runs the session
 // default, a negative -workers one worker per CPU), and any of -trace,
-// -profile, -json, -fetch, -metrics, -fleet, -mon or -monout that no
-// selected experiment honours (registry Trace, Profile, Bench and Flags).
+// -profile, -json, -fetch, -metrics or -monout that no selected experiment
+// honours (registry Trace, Profile, Bench and Flags).
 //
 // -exp is a comma-separated list of names, aliases and "all" (every InAll
 // experiment), run in the order given; labels holds each run's name as
@@ -161,8 +156,6 @@ func checkFlags(exp string, cfg experiments.Config, jsonPath string) (entries []
 			honoured[f] = true
 		}
 	}
-	// An experiment that monitors under -mon writes the report -monout names.
-	honoured["-monout"] = honoured["-monout"] || cfg.Monitor && honoured["-mon"]
 	for _, f := range []struct {
 		name, path string // path: the file a file flag names
 		set        bool
@@ -172,8 +165,6 @@ func checkFlags(exp string, cfg experiments.Config, jsonPath string) (entries []
 		{"-json", jsonPath, jsonPath != ""},
 		{"-fetch", "", cfg.Fetch},
 		{"-metrics", "", cfg.Metrics},
-		{"-fleet", "", cfg.Fleet},
-		{"-mon", "", cfg.Monitor},
 		{"-monout", cfg.MonPath, cfg.MonPath != ""},
 	} {
 		if f.set && !honoured[f.name] && len(entries) > 0 {

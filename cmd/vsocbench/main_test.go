@@ -13,14 +13,14 @@ import (
 // bounds themselves, and every Makefile invocation's flags, are accepted.
 func TestCheckFlags(t *testing.T) {
 	for _, tc := range []struct {
-		exp                        string
-		apps, popular              int
-		duration                   time.Duration
-		workers                    int
-		trace, profile, json_      string
-		fetch, metrics, fleet, mon bool
-		monout                     string
-		ok                         bool
+		exp                   string
+		apps, popular         int
+		duration              time.Duration
+		workers               int
+		trace, profile, json_ string
+		fetch, metrics        bool
+		monout                string
+		ok                    bool
 	}{
 		{apps: 10, popular: 25, duration: 30 * time.Second, workers: 0, ok: true},
 		{apps: 1, popular: 1, duration: time.Millisecond, workers: 1, ok: true},
@@ -59,21 +59,18 @@ func TestCheckFlags(t *testing.T) {
 		{exp: "all", fetch: true, metrics: true, ok: true},
 		{exp: "overhead", metrics: true, ok: true},
 		{exp: "table2", metrics: true, ok: false},
-		{exp: "fig15", fleet: true, ok: false},
-		{exp: "shardscale", fleet: true, mon: true, ok: true},
-		{exp: "fig10", mon: true, ok: false},
-		{exp: "phasedload", mon: true, ok: true},
-		{exp: "shardscale", monout: "m.json", ok: false},
-		{exp: "shardscale", mon: true, monout: "m.json", ok: true},
+		{exp: "fig10", monout: "m.json", ok: false},
+		{exp: "shardscale", monout: "m.json", ok: true},
+		{exp: "phasedload", monout: "m.json", ok: true},
 		{exp: "phasedload,shardscale", monout: "m.json", ok: true},
 
 		// The Makefile's invocations.
 		{exp: "robustness", ok: true},
 		{exp: "robustness", trace: "/tmp/vsoc-trace.json", metrics: true, ok: true},
-		{exp: "shardscale", fleet: true, trace: "/tmp/vsoc-shardscale.json", ok: true},
+		{exp: "shardscale", trace: "/tmp/vsoc-shardscale.json", ok: true},
 		{exp: "phasedload", ok: true},
 		{exp: "phasedload", monout: "/tmp/vsoc-mon-a.json", ok: true},
-		{exp: "micro,shardscale,phasedload,all", fetch: true, fleet: true, json_: "/tmp/vsoc-bench.json", profile: "/tmp/vsoc-bench.folded", ok: true},
+		{exp: "micro,shardscale,phasedload,study,all", fetch: true, json_: "/tmp/vsoc-bench.json", profile: "/tmp/vsoc-bench.folded", ok: true},
 	} {
 		// The count cases run -exp all; the -exp cases valid counts.
 		exp := tc.exp
@@ -81,8 +78,7 @@ func TestCheckFlags(t *testing.T) {
 			AppsPerCategory: tc.apps, PopularApps: tc.popular,
 			Duration: tc.duration, Workers: tc.workers,
 			TracePath: tc.trace, ProfilePath: tc.profile,
-			Fetch: tc.fetch, Metrics: tc.metrics, Fleet: tc.fleet,
-			Monitor: tc.mon, MonPath: tc.monout,
+			Fetch: tc.fetch, Metrics: tc.metrics, MonPath: tc.monout,
 		}
 		if exp == "" {
 			exp = "all"

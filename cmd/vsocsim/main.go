@@ -7,7 +7,7 @@
 //	vsocsim [-emulator vsoc|gae|qemu|ldplayer|bluestacks|trinity|vsoc-noprefetch|vsoc-nofence|native]
 //	        [-machine highend|midend|pixel]
 //	        [-app uhd|360|camera|ar|livestream|heavy3d|ui|social]
-//	        [-duration 30s] [-seed 1] [-fetch] [-v] [-guests N] [-fleet] [-mon]
+//	        [-duration 30s] [-seed 1] [-fetch] [-v] [-guests N]
 //	        [-monout mon.json]
 //
 // Every app, emerging or popular, starts through workload.StartEmerging, so
@@ -19,21 +19,18 @@
 // Per-guest results are deterministic per seed; the trailing events/s line
 // measures the host.
 //
-// -fleet (farm mode only) attaches the fleet observability layer
-// (DESIGN.md §13): it appends the per-tenant QoS/SLO fleet report and the
-// window loop's wall-clock split. Observe-only — per-guest results are
-// byte-identical with it on or off.
+// Every run carries the streaming telemetry engine (DESIGN.md §15):
+// windowed virtual-time rollups, online SLO/anomaly detectors, and the
+// incident flight recorder. A single run is driven at window grain; a farm
+// seals its windows at the window barriers and also carries the fleet
+// observability layer (§13), whose per-tenant QoS/SLO report and window
+// loop wall-clock split precede the monitor report. Both layers only
+// observe. -monout writes the machine-readable monitor report for
+// cmd/vsocmon to render.
 //
-// -mon attaches the streaming telemetry engine (DESIGN.md §15): windowed
-// virtual-time rollups, online SLO/anomaly detectors, and the incident
-// flight recorder. In single mode the run is driven at window grain and
-// the monitor report follows the result; in farm mode windows seal at the
-// window barriers. Observe-only like -fleet. -monout writes the
-// machine-readable monitor report for cmd/vsocmon to render.
-//
-// A non-positive -duration, a negative -guests, -fleet without -guests, -v
-// with -guests (a farm has no single session to print), or -monout without
-// -mon exits 2 with a usage error.
+// An unknown -emulator, -machine or -app name, a non-positive -duration, a
+// negative -guests, or -v with -guests (a farm has no single session to
+// print) exits 2 with a usage error.
 package main
 
 import (
@@ -78,35 +75,29 @@ func main() {
 	verbose := flag.Bool("v", false, "print SVM internals")
 	guests := flag.Int("guests", 0, "farm mode: run N guest instances of the app on one host (DESIGN.md §12); 0 = single instance")
 	flag.Parse()
-	if err := checkFlags(cfg, *guests, *verbose); err != nil {
+	t, err := checkFlags(cfg, *emuName, *machName, *appName, *guests, *verbose)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "vsocsim: %v\n", err)
 		flag.Usage()
 		os.Exit(2)
 	}
 
-	presetFn, ok := presetsByName[strings.ToLower(*emuName)]
-	if !ok {
-		die("unknown emulator %q", *emuName)
-	}
-	machine, ok := machinesByName[strings.ToLower(*machName)]
-	if !ok {
-		die("unknown machine %q", *machName)
-	}
-	app := strings.ToLower(*appName)
-	appSpec, ok := appSpecs[app]
-	if !ok {
-		die("unknown app %q", *appName)
-	}
-
-	preset := presetFn()
 	if cfg.Fetch {
-		preset.Fetch = hostsim.EnabledFetch()
+		t.preset.Fetch = hostsim.EnabledFetch()
 	}
 	if *guests > 0 {
-		runFarm(cfg, preset, machine, app, appSpec, *guests)
+		runFarm(cfg, t, *guests)
 		return
 	}
-	runSingle(cfg, preset, machine, app, appSpec(0, cfg.Duration), *verbose)
+	runSingle(cfg, t, *verbose)
+}
+
+// target is what the -emulator, -machine and -app names resolve to.
+type target struct {
+	preset  emulator.Preset
+	machine experiments.MachineSpec
+	app     string // the -app name, lower-cased
+	spec    func(app int, d time.Duration) workload.Spec
 }
 
 // appSpecs maps each -app name to the spec of its app number app: the
@@ -131,24 +122,19 @@ func popular(kind workload.PopularKind) func(int, time.Duration) workload.Spec {
 }
 
 // runSingle runs one app and prints its result, then with -v the SVM
-// framework's internals, then with -mon the monitor report. The monitor
-// seals its windows as the run passes each boundary; without it the run
-// is a plain RunUntil.
-func runSingle(cfg experiments.Config, preset emulator.Preset, machine experiments.MachineSpec, app string, spec workload.Spec, verbose bool) {
-	sess := workload.NewSession(preset, machine.New, cfg.Seed)
+// framework's internals, then the monitor report. The monitor seals its
+// windows as the run passes each boundary.
+func runSingle(cfg experiments.Config, t target, verbose bool) {
+	spec := t.spec(0, cfg.Duration)
+	sess := workload.NewSession(t.preset, t.machine.New, cfg.Seed)
 	defer sess.Close()
-	var mon *tsmon.Monitor
-	var seal func(time.Duration)
-	if cfg.Monitor {
-		mon = tsmon.New(tsmon.Config{Tenants: []tsmon.TenantConfig{experiments.FarmTenant("g0:"+app, spec.Category)}})
-		experiments.WireGuest(sess, 0, nil, mon)
-		seal = mon.Seal
-	}
+	mon := tsmon.New(tsmon.Config{Tenants: []tsmon.TenantConfig{experiments.FarmTenant("g0:"+t.app, spec.Category)}})
+	experiments.WireGuest(sess, 0, nil, mon)
 	pd, err := workload.StartEmerging(sess.Emulator, spec)
 	if err != nil {
 		die("run failed: %v", err)
 	}
-	sess.Env.RunUntilEvery(pd.Stop(), tsmon.WindowWidth, seal)
+	sess.Env.RunUntilEvery(pd.Stop(), tsmon.WindowWidth, mon.Seal)
 	r, err := pd.Wait()
 	if err != nil {
 		die("run failed: %v", err)
@@ -190,33 +176,42 @@ func runSingle(cfg experiments.Config, preset emulator.Preset, machine experimen
 			fmt.Printf("  thermal             %.0f C, throttled=%v\n", th.Temperature(), th.Throttled())
 		}
 	}
-	if mon != nil {
-		mon.Finalize(pd.Stop())
-		printMonitor(mon.Report(), cfg.MonPath)
-	}
+	mon.Finalize(pd.Stop())
+	printMonitor(mon.Report(), cfg.MonPath)
 }
 
-// checkFlags rejects a non-positive -duration, which would otherwise run
-// the session default (0) or fail before the app starts (negative),
-// -monout without -mon, which would write nothing, and the farm flags
-// checkFarmFlags rejects.
-func checkFlags(cfg experiments.Config, guests int, verbose bool) error {
-	var monErr error
-	if cfg.MonPath != "" && !cfg.Monitor {
-		monErr = errors.New("-monout needs -mon")
+// checkFlags resolves the -emulator, -machine and -app names
+// (case-insensitively) and rejects an unknown one, a non-positive
+// -duration, which would otherwise run the session default (0) or fail
+// before the app starts (negative), and the farm flags checkFarmFlags
+// rejects.
+func checkFlags(cfg experiments.Config, emuName, machName, appName string, guests int, verbose bool) (target, error) {
+	presetFn, emuErr := lookup(presetsByName, "-emulator", emuName)
+	machine, machErr := lookup(machinesByName, "-machine", machName)
+	spec, appErr := lookup(appSpecs, "-app", appName)
+	err := errors.Join(emuErr, machErr, appErr, experiments.CheckDuration(cfg.Duration), checkFarmFlags(guests, verbose))
+	if err != nil {
+		return target{}, err
 	}
-	return errors.Join(experiments.CheckDuration(cfg.Duration), monErr, checkFarmFlags(guests, cfg.Fleet, verbose))
+	return target{preset: presetFn(), machine: machine, app: strings.ToLower(appName), spec: spec}, nil
+}
+
+// lookup resolves the value of a name flag in the flag's table.
+func lookup[V any](table map[string]V, flag, name string) (V, error) {
+	v, ok := table[strings.ToLower(name)]
+	if !ok {
+		return v, fmt.Errorf("unknown %s %q", flag, name)
+	}
+	return v, nil
 }
 
 // checkFarmFlags rejects flags that farm mode would otherwise silently
-// ignore or lack: a negative guest count, -fleet outside farm mode, and -v
-// (one session's SVM internals) in farm mode.
-func checkFarmFlags(guests int, fleet, verbose bool) error {
+// ignore or lack: a negative guest count, and -v (one session's SVM
+// internals) in farm mode.
+func checkFarmFlags(guests int, verbose bool) error {
 	switch {
 	case guests < 0:
 		return fmt.Errorf("-guests must be >= 0, got %d", guests)
-	case fleet && guests == 0:
-		return errors.New("-fleet needs farm mode (-guests N)")
 	case verbose && guests > 0:
 		return errors.New("-v prints a single run's SVM internals; farm mode (-guests N) has none")
 	}
@@ -238,14 +233,14 @@ func printMonitor(rep *tsmon.MonReport, path string) {
 
 // runFarm runs n guest instances of the app as a farm, guest g running app
 // number g seeded seed+g*1000003.
-func runFarm(cfg experiments.Config, preset emulator.Preset, machine experiments.MachineSpec, app string, appSpec func(int, time.Duration) workload.Spec, n int) {
+func runFarm(cfg experiments.Config, t target, n int) {
 	guests := make([]experiments.FarmGuest, n)
 	for g := range guests {
-		spec := appSpec(g, cfg.Duration)
-		name := fmt.Sprintf("g%d:%s", g, app)
+		spec := t.spec(g, cfg.Duration)
+		name := fmt.Sprintf("g%d:%s", g, t.app)
 		guests[g] = experiments.FarmGuest{Spec: spec, Tenant: experiments.FarmTenant(name, spec.Category), Seed: cfg.Seed + int64(g)*1000003}
 	}
-	run, err := experiments.RunFarm(cfg, preset, machine, guests, 0)
+	run, err := experiments.RunFarm(cfg, t.preset, t.machine, guests, 0)
 	if err != nil {
 		die("%v", err)
 	}
@@ -254,15 +249,11 @@ func runFarm(cfg experiments.Config, preset emulator.Preset, machine experiments
 	}
 	fmt.Printf("farm: %d guests, window %v, %d events in %.2fs wall (%.0f events/s)\n",
 		n, run.Lookahead, run.Events, run.Wall.Seconds(), run.EventsPerSec())
-	if run.Fleet != nil {
-		fmt.Println()
-		fmt.Print(run.Fleet.FormatText())
-		fmt.Println()
-		fmt.Print(run.Stall.FormatText())
-	}
-	if run.Mon != nil {
-		printMonitor(run.Mon, cfg.MonPath)
-	}
+	fmt.Println()
+	fmt.Print(run.Fleet.FormatText())
+	fmt.Println()
+	fmt.Print(run.Stall.FormatText())
+	printMonitor(run.Mon, cfg.MonPath)
 }
 
 func die(format string, args ...any) {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"cmp"
 	"testing"
 	"time"
 
@@ -8,39 +9,38 @@ import (
 )
 
 // TestCheckFarmFlags: farm flags that would otherwise be ignored — a
-// negative guest count, -fleet without farm mode, -v in farm mode — are
-// usage errors.
+// negative guest count, -v in farm mode — are usage errors.
 func TestCheckFarmFlags(t *testing.T) {
 	for _, tc := range []struct {
-		guests         int
-		fleet, verbose bool
-		ok             bool
+		guests  int
+		verbose bool
+		ok      bool
 	}{
 		{guests: 0, ok: true},
 		{guests: 4, ok: true},
-		{guests: 4, fleet: true, ok: true},
 		{guests: 0, verbose: true, ok: true},
 		{guests: -1, ok: false},
-		{guests: -1, fleet: true, ok: false},
-		{guests: 0, fleet: true, ok: false},
+		{guests: -1, verbose: true, ok: false},
 		{guests: 4, verbose: true, ok: false},
-		{guests: 4, fleet: true, verbose: true, ok: false},
 	} {
-		if err := checkFarmFlags(tc.guests, tc.fleet, tc.verbose); (err == nil) != tc.ok {
-			t.Errorf("checkFarmFlags(%d, %v, %v) = %v, want ok=%v", tc.guests, tc.fleet, tc.verbose, err, tc.ok)
+		if err := checkFarmFlags(tc.guests, tc.verbose); (err == nil) != tc.ok {
+			t.Errorf("checkFarmFlags(%d, %v) = %v, want ok=%v", tc.guests, tc.verbose, err, tc.ok)
 		}
 	}
 }
 
-// TestCheckFlags: a non-positive duration and a -monout no monitor would
-// write are usage errors in both modes, on top of the farm-flag rules.
+// TestCheckFlags: an unknown -emulator, -machine or -app name and a
+// non-positive duration are usage errors in both modes, on top of the
+// farm-flag rules; names resolve case-insensitively, and the Makefile's
+// invocations (every app with -v and with -guests 2) are accepted.
 func TestCheckFlags(t *testing.T) {
 	for _, tc := range []struct {
-		duration time.Duration
-		guests   int
-		mon      bool
-		monPath  string
-		ok       bool
+		emu, machine, app string
+		duration          time.Duration
+		guests            int
+		verbose           bool
+		monPath           string
+		ok                bool
 	}{
 		{duration: 30 * time.Second, guests: 0, ok: true},
 		{duration: time.Millisecond, guests: 4, ok: true},
@@ -48,16 +48,33 @@ func TestCheckFlags(t *testing.T) {
 		{duration: -5 * time.Second, guests: 0, ok: false},
 		{duration: 0, guests: 4, ok: false},
 		{duration: 30 * time.Second, guests: -1, ok: false},
-		{duration: time.Second, mon: true, ok: true},
-		{duration: time.Second, mon: true, monPath: "mon.json", ok: true},
-		{duration: time.Second, guests: 2, mon: true, monPath: "mon.json", ok: true},
-		{duration: time.Second, monPath: "mon.json", ok: false},
-		{duration: time.Second, guests: 2, monPath: "mon.json", ok: false},
+		{duration: time.Second, monPath: "mon.json", ok: true},
+		{duration: time.Second, guests: 2, monPath: "mon.json", ok: true},
+
+		// Names.
+		{emu: "GAE", machine: "MidEnd", app: "Heavy3D", duration: time.Second, ok: true},
+		{emu: "vsoc-nofence", machine: "pixel", app: "social", duration: time.Second, guests: 2, ok: true},
+		{emu: "nosuch", duration: time.Second, ok: false},
+		{machine: "nosuch", duration: time.Second, ok: false},
+		{app: "nosuch", duration: time.Second, ok: false},
+		{app: "nosuch", duration: time.Second, guests: 2, ok: false},
 	} {
-		cfg := experiments.Config{Duration: tc.duration, Monitor: tc.mon, MonPath: tc.monPath}
-		if err := checkFlags(cfg, tc.guests, false); (err == nil) != tc.ok {
-			t.Errorf("checkFlags(%v, -guests %d, -mon %v, -monout %q) = %v, want ok=%v",
-				tc.duration, tc.guests, tc.mon, tc.monPath, err, tc.ok)
+		emu, machine, app := cmp.Or(tc.emu, "vsoc"), cmp.Or(tc.machine, "highend"), cmp.Or(tc.app, "uhd")
+		cfg := experiments.Config{Duration: tc.duration, MonPath: tc.monPath}
+		tg, err := checkFlags(cfg, emu, machine, app, tc.guests, tc.verbose)
+		if (err == nil) != tc.ok {
+			t.Errorf("checkFlags(%v, -emulator %s -machine %s -app %s -guests %d -v=%v -monout %q) = %v, want ok=%v",
+				tc.duration, emu, machine, app, tc.guests, tc.verbose, tc.monPath, err, tc.ok)
+		}
+		if err == nil && (tg.spec == nil || tg.machine.New == nil || tg.preset.Name == "") {
+			t.Errorf("checkFlags(-emulator %s -machine %s -app %s) resolved %+v", emu, machine, app, tg)
+		}
+	}
+	for app := range appSpecs {
+		for _, guests := range []int{0, 2} {
+			if _, err := checkFlags(experiments.Config{Duration: 2 * time.Second}, "vsoc", "highend", app, guests, guests == 0); err != nil {
+				t.Errorf("sim-smoke's -app %s (-guests %d) rejected: %v", app, guests, err)
+			}
 		}
 	}
 }

@@ -50,22 +50,10 @@ func main() {
 	out := flag.String("out", "", "write <out>-<preset>-default.json and <out>-<preset>-best.json bench reports")
 	verbose := flag.Bool("v", false, "print the full per-candidate search trace")
 	flag.Parse()
-	if err := checkFlags(*apps, *duration, *workers, *budget); err != nil {
+	presets, err := checkFlags(*preset, *apps, *duration, *workers, *budget)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "vsoctune: %v\n", err)
 		flag.Usage()
-		os.Exit(2)
-	}
-
-	var presets []emulator.Preset
-	switch *preset {
-	case "vsoc":
-		presets = []emulator.Preset{emulator.VSoC()}
-	case "vsoc-noprefetch":
-		presets = []emulator.Preset{emulator.VSoCNoPrefetch()}
-	case "both":
-		presets = []emulator.Preset{emulator.VSoCNoPrefetch(), emulator.VSoC()}
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -preset %q (want vsoc, vsoc-noprefetch, or both)\n", *preset)
 		os.Exit(2)
 	}
 
@@ -107,13 +95,28 @@ func main() {
 	fmt.Printf("[total %.1fs, %d workers]\n", time.Since(wallStart).Seconds(), cfg.EffectiveWorkers())
 }
 
-// checkFlags rejects the experiments' bad counts and durations (a negative
-// -apps panics the evaluation probe) and a budget below one, which the
-// search cannot run.
-func checkFlags(apps int, duration time.Duration, workers, budget int) error {
-	var budgetErr error
+// checkFlags resolves -preset to the presets it tunes, in tuning order, and
+// rejects an unknown one, the experiments' bad counts and durations (a
+// negative -apps panics the evaluation probe) and a budget below one, which
+// the search cannot run.
+func checkFlags(preset string, apps int, duration time.Duration, workers, budget int) ([]emulator.Preset, error) {
+	var presets []emulator.Preset
+	var presetErr, budgetErr error
+	switch preset {
+	case "vsoc":
+		presets = []emulator.Preset{emulator.VSoC()}
+	case "vsoc-noprefetch":
+		presets = []emulator.Preset{emulator.VSoCNoPrefetch()}
+	case "both":
+		presets = []emulator.Preset{emulator.VSoCNoPrefetch(), emulator.VSoC()}
+	default:
+		presetErr = fmt.Errorf("unknown -preset %q (want vsoc, vsoc-noprefetch, or both)", preset)
+	}
 	if budget < 1 {
 		budgetErr = fmt.Errorf("-budget must be >= 1, got %d", budget)
 	}
-	return errors.Join(experiments.CheckApps(apps), experiments.CheckDuration(duration), experiments.CheckWorkers(workers), budgetErr)
+	if err := errors.Join(presetErr, experiments.CheckApps(apps), experiments.CheckDuration(duration), experiments.CheckWorkers(workers), budgetErr); err != nil {
+		return nil, err
+	}
+	return presets, nil
 }

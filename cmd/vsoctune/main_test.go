@@ -5,10 +5,12 @@ import (
 	"time"
 )
 
-// TestCheckFlags: the shared -apps/-duration/-workers rules apply, and a
-// budget below one is a usage error rather than a silent default.
+// TestCheckFlags: the shared -apps/-duration/-workers rules apply, a
+// budget below one is a usage error rather than a silent default, and so
+// is an unknown -preset; a known one resolves to the presets it tunes.
 func TestCheckFlags(t *testing.T) {
 	type flags struct {
+		preset          string
 		apps            int
 		duration        time.Duration
 		workers, budget int
@@ -25,11 +27,20 @@ func TestCheckFlags(t *testing.T) {
 		{flags{apps: 2, duration: 6 * time.Second, workers: -1, budget: 40}, false},
 		{flags{apps: 2, duration: 6 * time.Second, budget: -1}, false},
 		{flags{apps: 2, duration: 6 * time.Second, budget: 0}, false},
+		{flags{preset: "vsoc", apps: 2, duration: 6 * time.Second, budget: 40}, true},
+		{flags{preset: "vsoc-noprefetch", apps: 1, duration: 2 * time.Second, budget: 6}, true},
+		{flags{preset: "foo", apps: 2, duration: 6 * time.Second, budget: 40}, false},
 	} {
 		f := tc.f
-		err := checkFlags(f.apps, f.duration, f.workers, f.budget)
+		if f.preset == "" {
+			f.preset = "both"
+		}
+		presets, err := checkFlags(f.preset, f.apps, f.duration, f.workers, f.budget)
 		if (err == nil) != tc.ok {
 			t.Errorf("checkFlags(%+v) = %v, want ok=%v", f, err, tc.ok)
+		}
+		if want := map[string]int{"both": 2, "vsoc": 1, "vsoc-noprefetch": 1}[f.preset]; err == nil && len(presets) != want {
+			t.Errorf("checkFlags(%+v) resolved %d presets, want %d", f, len(presets), want)
 		}
 	}
 }

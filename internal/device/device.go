@@ -461,11 +461,6 @@ func (d *Device) hostLoop(p *sim.Proc) {
 			d.pf.Finish(rec.node) // no-op when execute already finished it
 			d.pf.Bind(p, nil)
 		}
-		if d.batching() {
-			// Feed the ring's adaptive window with the dispatch->completion
-			// round trip the coalescing windows are sized against.
-			d.ring.ObserveRoundTrip(p.Now() - cmd.EnqueuedAt)
-		}
 		if !notify {
 			rec.done.Signal()
 		}

@@ -58,33 +58,18 @@ type Config struct {
 	// every experiment's output matches the pre-chunking emulator byte for
 	// byte; the fetchpipe sweep varies the knobs itself.
 	Fetch bool
-	// Fleet enables the fleet observability layer (DESIGN.md §13) for the
-	// shardscale farm: per-tenant QoS/SLO tracking, the deterministic fleet
-	// report, and the wall-clock split of the window loop. Observe-only —
-	// simulation results are byte-identical with it on or off; off by
-	// default so the report stays comparable with pre-fleetobs builds.
-	Fleet bool
-	// Monitor enables the streaming telemetry engine (internal/tsmon,
-	// DESIGN.md §15) for the experiments that support it: windowed
-	// rollups, online detectors, and the incident flight recorder.
-	// Observe-only — simulation results are byte-identical with it on or
-	// off. The phasedload scenario monitors unconditionally (monitoring is
-	// its subject); the shardscale farm monitors when this is set.
-	Monitor bool
-	// MonPath, when set, is where supporting experiments write the
-	// machine-readable monitor report (cmd/vsocmon renders it).
+	// MonPath, when set, is where the monitored runs (the farm scenarios)
+	// write the machine-readable monitor report (cmd/vsocmon renders it).
 	MonPath string
 }
 
 // BindFlags binds the flags vsocbench and vsocsim share to c's fields on
-// fs: -duration, -seed, -fetch, -fleet, -mon and -monout. Each command
-// rejects the ones its selected runs do not honour.
+// fs: -duration, -seed, -fetch and -monout. Each command rejects the ones
+// its selected runs do not honour.
 func (c *Config) BindFlags(fs *flag.FlagSet) {
 	fs.DurationVar(&c.Duration, "duration", 30*time.Second, "simulated duration per app")
 	fs.Int64Var(&c.Seed, "seed", 1, "simulation seed")
 	fs.BoolVar(&c.Fetch, "fetch", false, "enable chunked, DMA-promoted demand fetches (DESIGN.md §11)")
-	fs.BoolVar(&c.Fleet, "fleet", false, "attach fleet telemetry to a farm (DESIGN.md §13): QoS/SLO report and the window loop's wall-clock split")
-	fs.BoolVar(&c.Monitor, "mon", false, "attach the streaming telemetry engine (DESIGN.md §15): windowed rollups, online detectors, incident flight recorder")
 	fs.StringVar(&c.MonPath, "monout", "", "write the machine-readable monitor report (for cmd/vsocmon) to this path")
 }
 

@@ -398,8 +398,8 @@ func TestReportsRenderNonEmpty(t *testing.T) {
 }
 
 // TestRegistryContract runs every entry at a tiny config with `make
-// bench`'s -fleet and -fetch: each prints a report, returns bench metrics
-// exactly when it declares Bench,
+// bench`'s -fetch: each prints a report, returns bench metrics exactly
+// when it declares Bench,
 // and names them uniquely across the registry under its own "<experiment>."
 // prefix. Together they are exactly the metrics of the committed baseline,
 // so a renamed or dropped metric fails here before it fails the perf gate.
@@ -408,7 +408,7 @@ func TestRegistryContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Duration: time.Second, AppsPerCategory: 1, PopularApps: 1, Seed: 1, Fleet: true, Fetch: true}
+	cfg := Config{Duration: time.Second, AppsPerCategory: 1, PopularApps: 1, Seed: 1, Fetch: true}
 	// The farm scenarios' fleet. and phased. names predate the convention;
 	// the committed baseline keeps them.
 	legacy := map[string]string{"shardscale": "fleet.", "phasedload": "phased."}

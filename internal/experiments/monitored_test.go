@@ -3,7 +3,6 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -67,16 +66,15 @@ func TestPhasedLoadDeterministic(t *testing.T) {
 }
 
 // TestShardScaleMonitorDeterministicAcrossCounts pins the barrier-sealing
-// contract (EXPERIMENTS.md): with -mon the shardscale farm's monitor report
-// seals windows and sees every frame the fleet layer sees (the two share
-// each guest's hooks through a tee), and attaching both layers does not
-// perturb the simulation results.
+// contract (EXPERIMENTS.md): the shardscale farm's monitor report seals
+// windows, sees every frame the fleet layer sees (the two share each
+// guest's hooks through a tee), and is a pure function of the seed.
+// TestShardScaleFleetDeterministicAcrossCounts checks that the two layers
+// leave the simulation alone.
 func TestShardScaleMonitorDeterministicAcrossCounts(t *testing.T) {
-	res := RunShardScale(Config{Duration: 2 * time.Second, Seed: 1, Monitor: true, Fleet: true})
+	cfg := Config{Duration: 2 * time.Second, Seed: 1}
+	res := RunShardScale(cfg)
 	base := res.Mon
-	if base == nil {
-		t.Fatal("Monitor config did not produce a monitor report")
-	}
 	if base.Sealed == 0 || base.Digest == "" {
 		t.Fatalf("degenerate monitor report: sealed=%d digest=%q", base.Sealed, base.Digest)
 	}
@@ -95,10 +93,7 @@ func TestShardScaleMonitorDeterministicAcrossCounts(t *testing.T) {
 		t.Fatalf("monitor saw %d frames, fleet %d — tee unwired", frames, fleetFrames)
 	}
 
-	// Observe-only: the farm's simulation results with the monitor attached
-	// match a monitor-off run exactly.
-	off := RunShardScale(Config{Duration: 2 * time.Second, Seed: 1})
-	if got, want := project(res), project(off); !reflect.DeepEqual(got, want) {
-		t.Errorf("monitor perturbed the simulation:\n got %+v\nwant %+v", got, want)
+	if again := RunShardScale(cfg).Mon.Digest; again != base.Digest {
+		t.Errorf("equal-seed rerun's monitor digest %s, want %s", again, base.Digest)
 	}
 }

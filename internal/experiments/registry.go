@@ -31,10 +31,8 @@ type Entry struct {
 	// those whose Run returns metrics.
 	Bench bool
 	// Flags lists the other optional vsocbench flags the experiment honours
-	// (-fetch, -metrics, -fleet, -mon, -monout); vsocbench rejects one that
-	// no selected experiment lists. phasedload lists -mon because it always
-	// monitors; shardscale, which monitors only under -mon, honours -monout
-	// only alongside it.
+	// (-fetch, -metrics, -monout); vsocbench rejects one that no selected
+	// experiment lists.
 	Flags []string
 	// InAll marks experiments included in `-exp all`. The sweeps and the
 	// study are excluded so `-exp all` output stays byte-comparable with
@@ -116,14 +114,14 @@ func Registry() []Entry {
 			Summary: "chunked demand-fetch sweep: access latency and sync-copy share across chunk sizes (DESIGN.md §11); excluded from -exp all",
 			Run:     runner(RunFetchPipe, FormatFetchPipe, nil)},
 		{Name: "shardscale", Bench: true,
-			Summary: "four-guest farm sharing one host's PCIe budget, run in 2 ms arbitration windows: per-guest FPS, events and events/s (DESIGN.md §12); -fleet adds the QoS/SLO fleet report and the window loop's wall-clock split (§13), -mon the monitor report (§15); excluded from -exp all",
-			Trace:   "with -fleet, writes the fleet-counter trace next to the given path, as *-fleet.json",
-			Flags:   []string{"-fleet", "-mon"},
+			Summary: "four-guest farm sharing one host's PCIe budget, run in 2 ms arbitration windows: per-guest FPS, events and events/s (DESIGN.md §12), the QoS/SLO fleet report and the window loop's wall-clock split (§13), and the monitor report (§15); -monout writes the monitor report for cmd/vsocmon; excluded from -exp all",
+			Trace:   "writes the fleet-counter trace next to the given path, as *-fleet.json",
+			Flags:   []string{"-monout"},
 			Run:     runner(RunShardScale, FormatShardScale, shardScaleMetrics)},
 		{Name: "phasedload", Bench: true,
 			Summary: "monitored phased-load scenario (steady/spike/fault/recovery) exercising the streaming telemetry engine's windowed rollups, online detectors, and incident flight recorder (DESIGN.md §15); -monout writes the monitor report for cmd/vsocmon; excluded from -exp all",
 			Trace:   "writes one flight-recorder Perfetto snippet per incident next to the given path",
-			Flags:   []string{"-mon", "-monout"},
+			Flags:   []string{"-monout"},
 			Run:     runner(RunPhasedLoad, FormatPhasedLoad, phasedLoadMetrics)},
 	}
 }

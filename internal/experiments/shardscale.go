@@ -77,16 +77,15 @@ type FarmRun struct {
 	Wall time.Duration
 
 	// Fleet is the fleet report and Stall the wall-clock split of the
-	// window loop, set when Config.Fleet is (DESIGN.md §13). FleetTrace is
-	// the fleet-counter trace file, written when Config.TracePath is set
-	// too.
+	// window loop (DESIGN.md §13). FleetTrace is the fleet-counter trace
+	// file, written when Config.TracePath is set.
 	Fleet      *fleetobs.Report
 	Stall      *fleetobs.StallReport
 	FleetTrace string
 
-	// Mon is the monitor report, set when Config.Monitor is (DESIGN.md
-	// §15). Windows seal at the group's barriers, so the report, digest
-	// included, is a pure function of the guests' seeds.
+	// Mon is the monitor report (DESIGN.md §15). Windows seal at the
+	// group's barriers, so the report, digest included, is a pure function
+	// of the guests' seeds.
 	Mon *tsmon.MonReport
 }
 
@@ -101,28 +100,22 @@ func (r *FarmRun) EventsPerSec() float64 {
 // RunFarm builds a farm of preset on machine (DESIGN.md §12) and runs it.
 // Each guest gets its own session with its app started. A shared host
 // arbitrates the guests' PCIe links under pcieBudget bytes/s (0 =
-// uncapped) at the barriers of one window group. The fleet layer
-// (cfg.Fleet) and the monitor (cfg.Monitor) are wired to every guest; both
-// observe only, so results are byte-identical with either on or off. The
-// group runs to the last guest's stop time, and only that run is timed. An
-// app that cannot start or finish is an error.
+// uncapped) at the barriers of one window group. The fleet layer and the
+// monitor are wired to every guest; both observe only, so the guests'
+// results are those of an unobserved farm. The group runs to the last
+// guest's stop time, and only that run is timed. An app that cannot start
+// or finish is an error.
 func RunFarm(cfg Config, preset emulator.Preset, machine MachineSpec, guests []FarmGuest, pcieBudget float64) (*FarmRun, error) {
 	tenants := make([]fleetobs.TenantConfig, len(guests))
 	for g, gu := range guests {
 		tenants[g] = gu.Tenant
 	}
-	var fl *fleetobs.Fleet
-	if cfg.Fleet {
-		fcfg := fleetobs.Config{Tenants: tenants}
-		if cfg.TracePath != "" {
-			fcfg.Tracer = obs.NewTracer()
-		}
-		fl = fleetobs.New(fcfg)
+	fcfg := fleetobs.Config{Tenants: tenants}
+	if cfg.TracePath != "" {
+		fcfg.Tracer = obs.NewTracer()
 	}
-	var mon *tsmon.Monitor
-	if cfg.Monitor {
-		mon = tsmon.New(tsmon.Config{Tenants: tenants})
-	}
+	fl := fleetobs.New(fcfg)
+	mon := tsmon.New(tsmon.Config{Tenants: tenants})
 
 	envs := make([]*sim.Env, len(guests))
 	machs := make([]*hostsim.Machine, len(guests))
@@ -146,31 +139,23 @@ func RunFarm(cfg Config, preset emulator.Preset, machine MachineSpec, guests []F
 	sh.Attach(grp)
 	run := &FarmRun{Lookahead: sh.Lookahead()}
 	grp.AtBarrier(func(prev, now time.Duration) { run.Windows++ })
-	if fl != nil {
-		fl.Attach(grp, sh)
-	}
-	if mon != nil {
-		// Barriers are the farm's global seal points: at each one every
-		// guest has advanced to `now`, so all samples below it are recorded.
-		grp.AtBarrier(func(prev, now time.Duration) { mon.Seal(now) })
-	}
+	fl.Attach(grp, sh)
+	// Barriers are the farm's global seal points: at each one every guest
+	// has advanced to `now`, so all samples below it are recorded.
+	grp.AtBarrier(func(prev, now time.Duration) { mon.Seal(now) })
 
 	wallStart := time.Now()
 	grp.RunUntil(stop)
 	run.Wall = time.Since(wallStart)
 
-	if fl != nil {
-		fl.Finalize(stop)
-		run.Fleet, run.Stall = fl.Report(stop), fl.StallReport()
-		if cfg.TracePath != "" {
-			path := strings.TrimSuffix(cfg.TracePath, ".json") + "-fleet.json"
-			run.FleetTrace = written(path, writeTraceFile(path, fl.Tracer()))
-		}
+	fl.Finalize(stop)
+	run.Fleet, run.Stall = fl.Report(stop), fl.StallReport()
+	if cfg.TracePath != "" {
+		path := strings.TrimSuffix(cfg.TracePath, ".json") + "-fleet.json"
+		run.FleetTrace = written(path, writeTraceFile(path, fl.Tracer()))
 	}
-	if mon != nil {
-		mon.Finalize(stop)
-		run.Mon = mon.Report()
-	}
+	mon.Finalize(stop)
+	run.Mon = mon.Report()
 	for g, pd := range pend {
 		r, err := pd.Wait()
 		if err != nil {
@@ -189,8 +174,8 @@ type ShardScaleResult struct {
 	GuestFPS []float64
 	MeanFPS  float64
 	Frames   int
-	// MonFile is the monitor report file, written when Config.Monitor and
-	// Config.MonPath are both set.
+	// MonFile is the monitor report file, written when Config.MonPath is
+	// set.
 	MonFile string
 }
 
@@ -215,46 +200,35 @@ func RunShardScale(cfg Config) *ShardScaleResult {
 		res.MeanFPS += r.FPS / shardFarmGuests
 		res.Frames += r.Frames
 	}
-	if run.Mon != nil && cfg.MonPath != "" {
+	if cfg.MonPath != "" {
 		res.MonFile = written(cfg.MonPath, run.Mon.WriteJSONFile(cfg.MonPath))
 	}
 	return res
 }
 
-// WireGuest connects guest g's session to its tenant in the fleet, the
-// monitor, or both; either may be nil. Frame and demand-fetch telemetry go
-// to every attached tenant, and a monitor tenant also gets the session's
-// MonitorProbes. Each hook takes one consumer, so wiring both tees them.
+// WireGuest connects guest g's session to its tenant in the monitor and,
+// in a farm, in the fleet; fl is nil for a single-environment run. Frame
+// and demand-fetch telemetry go to every attached tenant, and the monitor
+// tenant also gets the session's MonitorProbes. Each hook takes one
+// consumer, so a farm tees them.
 func WireGuest(sess *workload.Session, g int, fl *fleetobs.Fleet, mon *tsmon.Monitor) {
-	var ft *fleetobs.Tenant
-	if fl != nil {
-		ft = fl.Tenant(g)
-	}
-	var mt *tsmon.Tenant
-	if mon != nil {
-		mt = mon.Tenant(g)
-	}
-	switch {
-	case ft != nil && mt != nil:
+	mt := mon.Tenant(g)
+	if fl == nil {
+		sess.Emulator.FrameObs = mt
+		sess.Emulator.Manager.SetFetchObserver(mt.DemandFetch)
+	} else {
+		ft := fl.Tenant(g)
 		sess.Emulator.FrameObs = frameTee{ft, mt}
 		sess.Emulator.Manager.SetFetchObserver(func(at, latency time.Duration) {
 			ft.DemandFetch(at, latency)
 			mt.DemandFetch(at, latency)
 		})
-	case ft != nil:
-		sess.Emulator.FrameObs = ft
-		sess.Emulator.Manager.SetFetchObserver(ft.DemandFetch)
-	case mt != nil:
-		sess.Emulator.FrameObs = mt
-		sess.Emulator.Manager.SetFetchObserver(mt.DemandFetch)
 	}
-	if mt != nil {
-		MonitorProbes(mt, sess)
-	}
+	MonitorProbes(mt, sess)
 }
 
-// frameTee fans one guest's frame telemetry out to two observers (fleet +
-// monitor) when both layers are active.
+// frameTee fans one farm guest's frame telemetry out to its fleet and
+// monitor tenants.
 type frameTee struct{ a, b emulator.FrameObserver }
 
 func (t frameTee) FramePresented(at time.Duration) {
@@ -278,41 +252,27 @@ func FormatShardScale(r *ShardScaleResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Farm run (%d-guest farm, lookahead %v, DESIGN.md §12):\n",
 		len(r.Results), r.Lookahead)
-	b.WriteString("  mean FPS   per-guest FPS            frames    events     windows   wall ms    events/s")
-	if r.Fleet != nil {
-		b.WriteString("   floor%    slo%   m2p_p99   fetch_p99   strag")
-	}
-	b.WriteString("\n")
+	b.WriteString("  mean FPS   per-guest FPS            frames    events     windows   wall ms    events/s   floor%    slo%   m2p_p99   fetch_p99   strag\n")
 	guests := make([]string, len(r.GuestFPS))
 	for i, f := range r.GuestFPS {
 		guests[i] = fmt.Sprintf("%.1f", f)
 	}
-	fmt.Fprintf(&b, "  %8.2f   %-22s   %6d   %8d   %7d   %7.1f   %9.0f",
+	f := r.Fleet.Fleet
+	fmt.Fprintf(&b, "  %8.2f   %-22s   %6d   %8d   %7d   %7.1f   %9.0f   %6.1f   %5.1f   %5.2fms   %7.2fms   %5d\n",
 		r.MeanFPS, strings.Join(guests, " "), r.Frames, r.Events, r.Windows,
-		float64(r.Wall.Microseconds())/1000, r.EventsPerSec())
-	if f := r.Fleet; f != nil {
-		fmt.Fprintf(&b, "   %6.1f   %5.1f   %5.2fms   %7.2fms   %5d",
-			f.Fleet.FloorAttainment*100, f.Fleet.SLOAttainment*100,
-			f.Fleet.M2PP99MS, f.Fleet.FetchP99MS, len(f.Fleet.Stragglers))
+		float64(r.Wall.Microseconds())/1000, r.EventsPerSec(),
+		f.FloorAttainment*100, f.SLOAttainment*100, f.M2PP99MS, f.FetchP99MS, len(f.Stragglers))
+	b.WriteString("  (wall columns are host-dependent)\n\n")
+	b.WriteString(r.Fleet.FormatText())
+	b.WriteString("\n")
+	b.WriteString(r.Stall.FormatText())
+	if r.FleetTrace != "" {
+		fmt.Fprintf(&b, "trace %s\n", r.FleetTrace)
 	}
-	b.WriteString("\n  (wall columns are host-dependent)\n")
-	if r.Fleet != nil {
-		b.WriteString("\n")
-		b.WriteString(r.Fleet.FormatText())
-		if r.Stall != nil {
-			b.WriteString("\n")
-			b.WriteString(r.Stall.FormatText())
-		}
-		if r.FleetTrace != "" {
-			fmt.Fprintf(&b, "trace %s\n", r.FleetTrace)
-		}
-	}
-	if r.Mon != nil {
-		fmt.Fprintf(&b, "\nmonitor: %d window(s) sealed, %d incident(s), digest %s\n",
-			r.Mon.Sealed, len(r.Mon.Incidents), r.Mon.Digest)
-		if r.MonFile != "" {
-			fmt.Fprintf(&b, "  monitor report %s\n", r.MonFile)
-		}
+	fmt.Fprintf(&b, "\nmonitor: %d window(s) sealed, %d incident(s), digest %s\n",
+		r.Mon.Sealed, len(r.Mon.Incidents), r.Mon.Digest)
+	if r.MonFile != "" {
+		fmt.Fprintf(&b, "  monitor report %s\n", r.MonFile)
 	}
 	return b.String()
 }
@@ -322,22 +282,18 @@ func FormatShardScale(r *ShardScaleResult) string {
 // events_per_sec_serial measures the build host and needs a threshold
 // override in perf gates. The names match the committed bench baselines.
 func shardScaleMetrics(r *ShardScaleResult) []BenchMetric {
-	ms := []BenchMetric{
+	f := r.Fleet
+	return []BenchMetric{
 		{Name: "shardscale.mean_fps", Value: r.MeanFPS, Unit: "fps", Better: "higher"},
 		{Name: "shardscale.frames", Value: float64(r.Frames), Unit: "frames", Better: "higher"},
 		{Name: "shardscale.events_total", Value: float64(r.Events), Unit: "events", Better: "higher"},
 		{Name: "shardscale.windows", Value: float64(r.Windows), Unit: "windows", Better: "higher"},
 		{Name: "shardscale.events_per_sec_serial", Value: r.EventsPerSec(), Unit: "events/s", Better: "higher"},
+		{Name: "fleet.floor_attainment", Value: f.Fleet.FloorAttainment, Unit: "frac", Better: "higher"},
+		{Name: "fleet.slo_attainment", Value: f.Fleet.SLOAttainment, Unit: "frac", Better: "higher"},
+		{Name: "fleet.m2p_p99_ms", Value: f.Fleet.M2PP99MS, Unit: "ms", Better: "lower"},
+		{Name: "fleet.fetch_p99_ms", Value: f.Fleet.FetchP99MS, Unit: "ms", Better: "lower"},
+		{Name: "fleet.lookahead_util", Value: f.Sched.LookaheadUtil, Unit: "frac", Better: "higher"},
+		{Name: "fleet.stragglers", Value: float64(len(f.Fleet.Stragglers)), Unit: "tenants", Better: "lower"},
 	}
-	if f := r.Fleet; f != nil {
-		ms = append(ms,
-			BenchMetric{Name: "fleet.floor_attainment", Value: f.Fleet.FloorAttainment, Unit: "frac", Better: "higher"},
-			BenchMetric{Name: "fleet.slo_attainment", Value: f.Fleet.SLOAttainment, Unit: "frac", Better: "higher"},
-			BenchMetric{Name: "fleet.m2p_p99_ms", Value: f.Fleet.M2PP99MS, Unit: "ms", Better: "lower"},
-			BenchMetric{Name: "fleet.fetch_p99_ms", Value: f.Fleet.FetchP99MS, Unit: "ms", Better: "lower"},
-			BenchMetric{Name: "fleet.lookahead_util", Value: f.Sched.LookaheadUtil, Unit: "frac", Better: "higher"},
-			BenchMetric{Name: "fleet.stragglers", Value: float64(len(f.Fleet.Stragglers)), Unit: "tenants", Better: "lower"},
-		)
-	}
-	return ms
 }

@@ -48,21 +48,67 @@ func TestShardScaleDeterministicAcrossCounts(t *testing.T) {
 	if res.EventsPerSec() <= 0 {
 		t.Fatalf("EventsPerSec = %v, want > 0", res.EventsPerSec())
 	}
+	// RunFarm attaches both observers to every farm.
+	if res.Fleet == nil || res.Stall == nil || res.Mon == nil {
+		t.Fatalf("farm run lacks a report: fleet %v, stall %v, monitor %v", res.Fleet != nil, res.Stall != nil, res.Mon != nil)
+	}
 	if got := project(RunShardScale(cfg)); !reflect.DeepEqual(got, base) {
 		t.Fatalf("equal-seed rerun diverged:\n got %+v\nwant %+v", got, base)
 	}
 }
 
-// TestShardScaleFleetDeterministicAcrossCounts pins the §13 contract: with
-// fleetobs on, the fleet report is wired and well-formed, the window-loop
-// split counts every window, and the simulation results match a fleet-off
-// run exactly.
-func TestShardScaleFleetDeterministicAcrossCounts(t *testing.T) {
-	res := RunShardScale(Config{Duration: 2 * time.Second, Seed: 1, Fleet: true})
-	base := res.Fleet
-	if base == nil {
-		t.Fatal("Fleet config did not produce a fleet report")
+// runUnobservedFarm builds RunShardScale's farm by hand — the same guests,
+// seeds and PCIe budget under the same window group, with a barrier window
+// counter — but attaches neither the fleet layer nor the monitor, and
+// returns the run's deterministic columns.
+func runUnobservedFarm(t *testing.T, cfg Config) shardScaleProjection {
+	t.Helper()
+	var (
+		envs  []*sim.Env
+		machs []*hostsim.Machine
+		pend  []*workload.Pending
+		stop  time.Duration
+	)
+	for g, cat := range shardFarmCategories {
+		sess := workload.NewSession(emulator.VSoC(), HighEnd.New, appSeed(cfg.Seed, 700+g, cat, 0))
+		defer sess.Close()
+		envs, machs = append(envs, sess.Env), append(machs, sess.Machine)
+		pd, err := workload.StartEmerging(sess.Emulator, workload.DefaultSpec(cat, g, cfg.Duration))
+		if err != nil {
+			t.Fatalf("guest %d: %v", g, err)
+		}
+		pend = append(pend, pd)
+		stop = max(stop, pd.Stop())
 	}
+	sh := hostsim.NewSharedHost(hostsim.SharedHostConfig{PCIeBudget: shardFarmPCIeBudget}, machs...)
+	grp := sim.NewShardGroup(sh.Lookahead(), 1, envs...)
+	defer grp.Close()
+	sh.Attach(grp)
+	var res ShardScaleResult
+	grp.AtBarrier(func(prev, now time.Duration) { res.Windows++ })
+	grp.RunUntil(stop)
+	for g, pd := range pend {
+		r, err := pd.Wait()
+		if err != nil {
+			t.Fatalf("guest %d: %v", g, err)
+		}
+		res.GuestFPS = append(res.GuestFPS, r.FPS)
+		res.MeanFPS += r.FPS / shardFarmGuests
+		res.Frames += r.Frames
+	}
+	res.Events = grp.ExecutedEvents()
+	return project(&res)
+}
+
+// TestShardScaleFleetDeterministicAcrossCounts pins the §13 contract: the
+// farm's fleet report is wired and well-formed, the window-loop split
+// counts every window, and the simulation results, the executed-event
+// count included, match a farm with neither observability layer attached
+// exactly.
+func TestShardScaleFleetDeterministicAcrossCounts(t *testing.T) {
+	cfg := Config{Duration: 2 * time.Second, Seed: 1}
+	res := RunShardScale(cfg)
+	base := res.Fleet
 
 	// The hooks must actually flow: tenants present frames, fetch tails
 	// are measured, the window loop advanced.
@@ -80,15 +126,14 @@ func TestShardScaleFleetDeterministicAcrossCounts(t *testing.T) {
 	if base.Sched.Events != res.Events {
 		t.Fatalf("fleet counted %d events, farm executed %d", base.Sched.Events, res.Events)
 	}
-	if res.Stall == nil || res.Stall.Windows != base.Sched.Windows {
-		t.Fatalf("stall split missing or miscounted: %+v", res.Stall)
+	if res.Stall.Windows != base.Sched.Windows {
+		t.Fatalf("stall split miscounted: %+v", res.Stall)
 	}
 
-	// Observe-only: the simulation columns match a fleet-off run byte for
-	// byte.
-	off := RunShardScale(Config{Duration: 2 * time.Second, Seed: 1})
-	if got, want := project(res), project(off); !reflect.DeepEqual(got, want) {
-		t.Errorf("fleetobs perturbed the simulation:\n on  %+v\n off %+v", got, want)
+	// Observe-only: the simulation columns match the unobserved farm's
+	// byte for byte.
+	if got, want := project(res), runUnobservedFarm(t, cfg); !reflect.DeepEqual(got, want) {
+		t.Errorf("the observability layers perturbed the simulation:\n observed   %+v\n unobserved %+v", got, want)
 	}
 }
 
@@ -102,6 +147,8 @@ func TestShardScaleBenchMetricsShape(t *testing.T) {
 	for _, want := range []string{
 		"shardscale.mean_fps", "shardscale.frames", "shardscale.events_total",
 		"shardscale.windows", "shardscale.events_per_sec_serial",
+		"fleet.floor_attainment", "fleet.slo_attainment", "fleet.m2p_p99_ms",
+		"fleet.fetch_p99_ms", "fleet.lookahead_util", "fleet.stragglers",
 	} {
 		if !names[want] {
 			t.Errorf("bench metrics missing %s (have %v)", want, names)
@@ -138,7 +185,9 @@ func runChaosFarm(t *testing.T, dur time.Duration, fault bool, reg *obs.Registry
 		sessions = append(sessions, sess)
 		envs = append(envs, sess.Env)
 		machs = append(machs, sess.Machine)
-		WireGuest(sess, g, fl, nil)
+		ft := fl.Tenant(g)
+		sess.Emulator.FrameObs = ft
+		sess.Emulator.Manager.SetFetchObserver(ft.DemandFetch)
 		pd, err := workload.StartEmerging(sess.Emulator, workload.DefaultSpec(cat, g, dur))
 		if err != nil {
 			t.Fatalf("guest %d: %v", g, err)
@@ -243,7 +292,7 @@ func TestFarmTenantContract(t *testing.T) {
 			t.Errorf("%s declares %s floor %g slo %gms, want %+v", report, name, floor, sloMS, want)
 		}
 	}
-	ss := RunShardScale(Config{Duration: time.Second, Seed: 1, Fleet: true, Monitor: true})
+	ss := RunShardScale(Config{Duration: time.Second, Seed: 1})
 	names := []string{"g0:UHD Video", "g1:360 Video", "g2:Camera", "g3:Livestream"}
 	for g, cat := range shardFarmCategories {
 		want := FarmTenant(names[g], cat)

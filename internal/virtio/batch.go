@@ -84,9 +84,10 @@ func (c BatchConfig) pressureHold() time.Duration {
 	return DefaultPressureHold
 }
 
-// AdaptiveWindow sizes the coalescing window of one queue from the
-// notify->IRQ round trips observed on it (single exponential smoothing,
-// the same metrics.EWMA machinery the prefetch engine forecasts with).
+// AdaptiveWindow sizes one coalescing window (the svm push coalescer keeps
+// one per destination domain) from the notify->IRQ round trips observed on
+// it (single exponential smoothing, the same metrics.EWMA machinery the
+// prefetch engine forecasts with).
 //
 // The policy, in order of precedence:
 //

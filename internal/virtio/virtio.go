@@ -96,8 +96,6 @@ type Command struct {
 	Kind    string
 	Payload any
 	Seq     uint64
-	// EnqueuedAt is the virtual time the guest dispatched the command.
-	EnqueuedAt time.Duration
 }
 
 // Ring is a virtqueue: a FIFO of commands from a guest driver to its host
@@ -114,9 +112,6 @@ type Ring struct {
 	// batching). Starts true: until the executor's first Recv, the guest
 	// must assume it is asleep.
 	peerIdle bool
-	// win is the ring's adaptive coalescing window, fed by observed
-	// dispatch->completion round trips. Nil when batching is off.
-	win *AdaptiveWindow
 
 	tr *obs.Tracer
 	tk obs.Track
@@ -131,9 +126,6 @@ func NewRing(env *sim.Env, name string, cfg Config) *Ring {
 		r.tk = r.tr.Track("vq:" + name)
 	}
 	r.pf = env.Profiler()
-	if cfg.Batch.Enabled {
-		r.win = NewAdaptiveWindow(cfg.Batch)
-	}
 	if reg := env.Metrics(); reg != nil {
 		reg.Count("vq."+name+".commands", &r.stats.Commands)
 		reg.Count("vq."+name+".kicks", &r.stats.Kicks)
@@ -155,27 +147,19 @@ func (r *Ring) Stamp(c *Command) {
 }
 
 // Dispatch publishes one command and kicks the host. The calling guest
-// process pays marshaling plus one VM-exit.
+// process pays marshaling plus one VM-exit; a device that batches several
+// commands behind one kick (§3.4) pays the marshaling of the others itself.
+// Under an enabled batch config the kick itself is elided while the host
+// executor is still processing: like virtio's event-index suppression, the
+// executor re-checks the ring after publishing its idle state, so a command
+// published to a busy ring is always picked up without a doorbell.
 func (r *Ring) Dispatch(p *sim.Proc, c *Command) {
-	r.DispatchBatch(p, []*Command{c})
-}
-
-// DispatchBatch publishes several commands with a single kick — the
-// batching that command queues exist for (§3.4). Under an enabled batch
-// config the kick itself is elided while the host executor is still
-// processing: like virtio's event-index suppression, the executor re-checks
-// the ring after publishing its idle state, so a command published to a busy
-// ring is always picked up without a doorbell.
-func (r *Ring) DispatchBatch(p *sim.Proc, cmds []*Command) {
-	if len(cmds) == 0 {
-		return
-	}
 	kick := !r.cfg.Batch.Enabled || r.peerIdle
 	var sp obs.Span
 	if r.tr != nil {
 		sp = r.tr.Begin(r.tk, "dispatch")
 	}
-	cost := time.Duration(len(cmds)) * PerCommandCost
+	cost := PerCommandCost
 	if kick {
 		cost += KickCost
 	}
@@ -188,16 +172,13 @@ func (r *Ring) DispatchBatch(p *sim.Proc, cmds []*Command) {
 		}
 		r.pf.Charge(p, lbl, dispatchStart)
 	}
-	for _, c := range cmds {
-		c.EnqueuedAt = p.Now()
-		r.stats.Commands++
-		if r.tr != nil {
-			// Queue-residency leg: ends when the host executor receives
-			// the command in Recv.
-			r.tr.AsyncBegin(r.tk, "queued", c.Seq)
-		}
-		r.q.Put(p, c)
+	r.stats.Commands++
+	if r.tr != nil {
+		// Queue-residency leg: ends when the host executor receives the
+		// command in Recv.
+		r.tr.AsyncBegin(r.tk, "queued", c.Seq)
 	}
+	r.q.Put(p, c)
 	if kick {
 		r.stats.Kicks++
 	} else {
@@ -228,14 +209,6 @@ func (r *Ring) Recv(p *sim.Proc) *Command {
 		r.tr.Count(r.tk, "pending", float64(r.q.Len()))
 	}
 	return c
-}
-
-// ObserveRoundTrip feeds one dispatch->completion round trip into the
-// ring's adaptive window. No-op when batching is off.
-func (r *Ring) ObserveRoundTrip(d time.Duration) {
-	if r.win != nil {
-		r.win.ObserveRTT(d)
-	}
 }
 
 // Pending returns the queued command count.

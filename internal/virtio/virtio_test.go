@@ -44,25 +44,6 @@ func TestDispatchPaysKickAndMarshal(t *testing.T) {
 	}
 }
 
-func TestBatchSingleKick(t *testing.T) {
-	env := sim.NewEnv(1)
-	defer env.Close()
-	r := NewRing(env, "q", Config{})
-	var after time.Duration
-	env.Spawn("guest", func(p *sim.Proc) {
-		cmds := []*Command{newCmd(r, "a"), newCmd(r, "b"), newCmd(r, "c")}
-		r.DispatchBatch(p, cmds)
-		after = p.Now()
-	})
-	env.Run()
-	if want := 3*PerCommandCost + KickCost; after != want {
-		t.Fatalf("batch cost %v, want %v (3 marshal + 1 kick)", after, want)
-	}
-	if s := r.Stats(); s.Kicks != 1 || s.Commands != 3 {
-		t.Fatalf("stats = %+v, want 1 kick / 3 commands", s)
-	}
-}
-
 func TestRingFIFODelivery(t *testing.T) {
 	env := sim.NewEnv(1)
 	defer env.Close()

@@ -65,8 +65,6 @@ func PopularSpec(kind PopularKind, appIndex int, duration time.Duration) Spec {
 		popular: kind,
 	}
 	switch kind {
-	case PopularHeavy3D:
-		s.UIDirtyFraction = 0.05 // HUD only
 	case PopularUI:
 		s.UIDirtyFraction = 0.40 + 0.05*float64(appIndex%3) // scrolling feeds
 	case PopularSocialVideo:

@@ -63,6 +63,7 @@ func RunEmerging(e *emulator.Emulator, spec Spec) (*Result, error) {
 func StartEmerging(e *emulator.Emulator, spec Spec) (*Pending, error) {
 	spec.normalize()
 	switch spec.Category {
+	case emulator.CatUHDVideo, emulator.Cat360Video, emulator.CatLivestream:
 	case emulator.CatCamera, emulator.CatAR:
 		if e.Camera == nil {
 			return nil, fmt.Errorf("workload: %s does not support cameras", e.Preset.Name)
@@ -71,6 +72,8 @@ func StartEmerging(e *emulator.Emulator, spec Spec) (*Pending, error) {
 		if spec.popular != PopularHeavy3D && spec.popular != PopularUI {
 			return nil, fmt.Errorf("workload: popular kind %d is not a frame-loop app", spec.popular)
 		}
+	default:
+		return nil, fmt.Errorf("workload: unknown category %d", spec.Category)
 	}
 	stop := e.Env.Now() + spec.Duration
 	pd := &Pending{e: e, spec: spec, stop: stop}
@@ -135,9 +138,6 @@ func StartEmerging(e *emulator.Emulator, spec Spec) (*Pending, error) {
 			}
 		case catFrameLoop:
 			startFrameLoop(e, &pd.spec, q, stop)
-		default:
-			pd.err = fmt.Errorf("workload: unknown category %d", spec.Category)
-			return
 		}
 		s.run(p)
 	})

@@ -393,6 +393,17 @@ func TestEveryAppKindStartsAsPending(t *testing.T) {
 	if _, err := StartEmerging(sess.Emulator, PopularSpec(PopularKind(7), 0, dur)); err == nil {
 		t.Error("an unknown popular kind started")
 	}
+
+	// An unknown category is rejected before any process spawns.
+	before := sess.Env.PendingEvents()
+	unknown := DefaultSpec(emulator.CatUHDVideo, 0, dur)
+	unknown.Category = emulator.NumCategories
+	if _, err := StartEmerging(sess.Emulator, unknown); err == nil {
+		t.Error("an unknown category started")
+	}
+	if after := sess.Env.PendingEvents(); after != before {
+		t.Errorf("rejected start scheduled %d event(s)", after-before)
+	}
 }
 
 // frameCounter is a FrameObserver that counts what it sees.
