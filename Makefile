@@ -1,11 +1,11 @@
 # Tier-1 gate is `make check`: everything CI (and the roadmap) requires to
 # pass before a change lands. `make verify` adds the race detector over the
-# concurrency-bearing packages and a benchmark smoke run of the sim core and
-# the SVM access path.
+# concurrency-bearing packages, a short fuzz of the sim kernel and a
+# benchmark smoke run of the sim core and the SVM access path.
 
 GO ?= go
 
-.PHONY: check build vet test docs-check bench-module race bench-smoke examples-smoke sim-smoke chaos-smoke trace-smoke tune-smoke mon-smoke bench perf-smoke perf-gate verify
+.PHONY: check build vet test docs-check bench-module race fuzz-smoke bench-smoke examples-smoke sim-smoke chaos-smoke trace-smoke tune-smoke mon-smoke bench perf-smoke perf-gate verify
 
 check: vet build test docs-check bench-module
 
@@ -40,6 +40,15 @@ bench-module:
 # goroutine.
 race:
 	$(GO) test -race ./internal/sim/... ./internal/experiments/...
+
+# Generative kernel check: FuzzBatonRunMatchesStepRun drives seeded
+# scenarios (sleeps that tie other events, a queue, a mutex, an event,
+# callbacks, child processes) with RunUntil and with a Step loop, and the
+# two must execute the same events in the same order. `go test` replays the
+# committed corpus (internal/sim/testdata/fuzz); this explores new seeds for
+# 10 s, and writes any failing input there.
+fuzz-smoke:
+	$(GO) test -run=NONE -fuzz=FuzzBatonRunMatchesStepRun -fuzztime=10s ./internal/sim
 
 # One short iteration of the scheduler microbenchmarks, of the SVM access
 # path's (write->read cycles per protocol, the guest driver's prediction
@@ -144,4 +153,4 @@ perf-smoke: bench
 perf-gate: bench
 	$(GO) run ./cmd/vsocperf $(PERF_NOISY) BENCH.json /tmp/vsoc-bench.json
 
-verify: check race bench-smoke examples-smoke sim-smoke chaos-smoke trace-smoke tune-smoke mon-smoke perf-smoke perf-gate
+verify: check race fuzz-smoke bench-smoke examples-smoke sim-smoke chaos-smoke trace-smoke tune-smoke mon-smoke perf-smoke perf-gate

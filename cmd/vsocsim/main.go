@@ -28,9 +28,10 @@
 // observe. -monout writes the machine-readable monitor report for
 // cmd/vsocmon to render.
 //
-// An unknown -emulator, -machine or -app name, a non-positive -duration, a
-// negative -guests, or -v with -guests (a farm has no single session to
-// print) exits 2 with a usage error.
+// Names resolve case-insensitively. An unknown -emulator, -machine or -app
+// name (the error lists the valid ones, as the usage does), a non-positive
+// -duration, a negative -guests, or -v with -guests (a farm has no single
+// session to print) exits 2 with a usage error.
 package main
 
 import (
@@ -38,6 +39,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strings"
 	"time"
 
@@ -69,9 +71,7 @@ var machinesByName = map[string]experiments.MachineSpec{
 func main() {
 	var cfg experiments.Config
 	cfg.BindFlags(flag.CommandLine)
-	emuName := flag.String("emulator", "vsoc", "emulator preset")
-	machName := flag.String("machine", "highend", "machine preset")
-	appName := flag.String("app", "uhd", "app kind (uhd, 360, camera, ar, livestream, heavy3d, ui, social)")
+	emuName, machName, appName := bindNames(flag.CommandLine)
 	verbose := flag.Bool("v", false, "print SVM internals")
 	guests := flag.Int("guests", 0, "farm mode: run N guest instances of the app on one host (DESIGN.md §12); 0 = single instance")
 	flag.Parse()
@@ -196,11 +196,30 @@ func checkFlags(cfg experiments.Config, emuName, machName, appName string, guest
 	return target{preset: presetFn(), machine: machine, app: strings.ToLower(appName), spec: spec}, nil
 }
 
+// bindNames binds the -emulator, -machine and -app flags to fs; each usage
+// string lists the names of the flag's table.
+func bindNames(fs *flag.FlagSet) (emu, machine, app *string) {
+	emu = fs.String("emulator", "vsoc", "emulator preset: one of "+names(presetsByName))
+	machine = fs.String("machine", "highend", "machine preset: one of "+names(machinesByName))
+	app = fs.String("app", "uhd", "app kind: one of "+names(appSpecs))
+	return emu, machine, app
+}
+
+// names lists a name flag's table in sorted order.
+func names[V any](table map[string]V) string {
+	keys := make([]string, 0, len(table))
+	for k := range table {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return strings.Join(keys, ", ")
+}
+
 // lookup resolves the value of a name flag in the flag's table.
 func lookup[V any](table map[string]V, flag, name string) (V, error) {
 	v, ok := table[strings.ToLower(name)]
 	if !ok {
-		return v, fmt.Errorf("unknown %s %q", flag, name)
+		return v, fmt.Errorf("unknown %s %q (want one of %s)", flag, name, names(table))
 	}
 	return v, nil
 }

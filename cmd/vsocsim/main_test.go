@@ -2,6 +2,8 @@ package main
 
 import (
 	"cmp"
+	"flag"
+	"strings"
 	"testing"
 	"time"
 
@@ -31,8 +33,9 @@ func TestCheckFarmFlags(t *testing.T) {
 
 // TestCheckFlags: an unknown -emulator, -machine or -app name and a
 // non-positive duration are usage errors in both modes, on top of the
-// farm-flag rules; names resolve case-insensitively, and the Makefile's
-// invocations (every app with -v and with -guests 2) are accepted.
+// farm-flag rules; names resolve case-insensitively, an unknown one's
+// error lists the valid names, and the Makefile's invocations (every app
+// with -v and with -guests 2) are accepted.
 func TestCheckFlags(t *testing.T) {
 	for _, tc := range []struct {
 		emu, machine, app string
@@ -41,6 +44,7 @@ func TestCheckFlags(t *testing.T) {
 		verbose           bool
 		monPath           string
 		ok                bool
+		errNames          string // the name list the error must carry
 	}{
 		{duration: 30 * time.Second, guests: 0, ok: true},
 		{duration: time.Millisecond, guests: 4, ok: true},
@@ -54,10 +58,10 @@ func TestCheckFlags(t *testing.T) {
 		// Names.
 		{emu: "GAE", machine: "MidEnd", app: "Heavy3D", duration: time.Second, ok: true},
 		{emu: "vsoc-nofence", machine: "pixel", app: "social", duration: time.Second, guests: 2, ok: true},
-		{emu: "nosuch", duration: time.Second, ok: false},
-		{machine: "nosuch", duration: time.Second, ok: false},
-		{app: "nosuch", duration: time.Second, ok: false},
-		{app: "nosuch", duration: time.Second, guests: 2, ok: false},
+		{emu: "nosuch", duration: time.Second, ok: false, errNames: names(presetsByName)},
+		{machine: "nosuch", duration: time.Second, ok: false, errNames: names(machinesByName)},
+		{app: "nosuch", duration: time.Second, ok: false, errNames: names(appSpecs)},
+		{app: "nosuch", duration: time.Second, guests: 2, ok: false, errNames: names(appSpecs)},
 	} {
 		emu, machine, app := cmp.Or(tc.emu, "vsoc"), cmp.Or(tc.machine, "highend"), cmp.Or(tc.app, "uhd")
 		cfg := experiments.Config{Duration: tc.duration, MonPath: tc.monPath}
@@ -65,6 +69,9 @@ func TestCheckFlags(t *testing.T) {
 		if (err == nil) != tc.ok {
 			t.Errorf("checkFlags(%v, -emulator %s -machine %s -app %s -guests %d -v=%v -monout %q) = %v, want ok=%v",
 				tc.duration, emu, machine, app, tc.guests, tc.verbose, tc.monPath, err, tc.ok)
+		}
+		if tc.errNames != "" && (err == nil || !strings.Contains(err.Error(), "(want one of "+tc.errNames+")")) {
+			t.Errorf("checkFlags(-emulator %s -machine %s -app %s) = %v, want it to list %s", emu, machine, app, err, tc.errNames)
 		}
 		if err == nil && (tg.spec == nil || tg.machine.New == nil || tg.preset.Name == "") {
 			t.Errorf("checkFlags(-emulator %s -machine %s -app %s) resolved %+v", emu, machine, app, tg)
@@ -75,6 +82,22 @@ func TestCheckFlags(t *testing.T) {
 			if _, err := checkFlags(experiments.Config{Duration: 2 * time.Second}, "vsoc", "highend", app, guests, guests == 0); err != nil {
 				t.Errorf("sim-smoke's -app %s (-guests %d) rejected: %v", app, guests, err)
 			}
+		}
+	}
+}
+
+// TestNameFlagUsageListsTables: the -emulator, -machine and -app usage
+// strings list the names of their own tables.
+func TestNameFlagUsageListsTables(t *testing.T) {
+	fs := flag.NewFlagSet("vsocsim", flag.ContinueOnError)
+	bindNames(fs)
+	for name, list := range map[string]string{
+		"emulator": names(presetsByName),
+		"machine":  names(machinesByName),
+		"app":      names(appSpecs),
+	} {
+		if usage := fs.Lookup(name).Usage; !strings.HasSuffix(usage, "one of "+list) {
+			t.Errorf("-%s usage %q, want it to list %s", name, usage, list)
 		}
 	}
 }

@@ -95,14 +95,14 @@ func main() {
 	fmt.Printf("[total %.1fs, %d workers]\n", time.Since(wallStart).Seconds(), cfg.EffectiveWorkers())
 }
 
-// checkFlags resolves -preset to the presets it tunes, in tuning order, and
-// rejects an unknown one, the experiments' bad counts and durations (a
-// negative -apps panics the evaluation probe) and a budget below one, which
-// the search cannot run.
+// checkFlags resolves -preset (case-insensitively) to the presets it tunes,
+// in tuning order, and rejects an unknown one, the experiments' bad counts
+// and durations (a negative -apps panics the evaluation probe) and a budget
+// below one, which the search cannot run.
 func checkFlags(preset string, apps int, duration time.Duration, workers, budget int) ([]emulator.Preset, error) {
 	var presets []emulator.Preset
 	var presetErr, budgetErr error
-	switch preset {
+	switch strings.ToLower(preset) {
 	case "vsoc":
 		presets = []emulator.Preset{emulator.VSoC()}
 	case "vsoc-noprefetch":

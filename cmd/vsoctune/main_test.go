@@ -1,13 +1,15 @@
 package main
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
 
 // TestCheckFlags: the shared -apps/-duration/-workers rules apply, a
 // budget below one is a usage error rather than a silent default, and so
-// is an unknown -preset; a known one resolves to the presets it tunes.
+// is an unknown -preset; a known one, in any case, resolves to the presets
+// it tunes.
 func TestCheckFlags(t *testing.T) {
 	type flags struct {
 		preset          string
@@ -30,6 +32,8 @@ func TestCheckFlags(t *testing.T) {
 		{flags{preset: "vsoc", apps: 2, duration: 6 * time.Second, budget: 40}, true},
 		{flags{preset: "vsoc-noprefetch", apps: 1, duration: 2 * time.Second, budget: 6}, true},
 		{flags{preset: "foo", apps: 2, duration: 6 * time.Second, budget: 40}, false},
+		{flags{preset: "VSoC", apps: 2, duration: 6 * time.Second, budget: 40}, true},
+		{flags{preset: "BOTH", apps: 2, duration: 6 * time.Second, budget: 40}, true},
 	} {
 		f := tc.f
 		if f.preset == "" {
@@ -39,7 +43,7 @@ func TestCheckFlags(t *testing.T) {
 		if (err == nil) != tc.ok {
 			t.Errorf("checkFlags(%+v) = %v, want ok=%v", f, err, tc.ok)
 		}
-		if want := map[string]int{"both": 2, "vsoc": 1, "vsoc-noprefetch": 1}[f.preset]; err == nil && len(presets) != want {
+		if want := map[string]int{"both": 2, "vsoc": 1, "vsoc-noprefetch": 1}[strings.ToLower(f.preset)]; err == nil && len(presets) != want {
 			t.Errorf("checkFlags(%+v) resolved %d presets, want %d", f, len(presets), want)
 		}
 	}

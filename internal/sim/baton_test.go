@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
@@ -380,8 +381,9 @@ func TestStepExecutesOneEvent(t *testing.T) {
 }
 
 // TestRunWindowLeavesLimitEventPending: an exclusive window must not execute
-// a wakeup at exactly its horizon, even when the decision is made by a
-// parking process holding the baton rather than by the driver.
+// a wakeup at exactly its horizon, even when the decision is made by the
+// sleeping process itself — whether it may take its wakeup in place —
+// rather than by the driver.
 func TestRunWindowLeavesLimitEventPending(t *testing.T) {
 	env := NewEnv(1)
 	defer env.Close()
@@ -402,52 +404,173 @@ func TestRunWindowLeavesLimitEventPending(t *testing.T) {
 	}
 }
 
-// TestBatonRunMatchesStepRun: RunUntil, whose dispatch moves between
-// processes, executes the same events in the same order as a Step loop,
-// whose dispatch never leaves the driver.
-func TestBatonRunMatchesStepRun(t *testing.T) {
-	run := func(useStep bool) string {
-		env := NewEnv(3)
-		defer env.Close()
-		var b strings.Builder
-		q := NewQueue[int](env, 2)
-		mu := NewSemaphore(env, 1)
-		for w := 0; w < 3; w++ {
-			env.Spawn("producer", func(p *Proc) {
-				for i := 0; ; i++ {
-					mu.Acquire(p, 1)
-					p.Sleep(Time(env.Rand().Intn(50)) * time.Microsecond)
-					mu.Release(1)
-					q.Put(p, w*1000+i)
-				}
-			})
+// FuzzBatonRunMatchesStepRun: a generated scenario driven by RunUntil,
+// whose dispatch moves between processes and whose sleeps may take their
+// wakeups in place, executes the same events in the same order as a Step
+// loop, whose one-event bound keeps every wakeup queued and dispatch on the
+// driver. The seed fixes the scenario: 2-4 processes, each running a
+// script of about 30 operations over sleeps that tie other events, a
+// 1-slot queue, a mutex, an event, callbacks and child processes, and the
+// run bounds. A pump process signals the event and moves items through
+// the queue without blocking, so most blocked processes wake again. Both
+// drivers must leave equal logs, clocks and event counts at every bound.
+func FuzzBatonRunMatchesStepRun(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64) {
+		want := batonScenario(seed, true)
+		if got := batonScenario(seed, false); got != want {
+			i := 0
+			for i < len(got) && i < len(want) && got[i] == want[i] {
+				i++
+			}
+			from := max(0, i-200)
+			t.Fatalf("seed %d: baton run diverged from step run at byte %d\n got: …%.300s\nwant: …%.300s",
+				seed, i, got[from:], want[from:])
 		}
-		env.Spawn("consumer", func(p *Proc) {
-			for {
-				v := q.Get(p)
-				fmt.Fprintf(&b, "%d@%v ", v, env.Now())
-				env.After(Time(v%7)*time.Microsecond, func() { fmt.Fprintf(&b, "cb%d@%v ", v, env.Now()) })
+	})
+}
+
+// The operations of a generated process script.
+const (
+	opSleep0 = iota
+	opSleepNeg
+	opSleep
+	opPut
+	opGet
+	opMutex // Acquire when not holding, Release when holding
+	opSignal
+	opWait
+	opWaitTimeout
+	opAfter
+	opAfterFunc // Stop the previous timer, then arm a new one
+	opSpawn
+	numOps
+)
+
+var opNames = [numOps]string{"sleep0", "sleepneg", "sleep", "put", "get", "mutex", "signal", "wait", "waittimeout", "after", "afterfunc", "spawn"}
+
+// scriptOp is one operation and its duration in microseconds (1-8).
+type scriptOp struct{ op, us int }
+
+// batonScenario builds the scenario seed fixes and drives it, with a Step
+// loop or with RunUntil at three bounds plus one exclusive runWindow, and
+// returns its log: every operation as name:op@now, every callback and
+// child wakeup, and the clock, executed and pending counts at each bound.
+func batonScenario(seed int64, useStep bool) string {
+	rng := rand.New(rand.NewSource(seed))
+	scripts := make([][]scriptOp, 2+rng.Intn(3))
+	for i := range scripts {
+		scripts[i] = make([]scriptOp, 25+rng.Intn(11))
+		for j := range scripts[i] {
+			scripts[i][j] = scriptOp{op: rng.Intn(numOps), us: 1 + rng.Intn(8)}
+		}
+	}
+	pump := make([]scriptOp, 40)
+	for j := range pump {
+		pump[j] = scriptOp{op: rng.Intn(3), us: 1 + rng.Intn(8)}
+	}
+	us := func(n int) Time { return Time(n) * time.Microsecond }
+	b1 := us(1 + rng.Intn(40))
+	horizon := b1 + us(1+rng.Intn(40))
+	b2 := horizon + us(rng.Intn(40))
+	bounds := []struct {
+		at        Time
+		inclusive bool
+	}{{b1, true}, {horizon, false}, {b2, true}, {b2 + us(1+rng.Intn(200)), true}}
+
+	env := NewEnv(seed)
+	defer env.Close()
+	var b strings.Builder
+	logf := func(format string, args ...any) {
+		fmt.Fprintf(&b, format, args...)
+		fmt.Fprintf(&b, "@%v ", env.Now())
+	}
+	q := NewQueue[int](env, 1)
+	mu := NewSemaphore(env, 1)
+	ev := NewEvent(env)
+	for i, script := range scripts {
+		name := fmt.Sprintf("p%d", i)
+		env.Spawn(name, func(p *Proc) {
+			holding := false
+			var tmr Timer
+			for j, s := range script {
+				d := us(s.us)
+				res := ""
+				switch s.op {
+				case opSleep0:
+					p.Sleep(0)
+				case opSleepNeg:
+					p.Sleep(-d)
+				case opSleep:
+					p.Sleep(d)
+				case opPut:
+					q.Put(p, i*1000+j)
+				case opGet:
+					res = fmt.Sprint(q.Get(p))
+				case opMutex:
+					if holding {
+						mu.Release(1)
+					} else {
+						mu.Acquire(p, 1)
+					}
+					holding = !holding
+				case opSignal:
+					ev.Signal()
+					ev.Reset()
+				case opWait:
+					ev.Wait(p)
+				case opWaitTimeout:
+					res = fmt.Sprint(ev.WaitTimeout(p, d))
+				case opAfter:
+					cb := fmt.Sprintf("%s/cb%d", name, j)
+					env.After(d-time.Microsecond, func() { logf("%s", cb) })
+				case opAfterFunc:
+					res = fmt.Sprint(tmr.Stop())
+					cb := fmt.Sprintf("%s/tmr%d", name, j)
+					tmr = env.AfterFunc(d, func() { logf("%s", cb) })
+				case opSpawn:
+					child := fmt.Sprintf("%s/child%d", name, j)
+					env.Spawn(child, func(c *Proc) {
+						c.Sleep(d - time.Microsecond)
+						logf("%s:woke", child)
+					})
+				}
+				logf("%s:%s%s", name, opNames[s.op], res)
+			}
+			if holding {
+				mu.Release(1)
 			}
 		})
-		const stop = 2 * ms
+	}
+	env.Spawn("pump", func(p *Proc) {
+		for _, s := range pump {
+			p.Sleep(us(s.us))
+			switch s.op {
+			case 0:
+				ev.Signal()
+				ev.Reset()
+				logf("pump:signal")
+			case 1:
+				logf("pump:tryput%v", q.TryPut(-1))
+			case 2:
+				v, ok := q.TryGet()
+				logf("pump:tryget%v%v", v, ok)
+			}
+		}
+	})
+	for _, bd := range bounds {
 		if useStep {
 			for {
 				at, ok := env.nextAt()
-				if !ok || at > stop {
+				if !ok || at > bd.at || (at == bd.at && !bd.inclusive) {
 					break
 				}
 				env.Step()
 			}
-		} else {
-			env.RunUntil(stop)
 		}
-		fmt.Fprintf(&b, "events=%d", env.ExecutedEvents())
-		return b.String()
+		env.runWindow(bd.at, bd.inclusive) // after the Step loop: executes nothing, advances the clock
+		fmt.Fprintf(&b, "| now=%v events=%d pending=%d\n", env.Now(), env.ExecutedEvents(), env.PendingEvents())
 	}
-	want := run(true)
-	if got := run(false); got != want {
-		t.Fatalf("baton run diverged from step run\n got: %.300s\nwant: %.300s", got, want)
-	}
+	return b.String()
 }
 
 // TestSemaphoreContendedCycleAllocatesNothing pins waiter recycling: once the

@@ -1,10 +1,11 @@
 // Package bench microbenchmarks the sim scheduler core in isolation:
 // steady-state event throughput at several queue depths, the same-instant
 // zero-delay path, timer cancellation churn, and — driven by RunUntil, so
-// parking processes dispatch events themselves — process wakeups passed
-// between process coroutines and short-lived process churn. Every benchmark
-// reports events/s and allocs/op; the scheduler's contract is ~0 allocs/op
-// once the queues reach steady state, plus the Proc itself per spawn.
+// parking processes dispatch events themselves and sleepers take their own
+// wakeups in place — process wakeups passed between process coroutines and
+// short-lived process churn. Every benchmark reports events/s and
+// allocs/op; the scheduler's contract is ~0 allocs/op once the queues reach
+// steady state, plus the Proc itself per spawn.
 //
 // Run with:
 //
@@ -128,9 +129,9 @@ func runUntil(b *testing.B, env *sim.Env) {
 	b.ReportMetric(float64(env.ExecutedEvents()-before)/b.Elapsed().Seconds(), "events/s")
 }
 
-// BenchmarkRunUntilSleep is a lone process sleeping in a loop: every event
-// is the parking process's own wakeup, which park dispatches and returns
-// from without a coroutine switch.
+// BenchmarkRunUntilSleep is a lone process sleeping in a loop: every
+// wakeup is the run's next event, which Sleep takes in place — no queue,
+// no dispatch, no coroutine switch.
 func BenchmarkRunUntilSleep(b *testing.B) {
 	env := sim.NewEnv(1)
 	defer env.Close()

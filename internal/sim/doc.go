@@ -6,11 +6,12 @@
 // process runs at a time: there is no scheduler goroutine, a parking
 // process dispatches the next events itself, and when they wake another
 // process it yields to the driver loop, which resumes that process — two
-// coroutine switches, no goroutine scheduling. All wakeups flow through a
-// single event queue ordered by (time, sequence), so runs are
-// bit-reproducible for a given seed regardless of GOMAXPROCS or of where an
-// event is popped. A panic in a process's code surfaces from the run that
-// resumed it, naming the process.
+// coroutine switches, no goroutine scheduling. All wakeups run in one
+// (time, sequence) order — through a single event queue, except a sleep
+// whose wakeup is provably the queue's next event, which the sleeper takes
+// in place — so runs are bit-reproducible for a given seed regardless of
+// GOMAXPROCS or of where an event is popped. A panic in a process's code
+// surfaces from the run that resumed it, naming the process.
 //
 // Processes block with the primitives in this package: Sleep, Event (one-shot
 // broadcast), Queue (FIFO channel), and Semaphore (counted resource). These

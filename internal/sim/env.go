@@ -118,8 +118,9 @@ type Env struct {
 	timerFree  *timerRec // recycled cancellation records
 	waiterFree *waiter   // recycled park registrations
 
-	// executed counts events dispatched, the simulator-throughput
-	// numerator the shardscale farm reports as events/s.
+	// executed counts events executed, in-place Sleep wakeups included:
+	// the simulator-throughput numerator the shardscale farm reports as
+	// events/s.
 	executed uint64
 
 	// Observability attachments, both optional (nil = disabled). They live
@@ -313,6 +314,27 @@ func (e *Env) nextAt() (Time, bool) {
 	return 0, false
 }
 
+// inBound reports whether an event at `at` falls inside the active run's
+// bound.
+func (e *Env) inBound(at Time) bool {
+	return at < e.limit || (at == e.limit && e.inclusive)
+}
+
+// nextInRun reports whether an event the current process would schedule at
+// `at` is provably the next one dispatch pops: a run that is not Step's
+// one-event bound is in progress on an open Env, `at` is inside its bound,
+// and every live queued event is strictly later. A queued event at `at`
+// itself was scheduled first and runs first. Proc.Sleep then takes its
+// wakeup in place; the event order and count are those the queue would
+// give.
+func (e *Env) nextInRun(at Time) bool {
+	if !e.running || e.closed || e.executed == e.stopAt || !e.inBound(at) {
+		return false
+	}
+	next, ok := e.nextAt()
+	return !ok || next > at
+}
+
 // handoff is how dispatch left the baton.
 type handoff int
 
@@ -380,7 +402,7 @@ func (e *Env) dispatch(self *Proc) (h handoff) {
 	e.current = nil
 	for !e.closed && e.executed != e.stopAt {
 		at, ok := e.nextAt()
-		if !ok || at > e.limit || (at == e.limit && !e.inclusive) {
+		if !ok || !e.inBound(at) {
 			break
 		}
 		ev := e.pop()
@@ -459,10 +481,11 @@ func (e *Env) runWindow(limit Time, inclusive bool) {
 	}
 }
 
-// ExecutedEvents returns how many events this environment has dispatched —
-// the throughput numerator for events/s comparisons. It is deterministic:
-// equal seeds execute equal event counts regardless of how the run is
-// windowed.
+// ExecutedEvents returns how many events this environment has executed —
+// the throughput numerator for events/s comparisons. A wakeup Proc.Sleep
+// takes in place counts as one, exactly as if it had been queued and
+// dispatched. It is deterministic: equal seeds execute equal event counts
+// regardless of how the run is windowed.
 func (e *Env) ExecutedEvents() uint64 { return e.executed }
 
 // PendingEvents returns the number of live scheduled events; stopped timers

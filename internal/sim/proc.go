@@ -121,8 +121,9 @@ func (c *carrier) run(p *Proc) (finished bool) {
 // park gives up control until the process's next resume. Every blocking
 // primitive funnels through park after registering a wakeup. The parking
 // process dispatches the following events itself: when the next one is its
-// own wakeup, park returns with no switch at all; otherwise it records the
-// handoff for the driver and yields, and the driver resumes whichever
+// own wakeup (a zero-delay wakeup, or a Sleep whose wakeup follows events
+// already due), park returns with no switch at all; otherwise it records
+// the handoff for the driver and yields, and the driver resumes whichever
 // process now holds the baton.
 func (p *Proc) park() {
 	e := p.env
@@ -142,13 +143,28 @@ func (p *Proc) Env() *Env { return p.env }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.env.now }
 
-// Sleep blocks the process for d of virtual time. Negative durations sleep
-// zero time but still yield, preserving FIFO fairness at the same instant.
+// Sleep blocks the process for d of virtual time; a negative d sleeps zero
+// time. The process yields only to events due no later than its wakeup,
+// which run first in their usual order, so a zero-length sleep still
+// preserves FIFO fairness at the same instant. When none is due and the
+// wakeup falls inside the current run's bound, it is the run's next event,
+// and Sleep takes it in place: it advances the clock and counts the event
+// without queueing it.
 func (p *Proc) Sleep(d Time) {
-	if p.env.currentProc() != p {
+	e := p.env
+	if e.currentProc() != p {
 		panic("sim: Sleep called from a different process")
 	}
-	p.env.schedule(p.env.now+d, p, nil)
+	at := e.now + d
+	if at < e.now {
+		at = e.now // push clamps a negative delay the same way
+	}
+	if e.nextInRun(at) {
+		e.now = at
+		e.executed++
+		return
+	}
+	e.schedule(at, p, nil)
 	p.park()
 }
 
