@@ -1,7 +1,6 @@
 package hostsim
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/obs"
@@ -19,10 +18,12 @@ import (
 // and concurrent fetches interleave on the same link rather than queueing
 // behind one multi-millisecond copy — the §5.2 blocking-upload pathology.
 //
-// Determinism: the driver is an ordinary simulation process; chunk loss
-// retries consume the link's loss rng exactly as monolithic DMA transfers
-// do, and readers resume at the simulated instant their last chunk lands,
-// in registration order, so equal seeds produce identical chunk schedules.
+// Determinism: the driver is a callback chain (DESIGN.md §5) that runs the
+// link's per-hop helpers, whose every wait is one event on the kernel's
+// (time, sequence) order; chunk loss retries consume the link's loss rng
+// exactly as monolithic DMA transfers do, and readers resume at the
+// simulated instant their last chunk lands, in registration order, so equal
+// seeds produce identical chunk schedules.
 
 // FetchConfig parameterizes chunked demand fetches. The zero value disables
 // chunking entirely; Resolved fills the remaining knobs with defaults.
@@ -72,29 +73,36 @@ type chunkRec struct {
 	dma      bool
 }
 
-// hop is one link of a chunked transfer's route with its endpoint domains
-// (needed for the guest-boundary thermal charge).
-type hop struct {
-	l        *Link
-	from, to *Domain
-}
-
 // ChunkedTransfer is one in-flight chunked copy. Readers wait for the
 // chunks covering their accessed range with WaitRange and attribute the
 // blocked time with ChargeWait; the transfer keeps draining the remaining
 // chunks in the background.
 type ChunkedTransfer struct {
 	m     *Machine
-	hops  []hop
+	rt    route
 	cfg   FetchConfig
 	total Bytes
 	n     int // chunk count
+
+	// The driver's position, four levels deep: the descriptor batch from
+	// chunk first, the hop hi, chunk c of the batch, and the wire attempt.
+	// step is ct.drive, bound once per transfer, so no step allocates.
+	step               func()
+	stage              int
+	first, hi, c       int
+	attempt            int
+	dma                bool
+	hopStart, svcStart time.Duration
+	wire               time.Duration // one attempt of the current chunk
+	sp                 obs.Span
 
 	landed int
 	done   bool
 	// readers are the parked WaitRange callers, in registration order.
 	readers []chunkReader
 
+	// recs holds the landed chunks' service intervals when the final hop's
+	// link has a profiler: only ChargeWait reads them.
 	recs       []chunkRec
 	onComplete []func()
 }
@@ -108,27 +116,20 @@ type chunkReader struct {
 
 // CopyChunkedStart begins a chunked copy of size bytes from one domain to
 // another (routing via DRAM when no direct link exists) and returns
-// immediately; a spawned driver process moves the chunks. The returned
-// transfer is ready to WaitRange on.
+// immediately; the driver's first step is scheduled at the current instant.
+// The returned transfer is ready to WaitRange on.
 func (m *Machine) CopyChunkedStart(from, to *Domain, size Bytes, cfg FetchConfig) *ChunkedTransfer {
 	cfg = cfg.Resolved()
-	var hops []hop
-	if l := m.links[linkKey{from, to}]; l != nil {
-		hops = []hop{{l, from, to}}
-	} else {
-		l1 := m.links[linkKey{from, m.DRAM}]
-		l2 := m.links[linkKey{m.DRAM, to}]
-		if l1 == nil || l2 == nil {
-			panic(fmt.Sprintf("hostsim: no path %s -> %s", from, to))
-		}
-		hops = []hop{{l1, from, m.DRAM}, {l2, m.DRAM, to}}
-	}
 	n := int((size + cfg.ChunkBytes - 1) / cfg.ChunkBytes)
 	if n < 1 {
 		n = 1
 	}
-	ct := &ChunkedTransfer{m: m, hops: hops, cfg: cfg, total: size, n: n, recs: make([]chunkRec, 0, n)}
-	m.Env.Spawn("dma-chunks", ct.drive)
+	ct := &ChunkedTransfer{m: m, rt: m.route(from, to), cfg: cfg, total: size, n: n}
+	if ct.rt.hops[ct.rt.n-1].l.pf != nil {
+		ct.recs = make([]chunkRec, 0, n)
+	}
+	ct.step = ct.drive
+	m.Env.After(0, ct.step)
 	return ct
 }
 
@@ -160,50 +161,78 @@ func (ct *ChunkedTransfer) OnComplete(fn func()) {
 	ct.onComplete = append(ct.onComplete, fn)
 }
 
+// The stages of the chunk driver.
+const (
+	ctAcquire = iota // acquire hop hi's link for the batch from chunk first
+	ctSetup          // the link is held: pay the descriptor-ring setup
+	ctChunk          // start chunk c's wire time
+	ctWire           // a wire attempt of chunk c ended
+)
+
 // drive moves the chunks: per descriptor batch, per hop, it acquires the
 // link, pays the per-transfer latency once (descriptor-ring setup), drives
 // up to MaxInflight chunks back to back, and releases the link so queued
-// traffic interleaves before the next batch.
-func (ct *ChunkedTransfer) drive(p *sim.Proc) {
-	for first := 0; first < ct.n; first += ct.cfg.MaxInflight {
-		batch := ct.cfg.MaxInflight
-		if first+batch > ct.n {
-			batch = ct.n - first
-		}
-		for hi := range ct.hops {
-			h := &ct.hops[hi]
-			l := h.l
-			lastHop := hi == len(ct.hops)-1
-			hopStart := p.Now()
-			l.sem.Acquire(p, 1)
-			var sp obs.Span
-			if l.tr != nil {
-				sp = l.tr.Begin(l.tk, "dma-chunks")
-				l.tr.Count(l.tk, "queue_depth", float64(l.sem.InUse()))
+// traffic interleaves before the next batch. It runs until it must wait;
+// the wait's event calls it again.
+func (ct *ChunkedTransfer) drive() {
+	env := ct.m.Env
+	for {
+		h := &ct.rt.hops[ct.hi]
+		l := h.l
+		switch ct.stage {
+		case ctAcquire:
+			ct.hopStart = env.Now()
+			ct.stage = ctSetup
+			if !l.sem.AcquireFunc(1, ct.step) {
+				return
 			}
-			p.Sleep(l.Latency)
-			for c := 0; c < batch; c++ {
-				size := ct.chunkSize(first + c)
-				dma := size >= ct.cfg.DMAThreshold
-				rate := l.SyncBandwidth
-				if dma {
-					rate = l.Bandwidth
+		case ctSetup:
+			ct.sp = l.beginService(nil, ct.hopStart, "dma-chunks")
+			ct.c = 0
+			ct.stage = ctChunk
+			if !env.SleepFunc(l.Latency, ct.step) {
+				return
+			}
+		case ctChunk:
+			size := ct.chunkSize(ct.first + ct.c)
+			ct.dma = size >= ct.cfg.DMAThreshold
+			ct.wire = l.wireTime(size, ct.dma)
+			ct.svcStart = env.Now()
+			ct.attempt = 0
+			ct.stage = ctWire
+			if !env.SleepFunc(ct.wire, ct.step) {
+				return
+			}
+		case ctWire:
+			if l.lost(ct.attempt, ct.dma) {
+				ct.attempt++
+				if !env.SleepFunc(ct.wire, ct.step) {
+					return
 				}
-				d := time.Duration(float64(size) / (rate * l.rateScale()) * float64(time.Second))
-				svcStart := p.Now()
-				service := l.lossyDMASleep(p, d, dma)
-				l.moved += size
-				l.busy += service
-				if lastHop {
-					ct.recs = append(ct.recs, chunkRec{l: l, svcStart: svcStart, end: p.Now(), dma: dma})
-					ct.land()
+				continue
+			}
+			l.account(ct.chunkSize(ct.first+ct.c), ct.wire*time.Duration(ct.attempt+1))
+			if ct.hi == ct.rt.n-1 {
+				if l.pf != nil {
+					ct.recs = append(ct.recs, chunkRec{l: l, svcStart: ct.svcStart, end: env.Now(), dma: ct.dma})
 				}
+				ct.land()
 			}
-			if l.tr != nil {
-				l.tr.End(l.tk, sp)
+			ct.stage = ctChunk
+			if ct.c++; ct.c < min(ct.cfg.MaxInflight, ct.n-ct.first) {
+				continue
 			}
+			l.endService(ct.sp, nil, "", 0)
 			l.sem.Release(1)
-			ct.m.heatBoundary(h.from, h.to, p.Now()-hopStart)
+			ct.m.heatBoundary(h.from, h.to, env.Now()-ct.hopStart)
+			ct.stage = ctAcquire
+			if ct.hi++; ct.hi < ct.rt.n {
+				continue
+			}
+			ct.hi = 0
+			if ct.first += ct.cfg.MaxInflight; ct.first >= ct.n {
+				return
+			}
 		}
 	}
 }
@@ -263,7 +292,7 @@ func (ct *ChunkedTransfer) WaitRange(p *sim.Proc, upTo Bytes) {
 // transfer each charge their own blocked time, matching how access latency
 // itself is accounted.
 func (ct *ChunkedTransfer) ChargeWait(key any, from, to time.Duration) {
-	main := ct.hops[len(ct.hops)-1].l
+	main := ct.rt.hops[ct.rt.n-1].l
 	pf := main.pf
 	if pf == nil || to <= from {
 		return

@@ -4,16 +4,20 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/prof"
 	"repro/internal/sim"
 )
 
 // copyChunked drives a copy as a chunked transfer and blocks until every
 // chunk lands, returning the total elapsed time and the final hop's summed
-// service (wire) time.
+// service (wire) time. The service sum reads the transfer's chunk records,
+// which are kept only when the final hop's link has a profiler, so a caller
+// that reads it attaches one.
 func copyChunked(p *sim.Proc, m *Machine, from, to *Domain, size Bytes, cfg FetchConfig) (elapsed, service time.Duration) {
 	start := p.Now()
 	ct := m.CopyChunkedStart(from, to, size, cfg)
@@ -162,6 +166,7 @@ func TestChunkedTransferInterleavesWithOtherTraffic(t *testing.T) {
 func TestChunkedLossRetriesWithoutDoubleCounting(t *testing.T) {
 	env := sim.NewEnv(1)
 	defer env.Close()
+	env.SetProfiler(prof.New()) // keeps the chunk records copyChunked sums
 	m := HighEndDesktop(env)
 	l := m.LinkBetween(m.DRAM, m.VRAM)
 	l.SetDMALoss(0.5, rand.New(rand.NewSource(42)))
@@ -440,11 +445,14 @@ func TestChargeWaitNeverOvercharges(t *testing.T) {
 // the run executed, the transfer, and each process's finish instant. With
 // wait set, process i calls WaitRange(upTo[i]); without it, it returns at
 // once, so the difference between the two runs' counts is what the readers'
-// waits cost.
+// waits cost. The env carries a profiler, so the transfer keeps the chunk
+// records callers read landing instants from; a profiler only observes, so
+// the event counts are those of an unprofiled run.
 func transferEvents(t *testing.T, size Bytes, upTo []Bytes, wait bool) (uint64, *ChunkedTransfer, []time.Duration) {
 	t.Helper()
 	env := sim.NewEnv(1)
 	defer env.Close()
+	env.SetProfiler(prof.New())
 	m := HighEndDesktop(env)
 	resumed := make([]time.Duration, len(upTo))
 	var ct *ChunkedTransfer
@@ -582,5 +590,90 @@ func TestCloseMidTransferFreesParkedReaders(t *testing.T) {
 	}
 	if n := runtime.NumGoroutine(); n > before {
 		t.Fatalf("goroutines leaked across Close: %d > %d", n, before)
+	}
+}
+
+// TestLinkQueueDepthCountsQueuedTransfers: the queue_depth counter samples
+// the holder plus the transfers queued behind it as each one's service
+// begins, whichever form it runs in. A process transfer holds the link while
+// a push-style route copy (a chain) and a second process transfer queue:
+// their services begin at depths 1, 2 and 1.
+func TestLinkQueueDepthCountsQueuedTransfers(t *testing.T) {
+	env := sim.NewEnv(1)
+	defer env.Close()
+	tr := obs.NewTracer()
+	env.SetTracer(tr)
+	m := HighEndDesktop(env)
+	l := m.LinkBetween(m.DRAM, m.VRAM)
+	env.Spawn("first", func(p *sim.Proc) { l.Transfer(p, MiB) })
+	var rc RouteCopy
+	env.After(0, func() { rc.Start(m, nil, m.DRAM, m.VRAM, MiB, func() {}) })
+	env.Spawn("third", func(p *sim.Proc) { l.Transfer(p, MiB) })
+	env.Run()
+	var depths []float64
+	for _, ev := range tr.Events() {
+		if ev.Track == l.tk && ev.Phase == obs.PhaseCounter && ev.Name == "queue_depth" {
+			depths = append(depths, ev.Value)
+		}
+	}
+	if got := fmt.Sprint(depths); got != "[1 2 1]" {
+		t.Fatalf("queue_depth samples %s, want [1 2 1]", got)
+	}
+	if l.BytesMoved() != 3*MiB {
+		t.Fatalf("BytesMoved = %d, want %d", l.BytesMoved(), 3*MiB)
+	}
+}
+
+// TestChunkRecordsOnlyUnderProfiler: only ChargeWait reads the landed
+// chunks' service intervals, and it charges nothing without a profiler, so
+// a transfer whose final hop has none keeps no records.
+func TestChunkRecordsOnlyUnderProfiler(t *testing.T) {
+	for _, profiled := range []bool{false, true} {
+		env := sim.NewEnv(1)
+		if profiled {
+			env.SetProfiler(prof.New())
+		}
+		m := HighEndDesktop(env)
+		const size = 4 * MiB // 16 chunks
+		var ct *ChunkedTransfer
+		env.Spawn("reader", func(p *sim.Proc) {
+			ct = m.CopyChunkedStart(m.DRAM, m.VRAM, size, EnabledFetch())
+			ct.WaitRange(p, size)
+		})
+		env.Run()
+		env.Close()
+		want := 0
+		if profiled {
+			want = ct.n
+		}
+		if len(ct.recs) != want || (!profiled && cap(ct.recs) != 0) {
+			t.Errorf("profiled=%v: %d records (cap %d), want %d", profiled, len(ct.recs), cap(ct.recs), want)
+		}
+	}
+}
+
+// liveProcs reads the live-process count off Env.String().
+func liveProcs(env *sim.Env) string {
+	s := env.String()
+	return strings.TrimSuffix(s[strings.LastIndex(s, "procs: ")+len("procs: "):], "}")
+}
+
+// TestChunkedFetchSpawnsNoProcess: the chunk driver is a callback chain, so
+// a running transfer adds no live process.
+func TestChunkedFetchSpawnsNoProcess(t *testing.T) {
+	env := sim.NewEnv(1)
+	defer env.Close()
+	m := HighEndDesktop(env)
+	var before, during string
+	env.Spawn("reader", func(p *sim.Proc) {
+		before = liveProcs(env)
+		ct := m.CopyChunkedStart(m.DRAM, m.VRAM, 4*MiB, EnabledFetch())
+		ct.WaitRange(p, MiB) // the driver is mid-transfer when the prefix lands
+		during = liveProcs(env)
+		ct.WaitRange(p, 4*MiB)
+	})
+	env.Run()
+	if before != "1" || during != before {
+		t.Fatalf("live processes %s before the transfer and %s during it, want 1 and 1", before, during)
 	}
 }

@@ -167,37 +167,104 @@ func (l *Link) noteGiveup() {
 	}
 }
 
-// lossyDMASleep sleeps out one transfer of wire time d, re-driving it on
-// injected DMA loss up to maxDMARetries times, and returns the total
-// service time. lossy gates the retry machinery (sync copies never retry).
-func (l *Link) lossyDMASleep(p *sim.Proc, d time.Duration, lossy bool) time.Duration {
-	var service time.Duration
-	for attempt := 0; ; attempt++ {
-		p.Sleep(d)
-		service += d
-		if !lossy || l.dmaLoss <= 0 || l.lossRng == nil {
-			break
-		}
-		if attempt >= maxDMARetries {
-			l.noteGiveup()
-			break
-		}
-		if l.lossRng.Float64() >= l.dmaLoss {
-			break
-		}
-		l.noteRetry()
+// The per-hop helpers below are the one copy of the link's service logic.
+// Link.transfer, the process form, runs them in a process that blocks until
+// its hop is done; RouteCopy and the ChunkedTransfer driver run them as
+// callback chains (DESIGN.md §5). Each holder acquires and releases the
+// link's semaphore itself. The observing helpers and the loss decision
+// test their common case first, so on an unobserved, lossless link they
+// inline to a compare.
+
+// beginService starts a hop's service once the link is held. It charges
+// the queueing since queuedAt to key's profiler node (a nil key charges
+// nothing), opens the span, which covers service only, and samples the
+// queue_depth counter: the holder plus the transfers queued behind it.
+// Spans on one link track never overlap, because the semaphore serializes
+// them FIFO.
+func (l *Link) beginService(key any, queuedAt time.Duration, span string) obs.Span {
+	if l.tr == nil && l.pf == nil {
+		return obs.Span{}
 	}
-	return service
+	return l.observeBegin(key, queuedAt, span)
+}
+
+func (l *Link) observeBegin(key any, queuedAt time.Duration, span string) obs.Span {
+	if l.pf != nil && key != nil {
+		l.pf.Charge(key, l.lblQueue, queuedAt)
+	}
+	if l.tr == nil {
+		return obs.Span{}
+	}
+	sp := l.tr.Begin(l.tk, span)
+	l.tr.Count(l.tk, "queue_depth", float64(l.sem.InUse()+int64(l.sem.Waiting())))
+	return sp
+}
+
+// endService ends a hop's service before its holder releases the link: it
+// closes the span and charges the service since svcStart to key's profiler
+// node under comp (a nil key charges nothing).
+func (l *Link) endService(sp obs.Span, key any, comp string, svcStart time.Duration) {
+	if l.tr != nil || l.pf != nil {
+		l.observeEnd(sp, key, comp, svcStart)
+	}
+}
+
+func (l *Link) observeEnd(sp obs.Span, key any, comp string, svcStart time.Duration) {
+	if l.tr != nil {
+		l.tr.End(l.tk, sp)
+	}
+	if l.pf != nil && key != nil {
+		l.pf.Charge(key, comp, svcStart)
+	}
+}
+
+// wireTime returns the time size bytes spend on the wire at the DMA rate,
+// or at the synchronous rate when dma is false, without the per-transfer
+// latency.
+func (l *Link) wireTime(size Bytes, dma bool) time.Duration {
+	rate := l.SyncBandwidth
+	if dma {
+		rate = l.Bandwidth
+	}
+	return time.Duration(float64(size) / (rate * l.rateScale()) * float64(time.Second))
+}
+
+// lost decides the fate of a finished wire attempt (attempt counts from 0):
+// true means injected DMA loss dropped it and it must be re-driven. Only
+// DMA attempts on a lossy link can be lost.
+func (l *Link) lost(attempt int, dma bool) bool {
+	return dma && l.dmaLoss > 0 && l.lossRng != nil && l.redrive(attempt)
+}
+
+// redrive draws a lossy DMA attempt's fate. At most maxDMARetries re-drives
+// are made; the attempt after the last one is given up on and counts as
+// delivered.
+func (l *Link) redrive(attempt int) bool {
+	if attempt >= maxDMARetries {
+		l.noteGiveup()
+		return false
+	}
+	if l.lossRng.Float64() >= l.dmaLoss {
+		return false
+	}
+	l.noteRetry()
+	return true
+}
+
+// account adds delivered bytes and the service time they took.
+func (l *Link) account(size Bytes, service time.Duration) {
+	l.moved += size
+	l.busy += service
 }
 
 // TransferTime returns the uncontended duration to move size bytes by DMA.
 func (l *Link) TransferTime(size Bytes) time.Duration {
-	return l.Latency + time.Duration(float64(size)/(l.Bandwidth*l.rateScale())*float64(time.Second))
+	return l.Latency + l.wireTime(size, true)
 }
 
 // SyncTransferTime returns the uncontended duration of a synchronous copy.
 func (l *Link) SyncTransferTime(size Bytes) time.Duration {
-	return l.Latency + time.Duration(float64(size)/(l.SyncBandwidth*l.rateScale())*float64(time.Second))
+	return l.Latency + l.wireTime(size, false)
 }
 
 // Transfer moves size bytes across the link by DMA, blocking p for queueing
@@ -208,45 +275,33 @@ func (l *Link) Transfer(p *sim.Proc, size Bytes) time.Duration {
 	return elapsed
 }
 
-// transfer returns the total elapsed time (including queueing) and the pure
-// service (wire) time.
+// transfer is the process form of one hop: it returns the total elapsed
+// time (including queueing) and the pure service (wire) time. Lost DMA
+// attempts are re-driven; a sync copy is never lost.
 func (l *Link) transfer(p *sim.Proc, size Bytes, sync bool) (time.Duration, time.Duration) {
 	start := p.Now()
 	l.sem.Acquire(p, 1)
-	if l.pf != nil {
-		l.pf.Charge(p, l.lblQueue, start)
-	}
 	svcStart := p.Now()
-	// The span covers service only (the link is held), not the queueing
-	// delay before it, so spans on one link track never overlap — the
-	// semaphore serializes them FIFO.
-	var sp obs.Span
-	if l.tr != nil {
-		name := "dma"
-		if sync {
-			name = "copy"
-		}
-		sp = l.tr.Begin(l.tk, name)
-		l.tr.Count(l.tk, "queue_depth", float64(l.sem.InUse()))
+	span, comp := "dma", l.lblDMA
+	if sync {
+		span, comp = "copy", l.lblSync
 	}
+	sp := l.beginService(p, start, span)
 	d := l.TransferTime(size)
 	if sync {
 		d = l.SyncTransferTime(size)
 	}
-	service := l.lossyDMASleep(p, d, !sync)
-	if l.tr != nil {
-		l.tr.End(l.tk, sp)
-	}
-	if l.pf != nil {
-		lbl := l.lblDMA
-		if sync {
-			lbl = l.lblSync
+	var service time.Duration
+	for attempt := 0; ; attempt++ {
+		p.Sleep(d)
+		service += d
+		if !l.lost(attempt, !sync) {
+			break
 		}
-		l.pf.Charge(p, lbl, svcStart)
 	}
+	l.endService(sp, p, comp, svcStart)
 	l.sem.Release(1)
-	l.moved += size
-	l.busy += service
+	l.account(size, service)
 	return p.Now() - start, service
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -101,6 +102,32 @@ func (m *Machine) CopyDetailed(p *sim.Proc, from, to *Domain, size Bytes, sync b
 	return m.copy(p, from, to, size, sync)
 }
 
+// hop is one link of a route with its endpoint domains (needed for the
+// guest-boundary thermal charge).
+type hop struct {
+	l        *Link
+	from, to *Domain
+}
+
+// route is the path a copy takes between two domains: the direct link, or
+// two hops via DRAM when there is none.
+type route struct {
+	hops [2]hop
+	n    int
+}
+
+func (m *Machine) route(from, to *Domain) route {
+	if l := m.links[linkKey{from, to}]; l != nil {
+		return route{hops: [2]hop{{l, from, to}}, n: 1}
+	}
+	l1 := m.links[linkKey{from, m.DRAM}]
+	l2 := m.links[linkKey{m.DRAM, to}]
+	if l1 == nil || l2 == nil {
+		panic(fmt.Sprintf("hostsim: no path %s -> %s", from, to))
+	}
+	return route{hops: [2]hop{{l1, from, m.DRAM}, {l2, m.DRAM, to}}, n: 2}
+}
+
 // copy occupies each link on the route. Copies within a single domain use
 // its self-link (plain memcpy or in-VRAM blit). Copies that cross the
 // virtualization boundary (guest pages on either end) additionally heat the
@@ -108,21 +135,113 @@ func (m *Machine) CopyDetailed(p *sim.Proc, from, to *Domain, size Bytes, sync b
 // than DMA (§2.2).
 func (m *Machine) copy(p *sim.Proc, from, to *Domain, size Bytes, sync bool) (time.Duration, time.Duration) {
 	start := p.Now()
-	if l := m.links[linkKey{from, to}]; l != nil {
-		d, svc := l.transfer(p, size, sync)
-		m.heatBoundary(from, to, d)
-		return d, svc
+	rt := m.route(from, to)
+	var service time.Duration
+	for _, h := range rt.hops[:rt.n] {
+		d, svc := h.l.transfer(p, size, sync)
+		m.heatBoundary(h.from, h.to, d)
+		service += svc
 	}
-	l1 := m.links[linkKey{from, m.DRAM}]
-	l2 := m.links[linkKey{m.DRAM, to}]
-	if l1 == nil || l2 == nil {
-		panic(fmt.Sprintf("hostsim: no path %s -> %s", from, to))
+	return p.Now() - start, service
+}
+
+// RouteCopy is a DMA copy along a route run as a callback chain: the form
+// of CopyDetailed for a copy no process waits in, such as a coherence push.
+// Per hop it acquires the link, sleeps out the wire time, re-driving lost
+// attempts, releases the link and heats the guest boundary, with the same
+// per-hop helpers, and at the same instants, as the process form. Each wait
+// is one event where the process form's resume would be. An owner embeds a
+// RouteCopy in a record it recycles, so a copy allocates nothing.
+type RouteCopy struct {
+	m     *Machine
+	rt    route
+	size  Bytes
+	key   any    // profiler key of the owner's node
+	done  func() // the owner's continuation
+	step  func() // rc.resume, bound once
+	stage int
+	hi    int // current hop
+
+	attempt            int // of the current hop's wire time
+	hopStart, svcStart time.Duration
+	wire               time.Duration // one attempt of the current hop
+	service            time.Duration // of the finished hops
+	sp                 obs.Span
+}
+
+// The stages of a RouteCopy hop.
+const (
+	rcAcquire = iota // acquire the hop's link
+	rcServe          // the link is held: start the wire time
+	rcWire           // a wire attempt ended
+)
+
+// Start begins copying size bytes from one domain to another, charging the
+// links' queue and DMA components to key's profiler node. It runs inline as
+// far as it can: it reports true when the copy finished inline, and false
+// when it waits, in which case done runs once the last hop releases its
+// link.
+func (rc *RouteCopy) Start(m *Machine, key any, from, to *Domain, size Bytes, done func()) bool {
+	if rc.step == nil {
+		rc.step = rc.resume
 	}
-	d1, svc1 := l1.transfer(p, size, sync)
-	m.heatBoundary(from, m.DRAM, d1)
-	d2, svc2 := l2.transfer(p, size, sync)
-	m.heatBoundary(m.DRAM, to, d2)
-	return p.Now() - start, svc1 + svc2
+	rc.m, rc.rt, rc.size, rc.key, rc.done = m, m.route(from, to), size, key, done
+	rc.stage, rc.hi, rc.service = rcAcquire, 0, 0
+	return rc.run()
+}
+
+// Service returns the finished copy's summed wire time over every hop and
+// every re-driven attempt.
+func (rc *RouteCopy) Service() time.Duration { return rc.service }
+
+func (rc *RouteCopy) resume() {
+	if rc.run() {
+		rc.done()
+	}
+}
+
+// run advances the copy until it must wait, reporting whether it finished.
+func (rc *RouteCopy) run() bool {
+	env := rc.m.Env
+	for {
+		h := &rc.rt.hops[rc.hi]
+		l := h.l
+		switch rc.stage {
+		case rcAcquire:
+			rc.hopStart = env.Now()
+			rc.stage = rcServe
+			if !l.sem.AcquireFunc(1, rc.step) {
+				return false
+			}
+		case rcServe:
+			rc.svcStart = env.Now()
+			rc.sp = l.beginService(rc.key, rc.hopStart, "dma")
+			rc.wire = l.TransferTime(rc.size)
+			rc.attempt = 0
+			rc.stage = rcWire
+			if !env.SleepFunc(rc.wire, rc.step) {
+				return false
+			}
+		case rcWire:
+			if l.lost(rc.attempt, true) {
+				rc.attempt++
+				if !env.SleepFunc(rc.wire, rc.step) {
+					return false
+				}
+				continue
+			}
+			service := rc.wire * time.Duration(rc.attempt+1)
+			l.endService(rc.sp, rc.key, l.lblDMA, rc.svcStart)
+			l.sem.Release(1)
+			l.account(rc.size, service)
+			rc.service += service
+			rc.m.heatBoundary(h.from, h.to, env.Now()-rc.hopStart)
+			rc.stage = rcAcquire
+			if rc.hi++; rc.hi == rc.rt.n {
+				return true
+			}
+		}
+	}
 }
 
 func (m *Machine) heatBoundary(from, to *Domain, d time.Duration) {

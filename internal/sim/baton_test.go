@@ -410,10 +410,11 @@ func TestRunWindowLeavesLimitEventPending(t *testing.T) {
 // loop, whose one-event bound keeps every wakeup queued and dispatch on the
 // driver. The seed fixes the scenario: 2-4 processes, each running a
 // script of about 30 operations over sleeps that tie other events, a
-// 1-slot queue, a mutex, an event, callbacks and child processes, and the
-// run bounds. A pump process signals the event and moves items through
-// the queue without blocking, so most blocked processes wake again. Both
-// drivers must leave equal logs, clocks and event counts at every bound.
+// 1-slot queue, a mutex, an event, callbacks, child processes and callback
+// chains, and the run bounds. A pump process signals the event and moves
+// items through the queue without blocking, so most blocked processes wake
+// again. Both drivers must leave equal logs, clocks and event counts at
+// every bound.
 func FuzzBatonRunMatchesStepRun(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64) {
 		want := batonScenario(seed, true)
@@ -443,13 +444,19 @@ const (
 	opAfter
 	opAfterFunc // Stop the previous timer, then arm a new one
 	opSpawn
+	opChain // start a callback chain that takes the mutex by callback
 	numOps
 )
 
-var opNames = [numOps]string{"sleep0", "sleepneg", "sleep", "put", "get", "mutex", "signal", "wait", "waittimeout", "after", "afterfunc", "spawn"}
+var opNames = [numOps]string{"sleep0", "sleepneg", "sleep", "put", "get", "mutex", "signal", "wait", "waittimeout", "after", "afterfunc", "spawn", "chain"}
 
-// scriptOp is one operation and its duration in microseconds (1-8).
-type scriptOp struct{ op, us int }
+// scriptOp is one operation and its duration in microseconds (1-8). An
+// opChain also carries its chain's 1-3 continuation delays: zero, negative
+// or 1-8 µs.
+type scriptOp struct {
+	op, us int
+	chain  []Time
+}
 
 // batonScenario builds the scenario seed fixes and drives it, with a Step
 // loop or with RunUntil at three bounds plus one exclusive runWindow, and
@@ -461,7 +468,14 @@ func batonScenario(seed int64, useStep bool) string {
 	for i := range scripts {
 		scripts[i] = make([]scriptOp, 25+rng.Intn(11))
 		for j := range scripts[i] {
-			scripts[i][j] = scriptOp{op: rng.Intn(numOps), us: 1 + rng.Intn(8)}
+			s := scriptOp{op: rng.Intn(numOps), us: 1 + rng.Intn(8)}
+			if s.op == opChain {
+				s.chain = make([]Time, 1+rng.Intn(3))
+				for k := range s.chain {
+					s.chain[k] = Time(rng.Intn(3)-1) * Time(1+rng.Intn(8)) * time.Microsecond
+				}
+			}
+			scripts[i][j] = s
 		}
 	}
 	pump := make([]scriptOp, 40)
@@ -487,6 +501,31 @@ func batonScenario(seed int64, useStep bool) string {
 	q := NewQueue[int](env, 1)
 	mu := NewSemaphore(env, 1)
 	ev := NewEvent(env)
+	// startChain schedules a callback chain's first step at the current
+	// instant, as the model's chains start: it acquires mu by callback,
+	// continues once per delay, logging each step, and releases mu.
+	startChain := func(name string, delays []Time) {
+		next := 0
+		var step func()
+		step = func() {
+			for {
+				logf("%s:step%d", name, next)
+				if next++; next > len(delays) {
+					mu.Release(1)
+					return
+				}
+				if !env.SleepFunc(delays[next-1], step) {
+					return
+				}
+			}
+		}
+		env.After(0, func() {
+			logf("%s:acquire", name)
+			if mu.AcquireFunc(1, step) {
+				step()
+			}
+		})
+	}
 	for i, script := range scripts {
 		name := fmt.Sprintf("p%d", i)
 		env.Spawn(name, func(p *Proc) {
@@ -533,6 +572,8 @@ func batonScenario(seed int64, useStep bool) string {
 						c.Sleep(d - time.Microsecond)
 						logf("%s:woke", child)
 					})
+				case opChain:
+					startChain(fmt.Sprintf("%s/chain%d", name, j), s.chain)
 				}
 				logf("%s:%s%s", name, opNames[s.op], res)
 			}

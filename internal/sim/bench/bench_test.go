@@ -2,10 +2,11 @@
 // steady-state event throughput at several queue depths, the same-instant
 // zero-delay path, timer cancellation churn, and — driven by RunUntil, so
 // parking processes dispatch events themselves and sleepers take their own
-// wakeups in place — process wakeups passed between process coroutines and
-// short-lived process churn. Every benchmark reports events/s and
-// allocs/op; the scheduler's contract is ~0 allocs/op once the queues reach
-// steady state, plus the Proc itself per spawn.
+// wakeups in place — process wakeups passed between process coroutines,
+// callback chains alone and contending with a process, and short-lived
+// process churn. Every benchmark reports events/s and allocs/op; the
+// scheduler's contract is ~0 allocs/op once the queues reach steady state,
+// plus the Proc itself per spawn.
 //
 // Run with:
 //
@@ -184,10 +185,63 @@ func BenchmarkRunUntilMixed(b *testing.B) {
 	runUntil(b, env)
 }
 
+// BenchmarkRunUntilChain is a lone callback chain continuing once per
+// microsecond: every continuation is the run's next event, which SleepFunc
+// takes in place — no queue, no dispatch, no coroutine at all.
+func BenchmarkRunUntilChain(b *testing.B) {
+	env := sim.NewEnv(1)
+	defer env.Close()
+	var step func()
+	step = func() {
+		for env.SleepFunc(time.Microsecond, step) {
+		}
+	}
+	env.After(0, step)
+	runUntil(b, env)
+}
+
+// BenchmarkRunUntilChainHandoff contends a mutex between a process and a
+// callback chain, each holding it for a microsecond per turn: the link
+// pattern of a coherence push or a chunk batch queued behind a blocked
+// reader's copy. Every release hands the mutex across — to the chain's
+// queued callback, or to the parked process — and the waiter registrations
+// recycle, so a turn allocates nothing.
+func BenchmarkRunUntilChainHandoff(b *testing.B) {
+	env := sim.NewEnv(1)
+	defer env.Close()
+	mu := sim.NewSemaphore(env, 1)
+	env.Spawn("holder", func(p *sim.Proc) {
+		for {
+			mu.Acquire(p, 1)
+			p.Sleep(time.Microsecond)
+			mu.Release(1)
+		}
+	})
+	var acquire, held, release func()
+	acquire = func() {
+		if mu.AcquireFunc(1, held) {
+			held()
+		}
+	}
+	held = func() {
+		if env.SleepFunc(time.Microsecond, release) {
+			release()
+		}
+	}
+	release = func() {
+		mu.Release(1)
+		acquire()
+	}
+	env.After(0, acquire)
+	runUntil(b, env)
+}
+
 // BenchmarkSpawnChurn spawns one process per iteration that sleeps once and
-// exits, driven by RunUntil: the per-transfer helper pattern (svm-push,
-// dma-chunks, fence-chain). A finished process's carrier coroutine is pooled
-// and reused, so with warm carriers the only allocation is the Proc.
+// exits, driven by RunUntil: the pattern of a short-lived model process,
+// such as a coalesced push batch or a device stall. (Pushes and the chunk
+// driver, the per-transfer work, run as callback chains instead.) A
+// finished process's carrier coroutine is pooled and reused, so with warm
+// carriers the only allocation is the Proc.
 func BenchmarkSpawnChurn(b *testing.B) {
 	env := sim.NewEnv(1)
 	defer env.Close()

@@ -18,6 +18,14 @@
 // are the building blocks for the hardware, transport, and guest-OS models in
 // the rest of the repository.
 //
+// A callback chain is the second, stackless kind of process, for work that
+// is a fixed sequence of run-to-completion steps, such as a coherence push
+// or the chunked-fetch driver: each step waits with Semaphore.AcquireFunc,
+// which queues it with process waiters in one FIFO, or Env.SleepFunc, which
+// shares Sleep's in-place rule, and the wait's one event runs the next
+// step. A chain's events fall exactly where a process's resumes would, so
+// the choice of kind changes no output.
+//
 // Time is modeled as time.Duration elapsed since the start of the simulation.
 //
 // The kernel itself reproduces nothing from the paper — it is the substrate

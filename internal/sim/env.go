@@ -118,7 +118,7 @@ type Env struct {
 	timerFree  *timerRec // recycled cancellation records
 	waiterFree *waiter   // recycled park registrations
 
-	// executed counts events executed, in-place Sleep wakeups included:
+	// executed counts events executed, in-place wakeups included:
 	// the simulator-throughput numerator the shardscale farm reports as
 	// events/s.
 	executed uint64
@@ -248,7 +248,7 @@ func (e *Env) getWaiter(p *Proc) *waiter {
 // putWaiter returns a registration to the free list. Callers must guarantee
 // no wait list or timer closure still references it.
 func (e *Env) putWaiter(w *waiter) {
-	w.p = nil
+	w.p, w.fn = nil, nil
 	w.next = e.waiterFree
 	e.waiterFree = w
 }
@@ -320,19 +320,42 @@ func (e *Env) inBound(at Time) bool {
 	return at < e.limit || (at == e.limit && e.inclusive)
 }
 
-// nextInRun reports whether an event the current process would schedule at
-// `at` is provably the next one dispatch pops: a run that is not Step's
-// one-event bound is in progress on an open Env, `at` is inside its bound,
-// and every live queued event is strictly later. A queued event at `at`
-// itself was scheduled first and runs first. Proc.Sleep then takes its
-// wakeup in place; the event order and count are those the queue would
-// give.
-func (e *Env) nextInRun(at Time) bool {
-	if !e.running || e.closed || e.executed == e.stopAt || !e.inBound(at) {
-		return false
+// wakeInPlace is the in-place rule of Proc.Sleep and SleepFunc. It returns
+// the wakeup instant d from now (a negative d sleeps zero time, as push
+// clamps it) and takes that wakeup in place when it is provably the next
+// event dispatch pops: a run that is not Step's one-event bound is in
+// progress on an open Env, the instant is inside its bound, and every live
+// queued event is strictly later. A queued event at that instant was
+// scheduled first and runs first. Taking the wakeup advances the clock and
+// counts one executed event, with nothing queued, so the event order and
+// count are those the queue would give.
+func (e *Env) wakeInPlace(d Time) (at Time, taken bool) {
+	at = e.now + d
+	if at < e.now {
+		at = e.now
 	}
-	next, ok := e.nextAt()
-	return !ok || next > at
+	if !e.running || e.closed || e.executed == e.stopAt || !e.inBound(at) {
+		return at, false
+	}
+	if next, ok := e.nextAt(); ok && next <= at {
+		return at, false
+	}
+	e.now = at
+	e.executed++
+	return at, true
+}
+
+// SleepFunc continues a callback chain d from now, under Proc.Sleep's rule.
+// When the wakeup is provably the run's next event it takes it in place and
+// reports true, and the caller continues inline. Otherwise it schedules fn
+// as that one event and reports false. Either way the wakeup counts as one
+// executed event, as a parked process's would. Call it from a callback.
+func (e *Env) SleepFunc(d Time, fn func()) bool {
+	at, taken := e.wakeInPlace(d)
+	if !taken {
+		e.schedule(at, nil, fn)
+	}
+	return taken
 }
 
 // handoff is how dispatch left the baton.
@@ -482,9 +505,9 @@ func (e *Env) runWindow(limit Time, inclusive bool) {
 }
 
 // ExecutedEvents returns how many events this environment has executed —
-// the throughput numerator for events/s comparisons. A wakeup Proc.Sleep
-// takes in place counts as one, exactly as if it had been queued and
-// dispatched. It is deterministic: equal seeds execute equal event counts
+// the throughput numerator for events/s comparisons. A wakeup Proc.Sleep or
+// SleepFunc takes in place counts as one, exactly as if it had been queued
+// and dispatched. It is deterministic: equal seeds execute equal event counts
 // regardless of how the run is windowed.
 func (e *Env) ExecutedEvents() uint64 { return e.executed }
 

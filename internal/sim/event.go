@@ -1,12 +1,14 @@
 package sim
 
-// waiter records one parked process awaiting a wakeup. The woke flag ensures
-// a process receives at most one resume per registration even when several
-// wake sources race at the same instant (e.g. a signal and a timeout).
-// Waiters are recycled through the Env's free list once their registration
-// is provably unreferenced.
+// waiter records one parked process, or one callback chain queued on a
+// Semaphore, awaiting a wakeup. The woke flag ensures a process receives at
+// most one resume per registration even when several wake sources race at
+// the same instant (e.g. a signal and a timeout). Waiters are recycled
+// through the Env's free list once their registration is provably
+// unreferenced.
 type waiter struct {
 	p        *Proc
+	fn       func() // non-nil: the chain's next step, scheduled on grant
 	woke     bool
 	timedOut bool
 	need     int64   // semaphore units requested

@@ -155,13 +155,8 @@ func (p *Proc) Sleep(d Time) {
 	if e.currentProc() != p {
 		panic("sim: Sleep called from a different process")
 	}
-	at := e.now + d
-	if at < e.now {
-		at = e.now // push clamps a negative delay the same way
-	}
-	if e.nextInRun(at) {
-		e.now = at
-		e.executed++
+	at, taken := e.wakeInPlace(d)
+	if taken {
 		return
 	}
 	e.schedule(at, p, nil)

@@ -40,6 +40,17 @@ func (m *Manager) copyCoherenceOpts(p *sim.Proc, from, to *hostsim.Domain, bytes
 	}
 	_, service := m.mach.CopyDetailed(p, from, to, bytes, sync)
 	elapsed := p.Now() - start
+	m.noteCoherence(from, to, bytes, direct, sync, elapsed, service)
+	return elapsed
+}
+
+// noteCoherence books one finished coherence copy, from a process or from a
+// push chain: its cost, bytes and path class, and the bandwidth it saw.
+// Only DMA copies feed the bandwidth-congestion signal — demand fetches
+// are slow by mode, not by congestion — and only pure wire time counts, so
+// that fixed scheduling cost and incidental queueing on small copies do
+// not masquerade as congestion.
+func (m *Manager) noteCoherence(from, to *hostsim.Domain, bytes hostsim.Bytes, direct, sync bool, elapsed, service time.Duration) {
 	m.stats.CoherenceCost.AddDuration(elapsed)
 	m.stats.BytesCoherence += bytes
 	if direct {
@@ -47,14 +58,9 @@ func (m *Manager) copyCoherenceOpts(p *sim.Proc, from, to *hostsim.Domain, bytes
 	} else {
 		m.stats.GuestCoherence++
 	}
-	// Only DMA copies feed the bandwidth-congestion signal — demand
-	// fetches are slow by mode, not by congestion — and only pure wire
-	// time counts, so that fixed scheduling cost and incidental queueing
-	// on small copies do not masquerade as congestion.
 	if m.engine != nil && service > 0 && !sync {
-		m.engine.ObserveBandwidth(m.pathKey(from, to), float64(bytes)/service.Seconds(), p.Now())
+		m.engine.ObserveBandwidth(m.pathKey(from, to), float64(bytes)/service.Seconds(), m.env.Now())
 	}
-	return elapsed
 }
 
 // pathKey returns the "from->to" name the prefetch engine (and the fault
@@ -127,37 +133,110 @@ func (m *Manager) asyncPush(r *Region, from, dom *hostsim.Domain, bytes hostsim.
 		m.coal.noteWriteBatch(b)
 		return
 	}
-	version := r.version
-	inf := &inflightFetch{done: *sim.NewEvent(m.env), version: version}
+	pr := m.getPush()
+	pr.r, pr.from, pr.dom, pr.bytes, pr.recordTiming = r, from, dom, bytes, recordTiming
+	pr.inf.version = r.version
 	if m.pf != nil {
-		inf.node = m.pf.NewNode("svm:push", "svm:push-pending")
+		pr.inf.node = m.pf.NewNode("svm:push", "svm:push-pending")
 	}
-	r.inflight[dom] = inf
+	r.inflight[dom] = &pr.inf
 	m.stats.CoherencePushes++
 	m.stats.CoherenceBatches++ // unbatched: every push is its own transaction
-	m.env.Spawn("svm-push", func(hp *sim.Proc) {
-		var asp obs.AsyncSpan
+	pr.stage = pushBegin
+	m.env.After(0, pr.step)
+}
+
+// pushRec is one unbatched coherence push, run as a callback chain
+// (DESIGN.md §5): the coherence fixed cost, the route copy, the bandwidth
+// observation, then completePush. It also holds the region's in-flight
+// entry for the push, and the chain charges the push's profiler node with
+// the record as its key. Each Manager recycles its records, so a push
+// allocates nothing. A reader parked on the entry may resume after the
+// record is reused: it takes what it needs (the node) before it parks.
+type pushRec struct {
+	m            *Manager
+	inf          inflightFetch
+	r            *Region
+	from, dom    *hostsim.Domain
+	bytes        hostsim.Bytes
+	recordTiming bool
+
+	step  func() // pr.run, bound once per record
+	stage int
+	start time.Duration
+	asp   obs.AsyncSpan
+	copy  hostsim.RouteCopy
+	next  *pushRec // free-list link
+}
+
+// The stages of a push chain.
+const (
+	pushBegin  = iota // open the span, bind the node, sleep the fixed cost
+	pushFixed         // fixed cost paid: start the route copy
+	pushCopied        // copy landed: book it and complete the push
+)
+
+// getPush recycles or allocates a push record, its done event armed.
+func (m *Manager) getPush() *pushRec {
+	pr := m.freePush
+	if pr == nil {
+		pr = &pushRec{m: m, inf: inflightFetch{done: *sim.NewEvent(m.env)}}
+		pr.step = pr.run
+		return pr
+	}
+	m.freePush = pr.next
+	pr.next = nil
+	pr.inf.done.Reset()
+	return pr
+}
+
+// run advances the push until it must wait; the wait's event calls it
+// again.
+func (pr *pushRec) run() {
+	m := pr.m
+	switch pr.stage {
+	case pushBegin:
 		if m.tr != nil {
-			asp = m.tr.BeginAsync(m.prefTk, "push:"+from.Name+"->"+dom.Name)
+			pr.asp = m.tr.BeginAsync(m.prefTk, "push:"+pr.from.Name+"->"+pr.dom.Name)
 		}
 		if m.pf != nil {
-			m.pf.Bind(hp, inf.node)
+			m.pf.Bind(pr, pr.inf.node)
 		}
-		elapsed := m.copyCoherence(hp, from, dom, bytes, true, false)
+		pr.start = m.env.Now()
+		pr.stage = pushFixed
+		if m.cfg.CoherenceFixedCost > 0 && !m.env.SleepFunc(m.cfg.CoherenceFixedCost, pr.step) {
+			return
+		}
+		fallthrough
+	case pushFixed:
+		if m.cfg.CoherenceFixedCost > 0 && m.pf != nil {
+			m.pf.Charge(pr, "svm:coherence-fixed", pr.start)
+		}
+		pr.stage = pushCopied
+		if !pr.copy.Start(m.mach, pr, pr.from, pr.dom, pr.bytes, pr.step) {
+			return
+		}
+		fallthrough
+	case pushCopied:
+		elapsed := m.env.Now() - pr.start
+		m.noteCoherence(pr.from, pr.dom, pr.bytes, true, false, elapsed, pr.copy.Service())
 		if m.tr != nil {
-			m.tr.EndAsync(m.prefTk, asp)
+			m.tr.EndAsync(m.prefTk, pr.asp)
 		}
 		if m.pf != nil {
-			m.pf.Finish(inf.node)
-			m.pf.Bind(hp, nil)
+			m.pf.Finish(pr.inf.node)
+			m.pf.Bind(pr, nil)
 		}
-		m.completePush(r, dom, version, bytes, recordTiming, elapsed, inf)
-	})
+		m.completePush(pr.r, pr.dom, pr.inf.version, pr.bytes, pr.recordTiming, elapsed, &pr.inf)
+		pr.r, pr.from, pr.dom, pr.inf.node = nil, nil, nil, nil
+		pr.next = m.freePush
+		m.freePush = pr
+	}
 }
 
 // completePush installs one finished push: the copy lands only if the
 // version is still current, the inflight entry is retired, and waiters are
-// woken. Shared by the unbatched push proc and the batch proc.
+// woken. Shared by the unbatched push chain and the batch proc.
 func (m *Manager) completePush(r *Region, dom *hostsim.Domain, version uint64,
 	bytes hostsim.Bytes, recordTiming bool, elapsed time.Duration, inf *inflightFetch) {
 
@@ -206,9 +285,10 @@ func (m *Manager) awaitOrDemand(p *sim.Proc, r *Region, acc Accessor, bytes host
 		}
 		m.stats.PrefetchWaits++
 		pwStart := p.Now()
+		node := inf.node // a push record can be reused before p resumes
 		inf.done.Wait(p)
 		if m.pf != nil {
-			m.pf.Wait(p, "svm:prefetch-wait", pwStart, inf.node)
+			m.pf.Wait(p, "svm:prefetch-wait", pwStart, node)
 		}
 		if r.HasCurrentCopy(acc.Domain) {
 			r.delivered[acc.Domain] = false

@@ -177,8 +177,10 @@ type Manager struct {
 	stats    Stats
 	observer AccessObserver
 	fetchObs FetchObserver
-	// freeAccess holds ended access records for reuse.
+	// freeAccess holds ended access records for reuse, freePush finished
+	// push records.
 	freeAccess *accessRec
+	freePush   *pushRec
 
 	// Observability (all nil-safe when tracing is off). Accessor tracks
 	// are interned lazily: most runs touch a handful of accessors.

@@ -2,6 +2,7 @@ package svm
 
 import (
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -213,12 +214,12 @@ func TestEndOnCopyOfEndedAccessFails(t *testing.T) {
 }
 
 // TestSteadyCycleAllocatesNoAccess: access records are recycled, so a
-// warm write->read cycle allocates no Access. What a cycle still
-// allocates is the coherence push: its in-flight record (with its done
-// event inline), the push closure and its process.
+// warm write->read cycle allocates no Access; and a coherence push is a
+// callback chain over a recycled push record, which holds the region's
+// in-flight entry, so the push allocates nothing either.
 func TestSteadyCycleAllocatesNoAccess(t *testing.T) {
 	for kind, want := range map[Kind]float64{
-		KindWriteInvalidate: 0, KindGuestSync: 0, KindPrefetch: 3, KindBroadcast: 3,
+		KindWriteInvalidate: 0, KindGuestSync: 0, KindPrefetch: 0, KindBroadcast: 0,
 	} {
 		t.Run(kind.String(), func(t *testing.T) {
 			rg := newRig(t, kind)
@@ -240,6 +241,45 @@ func TestSteadyCycleAllocatesNoAccess(t *testing.T) {
 				t.Fatalf("write->read cycle allocates %.0f, want %.0f", got, want)
 			}
 		})
+	}
+}
+
+// TestPushSpawnsNoProcess: a coherence push is a callback chain, so a
+// write->read cycle whose read waits out the push in flight leaves the
+// live-process count unchanged throughout.
+func TestPushSpawnsNoProcess(t *testing.T) {
+	rg := newRig(t, KindPrefetch)
+	r, _ := rg.m.Alloc(16 * hostsim.MiB)
+	procs := func() string {
+		s := rg.env.String()
+		return strings.TrimSuffix(s[strings.LastIndex(s, "procs: ")+len("procs: "):], "}")
+	}
+	var before, during, after string
+	var inflight bool
+	var waits int
+	rg.env.Spawn("pipeline", func(p *sim.Proc) {
+		for i := 0; i < 5; i++ { // teach the engine the codec->GPU flow
+			rg.write(t, p, r.ID, rg.codec)
+			p.Sleep(16 * ms)
+			rg.read(t, p, r.ID, rg.gpu)
+			p.Sleep(4 * ms)
+		}
+		waits = rg.m.Stats().PrefetchWaits
+		before = procs()
+		rg.write(t, p, r.ID, rg.codec)
+		p.Sleep(100 * time.Microsecond) // inside the push's fixed cost
+		inflight = r.inflight[rg.gpu.Domain] != nil
+		during = procs()
+		rg.read(t, p, r.ID, rg.gpu)
+		waits = rg.m.Stats().PrefetchWaits - waits
+		after = procs()
+	})
+	rg.env.Run()
+	if !inflight || waits != 1 {
+		t.Fatalf("push in flight during the cycle: %v, reads that waited it out: %d; want true, 1", inflight, waits)
+	}
+	if before != "1" || during != before || after != before {
+		t.Fatalf("live processes %s before, %s during and %s after the cycle, want 1 throughout", before, during, after)
 	}
 }
 
