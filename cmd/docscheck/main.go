@@ -14,13 +14,18 @@
 //     paths and bare *.md names are resolved against the working tree.
 //
 //  3. Every knob registered in the internal/tune config-search space must
-//     be named in DESIGN.md (the §14 knob table), so the search space and
-//     its documentation cannot drift apart. This check imports the live
-//     registry — the lint is against the compiled knob list, not a copy.
+//     be named in DESIGN.md (the §14 knob table), and every knob the §14
+//     table lists must be registered, so the search space and its
+//     documentation cannot drift apart either way. This check imports the
+//     live registry — the lint is against the compiled knob list, not a
+//     copy.
 //
 //  4. Every experiment in the internal/experiments registry must be
 //     documented in EXPERIMENTS.md: the literal "-exp <name>" invocation
 //     has to appear, so a new experiment cannot ship without its entry.
+//     The other way, every "-exp <name>" in README.md, DESIGN.md and
+//     EXPERIMENTS.md (each name of a comma list) must be a registered name,
+//     an alias or "all", so a deleted experiment cannot linger in the docs.
 //     Like check 3, this lints against the live compiled registry.
 //
 //  5. Every exported package-level func, type, var and const, and every
@@ -174,8 +179,9 @@ func checkMarkdownRefs(root string) []string {
 }
 
 // checkKnobDocs verifies DESIGN.md names every knob the internal/tune
-// registry declares. Name-level: the literal knob string (e.g.
-// "fetch.chunk_kib") must appear somewhere in the document.
+// registry declares — name-level: the literal knob string (e.g.
+// "fetch.chunk_kib") must appear somewhere in the document — and that the
+// §14 knob table lists no knob the registry lacks.
 func checkKnobDocs(root string) []string {
 	data, err := os.ReadFile(filepath.Join(root, "DESIGN.md"))
 	if err != nil {
@@ -189,12 +195,39 @@ func checkKnobDocs(root string) []string {
 				"DESIGN.md: tuner knob %q is registered in internal/tune but never named", k.Name))
 		}
 	}
+	return append(problems, unregisteredKnobs(doc)...)
+}
+
+// knobRow matches a row of the §14 knob table, whose first cell is the
+// backtick-quoted knob name.
+var knobRow = regexp.MustCompile("^\\| `([^`]+)` \\|")
+
+// unregisteredKnobs reports each knob DESIGN.md's §14 table lists that
+// internal/tune does not register.
+func unregisteredKnobs(doc string) []string {
+	known := map[string]bool{}
+	for _, k := range tune.AllKnobs() {
+		known[k.Name] = true
+	}
+	var problems []string
+	in14 := false
+	for lineNo, line := range strings.Split(doc, "\n") {
+		if strings.HasPrefix(line, "## ") {
+			in14 = strings.HasPrefix(line, "## 14.")
+			continue
+		}
+		if m := knobRow.FindStringSubmatch(line); in14 && m != nil && !known[m[1]] {
+			problems = append(problems, fmt.Sprintf(
+				"DESIGN.md:%d: §14 lists tuner knob %q, which internal/tune does not register", lineNo+1, m[1]))
+		}
+	}
 	return problems
 }
 
 // checkExperimentDocs verifies EXPERIMENTS.md documents every experiment
-// the internal/experiments registry declares: the literal "-exp <name>"
-// invocation must appear for each canonical name.
+// the internal/experiments registry declares — the literal "-exp <name>"
+// invocation must appear for each canonical name — and that no document
+// invokes an experiment the registry lacks.
 func checkExperimentDocs(root string) []string {
 	data, err := os.ReadFile(filepath.Join(root, "EXPERIMENTS.md"))
 	if err != nil {
@@ -206,6 +239,41 @@ func checkExperimentDocs(root string) []string {
 		if !strings.Contains(doc, "-exp "+e.Name) {
 			problems = append(problems, fmt.Sprintf(
 				"EXPERIMENTS.md: experiment %q is registered in internal/experiments but \"-exp %s\" is never documented", e.Name, e.Name))
+		}
+	}
+	return append(problems, unknownExperiments(root)...)
+}
+
+// expArg matches the value of a -exp invocation: one name or a comma list.
+var expArg = regexp.MustCompile(`-exp ([a-z0-9]+(?:,[a-z0-9]+)*)`)
+
+// unknownExperiments reports each name a "-exp" invocation in README.md,
+// DESIGN.md or EXPERIMENTS.md gives that is not a registered name, an
+// alias or "all".
+func unknownExperiments(root string) []string {
+	known := map[string]bool{"all": true}
+	for _, e := range experiments.Registry() {
+		known[e.Name] = true
+		for _, a := range e.Aliases {
+			known[a] = true
+		}
+	}
+	var problems []string
+	for _, name := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		data, err := os.ReadFile(filepath.Join(root, name))
+		if err != nil {
+			problems = append(problems, fmt.Sprintf("%s: %v", name, err))
+			continue
+		}
+		for lineNo, line := range strings.Split(string(data), "\n") {
+			for _, m := range expArg.FindAllStringSubmatch(line, -1) {
+				for _, exp := range strings.Split(m[1], ",") {
+					if !known[exp] {
+						problems = append(problems, fmt.Sprintf(
+							"%s:%d: \"-exp %s\" names no experiment registered in internal/experiments", name, lineNo+1, exp))
+					}
+				}
+			}
 		}
 	}
 	return problems

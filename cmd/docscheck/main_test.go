@@ -1,6 +1,7 @@
 package main
 
 import (
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -31,6 +32,26 @@ func TestUnreadFieldsFixture(t *testing.T) {
 	want := []string{
 		"internal/lib/lib.go:8: lib.Counts.WriteOnly is never read",
 		"internal/lib/lib.go:9: lib.Counts.TestRead is never read",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("problems = %q, want %q", got, want)
+	}
+}
+
+// TestStaleDocNamesFixture runs the reverse halves of checks 3 and 4 on a
+// fixture: a §14 knob-table row naming an unregistered knob is reported,
+// one outside §14 is not, and each unregistered name of a -exp list is
+// reported while aliases, "all" and registered names pass.
+func TestStaleDocNamesFixture(t *testing.T) {
+	design, err := os.ReadFile("testdata/docs/DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := append(unregisteredKnobs(string(design)), unknownExperiments("testdata/docs")...)
+	want := []string{
+		`DESIGN.md:12: §14 lists tuner knob "batch.max_window_ms", which internal/tune does not register`,
+		`README.md:4: "-exp batching" names no experiment registered in internal/experiments`,
+		`README.md:5: "-exp nosuch" names no experiment registered in internal/experiments`,
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("problems = %q, want %q", got, want)

@@ -2,8 +2,8 @@
 // measurement study behind Figs. 4-6, the SVM microbenchmarks of Table 2,
 // the FPS and motion-to-photon comparisons of Figs. 10-15, the ablation
 // breakdowns, the prediction and overhead reports of §5.2, the
-// write-invalidate CDF of Fig. 16, and the notification-batching sweep of
-// DESIGN.md §9.
+// write-invalidate CDF of Fig. 16, and the fault-injection robustness
+// curves of DESIGN.md §7.
 //
 // Usage:
 //
@@ -30,7 +30,7 @@
 //
 // `-exp all` runs the paper's tables and figures (the entries marked
 // InAll), so its output stays comparable across builds; the study, the
-// sweeps, the profiled micro run and the farm scenarios run only when named.
+// profiled micro run and the farm scenarios run only when named.
 // `all` may also sit inside a list (`-exp micro,all`).
 //
 // The farm scenarios always observe: the shardscale farm carries the fleet

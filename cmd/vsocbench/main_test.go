@@ -38,6 +38,8 @@ func TestCheckFlags(t *testing.T) {
 		// -exp resolution.
 		{exp: "fig13,fig14", ok: true},
 		{exp: "table2,nosuch", ok: false},
+		{exp: "batching", ok: false},
+		{exp: "fetchpipe", ok: false},
 		{exp: " , ", ok: false},
 
 		// Output flags must reach a selected experiment that writes them.
@@ -55,7 +57,7 @@ func TestCheckFlags(t *testing.T) {
 		{exp: "micro", fetch: true, metrics: true, ok: false},
 		{exp: "micro", fetch: true, ok: true},
 		{exp: "fig16", fetch: true, ok: true},
-		{exp: "batching", fetch: true, ok: false},
+		{exp: "robustness", fetch: true, ok: false},
 		{exp: "all", fetch: true, metrics: true, ok: true},
 		{exp: "overhead", metrics: true, ok: true},
 		{exp: "table2", metrics: true, ok: false},

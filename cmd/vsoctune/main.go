@@ -1,11 +1,11 @@
 // Command vsoctune searches the emulator's policy configuration space
-// (DESIGN.md §14): notification-batching windows, chunked demand-fetch
-// knobs, and the prefetch engine's suspension heuristics. For each selected
+// (DESIGN.md §14): the chunked demand-fetch knobs, and on the prefetch
+// preset the prefetch engine's suspension heuristics. For each selected
 // preset it runs the internal/tune driver — deterministic grid/random
 // seeding plus hill-climb with patience over the declared knob space,
-// scoring candidates on the preset's shipped objective with the Fig. 16
-// video probe — and prints the best-found vector with a baseline-vs-best
-// metric table.
+// scoring candidates on the shipped objective (the demand-fetch mean) with
+// the Fig. 16 video probe — and prints the best-found vector with a
+// baseline-vs-best metric table.
 //
 // Usage:
 //

@@ -118,8 +118,8 @@ type Op struct {
 // Ticket is a handle on one submitted op: its record plus the record's
 // generation at submission. Records are recycled once the op retires, so a
 // ticket whose generation has moved on reads as ready. The signal fence and
-// profiler node are copied into the ticket because both outlive the
-// record: a piggybacked fence stays pending after its op retires.
+// profiler node are copied into the ticket because retiring the record
+// clears both, and an op submitted later may still order behind this one.
 type Ticket struct {
 	rec   *opRecord
 	gen   uint64
@@ -189,10 +189,6 @@ type Device struct {
 	stats Stats
 	// free holds retired op records for reuse.
 	free *opRecord
-	// piggybacked counts fence signals deferred onto a push batch's
-	// completion IRQ (notification batching; kept out of Stats so the
-	// struct's printed form is unchanged with batching off).
-	piggybacked int
 
 	tr *obs.Tracer
 	tk obs.Track
@@ -304,21 +300,13 @@ func (d *Device) HostDevice() *hostsim.Device { return d.host }
 // Stats returns the device's counters.
 func (d *Device) Stats() Stats { return d.stats }
 
-// PiggybackedFences returns how many fence signals rode a coherence push
-// batch's completion IRQ instead of signaling on their own (always zero
-// with notification batching off).
-func (d *Device) PiggybackedFences() int { return d.piggybacked }
-
 // Ring returns the device's command ring (read-only use by experiments and
-// tests: suppression stats, adaptive-window state).
+// the benchmark: kick counts).
 func (d *Device) Ring() *virtio.Ring { return d.ring }
 
 // IRQ returns the device's interrupt line (read-only use by experiments
-// and tests).
+// and the benchmark: delivered interrupts).
 func (d *Device) IRQ() *virtio.IRQLine { return d.irq }
-
-// batching reports whether the notification-batching layer is on.
-func (d *Device) batching() bool { return d.cfg.Transport.Batch.Enabled }
 
 // Submit dispatches op from guest driver context p and returns its ticket.
 // Blocking behaviour depends on the ordering mode:
@@ -453,7 +441,7 @@ func (d *Device) hostLoop(p *sim.Proc) {
 		if d.tr != nil {
 			sp = d.tr.Begin(d.tk, cmd.Kind)
 		}
-		info := d.execute(p, rec)
+		d.execute(p, rec)
 		if d.tr != nil {
 			d.tr.End(d.tk, sp)
 		}
@@ -465,15 +453,7 @@ func (d *Device) hostLoop(p *sim.Proc) {
 			rec.done.Signal()
 		}
 		if rec.sig != (fence.Fence{}) {
-			if len(info.PushBatches) > 0 {
-				// Fence piggybacking: the signal rides the push batch's
-				// completion IRQ. Downstream waiters then start with the
-				// pushed copy already in place. PushBatches is only ever
-				// non-nil with batching on.
-				d.piggybackFence(rec.sig, info.PushBatches)
-			} else {
-				rec.sig.Signal()
-			}
+			rec.sig.Signal()
 		}
 		if notify {
 			// The record rides the interrupt; deliverIRQ retires it.
@@ -489,7 +469,7 @@ func (d *Device) hostLoop(p *sim.Proc) {
 	}
 }
 
-func (d *Device) execute(p *sim.Proc, rec *opRecord) svm.EndInfo {
+func (d *Device) execute(p *sim.Proc, rec *opRecord) {
 	op := rec.op
 	if d.host.SwitchUser(d.Name) {
 		// Taking over the physical device from another virtual device.
@@ -506,12 +486,11 @@ func (d *Device) execute(p *sim.Proc, rec *opRecord) svm.EndInfo {
 			d.pf.Charge(p, d.lblCtx, ctxStart)
 		}
 	}
-	var info svm.EndInfo
 	switch op.Kind {
 	case OpWrite:
-		info = d.accessExec(p, op, svm.UsageWrite)
+		d.accessExec(p, op, svm.UsageWrite)
 	case OpRead:
-		info = d.accessExec(p, op, svm.UsageRead)
+		d.accessExec(p, op, svm.UsageRead)
 	case OpExec:
 		d.host.Exec(p, op.Exec)
 	}
@@ -528,7 +507,6 @@ func (d *Device) execute(p *sim.Proc, rec *opRecord) svm.EndInfo {
 			d.pf.SetCompleting(nil)
 		}
 	}
-	return info
 }
 
 // accessExec runs an SVM-touching op. An access that races a guest Free —
@@ -537,7 +515,7 @@ func (d *Device) execute(p *sim.Proc, rec *opRecord) svm.EndInfo {
 // execution slot (the command stream already carried the work), the commit
 // is skipped, and the drop is counted. Any other SVM error is a protocol
 // bug and panics.
-func (d *Device) accessExec(p *sim.Proc, op Op, usage svm.Usage) svm.EndInfo {
+func (d *Device) accessExec(p *sim.Proc, op Op, usage svm.Usage) {
 	a, err := d.mgr.BeginAccess(p, op.Region, d.Accessor(), usage, op.Bytes)
 	if err != nil {
 		if errors.Is(err, svm.ErrFreed) || errors.Is(err, svm.ErrUnknownRegion) {
@@ -546,57 +524,28 @@ func (d *Device) accessExec(p *sim.Proc, op Op, usage svm.Usage) svm.EndInfo {
 				d.tr.Instant(d.tk, "dropped-op")
 			}
 			d.host.Exec(p, op.Exec)
-			return svm.EndInfo{}
+			return
 		}
 		panic(fmt.Sprintf("device %s: %s begin: %v", d.Name, opName(op.Kind), err))
 	}
 	d.host.Exec(p, op.Exec)
-	info, err := a.End(p)
-	if err != nil {
+	if _, err := a.End(p); err != nil {
 		if errors.Is(err, svm.ErrFreed) {
 			d.stats.DroppedOps++
 			if d.tr != nil {
 				d.tr.Instant(d.tk, "dropped-op")
 			}
-			return svm.EndInfo{}
+			return
 		}
 		panic(fmt.Sprintf("device %s: %s end: %v", d.Name, opName(op.Kind), err))
-	}
-	return info
-}
-
-// piggybackFence defers f's signal onto the completion of the write's push
-// batches: the last batch to finish signals the fence from its completion
-// context, so the fence needs no notification of its own.
-func (d *Device) piggybackFence(f fence.Fence, batches []*svm.PushBatch) {
-	d.piggybacked++
-	if d.tr != nil {
-		d.tr.Instant(d.tk, "fence-piggyback")
-	}
-	remaining := len(batches)
-	for _, b := range batches {
-		b.OnComplete(func() {
-			remaining--
-			if remaining == 0 {
-				f.Signal()
-			}
-		})
 	}
 }
 
 // irqLoop delivers completion interrupts to the guest (event-driven mode),
-// charging the IRQ handling cost before marking tickets ready. With
-// batching on, one handled interrupt drains every coalesced completion.
+// charging the IRQ handling cost before marking tickets ready.
 func (d *Device) irqLoop(p *sim.Proc) {
-	batched := d.batching()
 	for {
-		if !batched {
-			d.deliverIRQ(d.irq.Wait(p))
-			continue
-		}
-		for _, v := range d.irq.WaitBatch(p) {
-			d.deliverIRQ(v)
-		}
+		d.deliverIRQ(d.irq.Wait(p))
 	}
 }
 

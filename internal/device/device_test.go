@@ -11,7 +11,6 @@ import (
 	"repro/internal/prof"
 	"repro/internal/sim"
 	"repro/internal/svm"
-	"repro/internal/virtio"
 )
 
 const ms = time.Millisecond
@@ -538,48 +537,5 @@ func TestRecycledTicketReadsReady(t *testing.T) {
 				t.Fatalf("FenceWaits = %d, want 0 after a recycled ticket", got)
 			}
 		})
-	}
-}
-
-// TestRetiredTicketWithPendingFenceStillOrders: with batching on, a write's
-// signal fence rides its push batch and can still be pending after the op
-// has retired and its record is free. The ticket carries the fence, so a
-// fence-mode After still waits for it.
-func TestRetiredTicketWithPendingFenceStillOrders(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Transport.Batch = virtio.EnabledBatch()
-	scfg := svm.DefaultConfig()
-	scfg.Kind = svm.KindBroadcast
-	scfg.Batch = virtio.EnabledBatch()
-	rg := newRigEnv(t, sim.NewEnv(3), cfg, scfg)
-	r, _ := rg.mgr.Alloc(16 * hostsim.MiB)
-	var signaledAt, readDone time.Duration
-	rg.env.Spawn("driver", func(p *sim.Proc) {
-		// A GPU read first, so the codec's write pushes toward VRAM.
-		rg.gpu.Submit(p, Op{Kind: OpRead, Region: r.ID, Exec: ms}).Wait(p)
-		w := rg.codec.Submit(p, Op{Kind: OpWrite, Region: r.ID, Exec: ms})
-		w.Wait(p)
-		if w.live() != nil || w.fence.Signaled() {
-			t.Errorf("want the write retired with its fence pending (live %v, signaled %v)",
-				w.live() != nil, w.fence.Signaled())
-			return
-		}
-		rg.env.Spawn("fence-watch", func(p *sim.Proc) {
-			w.fence.Wait(p)
-			signaledAt = p.Now()
-		})
-		rd := rg.gpu.Submit(p, Op{Kind: OpRead, Region: r.ID, Exec: ms, After: w})
-		rd.Wait(p)
-		readDone = p.Now()
-	})
-	rg.env.RunUntil(time.Second)
-	if rg.codec.PiggybackedFences() != 1 {
-		t.Fatalf("PiggybackedFences = %d, want 1", rg.codec.PiggybackedFences())
-	}
-	if got := rg.gpu.Stats().FenceWaits; got != 1 {
-		t.Fatalf("FenceWaits = %d, want 1", got)
-	}
-	if signaledAt == 0 || readDone < signaledAt+ms {
-		t.Fatalf("read done at %v, want at least 1ms after the fence signaled at %v", readDone, signaledAt)
 	}
 }

@@ -73,17 +73,11 @@ type Preset struct {
 	// timeouts; the evaluation presets leave it zero (wait forever).
 	DeviceWatchdog time.Duration
 
-	// Batch enables the adaptive notification-batching layer (doorbell
-	// suppression, IRQ coalescing, coherence push batching; DESIGN.md §9)
-	// on every transport and on the SVM manager. All evaluation presets
-	// leave it zero so their outputs match the pre-batching emulator byte
-	// for byte; the batching sweep turns it on explicitly.
-	Batch virtio.BatchConfig
-
 	// Fetch enables chunked, DMA-promoted demand fetches on the SVM manager
 	// (DESIGN.md §11). All evaluation presets leave it zero — demand fetches
 	// stay on the monolithic synchronous path, byte-identical to the
-	// pre-chunking emulator; the fetchpipe sweep turns it on explicitly.
+	// pre-chunking emulator; vsocbench -fetch (Fig. 16 and the micro run)
+	// and the tuner's fetch.* knobs turn it on explicitly.
 	Fetch hostsim.FetchConfig
 
 	// CameraFPSCap bounds the virtual camera's delivery rate; host webcam
@@ -148,7 +142,6 @@ const VSyncPeriod = time.Second / 60
 
 // New assembles an emulator from a preset on the given machine.
 func New(env *sim.Env, mach *hostsim.Machine, p Preset) *Emulator {
-	p.SVM.Batch = p.Batch
 	p.SVM.Fetch = p.Fetch
 	mgr := svm.NewManager(env, mach, p.SVM)
 	for id, name := range virtualNames {
@@ -171,7 +164,6 @@ func New(env *sim.Env, mach *hostsim.Machine, p Preset) *Emulator {
 	dcfg.Mode = p.Ordering
 	dcfg.WatchdogTimeout = p.DeviceWatchdog
 	dcfg.Transport.Scale = scale
-	dcfg.Transport.Batch = p.Batch
 
 	e := &Emulator{
 		Preset:    p,

@@ -56,7 +56,7 @@ type Config struct {
 	// Fetch enables chunked, DMA-promoted demand fetches (DESIGN.md §11)
 	// for the experiments that support it (micro, fig16). Off by default so
 	// every experiment's output matches the pre-chunking emulator byte for
-	// byte; the fetchpipe sweep varies the knobs itself.
+	// byte; the tuner's fetch.* knobs vary the chunk settings themselves.
 	Fetch bool
 	// MonPath, when set, is where the monitored runs (the farm scenarios)
 	// write the machine-readable monitor report (cmd/vsocmon renders it).

@@ -399,10 +399,11 @@ func TestReportsRenderNonEmpty(t *testing.T) {
 
 // TestRegistryContract runs every entry at a tiny config with `make
 // bench`'s -fetch: each prints a report, returns bench metrics exactly
-// when it declares Bench,
-// and names them uniquely across the registry under its own "<experiment>."
-// prefix. Together they are exactly the metrics of the committed baseline,
-// so a renamed or dropped metric fails here before it fails the perf gate.
+// when it declares Bench, and names them uniquely across the registry
+// under its own "<experiment>." prefix. Together they are exactly the
+// metrics of the committed baseline, so a renamed or dropped metric fails
+// here before it fails the perf gate. Every entry but table1 is Bench, so
+// no experiment runs ungated; table1 is pinned by TestTable1MatchesPaper.
 func TestRegistryContract(t *testing.T) {
 	base, err := ReadBenchReportFile("../../BENCH.json")
 	if err != nil {
@@ -427,6 +428,9 @@ func TestRegistryContract(t *testing.T) {
 		}
 		if (len(ms) > 0) != e.Bench {
 			t.Errorf("%s: %d bench metrics, but Bench = %v", e.Name, len(ms), e.Bench)
+		}
+		if !e.Bench && e.Name != "table1" {
+			t.Errorf("%s: not Bench; every experiment but table1 must feed the bench trajectory", e.Name)
 		}
 		for _, m := range ms {
 			if !strings.HasPrefix(m.Name, e.Name+".") &&

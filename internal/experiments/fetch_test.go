@@ -9,6 +9,8 @@ import (
 	"repro/internal/emulator"
 	"repro/internal/faults"
 	"repro/internal/hostsim"
+	"repro/internal/svm"
+	"repro/internal/workload"
 )
 
 // fetchDetCfg is detCfg with chunked demand fetches on.
@@ -68,10 +70,11 @@ func TestSerialPathMatchesCommittedPR6Baseline(t *testing.T) {
 func TestFetchEnabledDeterminism(t *testing.T) {
 	for _, seed := range []int64{1, 7} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			serial, rerun := microRuns(t, fetchDetCfg, seed)
-			if serial.ChunkedFetches != rerun.ChunkedFetches || serial.FetchJoins != rerun.FetchJoins {
-				t.Errorf("chunked counters diverge across equal-seed runs: %d/%d vs %d/%d",
-					serial.ChunkedFetches, serial.FetchJoins, rerun.ChunkedFetches, rerun.FetchJoins)
+			microRuns(t, fetchDetCfg, seed)
+			sc, sj := fetchCounts(fetchDetCfg(seed, 1))
+			rc, rj := fetchCounts(fetchDetCfg(seed, 1))
+			if sc != rc || sj != rj {
+				t.Errorf("chunked counters diverge across equal-seed runs: %d/%d vs %d/%d", sc, sj, rc, rj)
 			}
 		})
 	}
@@ -107,9 +110,23 @@ func TestFetchEnabledCollapsesSyncCopy(t *testing.T) {
 		t.Errorf("sync-copy share %.1f%% still a majority with chunking on",
 			float64(sync)/float64(onCS.Total)*100)
 	}
-	if on.ChunkedFetches == 0 {
+	if chunked, _ := fetchCounts(fetchDetCfg(1, 0)); chunked == 0 {
 		t.Error("no chunked fetches recorded with chunking on")
 	}
+}
+
+// fetchCounts sums the chunked-fetch counters of the Fig. 16 sessions at
+// cfg: chunked demand fetches, and readers that joined a running one.
+func fetchCounts(cfg Config) (chunked, joins int) {
+	cells := appCells(cfg, fig16Preset(cfg), HighEnd, 500, videoCats)
+	sts := sweep(cfg, cells, func(s *workload.Session, _ *workload.Result) *svm.Stats { return s.SVMStats() })
+	for _, st := range sts {
+		if st != nil {
+			chunked += st.ChunkedFetches
+			joins += st.FetchJoins
+		}
+	}
+	return chunked, joins
 }
 
 // TestChunkedChaosRecovers runs the fault-injection sweep's link faults
@@ -140,39 +157,5 @@ func TestChunkedChaosRecovers(t *testing.T) {
 	}
 	if c := r.Cell("vSoC-chunked", faults.ClassDMALoss); c == nil || c.DMARetries == 0 {
 		t.Error("chunked dma-loss: no DMA retries recorded")
-	}
-}
-
-// TestFetchPipeSweepShape checks the sweep runner end to end at a small
-// config: the off row reproduces the monolithic shape and every chunked row
-// beats it.
-func TestFetchPipeSweepShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-setting sweep")
-	}
-	cfg := detCfg(1, 0)
-	r := RunFetchPipe(cfg)
-	if len(r.Rows) != len(fetchPipeSettings()) {
-		t.Fatalf("got %d rows, want %d", len(r.Rows), len(fetchPipeSettings()))
-	}
-	off := r.Rows[0]
-	if off.Label != "off" || off.ChunkedFetches != 0 {
-		t.Fatalf("first row should be the monolithic baseline, got %+v", off)
-	}
-	if off.SyncSharePct < 50 {
-		t.Errorf("baseline sync-copy share %.1f%%, want majority", off.SyncSharePct)
-	}
-	for _, row := range r.Rows[1:] {
-		if row.ChunkedFetches == 0 {
-			t.Errorf("%s: no chunked fetches", row.Label)
-		}
-		if row.DemandFetchMeanMS >= off.DemandFetchMeanMS {
-			t.Errorf("%s: fetch mean %.3f not below baseline %.3f",
-				row.Label, row.DemandFetchMeanMS, off.DemandFetchMeanMS)
-		}
-		if row.SyncSharePct >= off.SyncSharePct {
-			t.Errorf("%s: sync share %.1f%% not below baseline %.1f%%",
-				row.Label, row.SyncSharePct, off.SyncSharePct)
-		}
 	}
 }

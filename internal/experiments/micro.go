@@ -224,5 +224,5 @@ type Fig16Result struct {
 // render threads the coherence blocks. It is the micro run without the
 // profiler.
 func RunFig16(cfg Config) *Fig16Result {
-	return runMicroPreset(cfg, fig16Preset(cfg), false).Fig16
+	return runFig16Sessions(cfg, false).Fig16
 }

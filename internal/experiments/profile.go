@@ -20,11 +20,6 @@ type MicroResult struct {
 	Fig16 *Fig16Result
 	// Report is the merged attribution; nil when the profiler was off.
 	Report *prof.Report
-	// Fetch-path counters summed across sessions (the fetchpipe sweep
-	// reports them; zero when chunking is off).
-	DemandFetches  int
-	ChunkedFetches int
-	FetchJoins     int
 }
 
 // fig16Preset is the Fig. 16 emulator: vSoC with write-invalidate in place
@@ -43,15 +38,13 @@ func fig16Preset(cfg Config) emulator.Preset {
 // profiler-off run; per-session reports merge in fixed cell order, so the
 // result is independent of worker count.
 func RunMicro(cfg Config) *MicroResult {
-	return runMicroPreset(cfg, fig16Preset(cfg), true)
+	return runFig16Sessions(cfg, true)
 }
 
-// runMicroPreset runs the Fig. 16 jobs on preset, with or without the
-// profiler: RunFig16 and RunMicro share it, the batching sweep reruns it as
-// its latency guardrail, and the fetchpipe sweep across chunked-fetch
-// settings.
-func runMicroPreset(cfg Config, preset emulator.Preset, profile bool) *MicroResult {
-	cells := appCells(cfg, preset, HighEnd, 500, videoCats)
+// runFig16Sessions runs the Fig. 16 jobs, with or without the profiler:
+// RunFig16 and RunMicro share it.
+func runFig16Sessions(cfg Config, profile bool) *MicroResult {
+	cells := appCells(cfg, fig16Preset(cfg), HighEnd, 500, videoCats)
 	for i := range cells {
 		cells[i].profile = profile
 	}
@@ -76,9 +69,6 @@ func runMicroPreset(cfg Config, preset emulator.Preset, profile bool) *MicroResu
 			continue
 		}
 		all.Merge(&r.st.AccessLatency)
-		res.DemandFetches += r.st.DemandFetches
-		res.ChunkedFetches += r.st.ChunkedFetches
-		res.FetchJoins += r.st.FetchJoins
 		if r.rep != nil {
 			r.rep.Retag(fmt.Sprintf("%s/%d", emulator.CategoryNames[cells[i].cat], cells[i].app))
 			res.Report.Merge(r.rep)

@@ -34,9 +34,9 @@ type Entry struct {
 	// (-fetch, -metrics, -monout); vsocbench rejects one that no selected
 	// experiment lists.
 	Flags []string
-	// InAll marks experiments included in `-exp all`. The sweeps and the
-	// study are excluded so `-exp all` output stays byte-comparable with
-	// builds that predate them.
+	// InAll marks experiments included in `-exp all`. The study, the micro
+	// rerun and the farm scenarios are excluded so `-exp all` output stays
+	// byte-comparable with builds that predate them.
 	InAll bool
 	// Run runs the experiment at cfg and returns its report text and its
 	// bench metrics, named "<experiment>.<quantity>" (shardscale's fleet.*
@@ -102,17 +102,11 @@ func Registry() []Entry {
 		{Name: "resolution", InAll: true, Bench: true,
 			Summary: "FPS across video resolutions (§5.3 functional check)",
 			Run:     runner(RunResolutionSweep, FormatResolution, resolutionMetrics)},
-		{Name: "robustness", InAll: true,
+		{Name: "robustness", InAll: true, Bench: true,
 			Summary: "fault-injection degradation and recovery curves",
 			Trace:   "writes one file per (emulator, fault) cell next to the given path",
 			Flags:   []string{"-metrics"},
-			Run:     runner(RunRobustness, FormatRobustness, nil)},
-		{Name: "batching",
-			Summary: "notification-batching sweep: notifications/op and Table-2 deltas across batch windows (DESIGN.md §9); excluded from -exp all",
-			Run:     runner(RunBatching, FormatBatching, nil)},
-		{Name: "fetchpipe",
-			Summary: "chunked demand-fetch sweep: access latency and sync-copy share across chunk sizes (DESIGN.md §11); excluded from -exp all",
-			Run:     runner(RunFetchPipe, FormatFetchPipe, nil)},
+			Run:     runner(RunRobustness, FormatRobustness, robustnessMetrics)},
 		{Name: "shardscale", Bench: true,
 			Summary: "four-guest farm sharing one host's PCIe budget, run in 2 ms arbitration windows: per-guest FPS, events and events/s (DESIGN.md §12), the QoS/SLO fleet report and the window loop's wall-clock split (§13), and the monitor report (§15); -monout writes the monitor report for cmd/vsocmon; excluded from -exp all",
 			Trace:   "writes the fleet-counter trace next to the given path, as *-fleet.json",
@@ -289,6 +283,19 @@ func resolutionMetrics(r *ResolutionResult) []BenchMetric {
 	for _, c := range r.Cells {
 		name := fmt.Sprintf("resolution.%s.fps_%dp", metricKey(c.Emulator), c.Height)
 		ms = append(ms, BenchMetric{name, c.FPS, "fps", "higher"})
+	}
+	return ms
+}
+
+// robustnessMetrics: per (emulator, fault) cell, the FPS inside the fault
+// window and after it clears — the degradation and the recovery.
+func robustnessMetrics(r *RobustnessResult) []BenchMetric {
+	var ms []BenchMetric
+	for _, c := range r.Cells {
+		k := "robustness." + metricKey(c.Emulator) + "." + metricKey(string(c.Fault)) + "."
+		ms = append(ms,
+			BenchMetric{k + "fault_fps", c.FaultFPS, "fps", "higher"},
+			BenchMetric{k + "recovered_fps", c.RecoveredFPS, "fps", "higher"})
 	}
 	return ms
 }

@@ -264,63 +264,3 @@ func formatCDF(pts []metrics.CDFPoint, unit string) string {
 	}
 	return b.String()
 }
-
-// FormatBatching renders the notification-batching sweep (DESIGN.md §9).
-func FormatBatching(r *BatchingResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Notification batching sweep (slice-streaming stress, high-end desktop)\n")
-	fmt.Fprintf(&b, "%-10s %9s %9s %7s %7s %7s %7s %8s %7s %6s %6s\n",
-		"Setting", "Window", "Notif/op", "Kicks", "Elided", "IRQs", "Coal",
-		"Batches", "AvgBat", "Piggy", "Demand")
-	for _, row := range r.Rows {
-		win := "-"
-		if row.MaxWindow > 0 {
-			win = row.MaxWindow.String()
-		}
-		fmt.Fprintf(&b, "%-10s %9s %9.3f %7d %7d %7d %7d %8d %7.2f %6d %6d\n",
-			row.Label, win, row.NotifPerOp, row.Kicks, row.ElidedKicks,
-			row.IRQsDelivered, row.Coalesced, row.Batches, row.AvgBatch,
-			row.PiggybackedFences, row.DemandFetches)
-	}
-	rowBy := func(label string) *BatchingRow {
-		for i := range r.Rows {
-			if r.Rows[i].Label == label {
-				return &r.Rows[i]
-			}
-		}
-		return nil
-	}
-	base := rowBy("off")
-	if base != nil {
-		fmt.Fprintf(&b, "\nTable-2 metrics vs batching off (access mean / p99, coherence mean, throughput)\n")
-		for _, row := range r.Rows {
-			if strings.HasPrefix(row.Label, "evt-") {
-				continue // different completion transport, not comparable
-			}
-			fmt.Fprintf(&b, "%-10s access %6.3f/%6.3f ms (%+.1f%%)  coherence %6.3f ms (%+.1f%%)  %5.2f GB/s (%+.1f%%)\n",
-				row.Label, row.AccessMeanMS, row.AccessP99MS,
-				pctDelta(row.AccessMeanMS, base.AccessMeanMS),
-				row.CoherenceMeanMS, pctDelta(row.CoherenceMeanMS, base.CoherenceMeanMS),
-				row.ThroughputGBs, pctDelta(row.ThroughputGBs, base.ThroughputGBs))
-		}
-	}
-	if ad := rowBy("adaptive"); base != nil && ad != nil && ad.NotifPerOp > 0 {
-		fmt.Fprintf(&b, "\nAdaptive-window notification reduction: %.2fx\n",
-			base.NotifPerOp/ad.NotifPerOp)
-	}
-	if eb, ea := rowBy("evt-off"), rowBy("evt-adaptive"); eb != nil && ea != nil && ea.NotifPerOp > 0 {
-		fmt.Fprintf(&b, "Event-driven transport reduction: %.2fx\n",
-			eb.NotifPerOp/ea.NotifPerOp)
-	}
-	fmt.Fprintf(&b, "Fig.16 demand-fetch guardrail: mean %.3f ms off, %.3f ms on (%+.2f%% regression, bound 5%%)\n",
-		r.GuardOff.MeanMS, r.GuardOn.MeanMS, r.GuardRegressionPct)
-	return b.String()
-}
-
-// pctDelta returns (v-base)/base as a percentage, 0 when base is 0.
-func pctDelta(v, base float64) float64 {
-	if base == 0 {
-		return 0
-	}
-	return (v - base) / base * 100
-}

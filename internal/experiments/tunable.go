@@ -8,7 +8,6 @@ import (
 	"repro/internal/prefetch"
 	"repro/internal/prof"
 	"repro/internal/svm"
-	"repro/internal/virtio"
 	"repro/internal/workload"
 )
 
@@ -17,10 +16,9 @@ import (
 // DESIGN.md §14) searches over. It deliberately excludes the calibration
 // constants (cost factors, API base costs) — those encode the paper's
 // measured hardware, not policy — and carries only the policy layers this
-// repository added on top: notification batching (§9), chunked demand
-// fetches (§11), and the prefetch engine's suspension heuristics (§3.3).
+// repository added on top: chunked demand fetches (§11) and the prefetch
+// engine's suspension heuristics (§3.3).
 type Tunable struct {
-	Batch    virtio.BatchConfig
 	Fetch    hostsim.FetchConfig
 	Prefetch prefetch.Config
 }
@@ -28,7 +26,7 @@ type Tunable struct {
 // TunableOf extracts a preset's shipped tunable — the search's baseline
 // vector decodes to exactly this value.
 func TunableOf(p emulator.Preset) Tunable {
-	return Tunable{Batch: p.Batch, Fetch: p.Fetch, Prefetch: p.SVM.Prefetch}
+	return Tunable{Fetch: p.Fetch, Prefetch: p.SVM.Prefetch}
 }
 
 // ApplyTo returns the preset with the tunable installed. The prefetch
@@ -36,7 +34,6 @@ func TunableOf(p emulator.Preset) Tunable {
 // them unconditionally is harmless because other protocols never consult
 // the engine config.
 func (t Tunable) ApplyTo(p emulator.Preset) emulator.Preset {
-	p.Batch = t.Batch
 	p.Fetch = t.Fetch
 	p.SVM.Prefetch = t.Prefetch
 	return p
@@ -62,12 +59,12 @@ const (
 // before/after evidence reports diff through cmd/vsocperf unchanged).
 //
 // The workload is the Fig. 16 video probe (UHD + 360 categories, high-end
-// machine) with the critical-path profiler attached: it exercises every
-// knob family at once — demand fetches (chunking), coherence pushes and
-// device notifications (batching), and, on prefetch-protocol presets, the
-// engine's suspension heuristics. Sessions fan out over Config.Workers and
-// merge in job order, so equal (preset, tunable, seed) triples produce
-// byte-identical metrics at every worker count.
+// machine) with the critical-path profiler attached: it exercises both
+// knob families at once — demand fetches (chunking) and, on
+// prefetch-protocol presets, the engine's suspension heuristics. Sessions
+// fan out over Config.Workers and merge in job order, so equal (preset,
+// tunable, seed) triples produce byte-identical metrics at every worker
+// count.
 func RunTuneEval(cfg Config, preset emulator.Preset, t Tunable) []BenchMetric {
 	preset = t.ApplyTo(preset)
 	cells := appCells(cfg, preset, HighEnd, 900, videoCats)
@@ -78,7 +75,9 @@ func RunTuneEval(cfg Config, preset emulator.Preset, t Tunable) []BenchMetric {
 		st  *svm.Stats
 		rep *prof.Report
 		res *workload.Result
-		// Notification accounting (the batching-sweep formula).
+		// Notification accounting: every guest<->host transition paid,
+		// kicks plus delivered IRQs here, and two per coherence push or
+		// demand fetch (doorbell out, completion back) after the merge.
 		ops, notifs int
 	}
 	outs := sweep(cfg, cells, func(s *workload.Session, res *workload.Result) out {

@@ -77,15 +77,11 @@ func TestTunableRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(tn.ApplyTo(p), p) {
 		t.Fatalf("TunableOf/ApplyTo is not the identity on the shipped preset")
 	}
-	tn.Batch.Enabled = true
-	tn.Batch.MaxWindow = 3 * time.Millisecond
 	tn.Fetch.Enabled = true
+	tn.Fetch.ChunkBytes = 3 * hostsim.MiB
 	tn.Prefetch.FailureLimit = 9
 	q := tn.ApplyTo(p)
-	if !q.Batch.Enabled || q.Batch.MaxWindow != 3*time.Millisecond {
-		t.Fatalf("batch knobs not applied: %+v", q.Batch)
-	}
-	if !q.Fetch.Enabled {
+	if !q.Fetch.Enabled || q.Fetch.ChunkBytes != 3*hostsim.MiB {
 		t.Fatalf("fetch knobs not applied: %+v", q.Fetch)
 	}
 	if q.SVM.Prefetch.FailureLimit != 9 {

@@ -8,7 +8,7 @@
 // frame completion the profiler walks the longest dependent chain backward
 // from the completion instant and attributes every nanosecond of
 // end-to-end latency to a component — virtio kick, link sync-copy, device
-// exec, thermal throttle, coalesce window, and so on.
+// exec, thermal throttle, push queueing, and so on.
 //
 // Determinism contract: the profiler is a pure observer of the
 // single-threaded simulation. It never sleeps, spawns, or consumes

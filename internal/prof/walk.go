@@ -58,8 +58,8 @@ func (w *walker) walk(n *Node, floor, upTo time.Duration) time.Duration {
 			depEnd = segEnd
 		}
 		if residual := segEnd - depEnd; residual > 0 {
-			// Completion-to-wakeup latency (IRQ delivery, batch
-			// notification) charges to the wait component itself.
+			// Completion-to-wakeup latency (IRQ delivery) charges
+			// to the wait component itself.
 			w.charge(s.comp, residual)
 		}
 		if depEnd <= floor {

@@ -238,10 +238,10 @@ func BenchmarkRunUntilChainHandoff(b *testing.B) {
 
 // BenchmarkSpawnChurn spawns one process per iteration that sleeps once and
 // exits, driven by RunUntil: the pattern of a short-lived model process,
-// such as a coalesced push batch or a device stall. (Pushes and the chunk
-// driver, the per-transfer work, run as callback chains instead.) A
-// finished process's carrier coroutine is pooled and reused, so with warm
-// carriers the only allocation is the Proc.
+// such as a device stall. (Pushes and the chunk driver, the per-transfer
+// work, run as callback chains instead.) A finished process's carrier
+// coroutine is pooled and reused, so with warm carriers the only
+// allocation is the Proc.
 func BenchmarkSpawnChurn(b *testing.B) {
 	env := sim.NewEnv(1)
 	defer env.Close()

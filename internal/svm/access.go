@@ -47,16 +47,11 @@ func (m *Manager) openAccess(r *Region, acc Accessor, usage Usage, bytes hostsim
 
 // EndInfo is returned by End. Compensation is how long the guest driver
 // should block before returning control to the system, so the remaining
-// asynchronous prefetch stays hidden (adaptive synchronism, §3.3). The
-// device layer applies it in driver context.
-//
-// PushBatches are the coherence push batches this write commit fed (only
-// with notification batching on, nil otherwise). The device layer
-// piggybacks the op's signal fence onto their completion so the batch's
-// completion IRQ carries the fence signal for free (DESIGN.md §9).
+// asynchronous prefetch stays hidden (adaptive synchronism, §3.3). Guest
+// drivers pace themselves with PredictCompensation before the commit; the
+// benchmark's SVM micro-driver applies this value after it.
 type EndInfo struct {
 	Compensation time.Duration
-	PushBatches  []*PushBatch
 }
 
 // BeginAccess opens an access to region id by acc. bytes is the accessed
@@ -231,13 +226,7 @@ func (a Access) End(p *sim.Proc) (EndInfo, error) {
 		r.genVirtuals = r.genVirtuals[:0]
 		r.genPhysicals = r.genPhysicals[:0]
 		r.predChecked = false
-		if m.coal != nil {
-			m.coal.beginWrite()
-		}
 		info.Compensation = m.proto.onWriteEnd(p, r, acc, bytes)
-		if m.coal != nil {
-			info.PushBatches = m.coal.takeWriteBatches()
-		}
 		r.lastWriteEnd = p.Now()
 	}
 	m.stats.BytesAccessed += bytes

@@ -28,14 +28,6 @@ func (m *Manager) chunkedDemandFetch(p *sim.Proc, r *Region, acc Accessor, bytes
 		m.pf.BeginClass(p, "demand-fetch")
 		defer m.pf.EndClass(p)
 	}
-	if m.coal != nil {
-		// Latency-sensitive reader active toward this domain: collapse the
-		// coalescing window, and dispatch any parked pushes now — they ride
-		// the semaphore gaps between the fetch's chunk batches instead of
-		// queueing behind a monolithic copy.
-		m.coal.pressure(acc.Domain)
-		m.coal.flush(acc.Domain)
-	}
 	if m.tr != nil {
 		m.tr.Instant(m.trackFor(acc.Name), "demand-fetch")
 	}

@@ -211,9 +211,9 @@ func TestChunkedFetchStaleVersionRedrives(t *testing.T) {
 }
 
 func TestChunkedFetchConcurrentWithCoherencePush(t *testing.T) {
-	// With batching on, a demand fetch flushes the destination's parked
-	// pushes so they ride the chunk gaps; the run must drain with both
-	// mechanisms live (deadlock/aliasing guard).
+	// Broadcast pushes and a chunked demand fetch toward the same domain
+	// share its link; the run must drain with both mechanisms live
+	// (deadlock/aliasing guard).
 	cfg := fetchCfg()
 	cfg.Kind = KindBroadcast
 	rg := newRigCfg(t, cfg)
@@ -238,7 +238,7 @@ func TestChunkedFetchConcurrentWithCoherencePush(t *testing.T) {
 	if st.ChunkedFetches == 0 {
 		t.Fatal("expected chunked fetches in the broadcast run")
 	}
-	if st.CoherencePushes == 0 {
+	if st.CoherenceBatches == 0 {
 		t.Fatal("expected broadcast pushes alongside the fetches")
 	}
 }

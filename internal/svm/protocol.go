@@ -23,25 +23,16 @@ type protocol interface {
 // charging the fixed scheduling cost plus link transfer time, and feeds the
 // stats and bandwidth observations. sync selects the slow CPU-driven copy
 // path (demand fetches cannot use DMA, §5.4).
-func (m *Manager) copyCoherence(p *sim.Proc, from, to *hostsim.Domain, bytes hostsim.Bytes, direct, sync bool) time.Duration {
-	return m.copyCoherenceOpts(p, from, to, bytes, direct, sync, false)
-}
-
-// copyCoherenceOpts is copyCoherence with the batching knob: skipFixed
-// elides the fixed scheduling cost for pushes riding a batch whose header
-// was already charged (notification batching, DESIGN.md §9).
-func (m *Manager) copyCoherenceOpts(p *sim.Proc, from, to *hostsim.Domain, bytes hostsim.Bytes, direct, sync, skipFixed bool) time.Duration {
+func (m *Manager) copyCoherence(p *sim.Proc, from, to *hostsim.Domain, bytes hostsim.Bytes, direct, sync bool) {
 	start := p.Now()
-	if m.cfg.CoherenceFixedCost > 0 && !skipFixed {
+	if m.cfg.CoherenceFixedCost > 0 {
 		p.Sleep(m.cfg.CoherenceFixedCost)
 		if m.pf != nil {
 			m.pf.Charge(p, "svm:coherence-fixed", start)
 		}
 	}
 	_, service := m.mach.CopyDetailed(p, from, to, bytes, sync)
-	elapsed := p.Now() - start
-	m.noteCoherence(from, to, bytes, direct, sync, elapsed, service)
-	return elapsed
+	m.noteCoherence(from, to, bytes, direct, sync, p.Now()-start, service)
 }
 
 // noteCoherence books one finished coherence copy, from a process or from a
@@ -102,12 +93,6 @@ func (m *Manager) demandFetchInner(p *sim.Proc, r *Region, acc Accessor, bytes h
 		m.pf.BeginClass(p, "demand-fetch")
 		defer m.pf.EndClass(p)
 	}
-	if m.coal != nil {
-		// A demand fetch means a latency-sensitive reader found nothing in
-		// place: collapse the coalescing window toward its domain so the
-		// Fig. 16 tail does not absorb batching delay.
-		m.coal.pressure(acc.Domain)
-	}
 	if m.tr != nil {
 		m.tr.Instant(m.trackFor(acc.Name), "demand-fetch")
 	}
@@ -122,16 +107,9 @@ func (m *Manager) demandFetchInner(p *sim.Proc, r *Region, acc Accessor, bytes h
 // asyncPush starts an asynchronous copy of the current version toward dom,
 // shared by the prefetch and broadcast protocols. Completion installs the
 // copy only if the version is still current; otherwise the bytes are waste.
-// With batching enabled the push joins dom's open batch instead of
-// dispatching on its own.
 func (m *Manager) asyncPush(r *Region, from, dom *hostsim.Domain, bytes hostsim.Bytes, recordTiming bool) {
 	if r.inflight[dom] != nil {
 		return // a push toward dom is already running
-	}
-	if m.coal != nil {
-		b := m.coal.enqueue(r, from, dom, bytes, recordTiming)
-		m.coal.noteWriteBatch(b)
-		return
 	}
 	pr := m.getPush()
 	pr.r, pr.from, pr.dom, pr.bytes, pr.recordTiming = r, from, dom, bytes, recordTiming
@@ -140,15 +118,14 @@ func (m *Manager) asyncPush(r *Region, from, dom *hostsim.Domain, bytes hostsim.
 		pr.inf.node = m.pf.NewNode("svm:push", "svm:push-pending")
 	}
 	r.inflight[dom] = &pr.inf
-	m.stats.CoherencePushes++
-	m.stats.CoherenceBatches++ // unbatched: every push is its own transaction
+	m.stats.CoherenceBatches++
 	pr.stage = pushBegin
 	m.env.After(0, pr.step)
 }
 
-// pushRec is one unbatched coherence push, run as a callback chain
-// (DESIGN.md §5): the coherence fixed cost, the route copy, the bandwidth
-// observation, then completePush. It also holds the region's in-flight
+// pushRec is one coherence push, run as a callback chain (DESIGN.md §5):
+// the coherence fixed cost, the route copy, the bandwidth observation, then
+// the install of the landed copy. It also holds the region's in-flight
 // entry for the push, and the chain charges the push's profiler node with
 // the record as its key. Each Manager recycles its records, so a push
 // allocates nothing. A reader parked on the entry may resume after the
@@ -227,42 +204,36 @@ func (pr *pushRec) run() {
 			m.pf.Finish(pr.inf.node)
 			m.pf.Bind(pr, nil)
 		}
-		m.completePush(pr.r, pr.dom, pr.inf.version, pr.bytes, pr.recordTiming, elapsed, &pr.inf)
+		// Install the landed copy only if its version is still current,
+		// retire the in-flight entry and wake its waiters.
+		r, dom := pr.r, pr.dom
+		if !r.freed && r.version == pr.inf.version {
+			r.copies[dom] = pr.inf.version
+			r.delivered[dom] = true
+			if pr.recordTiming {
+				if mp, ok := m.twin.Lookup(uint64(r.ID)); ok && mp.Physical != nil {
+					mp.Physical.Observe(prefetch.StatPrefetchMS,
+						float64(elapsed)/float64(time.Millisecond))
+				}
+				if r.predTimed {
+					errMS := float64(elapsed-r.predPf) / float64(time.Millisecond)
+					if errMS < 0 {
+						errMS = -errMS
+					}
+					m.stats.PrefetchTimeError.Add(errMS)
+				}
+			}
+		} else {
+			m.stats.BytesWasted += pr.bytes
+		}
+		if r.inflight[dom] == &pr.inf {
+			delete(r.inflight, dom)
+		}
+		pr.inf.done.Signal()
 		pr.r, pr.from, pr.dom, pr.inf.node = nil, nil, nil, nil
 		pr.next = m.freePush
 		m.freePush = pr
 	}
-}
-
-// completePush installs one finished push: the copy lands only if the
-// version is still current, the inflight entry is retired, and waiters are
-// woken. Shared by the unbatched push chain and the batch proc.
-func (m *Manager) completePush(r *Region, dom *hostsim.Domain, version uint64,
-	bytes hostsim.Bytes, recordTiming bool, elapsed time.Duration, inf *inflightFetch) {
-
-	if !r.freed && r.version == version {
-		r.copies[dom] = version
-		r.delivered[dom] = true
-		if recordTiming {
-			if mp, ok := m.twin.Lookup(uint64(r.ID)); ok && mp.Physical != nil {
-				mp.Physical.Observe(prefetch.StatPrefetchMS,
-					float64(elapsed)/float64(time.Millisecond))
-			}
-			if r.predTimed {
-				errMS := float64(elapsed-r.predPf) / float64(time.Millisecond)
-				if errMS < 0 {
-					errMS = -errMS
-				}
-				m.stats.PrefetchTimeError.Add(errMS)
-			}
-		}
-	} else {
-		m.stats.BytesWasted += bytes
-	}
-	if r.inflight[dom] == inf {
-		delete(r.inflight, dom)
-	}
-	inf.done.Signal()
 }
 
 // awaitOrDemand is the read path shared by protocols with asynchronous
@@ -277,12 +248,6 @@ func (m *Manager) awaitOrDemand(p *sim.Proc, r *Region, acc Accessor, bytes host
 		return
 	}
 	if inf := r.inflight[acc.Domain]; inf != nil && inf.version == r.version {
-		if m.coal != nil {
-			// The reader is blocked on a push that may still be parked in
-			// an open batch: dispatch the batch now and record the latency
-			// pressure so the next window starts at zero.
-			m.coal.expedite(acc.Domain)
-		}
 		m.stats.PrefetchWaits++
 		pwStart := p.Now()
 		node := inf.node // a push record can be reused before p resumes

@@ -14,8 +14,7 @@ import (
 type inflightFetch struct {
 	done    sim.Event // by value: one allocation per push, not two
 	version uint64
-	// node is the push's wait-for graph vertex (the batch's vertex when
-	// the push rides a coalesced batch); nil when profiling is off.
+	// node is the push's wait-for graph vertex; nil when profiling is off.
 	node *prof.Node
 }
 

@@ -44,12 +44,10 @@ type Stats struct {
 	SlackError        metrics.Distribution
 	PrefetchTimeError metrics.Distribution
 
-	// Notification batching (DESIGN.md §9). With batching off every push is
-	// its own transaction, so CoherenceBatches == CoherencePushes and
-	// PushesCoalesced == 0.
-	CoherencePushes  int // asynchronous coherence pushes started
-	CoherenceBatches int // transport transactions those pushes rode
-	PushesCoalesced  int // pushes that joined an already-open batch
+	// CoherenceBatches counts the asynchronous coherence pushes started.
+	// Each push is one transport transaction; the field keeps its name
+	// because the benchmark module reads it into its run digest.
+	CoherenceBatches int
 
 	// Chunked demand fetches (DESIGN.md §11). Zero with chunking off.
 	ChunkedFetches int // demand fetches driven as chunked DMA transfers

@@ -27,7 +27,6 @@ import (
 	"repro/internal/prefetch"
 	"repro/internal/prof"
 	"repro/internal/sim"
-	"repro/internal/virtio"
 )
 
 // RegionID is the unique 64-bit identifier assigned to each SVM region at
@@ -124,10 +123,6 @@ type Config struct {
 	CoherenceFixedCost time.Duration
 	// Prefetch configures the prefetch engine (KindPrefetch only).
 	Prefetch prefetch.Config
-	// Batch configures coherence push coalescing (notification batching,
-	// DESIGN.md §9). The zero value disables it: every push dispatches on
-	// its own transaction, byte-identical to the pre-batching manager.
-	Batch virtio.BatchConfig
 	// Fetch configures chunked, DMA-promoted demand fetches (DESIGN.md
 	// §11). The zero value disables chunking: demand fetches stay on the
 	// monolithic synchronous copy path, byte-identical to the pre-chunking
@@ -162,9 +157,6 @@ type Manager struct {
 	twin   *hypergraph.Twin
 	engine *prefetch.Engine
 	proto  protocol
-	// coal batches coherence pushes per destination domain; nil when
-	// notification batching is off.
-	coal *pushCoalescer
 
 	regions map[RegionID]*Region
 	nextID  RegionID
@@ -228,12 +220,6 @@ func NewManager(env *sim.Env, mach *hostsim.Machine, cfg Config) *Manager {
 		m.proto = &guestSyncProtocol{m: m}
 	default:
 		panic(fmt.Sprintf("svm: unknown protocol kind %d", cfg.Kind))
-	}
-	if cfg.Batch.Enabled {
-		m.coal = newPushCoalescer(m, cfg.Batch)
-		if reg != nil {
-			m.coal.register(reg)
-		}
 	}
 	if cfg.Fetch.Enabled {
 		m.cfg.Fetch = cfg.Fetch.Resolved()

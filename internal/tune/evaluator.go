@@ -3,7 +3,6 @@ package tune
 import (
 	"repro/internal/emulator"
 	"repro/internal/experiments"
-	"repro/internal/svm"
 )
 
 // ExpEvaluator measures candidates with the real simulation: each vector
@@ -36,37 +35,22 @@ func (e *ExpEvaluator) EvaluateBatch(vs []Vector) []Metrics {
 	return out
 }
 
-// DefaultObjective returns the shipped search objective for a preset.
-//
-// Write-invalidate presets (vSoC-noprefetch) pay a demand fetch on every
-// cold read, so the objective minimizes the critical-path demand-fetch mean
-// subject to holding frame rate, tail access latency, and the notification
-// budget. Prefetch presets already hide fetches, so the objective minimizes
-// notifications per device operation — the §9 batching trade — subject to
-// holding frame rate, mean access latency, demand-fetch exposure, and SVM
-// throughput.
+// DefaultObjective returns the shipped search objective, the same for
+// every preset: minimize the critical-path demand-fetch mean — the cost a
+// cold read pays on write-invalidate presets and a prefetch miss pays on
+// prefetch presets — subject to holding frame rate, the notification
+// budget, and tail access latency.
 //
 // Every constraint is relative to the shipped default with the same 5%
 // families cmd/vsocperf gates on, so a feasible best vector also passes the
 // before/after evidence diff.
-func DefaultObjective(p emulator.Preset) Objective {
-	if p.SVM.Kind != svm.KindPrefetch {
-		return Objective{
-			Metric: experiments.TuneDemandFetchMean,
-			Constraints: []Constraint{
-				{Metric: experiments.TuneFPS, MinRel: 0.98},
-				{Metric: experiments.TuneNotifPerOp, MaxRel: 1.05},
-				{Metric: experiments.TuneAccessP99, MaxRel: 1.10},
-			},
-		}
-	}
+func DefaultObjective() Objective {
 	return Objective{
-		Metric: experiments.TuneNotifPerOp,
+		Metric: experiments.TuneDemandFetchMean,
 		Constraints: []Constraint{
 			{Metric: experiments.TuneFPS, MinRel: 0.98},
-			{Metric: experiments.TuneAccessMean, MaxRel: 1.05},
-			{Metric: experiments.TuneDemandFetchMean, MaxRel: 1.05},
-			{Metric: experiments.TuneThroughput, MinRel: 0.95},
+			{Metric: experiments.TuneNotifPerOp, MaxRel: 1.05},
+			{Metric: experiments.TuneAccessP99, MaxRel: 1.10},
 		},
 	}
 }
@@ -75,7 +59,7 @@ func DefaultObjective(p emulator.Preset) Objective {
 // the preset's protocol kind, evaluator over cfg, default objective.
 func Run(cfg experiments.Config, p emulator.Preset, opts Options) *Result {
 	ev := NewExpEvaluator(cfg, p)
-	return Search(p.Name, ev.Space, ev, DefaultObjective(p), opts)
+	return Search(p.Name, ev.Space, ev, DefaultObjective(), opts)
 }
 
 // BenchReports packages a search's baseline and best measurements as bench

@@ -16,9 +16,6 @@ import (
 
 // Knob names, referenced by the spaces below, DESIGN.md §14, and tests.
 const (
-	KnobBatchMaxWindow    = "batch.max_window_ms"
-	KnobBatchPressureHold = "batch.pressure_hold_ms"
-	KnobBatchMaxBatch     = "batch.max_batch"
 	KnobFetchChunk        = "fetch.chunk_kib"
 	KnobFetchDMAThreshold = "fetch.dma_threshold_kib"
 	KnobFetchMaxInflight  = "fetch.max_inflight"
@@ -27,12 +24,7 @@ const (
 	KnobPrefetchSuspendMS = "prefetch.suspend_ms"
 )
 
-func fmtMS(v float64) string {
-	if v == 0 {
-		return "off"
-	}
-	return fmt.Sprintf("%gms", v)
-}
+func fmtMS(v float64) string { return fmt.Sprintf("%gms", v) }
 
 func fmtKiB(v float64) string {
 	if v == 0 {
@@ -42,29 +34,6 @@ func fmtKiB(v float64) string {
 }
 
 func ms(v float64) time.Duration { return time.Duration(v * float64(time.Millisecond)) }
-
-// batchKnobs tunes the §9 notification-batching layer. Level 0 of the
-// window knob disables the layer entirely (the shipped default for every
-// evaluation preset).
-func batchKnobs() []Knob {
-	return []Knob{
-		{Name: KnobBatchMaxWindow, Levels: []float64{0, 0.2, 0.5, 1, 2, 4}, Default: 0,
-			Format: fmtMS,
-			Set: func(t *experiments.Tunable, v float64) {
-				if v == 0 {
-					t.Batch.Enabled = false
-					return
-				}
-				t.Batch.Enabled = true
-				t.Batch.MaxWindow = ms(v)
-			}},
-		{Name: KnobBatchPressureHold, Levels: []float64{1, 2, 5, 10}, Default: 2,
-			Format: fmtMS,
-			Set:    func(t *experiments.Tunable, v float64) { t.Batch.PressureHold = ms(v) }},
-		{Name: KnobBatchMaxBatch, Levels: []float64{16, 32, 64, 128}, Default: 2,
-			Set: func(t *experiments.Tunable, v float64) { t.Batch.MaxBatch = int(v) }},
-	}
-}
 
 // fetchKnobs tunes the §11 chunked demand-fetch pipeline. Level 0 of the
 // chunk knob keeps the monolithic synchronous copy path (the shipped
@@ -107,16 +76,15 @@ func prefetchKnobs() []Knob {
 
 // SpaceFor returns the search space for a preset, most impactful axis
 // first (axis-grid seeding walks the knobs in order, so a truncated budget
-// still probes the dimensions that move the objective). Write-invalidate
-// presets search the fetch pipeline first — every read is a demand fetch —
-// while prefetch presets search batching first and add the engine's
-// suspension knobs; the fetch knobs stay in both spaces because prefetch
-// misses still demand-fetch.
+// still probes the dimensions that move the objective). Every preset
+// searches the fetch pipeline first — the objective is the demand-fetch
+// mean, and prefetch misses still demand-fetch — and prefetch presets add
+// the engine's suspension knobs after it.
 func SpaceFor(kind svm.Kind) Space {
 	if kind == svm.KindPrefetch {
-		return Space{Knobs: append(append(batchKnobs(), prefetchKnobs()...), fetchKnobs()...)}
+		return Space{Knobs: append(fetchKnobs(), prefetchKnobs()...)}
 	}
-	return Space{Knobs: append(fetchKnobs(), batchKnobs()...)}
+	return Space{Knobs: fetchKnobs()}
 }
 
 // AllKnobs returns the union of every registered knob in declaration
@@ -125,7 +93,7 @@ func SpaceFor(kind svm.Kind) Space {
 func AllKnobs() []Knob {
 	var all []Knob
 	seen := map[string]bool{}
-	for _, ks := range [][]Knob{batchKnobs(), fetchKnobs(), prefetchKnobs()} {
+	for _, ks := range [][]Knob{fetchKnobs(), prefetchKnobs()} {
 		for _, k := range ks {
 			if !seen[k.Name] {
 				seen[k.Name] = true

@@ -1,10 +1,10 @@
 // Package tune is the auto-tuner over the emulator's policy configuration
-// space (DESIGN.md §14): the notification-batching windows of §9, the
-// chunked demand-fetch knobs of §11, and the prefetch engine's suspension
-// heuristics of §3.3. A declared knob space (each knob registers its name,
-// candidate levels, shipped default, and a setter into
-// experiments.Tunable) is searched with deterministic grid/random seeding
-// followed by hill-climb with patience, scoring candidates on a
+// space (DESIGN.md §14): the chunked demand-fetch knobs of §11 and the
+// prefetch engine's suspension heuristics of §3.3. A declared knob space
+// (each knob registers its name, candidate levels, shipped default, and a
+// setter into experiments.Tunable) is searched with deterministic
+// grid/random seeding followed by hill-climb with patience, scoring
+// candidates on a
 // configurable objective — minimize or maximize one evaluation metric
 // subject to constraints expressed relative to the shipped default — and
 // caching every evaluation by vector key so revisited cells replay their

@@ -193,25 +193,25 @@ func TestSpaceKeysAndFormat(t *testing.T) {
 	}
 }
 
+// TestSpaceForCoversAllKnobs pins the knob order: every space searches the
+// fetch knobs first, and only the prefetch space appends the prefetch
+// knobs, so it covers every registered knob.
 func TestSpaceForCoversAllKnobs(t *testing.T) {
-	names := func(s Space) map[string]bool {
-		m := map[string]bool{}
-		for _, k := range s.Knobs {
-			m[k.Name] = true
+	names := func(ks []Knob) []string {
+		var out []string
+		for _, k := range ks {
+			out = append(out, k.Name)
 		}
-		return m
+		return out
 	}
-	pre := names(SpaceFor(svm.KindPrefetch))
-	wi := names(SpaceFor(svm.KindWriteInvalidate))
-	for _, k := range AllKnobs() {
-		if !pre[k.Name] {
-			t.Errorf("prefetch space misses knob %s", k.Name)
-		}
+	if got, want := names(SpaceFor(svm.KindPrefetch).Knobs), names(append(fetchKnobs(), prefetchKnobs()...)); !reflect.DeepEqual(got, want) {
+		t.Errorf("prefetch space = %v, want the fetch knobs then the prefetch knobs %v", got, want)
 	}
-	for _, k := range fetchKnobs() {
-		if !wi[k.Name] {
-			t.Errorf("write-invalidate space misses fetch knob %s", k.Name)
-		}
+	if got, want := names(SpaceFor(svm.KindPrefetch).Knobs), names(AllKnobs()); !reflect.DeepEqual(got, want) {
+		t.Errorf("prefetch space = %v, want every registered knob %v", got, want)
+	}
+	if got, want := names(SpaceFor(svm.KindWriteInvalidate).Knobs), names(fetchKnobs()); !reflect.DeepEqual(got, want) {
+		t.Errorf("write-invalidate space = %v, want the fetch knobs %v", got, want)
 	}
 	for _, k := range AllKnobs() {
 		if k.Default < 0 || k.Default >= len(k.Levels) {

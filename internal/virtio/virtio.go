@@ -9,10 +9,9 @@
 // mechanism (§3.4) exists to avoid.
 //
 // All transport costs are charged in virtual time on the deterministic
-// kernel. The notification-batching layer (batch.go) is gated on
-// BatchConfig.Enabled: off, the transport is byte-identical to the
-// pre-batching implementation; on, equal seeds still replay identical
-// notification schedules.
+// kernel, so equal seeds replay identical notification schedules. Every
+// dispatch kicks and every raised interrupt is delivered on its own: the
+// fence table is the one mechanism that cuts notifications.
 package virtio
 
 import (
@@ -68,10 +67,6 @@ type Config struct {
 	// It is shared (by pointer) across the rings and IRQ lines of one
 	// emulator so a single injected spike slows them all.
 	Scale *CostScale
-	// Batch configures the adaptive notification-batching layer (doorbell
-	// suppression, IRQ coalescing, coherence push batching). The zero value
-	// disables it and the transport behaves exactly as without the layer.
-	Batch BatchConfig
 }
 
 // Scaled applies the config's dynamic cost scale to a duration.
@@ -83,9 +78,9 @@ func (c Config) Scaled(d time.Duration) time.Duration {
 type Stats struct {
 	Commands int
 	Kicks    int
-	// ElidedKicks counts dispatches whose VM-exit was suppressed because
-	// the host executor was still processing (event-index semantics).
-	// Always zero with batching off.
+	// ElidedKicks is always zero: every dispatch kicks. It stays because
+	// the benchmark module reads it into its virtio.elided_kicks metric
+	// and its run digest.
 	ElidedKicks int
 }
 
@@ -106,13 +101,6 @@ type Ring struct {
 	seq   uint64
 	stats Stats
 
-	// peerIdle is the event-index state: true while the host executor has
-	// published that it is idle-waiting on the ring (the next dispatch must
-	// kick), false while it is still processing (a kick may be elided under
-	// batching). Starts true: until the executor's first Recv, the guest
-	// must assume it is asleep.
-	peerIdle bool
-
 	tr *obs.Tracer
 	tk obs.Track
 	pf *prof.Profiler
@@ -121,7 +109,7 @@ type Ring struct {
 // NewRing returns a ring with unbounded descriptor capacity (flow control
 // is layered above, see internal/flowcontrol).
 func NewRing(env *sim.Env, name string, cfg Config) *Ring {
-	r := &Ring{cfg: cfg, q: sim.NewQueue[*Command](env, 0), peerIdle: true}
+	r := &Ring{cfg: cfg, q: sim.NewQueue[*Command](env, 0)}
 	if r.tr = env.Tracer(); r.tr != nil {
 		r.tk = r.tr.Track("vq:" + name)
 	}
@@ -129,12 +117,6 @@ func NewRing(env *sim.Env, name string, cfg Config) *Ring {
 	if reg := env.Metrics(); reg != nil {
 		reg.Count("vq."+name+".commands", &r.stats.Commands)
 		reg.Count("vq."+name+".kicks", &r.stats.Kicks)
-		if cfg.Batch.Enabled {
-			// Registered only when batching is on: the metrics dump prints
-			// every registered counter, and batching off must stay
-			// byte-identical to the pre-batching transport.
-			reg.Count("vq."+name+".elided_kicks", &r.stats.ElidedKicks)
-		}
 	}
 	return r
 }
@@ -149,28 +131,15 @@ func (r *Ring) Stamp(c *Command) {
 // Dispatch publishes one command and kicks the host. The calling guest
 // process pays marshaling plus one VM-exit; a device that batches several
 // commands behind one kick (§3.4) pays the marshaling of the others itself.
-// Under an enabled batch config the kick itself is elided while the host
-// executor is still processing: like virtio's event-index suppression, the
-// executor re-checks the ring after publishing its idle state, so a command
-// published to a busy ring is always picked up without a doorbell.
 func (r *Ring) Dispatch(p *sim.Proc, c *Command) {
-	kick := !r.cfg.Batch.Enabled || r.peerIdle
 	var sp obs.Span
 	if r.tr != nil {
 		sp = r.tr.Begin(r.tk, "dispatch")
 	}
-	cost := PerCommandCost
-	if kick {
-		cost += KickCost
-	}
 	dispatchStart := p.Now()
-	p.Sleep(r.cfg.Scaled(cost))
+	p.Sleep(r.cfg.Scaled(PerCommandCost + KickCost))
 	if r.pf != nil {
-		lbl := "virtio:marshal"
-		if kick {
-			lbl = "virtio:kick"
-		}
-		r.pf.Charge(p, lbl, dispatchStart)
+		r.pf.Charge(p, "virtio:kick", dispatchStart)
 	}
 	r.stats.Commands++
 	if r.tr != nil {
@@ -179,31 +148,17 @@ func (r *Ring) Dispatch(p *sim.Proc, c *Command) {
 		r.tr.AsyncBegin(r.tk, "queued", c.Seq)
 	}
 	r.q.Put(p, c)
-	if kick {
-		r.stats.Kicks++
-	} else {
-		r.stats.ElidedKicks++
-	}
+	r.stats.Kicks++
 	if r.tr != nil {
 		r.tr.End(r.tk, sp)
-		if kick {
-			r.tr.Instant(r.tk, "kick")
-		} else {
-			r.tr.Instant(r.tk, "kick-elided")
-		}
+		r.tr.Instant(r.tk, "kick")
 		r.tr.Count(r.tk, "pending", float64(r.q.Len()))
 	}
 }
 
-// Recv blocks the host device process until a command arrives. An executor
-// finding the ring empty publishes its idle state first (the event-index
-// write), so the dispatch that wakes it pays the kick.
+// Recv blocks the host device process until a command arrives.
 func (r *Ring) Recv(p *sim.Proc) *Command {
-	if r.q.Len() == 0 {
-		r.peerIdle = true
-	}
 	c := r.q.Get(p)
-	r.peerIdle = false
 	if r.tr != nil {
 		r.tr.AsyncEnd(r.tk, "queued", c.Seq)
 		r.tr.Count(r.tk, "pending", float64(r.q.Len()))
@@ -224,13 +179,9 @@ type IRQLine struct {
 	cfg Config
 	q   *sim.Queue[any]
 	// raised counts injected interrupts; delivered counts IRQCost charges
-	// on the guest (one per Wait, one per WaitBatch drain); coalesced
-	// counts payloads that rode an interrupt already pending (event-index
-	// suppression on the used ring). All equal the naive accounting when
-	// batching is off.
+	// on the guest, one per Wait.
 	raised    int
 	delivered int
-	coalesced int
 
 	tr *obs.Tracer
 	tk obs.Track
@@ -245,27 +196,13 @@ func NewIRQLine(env *sim.Env, name string, cfg Config) *IRQLine {
 	}
 	if reg := env.Metrics(); reg != nil {
 		reg.Count("irq."+name+".raised", &l.raised)
-		if cfg.Batch.Enabled {
-			// Only registered when batching is on (metrics-dump byte-identity).
-			reg.Count("irq."+name+".coalesced", &l.coalesced)
-		}
 	}
 	return l
 }
 
 // Raise injects an interrupt carrying v. Host side; costless for the
-// raiser beyond scheduling. Under batching, a payload raised while the
-// guest has not drained the previous one rides the pending interrupt
-// instead of injecting another.
+// raiser beyond scheduling.
 func (l *IRQLine) Raise(v any) {
-	if l.cfg.Batch.Enabled && l.q.Len() > 0 {
-		l.coalesced++
-		if l.tr != nil {
-			l.tr.Instant(l.tk, "raise-coalesced")
-		}
-		l.q.TryPut(v)
-		return
-	}
 	if l.tr != nil {
 		l.tr.Instant(l.tk, "raise")
 	}
@@ -293,39 +230,8 @@ func (l *IRQLine) Wait(p *sim.Proc) any {
 	return v
 }
 
-// WaitBatch blocks until an interrupt arrives, pays the guest-side handling
-// cost once, and drains every payload that interrupt carries — the guest
-// half of IRQ coalescing. With batching off it degenerates to Wait.
-func (l *IRQLine) WaitBatch(p *sim.Proc) []any {
-	out := []any{l.q.Get(p)}
-	for {
-		v, ok := l.q.TryGet()
-		if !ok {
-			break
-		}
-		out = append(out, v)
-	}
-	l.delivered++
-	var sp obs.Span
-	if l.tr != nil {
-		sp = l.tr.Begin(l.tk, "irq-handle")
-	}
-	handleStart := p.Now()
-	p.Sleep(l.cfg.Scaled(IRQCost))
-	if l.pf != nil {
-		l.pf.Charge(p, "virtio:irq", handleStart)
-	}
-	if l.tr != nil {
-		l.tr.End(l.tk, sp)
-	}
-	return out
-}
-
 // Delivered returns the number of interrupts the guest paid IRQCost for.
 func (l *IRQLine) Delivered() int { return l.delivered }
-
-// Coalesced returns the number of payloads that rode a pending interrupt.
-func (l *IRQLine) Coalesced() int { return l.coalesced }
 
 // SharedPage models a guest page shared with the host via MMIO (§4): both
 // sides read and write it without transport cost. Capacity is fixed at one
