@@ -52,13 +52,14 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzBatonRunMatchesStepRun -fuzztime=10s ./internal/sim
 
 # One short iteration of the scheduler microbenchmarks, of the SVM access
-# path's (write->read cycles per protocol, the guest driver's prediction
+# path's (write->read cycles per protocol, plus a write-invalidate cycle
+# whose read is a chunked demand fetch, the guest driver's prediction
 # query, a hypergraph edge hit), of the chunked demand-fetch path (one
 # 10 MiB transfer with a whole-range reader) and of the device op path (a
 # Submit -> execute -> retire cycle per ordering mode): catches gross
-# regressions, and shows any return of per-event, per-access, per-chunk or
-# per-op allocation in the allocs/op column, without the noise sensitivity
-# of a full benchmark run.
+# regressions, and shows any return of per-event, per-access, per-fetch,
+# per-chunk or per-op allocation in the allocs/op column, without the noise
+# sensitivity of a full benchmark run.
 bench-smoke:
 	$(GO) test -run=NONE -bench='SteadyState|ZeroDelay|RunUntil|SpawnChurn' -benchtime=10000x -benchmem ./internal/sim/bench
 	$(GO) test -run=NONE -bench='PipelineCycle|PredictCompensation|EdgeHit|ChunkedTransfer|Submit' -benchtime=10000x -benchmem ./internal/svm ./internal/hypergraph ./internal/hostsim ./internal/device

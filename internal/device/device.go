@@ -356,7 +356,7 @@ func (d *Device) Submit(p *sim.Proc, op Op) Ticket {
 		}
 		d.ring.Dispatch(p, cmd)
 		if op.Kind == OpWrite {
-			if comp := d.mgr.PredictCompensation(op.Region, d.Accessor(), op.Bytes); comp > 0 {
+			if comp := d.mgr.PredictCompensation(op.Region, d.Accessor()); comp > 0 {
 				compStart := p.Now()
 				p.Sleep(comp)
 				if d.pf != nil {

@@ -10,11 +10,11 @@ import (
 
 // linkFault covers the two link classes: bandwidth collapse and DMA loss.
 type linkFault struct {
-	class  Class
-	link   *hostsim.Link
-	path   string  // "from->to", the prefetch engine's path key
-	factor float64 // collapse: remaining bandwidth fraction
-	prob   float64 // dma-loss: per-transfer loss probability
+	class    Class
+	link     *hostsim.Link
+	from, to *hostsim.Domain // the path, as the prefetch engine keys it
+	factor   float64         // collapse: remaining bandwidth fraction
+	prob     float64         // dma-loss: per-transfer loss probability
 }
 
 // LinkCollapse degrades the direct link from one domain to another to
@@ -27,7 +27,8 @@ func LinkCollapse(m *hostsim.Machine, from, to *hostsim.Domain, factor float64) 
 	return &linkFault{
 		class:  ClassLinkCollapse,
 		link:   mustLink(m, from, to),
-		path:   from.Name + "->" + to.Name,
+		from:   from,
+		to:     to,
 		factor: factor,
 	}
 }
@@ -40,7 +41,8 @@ func DMALoss(m *hostsim.Machine, from, to *hostsim.Domain, prob float64) Fault {
 	return &linkFault{
 		class: ClassDMALoss,
 		link:  mustLink(m, from, to),
-		path:  from.Name + "->" + to.Name,
+		from:  from,
+		to:    to,
 		prob:  prob,
 	}
 }
@@ -53,16 +55,18 @@ func mustLink(m *hostsim.Machine, from, to *hostsim.Domain) *hostsim.Link {
 	return l
 }
 
-func (f *linkFault) Class() Class   { return f.class }
-func (f *linkFault) Target() string { return f.link.Name + " (" + f.path + ")" }
+func (f *linkFault) Class() Class { return f.class }
+func (f *linkFault) Target() string {
+	return f.link.Name + " (" + f.from.Name + "->" + f.to.Name + ")"
+}
 
 func (f *linkFault) inject(i *Injector, now time.Duration) {
 	switch f.class {
 	case ClassLinkCollapse:
 		f.link.SetDegradation(f.factor)
 		if i.engine != nil {
-			i.engine.SeedPathMax(f.path, f.link.Bandwidth)
-			i.engine.ObserveBandwidth(f.path, f.link.Bandwidth*f.factor, now)
+			i.engine.SeedPathMax(f.from, f.to, f.link.Bandwidth)
+			i.engine.ObserveBandwidth(f.from, f.to, f.link.Bandwidth*f.factor, now)
 		}
 	case ClassDMALoss:
 		f.link.SetDMALoss(f.prob, i.rng)

@@ -68,10 +68,18 @@ func (k DomainKind) String() string {
 	return fmt.Sprintf("DomainKind(%d)", int(k))
 }
 
+// MaxDomains is how many memory domains a machine has: NewMachine creates
+// exactly these five, and nothing else creates a domain.
+const MaxDomains = 5
+
 // Domain is one physically distinct memory pool.
 type Domain struct {
 	Name string
 	Kind DomainKind
+	// ID numbers the domain densely within its machine, in
+	// [0, MaxDomains), so per-domain state can live in a small array
+	// indexed by it instead of a map keyed by the domain.
+	ID int
 }
 
 func (d *Domain) String() string { return d.Name }

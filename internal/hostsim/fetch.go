@@ -74,9 +74,16 @@ type chunkRec struct {
 }
 
 // ChunkedTransfer is one in-flight chunked copy. Readers wait for the
-// chunks covering their accessed range with WaitRange and attribute the
-// blocked time with ChargeWait; the transfer keeps draining the remaining
-// chunks in the background.
+// chunks covering their accessed range with WaitRange; the transfer keeps
+// draining the remaining chunks in the background.
+//
+// Each Machine recycles its transfer records, and its reader registrations,
+// so a warm fetch allocates nothing. A transfer is recycled once its last
+// chunk has landed and every reader parked in it has resumed: a caller must
+// not use it after that, except that OnComplete and Covers keep answering
+// until the next CopyChunkedStart on the machine. A parked reader reads the
+// transfer after its wait (WaitRange charges its blocked time from the chunk
+// records), which is why a transfer is kept until its last reader resumes.
 type ChunkedTransfer struct {
 	m     *Machine
 	rt    route
@@ -86,7 +93,7 @@ type ChunkedTransfer struct {
 
 	// The driver's position, four levels deep: the descriptor batch from
 	// chunk first, the hop hi, chunk c of the batch, and the wire attempt.
-	// step is ct.drive, bound once per transfer, so no step allocates.
+	// step is ct.drive, bound once per record, so no step allocates.
 	step               func()
 	stage              int
 	first, hi, c       int
@@ -98,20 +105,25 @@ type ChunkedTransfer struct {
 
 	landed int
 	done   bool
-	// readers are the parked WaitRange callers, in registration order.
-	readers []chunkReader
+	// readers are the parked WaitRange callers, in registration order;
+	// parked counts the registered readers that have not yet resumed.
+	readers []*chunkReader
+	parked  int
 
 	// recs holds the landed chunks' service intervals when the final hop's
-	// link has a profiler: only ChargeWait reads them.
+	// link has a profiler: only chargeWait reads them.
 	recs       []chunkRec
 	onComplete []func()
+	next       *ChunkedTransfer // free-list link
 }
 
-// chunkReader is one parked WaitRange caller, released once need chunks
-// have landed.
+// chunkReader is one parked WaitRange caller's registration, released once
+// need chunks have landed. The Machine recycles it as soon as its event is
+// signaled: the reader reads nothing from the event after it parks.
 type chunkReader struct {
 	need int
-	ev   *sim.Event
+	ev   sim.Event
+	next *chunkReader // free-list link
 }
 
 // CopyChunkedStart begins a chunked copy of size bytes from one domain to
@@ -124,13 +136,29 @@ func (m *Machine) CopyChunkedStart(from, to *Domain, size Bytes, cfg FetchConfig
 	if n < 1 {
 		n = 1
 	}
-	ct := &ChunkedTransfer{m: m, rt: m.route(from, to), cfg: cfg, total: size, n: n}
-	if ct.rt.hops[ct.rt.n-1].l.pf != nil {
-		ct.recs = make([]chunkRec, 0, n)
+	ct := m.freeTransfer
+	if ct == nil {
+		ct = &ChunkedTransfer{m: m}
+		ct.step = ct.drive
+	} else {
+		m.freeTransfer = ct.next
+		ct.next = nil
 	}
-	ct.step = ct.drive
+	ct.rt, ct.cfg, ct.total, ct.n = m.route(from, to), cfg, size, n
+	ct.stage, ct.first, ct.hi = ctAcquire, 0, 0
+	ct.landed, ct.done = 0, false
+	ct.recs = ct.recs[:0]
 	m.Env.After(0, ct.step)
 	return ct
+}
+
+// recycle returns a finished transfer to its machine once no reader is
+// parked in it; the last reader to resume recycles it otherwise.
+func (ct *ChunkedTransfer) recycle() {
+	if ct.parked == 0 {
+		ct.next = ct.m.freeTransfer
+		ct.m.freeTransfer = ct
+	}
 }
 
 // chunkSize returns the payload of chunk i (the last chunk carries the
@@ -231,6 +259,7 @@ func (ct *ChunkedTransfer) drive() {
 			}
 			ct.hi = 0
 			if ct.first += ct.cfg.MaxInflight; ct.first >= ct.n {
+				ct.recycle()
 				return
 			}
 		}
@@ -238,31 +267,38 @@ func (ct *ChunkedTransfer) drive() {
 }
 
 // land completes one chunk: it wakes, in registration order, the readers
-// this chunk satisfies and keeps the rest parked.
+// this chunk satisfies and keeps the rest parked. The last chunk runs the
+// completion callbacks; the driver recycles the transfer after its step.
 func (ct *ChunkedTransfer) land() {
 	ct.landed++
 	ct.done = ct.landed == ct.n
+	m := ct.m
 	waiting := ct.readers[:0]
 	for _, r := range ct.readers {
 		if r.need <= ct.landed {
 			r.ev.Signal()
+			r.next = m.freeReader
+			m.freeReader = r
 		} else {
 			waiting = append(waiting, r)
 		}
 	}
+	clear(ct.readers[len(waiting):])
 	ct.readers = waiting
 	if ct.done {
-		cbs := ct.onComplete
-		ct.onComplete = nil
-		for _, fn := range cbs {
+		for i, fn := range ct.onComplete {
+			ct.onComplete[i] = nil
 			fn()
 		}
+		ct.onComplete = ct.onComplete[:0]
 	}
 }
 
 // WaitRange parks p until the chunks covering [0, upTo) have landed, and
 // resumes it exactly once, at the landing of the last of them. upTo <= 0 or
-// beyond the transfer waits for everything.
+// beyond the transfer waits for everything. When the final hop's link has a
+// profiler, the blocked time is charged to p's node chunk by chunk (see
+// chargeWait), before p lets the transfer go.
 func (ct *ChunkedTransfer) WaitRange(p *sim.Proc, upTo Bytes) {
 	if upTo <= 0 || upTo > ct.total {
 		upTo = ct.total
@@ -277,12 +313,27 @@ func (ct *ChunkedTransfer) WaitRange(p *sim.Proc, upTo Bytes) {
 	if ct.landed >= need {
 		return
 	}
-	ev := sim.NewEvent(ct.m.Env)
-	ct.readers = append(ct.readers, chunkReader{need, ev})
-	ev.Wait(p)
+	m := ct.m
+	r := m.freeReader
+	if r == nil {
+		r = &chunkReader{ev: *sim.NewEvent(m.Env)}
+	} else {
+		m.freeReader = r.next
+		r.next = nil
+		r.ev.Reset()
+	}
+	r.need = need
+	ct.readers = append(ct.readers, r)
+	ct.parked++
+	from := p.Now()
+	r.ev.Wait(p)
+	ct.chargeWait(p, from, p.Now())
+	if ct.parked--; ct.done {
+		ct.recycle()
+	}
 }
 
-// ChargeWait attributes a reader's blocked interval [from, to] to the
+// chargeWait attributes a reader's blocked interval [from, to] to the
 // profiler under key: each landed chunk's service window is charged to the
 // link's dma-chunk (or sync-copy, for unpromoted chunks) component, and
 // everything between — descriptor setup, semaphore gaps where other traffic
@@ -291,7 +342,7 @@ func (ct *ChunkedTransfer) WaitRange(p *sim.Proc, upTo Bytes) {
 // stays complete. Charging is per reader: two readers waiting on the same
 // transfer each charge their own blocked time, matching how access latency
 // itself is accounted.
-func (ct *ChunkedTransfer) ChargeWait(key any, from, to time.Duration) {
+func (ct *ChunkedTransfer) chargeWait(key any, from, to time.Duration) {
 	main := ct.rt.hops[ct.rt.n-1].l
 	pf := main.pf
 	if pf == nil || to <= from {

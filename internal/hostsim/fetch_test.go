@@ -268,7 +268,7 @@ func TestChargeWaitPartitionsInterval(t *testing.T) {
 		start := p.Now()
 		ct := m.CopyChunkedStart(m.DRAM, m.VRAM, size, EnabledFetch())
 		ct.WaitRange(p, size)
-		ct.ChargeWait(key, start, p.Now())
+		ct.chargeWait(key, start, p.Now())
 		pf.EndClass(key)
 	})
 	env.Run()
@@ -379,7 +379,7 @@ func TestChargeWaitNeverOvercharges(t *testing.T) {
 				pf.BeginClass(key, key)
 				from := wp.Now()
 				ct.WaitRange(wp, upTo)
-				ct.ChargeWait(key, from, wp.Now())
+				ct.chargeWait(key, from, wp.Now())
 				pf.EndClass(key)
 			})
 		}
@@ -427,7 +427,7 @@ func TestChargeWaitNeverOvercharges(t *testing.T) {
 		}
 		key := fmt.Sprintf("probe-%d", pi)
 		pf.BeginClass(key, key)
-		ct.ChargeWait(key, start, to)
+		ct.chargeWait(key, start, to)
 		pf.EndClass(key)
 		cs := pf.Report().Classes[key]
 		var named time.Duration
@@ -675,5 +675,65 @@ func TestChunkedFetchSpawnsNoProcess(t *testing.T) {
 	env.Run()
 	if before != "1" || during != before {
 		t.Fatalf("live processes %s before the transfer and %s during it, want 1 and 1", before, during)
+	}
+}
+
+// TestChunkedTransferKeptUntilReadersResume: a finished transfer is
+// recycled only once every reader parked in it has resumed, because a
+// resuming reader still charges its wait from the transfer's chunk records.
+// Two readers wait on one transfer. A transfer started by its completion
+// callback, and one started by the first reader to resume while the second
+// is still parked, both in the landing's instant, must each take a fresh
+// record; the second reader must charge the same chunks as the first. Once
+// both have resumed, the record is free for the next transfer.
+func TestChunkedTransferKeptUntilReadersResume(t *testing.T) {
+	env := sim.NewEnv(1)
+	defer env.Close()
+	pf := prof.New()
+	pf.SetNow(env.Now)
+	env.SetProfiler(pf)
+	m := HighEndDesktop(env)
+	const size = 2 * MiB
+	var first, onDone, byReader *ChunkedTransfer
+	var resumed []time.Duration
+	env.Spawn("start", func(p *sim.Proc) {
+		first = m.CopyChunkedStart(m.DRAM, m.VRAM, size, EnabledFetch())
+		first.OnComplete(func() {
+			onDone = m.CopyChunkedStart(m.DRAM, m.VRAM, size, EnabledFetch())
+		})
+		for _, name := range []string{"a", "b"} {
+			name := name
+			env.Spawn(name, func(rp *sim.Proc) {
+				pf.BeginClass(rp, name)
+				first.WaitRange(rp, size)
+				pf.EndClass(rp)
+				resumed = append(resumed, rp.Now())
+				if name == "a" {
+					byReader = m.CopyChunkedStart(m.DRAM, m.VRAM, size, EnabledFetch())
+				}
+			})
+		}
+	})
+	env.Run()
+	if len(resumed) != 2 || resumed[0] != resumed[1] {
+		t.Fatalf("readers resumed at %v, want both at the last landing", resumed)
+	}
+	if onDone == first || byReader == first || onDone == byReader {
+		t.Fatal("a transfer started before the last parked reader resumed reused a record still in use")
+	}
+	free := false
+	for ct := m.freeTransfer; ct != nil; ct = ct.next {
+		free = free || ct == first
+	}
+	if !free {
+		t.Fatal("the transfer was not recycled after its last reader resumed")
+	}
+	rep := pf.Report()
+	a, b := rep.Classes["a"], rep.Classes["b"]
+	if a == nil || b == nil || a.Total == 0 || a.Total != b.Total {
+		t.Fatalf("class totals a=%v b=%v, want equal and nonzero", a, b)
+	}
+	if fmt.Sprint(a.Comps) != fmt.Sprint(b.Comps) {
+		t.Fatalf("reader b charged %v, reader a %v: b read records of another transfer", b.Comps, a.Comps)
 	}
 }

@@ -437,3 +437,102 @@ func TestStringers(t *testing.T) {
 		t.Fatal("unknown domain kind should still print")
 	}
 }
+
+// TestDenseDomainsAndRoutes: every preset numbers its domains densely in
+// [0, MaxDomains), and for every ordered pair of its domains route returns
+// the hops its registered links give, as a lookup keyed by the domain pair
+// would: the direct link, else a bounce through DRAM. The expected links
+// are written out from the presets by name. A pair with no path panics,
+// every time, and adding a link forgets the routes found before it.
+func TestDenseDomainsAndRoutes(t *testing.T) {
+	type pair struct{ from, to string }
+	presets := []struct {
+		fn    func(*sim.Env) *Machine
+		links map[pair]string
+	}{
+		{HighEndDesktop, map[pair]string{
+			{"dram", "dram"}: "memcpy", {"dram", "guest"}: "vm-boundary-fwd", {"guest", "dram"}: "vm-boundary-rev",
+			{"guest", "guest"}: "guest-memcpy", {"dram", "vram"}: "pcie-h2d", {"vram", "dram"}: "pcie-d2h",
+			{"vram", "vram"}: "vram-blit", {"cam-buf", "dram"}: "usb-cam",
+			{"nic-buf", "dram"}: "gige-fwd", {"dram", "nic-buf"}: "gige-rev",
+		}},
+		{MidEndLaptop, map[pair]string{
+			{"dram", "dram"}: "memcpy", {"dram", "guest"}: "vm-boundary-fwd", {"guest", "dram"}: "vm-boundary-rev",
+			{"guest", "guest"}: "guest-memcpy", {"dram", "vram"}: "pcie-h2d", {"vram", "dram"}: "pcie-d2h",
+			{"vram", "vram"}: "vram-blit", {"cam-buf", "dram"}: "int-cam",
+			{"nic-buf", "dram"}: "gige-fwd", {"dram", "nic-buf"}: "gige-rev",
+		}},
+		{Pixel6a, map[pair]string{{"dram", "dram"}: "lpddr5"}},
+	}
+	for _, ps := range presets {
+		env := sim.NewEnv(1)
+		m := ps.fn(env)
+		var doms []*Domain // distinct domains, in field order
+		ids := map[int]*Domain{}
+		for _, d := range []*Domain{m.DRAM, m.Guest, m.VRAM, m.CamBuf, m.NICBuf} {
+			if d.ID < 0 || d.ID >= MaxDomains {
+				t.Fatalf("%s: domain %s has ID %d outside [0, %d)", m.Name, d, d.ID, MaxDomains)
+			}
+			if o := ids[d.ID]; o != nil && o != d {
+				t.Fatalf("%s: domains %s and %s share ID %d", m.Name, o, d, d.ID)
+			}
+			if ids[d.ID] == nil {
+				ids[d.ID] = d
+				doms = append(doms, d)
+			}
+		}
+		if len(ps.links) > 1 && len(doms) != MaxDomains {
+			t.Fatalf("%s: %d distinct domains, want %d", m.Name, len(doms), MaxDomains)
+		}
+		var dram *Domain
+		for _, d := range doms {
+			if d.Name == "dram" {
+				dram = d
+			}
+		}
+		for _, from := range doms {
+			for _, to := range doms {
+				var want string
+				if l, ok := ps.links[pair{from.Name, to.Name}]; ok {
+					want = fmt.Sprintf("[%s %s>%s]", l, from, to)
+				} else if l1, l2 := ps.links[pair{from.Name, "dram"}], ps.links[pair{"dram", to.Name}]; l1 != "" && l2 != "" {
+					want = fmt.Sprintf("[%s %s>%s %s %s>%s]", l1, from, dram, l2, dram, to)
+				} else {
+					want = "panic"
+				}
+				for pass := 0; pass < 2; pass++ { // the second pass reads the stored route
+					if got := routeText(m, from, to); got != want {
+						t.Errorf("%s: route %s->%s pass %d = %s, want %s", m.Name, from, to, pass, got, want)
+					}
+				}
+			}
+		}
+		env.Close()
+	}
+
+	env := sim.NewEnv(1)
+	defer env.Close()
+	m := HighEndDesktop(env)
+	if got := routeText(m, m.Guest, m.VRAM); got != "[vm-boundary-rev guest>dram pcie-h2d dram>vram]" {
+		t.Fatalf("guest->vram = %s, want the DRAM bounce", got)
+	}
+	m.AddLink(m.Guest, m.VRAM, "p2p", 1e9, 0)
+	if got := routeText(m, m.Guest, m.VRAM); got != "[p2p guest>vram]" {
+		t.Fatalf("guest->vram after AddLink = %s, want the new direct link", got)
+	}
+}
+
+// routeText renders m.route(from, to) as its hops, or "panic".
+func routeText(m *Machine, from, to *Domain) (s string) {
+	defer func() {
+		if recover() != nil {
+			s = "panic"
+		}
+	}()
+	rt := m.route(from, to)
+	var parts []string
+	for _, h := range rt.hops[:rt.n] {
+		parts = append(parts, fmt.Sprintf("%s %s>%s", h.l.Name, h.from, h.to))
+	}
+	return fmt.Sprint(parts)
+}

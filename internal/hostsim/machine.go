@@ -8,9 +8,6 @@ import (
 	"repro/internal/sim"
 )
 
-// linkKey identifies a directional domain pair.
-type linkKey struct{ from, to *Domain }
-
 // Machine is a complete host: memory domains, the links joining them, and
 // the physical compute devices. It is the hardware a virtual SoC is mapped
 // onto.
@@ -45,24 +42,32 @@ type Machine struct {
 	// HWDecode reports hardware decoder support (NVDEC).
 	HWDecode bool
 
-	links map[linkKey]*Link
+	// links holds the direct link of each directional domain pair, and
+	// routes the path a copy between them takes, found on first use and
+	// forgotten whenever a link is added; both are indexed [from.ID][to.ID].
+	links  [MaxDomains][MaxDomains]*Link
+	routes [MaxDomains][MaxDomains]route
 	// linkOrder preserves registration order so link enumeration (and
 	// anything seeded from it, like fault schedules) is deterministic.
 	linkOrder []*Link
+
+	// freeTransfer and freeReader hold recycled chunked-fetch records.
+	freeTransfer *ChunkedTransfer
+	freeReader   *chunkReader
 }
 
-// NewMachine returns a machine shell with domains created but no links or
-// devices; the preset constructors populate it.
+// NewMachine returns a machine shell with its MaxDomains domains created,
+// numbered 0 to MaxDomains-1, but no links or devices; the preset
+// constructors populate it.
 func NewMachine(env *sim.Env, name string) *Machine {
 	m := &Machine{
 		Env:    env,
 		Name:   name,
-		DRAM:   &Domain{Name: "dram", Kind: HostDRAM},
-		Guest:  &Domain{Name: "guest", Kind: GuestPages},
-		VRAM:   &Domain{Name: "vram", Kind: GPUVRAM},
-		CamBuf: &Domain{Name: "cam-buf", Kind: PeripheralBuffer},
-		NICBuf: &Domain{Name: "nic-buf", Kind: PeripheralBuffer},
-		links:  make(map[linkKey]*Link),
+		DRAM:   &Domain{Name: "dram", Kind: HostDRAM, ID: 0},
+		Guest:  &Domain{Name: "guest", Kind: GuestPages, ID: 1},
+		VRAM:   &Domain{Name: "vram", Kind: GPUVRAM, ID: 2},
+		CamBuf: &Domain{Name: "cam-buf", Kind: PeripheralBuffer, ID: 3},
+		NICBuf: &Domain{Name: "nic-buf", Kind: PeripheralBuffer, ID: 4},
 	}
 	return m
 }
@@ -70,7 +75,8 @@ func NewMachine(env *sim.Env, name string) *Machine {
 // AddLink registers a directional link between two domains.
 func (m *Machine) AddLink(from, to *Domain, name string, bandwidth float64, latency time.Duration) *Link {
 	l := NewLink(m.Env, name, bandwidth, latency)
-	m.links[linkKey{from, to}] = l
+	m.links[from.ID][to.ID] = l
+	m.routes = [MaxDomains][MaxDomains]route{}
 	m.linkOrder = append(m.linkOrder, l)
 	return l
 }
@@ -84,7 +90,7 @@ func (m *Machine) AddDuplexLink(a, b *Domain, name string, bandwidth float64, la
 
 // LinkBetween returns the direct link from one domain to another, or nil.
 func (m *Machine) LinkBetween(from, to *Domain) *Link {
-	return m.links[linkKey{from, to}]
+	return m.links[from.ID][to.ID]
 }
 
 // Links returns all registered links in registration order (for telemetry
@@ -110,18 +116,29 @@ type hop struct {
 }
 
 // route is the path a copy takes between two domains: the direct link, or
-// two hops via DRAM when there is none.
+// two hops via DRAM when there is none. The zero route (n == 0) marks a
+// pair whose path is not yet known.
 type route struct {
 	hops [2]hop
 	n    int
 }
 
+// route returns the path from one domain to another, finding it on first
+// use of the pair. A pair with no path panics.
 func (m *Machine) route(from, to *Domain) route {
-	if l := m.links[linkKey{from, to}]; l != nil {
+	rt := &m.routes[from.ID][to.ID]
+	if rt.n == 0 {
+		*rt = m.findRoute(from, to)
+	}
+	return *rt
+}
+
+func (m *Machine) findRoute(from, to *Domain) route {
+	if l := m.links[from.ID][to.ID]; l != nil {
 		return route{hops: [2]hop{{l, from, to}}, n: 1}
 	}
-	l1 := m.links[linkKey{from, m.DRAM}]
-	l2 := m.links[linkKey{m.DRAM, to}]
+	l1 := m.links[from.ID][m.DRAM.ID]
+	l2 := m.links[m.DRAM.ID][to.ID]
 	if l1 == nil || l2 == nil {
 		panic(fmt.Sprintf("hostsim: no path %s -> %s", from, to))
 	}

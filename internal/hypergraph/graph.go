@@ -1,7 +1,7 @@
 // Package hypergraph implements the twin hypergraphs of vSoC's SVM Manager
 // (§3.2): two directed hypergraphs modeling the data flows of virtual and
-// physical devices, plus a hashtable mapping SVM regions to the hyperedge
-// pair describing their flow.
+// physical devices, plus a region table, indexed by region ID, mapping SVM
+// regions to the hyperedge pair describing their flow.
 //
 // Nodes are devices (known at emulator startup); hyperedges are data flows
 // discovered at run time. A hyperedge may have multiple destinations — e.g.
@@ -12,16 +12,36 @@
 //
 // The structures are plain deterministic containers — iteration follows
 // insertion order, nothing hashes on addresses — so prediction, and
-// everything downstream of it, is reproducible across runs.
+// everything downstream of it, is reproducible across runs. The access path
+// reaches them without hashing: the region table and each edge's series
+// are indexed arrays, and a FlowMemo resolves a region's repeating flow
+// without building its key.
 package hypergraph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
 
 	"repro/internal/metrics"
+)
+
+// Stat names one of an edge's smoothed series: the flow quantities the
+// prefetch engine forecasts from (§3.3).
+type Stat int
+
+const (
+	// StatSlackMS is the cross-device slack interval in milliseconds, on
+	// both layers.
+	StatSlackMS Stat = iota
+	// StatSizeBytes is the dirty-region size, on the physical layer.
+	StatSizeBytes
+	// StatPrefetchMS is the achieved prefetch duration in milliseconds, on
+	// the physical layer.
+	StatPrefetchMS
+	numStats
 )
 
 // NodeID identifies a device node. Virtual and physical graphs use
@@ -99,31 +119,35 @@ type Edge struct {
 	// LastUseAt is the virtual time of the last attribution.
 	LastUseAt time.Duration
 
-	// Smoothed per-flow series, keyed by a caller-chosen stat name (the
-	// prefetch engine uses "slack_ms", "size_bytes", "bandwidth_bps",
-	// "prefetch_ms"). Series are created on first observation with the
-	// paper's alpha.
-	series map[string]*metrics.EWMA
+	// Smoothed per-flow series, one per Stat, with the paper's alpha. A
+	// series counts as observed once it is warm.
+	series [numStats]metrics.EWMA
 }
 
-// Observe folds an observation into the named smoothed series.
-func (e *Edge) Observe(stat string, v float64) {
-	s, ok := e.series[stat]
-	if !ok {
-		s = metrics.NewEWMA(metrics.DefaultAlpha)
-		e.series[stat] = s
-	}
-	s.Observe(v)
+// Observe folds an observation into one smoothed series.
+func (e *Edge) Observe(stat Stat, v float64) {
+	e.series[stat].Observe(v)
 }
 
-// Forecast returns the smoothed forecast for the named series and whether
-// any observation exists.
-func (e *Edge) Forecast(stat string) (float64, bool) {
-	s, ok := e.series[stat]
-	if !ok || !s.Warm() {
+// Forecast returns the smoothed forecast of one series and whether any
+// observation exists.
+func (e *Edge) Forecast(stat Stat) (float64, bool) {
+	s := &e.series[stat]
+	if !s.Warm() {
 		return 0, false
 	}
 	return s.Value(), true
+}
+
+// observedSeries counts the series with at least one observation.
+func (e *Edge) observedSeries() int {
+	n := 0
+	for i := range e.series {
+		if e.series[i].Warm() {
+			n++
+		}
+	}
+	return n
 }
 
 // Touch records an attribution at time t.
@@ -198,12 +222,37 @@ func (g *Graph) Edge(sources, dests []NodeID) *Edge {
 		Key:     EdgeKey(key),
 		Sources: append([]NodeID(nil), s...),
 		Dests:   append([]NodeID(nil), d...),
-		series:  make(map[string]*metrics.EWMA),
+	}
+	for i := range e.series {
+		e.series[i] = *metrics.NewEWMA(metrics.DefaultAlpha)
 	}
 	g.edges[e.Key] = e
 	for _, id := range e.Sources {
 		g.bySource[id] = append(g.bySource[id], e)
 	}
+	return e
+}
+
+// FlowMemo remembers, per destination-set size up to three (the SVM
+// manager's reader sets hold one to three devices), the last single-source
+// edge FlowEdge resolved to. A region's reader set grows the same way
+// generation after generation, so one memo per region and layer turns the
+// repeat lookups into a few integer compares. The zero value is ready; a
+// remembered edge stays valid because a graph never drops an edge.
+type FlowMemo [3]*Edge
+
+// FlowEdge returns Edge({src}, dests), from memo when dests (in canonical
+// order) and src match the edge remembered for dests' size.
+func (g *Graph) FlowEdge(memo *FlowMemo, src NodeID, dests []NodeID) *Edge {
+	n := len(dests)
+	if n == 0 || n > len(memo) {
+		return g.Edge([]NodeID{src}, dests)
+	}
+	if e := memo[n-1]; e != nil && e.Sources[0] == src && slices.Equal(e.Dests, dests) {
+		return e
+	}
+	e := g.Edge([]NodeID{src}, dests)
+	memo[n-1] = e
 	return e
 }
 

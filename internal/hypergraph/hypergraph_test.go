@@ -160,12 +160,12 @@ func TestHottestFromPrefersRecency(t *testing.T) {
 func TestForecastSeries(t *testing.T) {
 	g := newTestGraph()
 	e := g.Edge([]NodeID{0}, []NodeID{1})
-	if _, ok := e.Forecast("slack_ms"); ok {
+	if _, ok := e.Forecast(StatSlackMS); ok {
 		t.Fatal("unobserved series should miss")
 	}
-	e.Observe("slack_ms", 16)
-	e.Observe("slack_ms", 18)
-	v, ok := e.Forecast("slack_ms")
+	e.Observe(StatSlackMS, 16)
+	e.Observe(StatSlackMS, 18)
+	v, ok := e.Forecast(StatSlackMS)
 	if !ok || v != 17 {
 		t.Fatalf("Forecast = %v/%v, want 17/true", v, ok)
 	}
@@ -217,8 +217,8 @@ func TestTwinRemapReplaces(t *testing.T) {
 	if m.Virtual != e2 {
 		t.Fatal("remap should replace mapping")
 	}
-	if len(tw.regions) != 1 {
-		t.Fatalf("NumMapped = %d, want 1", len(tw.regions))
+	if tw.mapped != 1 {
+		t.Fatalf("NumMapped = %d, want 1", tw.mapped)
 	}
 }
 
@@ -233,7 +233,7 @@ func TestMemoryFootprintBounded(t *testing.T) {
 	for i := NodeID(0); i < 11; i++ {
 		ve := tw.Virtual.Edge([]NodeID{i}, []NodeID{i + 1})
 		pe := tw.Physical.Edge([]NodeID{i}, []NodeID{i + 1})
-		for _, s := range []string{"slack_ms", "size_bytes", "bandwidth_bps", "prefetch_ms"} {
+		for s := Stat(0); s < numStats; s++ {
 			ve.Observe(s, 1)
 			pe.Observe(s, 1)
 		}
@@ -293,5 +293,37 @@ func BenchmarkEdgeHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		edgeSink = g.Edge(src, dst)
+	}
+}
+
+// TestQuickFlowEdgeMatchesEdge: through one memo shared across lookups,
+// FlowEdge returns exactly the edge Edge returns for the same source and
+// destination set, whatever sequence of sources and sets it sees, sets
+// larger than the memo included; the memo keeps the latest edge of each set
+// size, and a hit allocates nothing.
+func TestQuickFlowEdgeMatchesEdge(t *testing.T) {
+	g := newTestGraph()
+	var memo FlowMemo
+	f := func(steps []uint16) bool {
+		for _, s := range steps {
+			src := NodeID(s % 6)
+			var dests []NodeID
+			for i := 0; i < 1+int(s>>3)%4; i++ { // 1 to 4 destinations
+				dests = InsertNode(dests, NodeID(s>>(5+2*i))%6)
+			}
+			if got, want := g.FlowEdge(&memo, src, dests), g.Edge([]NodeID{src}, dests); got != want {
+				t.Logf("FlowEdge(%d, %v) = %v, want %v", src, dests, got, want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+	src, dests := NodeID(2), []NodeID{1, 4}
+	e := g.FlowEdge(&memo, src, dests)
+	if allocs := testing.AllocsPerRun(100, func() { g.FlowEdge(&memo, src, dests) }); allocs != 0 || memo[1] != e {
+		t.Fatalf("memo hit allocates %v (memo holds %v, want %v)", allocs, memo[1], e)
 	}
 }

@@ -9,7 +9,7 @@ type FPSCounter struct {
 	frames    int
 	hasFirst  bool
 	first     time.Duration
-	perSecond map[int64]int
+	perSecond []int // frames presented in each whole second, by second
 }
 
 // Present records a frame presented at virtual time t.
@@ -18,11 +18,12 @@ func (c *FPSCounter) Present(t time.Duration) {
 		c.first = t
 		c.hasFirst = true
 	}
-	if c.perSecond == nil {
-		c.perSecond = make(map[int64]int)
-	}
 	c.frames++
-	c.perSecond[int64(t/time.Second)]++
+	sec := int(t / time.Second)
+	for sec >= len(c.perSecond) {
+		c.perSecond = append(c.perSecond, 0)
+	}
+	c.perSecond[sec]++
 }
 
 // Frames returns the number of presented frames.
@@ -47,10 +48,8 @@ func (c *FPSCounter) FPS(end time.Duration) float64 {
 func (c *FPSCounter) PerSecond(end time.Duration) []float64 {
 	n := int(end / time.Second)
 	out := make([]float64, n)
-	for s, f := range c.perSecond {
-		if int(s) < n {
-			out[s] = float64(f)
-		}
+	for s, f := range c.perSecond[:min(n, len(c.perSecond))] {
+		out[s] = float64(f)
 	}
 	return out
 }

@@ -22,16 +22,9 @@ package prefetch
 import (
 	"time"
 
+	"repro/internal/hostsim"
 	"repro/internal/hypergraph"
 	"repro/internal/obs"
-)
-
-// Stat names recorded on hypergraph edges.
-const (
-	StatSlackMS      = "slack_ms"      // virtual layer: cross-device slack intervals
-	StatSizeBytes    = "size_bytes"    // physical layer: dirty-region sizes
-	StatBandwidthBps = "bandwidth_bps" // physical layer: achieved copy bandwidth
-	StatPrefetchMS   = "prefetch_ms"   // physical layer: achieved prefetch durations
 )
 
 // Config holds the engine's tunables, defaulting to the paper's values.
@@ -84,7 +77,9 @@ type Engine struct {
 	suspendedUntil      time.Duration
 	suspensions         int
 	mispredictions      int
-	maxBandwidth        map[string]float64 // per transfer path
+	// maxBandwidth is the maximum observed per transfer path, indexed by
+	// the path's [from.ID][to.ID] domain pair.
+	maxBandwidth [hostsim.MaxDomains][hostsim.MaxDomains]float64
 
 	tr *obs.Tracer
 	tk obs.Track
@@ -98,7 +93,7 @@ func New(twin *hypergraph.Twin, cfg Config) *Engine {
 	if cfg.BandwidthFloor <= 0 {
 		cfg.BandwidthFloor = 0.5
 	}
-	return &Engine{cfg: cfg, twin: twin, maxBandwidth: make(map[string]float64)}
+	return &Engine{cfg: cfg, twin: twin}
 }
 
 // SetObs attaches the observability layer (either argument may be nil).
@@ -115,13 +110,13 @@ func (e *Engine) SetObs(tr *obs.Tracer, reg *obs.Registry) {
 	}
 }
 
-// Predict produces the prefetch decision for a write of size bytes to the
-// given region by the given physical writer at time now. ok is false when
-// no prediction is possible (no mapped flow and no history for the writer).
+// Predict produces the prefetch decision for a write to the given region by
+// the given physical writer at time now. ok is false when no prediction is
+// possible (no mapped flow and no history for the writer).
 // Prediction.Readers is built in readers' backing array (reused from
 // length 0; nil allocates a fresh one), so a caller that keeps the buffer
 // across calls predicts without allocating.
-func (e *Engine) Predict(region uint64, writerPhys hypergraph.NodeID, size int64, now time.Duration, readers []hypergraph.NodeID) (Prediction, bool) {
+func (e *Engine) Predict(region uint64, writerPhys hypergraph.NodeID, now time.Duration, readers []hypergraph.NodeID) (Prediction, bool) {
 	pred := Prediction{Readers: readers[:0]}
 	var vEdge, pEdge *hypergraph.Edge
 	if m, ok := e.twin.Lookup(region); ok && m.Physical != nil {
@@ -153,17 +148,17 @@ func (e *Engine) Predict(region uint64, writerPhys hypergraph.NodeID, size int64
 		return Prediction{}, false
 	}
 
-	pf, okPf := e.forecastPrefetchTime(pEdge, size)
+	pf, okPf := e.forecastPrefetchTime(pEdge)
 	var slack time.Duration
 	okSlack := false
 	if vEdge != nil {
-		if s, ok := vEdge.Forecast(StatSlackMS); ok {
+		if s, ok := vEdge.Forecast(hypergraph.StatSlackMS); ok {
 			slack = time.Duration(s * float64(time.Millisecond))
 			okSlack = true
 		}
 	}
 	if !okSlack {
-		if s, ok := pEdge.Forecast(StatSlackMS); ok {
+		if s, ok := pEdge.Forecast(hypergraph.StatSlackMS); ok {
 			slack = time.Duration(s * float64(time.Millisecond))
 			okSlack = true
 		}
@@ -180,12 +175,9 @@ func (e *Engine) Predict(region uint64, writerPhys hypergraph.NodeID, size int64
 }
 
 // forecastPrefetchTime estimates the copy duration from the flow's smoothed
-// bandwidth, falling back to its smoothed prefetch duration.
-func (e *Engine) forecastPrefetchTime(pEdge *hypergraph.Edge, size int64) (time.Duration, bool) {
-	if bps, ok := pEdge.Forecast(StatBandwidthBps); ok && bps > 0 {
-		return time.Duration(float64(size) / bps * float64(time.Second)), true
-	}
-	if ms, ok := pEdge.Forecast(StatPrefetchMS); ok {
+// prefetch duration.
+func (e *Engine) forecastPrefetchTime(pEdge *hypergraph.Edge) (time.Duration, bool) {
+	if ms, ok := pEdge.Forecast(hypergraph.StatPrefetchMS); ok {
 		return time.Duration(ms * float64(time.Millisecond)), true
 	}
 	return 0, false
@@ -209,17 +201,19 @@ func (e *Engine) RecordOutcome(correct bool, now time.Duration) {
 	}
 }
 
-// ObserveBandwidth feeds an achieved copy bandwidth (bytes/sec) for one
-// transfer path; prefetch suspends when the bandwidth available to an
-// operation falls below the configured fraction of the maximum observed on
-// the same path (§3.3: "the available bandwidth corresponding to the
-// operation"). Comparing per path keeps slow-by-nature routes (a USB camera
-// link) from reading as congestion on fast ones (PCIe).
-func (e *Engine) ObserveBandwidth(path string, bps float64, now time.Duration) {
-	if bps > e.maxBandwidth[path] {
-		e.maxBandwidth[path] = bps
+// ObserveBandwidth feeds an achieved copy bandwidth (bytes/sec) for the
+// transfer path from one domain to another; prefetch suspends when the
+// bandwidth available to an operation falls below the configured fraction
+// of the maximum observed on the same path (§3.3: "the available bandwidth
+// corresponding to the operation"). Comparing per path keeps slow-by-nature
+// routes (a USB camera link) from reading as congestion on fast ones
+// (PCIe).
+func (e *Engine) ObserveBandwidth(from, to *hostsim.Domain, bps float64, now time.Duration) {
+	peak := &e.maxBandwidth[from.ID][to.ID]
+	if bps > *peak {
+		*peak = bps
 	}
-	if max := e.maxBandwidth[path]; max > 0 && bps < e.cfg.BandwidthFloor*max {
+	if *peak > 0 && bps < e.cfg.BandwidthFloor**peak {
 		if e.tr != nil {
 			e.tr.Instant(e.tk, "bandwidth-floor")
 		}
@@ -233,9 +227,9 @@ func (e *Engine) ObserveBandwidth(path string, bps float64, now time.Duration) {
 // max and a congested-from-start path never reads as degraded. The fault
 // layer calls this with the link's nominal bandwidth when it arms a fault
 // on the path; an existing higher max is kept.
-func (e *Engine) SeedPathMax(path string, bps float64) {
-	if bps > e.maxBandwidth[path] {
-		e.maxBandwidth[path] = bps
+func (e *Engine) SeedPathMax(from, to *hostsim.Domain, bps float64) {
+	if peak := &e.maxBandwidth[from.ID][to.ID]; bps > *peak {
+		*peak = bps
 	}
 }
 

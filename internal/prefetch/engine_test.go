@@ -4,10 +4,15 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/hostsim"
 	"repro/internal/hypergraph"
 )
 
 const ms = time.Millisecond
+
+// paths supplies the domains that transfer paths run between: PCIe is
+// DRAM->VRAM, the camera path CamBuf->DRAM.
+var paths = hostsim.NewMachine(nil, "paths")
 
 // ids
 const (
@@ -37,7 +42,7 @@ func TestPredictFromMappedFlow(t *testing.T) {
 	pe := tw.Physical.Edge([]hypergraph.NodeID{pCam}, []hypergraph.NodeID{pGPU})
 	tw.Map(1, hypergraph.Mapping{Virtual: ve, Physical: pe})
 
-	pred, ok := e.Predict(1, pCam, 1<<20, 0, nil)
+	pred, ok := e.Predict(1, pCam, 0, nil)
 	if !ok {
 		t.Fatal("expected a prediction")
 	}
@@ -60,7 +65,7 @@ func TestPredictZeroShotFromHottestFlow(t *testing.T) {
 
 	// Region 99 was never mapped: zero-shot prediction via the writer's
 	// hottest flow.
-	pred, ok := e.Predict(99, pCam, 1<<20, 10*ms, nil)
+	pred, ok := e.Predict(99, pCam, 10*ms, nil)
 	if !ok {
 		t.Fatal("expected zero-shot prediction")
 	}
@@ -74,7 +79,7 @@ func TestPredictZeroShotFromHottestFlow(t *testing.T) {
 
 func TestPredictNoHistory(t *testing.T) {
 	e := New(newTwin(), DefaultConfig())
-	if _, ok := e.Predict(1, pCam, 1024, 0, nil); ok {
+	if _, ok := e.Predict(1, pCam, 0, nil); ok {
 		t.Fatal("no flows at all: prediction must fail")
 	}
 }
@@ -86,15 +91,15 @@ func TestCompensationWhenSlackTooShort(t *testing.T) {
 	ve := tw.Virtual.Edge([]hypergraph.NodeID{vCam}, []hypergraph.NodeID{vGPU})
 	pe := tw.Physical.Edge([]hypergraph.NodeID{pCam}, []hypergraph.NodeID{pGPU})
 	tw.Map(1, hypergraph.Mapping{Virtual: ve, Physical: pe})
-	ve.Observe(StatSlackMS, 8)
+	ve.Observe(hypergraph.StatSlackMS, 8)
 	// 10 MiB at 1 GiB/s => ~10 ms prefetch.
-	pe.Observe(StatBandwidthBps, float64(1<<30))
+	wantPf := time.Duration(float64(10*(1<<20)) / float64(1<<30) * float64(time.Second))
+	pe.Observe(hypergraph.StatPrefetchMS, float64(wantPf)/float64(ms))
 
-	pred, ok := e.Predict(1, pCam, 10*(1<<20), 0, nil)
+	pred, ok := e.Predict(1, pCam, 0, nil)
 	if !ok || !pred.HaveTiming {
 		t.Fatalf("want timed prediction, got ok=%v have=%v", ok, pred.HaveTiming)
 	}
-	wantPf := time.Duration(float64(10*(1<<20)) / float64(1<<30) * float64(time.Second))
 	if pred.PrefetchTime != wantPf {
 		t.Fatalf("PrefetchTime = %v, want %v", pred.PrefetchTime, wantPf)
 	}
@@ -113,10 +118,11 @@ func TestNoCompensationWhenSlackCovers(t *testing.T) {
 	ve := tw.Virtual.Edge([]hypergraph.NodeID{vCam}, []hypergraph.NodeID{vGPU})
 	pe := tw.Physical.Edge([]hypergraph.NodeID{pCam}, []hypergraph.NodeID{pGPU})
 	tw.Map(1, hypergraph.Mapping{Virtual: ve, Physical: pe})
-	ve.Observe(StatSlackMS, 20)
-	pe.Observe(StatBandwidthBps, float64(10<<30)) // very fast copies
+	ve.Observe(hypergraph.StatSlackMS, 20)
+	// 1 MiB at 10 GiB/s: very fast copies.
+	pe.Observe(hypergraph.StatPrefetchMS, float64(1<<20)/float64(10<<30)*1e3)
 
-	pred, _ := e.Predict(1, pCam, 1<<20, 0, nil)
+	pred, _ := e.Predict(1, pCam, 0, nil)
 	if pred.Compensation != 0 {
 		t.Fatalf("Compensation = %v, want 0", pred.Compensation)
 	}
@@ -128,12 +134,12 @@ func TestPrefetchTimeFallbackToDurationSeries(t *testing.T) {
 	ve := tw.Virtual.Edge([]hypergraph.NodeID{vCam}, []hypergraph.NodeID{vGPU})
 	pe := tw.Physical.Edge([]hypergraph.NodeID{pCam}, []hypergraph.NodeID{pGPU})
 	tw.Map(1, hypergraph.Mapping{Virtual: ve, Physical: pe})
-	ve.Observe(StatSlackMS, 5)
-	pe.Observe(StatPrefetchMS, 7) // no bandwidth series
+	ve.Observe(hypergraph.StatSlackMS, 5)
+	pe.Observe(hypergraph.StatPrefetchMS, 7)
 
-	pred, _ := e.Predict(1, pCam, 1<<20, 0, nil)
+	pred, _ := e.Predict(1, pCam, 0, nil)
 	if !pred.HaveTiming {
-		t.Fatal("want timing from prefetch_ms fallback")
+		t.Fatal("want timing from the prefetch_ms series")
 	}
 	if pred.PrefetchTime != 7*ms {
 		t.Fatalf("PrefetchTime = %v, want 7ms", pred.PrefetchTime)
@@ -178,15 +184,16 @@ func TestSuccessResetsFailureStreak(t *testing.T) {
 
 func TestBandwidthFloorSuspends(t *testing.T) {
 	e := New(newTwin(), DefaultConfig())
-	e.ObserveBandwidth("a->b", 10e9, 0)
+	a, b := paths.DRAM, paths.VRAM
+	e.ObserveBandwidth(a, b, 10e9, 0)
 	if e.Suspended(0) {
 		t.Fatal("first observation should not suspend")
 	}
-	e.ObserveBandwidth("a->b", 6e9, 1*ms)
+	e.ObserveBandwidth(a, b, 6e9, 1*ms)
 	if e.Suspended(1 * ms) {
 		t.Fatal("60% of max should not suspend")
 	}
-	e.ObserveBandwidth("a->b", 4e9, 2*ms)
+	e.ObserveBandwidth(a, b, 4e9, 2*ms)
 	if !e.Suspended(2 * ms) {
 		t.Fatal("below 50% of max must suspend")
 	}
@@ -197,17 +204,17 @@ func TestBandwidthFloorIsPerPath(t *testing.T) {
 	// one: 2 GB/s steady on the camera path stays fine even though PCIe
 	// observed 11 GB/s.
 	e := New(newTwin(), DefaultConfig())
-	e.ObserveBandwidth("pcie", 11e9, 0)
-	e.ObserveBandwidth("camera", 2e9, 1*ms)
-	e.ObserveBandwidth("camera", 2e9, 2*ms)
+	e.ObserveBandwidth(paths.DRAM, paths.VRAM, 11e9, 0)
+	e.ObserveBandwidth(paths.CamBuf, paths.DRAM, 2e9, 1*ms)
+	e.ObserveBandwidth(paths.CamBuf, paths.DRAM, 2e9, 2*ms)
 	if e.Suspended(2 * ms) {
 		t.Fatal("steady slow path suspended against unrelated fast path")
 	}
-	if e.maxBandwidth["camera"] != 2e9 {
+	if e.maxBandwidth[paths.CamBuf.ID][paths.DRAM.ID] != 2e9 {
 		t.Fatal("per-path max wrong")
 	}
 	// Real congestion on the fast path still suspends.
-	e.ObserveBandwidth("pcie", 3e9, 3*ms)
+	e.ObserveBandwidth(paths.DRAM, paths.VRAM, 3e9, 3*ms)
 	if !e.Suspended(3 * ms) {
 		t.Fatal("real congestion on the same path must suspend")
 	}
@@ -219,12 +226,12 @@ func TestPredictAfterRemapFollowsNewFlow(t *testing.T) {
 	pe1 := tw.Physical.Edge([]hypergraph.NodeID{pCam}, []hypergraph.NodeID{pISP})
 	pe2 := tw.Physical.Edge([]hypergraph.NodeID{pCam}, []hypergraph.NodeID{pGPU})
 	tw.Map(1, hypergraph.Mapping{Physical: pe1})
-	pred, _ := e.Predict(1, pCam, 1024, 0, nil)
+	pred, _ := e.Predict(1, pCam, 0, nil)
 	if pred.Readers[0] != pISP {
 		t.Fatalf("Readers = %v, want isp", pred.Readers)
 	}
 	tw.Map(1, hypergraph.Mapping{Physical: pe2})
-	pred, _ = e.Predict(1, pCam, 1024, 0, nil)
+	pred, _ = e.Predict(1, pCam, 0, nil)
 	if pred.Readers[0] != pGPU {
 		t.Fatalf("Readers = %v, want gpu after remap", pred.Readers)
 	}
@@ -240,7 +247,7 @@ func TestPredictFiltersWriterFromReaders(t *testing.T) {
 	pe := tw.Physical.Edge([]hypergraph.NodeID{pGPU}, []hypergraph.NodeID{pGPU, pISP})
 	tw.Map(1, hypergraph.Mapping{Physical: pe})
 
-	pred, ok := e.Predict(1, pGPU, 1024, 0, nil)
+	pred, ok := e.Predict(1, pGPU, 0, nil)
 	if !ok {
 		t.Fatal("expected a prediction")
 	}
@@ -257,7 +264,7 @@ func TestPredictSameNodeOnlyFlowHasNoPrediction(t *testing.T) {
 	pe := tw.Physical.Edge([]hypergraph.NodeID{pGPU}, []hypergraph.NodeID{pGPU})
 	tw.Map(1, hypergraph.Mapping{Physical: pe})
 
-	if _, ok := e.Predict(1, pGPU, 1024, 0, nil); ok {
+	if _, ok := e.Predict(1, pGPU, 0, nil); ok {
 		t.Fatal("self-only flow must not produce a prediction")
 	}
 }
@@ -267,17 +274,17 @@ func TestSeedPathMaxCatchesCongestedFromStart(t *testing.T) {
 	// path congested from its very first observation can never trip the
 	// floor. Seeding from the link's nominal bandwidth closes the gap.
 	unseeded := New(newTwin(), DefaultConfig())
-	unseeded.ObserveBandwidth("pcie", 4e9, 0) // actually 40% of an 11 GB/s link
+	unseeded.ObserveBandwidth(paths.DRAM, paths.VRAM, 4e9, 0) // actually 40% of an 11 GB/s link
 	if unseeded.Suspended(0) {
 		t.Fatal("unseeded engine cannot know the path is congested")
 	}
 
 	seeded := New(newTwin(), DefaultConfig())
-	seeded.SeedPathMax("pcie", 11e9)
+	seeded.SeedPathMax(paths.DRAM, paths.VRAM, 11e9)
 	if seeded.Suspended(0) {
 		t.Fatal("seeding alone must not suspend")
 	}
-	seeded.ObserveBandwidth("pcie", 4e9, 0)
+	seeded.ObserveBandwidth(paths.DRAM, paths.VRAM, 4e9, 0)
 	if !seeded.Suspended(0) {
 		t.Fatal("congested-from-start path must suspend once seeded")
 	}
@@ -288,9 +295,9 @@ func TestSeedPathMaxCatchesCongestedFromStart(t *testing.T) {
 
 func TestSeedPathMaxKeepsHigherObservedMax(t *testing.T) {
 	e := New(newTwin(), DefaultConfig())
-	e.ObserveBandwidth("pcie", 12e9, 0) // measured above nominal
-	e.SeedPathMax("pcie", 11e9)
-	if e.maxBandwidth["pcie"] != 12e9 {
-		t.Fatalf("maxBandwidth = %v, want the higher observed 12e9", e.maxBandwidth["pcie"])
+	e.ObserveBandwidth(paths.DRAM, paths.VRAM, 12e9, 0) // measured above nominal
+	e.SeedPathMax(paths.DRAM, paths.VRAM, 11e9)
+	if got := e.maxBandwidth[paths.DRAM.ID][paths.VRAM.ID]; got != 12e9 {
+		t.Fatalf("maxBandwidth = %v, want the higher observed 12e9", got)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"repro/internal/hostsim"
 	"repro/internal/hypergraph"
 	"repro/internal/obs"
-	"repro/internal/prefetch"
 	"repro/internal/sim"
 )
 
@@ -151,23 +150,30 @@ func (m *Manager) trackReadFlow(r *Region, acc Accessor, bytes hostsim.Bytes, re
 		}
 	}
 
-	r.genVirtuals = hypergraph.InsertNode(r.genVirtuals, acc.Virtual)
-	r.genPhysicals = hypergraph.InsertNode(r.genPhysicals, acc.Physical)
-	vEdge := m.twin.Virtual.Edge(
-		[]hypergraph.NodeID{r.lastWriter.Virtual}, r.genVirtuals)
-	pEdge := m.twin.Physical.Edge(
-		[]hypergraph.NodeID{r.lastWriter.Physical}, r.genPhysicals)
-	m.twin.Map(uint64(r.ID), hypergraph.Mapping{Virtual: vEdge, Physical: pEdge})
+	vEdge, pEdge := r.vEdge, r.pEdge
+	if vs := hypergraph.InsertNode(r.genVirtuals, acc.Virtual); len(vs) != len(r.genVirtuals) {
+		r.genVirtuals = vs
+		vEdge = m.twin.Virtual.FlowEdge(&r.vFlows, r.lastWriter.Virtual, vs)
+	}
+	if ps := hypergraph.InsertNode(r.genPhysicals, acc.Physical); len(ps) != len(r.genPhysicals) {
+		r.genPhysicals = ps
+		pEdge = m.twin.Physical.FlowEdge(&r.pFlows, r.lastWriter.Physical, ps)
+	}
+	if vEdge != r.vEdge || pEdge != r.pEdge {
+		// A reader set grew into a different flow: remap the region.
+		r.vEdge, r.pEdge = vEdge, pEdge
+		m.twin.Map(uint64(r.ID), hypergraph.Mapping{Virtual: vEdge, Physical: pEdge})
+	}
 	now := m.env.Now()
 	vEdge.Touch(now)
 	pEdge.Touch(now)
-	pEdge.Observe(prefetch.StatSizeBytes, float64(bytes))
+	pEdge.Observe(hypergraph.StatSizeBytes, float64(bytes))
 
 	if firstReader {
 		slack := readStart - r.lastWriteEnd
 		slackMS := float64(slack) / float64(time.Millisecond)
-		vEdge.Observe(prefetch.StatSlackMS, slackMS)
-		pEdge.Observe(prefetch.StatSlackMS, slackMS)
+		vEdge.Observe(hypergraph.StatSlackMS, slackMS)
+		pEdge.Observe(hypergraph.StatSlackMS, slackMS)
 		m.stats.SlackIntervals.Add(slackMS)
 		if r.predTimed {
 			errMS := float64(slack-r.predSlack) / float64(time.Millisecond)
@@ -212,15 +218,15 @@ func (a Access) End(p *sim.Proc) (EndInfo, error) {
 		}
 		// Unconsumed pushed copies of the previous version are waste.
 		for _, dom := range r.accessedDomains {
-			if r.delivered[dom] && r.copies[dom] == r.version {
+			if r.delivered[dom.ID] && r.copies[dom.ID] == r.version {
 				m.stats.BytesWasted += bytes
 			}
-			delete(r.delivered, dom)
+			r.delivered[dom.ID] = false
 		}
 		r.version++
 		r.owner = acc.Domain
-		clear(r.copies)
-		r.copies[acc.Domain] = r.version
+		r.copies = [hostsim.MaxDomains]uint64{}
+		r.copies[acc.Domain.ID] = r.version
 		r.hasWriter = true
 		r.lastWriter = acc
 		r.genVirtuals = r.genVirtuals[:0]

@@ -9,12 +9,10 @@ import (
 )
 
 // benchRig builds a manager with a codec->GPU pipeline for benchmarking.
-func benchRig(b *testing.B, kind Kind) (*sim.Env, *Manager, Accessor, Accessor) {
+func benchRig(b *testing.B, cfg Config) (*sim.Env, *Manager, Accessor, Accessor) {
 	b.Helper()
 	env := sim.NewEnv(1)
 	mach := hostsim.HighEndDesktop(env)
-	cfg := DefaultConfig()
-	cfg.Kind = kind
 	m := NewManager(env, mach, cfg)
 	m.RegisterVirtualDevice(vCodec, "vcodec")
 	m.RegisterVirtualDevice(vGPU, "vgpu")
@@ -27,11 +25,26 @@ func benchRig(b *testing.B, kind Kind) (*sim.Env, *Manager, Accessor, Accessor) 
 }
 
 // BenchmarkPipelineCycle measures one full write->slack->read SVM cycle
-// under each protocol (simulation work per cycle, not simulated time).
+// under each protocol, and under write-invalidate with chunked demand
+// fetches, whose read drives one chunked transfer per cycle (simulation
+// work per cycle, not simulated time).
 func BenchmarkPipelineCycle(b *testing.B) {
+	type bench struct {
+		name string
+		cfg  Config
+	}
+	var benches []bench
 	for _, kind := range []Kind{KindPrefetch, KindWriteInvalidate, KindBroadcast, KindGuestSync} {
-		b.Run(kind.String(), func(b *testing.B) {
-			env, m, codec, gpu := benchRig(b, kind)
+		cfg := DefaultConfig()
+		cfg.Kind = kind
+		benches = append(benches, bench{kind.String(), cfg})
+	}
+	chunked := DefaultConfig()
+	chunked.Kind, chunked.Fetch = KindWriteInvalidate, hostsim.EnabledFetch()
+	benches = append(benches, bench{"write-invalidate-chunked", chunked})
+	for _, bc := range benches {
+		b.Run(bc.name, func(b *testing.B) {
+			env, m, codec, gpu := benchRig(b, bc.cfg)
 			r, _ := m.Alloc(16 * hostsim.MiB)
 			n := b.N
 			env.Spawn("pipeline", func(p *sim.Proc) {
@@ -52,7 +65,7 @@ func BenchmarkPipelineCycle(b *testing.B) {
 
 // BenchmarkAllocFree measures region table churn.
 func BenchmarkAllocFree(b *testing.B) {
-	env, m, _, _ := benchRig(b, KindPrefetch)
+	env, m, _, _ := benchRig(b, DefaultConfig())
 	_ = env
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -69,7 +82,7 @@ func BenchmarkAllocFree(b *testing.B) {
 // BenchmarkPredictCompensation measures the guest driver's MMIO-side
 // prediction query (must be cheap: it is on every write dispatch).
 func BenchmarkPredictCompensation(b *testing.B) {
-	env, m, codec, gpu := benchRig(b, KindPrefetch)
+	env, m, codec, gpu := benchRig(b, DefaultConfig())
 	r, _ := m.Alloc(16 * hostsim.MiB)
 	// Warm the flow so predictions resolve.
 	env.Spawn("warm", func(p *sim.Proc) {
@@ -85,6 +98,6 @@ func BenchmarkPredictCompensation(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.PredictCompensation(r.ID, codec, 0)
+		m.PredictCompensation(r.ID, codec)
 	}
 }

@@ -1,6 +1,8 @@
 package svm
 
 import (
+	"time"
+
 	"repro/internal/hostsim"
 	"repro/internal/sim"
 )
@@ -14,10 +16,22 @@ import (
 // none of this code runs and the monolithic synchronous path is untouched.
 
 // chunkedFetch is one running chunked demand fetch toward a domain, tagged
-// with the region version it is carrying so joins can detect staleness.
+// with the region version it is carrying so joins can detect staleness. It
+// holds what the completion callback books; done is cf.complete, bound once
+// per record. Each Manager recycles its records when their transfer
+// completes, which can be before a reader parked in it resumes: a reader
+// takes the version and the transfer before it parks (the transfer itself
+// is kept until its last reader resumes).
 type chunkedFetch struct {
+	m       *Manager
 	ct      *hostsim.ChunkedTransfer
 	version uint64
+	r       *Region
+	dom     *hostsim.Domain
+	start   time.Duration
+	direct  bool
+	done    func()
+	next    *chunkedFetch // free-list link
 }
 
 // chunkedDemandFetch brings acc.Domain current via a chunked transfer,
@@ -35,7 +49,7 @@ func (m *Manager) chunkedDemandFetch(p *sim.Proc, r *Region, acc Accessor, bytes
 		if r.HasCurrentCopy(acc.Domain) {
 			return
 		}
-		cf := r.chunked[acc.Domain]
+		cf := r.chunked[acc.Domain.ID]
 		if cf == nil || cf.version != r.version || !cf.ct.Covers(bytes) {
 			// No transfer, a stale one, or one too short: a reader must not
 			// join a transfer whose tail stops before its accessed range —
@@ -46,10 +60,15 @@ func (m *Manager) chunkedDemandFetch(p *sim.Proc, r *Region, acc Accessor, bytes
 		} else {
 			m.stats.FetchJoins++
 		}
-		m.waitChunks(p, cf, bytes)
-		if cf.version == r.version {
+		// WaitRange parks until the chunks covering the accessed range land
+		// and charges the blocked time chunk by chunk, so the demand-fetch
+		// class table separates DMA wire time from descriptor/interleave
+		// gaps.
+		version := cf.version
+		cf.ct.WaitRange(p, bytes)
+		if version == r.version {
 			// The chunks covering the accessed range hold the version the
-			// reader asked for; the full-region landing (and the copies-map
+			// reader asked for; the full-region landing (and the copies
 			// install) may still be in flight behind us.
 			return
 		}
@@ -73,7 +92,7 @@ func (m *Manager) startChunkedFetch(p *sim.Proc, r *Region, dom *hostsim.Domain,
 	// A racing reader may have started the fetch while we slept through the
 	// fixed cost; join it rather than double-driving the transfer — but only
 	// if it covers our accessed range (see chunkedDemandFetch).
-	if cf := r.chunked[dom]; cf != nil && cf.version == r.version && cf.ct.Covers(bytes) {
+	if cf := r.chunked[dom.ID]; cf != nil && cf.version == r.version && cf.ct.Covers(bytes) {
 		m.stats.FetchJoins++
 		return cf
 	}
@@ -84,43 +103,43 @@ func (m *Manager) startChunkedFetch(p *sim.Proc, r *Region, dom *hostsim.Domain,
 	if !direct {
 		from = m.mach.Guest
 	}
-	version := r.version
-	size := r.Size
-	ct := m.mach.CopyChunkedStart(from, dom, size, m.cfg.Fetch)
-	cf := &chunkedFetch{ct: ct, version: version}
-	if r.chunked == nil {
-		r.chunked = make(map[*hostsim.Domain]*chunkedFetch)
+	cf := m.freeFetch
+	if cf == nil {
+		cf = &chunkedFetch{m: m}
+		cf.done = cf.complete
+	} else {
+		m.freeFetch = cf.next
+		cf.next = nil
 	}
-	r.chunked[dom] = cf
+	cf.r, cf.dom, cf.start, cf.direct, cf.version = r, dom, start, direct, r.version
+	cf.ct = m.mach.CopyChunkedStart(from, dom, r.Size, m.cfg.Fetch)
+	r.chunked[dom.ID] = cf
 	m.stats.ChunkedFetches++
-	ct.OnComplete(func() {
-		elapsed := m.env.Now() - start
-		m.stats.CoherenceCost.AddDuration(elapsed)
-		m.stats.BytesCoherence += size
-		if direct {
-			m.stats.DirectCoherence++
-		} else {
-			m.stats.GuestCoherence++
-		}
-		if !r.freed && r.version == version {
-			r.copies[dom] = version
-		} else {
-			m.stats.BytesWasted += size
-		}
-		if r.chunked[dom] == cf {
-			delete(r.chunked, dom)
-		}
-	})
+	cf.ct.OnComplete(cf.done)
 	return cf
 }
 
-// waitChunks parks the reader until the chunks covering its accessed range
-// land, attributing the blocked time chunk by chunk so the demand-fetch
-// class table separates DMA wire time from descriptor/interleave gaps.
-func (m *Manager) waitChunks(p *sim.Proc, cf *chunkedFetch, bytes hostsim.Bytes) {
-	waitStart := p.Now()
-	cf.ct.WaitRange(p, bytes)
-	if m.pf != nil {
-		cf.ct.ChargeWait(p, waitStart, p.Now())
+// complete books a fetch whose last chunk landed: its coherence cost, and
+// the copy it installs, unless the region moved on (then its bytes are
+// waste). It retires the region's entry and recycles the record.
+func (cf *chunkedFetch) complete() {
+	m, r, dom := cf.m, cf.r, cf.dom
+	m.stats.CoherenceCost.AddDuration(m.env.Now() - cf.start)
+	m.stats.BytesCoherence += r.Size
+	if cf.direct {
+		m.stats.DirectCoherence++
+	} else {
+		m.stats.GuestCoherence++
 	}
+	if !r.freed && r.version == cf.version {
+		r.copies[dom.ID] = cf.version
+	} else {
+		m.stats.BytesWasted += r.Size
+	}
+	if r.chunked[dom.ID] == cf {
+		r.chunked[dom.ID] = nil
+	}
+	cf.ct, cf.r, cf.dom = nil, nil, nil
+	cf.next = m.freeFetch
+	m.freeFetch = cf
 }

@@ -112,7 +112,7 @@ func TestChunkedFetchOverlappingReaderPastTail(t *testing.T) {
 			ct:      rg.mach.CopyChunkedStart(rg.mach.DRAM, rg.mach.VRAM, r.Size/2, rg.m.cfg.Fetch),
 			version: r.version,
 		}
-		r.chunked = map[*hostsim.Domain]*chunkedFetch{rg.gpu.Domain: short}
+		r.chunked[rg.gpu.Domain.ID] = short
 		// Staggered overlapping readers: A's range fits inside the short
 		// transfer and joins it; B's extends past its tail and must not.
 		rg.env.Spawn("ra", func(rp *sim.Proc) {
@@ -240,5 +240,53 @@ func TestChunkedFetchConcurrentWithCoherencePush(t *testing.T) {
 	}
 	if st.CoherenceBatches == 0 {
 		t.Fatal("expected broadcast pushes alongside the fetches")
+	}
+}
+
+// TestChunkedFetchRecordReusedBeforeReaderResumes: a fetch's record is
+// recycled when its transfer completes, before the readers parked in it
+// resume. Readers a and b wait on one fetch. In the landing's instant, a
+// resumes first, rewrites the region and reads it again, which starts a new
+// fetch in the recycled record while b is still parked. b must judge the
+// version it waited for, not the record's new one: that version is stale,
+// so b joins the new fetch and returns holding the current copy.
+func TestChunkedFetchRecordReusedBeforeReaderResumes(t *testing.T) {
+	cfg := fetchCfg()
+	cfg.AccessBaseCost, cfg.CoherenceFixedCost = 0, 0 // a's rewrite and re-read take no time
+	rg := newRigCfg(t, cfg)
+	r, _ := rg.m.Alloc(4 * hostsim.MiB)
+	var landed, aDone, bDone time.Duration
+	bCurrent := false
+	rg.env.Spawn("w", func(p *sim.Proc) {
+		rg.write(t, p, r.ID, rg.codec)
+		gpu2 := rg.gpu
+		gpu2.Name = "gpu2"
+		rg.env.Spawn("a", func(rp *sim.Proc) {
+			rg.read(t, rp, r.ID, rg.gpu)
+			landed = rp.Now()
+			rg.write(t, rp, r.ID, rg.codec)
+			rg.read(t, rp, r.ID, rg.gpu)
+			aDone = rp.Now()
+		})
+		rg.env.Spawn("b", func(rp *sim.Proc) {
+			a, err := rg.m.BeginAccess(rp, r.ID, gpu2, UsageRead, 0)
+			if err != nil {
+				t.Errorf("b read: %v", err)
+				return
+			}
+			bDone, bCurrent = rp.Now(), r.HasCurrentCopy(gpu2.Domain)
+			a.End(rp)
+		})
+	})
+	rg.env.Run()
+	if fetches := rg.m.freeFetch; fetches == nil || fetches.next != nil {
+		t.Fatal("want one fetch record, reused by the second fetch")
+	}
+	st := rg.m.Stats()
+	if st.ChunkedFetches != 2 || st.FetchJoins != 2 {
+		t.Fatalf("ChunkedFetches=%d FetchJoins=%d, want 2/2 (b joins both fetches)", st.ChunkedFetches, st.FetchJoins)
+	}
+	if !bCurrent || bDone != aDone || bDone <= landed {
+		t.Fatalf("b returned at %v current=%v; want current, with a's second read at %v, after the first landing at %v", bDone, bCurrent, aDone, landed)
 	}
 }

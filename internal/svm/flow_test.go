@@ -70,11 +70,11 @@ func TestPredictCompensationAllocatesNothing(t *testing.T) {
 	runPipeline(t, rg, r, 5, ms)
 	if e := rg.m.Engine(); e.Suspended(rg.env.Now()) {
 		t.Fatal("prefetch suspended: the query would not predict")
-	} else if _, ok := e.Predict(uint64(r.ID), pCodec, int64(r.Size), rg.env.Now(), nil); !ok {
+	} else if _, ok := e.Predict(uint64(r.ID), pCodec, rg.env.Now(), nil); !ok {
 		t.Fatal("warm flow should be predictable")
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		rg.m.PredictCompensation(r.ID, rg.codec, 0)
+		rg.m.PredictCompensation(r.ID, rg.codec)
 	})
 	if allocs != 0 {
 		t.Fatalf("PredictCompensation allocates %v times, want 0", allocs)

@@ -22,10 +22,11 @@ var ErrUnknownHandle = errors.New("svm: unknown buffer handle")
 // CPU-side accesses (system services and apps) go through a Module; device
 // accesses go straight to the Manager with the device's own accessor.
 type Module struct {
-	m          *Manager
-	cpu        Accessor
-	handles    map[Handle]RegionID
-	nextHandle Handle
+	m   *Manager
+	cpu Accessor
+	// handles is indexed by Handle: handles are issued in order from 1 and
+	// never reused, and a freed handle's entry is 0, an ID no region has.
+	handles []RegionID
 }
 
 // NewModule returns a HAL module whose API calls access memory as cpu — the
@@ -33,7 +34,15 @@ type Module struct {
 // architecture (guest pages for modular emulators, host DRAM for vSoC).
 func NewModule(m *Manager, cpu Accessor) *Module {
 	cpu.CPU = true
-	return &Module{m: m, cpu: cpu, handles: make(map[Handle]RegionID)}
+	return &Module{m: m, cpu: cpu, handles: make([]RegionID, 1)}
+}
+
+// region resolves a live handle.
+func (h *Module) region(hd Handle) (RegionID, bool) {
+	if hd >= Handle(len(h.handles)) || h.handles[hd] == 0 {
+		return 0, false
+	}
+	return h.handles[hd], true
 }
 
 // Alloc allocates a shared memory region and returns a handle to it.
@@ -42,25 +51,24 @@ func (h *Module) Alloc(p *sim.Proc, size hostsim.Bytes) (Handle, error) {
 	if err != nil {
 		return 0, err
 	}
-	h.nextHandle++
-	h.handles[h.nextHandle] = r.ID
-	return h.nextHandle, nil
+	h.handles = append(h.handles, r.ID)
+	return Handle(len(h.handles) - 1), nil
 }
 
 // Free releases the region behind a handle.
 func (h *Module) Free(p *sim.Proc, hd Handle) error {
-	id, ok := h.handles[hd]
+	id, ok := h.region(hd)
 	if !ok {
 		return ErrUnknownHandle
 	}
-	delete(h.handles, hd)
+	h.handles[hd] = 0
 	return h.m.Free(id)
 }
 
 // RegionOf resolves a handle to its region ID, the identity device drivers
 // carry in commands instead of the data itself (§3.2).
 func (h *Module) RegionOf(hd Handle) (RegionID, error) {
-	id, ok := h.handles[hd]
+	id, ok := h.region(hd)
 	if !ok {
 		return 0, ErrUnknownHandle
 	}
@@ -71,7 +79,7 @@ func (h *Module) RegionOf(hd Handle) (RegionID, error) {
 // RO/WO/RW; bytes bounds the accessed range (0 = whole region). The
 // returned Access stands in for the mapped virtual address.
 func (h *Module) BeginAccess(p *sim.Proc, hd Handle, usage Usage, bytes hostsim.Bytes) (Access, error) {
-	id, ok := h.handles[hd]
+	id, ok := h.region(hd)
 	if !ok {
 		return Access{}, ErrUnknownHandle
 	}

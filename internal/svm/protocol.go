@@ -4,8 +4,8 @@ import (
 	"time"
 
 	"repro/internal/hostsim"
+	"repro/internal/hypergraph"
 	"repro/internal/obs"
-	"repro/internal/prefetch"
 	"repro/internal/sim"
 )
 
@@ -50,20 +50,18 @@ func (m *Manager) noteCoherence(from, to *hostsim.Domain, bytes hostsim.Bytes, d
 		m.stats.GuestCoherence++
 	}
 	if m.engine != nil && service > 0 && !sync {
-		m.engine.ObserveBandwidth(m.pathKey(from, to), float64(bytes)/service.Seconds(), m.env.Now())
+		m.engine.ObserveBandwidth(from, to, float64(bytes)/service.Seconds(), m.env.Now())
 	}
 }
 
-// pathKey returns the "from->to" name the prefetch engine (and the fault
-// layer) key a transfer path's bandwidth by, built once per domain pair.
-func (m *Manager) pathKey(from, to *hostsim.Domain) string {
-	k := [2]*hostsim.Domain{from, to}
-	s, ok := m.pathKeys[k]
-	if !ok {
-		s = from.Name + "->" + to.Name
-		m.pathKeys[k] = s
+// pathName returns a push span's "push:from->to" name, built once per
+// domain pair. Only called with a non-nil tracer.
+func (m *Manager) pathName(from, to *hostsim.Domain) string {
+	s := &m.pathNames[from.ID][to.ID]
+	if *s == "" {
+		*s = "push:" + from.Name + "->" + to.Name
 	}
-	return s
+	return *s
 }
 
 // demandFetch synchronously brings acc.Domain current from the owner. It
@@ -101,14 +99,14 @@ func (m *Manager) demandFetchInner(p *sim.Proc, r *Region, acc Accessor, bytes h
 		from = m.mach.Guest
 	}
 	m.copyCoherence(p, from, acc.Domain, bytes, direct, true)
-	r.copies[acc.Domain] = r.version
+	r.copies[acc.Domain.ID] = r.version
 }
 
 // asyncPush starts an asynchronous copy of the current version toward dom,
 // shared by the prefetch and broadcast protocols. Completion installs the
 // copy only if the version is still current; otherwise the bytes are waste.
 func (m *Manager) asyncPush(r *Region, from, dom *hostsim.Domain, bytes hostsim.Bytes, recordTiming bool) {
-	if r.inflight[dom] != nil {
+	if r.inflight[dom.ID] != nil {
 		return // a push toward dom is already running
 	}
 	pr := m.getPush()
@@ -117,7 +115,7 @@ func (m *Manager) asyncPush(r *Region, from, dom *hostsim.Domain, bytes hostsim.
 	if m.pf != nil {
 		pr.inf.node = m.pf.NewNode("svm:push", "svm:push-pending")
 	}
-	r.inflight[dom] = &pr.inf
+	r.inflight[dom.ID] = &pr.inf
 	m.stats.CoherenceBatches++
 	pr.stage = pushBegin
 	m.env.After(0, pr.step)
@@ -174,7 +172,7 @@ func (pr *pushRec) run() {
 	switch pr.stage {
 	case pushBegin:
 		if m.tr != nil {
-			pr.asp = m.tr.BeginAsync(m.prefTk, "push:"+pr.from.Name+"->"+pr.dom.Name)
+			pr.asp = m.tr.BeginAsync(m.prefTk, m.pathName(pr.from, pr.dom))
 		}
 		if m.pf != nil {
 			m.pf.Bind(pr, pr.inf.node)
@@ -208,11 +206,11 @@ func (pr *pushRec) run() {
 		// retire the in-flight entry and wake its waiters.
 		r, dom := pr.r, pr.dom
 		if !r.freed && r.version == pr.inf.version {
-			r.copies[dom] = pr.inf.version
-			r.delivered[dom] = true
+			r.copies[dom.ID] = pr.inf.version
+			r.delivered[dom.ID] = true
 			if pr.recordTiming {
 				if mp, ok := m.twin.Lookup(uint64(r.ID)); ok && mp.Physical != nil {
-					mp.Physical.Observe(prefetch.StatPrefetchMS,
+					mp.Physical.Observe(hypergraph.StatPrefetchMS,
 						float64(elapsed)/float64(time.Millisecond))
 				}
 				if r.predTimed {
@@ -226,8 +224,8 @@ func (pr *pushRec) run() {
 		} else {
 			m.stats.BytesWasted += pr.bytes
 		}
-		if r.inflight[dom] == &pr.inf {
-			delete(r.inflight, dom)
+		if r.inflight[dom.ID] == &pr.inf {
+			r.inflight[dom.ID] = nil
 		}
 		pr.inf.done.Signal()
 		pr.r, pr.from, pr.dom, pr.inf.node = nil, nil, nil, nil
@@ -240,14 +238,15 @@ func (pr *pushRec) run() {
 // pushes: consume an arrived copy, wait out an in-flight one, or fall back
 // to a demand fetch.
 func (m *Manager) awaitOrDemand(p *sim.Proc, r *Region, acc Accessor, bytes hostsim.Bytes) {
+	d := acc.Domain.ID
 	if r.HasCurrentCopy(acc.Domain) {
-		if r.delivered[acc.Domain] {
-			r.delivered[acc.Domain] = false
+		if r.delivered[d] {
+			r.delivered[d] = false
 			m.stats.PrefetchHits++
 		}
 		return
 	}
-	if inf := r.inflight[acc.Domain]; inf != nil && inf.version == r.version {
+	if inf := r.inflight[d]; inf != nil && inf.version == r.version {
 		m.stats.PrefetchWaits++
 		pwStart := p.Now()
 		node := inf.node // a push record can be reused before p resumes
@@ -256,7 +255,7 @@ func (m *Manager) awaitOrDemand(p *sim.Proc, r *Region, acc Accessor, bytes host
 			m.pf.Wait(p, "svm:prefetch-wait", pwStart, node)
 		}
 		if r.HasCurrentCopy(acc.Domain) {
-			r.delivered[acc.Domain] = false
+			r.delivered[d] = false
 			return
 		}
 	}

@@ -22,7 +22,7 @@ func (pp *prefetchProtocol) onWriteEnd(p *sim.Proc, r *Region, acc Accessor, byt
 	now := p.Now()
 	r.predValid = false
 	r.predTimed = false
-	pred, ok := m.engine.Predict(uint64(r.ID), acc.Physical, bytes, now, r.predReaders[:0])
+	pred, ok := m.engine.Predict(uint64(r.ID), acc.Physical, now, r.predReaders[:0])
 	if !ok || m.engine.Suspended(now) {
 		return 0
 	}
@@ -39,8 +39,8 @@ func (pp *prefetchProtocol) onWriteEnd(p *sim.Proc, r *Region, acc Accessor, byt
 	r.predSlack = pred.Slack
 	r.predPf = pred.PrefetchTime
 	for _, node := range pred.Readers {
-		dom, ok := m.physDomain[node]
-		if !ok || dom == acc.Domain {
+		dom := m.domainOf(node)
+		if dom == nil || dom == acc.Domain {
 			continue // reader shares the writer's domain: nothing to move
 		}
 		m.asyncPush(r, acc.Domain, dom, bytes, true)
@@ -100,14 +100,14 @@ func (gs *guestSyncProtocol) ensureReadable(p *sim.Proc, r *Region, acc Accessor
 	// date (skipped when the writer already pushed, or wrote guest pages
 	// directly).
 	guest := m.mach.Guest
-	if r.owner != guest && r.copies[guest] != r.version {
+	if r.owner != guest && r.copies[guest.ID] != r.version {
 		m.copyCoherence(p, r.owner, guest, bytes, false, false)
-		r.copies[guest] = r.version
+		r.copies[guest.ID] = r.version
 	}
 	// Second leg: the reader's virtual device pulls from guest memory.
 	if acc.Domain != guest {
 		m.copyCoherence(p, guest, acc.Domain, bytes, false, false)
-		r.copies[acc.Domain] = r.version
+		r.copies[acc.Domain.ID] = r.version
 	}
 }
 
@@ -124,6 +124,6 @@ func (gs *guestSyncProtocol) onWriteEnd(p *sim.Proc, r *Region, acc Accessor, by
 	}
 	// Other device writes keep guest memory eagerly up to date (§2.2).
 	m.copyCoherence(p, acc.Domain, m.mach.Guest, bytes, false, false)
-	r.copies[m.mach.Guest] = r.version
+	r.copies[m.mach.Guest.ID] = r.version
 	return 0
 }

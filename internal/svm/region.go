@@ -25,22 +25,22 @@ type Region struct {
 	Size hostsim.Bytes
 
 	// version counts committed writes; owner is the domain holding the
-	// newest data. copies maps each domain to the version it holds.
+	// newest data. The per-domain state below is indexed by Domain.ID:
+	// copies holds the version each domain holds.
 	version uint64
 	owner   *hostsim.Domain
-	copies  map[*hostsim.Domain]uint64
+	copies  [hostsim.MaxDomains]uint64
 
 	// inflight tracks asynchronous copies headed to each domain;
 	// delivered marks domains whose current-version copy arrived via
 	// prefetch/broadcast and has not yet been read (for waste accounting).
-	inflight  map[*hostsim.Domain]*inflightFetch
-	delivered map[*hostsim.Domain]bool
+	inflight  [hostsim.MaxDomains]*inflightFetch
+	delivered [hostsim.MaxDomains]bool
 
 	// chunked tracks the running chunked demand fetch toward each domain,
 	// so a second reader joins the in-flight transfer instead of re-driving
-	// it (DESIGN.md §11). Nil until the first chunked fetch — regions on the
-	// monolithic path carry no extra state.
-	chunked map[*hostsim.Domain]*chunkedFetch
+	// it (DESIGN.md §11). Only the chunked path sets it.
+	chunked [hostsim.MaxDomains]*chunkedFetch
 
 	// materialized is set on first access (lazy allocation, §3.2).
 	materialized bool
@@ -59,6 +59,14 @@ type Region struct {
 	lastWriteEnd time.Duration
 	genVirtuals  []hypergraph.NodeID
 	genPhysicals []hypergraph.NodeID
+	// vEdge and pEdge are the flow edges the region is mapped to in the
+	// twin hypergraphs, looked up again only when a reader set grows. A
+	// write leaves them: its generation's first reader grows both sets
+	// from empty. vFlows and pFlows remember the edges earlier generations'
+	// reader sets resolved to, so a flow that repeats resolves without
+	// building its key.
+	vEdge, pEdge   *hypergraph.Edge
+	vFlows, pFlows hypergraph.FlowMemo
 
 	// Prediction bookkeeping for the current generation.
 	predValid   bool
@@ -83,5 +91,5 @@ func (r *Region) noteDomain(d *hostsim.Domain) {
 
 // HasCurrentCopy reports whether the domain holds the latest version.
 func (r *Region) HasCurrentCopy(d *hostsim.Domain) bool {
-	return r.version > 0 && r.copies[d] == r.version
+	return r.version > 0 && r.copies[d.ID] == r.version
 }

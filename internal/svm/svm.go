@@ -158,21 +158,23 @@ type Manager struct {
 	engine *prefetch.Engine
 	proto  protocol
 
-	regions map[RegionID]*Region
-	nextID  RegionID
+	// regions is indexed by RegionID: IDs are handed out in order from 1
+	// and never reused, and a freed region's slot is nil. live counts the
+	// regions not yet freed.
+	regions []*Region
+	live    int
 
-	physDomain map[hypergraph.NodeID]*hostsim.Domain
-	// pathKeys interns the engine's per-path bandwidth keys by
-	// (from, to) domain pair; nil without a prefetch engine.
-	pathKeys map[[2]*hostsim.Domain]string
+	// physDomain is indexed by physical NodeID (nil: not registered).
+	physDomain []*hostsim.Domain
 
 	stats    Stats
 	observer AccessObserver
 	fetchObs FetchObserver
 	// freeAccess holds ended access records for reuse, freePush finished
-	// push records.
+	// push records and freeFetch finished chunked-fetch records.
 	freeAccess *accessRec
 	freePush   *pushRec
+	freeFetch  *chunkedFetch
 
 	// Observability (all nil-safe when tracing is off). Accessor tracks
 	// are interned lazily: most runs touch a handful of accessors.
@@ -180,6 +182,9 @@ type Manager struct {
 	pf     *prof.Profiler
 	prefTk obs.Track
 	accTk  map[string]obs.Track
+	// pathNames interns the push spans' "push:from->to" names by
+	// [from.ID][to.ID].
+	pathNames [hostsim.MaxDomains][hostsim.MaxDomains]string
 }
 
 // AccessObserver receives every completed BeginAccess — the instrumentation
@@ -190,12 +195,11 @@ type AccessObserver func(at time.Duration, acc Accessor, region RegionID,
 // NewManager returns a manager over the given machine.
 func NewManager(env *sim.Env, mach *hostsim.Machine, cfg Config) *Manager {
 	m := &Manager{
-		env:        env,
-		mach:       mach,
-		cfg:        cfg,
-		twin:       hypergraph.NewTwin(),
-		regions:    make(map[RegionID]*Region),
-		physDomain: make(map[hypergraph.NodeID]*hostsim.Domain),
+		env:     env,
+		mach:    mach,
+		cfg:     cfg,
+		twin:    hypergraph.NewTwin(),
+		regions: make([]*Region, 1), // RegionID 0 is never issued
 	}
 	if m.tr = env.Tracer(); m.tr != nil {
 		m.prefTk = m.tr.Track("prefetch")
@@ -210,7 +214,6 @@ func NewManager(env *sim.Env, mach *hostsim.Machine, cfg Config) *Manager {
 	case KindPrefetch:
 		m.engine = prefetch.New(m.twin, cfg.Prefetch)
 		m.engine.SetObs(m.tr, reg)
-		m.pathKeys = make(map[[2]*hostsim.Domain]string)
 		m.proto = &prefetchProtocol{m: m}
 	case KindWriteInvalidate:
 		m.proto = &writeInvalidateProtocol{m: m}
@@ -294,31 +297,38 @@ func (m *Manager) RegisterVirtualDevice(id hypergraph.NodeID, name string) {
 // domain holding its local copies.
 func (m *Manager) RegisterPhysicalDevice(id hypergraph.NodeID, name string, domain *hostsim.Domain) {
 	m.twin.Physical.AddNode(id, name)
+	for int(id) >= len(m.physDomain) {
+		m.physDomain = append(m.physDomain, nil)
+	}
 	m.physDomain[id] = domain
 }
 
+// domainOf returns the memory domain of a registered physical node, or nil.
+func (m *Manager) domainOf(id hypergraph.NodeID) *hostsim.Domain {
+	if id < 0 || int(id) >= len(m.physDomain) {
+		return nil
+	}
+	return m.physDomain[id]
+}
+
 // PredictCompensation returns the guest-driver blocking time the prefetch
-// protocol would request for a write of bytes to region id by acc, without
-// side effects. Guest drivers query this through the shared MMIO state when
+// protocol would request for a write to region id by acc, without side
+// effects. Guest drivers query this through the shared MMIO state when
 // pacing themselves ahead of the host's write commit (§3.3); it returns zero
 // for non-prefetch protocols and for unpredictable regions.
-func (m *Manager) PredictCompensation(id RegionID, acc Accessor, bytes hostsim.Bytes) time.Duration {
+func (m *Manager) PredictCompensation(id RegionID, acc Accessor) time.Duration {
 	if m.engine == nil {
 		return 0
 	}
-	r, err := m.Region(id)
-	if err != nil {
+	if _, err := m.Region(id); err != nil {
 		return 0
-	}
-	if bytes == 0 {
-		bytes = r.Size
 	}
 	now := m.env.Now()
 	if m.engine.Suspended(now) {
 		return 0
 	}
 	var readers [4]hypergraph.NodeID
-	pred, ok := m.engine.Predict(uint64(id), acc.Physical, bytes, now, readers[:0])
+	pred, ok := m.engine.Predict(uint64(id), acc.Physical, now, readers[:0])
 	if !ok {
 		return 0
 	}
@@ -331,28 +341,19 @@ func (m *Manager) Alloc(size hostsim.Bytes) (*Region, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("svm: invalid region size %d", size)
 	}
-	m.nextID++
-	r := &Region{
-		ID:        m.nextID,
-		Size:      size,
-		copies:    make(map[*hostsim.Domain]uint64),
-		inflight:  make(map[*hostsim.Domain]*inflightFetch),
-		delivered: make(map[*hostsim.Domain]bool),
-	}
-	m.regions[r.ID] = r
+	r := &Region{ID: RegionID(len(m.regions)), Size: size}
+	m.regions = append(m.regions, r)
+	m.live++
 	return r, nil
 }
 
-// Region resolves an ID.
+// Region resolves an ID. A freed region has left the table, so its ID
+// reads as unknown.
 func (m *Manager) Region(id RegionID) (*Region, error) {
-	r, ok := m.regions[id]
-	if !ok {
+	if id >= RegionID(len(m.regions)) || m.regions[id] == nil {
 		return nil, ErrUnknownRegion
 	}
-	if r.freed {
-		return nil, ErrFreed
-	}
-	return r, nil
+	return m.regions[id], nil
 }
 
 // Free releases a region and unmaps it from the twin hypergraphs.
@@ -363,7 +364,8 @@ func (m *Manager) Free(id RegionID) error {
 	}
 	r.freed = true
 	m.twin.Unmap(uint64(id))
-	delete(m.regions, id)
+	m.regions[id] = nil
+	m.live--
 	return nil
 }
 
@@ -371,5 +373,5 @@ func (m *Manager) Free(id RegionID) error {
 // hypergraphs plus region-table entries (the §5.2 "3.1 MiB" bound).
 func (m *Manager) MemoryFootprint() int64 {
 	const regionEntry = 256
-	return m.twin.MemoryFootprint() + int64(len(m.regions))*regionEntry
+	return m.twin.MemoryFootprint() + int64(m.live)*regionEntry
 }

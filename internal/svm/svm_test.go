@@ -122,8 +122,8 @@ func TestAllocAssignsUniqueIDs(t *testing.T) {
 	if a.ID == b.ID {
 		t.Fatal("region IDs must be unique")
 	}
-	if len(rg.m.regions) != 2 {
-		t.Fatalf("live regions = %d, want 2", len(rg.m.regions))
+	if rg.m.live != 2 {
+		t.Fatalf("live regions = %d, want 2", rg.m.live)
 	}
 }
 
@@ -213,23 +213,44 @@ func TestEndOnCopyOfEndedAccessFails(t *testing.T) {
 	}
 }
 
-// TestSteadyCycleAllocatesNoAccess: access records are recycled, so a
-// warm write->read cycle allocates no Access; and a coherence push is a
-// callback chain over a recycled push record, which holds the region's
-// in-flight entry, so the push allocates nothing either.
+// TestSteadyCycleAllocatesNoAccess: a warm cycle in which the camera
+// writes a region and two devices in other domains read it, the CPU
+// through the HAL module, allocates nothing under any protocol, nor with
+// chunked demand fetches. Access records are recycled; a coherence push is
+// a callback chain over a recycled push record, which holds the region's
+// in-flight entry; a chunked fetch recycles its transfer, reader and fetch
+// records; and the region and handle tables, the per-domain region state,
+// the flow edges of the two-reader set and the prefetch engine's per-path
+// maxima are indexed arrays and slices.
 func TestSteadyCycleAllocatesNoAccess(t *testing.T) {
-	for kind, want := range map[Kind]float64{
-		KindWriteInvalidate: 0, KindGuestSync: 0, KindPrefetch: 0, KindBroadcast: 0,
-	} {
-		t.Run(kind.String(), func(t *testing.T) {
-			rg := newRig(t, kind)
-			r, _ := rg.m.Alloc(16 * hostsim.MiB)
+	cases := map[string]Config{"write-invalidate-chunked": fetchCfg()}
+	for _, kind := range []Kind{KindWriteInvalidate, KindGuestSync, KindPrefetch, KindBroadcast} {
+		cfg := DefaultConfig()
+		cfg.Kind = kind
+		cases[kind.String()] = cfg
+	}
+	for name, cfg := range cases {
+		t.Run(name, func(t *testing.T) {
+			rg := newRigCfg(t, cfg)
+			mod := NewModule(rg.m, rg.cpu)
 			const period = 20 * time.Millisecond
 			rg.env.Spawn("pipeline", func(p *sim.Proc) {
+				hd, err := mod.Alloc(p, 4*hostsim.MiB)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				id, _ := mod.RegionOf(hd)
 				for {
-					info := rg.write(t, p, r.ID, rg.codec)
-					p.Sleep(info.Compensation + 16*time.Millisecond)
-					rg.read(t, p, r.ID, rg.gpu)
+					info := rg.write(t, p, id, rg.cam)
+					p.Sleep(info.Compensation + 8*time.Millisecond)
+					rg.read(t, p, id, rg.gpu)
+					a, err := mod.BeginAccess(p, hd, UsageRead, 0)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					a.End(p)
 					p.Sleep(period - p.Now()%period)
 				}
 			})
@@ -237,8 +258,11 @@ func TestSteadyCycleAllocatesNoAccess(t *testing.T) {
 			for i := 0; i < 5; i++ {
 				step()
 			}
-			if got := testing.AllocsPerRun(100, step); got != want {
-				t.Fatalf("write->read cycle allocates %.0f, want %.0f", got, want)
+			if got := testing.AllocsPerRun(100, step); got != 0 {
+				t.Fatalf("camera->gpu+cpu cycle allocates %.0f, want 0", got)
+			}
+			if st := rg.m.Stats(); st.Reads < 200 {
+				t.Fatalf("%d reads, want two per cycle", st.Reads)
 			}
 		})
 	}
@@ -268,7 +292,7 @@ func TestPushSpawnsNoProcess(t *testing.T) {
 		before = procs()
 		rg.write(t, p, r.ID, rg.codec)
 		p.Sleep(100 * time.Microsecond) // inside the push's fixed cost
-		inflight = r.inflight[rg.gpu.Domain] != nil
+		inflight = r.inflight[rg.gpu.Domain.ID] != nil
 		during = procs()
 		rg.read(t, p, r.ID, rg.gpu)
 		waits = rg.m.Stats().PrefetchWaits - waits
@@ -700,8 +724,10 @@ func TestHALLifecycle(t *testing.T) {
 		}
 	})
 	rg.env.Run()
-	if len(mod.handles) != 0 {
-		t.Fatalf("live handles = %d, want 0", len(mod.handles))
+	for hd := range mod.handles {
+		if _, ok := mod.region(Handle(hd)); ok {
+			t.Fatalf("handle %d still live after Free", hd)
+		}
 	}
 }
 
@@ -801,7 +827,7 @@ func TestManagerAccessors(t *testing.T) {
 	if rg.m.Kind() != KindPrefetch {
 		t.Fatalf("kind = %v, want prefetch", rg.m.Kind())
 	}
-	if d, ok := rg.m.physDomain[pGPU]; !ok || d != rg.mach.VRAM {
+	if d := rg.m.domainOf(pGPU); d != rg.mach.VRAM {
 		t.Fatal("physical device registered in the wrong domain")
 	}
 	for kind, want := range map[Kind]string{

@@ -101,6 +101,20 @@ type sink struct {
 	// missed the presentation window.
 	staleDrops    int
 	deadlineDrops int
+
+	// shown holds the frames whose display op is in flight, oldest first.
+	// One executor drains the display ring in order, so the ops complete
+	// in submission order, and displayed, bound once to s.display, takes
+	// the oldest.
+	shown     *sim.Queue[shownFrame]
+	displayed func(at time.Duration)
+}
+
+// shownFrame is one frame submitted to the display: its presentation
+// deadline, its source time and its profiler node.
+type shownFrame struct {
+	deadline, src time.Duration
+	node          *prof.Node
 }
 
 // noDeadline is the latest-wins policy's presentation deadline: every
@@ -108,6 +122,7 @@ type sink struct {
 const noDeadline = time.Duration(math.MaxInt64)
 
 func (s *sink) run(p *sim.Proc) {
+	s.shown, s.displayed = sim.NewQueue[shownFrame](p.Env(), 0), s.display
 	period := s.spec.FramePeriod()
 	tol := s.spec.StaleTolerance
 	pf := s.e.Env.Profiler()
@@ -192,18 +207,10 @@ func (s *sink) run(p *sim.Proc) {
 				Exec: s.e.RenderCost(s.ui.mp), After: last, Commands: 20,
 			})
 		}
-		src := b.SourceTime
+		s.shown.TryPut(shownFrame{deadline: deadline, src: b.SourceTime, node: frame})
 		s.e.Display.Submit(p, device.Op{
 			Kind: device.OpExec, Exec: 200 * time.Microsecond, After: last, Commands: 4,
-			OnComplete: func(at time.Duration) {
-				if at > deadline {
-					// Rendered but missed the presentation window.
-					s.drop(at, false)
-					return
-				}
-				s.present(at, src)
-				pf.FrameDone(frame, at)
-			},
+			OnComplete: s.displayed,
 		})
 		// The buffer may be reused once the GPU has sampled it.
 		readyStart := p.Now()
@@ -214,6 +221,19 @@ func (s *sink) run(p *sim.Proc) {
 		s.q.Release(p, b)
 	}
 	pf.Bind(p, nil)
+}
+
+// display completes the oldest frame in flight at virtual time at: it
+// presents the frame, or drops it when it missed its presentation window.
+func (s *sink) display(at time.Duration) {
+	f, _ := s.shown.TryGet()
+	if at > f.deadline {
+		// Rendered but missed the presentation window.
+		s.drop(at, false)
+		return
+	}
+	s.present(at, f.src)
+	s.e.Env.Profiler().FrameDone(f.node, at)
 }
 
 // drop counts a frame discarded at virtual time at: stale (unrendered) or

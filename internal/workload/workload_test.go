@@ -457,3 +457,24 @@ func TestFrameObserverSeesEveryOutcome(t *testing.T) {
 		t.Logf("%s: %d frames, %d stale, %d deadline, %d m2p", tc.name, r.Frames, r.StaleDrops, r.DeadlineDrops, r.Latency.Count())
 	}
 }
+
+// TestWarmSinkIterationAllocatesNothing: once an app is warm, a frame
+// period of its pipeline, the sink's latch, render and display submission
+// included, allocates nothing. Display ops complete in submission order, so
+// the sink queues each frame's presentation state and hands the display one
+// completion callback bound once, instead of a closure per frame.
+func TestWarmSinkIterationAllocatesNothing(t *testing.T) {
+	for _, cat := range []int{emulator.CatUHDVideo, emulator.Cat360Video, emulator.CatCamera, emulator.CatAR, emulator.CatLivestream} {
+		sess := NewSession(emulator.VSoC(), hostsim.HighEndDesktop, 1)
+		spec := DefaultSpec(cat, 0, time.Hour)
+		if _, err := StartEmerging(sess.Emulator, spec); err != nil {
+			t.Fatalf("%s: %v", emulator.CategoryNames[cat], err)
+		}
+		env, period := sess.Env, spec.FramePeriod()
+		env.RunUntil(2 * time.Second)
+		if got := testing.AllocsPerRun(100, func() { env.RunUntil(env.Now() + period) }); got != 0 {
+			t.Errorf("%s: a frame period allocates %.0f, want 0", emulator.CategoryNames[cat], got)
+		}
+		sess.Close()
+	}
+}
