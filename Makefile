@@ -103,15 +103,21 @@ trace-smoke:
 	$(GO) run ./cmd/vsocbench -exp shardscale -duration 4s -trace /tmp/vsoc-shardscale.json > /dev/null
 	$(GO) run ./cmd/tracecheck /tmp/vsoc-trace-*.json /tmp/vsoc-shardscale-fleet.json
 
-# Config-search gate (DESIGN.md §14): a tiny-budget deterministic search on
-# both presets (write-invalidate and prefetch) must find, per preset, a
-# vector that vsocperf confirms both ways: default -> best exits 0 (no gated
-# metric regresses past its threshold) and best -> default exits 1 (the
-# objective, the demand-fetch mean, improved). The search is seeded, so the
-# found vectors and the diffs are byte-stable across runs and machines.
+# Config-search gate (DESIGN.md §14): the search enumerates every distinct
+# fetch config on both presets (write-invalidate and prefetch), and its -v
+# output, wall-time lines masked, must be byte-identical at -workers 1 and
+# -workers 2. Per preset, the best vector must pass vsocperf both ways:
+# default -> best exits 0 (no gated metric regresses past its threshold)
+# and best -> default exits 1 (the objective, the demand-fetch mean,
+# improved).
 tune-smoke:
 	$(GO) build -o /tmp/vsoc-perf ./cmd/vsocperf
-	$(GO) run ./cmd/vsoctune -preset both -duration 2s -apps 1 -budget 6 -seed 1 -out /tmp/vsoc-tune > /dev/null
+	$(GO) build -o /tmp/vsoc-tuner ./cmd/vsoctune
+	@for w in 1 2; do \
+		/tmp/vsoc-tuner -preset both -duration 2s -apps 1 -seed 1 -v -workers $$w -out /tmp/vsoc-tune > /tmp/vsoc-tune-w$$w.out || exit 1; \
+		sed -e '/ tuned in /d' -e '/^\[total /d' /tmp/vsoc-tune-w$$w.out > /tmp/vsoc-tune-w$$w.txt; \
+	done
+	@cmp /tmp/vsoc-tune-w1.txt /tmp/vsoc-tune-w2.txt || { echo "tune-smoke: output differs between -workers 1 and -workers 2" >&2; exit 1; }
 	@for p in vsoc-noprefetch vsoc; do \
 		/tmp/vsoc-perf /tmp/vsoc-tune-$$p-default.json /tmp/vsoc-tune-$$p-best.json > /tmp/vsoc-tune-$$p.diff; \
 		if [ $$? -ne 0 ]; then cat /tmp/vsoc-tune-$$p.diff; echo "tune-smoke: $$p best vector regresses a gated metric" >&2; exit 1; fi; \

@@ -189,7 +189,7 @@ func checkKnobDocs(root string) []string {
 	}
 	doc := string(data)
 	var problems []string
-	for _, k := range tune.AllKnobs() {
+	for _, k := range tune.FetchSpace().Knobs {
 		if !strings.Contains(doc, k.Name) {
 			problems = append(problems, fmt.Sprintf(
 				"DESIGN.md: tuner knob %q is registered in internal/tune but never named", k.Name))
@@ -206,7 +206,7 @@ var knobRow = regexp.MustCompile("^\\| `([^`]+)` \\|")
 // internal/tune does not register.
 func unregisteredKnobs(doc string) []string {
 	known := map[string]bool{}
-	for _, k := range tune.AllKnobs() {
+	for _, k := range tune.FetchSpace().Knobs {
 		known[k.Name] = true
 	}
 	var problems []string

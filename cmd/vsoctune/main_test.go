@@ -6,40 +6,37 @@ import (
 	"time"
 )
 
-// TestCheckFlags: the shared -apps/-duration/-workers rules apply, a
-// budget below one is a usage error rather than a silent default, and so
-// is an unknown -preset; a known one, in any case, resolves to the presets
-// it tunes.
+// TestCheckFlags: the shared -apps/-duration/-workers rules apply, an
+// unknown -preset is a usage error, and a known one, in any case, resolves
+// to the presets it tunes.
 func TestCheckFlags(t *testing.T) {
 	type flags struct {
-		preset          string
-		apps            int
-		duration        time.Duration
-		workers, budget int
+		preset   string
+		apps     int
+		duration time.Duration
+		workers  int
 	}
 	for _, tc := range []struct {
 		f  flags
 		ok bool
 	}{
-		{flags{apps: 2, duration: 6 * time.Second, workers: 0, budget: 40}, true},
-		{flags{apps: 10, duration: time.Millisecond, workers: 1, budget: 1}, true},
-		{flags{apps: -2, duration: 6 * time.Second, budget: 40}, false},
-		{flags{apps: 11, duration: 6 * time.Second, budget: 40}, false},
-		{flags{apps: 2, duration: 0, budget: 40}, false},
-		{flags{apps: 2, duration: 6 * time.Second, workers: -1, budget: 40}, false},
-		{flags{apps: 2, duration: 6 * time.Second, budget: -1}, false},
-		{flags{apps: 2, duration: 6 * time.Second, budget: 0}, false},
-		{flags{preset: "vsoc", apps: 2, duration: 6 * time.Second, budget: 40}, true},
-		{flags{preset: "vsoc-noprefetch", apps: 1, duration: 2 * time.Second, budget: 6}, true},
-		{flags{preset: "foo", apps: 2, duration: 6 * time.Second, budget: 40}, false},
-		{flags{preset: "VSoC", apps: 2, duration: 6 * time.Second, budget: 40}, true},
-		{flags{preset: "BOTH", apps: 2, duration: 6 * time.Second, budget: 40}, true},
+		{flags{apps: 2, duration: 6 * time.Second, workers: 0}, true},
+		{flags{apps: 10, duration: time.Millisecond, workers: 1}, true},
+		{flags{apps: -2, duration: 6 * time.Second}, false},
+		{flags{apps: 11, duration: 6 * time.Second}, false},
+		{flags{apps: 2, duration: 0}, false},
+		{flags{apps: 2, duration: 6 * time.Second, workers: -1}, false},
+		{flags{preset: "vsoc", apps: 2, duration: 6 * time.Second}, true},
+		{flags{preset: "vsoc-noprefetch", apps: 1, duration: 2 * time.Second}, true},
+		{flags{preset: "foo", apps: 2, duration: 6 * time.Second}, false},
+		{flags{preset: "VSoC", apps: 2, duration: 6 * time.Second}, true},
+		{flags{preset: "BOTH", apps: 2, duration: 6 * time.Second}, true},
 	} {
 		f := tc.f
 		if f.preset == "" {
 			f.preset = "both"
 		}
-		presets, err := checkFlags(f.preset, f.apps, f.duration, f.workers, f.budget)
+		presets, err := checkFlags(f.preset, f.apps, f.duration, f.workers)
 		if (err == nil) != tc.ok {
 			t.Errorf("checkFlags(%+v) = %v, want ok=%v", f, err, tc.ok)
 		}

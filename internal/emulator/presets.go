@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/device"
-	"repro/internal/prefetch"
 	"repro/internal/svm"
 )
 
@@ -23,7 +22,6 @@ func VSoC() Preset {
 			Kind:               svm.KindPrefetch,
 			AccessBaseCost:     300 * time.Microsecond,
 			CoherenceFixedCost: 700 * time.Microsecond,
-			Prefetch:           prefetch.DefaultConfig(),
 		},
 		Ordering:        device.ModeFence,
 		HWDecode:        true,
@@ -196,7 +194,6 @@ func NativeDevice() Preset {
 			Kind:               svm.KindPrefetch,
 			AccessBaseCost:     50 * time.Microsecond,
 			CoherenceFixedCost: 100 * time.Microsecond,
-			Prefetch:           prefetch.DefaultConfig(),
 		},
 		Ordering:        device.ModeFence,
 		HWDecode:        true,

@@ -98,7 +98,7 @@ func TestLinkCollapseSuspendsBoundEngine(t *testing.T) {
 	rg := newRig(t)
 
 	tw := hypergraph.NewTwin()
-	eng := prefetch.New(tw, prefetch.DefaultConfig())
+	eng := prefetch.New(tw)
 	inj := NewInjector(rg.env, 1)
 	inj.BindEngine(eng)
 	inj.Schedule(10*ms, 20*ms, LinkCollapse(rg.mach, rg.mach.DRAM, rg.mach.VRAM, 0.4))

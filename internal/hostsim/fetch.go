@@ -25,14 +25,12 @@ import (
 // simulated instant their last chunk lands, in registration order, so equal
 // seeds produce identical chunk schedules.
 
-// FetchConfig parameterizes chunked demand fetches. The zero value disables
-// chunking entirely; Resolved fills the remaining knobs with defaults.
+// FetchConfig parameterizes chunked demand fetches. A zero ChunkBytes (the
+// zero value) disables chunking: demand fetches keep the monolithic
+// synchronous copy path, byte-identical to builds that predate chunking.
+// Resolved fills the remaining knobs of an enabled config with defaults.
 type FetchConfig struct {
-	// Enabled turns chunked transfers on. Off (the default) keeps the
-	// monolithic synchronous copy path, byte-identical to builds that
-	// predate chunking.
-	Enabled bool
-	// ChunkBytes is the descriptor payload size. Default 256 KiB.
+	// ChunkBytes is the descriptor payload size; zero turns chunking off.
 	ChunkBytes Bytes
 	// DMAThreshold promotes chunks of at least this size onto the DMA path
 	// (Link.Bandwidth); smaller chunks use the synchronous rate. Default
@@ -45,10 +43,14 @@ type FetchConfig struct {
 	MaxInflight int
 }
 
-// Resolved returns the config with zero knobs replaced by defaults.
+// Enabled reports whether demand fetches take the chunked path.
+func (c FetchConfig) Enabled() bool { return c.ChunkBytes > 0 }
+
+// Resolved returns an enabled config with zero knobs replaced by defaults,
+// and the zero config for a disabled one, whose other knobs are never read.
 func (c FetchConfig) Resolved() FetchConfig {
-	if c.ChunkBytes <= 0 {
-		c.ChunkBytes = 256 * KiB
+	if !c.Enabled() {
+		return FetchConfig{}
 	}
 	if c.DMAThreshold <= 0 {
 		c.DMAThreshold = 64 * KiB
@@ -59,9 +61,10 @@ func (c FetchConfig) Resolved() FetchConfig {
 	return c
 }
 
-// EnabledFetch returns the default chunked-fetch configuration.
+// EnabledFetch returns the default chunked-fetch configuration: 256 KiB
+// chunks, a 64 KiB DMA threshold and 4 descriptors per batch.
 func EnabledFetch() FetchConfig {
-	return FetchConfig{Enabled: true}.Resolved()
+	return FetchConfig{ChunkBytes: 256 * KiB}.Resolved()
 }
 
 // chunkRec is one landed chunk's service interval on its final hop, kept so
@@ -129,7 +132,7 @@ type chunkReader struct {
 // CopyChunkedStart begins a chunked copy of size bytes from one domain to
 // another (routing via DRAM when no direct link exists) and returns
 // immediately; the driver's first step is scheduled at the current instant.
-// The returned transfer is ready to WaitRange on.
+// The returned transfer is ready to WaitRange on. cfg must be enabled.
 func (m *Machine) CopyChunkedStart(from, to *Domain, size Bytes, cfg FetchConfig) *ChunkedTransfer {
 	cfg = cfg.Resolved()
 	n := int((size + cfg.ChunkBytes - 1) / cfg.ChunkBytes)

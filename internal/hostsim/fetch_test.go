@@ -29,12 +29,24 @@ func copyChunked(p *sim.Proc, m *Machine, from, to *Domain, size Bytes, cfg Fetc
 }
 
 func TestFetchConfigResolvedDefaults(t *testing.T) {
-	c := FetchConfig{Enabled: true}.Resolved()
+	c := EnabledFetch()
 	if c.ChunkBytes != 256*KiB || c.DMAThreshold != 64*KiB || c.MaxInflight != 4 {
+		t.Fatalf("EnabledFetch() = %+v", c)
+	}
+	// Off is one value: the zero config resolves to itself, and any config
+	// without a chunk size resolves to the zero config, whatever its other
+	// knobs say.
+	if c := (FetchConfig{}).Resolved(); c != (FetchConfig{}) || c.Enabled() {
+		t.Fatalf("zero config resolved to %+v", c)
+	}
+	if c := (FetchConfig{DMAThreshold: KiB, MaxInflight: 2}).Resolved(); c != (FetchConfig{}) {
+		t.Fatalf("config without a chunk size resolved to %+v, want the zero config", c)
+	}
+	// Explicit knobs survive resolution, and unset ones take defaults.
+	if c := (FetchConfig{ChunkBytes: MiB}).Resolved(); c.DMAThreshold != 64*KiB || c.MaxInflight != 4 {
 		t.Fatalf("Resolved defaults = %+v", c)
 	}
-	// Explicit knobs survive resolution.
-	c = FetchConfig{Enabled: true, ChunkBytes: MiB, DMAThreshold: KiB, MaxInflight: 2}.Resolved()
+	c = FetchConfig{ChunkBytes: MiB, DMAThreshold: KiB, MaxInflight: 2}.Resolved()
 	if c.ChunkBytes != MiB || c.DMAThreshold != KiB || c.MaxInflight != 2 {
 		t.Fatalf("Resolved clobbered explicit knobs: %+v", c)
 	}
@@ -92,7 +104,7 @@ func TestChunkedPromotionThreshold(t *testing.T) {
 		env := sim.NewEnv(1)
 		defer env.Close()
 		m := HighEndDesktop(env)
-		cfg := FetchConfig{Enabled: true, ChunkBytes: 256 * KiB, DMAThreshold: threshold}
+		cfg := FetchConfig{ChunkBytes: 256 * KiB, DMAThreshold: threshold}
 		var elapsed time.Duration
 		env.Spawn("x", func(p *sim.Proc) {
 			elapsed, _ = copyChunked(p, m, m.DRAM, m.VRAM, size, cfg)

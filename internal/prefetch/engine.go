@@ -12,7 +12,8 @@
 // The engine also carries the paper's two robustness corner cases: after
 // three consecutive prediction failures, or whenever the available bandwidth
 // drops below 50% of the maximum observed, prefetching is temporarily
-// suspended to avoid wasting bandwidth.
+// suspended to avoid wasting bandwidth. The paper fixes these values, so
+// they are constants, not configuration.
 //
 // The engine is deterministic: predictions depend only on virtual-time
 // history fed in by the SVM manager, so equal seeds prefetch the same
@@ -27,26 +28,17 @@ import (
 	"repro/internal/obs"
 )
 
-// Config holds the engine's tunables, defaulting to the paper's values.
-type Config struct {
-	// FailureLimit is the consecutive-misprediction count that triggers
-	// suspension (3 in the paper).
-	FailureLimit int
-	// BandwidthFloor is the fraction of the maximum observed bandwidth
-	// below which prefetch suspends (0.5 in the paper).
-	BandwidthFloor float64
-	// SuspendFor is how long a suspension lasts.
-	SuspendFor time.Duration
-}
-
-// DefaultConfig returns the paper's parameters.
-func DefaultConfig() Config {
-	return Config{
-		FailureLimit:   3,
-		BandwidthFloor: 0.5,
-		SuspendFor:     50 * time.Millisecond,
-	}
-}
+// The §3.3 suspension rule.
+const (
+	// failureLimit is the consecutive-misprediction count that triggers
+	// suspension.
+	failureLimit = 3
+	// bandwidthFloor is the fraction of a path's maximum observed bandwidth
+	// below which prefetch suspends.
+	bandwidthFloor = 0.5
+	// suspendFor is how long a suspension lasts.
+	suspendFor = 50 * time.Millisecond
+)
 
 // Prediction is the engine's output for one write: where to prefetch and the
 // timing forecast used for adaptive synchronism.
@@ -70,7 +62,6 @@ type Prediction struct {
 
 // Engine is one prefetch engine instance, owned by an SVM manager.
 type Engine struct {
-	cfg  Config
 	twin *hypergraph.Twin
 
 	consecutiveFailures int
@@ -86,14 +77,8 @@ type Engine struct {
 }
 
 // New returns an engine reading flow state from twin.
-func New(twin *hypergraph.Twin, cfg Config) *Engine {
-	if cfg.FailureLimit <= 0 {
-		cfg.FailureLimit = 3
-	}
-	if cfg.BandwidthFloor <= 0 {
-		cfg.BandwidthFloor = 0.5
-	}
-	return &Engine{cfg: cfg, twin: twin}
+func New(twin *hypergraph.Twin) *Engine {
+	return &Engine{twin: twin}
 }
 
 // SetObs attaches the observability layer (either argument may be nil).
@@ -195,7 +180,7 @@ func (e *Engine) RecordOutcome(correct bool, now time.Duration) {
 	}
 	e.mispredictions++
 	e.consecutiveFailures++
-	if e.consecutiveFailures >= e.cfg.FailureLimit {
+	if e.consecutiveFailures >= failureLimit {
 		e.suspend(now)
 		e.consecutiveFailures = 0
 	}
@@ -203,8 +188,8 @@ func (e *Engine) RecordOutcome(correct bool, now time.Duration) {
 
 // ObserveBandwidth feeds an achieved copy bandwidth (bytes/sec) for the
 // transfer path from one domain to another; prefetch suspends when the
-// bandwidth available to an operation falls below the configured fraction
-// of the maximum observed on the same path (§3.3: "the available bandwidth
+// bandwidth available to an operation falls below bandwidthFloor of the
+// maximum observed on the same path (§3.3: "the available bandwidth
 // corresponding to the operation"). Comparing per path keeps slow-by-nature
 // routes (a USB camera link) from reading as congestion on fast ones
 // (PCIe).
@@ -213,7 +198,7 @@ func (e *Engine) ObserveBandwidth(from, to *hostsim.Domain, bps float64, now tim
 	if bps > *peak {
 		*peak = bps
 	}
-	if *peak > 0 && bps < e.cfg.BandwidthFloor**peak {
+	if *peak > 0 && bps < bandwidthFloor**peak {
 		if e.tr != nil {
 			e.tr.Instant(e.tk, "bandwidth-floor")
 		}
@@ -234,7 +219,7 @@ func (e *Engine) SeedPathMax(from, to *hostsim.Domain, bps float64) {
 }
 
 func (e *Engine) suspend(now time.Duration) {
-	until := now + e.cfg.SuspendFor
+	until := now + suspendFor
 	if until > e.suspendedUntil {
 		if e.tr != nil {
 			// The span covers the suspension; an extension of an active

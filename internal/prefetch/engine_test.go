@@ -37,7 +37,7 @@ func newTwin() *hypergraph.Twin {
 
 func TestPredictFromMappedFlow(t *testing.T) {
 	tw := newTwin()
-	e := New(tw, DefaultConfig())
+	e := New(tw)
 	ve := tw.Virtual.Edge([]hypergraph.NodeID{vCam}, []hypergraph.NodeID{vGPU})
 	pe := tw.Physical.Edge([]hypergraph.NodeID{pCam}, []hypergraph.NodeID{pGPU})
 	tw.Map(1, hypergraph.Mapping{Virtual: ve, Physical: pe})
@@ -59,7 +59,7 @@ func TestPredictFromMappedFlow(t *testing.T) {
 
 func TestPredictZeroShotFromHottestFlow(t *testing.T) {
 	tw := newTwin()
-	e := New(tw, DefaultConfig())
+	e := New(tw)
 	pe := tw.Physical.Edge([]hypergraph.NodeID{pCam}, []hypergraph.NodeID{pISP, pGPU})
 	pe.Touch(5 * ms)
 
@@ -78,7 +78,7 @@ func TestPredictZeroShotFromHottestFlow(t *testing.T) {
 }
 
 func TestPredictNoHistory(t *testing.T) {
-	e := New(newTwin(), DefaultConfig())
+	e := New(newTwin())
 	if _, ok := e.Predict(1, pCam, 0, nil); ok {
 		t.Fatal("no flows at all: prediction must fail")
 	}
@@ -87,7 +87,7 @@ func TestPredictNoHistory(t *testing.T) {
 func TestCompensationWhenSlackTooShort(t *testing.T) {
 	// The Fig. 8 scenario: prefetch 10ms, slack 8ms => compensate 2ms.
 	tw := newTwin()
-	e := New(tw, DefaultConfig())
+	e := New(tw)
 	ve := tw.Virtual.Edge([]hypergraph.NodeID{vCam}, []hypergraph.NodeID{vGPU})
 	pe := tw.Physical.Edge([]hypergraph.NodeID{pCam}, []hypergraph.NodeID{pGPU})
 	tw.Map(1, hypergraph.Mapping{Virtual: ve, Physical: pe})
@@ -114,7 +114,7 @@ func TestCompensationWhenSlackTooShort(t *testing.T) {
 
 func TestNoCompensationWhenSlackCovers(t *testing.T) {
 	tw := newTwin()
-	e := New(tw, DefaultConfig())
+	e := New(tw)
 	ve := tw.Virtual.Edge([]hypergraph.NodeID{vCam}, []hypergraph.NodeID{vGPU})
 	pe := tw.Physical.Edge([]hypergraph.NodeID{pCam}, []hypergraph.NodeID{pGPU})
 	tw.Map(1, hypergraph.Mapping{Virtual: ve, Physical: pe})
@@ -130,7 +130,7 @@ func TestNoCompensationWhenSlackCovers(t *testing.T) {
 
 func TestPrefetchTimeFallbackToDurationSeries(t *testing.T) {
 	tw := newTwin()
-	e := New(tw, DefaultConfig())
+	e := New(tw)
 	ve := tw.Virtual.Edge([]hypergraph.NodeID{vCam}, []hypergraph.NodeID{vGPU})
 	pe := tw.Physical.Edge([]hypergraph.NodeID{pCam}, []hypergraph.NodeID{pGPU})
 	tw.Map(1, hypergraph.Mapping{Virtual: ve, Physical: pe})
@@ -150,7 +150,7 @@ func TestPrefetchTimeFallbackToDurationSeries(t *testing.T) {
 }
 
 func TestSuspendAfterThreeConsecutiveFailures(t *testing.T) {
-	e := New(newTwin(), DefaultConfig())
+	e := New(newTwin())
 	now := 10 * ms
 	e.RecordOutcome(false, now)
 	e.RecordOutcome(false, now)
@@ -165,13 +165,13 @@ func TestSuspendAfterThreeConsecutiveFailures(t *testing.T) {
 		t.Fatalf("Suspensions = %d, want 1", e.Suspensions())
 	}
 	// Suspension expires.
-	if e.Suspended(now + DefaultConfig().SuspendFor + ms) {
+	if e.Suspended(now + suspendFor + ms) {
 		t.Fatal("suspension should expire")
 	}
 }
 
 func TestSuccessResetsFailureStreak(t *testing.T) {
-	e := New(newTwin(), DefaultConfig())
+	e := New(newTwin())
 	e.RecordOutcome(false, 0)
 	e.RecordOutcome(false, 0)
 	e.RecordOutcome(true, 0)
@@ -183,7 +183,7 @@ func TestSuccessResetsFailureStreak(t *testing.T) {
 }
 
 func TestBandwidthFloorSuspends(t *testing.T) {
-	e := New(newTwin(), DefaultConfig())
+	e := New(newTwin())
 	a, b := paths.DRAM, paths.VRAM
 	e.ObserveBandwidth(a, b, 10e9, 0)
 	if e.Suspended(0) {
@@ -203,7 +203,7 @@ func TestBandwidthFloorIsPerPath(t *testing.T) {
 	// A slow-by-nature path must not read as congestion against a fast
 	// one: 2 GB/s steady on the camera path stays fine even though PCIe
 	// observed 11 GB/s.
-	e := New(newTwin(), DefaultConfig())
+	e := New(newTwin())
 	e.ObserveBandwidth(paths.DRAM, paths.VRAM, 11e9, 0)
 	e.ObserveBandwidth(paths.CamBuf, paths.DRAM, 2e9, 1*ms)
 	e.ObserveBandwidth(paths.CamBuf, paths.DRAM, 2e9, 2*ms)
@@ -222,7 +222,7 @@ func TestBandwidthFloorIsPerPath(t *testing.T) {
 
 func TestPredictAfterRemapFollowsNewFlow(t *testing.T) {
 	tw := newTwin()
-	e := New(tw, DefaultConfig())
+	e := New(tw)
 	pe1 := tw.Physical.Edge([]hypergraph.NodeID{pCam}, []hypergraph.NodeID{pISP})
 	pe2 := tw.Physical.Edge([]hypergraph.NodeID{pCam}, []hypergraph.NodeID{pGPU})
 	tw.Map(1, hypergraph.Mapping{Physical: pe1})
@@ -243,7 +243,7 @@ func TestPredictFiltersWriterFromReaders(t *testing.T) {
 	// own physical node — but it must never be *predicted*: it already
 	// holds the data, and crediting a self-prediction inflates accuracy.
 	tw := newTwin()
-	e := New(tw, DefaultConfig())
+	e := New(tw)
 	pe := tw.Physical.Edge([]hypergraph.NodeID{pGPU}, []hypergraph.NodeID{pGPU, pISP})
 	tw.Map(1, hypergraph.Mapping{Physical: pe})
 
@@ -260,7 +260,7 @@ func TestPredictSameNodeOnlyFlowHasNoPrediction(t *testing.T) {
 	// A flow whose only destination is the writer itself predicts
 	// nothing: there is nowhere to prefetch to.
 	tw := newTwin()
-	e := New(tw, DefaultConfig())
+	e := New(tw)
 	pe := tw.Physical.Edge([]hypergraph.NodeID{pGPU}, []hypergraph.NodeID{pGPU})
 	tw.Map(1, hypergraph.Mapping{Physical: pe})
 
@@ -273,13 +273,13 @@ func TestSeedPathMaxCatchesCongestedFromStart(t *testing.T) {
 	// Without a seed, the first sample on a path becomes its max, so a
 	// path congested from its very first observation can never trip the
 	// floor. Seeding from the link's nominal bandwidth closes the gap.
-	unseeded := New(newTwin(), DefaultConfig())
+	unseeded := New(newTwin())
 	unseeded.ObserveBandwidth(paths.DRAM, paths.VRAM, 4e9, 0) // actually 40% of an 11 GB/s link
 	if unseeded.Suspended(0) {
 		t.Fatal("unseeded engine cannot know the path is congested")
 	}
 
-	seeded := New(newTwin(), DefaultConfig())
+	seeded := New(newTwin())
 	seeded.SeedPathMax(paths.DRAM, paths.VRAM, 11e9)
 	if seeded.Suspended(0) {
 		t.Fatal("seeding alone must not suspend")
@@ -294,7 +294,7 @@ func TestSeedPathMaxCatchesCongestedFromStart(t *testing.T) {
 }
 
 func TestSeedPathMaxKeepsHigherObservedMax(t *testing.T) {
-	e := New(newTwin(), DefaultConfig())
+	e := New(newTwin())
 	e.ObserveBandwidth(paths.DRAM, paths.VRAM, 12e9, 0) // measured above nominal
 	e.SeedPathMax(paths.DRAM, paths.VRAM, 11e9)
 	if got := e.maxBandwidth[paths.DRAM.ID][paths.VRAM.ID]; got != 12e9 {

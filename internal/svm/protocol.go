@@ -79,7 +79,7 @@ func (m *Manager) demandFetch(p *sim.Proc, r *Region, acc Accessor, bytes hostsi
 }
 
 func (m *Manager) demandFetchInner(p *sim.Proc, r *Region, acc Accessor, bytes hostsim.Bytes, direct bool) {
-	if m.cfg.Fetch.Enabled {
+	if m.cfg.Fetch.Enabled() {
 		m.chunkedDemandFetch(p, r, acc, bytes, direct)
 		return
 	}

@@ -121,8 +121,6 @@ type Config struct {
 	// CoherenceFixedCost is the fixed scheduling/command cost added to
 	// every coherence copy on top of the link transfer time.
 	CoherenceFixedCost time.Duration
-	// Prefetch configures the prefetch engine (KindPrefetch only).
-	Prefetch prefetch.Config
 	// Fetch configures chunked, DMA-promoted demand fetches (DESIGN.md
 	// §11). The zero value disables chunking: demand fetches stay on the
 	// monolithic synchronous copy path, byte-identical to the pre-chunking
@@ -136,7 +134,6 @@ func DefaultConfig() Config {
 		Kind:               KindPrefetch,
 		AccessBaseCost:     300 * time.Microsecond,
 		CoherenceFixedCost: 500 * time.Microsecond,
-		Prefetch:           prefetch.DefaultConfig(),
 	}
 }
 
@@ -212,7 +209,7 @@ func NewManager(env *sim.Env, mach *hostsim.Machine, cfg Config) *Manager {
 	}
 	switch cfg.Kind {
 	case KindPrefetch:
-		m.engine = prefetch.New(m.twin, cfg.Prefetch)
+		m.engine = prefetch.New(m.twin)
 		m.engine.SetObs(m.tr, reg)
 		m.proto = &prefetchProtocol{m: m}
 	case KindWriteInvalidate:
@@ -224,9 +221,7 @@ func NewManager(env *sim.Env, mach *hostsim.Machine, cfg Config) *Manager {
 	default:
 		panic(fmt.Sprintf("svm: unknown protocol kind %d", cfg.Kind))
 	}
-	if cfg.Fetch.Enabled {
-		m.cfg.Fetch = cfg.Fetch.Resolved()
-	}
+	m.cfg.Fetch = cfg.Fetch.Resolved()
 	return m
 }
 

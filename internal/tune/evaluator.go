@@ -6,22 +6,15 @@ import (
 )
 
 // ExpEvaluator measures candidates with the real simulation: each vector
-// decodes onto the preset's shipped tunable and runs the Fig. 16 video
-// probe through experiments.RunTuneEval. A batch fans the candidates out
-// over the experiments worker pool with each candidate's inner run forced
-// serial: the pool overlaps whole candidates instead of sessions, and every
+// decodes to a fetch config and runs the Fig. 16 video probe on the preset
+// through experiments.RunTuneEval. A batch fans the candidates out over the
+// experiments worker pool with each candidate's inner run forced serial:
+// the pool overlaps whole candidates instead of sessions, and every
 // measurement stays byte-identical to a lone run at any worker count.
 type ExpEvaluator struct {
 	Cfg    experiments.Config
 	Preset emulator.Preset
 	Space  Space
-	Base   experiments.Tunable
-}
-
-// NewExpEvaluator builds the evaluator for a preset, baselined at the
-// preset's shipped tunable.
-func NewExpEvaluator(cfg experiments.Config, p emulator.Preset) *ExpEvaluator {
-	return &ExpEvaluator{Cfg: cfg, Preset: p, Space: SpaceFor(p.SVM.Kind), Base: experiments.TunableOf(p)}
 }
 
 // EvaluateBatch measures the candidates concurrently, on the configured
@@ -29,10 +22,9 @@ func NewExpEvaluator(cfg experiments.Config, p emulator.Preset) *ExpEvaluator {
 func (e *ExpEvaluator) EvaluateBatch(vs []Vector) []Metrics {
 	inner := e.Cfg
 	inner.Workers = 1
-	out := experiments.ParMap(e.Cfg.EffectiveWorkers(), len(vs), func(i int) Metrics {
-		return Metrics(experiments.RunTuneEval(inner, e.Preset, e.Space.Tunable(e.Base, vs[i])))
+	return experiments.ParMap(e.Cfg.EffectiveWorkers(), len(vs), func(i int) Metrics {
+		return Metrics(experiments.RunTuneEval(inner, e.Preset, e.Space.Config(vs[i])))
 	})
-	return out
 }
 
 // DefaultObjective returns the shipped search objective, the same for
@@ -55,11 +47,11 @@ func DefaultObjective() Objective {
 	}
 }
 
-// Run searches one preset end to end with the shipped objective: space from
-// the preset's protocol kind, evaluator over cfg, default objective.
-func Run(cfg experiments.Config, p emulator.Preset, opts Options) *Result {
-	ev := NewExpEvaluator(cfg, p)
-	return Search(p.Name, ev.Space, ev, DefaultObjective(), opts)
+// Run searches one preset end to end: the fetch space, measured on the
+// preset over cfg, under the shipped objective.
+func Run(cfg experiments.Config, p emulator.Preset) *Result {
+	sp := FetchSpace()
+	return Search(p.Name, sp, &ExpEvaluator{Cfg: cfg, Preset: p, Space: sp}, DefaultObjective())
 }
 
 // BenchReports packages a search's baseline and best measurements as bench

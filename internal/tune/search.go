@@ -3,8 +3,10 @@ package tune
 import (
 	"fmt"
 	"math"
-	"math/rand"
+	"slices"
 	"strings"
+
+	"repro/internal/hostsim"
 )
 
 // Constraint bounds one evaluation metric relative to the baseline (the
@@ -27,7 +29,8 @@ type Constraint struct {
 // maximized according to the metric's own better-direction (BenchMetric
 // carries it), subject to the constraints. Infeasible candidates are
 // rejected: they record a trace step naming the violated constraint and
-// can never become the best vector.
+// can never become the best vector. The baseline meets every constraint
+// with MaxRel >= 1 and MinRel <= 1.
 type Objective struct {
 	Metric      string
 	Constraints []Constraint
@@ -39,38 +42,15 @@ type bound struct {
 	min, max float64 // absolute bounds; NaN = unbounded
 }
 
-// Options parameterizes a search.
-type Options struct {
-	// Seed drives the random phases (random seeding, restarts). Equal
-	// seeds over equal (space, evaluator) reproduce the identical search
-	// trajectory byte for byte.
-	Seed int64
-	// Budget caps the candidates evaluated (cache hits are free), the
-	// baseline included. It must be at least 1.
-	Budget int
-}
-
-const (
-	// randomSeeds is how many random vectors join the seeding phase after
-	// the axis grid.
-	randomSeeds = 6
-	// patience is how many consecutive random restarts may fail to improve
-	// the global best before the search stops.
-	patience = 2
-)
-
-// Step is one trace entry: a candidate the search considered, in
-// consideration order. The rendered trace is part of the determinism
-// surface — equal seeds produce byte-identical step sequences.
+// Step is one trace entry: a candidate, in measurement order, so the
+// baseline is step 0. The rendered trace is part of the determinism
+// surface: equal inputs produce byte-identical step sequences.
 type Step struct {
-	Index    int    // consideration order, 0-based
-	Phase    string // baseline | grid | random | climb | restart
 	Vec      Vector
-	Cached   bool    // metrics replayed from the cache, not evaluated
 	Value    float64 // objective metric's raw value
 	Feasible bool
 	Violated string // first violated constraint's metric (when infeasible)
-	Best     bool   // became the global best at this step
+	Best     bool   // the best candidate so far at this step
 }
 
 // Result is one completed search.
@@ -78,188 +58,81 @@ type Result struct {
 	Preset    string
 	Space     Space
 	Objective Objective
-	Options   Options
 
 	Baseline       Metrics
 	Best           Metrics
 	BestVec        Vector
-	BestScore      float64
 	BestIsBaseline bool
 
-	Trace     []Step
-	Evals     int // candidates evaluated, charged against the budget
-	CacheHits int // steps replayed from the cache
-	Rejected  int // infeasible candidates
+	Trace    []Step
+	Rejected int // infeasible candidates
 }
 
-// searcher is the in-flight search state.
+// searcher holds the objective resolved against the baseline.
 type searcher struct {
-	space  Space
-	ev     Evaluator
-	opts   Options
 	obj    Objective
 	bounds []bound
 	dir    float64 // +1 minimize, -1 maximize
-	// cache holds every evaluation by vector key, so revisited cells —
-	// hill-climb re-entering a neighborhood — replay their metrics without
-	// re-running the simulation.
-	cache map[string]Metrics
-	rng   *rand.Rand
-
-	res *Result
 }
 
-// Search runs the driver: baseline, axis-grid and random seeding, then
-// hill-climb with patience-bounded random restarts. Each phase measures
-// its candidates in one evaluator batch. Deterministic for equal (space,
-// evaluator, options); see the package doc. A budget below 1 is a caller
-// bug and panics.
-func Search(preset string, space Space, ev Evaluator, obj Objective, opts Options) *Result {
-	if opts.Budget < 1 {
-		panic(fmt.Sprintf("tune: budget %d, want >= 1", opts.Budget))
+// Search measures every distinct candidate of the space in one evaluator
+// batch and returns the best feasible one. The candidates are the default
+// vector (the baseline, which anchors the relative constraints), then every
+// other vector in lexicographic level order, the last knob varying fastest,
+// skipping each vector whose resolved fetch config an earlier candidate
+// already has. The best is the feasible candidate with the best objective
+// value; a tie goes to the vector with fewer non-default knobs, then to the
+// earlier one, so a knob that does not matter is reported at its default.
+// Deterministic for equal (space, evaluator); see the package doc.
+func Search(preset string, space Space, ev Evaluator, obj Objective) *Result {
+	vecs := candidates(space)
+	ms := ev.EvaluateBatch(vecs)
+	res := &Result{Preset: preset, Space: space, Objective: obj, Baseline: ms[0]}
+	s := &searcher{obj: obj}
+	s.bind(ms[0])
+	best, bestScore, bestND := -1, 0.0, 0
+	for i, v := range vecs {
+		score, value, feasible, violated := s.judge(ms[i])
+		st := Step{Vec: v, Value: value, Feasible: feasible, Violated: violated}
+		if !feasible {
+			res.Rejected++
+		} else if nd := space.nonDefault(v); best < 0 || score < bestScore || score == bestScore && nd < bestND {
+			best, bestScore, bestND = i, score, nd
+			st.Best = true
+		}
+		res.Trace = append(res.Trace, st)
 	}
-	s := &searcher{
-		space: space, ev: ev, opts: opts, obj: obj,
-		cache: map[string]Metrics{},
-		rng:   rand.New(rand.NewSource(opts.Seed)),
-		res: &Result{
-			Preset: preset, Space: space, Objective: obj, Options: opts,
-			BestScore: math.Inf(1),
-		},
+	if best < 0 {
+		panic("tune: no feasible candidate, not even the baseline")
 	}
+	res.BestVec, res.Best, res.BestIsBaseline = vecs[best], ms[best], best == 0
+	return res
+}
 
-	// Baseline: the shipped default vector anchors the relative
-	// constraints and is the first candidate. It is feasible by
-	// construction (every relative bound scales its own value).
+// candidates lists the default vector, then every other vector in
+// lexicographic level order (the last knob fastest), skipping each whose
+// resolved fetch config an earlier vector already has.
+func candidates(space Space) []Vector {
 	def := space.DefaultVector()
-	var b batch
-	s.add(&b, def)
-	base := s.measure(&b)[0]
-	s.res.Baseline = base
-	s.bind(base)
-	s.record("baseline", def, base, false)
-
-	// Axis grid: each knob swept level by level around the default, most
-	// impactful knob first (space order), so a truncated budget still
-	// probes the leading dimensions.
-	var grid batch
-	for ki := range space.Knobs {
-		for li := range space.Knobs[ki].Levels {
-			if li == space.Knobs[ki].Default || !s.room(&grid) {
-				continue
+	seen := map[hostsim.FetchConfig]bool{space.Config(def).Resolved(): true}
+	out := []Vector{def}
+	v := make(Vector, len(space.Knobs))
+	for {
+		if c := space.Config(v).Resolved(); !seen[c] {
+			seen[c] = true
+			out = append(out, slices.Clone(v))
+		}
+		i := len(v) - 1
+		for ; i >= 0; i-- {
+			if v[i]++; v[i] < len(space.Knobs[i].Levels) {
+				break
 			}
-			v := def.clone()
-			v[ki] = li
-			s.add(&grid, v)
+			v[i] = 0
+		}
+		if i < 0 {
+			return out
 		}
 	}
-	s.run("grid", &grid)
-
-	// Random seeding: uniform vectors from the seeded rng.
-	var random batch
-	for i := 0; i < randomSeeds && s.room(&random); i++ {
-		s.add(&random, s.randomVec())
-	}
-	s.run("random", &random)
-
-	// Hill-climb with patience: from the best-known vector, move to the
-	// best strictly-improving neighbor until a local optimum, then restart
-	// from a random vector; stop after patience consecutive restarts that
-	// never improved the global best.
-	cur := s.res.BestVec.clone()
-	restartsLeft := patience
-	for !s.exhausted() {
-		prevBest := s.res.BestScore
-		next, ok := s.climbStep(cur)
-		if ok {
-			cur = next
-			if s.res.BestScore < prevBest {
-				restartsLeft = patience
-			}
-			continue
-		}
-		if restartsLeft == 0 {
-			break
-		}
-		restartsLeft--
-		cur = s.randomVec()
-		var restart batch
-		s.add(&restart, cur)
-		if s.run("restart", &restart) {
-			restartsLeft = patience
-		}
-	}
-	return s.res
-}
-
-// exhausted reports whether the evaluation budget is spent.
-func (s *searcher) exhausted() bool { return s.res.Evals >= s.opts.Budget }
-
-// randomVec draws a uniform vector from the seeded rng.
-func (s *searcher) randomVec() Vector {
-	v := make(Vector, len(s.space.Knobs))
-	for i, k := range s.space.Knobs {
-		v[i] = s.rng.Intn(len(k.Levels))
-	}
-	return v
-}
-
-// batch is one phase's candidates, gathered for a single evaluator call.
-type batch struct {
-	vecs   []Vector
-	cached []bool // per member: replayed from the cache or an earlier member
-	misses []Vector
-	keys   map[string]bool // the misses' cache keys
-}
-
-// room reports whether the budget can take one more evaluation beyond the
-// ones b already holds.
-func (s *searcher) room(b *batch) bool { return s.res.Evals+len(b.misses) < s.opts.Budget }
-
-// add takes v into b when it is free (cached, or a repeat of a member) or
-// the budget has room to evaluate it; otherwise v is dropped.
-func (s *searcher) add(b *batch, v Vector) {
-	key := s.space.Key(v)
-	_, cached := s.cache[key]
-	cached = cached || b.keys[key]
-	if !cached {
-		if !s.room(b) {
-			return
-		}
-		if b.keys == nil {
-			b.keys = map[string]bool{}
-		}
-		b.keys[key] = true
-		b.misses = append(b.misses, v)
-	}
-	b.vecs = append(b.vecs, v)
-	b.cached = append(b.cached, cached)
-}
-
-// measure evaluates b's misses in one evaluator call, charging each against
-// the budget, and returns every member's metrics in order.
-func (s *searcher) measure(b *batch) []Metrics {
-	if len(b.misses) > 0 {
-		for i, m := range s.ev.EvaluateBatch(b.misses) {
-			s.cache[s.space.Key(b.misses[i])] = m
-		}
-		s.res.Evals += len(b.misses)
-	}
-	ms := make([]Metrics, len(b.vecs))
-	for i, v := range b.vecs {
-		ms[i] = s.cache[s.space.Key(v)]
-	}
-	return ms
-}
-
-// run measures b and records its members' steps in order. Returns whether
-// one became the global best.
-func (s *searcher) run(phase string, b *batch) bool {
-	best := false
-	for i, m := range s.measure(b) {
-		best = s.record(phase, b.vecs[i], m, b.cached[i]) || best
-	}
-	return best
 }
 
 // bind resolves the objective direction and the relative constraints
@@ -273,7 +146,6 @@ func (s *searcher) bind(base Metrics) {
 	if bm.Better == "higher" {
 		s.dir = -1
 	}
-	s.bounds = s.bounds[:0]
 	for _, c := range s.obj.Constraints {
 		bv := base.Value(c.Metric)
 		b := bound{c: c, min: math.NaN(), max: math.NaN()}
@@ -307,82 +179,18 @@ func (s *searcher) judge(m Metrics) (score, value float64, feasible bool, violat
 	return score, value, true, ""
 }
 
-// record appends one trace step and promotes the candidate to global best
-// when feasible and strictly better. Returns whether it became the best.
-func (s *searcher) record(phase string, v Vector, m Metrics, cached bool) bool {
-	score, value, feasible, violated := s.judge(m)
-	st := Step{
-		Index: len(s.res.Trace), Phase: phase, Vec: v.clone(),
-		Cached: cached, Value: value,
-		Feasible: feasible, Violated: violated,
-	}
-	if feasible && score < s.res.BestScore {
-		s.res.BestScore = score
-		s.res.BestVec = v.clone()
-		s.res.Best = m
-		s.res.BestIsBaseline = phase == "baseline"
-		st.Best = true
-	}
-	if !feasible {
-		s.res.Rejected++
-	}
-	if cached {
-		s.res.CacheHits++
-	}
-	s.res.Trace = append(s.res.Trace, st)
-	return st.Best
-}
-
-// climbStep measures cur's neighborhood (each knob one level up and down,
-// in knob order) in one batch and returns the best neighbor strictly
-// improving on cur. Cached neighbors replay even once the budget is spent.
-func (s *searcher) climbStep(cur Vector) (Vector, bool) {
-	curScore := math.Inf(1)
-	if m, ok := s.cache[s.space.Key(cur)]; ok {
-		if sc, _, feasible, _ := s.judge(m); feasible {
-			curScore = sc
-		}
-	}
-	var nb batch
-	for ki := range s.space.Knobs {
-		for _, d := range []int{-1, 1} {
-			li := cur[ki] + d
-			if li < 0 || li >= len(s.space.Knobs[ki].Levels) {
-				continue
-			}
-			v := cur.clone()
-			v[ki] = li
-			s.add(&nb, v)
-		}
-	}
-	bestScore := curScore
-	var bestVec Vector
-	for i, m := range s.measure(&nb) {
-		v := nb.vecs[i]
-		s.record("climb", v, m, nb.cached[i])
-		if sc, _, feasible, _ := s.judge(m); feasible && sc < bestScore {
-			bestScore = sc
-			bestVec = v
-		}
-	}
-	return bestVec, bestVec != nil
-}
-
-// FormatTrace renders the search trajectory, one line per step. The
-// rendering is byte-deterministic for equal seeds and is what the
-// determinism test compares.
+// FormatTrace renders the measured candidates, one line per step. The
+// rendering is byte-deterministic and is what the determinism test
+// compares.
 func (r *Result) FormatTrace() string {
 	var b strings.Builder
-	for _, st := range r.Trace {
+	for i, st := range r.Trace {
 		state := "feasible"
 		if !st.Feasible {
 			state = "rejected(" + st.Violated + ")"
 		}
-		fmt.Fprintf(&b, "%3d %-8s %s %s=%.6g %s", st.Index, st.Phase,
+		fmt.Fprintf(&b, "%3d %s %s=%.6g %s", i,
 			r.Space.Format(st.Vec), r.Objective.Metric, st.Value, state)
-		if st.Cached {
-			b.WriteString(" cached")
-		}
 		if st.Best {
 			b.WriteString(" best")
 		}
@@ -391,12 +199,12 @@ func (r *Result) FormatTrace() string {
 	return b.String()
 }
 
-// FormatResult renders the search outcome: the best vector knob by knob,
-// the baseline-vs-best metric table, and the search accounting.
+// FormatResult renders the search outcome: the candidate count, the best
+// vector knob by knob, and the baseline-vs-best metric table.
 func (r *Result) FormatResult() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Auto-tune %s: objective %s, %d evals (%d cached, %d rejected), budget %d\n",
-		r.Preset, r.Objective.Metric, r.Evals, r.CacheHits, r.Rejected, r.Options.Budget)
+	fmt.Fprintf(&b, "Auto-tune %s: objective %s, %d candidates (%d rejected)\n",
+		r.Preset, r.Objective.Metric, len(r.Trace), r.Rejected)
 	if r.BestIsBaseline {
 		b.WriteString("  best = shipped defaults (no feasible improvement found)\n")
 	}
@@ -419,6 +227,6 @@ func (r *Result) FormatResult() string {
 		}
 		fmt.Fprintf(&b, "  %-30s %10.6g  %10.6g   %8s\n", bm.Name, bv, bm.Value, delta)
 	}
-	fmt.Fprintf(&b, "  best vector: %s (hash %016x)\n", r.Space.Format(r.BestVec), r.Space.Hash(r.BestVec))
+	fmt.Fprintf(&b, "  best vector: %s\n", r.Space.Format(r.BestVec))
 	return b.String()
 }

@@ -1,58 +1,75 @@
 package tune
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
-	"repro/internal/experiments"
-	"repro/internal/svm"
+	"repro/internal/hostsim"
 )
 
 // testSpace is a synthetic 3-knob space (5 levels each, defaults at level
-// 0) for exercising the search driver without simulations.
+// 0) for exercising the search driver without simulations. Each knob
+// writes its own fetch-config field with chunking always on, so all 125
+// vectors resolve to distinct configs and none is deduplicated.
 func testSpace() Space {
-	mk := func(name string) Knob {
-		return Knob{
-			Name:    name,
-			Levels:  []float64{0, 1, 2, 3, 4},
-			Default: 0,
-			Set:     func(*experiments.Tunable, float64) {},
-		}
+	mk := func(name string, set func(c *hostsim.FetchConfig, n int)) Knob {
+		return Knob{Name: name, Levels: []float64{0, 1, 2, 3, 4}, Default: 0,
+			Set: func(c *hostsim.FetchConfig, v float64) { set(c, int(v)+1) }}
 	}
-	return Space{Knobs: []Knob{mk("a"), mk("b"), mk("c")}}
+	return Space{Knobs: []Knob{
+		mk("a", func(c *hostsim.FetchConfig, n int) { c.ChunkBytes = hostsim.Bytes(n) }),
+		mk("b", func(c *hostsim.FetchConfig, n int) { c.DMAThreshold = hostsim.Bytes(n) }),
+		mk("c", func(c *hostsim.FetchConfig, n int) { c.MaxInflight = n }),
+	}}
 }
 
-// quadEval plants a separable quadratic objective with its optimum at
-// target, plus a "guard" constraint metric that jumps in the penalized
-// region. Metrics are returned sorted by name (guard < obj), matching the
-// normalization contract of the real evaluator.
-type quadEval struct {
-	target   []int
-	calls    int // candidates evaluated
-	batches  int // EvaluateBatch calls
+// planted is an evaluator over a planted objective landscape, plus a
+// "guard" constraint metric that jumps in the penalized region. Metrics
+// are returned sorted by name (guard < obj), matching the normalization
+// contract of the real evaluator. It counts its calls and how often it
+// measured each vector.
+type planted struct {
+	obj      func(v Vector) float64
 	penalize func(v Vector) bool
+	batches  int // EvaluateBatch calls
+	measured map[string]int
 }
 
-func (e *quadEval) EvaluateBatch(vs []Vector) []Metrics {
+func (e *planted) EvaluateBatch(vs []Vector) []Metrics {
 	e.batches++
-	e.calls += len(vs)
+	if e.measured == nil {
+		e.measured = map[string]int{}
+	}
 	out := make([]Metrics, len(vs))
 	for i, v := range vs {
-		score := 0.0
-		for i, t := range e.target {
-			d := float64(v[i] - t)
-			score += d * d
-		}
+		e.measured[fmt.Sprint(v)]++
 		guard := 1.0
 		if e.penalize != nil && e.penalize(v) {
 			guard = 10
 		}
 		out[i] = Metrics{
 			{Name: "guard", Value: guard, Unit: "x", Better: "lower"},
-			{Name: "obj", Value: score, Unit: "x", Better: "lower"},
+			{Name: "obj", Value: e.obj(v), Unit: "x", Better: "lower"},
 		}
 	}
 	return out
+}
+
+// dist2 is the squared level distance between v and target.
+func dist2(v, target Vector) float64 {
+	d2 := 0.0
+	for i := range v {
+		d := float64(v[i] - target[i])
+		d2 += d * d
+	}
+	return d2
+}
+
+// quad is a separable quadratic with its one optimum at target.
+func quad(target Vector) func(Vector) float64 {
+	return func(v Vector) float64 { return dist2(v, target) }
 }
 
 func testObjective() Objective {
@@ -64,64 +81,127 @@ func testObjective() Objective {
 
 func TestSearchDeterministic(t *testing.T) {
 	run := func() *Result {
-		ev := &quadEval{target: []int{3, 1, 2}}
-		return Search("test", testSpace(), ev, testObjective(), Options{Seed: 7, Budget: 60})
+		return Search("test", testSpace(), &planted{obj: quad(Vector{3, 1, 2})}, testObjective())
 	}
 	a, b := run(), run()
 	if at, bt := a.FormatTrace(), b.FormatTrace(); at != bt {
-		t.Fatalf("equal seeds produced different traces:\n--- a\n%s--- b\n%s", at, bt)
+		t.Fatalf("equal inputs produced different traces:\n--- a\n%s--- b\n%s", at, bt)
 	}
-	if !reflect.DeepEqual(a.BestVec, b.BestVec) {
-		t.Fatalf("equal seeds produced different best vectors: %v vs %v", a.BestVec, b.BestVec)
-	}
-	if a.FormatResult() != b.FormatResult() {
-		t.Fatalf("equal seeds produced different result renderings")
+	if ar, br := a.FormatResult(), b.FormatResult(); ar != br {
+		t.Fatalf("equal inputs produced different results:\n--- a\n%s--- b\n%s", ar, br)
 	}
 }
 
-func TestHillClimbConverges(t *testing.T) {
-	ev := &quadEval{target: []int{3, 1, 2}}
-	res := Search("test", testSpace(), ev, testObjective(), Options{Seed: 1, Budget: 120})
-	if want := (Vector{3, 1, 2}); !reflect.DeepEqual(res.BestVec, want) {
-		t.Fatalf("best vector = %v, want planted optimum %v\ntrace:\n%s", res.BestVec, want, res.FormatTrace())
+// TestSearchFindsDistantOptimum: the defaults sit in a local minimum (every
+// neighbor is worse) and the only global optimum lies several levels
+// away. Enumeration finds it, measuring every distinct vector exactly once
+// in a single evaluator call, the defaults first.
+func TestSearchFindsDistantOptimum(t *testing.T) {
+	target := Vector{3, 1, 4}
+	ev := &planted{obj: func(v Vector) float64 {
+		return min(1+dist2(v, Vector{0, 0, 0}), dist2(v, target))
+	}}
+	res := Search("test", testSpace(), ev, testObjective())
+	if !reflect.DeepEqual(res.BestVec, target) || res.Best.Value("obj") != 0 || res.BestIsBaseline {
+		t.Fatalf("best = %v (obj %v), want planted optimum %v\ntrace:\n%s",
+			res.BestVec, res.Best.Value("obj"), target, res.FormatTrace())
 	}
-	if res.BestScore != 0 {
-		t.Fatalf("best score = %v, want 0", res.BestScore)
+	if ev.batches != 1 {
+		t.Fatalf("%d evaluator calls, want one batch", ev.batches)
 	}
-	if res.BestIsBaseline {
-		t.Fatalf("best should not be the baseline")
+	if len(ev.measured) != 125 || len(res.Trace) != 125 {
+		t.Fatalf("measured %d distinct vectors in %d steps, want all 125", len(ev.measured), len(res.Trace))
+	}
+	for v, n := range ev.measured {
+		if n != 1 {
+			t.Fatalf("vector %s measured %d times", v, n)
+		}
+	}
+	if !reflect.DeepEqual(res.Trace[0].Vec, testSpace().DefaultVector()) {
+		t.Fatalf("first candidate %v, want the defaults", res.Trace[0].Vec)
 	}
 }
 
-// TestCacheHitsReplayWithoutRerun: within one search, revisited cells
-// replay from the cache. The evaluator measures exactly the charged
-// candidates, in fewer calls than candidates (a phase is one batch), and
-// every other trace step is a cache hit.
-func TestCacheHitsReplayWithoutRerun(t *testing.T) {
-	ev := &quadEval{target: []int{3, 1, 2}}
-	res := Search("test", testSpace(), ev, testObjective(), Options{Seed: 7, Budget: 60})
-	if ev.calls != res.Evals {
-		t.Fatalf("evaluator measured %d candidates but search charged %d evals", ev.calls, res.Evals)
+// TestFetchSpaceCandidates: the one space holds exactly the three fetch
+// knobs, and with chunking off neither other knob is read, so it yields
+// 1 + 4x3x4 = 49 candidates, the defaults first, each resolving to a
+// distinct fetch config.
+func TestFetchSpaceCandidates(t *testing.T) {
+	sp := FetchSpace()
+	var names []string
+	for _, k := range sp.Knobs {
+		names = append(names, k.Name)
+		if k.Default < 0 || k.Default >= len(k.Levels) {
+			t.Errorf("knob %s default index %d out of range", k.Name, k.Default)
+		}
+		if k.Set == nil {
+			t.Errorf("knob %s has no setter", k.Name)
+		}
 	}
-	if res.CacheHits == 0 {
-		t.Fatalf("expected cache hits within the search (hill-climb revisits)")
+	if want := []string{KnobFetchChunk, KnobFetchDMAThreshold, KnobFetchMaxInflight}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("fetch space knobs = %v, want %v", names, want)
 	}
-	if len(res.Trace) != res.Evals+res.CacheHits {
-		t.Fatalf("%d trace steps, want %d evals + %d cache hits", len(res.Trace), res.Evals, res.CacheHits)
+	vecs := candidates(sp)
+	if len(vecs) != 49 {
+		t.Fatalf("%d candidates, want 49", len(vecs))
 	}
-	if ev.batches >= ev.calls {
-		t.Fatalf("%d evaluator calls for %d candidates: phases are not batched", ev.batches, ev.calls)
+	if !reflect.DeepEqual(vecs[0], sp.DefaultVector()) {
+		t.Fatalf("first candidate %v, want the defaults", vecs[0])
+	}
+	if c := sp.Config(vecs[0]).Resolved(); c != (hostsim.FetchConfig{}) {
+		t.Fatalf("defaults resolve to %+v, want chunking off", c)
+	}
+	seen := map[hostsim.FetchConfig]bool{}
+	for _, v := range vecs {
+		c := sp.Config(v).Resolved()
+		if seen[c] {
+			t.Fatalf("candidate %s repeats fetch config %+v", sp.Format(v), c)
+		}
+		seen[c] = true
+	}
+}
+
+// TestTiesKeepFewerNonDefaultKnobs: with nothing strictly better than the
+// baseline, the best is the baseline; of two vectors with equal objective
+// values the one setting fewer knobs away from their defaults wins, even
+// when measured later, and of two that also set equally many, the earlier.
+func TestTiesKeepFewerNonDefaultKnobs(t *testing.T) {
+	flat := Search("test", testSpace(), &planted{obj: func(Vector) float64 { return 1 }}, testObjective())
+	if !flat.BestIsBaseline || !reflect.DeepEqual(flat.BestVec, testSpace().DefaultVector()) {
+		t.Fatalf("flat landscape: best %v (baseline %v), want the defaults", flat.BestVec, flat.BestIsBaseline)
+	}
+	if got := flat.FormatResult(); !strings.Contains(got, "best = shipped defaults") {
+		t.Fatalf("flat landscape result does not report the defaults:\n%s", got)
+	}
+	for _, tc := range []struct {
+		low  []Vector
+		want Vector
+	}{
+		{[]Vector{{0, 1, 1}, {2, 0, 0}}, Vector{2, 0, 0}},
+		{[]Vector{{0, 3, 0}, {0, 0, 3}}, Vector{0, 0, 3}},
+	} {
+		ev := &planted{obj: func(v Vector) float64 {
+			for _, l := range tc.low {
+				if reflect.DeepEqual(v, l) {
+					return 0
+				}
+			}
+			return 5
+		}}
+		if res := Search("test", testSpace(), ev, testObjective()); !reflect.DeepEqual(res.BestVec, tc.want) {
+			t.Errorf("tie between %v: best %v, want %v", tc.low, res.BestVec, tc.want)
+		}
 	}
 }
 
 func TestConstraintViolationsRejected(t *testing.T) {
 	// The entire improving half-space around the optimum violates the
 	// guard, leaving only mild improvements feasible.
-	ev := &quadEval{
-		target:   []int{3, 1, 2},
+	ev := &planted{
+		obj:      quad(Vector{3, 1, 2}),
 		penalize: func(v Vector) bool { return v[0] >= 2 },
 	}
-	res := Search("test", testSpace(), ev, testObjective(), Options{Seed: 3, Budget: 120})
+	res := Search("test", testSpace(), ev, testObjective())
 	if res.Rejected == 0 {
 		t.Fatalf("expected rejected candidates, got none\ntrace:\n%s", res.FormatTrace())
 	}
@@ -142,83 +222,23 @@ func TestConstraintViolationsRejected(t *testing.T) {
 	}
 }
 
-func TestBudgetBoundsEvaluatorCalls(t *testing.T) {
-	ev := &quadEval{target: []int{3, 1, 2}}
-	res := Search("test", testSpace(), ev, testObjective(), Options{Seed: 5, Budget: 9})
-	if ev.calls > 9 {
-		t.Fatalf("budget 9 but evaluator ran %d times", ev.calls)
-	}
-	if res.Evals != ev.calls {
-		t.Fatalf("accounting drift: %d evals recorded, %d calls made", res.Evals, ev.calls)
-	}
-	if res.BestVec == nil {
-		t.Fatalf("even a tiny budget must keep the baseline as best")
-	}
-}
-
-// TestBudgetBelowOneRejected: a search cannot run without evaluating its
-// baseline, so a budget below one is refused, not replaced by a default.
-func TestBudgetBelowOneRejected(t *testing.T) {
-	for _, budget := range []int{0, -1} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Search ran with budget %d", budget)
-				}
-			}()
-			Search("test", testSpace(), &quadEval{target: []int{3, 1, 2}}, testObjective(), Options{Seed: 1, Budget: budget})
-		}()
-	}
-}
-
+// TestSpaceKeysAndFormat: a vector renders only its non-default knobs, and
+// decodes to the fetch config the search deduplicates on: distinct vectors
+// to distinct configs, equal vectors to equal ones.
 func TestSpaceKeysAndFormat(t *testing.T) {
 	sp := testSpace()
 	def := sp.DefaultVector()
 	if got := sp.Format(def); got != "{defaults}" {
 		t.Fatalf("Format(default) = %q", got)
 	}
-	v := def.clone()
-	v[1] = 3
+	v := Vector{0, 3, 0}
 	if got := sp.Format(v); got != "{b=3}" {
 		t.Fatalf("Format = %q, want {b=3}", got)
 	}
-	if sp.Key(def) == sp.Key(v) {
-		t.Fatalf("distinct vectors share a key")
+	if sp.Config(def) == sp.Config(v) {
+		t.Fatalf("distinct vectors share a fetch config")
 	}
-	if sp.Hash(def) == sp.Hash(v) {
-		t.Fatalf("distinct vectors share a hash")
-	}
-	if sp.Key(v) != sp.Key(v.clone()) {
-		t.Fatalf("equal vectors produce different keys")
-	}
-}
-
-// TestSpaceForCoversAllKnobs pins the knob order: every space searches the
-// fetch knobs first, and only the prefetch space appends the prefetch
-// knobs, so it covers every registered knob.
-func TestSpaceForCoversAllKnobs(t *testing.T) {
-	names := func(ks []Knob) []string {
-		var out []string
-		for _, k := range ks {
-			out = append(out, k.Name)
-		}
-		return out
-	}
-	if got, want := names(SpaceFor(svm.KindPrefetch).Knobs), names(append(fetchKnobs(), prefetchKnobs()...)); !reflect.DeepEqual(got, want) {
-		t.Errorf("prefetch space = %v, want the fetch knobs then the prefetch knobs %v", got, want)
-	}
-	if got, want := names(SpaceFor(svm.KindPrefetch).Knobs), names(AllKnobs()); !reflect.DeepEqual(got, want) {
-		t.Errorf("prefetch space = %v, want every registered knob %v", got, want)
-	}
-	if got, want := names(SpaceFor(svm.KindWriteInvalidate).Knobs), names(fetchKnobs()); !reflect.DeepEqual(got, want) {
-		t.Errorf("write-invalidate space = %v, want the fetch knobs %v", got, want)
-	}
-	for _, k := range AllKnobs() {
-		if k.Default < 0 || k.Default >= len(k.Levels) {
-			t.Errorf("knob %s default index %d out of range", k.Name, k.Default)
-		}
-		if k.Set == nil {
-			t.Errorf("knob %s has no setter", k.Name)
-		}
+	if sp.Config(v) != sp.Config(Vector{0, 3, 0}) {
+		t.Fatalf("equal vectors decode to different fetch configs")
 	}
 }
