@@ -13,11 +13,11 @@
 //     exist: backtick-quoted `cmd/...`, `internal/...`, `examples/...`
 //     paths and bare *.md names are resolved against the working tree.
 //
-//  3. Every knob registered in the internal/tune config-search space must
-//     be named in DESIGN.md (the §14 knob table), and every knob the §14
-//     table lists must be registered, so the search space and its
+//  3. Every knob the internal/tune config search names (tune.KnobNames)
+//     must be named in DESIGN.md (the §14 knob table), and every knob the
+//     §14 table lists must be one of them, so the search and its
 //     documentation cannot drift apart either way. This check imports the
-//     live registry — the lint is against the compiled knob list, not a
+//     live list — the lint is against the compiled knob names, not a
 //     copy.
 //
 //  4. Every experiment in the internal/experiments registry must be
@@ -178,10 +178,9 @@ func checkMarkdownRefs(root string) []string {
 	return problems
 }
 
-// checkKnobDocs verifies DESIGN.md names every knob the internal/tune
-// registry declares — name-level: the literal knob string (e.g.
-// "fetch.chunk_kib") must appear somewhere in the document — and that the
-// §14 knob table lists no knob the registry lacks.
+// checkKnobDocs verifies DESIGN.md names every knob of tune.KnobNames —
+// name-level: the literal knob string (e.g. "fetch.chunk_kib") must appear
+// somewhere in the document — and that the §14 knob table lists no other.
 func checkKnobDocs(root string) []string {
 	data, err := os.ReadFile(filepath.Join(root, "DESIGN.md"))
 	if err != nil {
@@ -189,10 +188,10 @@ func checkKnobDocs(root string) []string {
 	}
 	doc := string(data)
 	var problems []string
-	for _, k := range tune.FetchSpace().Knobs {
-		if !strings.Contains(doc, k.Name) {
+	for _, name := range tune.KnobNames() {
+		if !strings.Contains(doc, name) {
 			problems = append(problems, fmt.Sprintf(
-				"DESIGN.md: tuner knob %q is registered in internal/tune but never named", k.Name))
+				"DESIGN.md: tuner knob %q is registered in internal/tune but never named", name))
 		}
 	}
 	return append(problems, unregisteredKnobs(doc)...)
@@ -203,11 +202,11 @@ func checkKnobDocs(root string) []string {
 var knobRow = regexp.MustCompile("^\\| `([^`]+)` \\|")
 
 // unregisteredKnobs reports each knob DESIGN.md's §14 table lists that
-// internal/tune does not register.
+// tune.KnobNames lacks.
 func unregisteredKnobs(doc string) []string {
 	known := map[string]bool{}
-	for _, k := range tune.FetchSpace().Knobs {
-		known[k.Name] = true
+	for _, name := range tune.KnobNames() {
+		known[name] = true
 	}
 	var problems []string
 	in14 := false

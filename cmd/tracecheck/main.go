@@ -33,7 +33,6 @@ var knownTrackPrefixes = []string{
 	"faults", // injected-fault windows
 	"fences", // fence table activity
 	"fleet:", // fleet scheduler/host counter tracks (§13)
-	"irq:",   // interrupt delivery
 	"link:",  // interconnect transfers
 	"prefetch",
 	"svm:",    // shared-virtual-memory protocol spans

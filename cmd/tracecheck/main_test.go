@@ -42,14 +42,14 @@ func TestUnknownTrackWarnsNotFails(t *testing.T) {
 func TestKnownTrackFamilies(t *testing.T) {
 	for _, name := range []string{
 		"dev:gpu", "faults", "fences", "fleet:sched", "fleet:host",
-		"irq:camera", "link:pcie", "prefetch", "svm:proto",
+		"link:pcie", "prefetch", "svm:proto",
 		"tenant:g3:Camera", "thermal", "vq:gpu-vq",
 	} {
 		if !knownTrack(name) {
 			t.Errorf("knownTrack(%q) = false, want true", name)
 		}
 	}
-	for _, name := range []string{"mystery", "Fleet:sched", "ten"} {
+	for _, name := range []string{"mystery", "Fleet:sched", "ten", "irq:camera"} {
 		if knownTrack(name) {
 			t.Errorf("knownTrack(%q) = true, want false", name)
 		}

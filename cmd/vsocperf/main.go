@@ -8,7 +8,9 @@
 //
 // Each metric declares its own regression direction ("lower" or "higher"
 // is better); a change past the threshold in the bad direction is a
-// regression and makes vsocperf exit 1. The default threshold applies to
+// regression and makes vsocperf exit 1. The rule is experiments.Judge,
+// which the config search (cmd/vsoctune) also applies at the default
+// threshold to decide which candidates are feasible. The default applies to
 // every metric; -metric overrides it per metric name and may repeat.
 // A threshold is a non-negative fraction: a negative or NaN -threshold
 // exits 2 with usage, as -metric rejects one. A -metric naming a metric
@@ -82,7 +84,7 @@ func (t *thresholds) for_(name string) float64 {
 
 func main() {
 	th := &thresholds{}
-	flag.Float64Var(&th.def, "threshold", 0.05, "default relative change flagged as a regression")
+	flag.Float64Var(&th.def, "threshold", experiments.DefaultThreshold, "default relative change flagged as a regression")
 	flag.Var(th, "metric", "per-metric threshold override, name=frac (repeatable)")
 	flag.Usage = func() {
 		out := flag.CommandLine.Output()
@@ -149,7 +151,7 @@ func diff(w *os.File, oldRep, newRep *experiments.Report, th *thresholds) int {
 			fmt.Fprintf(w, "%-40s %14s %14.6g %9s  new metric\n", nm.Name, "-", nm.Value, "-")
 			continue
 		}
-		rel, verdict := judge(om, nm, th.for_(nm.Name))
+		rel, verdict := experiments.Judge(om, nm, th.for_(nm.Name))
 		if verdict == "REGRESSION" {
 			failures++
 		}
@@ -162,36 +164,4 @@ func diff(w *os.File, oldRep, newRep *experiments.Report, th *thresholds) int {
 		}
 	}
 	return failures
-}
-
-// judge classifies one metric's change. rel is the signed relative change
-// (new-old)/|old|; the verdict accounts for the metric's better direction.
-func judge(om, nm experiments.BenchMetric, threshold float64) (rel float64, verdict string) {
-	if om.Value == nm.Value {
-		return 0, "ok"
-	}
-	if om.Value == 0 {
-		// No baseline magnitude to scale by; report but never fail.
-		return 0, "ok (zero baseline)"
-	}
-	rel = (nm.Value - om.Value) / abs(om.Value)
-	worse := rel
-	if nm.Better == "higher" {
-		worse = -rel
-	}
-	switch {
-	case worse > threshold:
-		return rel, "REGRESSION"
-	case worse < -threshold:
-		return rel, "improvement"
-	default:
-		return rel, "ok"
-	}
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

@@ -5,13 +5,14 @@
 // touching SVM regions through the manager and occupying the physical device
 // they are currently mapped to.
 //
-// The framework supports the three access-ordering paradigms the paper
-// compares (Fig. 9): virtual command fences (vSoC), atomic guest-blocking
-// operations (the common baseline), and event-driven interrupt completion.
+// The framework supports the two access-ordering paradigms the emulator
+// presets use (Fig. 9): virtual command fences (vSoC) and atomic
+// guest-blocking operations (the common baseline). The paper's third,
+// event-driven interrupt completion, is not modelled: no preset runs it.
 //
-// Guest drivers, host executors, rings, and IRQ delivery are all processes
-// on the deterministic simulation kernel: exactly one runs at any instant,
-// so equal seeds replay identical command streams and fence timelines.
+// Guest drivers, host executors and rings are all processes on the
+// deterministic simulation kernel: exactly one runs at any instant, so
+// equal seeds replay identical command streams and fence timelines.
 package device
 
 import (
@@ -41,15 +42,11 @@ const (
 	// ModeAtomic blocks the guest driver until the host finishes each
 	// shared-resource operation (head-of-queue blocking).
 	ModeAtomic
-	// ModeEventDriven lets the guest proceed and signals completion with
-	// an emulated interrupt (extra VM-exits).
-	ModeEventDriven
 )
 
 var modeNames = map[OrderingMode]string{
-	ModeFence:       "fence",
-	ModeAtomic:      "atomic",
-	ModeEventDriven: "event-driven",
+	ModeFence:  "fence",
+	ModeAtomic: "atomic",
 }
 
 func (m OrderingMode) String() string { return modeNames[m] }
@@ -135,13 +132,6 @@ func (t Ticket) live() *opRecord {
 	return nil
 }
 
-// Ready reports whether the guest may consider the op complete, with the
-// mode's notification cost already applied. The zero Ticket is ready.
-func (t Ticket) Ready() bool {
-	r := t.live()
-	return r == nil || r.done.Fired()
-}
-
 // Wait parks p until the op is ready.
 func (t Ticket) Wait(p *sim.Proc) {
 	if r := t.live(); r != nil {
@@ -160,7 +150,9 @@ type Stats struct {
 	Executed   int
 	FenceWaits int
 	AtomicOps  int
-	IRQs       int
+	// IRQs is always zero: no ordering mode completes ops by interrupt.
+	// It stays because the benchmark module reads it.
+	IRQs int
 	// FenceTimeouts counts wait fences abandoned by the watchdog.
 	FenceTimeouts int
 	// DroppedOps counts ops whose SVM access raced a Free and was dropped
@@ -176,7 +168,7 @@ type Device struct {
 	mgr  *svm.Manager
 	cfg  Config
 	ring *virtio.Ring
-	irq  *virtio.IRQLine
+	irq  virtio.IRQLine
 	ftab *fence.Table
 	mimd *flowcontrol.MIMD
 
@@ -202,9 +194,8 @@ type Device struct {
 
 // opRecord is one op in flight: the ring command that carries it (whose
 // payload points back at the record), its guest-visible completion event
-// and its fences. The host retires the record once nothing reads it — at
-// the end of its executor iteration, or in event-driven mode once the
-// completion interrupt has marked it ready — and the device reuses it.
+// and its fences. The host retires the record at the end of its executor
+// iteration, once nothing reads it, and the device reuses it.
 type opRecord struct {
 	gen  uint64
 	cmd  virtio.Command
@@ -254,7 +245,6 @@ func New(env *sim.Env, mgr *svm.Manager, name string, vid, pid hypergraph.NodeID
 		mgr:    mgr,
 		cfg:    cfg,
 		ring:   virtio.NewRing(env, name+"-vq", cfg.Transport),
-		irq:    virtio.NewIRQLine(env, name+"-irq", cfg.Transport),
 		ftab:   ftab,
 		vid:    vid,
 		pid:    pid,
@@ -283,9 +273,6 @@ func New(env *sim.Env, mgr *svm.Manager, name string, vid, pid hypergraph.NodeID
 		d.lblCtx = "dev:" + name + ":ctx-switch"
 	}
 	env.Spawn(name+"-host", d.hostLoop)
-	if cfg.Mode == ModeEventDriven {
-		env.Spawn(name+"-irq-dispatch", d.irqLoop)
-	}
 	return d
 }
 
@@ -304,9 +291,9 @@ func (d *Device) Stats() Stats { return d.stats }
 // the benchmark: kick counts).
 func (d *Device) Ring() *virtio.Ring { return d.ring }
 
-// IRQ returns the device's interrupt line (read-only use by experiments
-// and the benchmark: delivered interrupts).
-func (d *Device) IRQ() *virtio.IRQLine { return d.irq }
+// IRQ returns the device's interrupt line (read-only use by the benchmark:
+// delivered interrupts, zero on every run).
+func (d *Device) IRQ() *virtio.IRQLine { return &d.irq }
 
 // Submit dispatches op from guest driver context p and returns its ticket.
 // Blocking behaviour depends on the ordering mode:
@@ -314,8 +301,6 @@ func (d *Device) IRQ() *virtio.IRQLine { return d.irq }
 //   - fence: never blocks on host execution; writes block only for the
 //     prefetch compensation (adaptive synchronism, §3.3).
 //   - atomic: blocks until the host finishes the op.
-//   - event-driven: returns immediately; the ticket turns ready after the
-//     completion interrupt is handled.
 func (d *Device) Submit(p *sim.Proc, op Op) Ticket {
 	d.stats.Submitted++
 	rec := d.newRecord(p.Env())
@@ -383,28 +368,11 @@ func (d *Device) Submit(p *sim.Proc, op Op) Ticket {
 			d.pf.Wait(p, "atomic:wait", waitStart, t.node)
 		}
 		d.stats.AtomicOps++
-	case ModeEventDriven:
-		if !op.After.Ready() {
-			// The guest serializes dependent ops on the completion IRQ
-			// of the predecessor.
-			orderStart := p.Now()
-			op.After.Wait(p)
-			if d.pf != nil {
-				d.pf.Wait(p, "irq:order-wait", orderStart, op.After.ProfNode())
-			}
-		}
-		marshalStart := p.Now()
-		p.Sleep(d.cfg.Transport.Scaled(time.Duration(extra) * (virtio.PerCommandCost + virtio.KickCost)))
-		if d.pf != nil {
-			d.pf.Charge(p, "virtio:marshal", marshalStart)
-		}
-		d.ring.Dispatch(p, cmd)
 	}
 	return t
 }
 
 func (d *Device) hostLoop(p *sim.Proc) {
-	notify := d.cfg.Mode == ModeEventDriven
 	for {
 		cmd := d.ring.Recv(p)
 		rec := cmd.Payload.(*opRecord)
@@ -449,23 +417,15 @@ func (d *Device) hostLoop(p *sim.Proc) {
 			d.pf.Finish(rec.node) // no-op when execute already finished it
 			d.pf.Bind(p, nil)
 		}
-		if !notify {
-			rec.done.Signal()
-		}
+		rec.done.Signal()
 		if rec.sig != (fence.Fence{}) {
 			rec.sig.Signal()
-		}
-		if notify {
-			// The record rides the interrupt; deliverIRQ retires it.
-			d.irq.Raise(rec)
 		}
 		if d.mimd != nil {
 			d.mimd.Complete(d.ring.Pending())
 		}
 		d.stats.Executed++
-		if !notify {
-			d.retire(rec)
-		}
+		d.retire(rec)
 	}
 }
 
@@ -539,21 +499,6 @@ func (d *Device) accessExec(p *sim.Proc, op Op, usage svm.Usage) {
 		}
 		panic(fmt.Sprintf("device %s: %s end: %v", d.Name, opName(op.Kind), err))
 	}
-}
-
-// irqLoop delivers completion interrupts to the guest (event-driven mode),
-// charging the IRQ handling cost before marking tickets ready.
-func (d *Device) irqLoop(p *sim.Proc) {
-	for {
-		d.deliverIRQ(d.irq.Wait(p))
-	}
-}
-
-func (d *Device) deliverIRQ(v any) {
-	d.stats.IRQs++
-	rec := v.(*opRecord)
-	rec.done.Signal()
-	d.retire(rec)
 }
 
 func opName(k OpKind) string {

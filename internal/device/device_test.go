@@ -109,29 +109,6 @@ func TestAtomicModeDriverBlocksForHostExec(t *testing.T) {
 	}
 }
 
-func TestEventDrivenReadyAfterIRQ(t *testing.T) {
-	rg := newRig(t, ModeEventDriven)
-	r, _ := rg.mgr.Alloc(hostsim.MiB)
-	var submitTook, readyAt time.Duration
-	rg.env.Spawn("driver", func(p *sim.Proc) {
-		start := p.Now()
-		tk := rg.codec.Submit(p, Op{Kind: OpWrite, Region: r.ID, Exec: 10 * ms})
-		submitTook = p.Now() - start
-		tk.Wait(p)
-		readyAt = p.Now()
-	})
-	rg.env.RunUntil(time.Second)
-	if submitTook > ms {
-		t.Fatalf("event-driven submit blocked %v", submitTook)
-	}
-	if readyAt < 10*ms {
-		t.Fatalf("Ready fired at %v, want after 10ms host exec + IRQ", readyAt)
-	}
-	if rg.codec.Stats().IRQs != 1 {
-		t.Fatalf("IRQs = %d, want 1", rg.codec.Stats().IRQs)
-	}
-}
-
 func TestFenceOrdersCrossDeviceWriteRead(t *testing.T) {
 	// Fig. 9c: codec write (slow) then GPU read submitted immediately.
 	// Without the wait fence the read would execute first; with it, the
@@ -196,23 +173,6 @@ func TestPipelinedSubmissionsKeepOrderWithinQueue(t *testing.T) {
 		if order[i] < order[i-1]+2*ms {
 			t.Fatalf("queue executed out of order / overlapped: %v", order)
 		}
-	}
-}
-
-func TestEventDrivenOrderingSerializesOnIRQ(t *testing.T) {
-	rg := newRig(t, ModeEventDriven)
-	r, _ := rg.mgr.Alloc(16 * hostsim.MiB)
-	var readStart time.Duration
-	rg.env.Spawn("driver", func(p *sim.Proc) {
-		w := rg.codec.Submit(p, Op{Kind: OpWrite, Region: r.ID, Exec: 15 * ms})
-		start := p.Now()
-		rg.gpu.Submit(p, Op{Kind: OpRead, Region: r.ID, Exec: 1 * ms, After: w})
-		readStart = p.Now() - start
-	})
-	rg.env.RunUntil(time.Second)
-	// The dependent submit itself blocks on the predecessor's IRQ.
-	if readStart < 15*ms {
-		t.Fatalf("dependent submit returned after %v, want >= 15ms (waited on IRQ)", readStart)
 	}
 }
 
@@ -432,7 +392,7 @@ func TestOpOnAlreadyFreedRegionIsDropped(t *testing.T) {
 	}
 }
 
-var modes = []OrderingMode{ModeFence, ModeAtomic, ModeEventDriven}
+var modes = []OrderingMode{ModeFence, ModeAtomic}
 
 // steadyCycle starts a codec driver that runs one write and one dependent
 // read of its own region per call of the returned step: a Submit → execute
@@ -485,10 +445,9 @@ func BenchmarkSubmit(b *testing.B) {
 }
 
 // TestRecycledTicketReadsReady: once a ticket's op has retired and a later
-// op reuses its record, the ticket still reads ready, Wait neither parks
-// nor adds an event, ProfNode keeps the op's node, and as After it orders
-// nothing: no fence wait in fence mode, no IRQ order wait in event-driven
-// mode.
+// op reuses its record, the ticket still reads ready (it no longer reaches
+// the record), Wait neither parks nor adds an event, ProfNode keeps the
+// op's node, and as After it orders nothing: no fence wait in fence mode.
 func TestRecycledTicketReadsReady(t *testing.T) {
 	for _, mode := range modes {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -506,11 +465,11 @@ func TestRecycledTicketReadsReady(t *testing.T) {
 					rg.codec.Submit(p, Op{Kind: OpExec, Exec: 50 * ms})
 				})
 				p.Sleep(ms)
-				if a.rec.gen != a.gen+1 || a.rec.done.Fired() {
+				if a.rec.gen != a.gen+1 || rg.codec.Stats().Executed != 1 {
 					t.Error("the next op is not in flight on a's record")
 					return
 				}
-				if !a.Ready() {
+				if a.live() != nil {
 					t.Error("recycled ticket reads its record's new op")
 				}
 				now, events := p.Now(), env.ExecutedEvents()
@@ -522,11 +481,7 @@ func TestRecycledTicketReadsReady(t *testing.T) {
 				if node == nil || a.ProfNode() != node || a.rec.node == node {
 					t.Error("recycled ticket lost its profiler node")
 				}
-				start := p.Now()
 				c := rg.gpu.Submit(p, Op{Kind: OpExec, Exec: ms, After: a})
-				if mode == ModeEventDriven && p.Now()-start > ms {
-					t.Errorf("After a recycled ticket waited %v on an IRQ", p.Now()-start)
-				}
 				c.Wait(p)
 				if p.Now() >= 50*ms {
 					t.Errorf("c ordered behind the record's next op, done at %v", p.Now())

@@ -10,7 +10,7 @@ import (
 )
 
 // BenchMetric is one scalar measurement in the benchmark trajectory.
-// Better declares the regression direction for cmd/vsocperf: "lower"
+// Better declares the regression direction for Judge: "lower"
 // means smaller values are improvements (latency), "higher" the
 // opposite (FPS, coverage).
 type BenchMetric struct {
@@ -60,6 +60,54 @@ func roundMetric(v float64) float64 {
 		return 0
 	}
 	return math.Round(v*1e6) / 1e6
+}
+
+// DefaultThreshold is the relative change in a metric's bad direction past
+// which Judge calls it a regression: cmd/vsocperf's default gate and the
+// tuner's feasibility bound (DESIGN.md §14).
+const DefaultThreshold = 0.05
+
+// Judge classifies the change of one metric from its baseline om to nm. rel
+// is the signed relative change (new-old)/|old|; the verdict reads the
+// change in nm's better direction: "REGRESSION" past threshold the bad way,
+// "improvement" past it the good way, "ok" within it, and "ok (zero
+// baseline)" for any change from zero, which has no magnitude to scale by.
+func Judge(om, nm BenchMetric, threshold float64) (rel float64, verdict string) {
+	if om.Value == nm.Value {
+		return 0, "ok"
+	}
+	if om.Value == 0 {
+		return 0, "ok (zero baseline)"
+	}
+	rel = (nm.Value - om.Value) / math.Abs(om.Value)
+	worse := rel
+	if nm.Better == "higher" {
+		worse = -rel
+	}
+	switch {
+	case worse > threshold:
+		return rel, "REGRESSION"
+	case worse < -threshold:
+		return rel, "improvement"
+	default:
+		return rel, "ok"
+	}
+}
+
+// Regressed names the first metric of base, in name order, that r lacks or
+// that Judge calls a regression at threshold, and returns "" when there is
+// none: the gate cmd/vsocperf applies to a before/after pair.
+func (r *Report) Regressed(base *Report, threshold float64) string {
+	for _, bm := range base.Metrics {
+		m, ok := r.Lookup(bm.Name)
+		if !ok {
+			return bm.Name
+		}
+		if _, verdict := Judge(bm, m, threshold); verdict == "REGRESSION" {
+			return bm.Name
+		}
+	}
+	return ""
 }
 
 // Lookup returns the named metric and whether it exists.

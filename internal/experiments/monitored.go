@@ -65,7 +65,7 @@ type PhasedLoadResult struct {
 // MonitorProbes registers the standard pull-signal set on a tenant: link
 // busy time and bytes moved (per-window deltas on the host-to-GPU DMA
 // path), the cross-guest arbitration scale, thermal state, watchdog fence
-// timeouts, and transport notifications (kicks + delivered IRQs). Every
+// timeouts, and transport notifications (kicks). Every
 // closure reads only the tenant's own machine/emulator state, so sampling
 // at seal points is deterministic.
 func MonitorProbes(tn *tsmon.Tenant, sess *workload.Session) {
@@ -99,7 +99,7 @@ func MonitorProbes(tn *tsmon.Tenant, sess *workload.Session) {
 	tn.Probe("notifs", tsmon.ProbeDelta, func() float64 {
 		var n int
 		for _, d := range devs {
-			n += d.Ring().Stats().Kicks + d.IRQ().Delivered()
+			n += d.Ring().Stats().Kicks
 		}
 		return float64(n)
 	})

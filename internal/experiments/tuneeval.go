@@ -10,9 +10,9 @@ import (
 	"repro/internal/workload"
 )
 
-// Tune-evaluation metric names. The auto-tuner's objectives and
-// constraints, the before/after evidence reports fed to cmd/vsocperf, and
-// DESIGN.md §14 all refer to these.
+// Tune-evaluation metric names. The auto-tuner's objective, the
+// before/after evidence reports fed to cmd/vsocperf, and DESIGN.md §14 all
+// refer to these.
 const (
 	TuneAccessMean      = "tune.access_mean_ms"
 	TuneAccessP99       = "tune.access_p99_ms"
@@ -25,17 +25,17 @@ const (
 )
 
 // RunTuneEval evaluates one candidate fetch config on one preset (it
-// replaces preset.Fetch) and returns the named measurements the tuner
-// scores — the same projection the bench trajectory uses (BenchMetric
-// carries the better-direction, so the before/after evidence reports diff
-// through cmd/vsocperf unchanged).
+// replaces preset.Fetch) and returns the bench report the tuner scores and
+// vsoctune -out writes, one "tune" experiment whose metrics carry their
+// better-direction, so the tuner's gate and cmd/vsocperf judge the same
+// values.
 //
 // The workload is the Fig. 16 video probe (UHD + 360 categories, high-end
 // machine) with the critical-path profiler attached, so every demand fetch
 // lands in the profiler's "demand-fetch" class. Sessions fan out over
 // Config.Workers and merge in job order, so equal (preset, fetch, seed)
 // triples produce byte-identical metrics at every worker count.
-func RunTuneEval(cfg Config, preset emulator.Preset, fetch hostsim.FetchConfig) []BenchMetric {
+func RunTuneEval(cfg Config, preset emulator.Preset, fetch hostsim.FetchConfig) *Report {
 	preset.Fetch = fetch
 	cells := appCells(cfg, preset, HighEnd, 900, videoCats)
 	for i := range cells {
@@ -46,15 +46,15 @@ func RunTuneEval(cfg Config, preset emulator.Preset, fetch hostsim.FetchConfig) 
 		rep *prof.Report
 		res *workload.Result
 		// Notification accounting: every guest<->host transition paid,
-		// kicks plus delivered IRQs here, and two per coherence push or
-		// demand fetch (doorbell out, completion back) after the merge.
+		// kicks here, and two per coherence push or demand fetch (doorbell
+		// out, completion back) after the merge.
 		ops, notifs int
 	}
 	outs := sweep(cfg, cells, func(s *workload.Session, res *workload.Result) out {
 		o := out{st: s.SVMStats(), rep: s.Env.Profiler().Report(), res: res}
 		for _, d := range s.Emulator.Devices() {
 			o.ops += d.Stats().Executed
-			o.notifs += d.Ring().Stats().Kicks + d.IRQ().Delivered()
+			o.notifs += d.Ring().Stats().Kicks
 		}
 		return o
 	})
@@ -103,9 +103,5 @@ func RunTuneEval(cfg Config, preset emulator.Preset, fetch hostsim.FetchConfig) 
 		ms = append(ms, BenchMetric{Name: TuneNotifPerOp,
 			Value: float64(notifs) / float64(ops), Unit: "notif/op", Better: "lower"})
 	}
-	// Round and sort exactly like the bench report, so the tuner judges the
-	// same values its before/after reports carry to cmd/vsocperf.
-	r := &Report{Schema: 1, Metrics: ms}
-	r.normalize()
-	return r.Metrics
+	return NewBenchReport(map[string][]BenchMetric{"tune": ms})
 }

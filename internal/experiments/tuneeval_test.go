@@ -24,7 +24,7 @@ func tuneTestConfig(workers int) Config {
 func TestRunTuneEvalDeterministic(t *testing.T) {
 	p := emulator.VSoCNoPrefetch()
 	serial := RunTuneEval(tuneTestConfig(1), p, p.Fetch)
-	if len(serial) == 0 {
+	if len(serial.Metrics) == 0 {
 		t.Fatalf("no metrics")
 	}
 	for _, workers := range []int{1, 4} {
@@ -44,25 +44,13 @@ func TestRunTuneEvalRespondsToTunable(t *testing.T) {
 	}
 
 	cfg := tuneTestConfig(0)
-	before := Metrics(RunTuneEval(cfg, p, p.Fetch))
-	after := Metrics(RunTuneEval(cfg, p, hostsim.EnabledFetch()))
-	bm, am := before.value(TuneDemandFetchMean), after.value(TuneDemandFetchMean)
+	before, _ := RunTuneEval(cfg, p, p.Fetch).Lookup(TuneDemandFetchMean)
+	after, _ := RunTuneEval(cfg, p, hostsim.EnabledFetch()).Lookup(TuneDemandFetchMean)
+	bm, am := before.Value, after.Value
 	if bm == 0 || am == 0 {
 		t.Fatalf("demand-fetch mean missing: before=%v after=%v", bm, am)
 	}
 	if am >= bm {
 		t.Fatalf("chunked fetches did not improve demand-fetch mean: %v -> %v", bm, am)
 	}
-}
-
-// Metrics is a local sorted view for test lookups.
-type Metrics []BenchMetric
-
-func (m Metrics) value(name string) float64 {
-	for _, bm := range m {
-		if bm.Name == name {
-			return bm.Value
-		}
-	}
-	return 0
 }

@@ -32,9 +32,6 @@ type Event struct {
 // NewEvent returns an unfired event bound to env.
 func NewEvent(env *Env) *Event { return &Event{env: env} }
 
-// Fired reports whether the event has been signaled.
-func (ev *Event) Fired() bool { return ev.fired }
-
 // Signal fires the event, waking every waiter at the current instant in
 // the order they began waiting. Signaling an already-fired event is a
 // no-op. Signal may be called from process or scheduler context.

@@ -146,7 +146,7 @@ func TestEventDoubleSignalIsNoop(t *testing.T) {
 	ev := NewEvent(env)
 	ev.Signal()
 	ev.Signal()
-	if !ev.Fired() {
+	if !ev.fired {
 		t.Fatal("event should be fired")
 	}
 }

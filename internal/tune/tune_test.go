@@ -1,87 +1,77 @@
 package tune
 
 import (
-	"fmt"
-	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/experiments"
 	"repro/internal/hostsim"
 )
 
-// testSpace is a synthetic 3-knob space (5 levels each, defaults at level
-// 0) for exercising the search driver without simulations. Each knob
-// writes its own fetch-config field with chunking always on, so all 125
-// vectors resolve to distinct configs and none is deduplicated.
-func testSpace() Space {
-	mk := func(name string, set func(c *hostsim.FetchConfig, n int)) Knob {
-		return Knob{Name: name, Levels: []float64{0, 1, 2, 3, 4}, Default: 0,
-			Set: func(c *hostsim.FetchConfig, v float64) { set(c, int(v)+1) }}
-	}
-	return Space{Knobs: []Knob{
-		mk("a", func(c *hostsim.FetchConfig, n int) { c.ChunkBytes = hostsim.Bytes(n) }),
-		mk("b", func(c *hostsim.FetchConfig, n int) { c.DMAThreshold = hostsim.Bytes(n) }),
-		mk("c", func(c *hostsim.FetchConfig, n int) { c.MaxInflight = n }),
-	}}
-}
+// metric is a planted measurement: Search reads the objective by name and
+// gates every metric the baseline holds.
+type metric = experiments.BenchMetric
 
-// planted is an evaluator over a planted objective landscape, plus a
-// "guard" constraint metric that jumps in the penalized region. Metrics
-// are returned sorted by name (guard < obj), matching the normalization
-// contract of the real evaluator. It counts its calls and how often it
-// measured each vector.
+// planted is an evaluator over a planted landscape: obj gives each
+// candidate's demand-fetch mean, frames (when set) its tune.frames, 100
+// otherwise, and guard (when set) a "guard" metric. It counts its calls,
+// how often it measured each config, and keeps the reports it returned.
 type planted struct {
-	obj      func(v Vector) float64
-	penalize func(v Vector) bool
-	batches  int // EvaluateBatch calls
-	measured map[string]int
+	obj, frames, guard func(c hostsim.FetchConfig) float64
+	batches            int
+	measured           map[hostsim.FetchConfig]int
+	reps               []*experiments.Report
 }
 
-func (e *planted) EvaluateBatch(vs []Vector) []Metrics {
+func (e *planted) eval(cands []hostsim.FetchConfig) []*experiments.Report {
 	e.batches++
 	if e.measured == nil {
-		e.measured = map[string]int{}
+		e.measured = map[hostsim.FetchConfig]int{}
 	}
-	out := make([]Metrics, len(vs))
-	for i, v := range vs {
-		e.measured[fmt.Sprint(v)]++
-		guard := 1.0
-		if e.penalize != nil && e.penalize(v) {
-			guard = 10
+	e.reps = make([]*experiments.Report, len(cands))
+	for i, c := range cands {
+		e.measured[c]++
+		frames := 100.0
+		if e.frames != nil {
+			frames = e.frames(c)
 		}
-		out[i] = Metrics{
-			{Name: "guard", Value: guard, Unit: "x", Better: "lower"},
-			{Name: "obj", Value: e.obj(v), Unit: "x", Better: "lower"},
+		ms := []metric{
+			{Name: experiments.TuneDemandFetchMean, Value: e.obj(c), Unit: "ms", Better: "lower"},
+			{Name: experiments.TuneFrames, Value: frames, Unit: "count", Better: "higher"},
 		}
+		if e.guard != nil {
+			ms = append(ms, metric{Name: "guard", Value: e.guard(c), Unit: "x", Better: "lower"})
+		}
+		e.reps[i] = experiments.NewBenchReport(map[string][]metric{"tune": ms})
 	}
-	return out
+	return e.reps
 }
 
-// dist2 is the squared level distance between v and target.
-func dist2(v, target Vector) float64 {
-	d2 := 0.0
-	for i := range v {
-		d := float64(v[i] - target[i])
-		d2 += d * d
-	}
-	return d2
+func (e *planted) search() *Result { return Search("test", candidates(), e.eval) }
+
+// fc builds an enabled candidate from KiB sizes and a depth.
+func fc(chunkKiB, dmaKiB hostsim.Bytes, depth int) hostsim.FetchConfig {
+	return hostsim.FetchConfig{ChunkBytes: chunkKiB * hostsim.KiB, DMAThreshold: dmaKiB * hostsim.KiB, MaxInflight: depth}
 }
 
-// quad is a separable quadratic with its one optimum at target.
-func quad(target Vector) func(Vector) float64 {
-	return func(v Vector) float64 { return dist2(v, target) }
-}
-
-func testObjective() Objective {
-	return Objective{
-		Metric:      "obj",
-		Constraints: []Constraint{{Metric: "guard", MaxRel: 1.05}},
+// at returns an objective that reads low at the listed configs and high
+// everywhere else.
+func at(low map[hostsim.FetchConfig]float64) func(hostsim.FetchConfig) float64 {
+	return func(c hostsim.FetchConfig) float64 {
+		if v, ok := low[c]; ok {
+			return v
+		}
+		return 5
 	}
 }
+
+func bestConfig(r *Result) hostsim.FetchConfig { return r.Trace[r.best].Config }
 
 func TestSearchDeterministic(t *testing.T) {
 	run := func() *Result {
-		return Search("test", testSpace(), &planted{obj: quad(Vector{3, 1, 2})}, testObjective())
+		return (&planted{obj: func(c hostsim.FetchConfig) float64 {
+			return float64(c.ChunkBytes/hostsim.KiB%7) + float64(c.MaxInflight)/3
+		}}).search()
 	}
 	a, b := run(), run()
 	if at, bt := a.FormatTrace(), b.FormatTrace(); at != bt {
@@ -92,153 +82,196 @@ func TestSearchDeterministic(t *testing.T) {
 	}
 }
 
-// TestSearchFindsDistantOptimum: the defaults sit in a local minimum (every
-// neighbor is worse) and the only global optimum lies several levels
-// away. Enumeration finds it, measuring every distinct vector exactly once
-// in a single evaluator call, the defaults first.
+// TestSearchFindsDistantOptimum: the baseline sits in a local minimum (the
+// nearest candidates, 64 KiB chunks, read worse, and so does every other
+// but one) and the only global optimum lies at the far corner of the grid.
+// Enumeration finds it, measuring every candidate exactly once in a single
+// evaluator call, the baseline first.
 func TestSearchFindsDistantOptimum(t *testing.T) {
-	target := Vector{3, 1, 4}
-	ev := &planted{obj: func(v Vector) float64 {
-		return min(1+dist2(v, Vector{0, 0, 0}), dist2(v, target))
+	target := fc(4096, 256, 16)
+	ev := &planted{obj: func(c hostsim.FetchConfig) float64 {
+		switch {
+		case c == target:
+			return 0
+		case !c.Enabled():
+			return 1
+		case c.ChunkBytes == 64*hostsim.KiB:
+			return 2
+		}
+		return 1.5
 	}}
-	res := Search("test", testSpace(), ev, testObjective())
-	if !reflect.DeepEqual(res.BestVec, target) || res.Best.Value("obj") != 0 || res.BestIsBaseline {
-		t.Fatalf("best = %v (obj %v), want planted optimum %v\ntrace:\n%s",
-			res.BestVec, res.Best.Value("obj"), target, res.FormatTrace())
+	res := ev.search()
+	if bestConfig(res) != target || res.best == 0 {
+		t.Fatalf("best = %+v, want planted optimum %+v\ntrace:\n%s", bestConfig(res), target, res.FormatTrace())
+	}
+	if m, _ := res.Best.Lookup(experiments.TuneDemandFetchMean); m.Value != 0 {
+		t.Fatalf("best report reads %v, want the optimum's 0", m.Value)
 	}
 	if ev.batches != 1 {
 		t.Fatalf("%d evaluator calls, want one batch", ev.batches)
 	}
-	if len(ev.measured) != 125 || len(res.Trace) != 125 {
-		t.Fatalf("measured %d distinct vectors in %d steps, want all 125", len(ev.measured), len(res.Trace))
+	if len(ev.measured) != 49 || len(res.Trace) != 49 {
+		t.Fatalf("measured %d distinct configs in %d steps, want all 49", len(ev.measured), len(res.Trace))
 	}
-	for v, n := range ev.measured {
+	for c, n := range ev.measured {
 		if n != 1 {
-			t.Fatalf("vector %s measured %d times", v, n)
+			t.Fatalf("config %+v measured %d times", c, n)
 		}
 	}
-	if !reflect.DeepEqual(res.Trace[0].Vec, testSpace().DefaultVector()) {
-		t.Fatalf("first candidate %v, want the defaults", res.Trace[0].Vec)
+	if res.Trace[0].Config != (hostsim.FetchConfig{}) {
+		t.Fatalf("first candidate %+v, want the zero config", res.Trace[0].Config)
 	}
 }
 
-// TestFetchSpaceCandidates: the one space holds exactly the three fetch
-// knobs, and with chunking off neither other knob is read, so it yields
-// 1 + 4x3x4 = 49 candidates, the defaults first, each resolving to a
-// distinct fetch config.
+// TestFetchSpaceCandidates: the list holds 1 + 4x3x4 = 49 candidates, the
+// zero config first, each resolving to a distinct fetch config.
 func TestFetchSpaceCandidates(t *testing.T) {
-	sp := FetchSpace()
-	var names []string
-	for _, k := range sp.Knobs {
-		names = append(names, k.Name)
-		if k.Default < 0 || k.Default >= len(k.Levels) {
-			t.Errorf("knob %s default index %d out of range", k.Name, k.Default)
-		}
-		if k.Set == nil {
-			t.Errorf("knob %s has no setter", k.Name)
-		}
+	cands := candidates()
+	if len(cands) != 49 {
+		t.Fatalf("%d candidates, want 49", len(cands))
 	}
-	if want := []string{KnobFetchChunk, KnobFetchDMAThreshold, KnobFetchMaxInflight}; !reflect.DeepEqual(names, want) {
-		t.Fatalf("fetch space knobs = %v, want %v", names, want)
-	}
-	vecs := candidates(sp)
-	if len(vecs) != 49 {
-		t.Fatalf("%d candidates, want 49", len(vecs))
-	}
-	if !reflect.DeepEqual(vecs[0], sp.DefaultVector()) {
-		t.Fatalf("first candidate %v, want the defaults", vecs[0])
-	}
-	if c := sp.Config(vecs[0]).Resolved(); c != (hostsim.FetchConfig{}) {
-		t.Fatalf("defaults resolve to %+v, want chunking off", c)
+	if cands[0] != (hostsim.FetchConfig{}) {
+		t.Fatalf("first candidate %+v, want the zero config", cands[0])
 	}
 	seen := map[hostsim.FetchConfig]bool{}
-	for _, v := range vecs {
-		c := sp.Config(v).Resolved()
-		if seen[c] {
-			t.Fatalf("candidate %s repeats fetch config %+v", sp.Format(v), c)
+	for _, c := range cands {
+		r := c.Resolved()
+		if seen[r] {
+			t.Fatalf("candidate %s repeats fetch config %+v", format(c), r)
 		}
-		seen[c] = true
+		seen[r] = true
 	}
 }
 
 // TestTiesKeepFewerNonDefaultKnobs: with nothing strictly better than the
-// baseline, the best is the baseline; of two vectors with equal objective
-// values the one setting fewer knobs away from their defaults wins, even
-// when measured later, and of two that also set equally many, the earlier.
+// baseline, the best is the baseline; of two candidates with equal
+// objective values the one setting fewer knobs away from their defaults
+// wins, even when measured later, and of two that also set equally many,
+// the earlier.
 func TestTiesKeepFewerNonDefaultKnobs(t *testing.T) {
-	flat := Search("test", testSpace(), &planted{obj: func(Vector) float64 { return 1 }}, testObjective())
-	if !flat.BestIsBaseline || !reflect.DeepEqual(flat.BestVec, testSpace().DefaultVector()) {
-		t.Fatalf("flat landscape: best %v (baseline %v), want the defaults", flat.BestVec, flat.BestIsBaseline)
+	flat := (&planted{obj: func(hostsim.FetchConfig) float64 { return 1 }}).search()
+	if flat.best != 0 || bestConfig(flat) != (hostsim.FetchConfig{}) {
+		t.Fatalf("flat landscape: best %+v (index %d), want the baseline", bestConfig(flat), flat.best)
 	}
 	if got := flat.FormatResult(); !strings.Contains(got, "best = shipped defaults") {
 		t.Fatalf("flat landscape result does not report the defaults:\n%s", got)
 	}
 	for _, tc := range []struct {
-		low  []Vector
-		want Vector
+		low  []hostsim.FetchConfig
+		want hostsim.FetchConfig
 	}{
-		{[]Vector{{0, 1, 1}, {2, 0, 0}}, Vector{2, 0, 0}},
-		{[]Vector{{0, 3, 0}, {0, 0, 3}}, Vector{0, 0, 3}},
+		{[]hostsim.FetchConfig{fc(64, 16, 2), fc(1024, 64, 4)}, fc(1024, 64, 4)},
+		{[]hostsim.FetchConfig{fc(64, 64, 4), fc(256, 64, 4)}, fc(64, 64, 4)},
+		{[]hostsim.FetchConfig{fc(256, 16, 4), fc(256, 64, 16)}, fc(256, 16, 4)},
 	} {
-		ev := &planted{obj: func(v Vector) float64 {
-			for _, l := range tc.low {
-				if reflect.DeepEqual(v, l) {
-					return 0
-				}
-			}
-			return 5
-		}}
-		if res := Search("test", testSpace(), ev, testObjective()); !reflect.DeepEqual(res.BestVec, tc.want) {
-			t.Errorf("tie between %v: best %v, want %v", tc.low, res.BestVec, tc.want)
+		low := map[hostsim.FetchConfig]float64{}
+		for _, c := range tc.low {
+			low[c] = 0
+		}
+		if res := (&planted{obj: at(low)}).search(); bestConfig(res) != tc.want {
+			t.Errorf("tie between %s: best %s, want %s", format(tc.low[0])+" "+format(tc.low[1]),
+				format(bestConfig(res)), format(tc.want))
 		}
 	}
 }
 
+// TestConstraintViolationsRejected: every candidate that regresses a
+// baseline metric past the gate is rejected, naming that metric, and never
+// becomes the best, however good its objective.
 func TestConstraintViolationsRejected(t *testing.T) {
-	// The entire improving half-space around the optimum violates the
-	// guard, leaving only mild improvements feasible.
+	big := func(c hostsim.FetchConfig) bool { return c.ChunkBytes >= 1024*hostsim.KiB }
 	ev := &planted{
-		obj:      quad(Vector{3, 1, 2}),
-		penalize: func(v Vector) bool { return v[0] >= 2 },
+		obj: func(c hostsim.FetchConfig) float64 {
+			if big(c) {
+				return 0.5
+			}
+			return 2 - float64(c.MaxInflight)/16
+		},
+		guard: func(c hostsim.FetchConfig) float64 {
+			if big(c) {
+				return 10
+			}
+			return 1
+		},
 	}
-	res := Search("test", testSpace(), ev, testObjective())
-	if res.Rejected == 0 {
-		t.Fatalf("expected rejected candidates, got none\ntrace:\n%s", res.FormatTrace())
-	}
-	if res.BestVec[0] >= 2 {
-		t.Fatalf("infeasible vector won: %v", res.BestVec)
-	}
+	res := ev.search()
+	rejected := 0
 	for _, st := range res.Trace {
-		if !st.Feasible && st.Best {
+		if st.Violated != "" {
+			rejected++
+		}
+		if st.Violated != "" && st.Best {
 			t.Fatalf("infeasible step marked best: %+v", st)
 		}
-		if !st.Feasible && st.Violated != "guard" {
-			t.Fatalf("infeasible step names %q, want guard", st.Violated)
+		if big(st.Config) != (st.Violated == "guard") {
+			t.Fatalf("step %s: violated %q", format(st.Config), st.Violated)
 		}
 	}
-	bestGuard := res.Best.Value("guard")
-	if bestGuard > 1.05*res.Baseline.Value("guard") {
-		t.Fatalf("best violates the guard constraint: %v", bestGuard)
+	if rejected != 24 {
+		t.Fatalf("%d rejected candidates, want the 24 with chunks of 1 MiB or more\ntrace:\n%s", rejected, res.FormatTrace())
+	}
+	if big(bestConfig(res)) {
+		t.Fatalf("infeasible candidate won: %s", format(bestConfig(res)))
+	}
+	if g, _ := res.Best.Lookup("guard"); g.Value != 1 {
+		t.Fatalf("best violates the guard: %v", g.Value)
 	}
 }
 
-// TestSpaceKeysAndFormat: a vector renders only its non-default knobs, and
-// decodes to the fetch config the search deduplicates on: distinct vectors
-// to distinct configs, equal vectors to equal ones.
+// TestBestPassesTheGate: the objective-best candidate regresses a metric
+// no objective names (tune.frames -6%), so it must lose to the best
+// candidate that passes the gate; and every candidate the trace calls
+// feasible passes Regressed against the baseline, so the -out pair passes
+// cmd/vsocperf by construction.
+func TestBestPassesTheGate(t *testing.T) {
+	cheat, honest := fc(4096, 16, 2), fc(1024, 64, 16)
+	ev := &planted{
+		obj: at(map[hostsim.FetchConfig]float64{cheat: 0.5, honest: 1}),
+		frames: func(c hostsim.FetchConfig) float64 {
+			if c == cheat {
+				return 94
+			}
+			return 100
+		},
+	}
+	res := ev.search()
+	if bestConfig(res) != honest {
+		t.Fatalf("best %s, want %s: the objective-best regresses tune.frames\ntrace:\n%s",
+			format(bestConfig(res)), format(honest), res.FormatTrace())
+	}
+	for i, st := range res.Trace {
+		if st.Config == cheat && st.Violated != experiments.TuneFrames {
+			t.Errorf("objective-best candidate: violated %q, want %s", st.Violated, experiments.TuneFrames)
+		}
+		if got := ev.reps[i].Regressed(res.Baseline, experiments.DefaultThreshold); st.Violated != got {
+			t.Errorf("step %d %s: violated %q, but the gate says %q", i, format(st.Config), st.Violated, got)
+		}
+	}
+	if got := res.Best.Regressed(res.Baseline, experiments.DefaultThreshold); got != "" {
+		t.Fatalf("best regresses %s against the baseline", got)
+	}
+}
+
+// TestSpaceKeysAndFormat: a config renders only its non-default knobs, a
+// disabled one renders as the defaults whatever its other knobs hold (they
+// are never read), and the knob table's default column is the shipped
+// default.
 func TestSpaceKeysAndFormat(t *testing.T) {
-	sp := testSpace()
-	def := sp.DefaultVector()
-	if got := sp.Format(def); got != "{defaults}" {
-		t.Fatalf("Format(default) = %q", got)
+	for _, tc := range []struct {
+		c    hostsim.FetchConfig
+		want string
+	}{
+		{hostsim.FetchConfig{}, "{defaults}"},
+		{hostsim.FetchConfig{DMAThreshold: 16 * hostsim.KiB, MaxInflight: 2}, "{defaults}"},
+		{fc(64, 64, 4), "{fetch.chunk_kib=64KiB}"},
+		{fc(1024, 64, 16), "{fetch.chunk_kib=1024KiB fetch.max_inflight=16}"},
+		{fc(4096, 256, 2), "{fetch.chunk_kib=4096KiB fetch.dma_threshold_kib=256KiB fetch.max_inflight=2}"},
+	} {
+		if got := format(tc.c); got != tc.want {
+			t.Errorf("format(%+v) = %q, want %q", tc.c, got, tc.want)
+		}
 	}
-	v := Vector{0, 3, 0}
-	if got := sp.Format(v); got != "{b=3}" {
-		t.Fatalf("Format = %q, want {b=3}", got)
-	}
-	if sp.Config(def) == sp.Config(v) {
-		t.Fatalf("distinct vectors share a fetch config")
-	}
-	if sp.Config(v) != sp.Config(Vector{0, 3, 0}) {
-		t.Fatalf("equal vectors decode to different fetch configs")
+	if got, want := levels(hostsim.FetchConfig{}), [3]string{"off", "64KiB", "4"}; got != want {
+		t.Fatalf("default levels %v, want %v", got, want)
 	}
 }

@@ -10,8 +10,9 @@
 //
 // All transport costs are charged in virtual time on the deterministic
 // kernel, so equal seeds replay identical notification schedules. Every
-// dispatch kicks and every raised interrupt is delivered on its own: the
-// fence table is the one mechanism that cuts notifications.
+// dispatch kicks: the fence table is the one mechanism that cuts
+// notifications. Interrupt costs are charged by the device layer (an
+// atomic op's per-command round trip); no interrupt is queued or delivered.
 package virtio
 
 import (
@@ -23,7 +24,7 @@ import (
 )
 
 // CostScale is a dynamic multiplier on transport costs, shared by every
-// ring and IRQ line built from one Config. The fault layer drives it to
+// ring and device built from one Config. The fault layer drives it to
 // model kick/IRQ latency spikes (a saturated hypervisor exit path); the
 // zero factor and a nil receiver both mean nominal cost.
 type CostScale struct {
@@ -64,7 +65,7 @@ const (
 // Config holds the transport's per-emulator settings.
 type Config struct {
 	// Scale, when non-nil, multiplies every transport cost at charge time.
-	// It is shared (by pointer) across the rings and IRQ lines of one
+	// It is shared (by pointer) across the rings and devices of one
 	// emulator so a single injected spike slows them all.
 	Scale *CostScale
 }
@@ -172,66 +173,14 @@ func (r *Ring) Pending() int { return r.q.Len() }
 // Stats returns transport counters.
 func (r *Ring) Stats() Stats { return r.stats }
 
-// IRQLine models host-to-guest interrupt delivery. Each delivered interrupt
-// costs the receiving guest process IRQCost, the "extra VM-Exits from
-// interrupts" that make the event-driven ordering paradigm expensive (§3.4).
-type IRQLine struct {
-	cfg Config
-	q   *sim.Queue[any]
-	// raised counts injected interrupts; delivered counts IRQCost charges
-	// on the guest, one per Wait.
-	raised    int
-	delivered int
+// IRQLine is a device's host-to-guest interrupt line. No ordering mode
+// completes ops by interrupt (the paper's event-driven paradigm is not
+// modelled), so nothing is ever delivered; the line stays because the
+// benchmark module reads its count into its notification metrics.
+type IRQLine struct{}
 
-	tr *obs.Tracer
-	tk obs.Track
-	pf *prof.Profiler
-}
-
-// NewIRQLine returns an interrupt line.
-func NewIRQLine(env *sim.Env, name string, cfg Config) *IRQLine {
-	l := &IRQLine{cfg: cfg, q: sim.NewQueue[any](env, 0), pf: env.Profiler()}
-	if l.tr = env.Tracer(); l.tr != nil {
-		l.tk = l.tr.Track("irq:" + name)
-	}
-	if reg := env.Metrics(); reg != nil {
-		reg.Count("irq."+name+".raised", &l.raised)
-	}
-	return l
-}
-
-// Raise injects an interrupt carrying v. Host side; costless for the
-// raiser beyond scheduling.
-func (l *IRQLine) Raise(v any) {
-	if l.tr != nil {
-		l.tr.Instant(l.tk, "raise")
-	}
-	l.raised++
-	l.q.TryPut(v)
-}
-
-// Wait blocks the guest process until an interrupt arrives, then pays the
-// guest-side handling cost.
-func (l *IRQLine) Wait(p *sim.Proc) any {
-	v := l.q.Get(p)
-	l.delivered++
-	var sp obs.Span
-	if l.tr != nil {
-		sp = l.tr.Begin(l.tk, "irq-handle")
-	}
-	handleStart := p.Now()
-	p.Sleep(l.cfg.Scaled(IRQCost))
-	if l.pf != nil {
-		l.pf.Charge(p, "virtio:irq", handleStart)
-	}
-	if l.tr != nil {
-		l.tr.End(l.tk, sp)
-	}
-	return v
-}
-
-// Delivered returns the number of interrupts the guest paid IRQCost for.
-func (l *IRQLine) Delivered() int { return l.delivered }
+// Delivered returns the number of interrupts the guest fielded: zero.
+func (*IRQLine) Delivered() int { return 0 }
 
 // SharedPage models a guest page shared with the host via MMIO (§4): both
 // sides read and write it without transport cost. Capacity is fixed at one

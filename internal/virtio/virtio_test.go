@@ -91,55 +91,6 @@ func TestCommandDoneRoundTrip(t *testing.T) {
 	}
 }
 
-func TestIRQCostsGuestTime(t *testing.T) {
-	env := sim.NewEnv(1)
-	defer env.Close()
-	l := NewIRQLine(env, "irq", Config{})
-	var handled time.Duration
-	env.Spawn("guest", func(p *sim.Proc) {
-		l.Wait(p)
-		handled = p.Now()
-	})
-	env.After(50*us, func() { l.Raise("done") })
-	env.Run()
-	if handled != 50*us+IRQCost {
-		t.Fatalf("handled at %v, want %v (50us raise + irq cost)", handled, 50*us+IRQCost)
-	}
-	if l.Delivered() != 1 {
-		t.Fatalf("Delivered = %d, want 1", l.Delivered())
-	}
-}
-
-// TestBurstDeliversEveryInterrupt: interrupts raised back to back are
-// delivered one by one, each paying its own IRQCost.
-func TestBurstDeliversEveryInterrupt(t *testing.T) {
-	env := sim.NewEnv(1)
-	defer env.Close()
-	l := NewIRQLine(env, "irq", Config{})
-
-	env.After(50*us, func() {
-		l.Raise(1)
-		l.Raise(2)
-		l.Raise(3)
-	})
-	var handled time.Duration
-	env.Spawn("guest", func(p *sim.Proc) {
-		p.Sleep(60 * us)
-		for i := 0; i < 3; i++ {
-			l.Wait(p)
-		}
-		handled = p.Now()
-	})
-	env.Run()
-
-	if l.Delivered() != 3 {
-		t.Fatalf("delivered = %d, want 3", l.Delivered())
-	}
-	if want := 60*us + 3*IRQCost; handled != want {
-		t.Fatalf("handled at %v, want %v (60us wait + one IRQ cost per interrupt)", handled, want)
-	}
-}
-
 func TestSharedPageLimit(t *testing.T) {
 	s := NewSharedPage()
 	if !s.Reserve(4096) {
