@@ -106,12 +106,15 @@ trace-smoke:
 # Config-search gate (DESIGN.md §14): the search measures every distinct
 # fetch config on both presets (write-invalidate and prefetch), and its -v
 # output, wall-time lines masked, must be byte-identical at -workers 1 and
-# -workers 2. Per preset, the best config must pass vsocperf both ways:
-# default -> best exits 0 (no metric regresses past the threshold) and
-# best -> default exits 1 (the objective, the demand-fetch mean, improved).
-# The first holds by construction, since the search's feasibility test is
-# vsocperf's own rule (experiments.Judge); running the binary cross-checks
-# the tuner against the gate.
+# -workers 2. The tuner scores a candidate by the fig16 experiment's bench
+# report, so its write-invalidate baseline file must equal `vsocbench -exp
+# fig16 -json` at the same flags byte for byte: one Fig. 16 probe. Per
+# preset, the best config must pass vsocperf both ways: default -> best
+# exits 0 (no metric regresses past the threshold) and best -> default
+# exits 1 (the objective, the demand-fetch mean, improved). The first holds
+# by construction, since the search's feasibility test is vsocperf's own
+# rule (experiments.Judge); running the binary cross-checks the tuner
+# against the gate.
 tune-smoke:
 	$(GO) build -o /tmp/vsoc-perf ./cmd/vsocperf
 	$(GO) build -o /tmp/vsoc-tuner ./cmd/vsoctune
@@ -120,6 +123,8 @@ tune-smoke:
 		sed -e '/ tuned in /d' -e '/^\[total /d' /tmp/vsoc-tune-w$$w.out > /tmp/vsoc-tune-w$$w.txt; \
 	done
 	@cmp /tmp/vsoc-tune-w1.txt /tmp/vsoc-tune-w2.txt || { echo "tune-smoke: output differs between -workers 1 and -workers 2" >&2; exit 1; }
+	$(GO) run ./cmd/vsocbench -exp fig16 -duration 2s -apps 1 -seed 1 -json /tmp/vsoc-tune-fig16.json > /dev/null
+	@cmp /tmp/vsoc-tune-fig16.json /tmp/vsoc-tune-vsoc-noprefetch-default.json || { echo "tune-smoke: the tuner's baseline report differs from vsocbench -exp fig16 -json" >&2; exit 1; }
 	@for p in vsoc-noprefetch vsoc; do \
 		/tmp/vsoc-perf /tmp/vsoc-tune-$$p-default.json /tmp/vsoc-tune-$$p-best.json > /tmp/vsoc-tune-$$p.diff; \
 		if [ $$? -ne 0 ]; then cat /tmp/vsoc-tune-$$p.diff; echo "tune-smoke: $$p best vector regresses a gated metric" >&2; exit 1; fi; \
@@ -138,17 +143,17 @@ mon-smoke:
 	$(GO) run ./cmd/vsocmon -min-incidents 1 -digest /tmp/vsoc-mon-a.json /tmp/vsoc-mon-b.json
 	cmp /tmp/vsoc-mon-a.json /tmp/vsoc-mon-b.json
 
-# Benchmark trajectory: the profiled micro run (Fig. 16 + critical-path
-# attribution, DESIGN.md §10) with chunked demand fetches on (§11), plus the
-# four-guest farm (§12) with its fleet telemetry (§13), plus the
-# monitored phased-load scenario (§15) — incident counts and the
-# first-trigger window join the trajectory — plus the §2.3 study behind
-# Figs. 4-6, plus every paper table and figure (`all`: Table 2, Figs.
-# 10-16, the §5.2/§5.5 reports), written as one machine-readable bench
-# report plus the micro run's folded-stack flamegraph, under /tmp like the
-# other smoke outputs. CI uploads both as artifacts.
+# Benchmark trajectory: the four-guest farm (§12) with its fleet telemetry
+# (§13), plus the monitored phased-load scenario (§15) — incident counts
+# and the first-trigger window join the trajectory — plus the §2.3 study
+# behind Figs. 4-6, plus every paper table and figure (`all`: Table 2,
+# Figs. 10-16, the §5.2/§5.5 reports), with chunked demand fetches on
+# (§11), written as one machine-readable bench report plus the profiled
+# Fig. 16 run's folded-stack flamegraph (critical-path attribution,
+# DESIGN.md §10), under /tmp like the other smoke outputs. CI uploads both
+# as artifacts.
 bench:
-	$(GO) run ./cmd/vsocbench -exp micro,shardscale,phasedload,study,all -duration 8s -apps 2 -fetch -json /tmp/vsoc-bench.json -profile /tmp/vsoc-bench.folded > /dev/null
+	$(GO) run ./cmd/vsocbench -exp shardscale,phasedload,study,all -duration 8s -apps 2 -fetch -json /tmp/vsoc-bench.json -profile /tmp/vsoc-bench.folded > /dev/null
 
 # The shardscale events/s metric measures the build host's wall clock, not
 # the simulation; gate it at a wide 90% threshold so machine noise never

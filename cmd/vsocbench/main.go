@@ -29,9 +29,9 @@
 // build without the observability layer.
 //
 // `-exp all` runs the paper's tables and figures (the entries marked
-// InAll), so its output stays comparable across builds; the study, the
-// profiled micro run and the farm scenarios run only when named.
-// `all` may also sit inside a list (`-exp micro,all`).
+// InAll), so its output stays comparable across builds; the study and the
+// farm scenarios run only when named. `all` may also sit inside a list
+// (`-exp shardscale,all`).
 //
 // The farm scenarios always observe: the shardscale farm carries the fleet
 // layer (DESIGN.md §13: per-tenant QoS/SLO report, the window loop's
@@ -42,10 +42,11 @@
 // monitor report for cmd/vsocmon to render.
 //
 // -profile writes the critical-path profiler's folded-stack flamegraph
-// export for the experiments that support it (micro); feed it to any
-// flamegraph renderer. -json writes the machine-readable bench report —
-// a stable, sorted JSON trajectory of every selected experiment's named
-// metrics — for cmd/vsocperf to diff against a baseline run. Any of -trace,
+// export for the experiments that support it (fig16, whose report prints
+// the attribution after the CDF); feed it to any flamegraph renderer.
+// -json writes the machine-readable bench report — a stable, sorted JSON
+// trajectory of every selected experiment's named metrics — for
+// cmd/vsocperf to diff against a baseline run. Any of -trace,
 // -profile, -json, -fetch, -metrics or -monout with no selected experiment
 // that honours it is a usage error (exit 2), as are bad counts and unknown
 // experiments; -h lists what each experiment honours.

@@ -40,6 +40,7 @@ func TestCheckFlags(t *testing.T) {
 		{exp: "table2,nosuch", ok: false},
 		{exp: "batching", ok: false},
 		{exp: "fetchpipe", ok: false},
+		{exp: "micro", ok: false},
 		{exp: " , ", ok: false},
 
 		// Output flags must reach a selected experiment that writes them.
@@ -47,15 +48,15 @@ func TestCheckFlags(t *testing.T) {
 		{exp: "table2", trace: "t.json", ok: false},
 		{exp: "table2", profile: "p.folded", ok: false},
 		{exp: "table1", json_: "t.json", ok: false},
-		{exp: "all", profile: "p.folded", ok: false},
+		{exp: "all", profile: "p.folded", ok: true},
+		{exp: "fig16", profile: "p.folded", ok: true},
 		{exp: "all", trace: "t.json", json_: "t.json", ok: true},
 		{exp: "table1,table2", json_: "t.json", ok: true},
 
 		// So must the behaviour flags.
 		{exp: "table2", monout: "m.json", ok: false},
 		{exp: "table2", fetch: true, ok: false},
-		{exp: "micro", fetch: true, metrics: true, ok: false},
-		{exp: "micro", fetch: true, ok: true},
+		{exp: "fig16", fetch: true, metrics: true, ok: false},
 		{exp: "fig16", fetch: true, ok: true},
 		{exp: "robustness", fetch: true, ok: false},
 		{exp: "all", fetch: true, metrics: true, ok: true},
@@ -72,7 +73,8 @@ func TestCheckFlags(t *testing.T) {
 		{exp: "shardscale", trace: "/tmp/vsoc-shardscale.json", ok: true},
 		{exp: "phasedload", ok: true},
 		{exp: "phasedload", monout: "/tmp/vsoc-mon-a.json", ok: true},
-		{exp: "micro,shardscale,phasedload,study,all", fetch: true, json_: "/tmp/vsoc-bench.json", profile: "/tmp/vsoc-bench.folded", ok: true},
+		{exp: "shardscale,phasedload,study,all", fetch: true, json_: "/tmp/vsoc-bench.json", profile: "/tmp/vsoc-bench.folded", ok: true},
+		{exp: "fig16", json_: "/tmp/vsoc-tune-fig16.json", ok: true},
 	} {
 		// The count cases run -exp all; the -exp cases valid counts.
 		exp := tc.exp

@@ -1,21 +1,24 @@
 // Command vsoctune searches the emulator's chunked demand-fetch
 // configuration (DESIGN.md §14): the chunk size, DMA promotion threshold
 // and pipeline depth. For each selected preset it runs the internal/tune
-// search — 49 distinct fetch configs measured in one batch on the Fig. 16
-// video probe; of those that regress no metric of the shipped default's
-// report past vsocperf's default threshold, the lowest demand-fetch mean
-// wins — and prints the best config with a baseline-vs-best metric table.
+// search — 49 distinct fetch configs, each measured by the Fig. 16
+// experiment in one batch; of those whose fig16 bench report regresses no
+// metric of the shipped default's past vsocperf's default threshold, the
+// lowest demand-fetch mean wins — and prints the best config with a
+// baseline-vs-best metric table.
 //
 // Usage:
 //
 //	vsoctune [-preset vsoc|vsoc-noprefetch|both] [-seed 1]
 //	         [-duration 6s] [-apps 2] [-workers 0] [-out prefix] [-v]
 //
-// -out writes a before/after bench-report pair per preset —
+// -out writes a before/after fig16 bench-report pair per preset —
 // <prefix>-<preset>-default.json and <prefix>-<preset>-best.json — for
 // cmd/vsocperf to diff as evidence that the best config improves the
-// objective without regressing any metric. The search's feasibility test
-// is that same gate, so default -> best passes by construction:
+// objective without regressing any metric. vsoc-noprefetch's default
+// report is the one vsocbench -exp fig16 -json writes at the same
+// -duration, -apps and -seed. The search's feasibility test is that same
+// gate, so default -> best passes by construction:
 //
 //	vsoctune -preset vsoc-noprefetch -out /tmp/tune
 //	vsocperf /tmp/tune-vsoc-noprefetch-default.json \

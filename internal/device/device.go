@@ -7,8 +7,11 @@
 //
 // The framework supports the two access-ordering paradigms the emulator
 // presets use (Fig. 9): virtual command fences (vSoC) and atomic
-// guest-blocking operations (the common baseline). The paper's third,
-// event-driven interrupt completion, is not modelled: no preset runs it.
+// guest-blocking operations (the common baseline). An atomic op pays a
+// guest-host round trip per constituent command, which the ring counts as
+// a kick and an interrupt (virtio.Ring.RoundTrips). The paper's third
+// paradigm, event-driven interrupt completion, is not modelled: no preset
+// runs it.
 //
 // Guest drivers, host executors and rings are all processes on the
 // deterministic simulation kernel: exactly one runs at any instant, so
@@ -150,8 +153,9 @@ type Stats struct {
 	Executed   int
 	FenceWaits int
 	AtomicOps  int
-	// IRQs is always zero: no ordering mode completes ops by interrupt.
-	// It stays because the benchmark module reads it.
+	// IRQs is always zero: the ring's interrupt line (IRQ) counts the
+	// interrupts of atomic round trips. It stays because the benchmark
+	// module reads it.
 	IRQs int
 	// FenceTimeouts counts wait fences abandoned by the watchdog.
 	FenceTimeouts int
@@ -168,7 +172,6 @@ type Device struct {
 	mgr  *svm.Manager
 	cfg  Config
 	ring *virtio.Ring
-	irq  virtio.IRQLine
 	ftab *fence.Table
 	mimd *flowcontrol.MIMD
 
@@ -291,9 +294,9 @@ func (d *Device) Stats() Stats { return d.stats }
 // the benchmark: kick counts).
 func (d *Device) Ring() *virtio.Ring { return d.ring }
 
-// IRQ returns the device's interrupt line (read-only use by the benchmark:
-// delivered interrupts, zero on every run).
-func (d *Device) IRQ() *virtio.IRQLine { return &d.irq }
+// IRQ returns the device's interrupt line (read-only use by the monitor and
+// the benchmark: delivered interrupts, one per atomic round trip).
+func (d *Device) IRQ() *virtio.IRQLine { return d.ring.IRQ() }
 
 // Submit dispatches op from guest driver context p and returns its ticket.
 // Blocking behaviour depends on the ordering mode:
@@ -353,12 +356,7 @@ func (d *Device) Submit(p *sim.Proc, op Op) Ticket {
 		// Guest-side ordering: op.After already completed because its
 		// submission blocked. Each constituent command costs a full
 		// guest-host round trip before the final dispatch-and-wait.
-		marshalStart := p.Now()
-		p.Sleep(d.cfg.Transport.Scaled(time.Duration(extra) *
-			(virtio.PerCommandCost + virtio.KickCost + virtio.IRQCost)))
-		if d.pf != nil {
-			d.pf.Charge(p, "virtio:marshal", marshalStart)
-		}
+		d.ring.RoundTrips(p, extra)
 		d.ring.Dispatch(p, cmd)
 		// The executor retires the record before this process resumes,
 		// so nothing past the wait may touch it: t carries what is left.

@@ -11,6 +11,7 @@ import (
 	"repro/internal/prof"
 	"repro/internal/sim"
 	"repro/internal/svm"
+	"repro/internal/virtio"
 )
 
 const ms = time.Millisecond
@@ -106,6 +107,37 @@ func TestAtomicModeDriverBlocksForHostExec(t *testing.T) {
 	}
 	if rg.codec.Stats().AtomicOps != 1 {
 		t.Fatalf("AtomicOps = %d, want 1", rg.codec.Stats().AtomicOps)
+	}
+}
+
+// TestAtomicRoundTripsCountKicksAndIRQs: an atomic op of n commands pays
+// one guest-host round trip (marshal, kick, interrupt) per command before
+// its final dispatch, and the ring counts each: n kicks and n-1
+// interrupts, the last command's completion being the op's own wait.
+func TestAtomicRoundTripsCountKicksAndIRQs(t *testing.T) {
+	run := func(n int) (took time.Duration, d *Device) {
+		rg := newRig(t, ModeAtomic)
+		rg.env.Spawn("driver", func(p *sim.Proc) {
+			start := p.Now()
+			rg.gpu.Submit(p, Op{Kind: OpExec, Exec: ms, Commands: n})
+			took = p.Now() - start
+		})
+		rg.env.RunUntil(time.Second)
+		return took, rg.gpu
+	}
+	const n = 5
+	one, d1 := run(1)
+	took, d := run(n)
+	if trip := virtio.PerCommandCost + virtio.KickCost + virtio.IRQCost; took-one != (n-1)*trip {
+		t.Errorf("%d-command op took %v, 1-command op %v: want %d round trips of %v between them", n, took, one, n-1, trip)
+	}
+	for _, c := range []struct {
+		d           *Device
+		kicks, irqs int
+	}{{d1, 1, 0}, {d, n, n - 1}} {
+		if k, i := c.d.Ring().Stats().Kicks, c.d.IRQ().Delivered(); k != c.kicks || i != c.irqs {
+			t.Errorf("kicks %d, interrupts %d: want %d and %d", k, i, c.kicks, c.irqs)
+		}
 	}
 }
 

@@ -76,8 +76,8 @@ type Preset struct {
 	// Fetch enables chunked, DMA-promoted demand fetches on the SVM manager
 	// (DESIGN.md §11). All evaluation presets leave it zero — demand fetches
 	// stay on the monolithic synchronous path, byte-identical to the
-	// pre-chunking emulator; vsocbench -fetch (Fig. 16 and the micro run)
-	// and the tuner's fetch.* knobs turn it on explicitly.
+	// pre-chunking emulator; vsocbench -fetch (Fig. 16) and the tuner's
+	// fetch.* knobs turn it on explicitly.
 	Fetch hostsim.FetchConfig
 
 	// CameraFPSCap bounds the virtual camera's delivery rate; host webcam

@@ -49,12 +49,12 @@ type Config struct {
 	// plain-text dump of counters, gauges, and histograms to their report.
 	Metrics bool
 	// ProfilePath, for experiments that support the critical-path profiler
-	// (micro), is where the folded-stack flamegraph export is written.
+	// (fig16), is where the folded-stack flamegraph export is written.
 	// Empty disables the export; the profiler itself runs whenever the
 	// experiment asks for it and never perturbs simulation results.
 	ProfilePath string
 	// Fetch enables chunked, DMA-promoted demand fetches (DESIGN.md §11)
-	// for the experiments that support it (micro, fig16). Off by default so
+	// for the experiments that support it (fig16). Off by default so
 	// every experiment's output matches the pre-chunking emulator byte for
 	// byte; the tuner's fetch.* knobs vary the chunk settings themselves.
 	Fetch bool

@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // detCfg is small enough to run the full study twice per seed in a test.
@@ -78,21 +80,22 @@ func TestParmapEmpty(t *testing.T) {
 	}
 }
 
-// microRuns runs the micro experiment at cfg(seed, ·) serially, on an
+// fig16Runs runs the Fig. 16 experiment at cfg(seed, ·) serially, on an
 // oversubscribed pool, and serially again: the folded exports and reports
 // must match byte for byte. It returns the two serial runs.
-func microRuns(t *testing.T, cfg func(seed int64, workers int) Config, seed int64) (serial, rerun *MicroResult) {
+func fig16Runs(t *testing.T, cfg func(seed int64, workers int) Config, seed int64) (serial, rerun *Fig16Result) {
 	t.Helper()
 	workers := max(runtime.NumCPU(), 4) // oversubscribe so interleaving happens
-	serial = RunMicro(cfg(seed, 1))
-	parallel := RunMicro(cfg(seed, workers))
+	run := func(c Config) *Fig16Result { return RunFig16(c, fig16Preset(c)) }
+	serial = run(cfg(seed, 1))
+	parallel := run(cfg(seed, workers))
 	if a, b := folded(serial.Report), folded(parallel.Report); a != b {
 		t.Errorf("folded export diverges between 1 and %d workers:\n%s\nvs\n%s", workers, a, b)
 	}
-	if a, b := FormatMicro(serial), FormatMicro(parallel); a != b {
-		t.Errorf("micro report diverges between 1 and %d workers:\n%s\nvs\n%s", workers, a, b)
+	if a, b := FormatFig16(serial), FormatFig16(parallel); a != b {
+		t.Errorf("fig16 report diverges between 1 and %d workers:\n%s\nvs\n%s", workers, a, b)
 	}
-	rerun = RunMicro(cfg(seed, 1))
+	rerun = run(cfg(seed, 1))
 	if a, b := folded(serial.Report), folded(rerun.Report); a != b {
 		t.Errorf("folded export diverges across equal-seed runs:\n%s\nvs\n%s", a, b)
 	}
@@ -101,33 +104,40 @@ func microRuns(t *testing.T, cfg func(seed int64, workers int) Config, seed int6
 
 // TestProfilerDeterminism is the profiler's observer contract, both ways:
 // equal seeds produce byte-identical folded-stack exports (at any worker
-// count), and attaching the profiler leaves the simulation's results
-// byte-identical to a profiler-off run.
+// count), and the profiled Fig. 16 run measures exactly the CDF and summary
+// of the same cells run without a profiler.
 func TestProfilerDeterminism(t *testing.T) {
 	for _, seed := range []int64{1, 7} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			serial, _ := microRuns(t, detCfg, seed)
+			serial, _ := fig16Runs(t, detCfg, seed)
 
-			// Profiler on vs off: the Fig. 16 stats must match exactly.
-			off := RunFig16(detCfg(seed, 1))
-			if off.MeanMS != serial.Fig16.MeanMS || off.P99MS != serial.Fig16.P99MS || off.MaxMS != serial.Fig16.MaxMS {
-				t.Errorf("profiler perturbed simulation results: off={%.9f %.9f %.9f} on={%.9f %.9f %.9f}",
-					off.MeanMS, off.P99MS, off.MaxMS,
-					serial.Fig16.MeanMS, serial.Fig16.P99MS, serial.Fig16.MaxMS)
+			cfg := detCfg(seed, 1)
+			cells := appCells(cfg, fig16Preset(cfg), HighEnd, 500, videoCats)
+			var off metrics.Distribution
+			for _, st := range sweep(cfg, cells, svmStats) {
+				if st != nil {
+					off.Merge(&st.AccessLatency)
+				}
 			}
-			if a, b := FormatFig16(off), FormatFig16(serial.Fig16); a != b {
-				t.Errorf("profiler perturbed the Fig. 16 CDF:\n%s\nvs\n%s", a, b)
+			if got, want := []float64{serial.MeanMS, serial.P99MS, serial.MaxMS},
+				[]float64{off.Mean(), off.Percentile(99), off.Max()}; !reflect.DeepEqual(got, want) {
+				t.Errorf("profiler perturbed simulation results: on=%v off=%v", got, want)
+			}
+			if want := off.CDF(40); !reflect.DeepEqual(serial.CDF, want) {
+				t.Errorf("profiler perturbed the Fig. 16 CDF:\n%s\nvs\n%s",
+					formatCDF(serial.CDF, "ms"), formatCDF(want, "ms"))
 			}
 		})
 	}
 }
 
-// TestMicroAttribution pins the headline claims of the micro experiment:
+// TestFig16Attribution pins the headline claims of the Fig. 16 attribution:
 // at least 95% of demand-fetch latency is attributed to named components,
 // and the dominant component is the PCIe sync-copy link (the §5.4 story —
 // write-invalidate readers stall on synchronous host-to-device copies).
-func TestMicroAttribution(t *testing.T) {
-	r := RunMicro(detCfg(1, 0))
+func TestFig16Attribution(t *testing.T) {
+	cfg := detCfg(1, 0)
+	r := RunFig16(cfg, fig16Preset(cfg))
 	cov, dom := r.Report.ClassCoverage("demand-fetch")
 	if cov < 0.95 {
 		t.Errorf("demand-fetch attribution coverage = %.3f, want >= 0.95", cov)
@@ -136,10 +146,10 @@ func TestMicroAttribution(t *testing.T) {
 		t.Errorf("dominant demand-fetch component = %q, want link:pcie-h2d:sync-copy", dom)
 	}
 	if r.Report.Frames == 0 {
-		t.Fatal("micro run recorded no frames")
+		t.Fatal("fig16 run recorded no frames")
 	}
 	if len(r.Report.Top) == 0 {
-		t.Fatal("micro run recorded no slowest-frame records")
+		t.Fatal("fig16 run recorded no slowest-frame records")
 	}
 	for _, f := range r.Report.Top {
 		if f.Latency() <= 0 {
@@ -148,16 +158,16 @@ func TestMicroAttribution(t *testing.T) {
 	}
 }
 
-// TestMicroAttributionNeverOvercharged pins the other bound of the coverage
+// TestFig16AttributionNeverOvercharged pins the other bound of the coverage
 // invariant: named component charges can never exceed the class's blocked
 // wall time. Coverage above 1.0 would mean some interval was charged into
-// two components at once — the ChargeWait batch-boundary double-charge this
-// PR's hostsim property test guards at the unit level.
-func TestMicroAttributionNeverOvercharged(t *testing.T) {
+// two components at once — the ChargeWait batch-boundary double-charge the
+// hostsim property test guards at the unit level.
+func TestFig16AttributionNeverOvercharged(t *testing.T) {
 	for _, fetch := range []bool{false, true} {
 		cfg := detCfg(1, 0)
 		cfg.Fetch = fetch
-		r := RunMicro(cfg)
+		r := RunFig16(cfg, fig16Preset(cfg))
 		cov, _ := r.Report.ClassCoverage("demand-fetch")
 		if cov > 1.0 {
 			t.Errorf("fetch=%v: demand-fetch coverage = %.6f > 1.0 (double-charged interval)", fetch, cov)

@@ -252,7 +252,7 @@ func TestOverheadShape(t *testing.T) {
 }
 
 func TestFig16Shape(t *testing.T) {
-	res := RunFig16(Quick())
+	res := RunFig16(Quick(), fig16Preset(Quick()))
 	if len(res.CDF) == 0 {
 		t.Fatal("empty CDF")
 	}
@@ -453,13 +453,13 @@ func TestRegistryContract(t *testing.T) {
 	}
 }
 
-// TestMicroProfileExport: the micro entry writes its folded-stack profile
+// TestFig16ProfileExport: the fig16 entry writes its folded-stack profile
 // to Config.ProfilePath and says so after the report; a failed write comes
 // back as an error alongside the report text.
-func TestMicroProfileExport(t *testing.T) {
-	e, _ := LookupExperiment("micro")
+func TestFig16ProfileExport(t *testing.T) {
+	e, _ := LookupExperiment("fig16")
 	cfg := Config{Duration: time.Second, AppsPerCategory: 1, Seed: 1}
-	cfg.ProfilePath = filepath.Join(t.TempDir(), "micro.folded")
+	cfg.ProfilePath = filepath.Join(t.TempDir(), "fig16.folded")
 	text, _, err := e.Run(cfg)
 	if err != nil || !strings.HasSuffix(text, "[folded-stack profile written to "+cfg.ProfilePath+"]\n") {
 		t.Fatalf("err %v, report tail %q", err, text[max(0, len(text)-80):])

@@ -20,25 +20,28 @@ func fetchDetCfg(seed int64, workers int) Config {
 	return cfg
 }
 
-// matchMicroBaseline runs the registry's micro entry at cfg and checks
-// every metric it reports against the committed baseline at path.
-func matchMicroBaseline(t *testing.T, path string, cfg Config) {
+// matchFig16Baseline runs the registry's fig16 entry at cfg and checks
+// every metric of the committed baseline at path against the run's. The
+// baseline predates fig16.access_latency_max_ms, which it therefore does
+// not pin.
+func matchFig16Baseline(t *testing.T, path string, cfg Config) {
 	t.Helper()
 	if testing.Short() {
-		t.Skip("full bench-parameter micro run")
+		t.Skip("full bench-parameter fig16 run")
 	}
 	base, err := ReadBenchReportFile(path)
-	if err != nil {
-		t.Fatalf("reading committed baseline: %v", err)
+	if err != nil || len(base.Metrics) == 0 {
+		t.Fatalf("reading committed baseline: %d metrics, err %v", len(base.Metrics), err)
 	}
-	e, _ := LookupExperiment("micro")
+	e, _ := LookupExperiment("fig16")
 	_, ms, err := e.Run(cfg)
-	if err != nil || len(ms) == 0 {
-		t.Fatalf("micro run produced %d metrics, err %v", len(ms), err)
+	if err != nil {
+		t.Fatalf("fig16 run: %v", err)
 	}
-	for _, m := range NewBenchReport(map[string][]BenchMetric{"micro": ms}).Metrics {
-		if want, ok := base.Lookup(m.Name); !ok {
-			t.Errorf("metric %s missing from %s", m.Name, path)
+	got := NewBenchReport(map[string][]BenchMetric{"fig16": ms})
+	for _, want := range base.Metrics {
+		if m, ok := got.Lookup(want.Name); !ok {
+			t.Errorf("fig16 run lacks %s, which %s holds", want.Name, path)
 		} else if m.Value != want.Value {
 			t.Errorf("%s = %.6f, %s holds %.6f: the run must stay byte-identical", m.Name, m.Value, path, want.Value)
 		}
@@ -47,20 +50,20 @@ func matchMicroBaseline(t *testing.T, path string, cfg Config) {
 
 // TestFetchDisabledMatchesCommittedBaseline is the backward half of the
 // chunking determinism contract: with FetchConfig off (the default), the
-// micro run's bench metrics are byte-identical to the committed PR5
+// Fig. 16 run's bench metrics are byte-identical to the committed PR5
 // baseline — the chunking layer adds zero observable behavior when off.
 func TestFetchDisabledMatchesCommittedBaseline(t *testing.T) {
 	// Exactly the committed PR 5 `make bench` parameters.
-	matchMicroBaseline(t, "testdata/BENCH_PR5.json",
+	matchFig16Baseline(t, "testdata/BENCH_PR5.json",
 		Config{Duration: 8 * time.Second, AppsPerCategory: 2, Seed: 1})
 }
 
 // TestSerialPathMatchesCommittedPR6Baseline pins the parallel scheduler's
-// no-regression half: the serial scheduler path is untouched, so the micro
+// no-regression half: the serial scheduler path is untouched, so the Fig. 16
 // run at the committed bench parameters (chunking on, the PR 6 `make bench`
 // line) reproduces BENCH_PR6.json metric for metric.
 func TestSerialPathMatchesCommittedPR6Baseline(t *testing.T) {
-	matchMicroBaseline(t, "testdata/BENCH_PR6.json",
+	matchFig16Baseline(t, "testdata/BENCH_PR6.json",
 		Config{Duration: 8 * time.Second, AppsPerCategory: 2, Seed: 1, Fetch: true})
 }
 
@@ -70,7 +73,7 @@ func TestSerialPathMatchesCommittedPR6Baseline(t *testing.T) {
 func TestFetchEnabledDeterminism(t *testing.T) {
 	for _, seed := range []int64{1, 7} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			microRuns(t, fetchDetCfg, seed)
+			fig16Runs(t, fetchDetCfg, seed)
 			sc, sj := fetchCounts(fetchDetCfg(seed, 1))
 			rc, rj := fetchCounts(fetchDetCfg(seed, 1))
 			if sc != rc || sj != rj {
@@ -85,8 +88,8 @@ func TestFetchEnabledDeterminism(t *testing.T) {
 // link:pcie-h2d:sync-copy from the dominant component, while attribution
 // coverage stays complete.
 func TestFetchEnabledCollapsesSyncCopy(t *testing.T) {
-	off := RunMicro(detCfg(1, 0))
-	on := RunMicro(fetchDetCfg(1, 0))
+	offCfg, onCfg := detCfg(1, 0), fetchDetCfg(1, 0)
+	off, on := RunFig16(offCfg, fig16Preset(offCfg)), RunFig16(onCfg, fig16Preset(onCfg))
 
 	offCS, onCS := off.Report.Classes["demand-fetch"], on.Report.Classes["demand-fetch"]
 	if offCS == nil || onCS == nil || offCS.Count == 0 || onCS.Count == 0 {

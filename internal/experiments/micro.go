@@ -210,19 +210,3 @@ func RunOverhead(cfg Config) *OverheadResult {
 	finishObs()
 	return out
 }
-
-// Fig16Result is the write-invalidate access-latency CDF of §5.4.
-type Fig16Result struct {
-	// CDF of begin_access blocking latency (ms) with prefetch disabled.
-	CDF []metrics.CDFPoint
-	MeanMS, P99MS,
-	MaxMS float64
-}
-
-// RunFig16 reproduces Fig. 16: access latency on the high-end machine with
-// the prefetch engine replaced by write-invalidate, on the video apps whose
-// render threads the coherence blocks. It is the micro run without the
-// profiler.
-func RunFig16(cfg Config) *Fig16Result {
-	return runFig16Sessions(cfg, false).Fig16
-}

@@ -99,7 +99,7 @@ func MonitorProbes(tn *tsmon.Tenant, sess *workload.Session) {
 	tn.Probe("notifs", tsmon.ProbeDelta, func() float64 {
 		var n int
 		for _, d := range devs {
-			n += d.Ring().Stats().Kicks
+			n += d.Ring().Stats().Kicks + d.IRQ().Delivered()
 		}
 		return float64(n)
 	})

@@ -34,8 +34,8 @@ type Entry struct {
 	// (-fetch, -metrics, -monout); vsocbench rejects one that no selected
 	// experiment lists.
 	Flags []string
-	// InAll marks experiments included in `-exp all`. The study, the micro
-	// rerun and the farm scenarios are excluded so `-exp all` output stays
+	// InAll marks experiments included in `-exp all`. The study and the
+	// farm scenarios are excluded so `-exp all` output stays
 	// byte-comparable with builds that predate them.
 	InAll bool
 	// Run runs the experiment at cfg and returns its report text and its
@@ -82,14 +82,10 @@ func Registry() []Entry {
 			Flags:   []string{"-metrics"},
 			Run:     runner(RunOverhead, FormatOverhead, overheadMetrics)},
 		{Name: "fig16", InAll: true, Bench: true,
-			Summary: "write-invalidate access-latency CDF (Fig. 16, §5.4)",
-			Flags:   []string{"-fetch"},
-			Run:     runner(RunFig16, FormatFig16, fig16Metrics)},
-		{Name: "micro", Bench: true,
-			Summary: "Fig. 16 rerun with the critical-path profiler: per-component latency attribution, demand-fetch breakdown, top-K slowest frames (§5.4); excluded from -exp all",
+			Summary: "write-invalidate access-latency CDF and its critical-path attribution: per-component latency, demand-fetch breakdown, top-K slowest frames (Fig. 16, §5.4)",
 			Profile: "writes the folded-stack flamegraph export to the given path",
 			Flags:   []string{"-fetch"},
-			Run:     runMicroEntry},
+			Run:     runFig16Entry},
 		{Name: "services", InAll: true, Bench: true,
 			Summary: "shared-memory usage by Android service (§2.3 attribution study)",
 			Run:     runner(RunServices, FormatServices, servicesMetrics)},
@@ -240,11 +236,27 @@ func overheadMetrics(r *OverheadResult) []BenchMetric {
 	}
 }
 
-func fig16Metrics(r *Fig16Result) []BenchMetric {
+// Fig16Metrics: the CDF's summary, then the attribution's demand-fetch
+// coverage and mean (the tuner's objective) and its frame critical path.
+// The tuner scores a candidate fetch config by this projection, so its gate
+// guards exactly these metrics.
+func Fig16Metrics(r *Fig16Result) []BenchMetric {
+	cov, _ := r.Report.ClassCoverage("demand-fetch")
+	var fetchMS, frameMS float64
+	if cs := r.Report.Classes["demand-fetch"]; cs != nil && cs.Count > 0 {
+		fetchMS = float64(cs.Total.Microseconds()) / 1000 / float64(cs.Count)
+	}
+	if r.Report.Frames > 0 {
+		frameMS = float64(r.Report.Total.Milliseconds()) / float64(r.Report.Frames)
+	}
 	return []BenchMetric{
 		{"fig16.access_latency_mean_ms", r.MeanMS, "ms", "lower"},
 		{"fig16.access_latency_p99_ms", r.P99MS, "ms", "lower"},
 		{"fig16.access_latency_max_ms", r.MaxMS, "ms", "lower"},
+		{"fig16.demand_fetch_coverage", cov, "frac", "higher"},
+		{"fig16.demand_fetch_mean_ms", fetchMS, "ms", "lower"},
+		{"fig16.frame_critical_path_mean_ms", frameMS, "ms", "lower"},
+		{"fig16.frames", float64(r.Report.Frames), "count", "higher"},
 	}
 }
 

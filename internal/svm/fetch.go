@@ -119,18 +119,13 @@ func (m *Manager) startChunkedFetch(p *sim.Proc, r *Region, dom *hostsim.Domain,
 	return cf
 }
 
-// complete books a fetch whose last chunk landed: its coherence cost, and
-// the copy it installs, unless the region moved on (then its bytes are
-// waste). It retires the region's entry and recycles the record.
+// complete books a fetch whose last chunk landed as one synchronous
+// coherence copy, which takes no bandwidth sample, and the copy it
+// installs, unless the region moved on (then its bytes are waste). It
+// retires the region's entry and recycles the record.
 func (cf *chunkedFetch) complete() {
 	m, r, dom := cf.m, cf.r, cf.dom
-	m.stats.CoherenceCost.AddDuration(m.env.Now() - cf.start)
-	m.stats.BytesCoherence += r.Size
-	if cf.direct {
-		m.stats.DirectCoherence++
-	} else {
-		m.stats.GuestCoherence++
-	}
+	m.noteCoherence(nil, dom, r.Size, cf.direct, true, m.env.Now()-cf.start, 0)
 	if !r.freed && r.version == cf.version {
 		r.copies[dom.ID] = cf.version
 	} else {

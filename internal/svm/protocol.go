@@ -35,12 +35,13 @@ func (m *Manager) copyCoherence(p *sim.Proc, from, to *hostsim.Domain, bytes hos
 	m.noteCoherence(from, to, bytes, direct, sync, p.Now()-start, service)
 }
 
-// noteCoherence books one finished coherence copy, from a process or from a
-// push chain: its cost, bytes and path class, and the bandwidth it saw.
-// Only DMA copies feed the bandwidth-congestion signal — demand fetches
-// are slow by mode, not by congestion — and only pure wire time counts, so
-// that fixed scheduling cost and incidental queueing on small copies do
-// not masquerade as congestion.
+// noteCoherence books one finished coherence copy, from a process, a push
+// chain or a chunked fetch's completion: its cost, bytes and path class,
+// and the bandwidth it saw. Only DMA copies feed the bandwidth-congestion
+// signal — demand fetches, chunked ones included, are sync: slow by mode,
+// not by congestion — and only pure wire time counts, so that fixed
+// scheduling cost and incidental queueing on small copies do not
+// masquerade as congestion.
 func (m *Manager) noteCoherence(from, to *hostsim.Domain, bytes hostsim.Bytes, direct, sync bool, elapsed, service time.Duration) {
 	m.stats.CoherenceCost.AddDuration(elapsed)
 	m.stats.BytesCoherence += bytes

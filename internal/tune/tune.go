@@ -2,8 +2,9 @@
 // configuration (DESIGN.md §14): the chunk size, DMA promotion threshold
 // and pipeline depth of §11. The search measures a fixed list of
 // hostsim.FetchConfig candidates in one evaluator batch, the zero config
-// (the shipped default, chunking off) first. A candidate is feasible when
-// its bench report passes the regression gate against the zero config's
+// (the shipped default, chunking off) first, each by the Fig. 16
+// experiment's bench report. A candidate is feasible when its report passes
+// the regression gate against the zero config's
 // (experiments.Report.Regressed at experiments.DefaultThreshold, the rule
 // cmd/vsocperf applies), and the best is the feasible candidate with the
 // lowest demand-fetch mean.
@@ -27,6 +28,10 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/hostsim"
 )
+
+// objective is the one metric the search minimizes: the Fig. 16 probe's
+// demand-fetch critical-path mean.
+const objective = "fig16.demand_fetch_mean_ms"
 
 // KnobNames returns the names of the three fetch knobs, in rendering
 // order: hostsim.FetchConfig's ChunkBytes, DMAThreshold and MaxInflight.
@@ -124,7 +129,7 @@ func Search(preset string, cands []hostsim.FetchConfig, eval func([]hostsim.Fetc
 	res := &Result{Preset: preset, Baseline: reps[0]}
 	best, bestValue, bestND := -1, 0.0, 0
 	for i, c := range cands {
-		m, _ := reps[i].Lookup(experiments.TuneDemandFetchMean)
+		m, _ := reps[i].Lookup(objective)
 		st := Step{Config: c, Value: m.Value, Violated: reps[i].Regressed(res.Baseline, experiments.DefaultThreshold)}
 		if nd := len(changed(c)); st.Violated == "" && (best < 0 || st.Value < bestValue || st.Value == bestValue && nd < bestND) {
 			best, bestValue, bestND = i, st.Value, nd
@@ -137,17 +142,22 @@ func Search(preset string, cands []hostsim.FetchConfig, eval func([]hostsim.Fetc
 }
 
 // Run searches one preset end to end: every candidate runs the Fig. 16
-// video probe on the preset through experiments.RunTuneEval. The batch fans
-// the candidates out over the experiments worker pool with each
-// candidate's inner run forced serial: the pool overlaps whole candidates
-// instead of sessions, and every measurement stays byte-identical to a lone
-// run at any worker count.
+// experiment (experiments.RunFig16) on the preset with its fetch config in
+// place of the preset's, and is scored by that experiment's bench report,
+// the one vsocbench -exp fig16 -json writes. The batch fans the candidates
+// out over the experiments worker pool with each candidate's inner run
+// forced serial: the pool overlaps whole candidates instead of sessions,
+// and every measurement stays byte-identical to a lone run at any worker
+// count.
 func Run(cfg experiments.Config, p emulator.Preset) *Result {
 	inner := cfg
 	inner.Workers = 1
 	return Search(p.Name, candidates(), func(cands []hostsim.FetchConfig) []*experiments.Report {
 		return experiments.ParMap(cfg.EffectiveWorkers(), len(cands), func(i int) *experiments.Report {
-			return experiments.RunTuneEval(inner, p, cands[i])
+			cand := p
+			cand.Fetch = cands[i]
+			ms := experiments.Fig16Metrics(experiments.RunFig16(inner, cand))
+			return experiments.NewBenchReport(map[string][]experiments.BenchMetric{"fig16": ms})
 		})
 	})
 }
@@ -163,7 +173,7 @@ func (r *Result) FormatTrace() string {
 			state = "rejected(" + st.Violated + ")"
 		}
 		fmt.Fprintf(&b, "%3d %s %s=%.6g %s", i,
-			format(st.Config), experiments.TuneDemandFetchMean, st.Value, state)
+			format(st.Config), objective, st.Value, state)
 		if st.Best {
 			b.WriteString(" best")
 		}
@@ -183,7 +193,7 @@ func (r *Result) FormatResult() string {
 		}
 	}
 	fmt.Fprintf(&b, "Auto-tune %s: objective %s, %d candidates (%d rejected)\n",
-		r.Preset, experiments.TuneDemandFetchMean, len(r.Trace), rejected)
+		r.Preset, objective, len(r.Trace), rejected)
 	if r.best == 0 {
 		b.WriteString("  best = shipped defaults (no feasible improvement found)\n")
 	}
@@ -197,14 +207,14 @@ func (r *Result) FormatResult() string {
 		row := fmt.Sprintf("  %-27s %-10s %-7s%s", name, def[i], best[i], mark)
 		b.WriteString(strings.TrimRight(row, " ") + "\n")
 	}
-	b.WriteString("  metric                          baseline        best     change\n")
+	b.WriteString("  metric                               baseline        best     change\n")
 	for _, m := range r.Best.Metrics {
 		base, _ := r.Baseline.Lookup(m.Name)
 		delta := "-"
 		if base.Value != 0 {
 			delta = fmt.Sprintf("%+.1f%%", (m.Value-base.Value)/math.Abs(base.Value)*100)
 		}
-		fmt.Fprintf(&b, "  %-30s %10.6g  %10.6g   %8s\n", m.Name, base.Value, m.Value, delta)
+		fmt.Fprintf(&b, "  %-35s %10.6g  %10.6g   %8s\n", m.Name, base.Value, m.Value, delta)
 	}
 	fmt.Fprintf(&b, "  best vector: %s\n", format(r.Trace[r.best].Config))
 	return b.String()

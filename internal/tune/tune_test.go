@@ -1,9 +1,12 @@
 package tune
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/emulator"
 	"repro/internal/experiments"
 	"repro/internal/hostsim"
 )
@@ -12,8 +15,12 @@ import (
 // gates every metric the baseline holds.
 type metric = experiments.BenchMetric
 
+// frames is the planted reports' frame count, named as the Fig. 16
+// experiment names it.
+const frames = "fig16.frames"
+
 // planted is an evaluator over a planted landscape: obj gives each
-// candidate's demand-fetch mean, frames (when set) its tune.frames, 100
+// candidate's demand-fetch mean, frames (when set) its fig16.frames, 100
 // otherwise, and guard (when set) a "guard" metric. It counts its calls,
 // how often it measured each config, and keeps the reports it returned.
 type planted struct {
@@ -31,18 +38,18 @@ func (e *planted) eval(cands []hostsim.FetchConfig) []*experiments.Report {
 	e.reps = make([]*experiments.Report, len(cands))
 	for i, c := range cands {
 		e.measured[c]++
-		frames := 100.0
+		n := 100.0
 		if e.frames != nil {
-			frames = e.frames(c)
+			n = e.frames(c)
 		}
 		ms := []metric{
-			{Name: experiments.TuneDemandFetchMean, Value: e.obj(c), Unit: "ms", Better: "lower"},
-			{Name: experiments.TuneFrames, Value: frames, Unit: "count", Better: "higher"},
+			{Name: objective, Value: e.obj(c), Unit: "ms", Better: "lower"},
+			{Name: frames, Value: n, Unit: "count", Better: "higher"},
 		}
 		if e.guard != nil {
 			ms = append(ms, metric{Name: "guard", Value: e.guard(c), Unit: "x", Better: "lower"})
 		}
-		e.reps[i] = experiments.NewBenchReport(map[string][]metric{"tune": ms})
+		e.reps[i] = experiments.NewBenchReport(map[string][]metric{"fig16": ms})
 	}
 	return e.reps
 }
@@ -104,7 +111,7 @@ func TestSearchFindsDistantOptimum(t *testing.T) {
 	if bestConfig(res) != target || res.best == 0 {
 		t.Fatalf("best = %+v, want planted optimum %+v\ntrace:\n%s", bestConfig(res), target, res.FormatTrace())
 	}
-	if m, _ := res.Best.Lookup(experiments.TuneDemandFetchMean); m.Value != 0 {
+	if m, _ := res.Best.Lookup(objective); m.Value != 0 {
 		t.Fatalf("best report reads %v, want the optimum's 0", m.Value)
 	}
 	if ev.batches != 1 {
@@ -219,7 +226,7 @@ func TestConstraintViolationsRejected(t *testing.T) {
 }
 
 // TestBestPassesTheGate: the objective-best candidate regresses a metric
-// no objective names (tune.frames -6%), so it must lose to the best
+// no objective names (fig16.frames -6%), so it must lose to the best
 // candidate that passes the gate; and every candidate the trace calls
 // feasible passes Regressed against the baseline, so the -out pair passes
 // cmd/vsocperf by construction.
@@ -236,12 +243,12 @@ func TestBestPassesTheGate(t *testing.T) {
 	}
 	res := ev.search()
 	if bestConfig(res) != honest {
-		t.Fatalf("best %s, want %s: the objective-best regresses tune.frames\ntrace:\n%s",
+		t.Fatalf("best %s, want %s: the objective-best regresses fig16.frames\ntrace:\n%s",
 			format(bestConfig(res)), format(honest), res.FormatTrace())
 	}
 	for i, st := range res.Trace {
-		if st.Config == cheat && st.Violated != experiments.TuneFrames {
-			t.Errorf("objective-best candidate: violated %q, want %s", st.Violated, experiments.TuneFrames)
+		if st.Config == cheat && st.Violated != frames {
+			t.Errorf("objective-best candidate: violated %q, want %s", st.Violated, frames)
 		}
 		if got := ev.reps[i].Regressed(res.Baseline, experiments.DefaultThreshold); st.Violated != got {
 			t.Errorf("step %d %s: violated %q, but the gate says %q", i, format(st.Config), st.Violated, got)
@@ -273,5 +280,23 @@ func TestSpaceKeysAndFormat(t *testing.T) {
 	}
 	if got, want := levels(hostsim.FetchConfig{}), [3]string{"off", "64KiB", "4"}; got != want {
 		t.Fatalf("default levels %v, want %v", got, want)
+	}
+}
+
+// TestBaselineIsTheFig16Report: a candidate is scored by the Fig. 16
+// experiment's bench report, so the zero config's report on
+// vSoC-noprefetch, the preset the fig16 entry runs without -fetch, equals
+// that entry's report at the same config metric for metric.
+func TestBaselineIsTheFig16Report(t *testing.T) {
+	cfg := experiments.Config{Duration: time.Second, AppsPerCategory: 1, Seed: 1, Workers: 2}
+	res := Run(cfg, emulator.VSoCNoPrefetch())
+	e, _ := experiments.LookupExperiment("fig16")
+	_, ms, err := e.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := experiments.NewBenchReport(map[string][]experiments.BenchMetric{"fig16": ms})
+	if len(want.Metrics) != 7 || !reflect.DeepEqual(res.Baseline, want) {
+		t.Fatalf("tuner baseline differs from the fig16 entry's report:\n%+v\n%+v", res.Baseline, want)
 	}
 }

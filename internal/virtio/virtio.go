@@ -11,8 +11,9 @@
 // All transport costs are charged in virtual time on the deterministic
 // kernel, so equal seeds replay identical notification schedules. Every
 // dispatch kicks: the fence table is the one mechanism that cuts
-// notifications. Interrupt costs are charged by the device layer (an
-// atomic op's per-command round trip); no interrupt is queued or delivered.
+// notifications. The only interrupts are an atomic op's per-command round
+// trips (Ring.RoundTrips), each of which pays and counts one kick and one
+// interrupt; no interrupt is queued.
 package virtio
 
 import (
@@ -101,6 +102,7 @@ type Ring struct {
 	q     *sim.Queue[*Command]
 	seq   uint64
 	stats Stats
+	irq   IRQLine
 
 	tr *obs.Tracer
 	tk obs.Track
@@ -157,6 +159,22 @@ func (r *Ring) Dispatch(p *sim.Proc, c *Command) {
 	}
 }
 
+// RoundTrips charges n guest-host round trips in guest process p, each a
+// marshaled command, its kick and the host interrupt that completes it: an
+// atomic op pays one per constituent command before its final Dispatch
+// (§3.4). The n trips are one interval under the profiler's virtio:marshal
+// component, slept even when n is 0 (a zero sleep is still one event in
+// the run's order), and count n kicks and n interrupts.
+func (r *Ring) RoundTrips(p *sim.Proc, n int) {
+	start := p.Now()
+	p.Sleep(r.cfg.Scaled(time.Duration(n) * (PerCommandCost + KickCost + IRQCost)))
+	if r.pf != nil {
+		r.pf.Charge(p, "virtio:marshal", start)
+	}
+	r.stats.Kicks += n
+	r.irq.delivered += n
+}
+
 // Recv blocks the host device process until a command arrives.
 func (r *Ring) Recv(p *sim.Proc) *Command {
 	c := r.q.Get(p)
@@ -173,14 +191,19 @@ func (r *Ring) Pending() int { return r.q.Len() }
 // Stats returns transport counters.
 func (r *Ring) Stats() Stats { return r.stats }
 
-// IRQLine is a device's host-to-guest interrupt line. No ordering mode
-// completes ops by interrupt (the paper's event-driven paradigm is not
-// modelled), so nothing is ever delivered; the line stays because the
-// benchmark module reads its count into its notification metrics.
-type IRQLine struct{}
+// IRQ returns the ring's host-to-guest interrupt line.
+func (r *Ring) IRQ() *IRQLine { return &r.irq }
 
-// Delivered returns the number of interrupts the guest fielded: zero.
-func (*IRQLine) Delivered() int { return 0 }
+// IRQLine is a ring's host-to-guest interrupt line. It counts the
+// interrupts the guest fielded, one per round trip (RoundTrips). No
+// ordering mode completes an op by interrupt (the paper's event-driven
+// paradigm is not modelled), so nothing waits on the line.
+type IRQLine struct {
+	delivered int
+}
+
+// Delivered returns the number of interrupts the guest fielded.
+func (l *IRQLine) Delivered() int { return l.delivered }
 
 // SharedPage models a guest page shared with the host via MMIO (§4): both
 // sides read and write it without transport cost. Capacity is fixed at one
