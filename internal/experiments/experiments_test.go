@@ -453,9 +453,10 @@ func TestRegistryContract(t *testing.T) {
 	}
 }
 
-// TestFig16ProfileExport: the fig16 entry writes its folded-stack profile
-// to Config.ProfilePath and says so after the report; a failed write comes
-// back as an error alongside the report text.
+// TestFig16ProfileExport: the fig16 entry prints its access-latency
+// summary once and names no deleted experiment, writes its folded-stack
+// profile to Config.ProfilePath and says so after the report; a failed
+// write comes back as an error alongside the report text.
 func TestFig16ProfileExport(t *testing.T) {
 	e, _ := LookupExperiment("fig16")
 	cfg := Config{Duration: time.Second, AppsPerCategory: 1, Seed: 1}
@@ -463,6 +464,14 @@ func TestFig16ProfileExport(t *testing.T) {
 	text, _, err := e.Run(cfg)
 	if err != nil || !strings.HasSuffix(text, "[folded-stack profile written to "+cfg.ProfilePath+"]\n") {
 		t.Fatalf("err %v, report tail %q", err, text[max(0, len(text)-80):])
+	}
+	if n := strings.Count(text, "p99"); n != 1 {
+		t.Errorf("the access-latency summary appears %d times, want once:\n%s", n, text)
+	}
+	for _, line := range strings.Split(text, "\n") {
+		if strings.Contains(line, "micro") {
+			t.Errorf("report line names the deleted micro experiment: %q", line)
+		}
 	}
 	if data, err := os.ReadFile(cfg.ProfilePath); err != nil || len(data) == 0 {
 		t.Fatalf("folded profile: %d bytes, err %v", len(data), err)

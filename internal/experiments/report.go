@@ -189,11 +189,8 @@ func FormatFig16(r *Fig16Result) string {
 	fmt.Fprintf(&b, "Figure 16: access latency with prefetch disabled (write-invalidate)\n")
 	fmt.Fprintf(&b, "mean %.2f ms | p99 %.2f ms | max %.2f ms\n", r.MeanMS, r.P99MS, r.MaxMS)
 	b.WriteString(formatCDF(r.CDF, "ms"))
-	b.WriteString("\nCritical-path micro run (Fig. 16 workload, profiler on):\n")
-	fmt.Fprintf(&b, "  access latency: mean %.2f ms, p99 %.2f ms, max %.2f ms\n",
-		r.MeanMS, r.P99MS, r.MaxMS)
 	cov, dom := r.Report.ClassCoverage("demand-fetch")
-	fmt.Fprintf(&b, "  demand-fetch attribution: %.1f%% of latency named, dominant component %s\n",
+	fmt.Fprintf(&b, "\nDemand-fetch attribution: %.1f%% of latency named, dominant component %s\n",
 		100*cov, dom)
 	b.WriteString(r.Report.FormatAttribution())
 	return b.String()

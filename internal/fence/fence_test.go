@@ -465,3 +465,43 @@ func TestRecyclingNeverReclaimsActiveFences(t *testing.T) {
 		f.Signal()
 	}
 }
+
+// TestWatchdogDeadlineSparesRecycledSlot mirrors the device executor: a
+// watchdog wait is signalled in time, leaving its deadline queued, and the
+// fence's slot is recycled to a new fence that the same process waits on,
+// parked before the old deadline passes. The stale deadline must not wake
+// it: it stays parked until its own fence retires.
+func TestWatchdogDeadlineSparesRecycledSlot(t *testing.T) {
+	env := sim.NewEnv(1)
+	defer env.Close()
+	tab := NewTable(env)
+	old := tab.Alloc()
+	var cur Fence
+	env.After(ms, func() {
+		old.Signal()
+		for i := 0; i < tab.Capacity()*3; i++ {
+			if cur = tab.Alloc(); cur.slot == old.slot {
+				return
+			}
+			cur.Signal()
+		}
+	})
+	env.After(20*ms, func() { cur.Signal() })
+	var woke []time.Duration
+	env.Spawn("executor", func(p *sim.Proc) {
+		if !old.WaitTimeout(p, 10*ms) {
+			t.Error("watchdog wait timed out despite the signal")
+		}
+		woke = append(woke, p.Now())
+		if cur.slot != old.slot || cur.Signaled() {
+			t.Errorf("slot %d not reoccupied by an active fence", old.slot)
+			return
+		}
+		cur.Wait(p)
+		woke = append(woke, p.Now())
+	})
+	env.Run()
+	if len(woke) != 2 || woke[0] != ms || woke[1] != 20*ms {
+		t.Fatalf("executor resumed at %v, want [1ms 20ms]", woke)
+	}
+}

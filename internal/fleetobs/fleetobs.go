@@ -135,8 +135,11 @@ func (f *Fleet) ShardWindow(w *sim.ShardWindowStats) {
 }
 
 // HostWindow is the shared-host observer hook: fold one arbitration window
-// into the host plane and emit its counter samples.
+// into the host plane and emit its counter samples. It runs in a barrier
+// hook, before ShardWindow, so it stamps its samples at the window's own
+// barrier instant.
 func (f *Fleet) HostWindow(w *hostsim.SharedWindowStats) {
+	f.now = w.Now
 	f.hostWindows++
 	f.hostDemand += w.DemandBytes
 	f.hostBusy += w.BusyTime

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/hostsim"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -182,6 +183,46 @@ func TestStallAttributionCoverage(t *testing.T) {
 	}
 	if !strings.Contains(sr.FormatText(), fmt.Sprintf("%d windows", sr.Windows)) {
 		t.Fatalf("stall table missing the window count:\n%s", sr.FormatText())
+	}
+}
+
+// TestHostCountersShareTheirWindowBarrier drives a shard group with a
+// shared host under a traced fleet: the host counters of each window are
+// stamped at that window's barrier instant, the one its sched counters
+// carry, though the host hook runs before the fleet's clock reaches it.
+func TestHostCountersShareTheirWindowBarrier(t *testing.T) {
+	envs := stallRig(2, 20)
+	machs := make([]*hostsim.Machine, len(envs))
+	for i, e := range envs {
+		defer e.Close()
+		machs[i] = hostsim.HighEndDesktop(e)
+	}
+	g := sim.NewShardGroup(500*time.Microsecond, 1, envs...)
+	defer g.Close()
+	sh := hostsim.NewSharedHost(hostsim.SharedHostConfig{}, machs...)
+	sh.Attach(g)
+	tr := obs.NewTracer()
+	f := New(Config{Tenants: []TenantConfig{{Name: "a"}, {Name: "b"}}, Tracer: tr})
+	f.Attach(g, sh)
+	g.RunUntil(15 * time.Millisecond) // ticks run past the bound: no idle tail
+
+	var sched, host []time.Duration
+	for _, ev := range tr.Events() {
+		switch {
+		case ev.Phase != obs.PhaseCounter:
+		case tr.TrackName(ev.Track) == "fleet:sched" && ev.Name == "events":
+			sched = append(sched, ev.At)
+		case tr.TrackName(ev.Track) == "fleet:host" && ev.Name == "scale":
+			host = append(host, ev.At)
+		}
+	}
+	if len(sched) == 0 || len(host) != len(sched) {
+		t.Fatalf("%d sched windows, %d host windows: want equal and nonzero", len(sched), len(host))
+	}
+	for i := range sched {
+		if host[i] != sched[i] {
+			t.Fatalf("window %d: host counters at %v, sched counters at %v", i, host[i], sched[i])
+		}
 	}
 }
 

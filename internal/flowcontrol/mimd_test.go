@@ -130,7 +130,7 @@ func TestPacingBoundsInflight(t *testing.T) {
 	env := sim.NewEnv(1)
 	defer env.Close()
 	m := New(env)
-	hostQ := sim.NewQueue[int](env, 0)
+	hostQ := sim.NewQueue[int](env)
 	peak := 0
 	env.Spawn("guest", func(p *sim.Proc) {
 		for i := 0; i < 100; i++ {
@@ -138,7 +138,7 @@ func TestPacingBoundsInflight(t *testing.T) {
 			if m.inflight > peak {
 				peak = m.inflight
 			}
-			hostQ.Put(p, i)
+			hostQ.Put(i)
 		}
 	})
 	env.Spawn("host", func(p *sim.Proc) {

@@ -49,8 +49,8 @@ type BufferQueue struct {
 func NewBufferQueue(p *sim.Proc, mod *svm.Module, depth int, size hostsim.Bytes) (*BufferQueue, error) {
 	env := p.Env()
 	q := &BufferQueue{
-		free:   sim.NewQueue[*Buffer](env, 0),
-		filled: sim.NewQueue[*Buffer](env, 0),
+		free:   sim.NewQueue[*Buffer](env),
+		filled: sim.NewQueue[*Buffer](env),
 	}
 	for i := 0; i < depth; i++ {
 		h, err := mod.Alloc(p, size)
@@ -61,7 +61,7 @@ func NewBufferQueue(p *sim.Proc, mod *svm.Module, depth int, size hostsim.Bytes)
 		if err != nil {
 			return nil, err
 		}
-		q.free.TryPut(&Buffer{Handle: h, Region: id, Size: size})
+		q.free.Put(&Buffer{Handle: h, Region: id, Size: size})
 	}
 	return q, nil
 }
@@ -76,7 +76,7 @@ func (q *BufferQueue) Dequeue(p *sim.Proc) *Buffer { return q.free.Get(p) }
 func (q *BufferQueue) TryDequeue() (*Buffer, bool) { return q.free.TryGet() }
 
 // Queue hands a filled buffer to the consumer.
-func (q *BufferQueue) Queue(p *sim.Proc, b *Buffer) { q.filled.Put(p, b) }
+func (q *BufferQueue) Queue(b *Buffer) { q.filled.Put(b) }
 
 // Acquire blocks the consumer until a filled buffer is available.
 func (q *BufferQueue) Acquire(p *sim.Proc) *Buffer { return q.filled.Get(p) }
@@ -85,10 +85,10 @@ func (q *BufferQueue) Acquire(p *sim.Proc) *Buffer { return q.filled.Get(p) }
 func (q *BufferQueue) TryAcquire() (*Buffer, bool) { return q.filled.TryGet() }
 
 // Release returns a consumed buffer to the producer.
-func (q *BufferQueue) Release(p *sim.Proc, b *Buffer) {
+func (q *BufferQueue) Release(b *Buffer) {
 	b.Ticket = device.Ticket{}
 	b.PTS = 0
 	b.SourceTime = 0
 	b.Dirty = 0
-	q.free.Put(p, b)
+	q.free.Put(b)
 }

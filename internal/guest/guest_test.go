@@ -113,12 +113,12 @@ func TestBufferQueueCycle(t *testing.T) {
 		b := q.Dequeue(p)
 		b.Seq = 1
 		b.PTS = 42 * ms
-		q.Queue(p, b)
+		q.Queue(b)
 		got := q.Acquire(p)
 		if got.Seq != 1 || got.PTS != 42*ms {
 			t.Errorf("acquired wrong buffer: %+v", got)
 		}
-		q.Release(p, got)
+		q.Release(got)
 		if got.PTS != 0 {
 			t.Error("Release should clear frame metadata")
 		}
@@ -141,10 +141,10 @@ func TestBufferQueueProducerBlocksWhenExhausted(t *testing.T) {
 		env.Spawn("consumer", func(cp *sim.Proc) {
 			cp.Sleep(20 * ms)
 			b := q.Acquire(cp)
-			q.Release(cp, b)
+			q.Release(b)
 		})
-		q.Queue(p, q.Dequeue(p))
-		q.Queue(p, q.Dequeue(p))
+		q.Queue(q.Dequeue(p))
+		q.Queue(q.Dequeue(p))
 		_ = q.Dequeue(p) // blocks until consumer releases
 		blockedUntil = p.Now()
 	})
@@ -161,7 +161,7 @@ func TestBufferQueueFIFODelivery(t *testing.T) {
 		for i := int64(1); i <= 3; i++ {
 			b := q.Dequeue(p)
 			b.Seq = i
-			q.Queue(p, b)
+			q.Queue(b)
 		}
 		for i := int64(1); i <= 3; i++ {
 			if got := q.Acquire(p); got.Seq != i {
@@ -183,7 +183,7 @@ func TestBuffersDistinctRegions(t *testing.T) {
 				t.Error("duplicate region across buffers")
 			}
 			seen[b.Region] = true
-			q.Queue(p, b)
+			q.Queue(b)
 		}
 	})
 	env.Run()

@@ -306,7 +306,7 @@ func TestEventWakeOrderSurvivesRemoval(t *testing.T) {
 	})
 	env.Spawn("a", wait)
 	env.Spawn("b", wait)
-	env.SpawnAt(2*ms, "c", wait)
+	env.After(2*ms, func() { env.Spawn("c", wait) })
 	env.After(3*ms, ev.Signal)
 	env.Run()
 	if got := strings.Join(order, " "); got != "a b c" {
@@ -410,7 +410,7 @@ func TestRunWindowLeavesLimitEventPending(t *testing.T) {
 // loop, whose one-event bound keeps every wakeup queued and dispatch on the
 // driver. The seed fixes the scenario: 2-4 processes, each running a
 // script of about 30 operations over sleeps that tie other events, a
-// 1-slot queue, a mutex, an event, callbacks, child processes and callback
+// queue, a mutex, an event, callbacks, child processes and callback
 // chains, and the run bounds. A pump process signals the event and moves
 // items through the queue without blocking, so most blocked processes wake
 // again. Both drivers must leave equal logs, clocks and event counts at
@@ -441,14 +441,14 @@ const (
 	opSignal
 	opWait
 	opWaitTimeout
-	opAfter
-	opAfterFunc // Stop the previous timer, then arm a new one
+	opAfter     // a callback 0-7 µs from now
+	opAfterFull // a callback at the op's full delay, 1-8 µs: a timed wait's deadline
 	opSpawn
 	opChain // start a callback chain that takes the mutex by callback
 	numOps
 )
 
-var opNames = [numOps]string{"sleep0", "sleepneg", "sleep", "put", "get", "mutex", "signal", "wait", "waittimeout", "after", "afterfunc", "spawn", "chain"}
+var opNames = [numOps]string{"sleep0", "sleepneg", "sleep", "put", "get", "mutex", "signal", "wait", "waittimeout", "after", "afterfull", "spawn", "chain"}
 
 // scriptOp is one operation and its duration in microseconds (1-8). An
 // opChain also carries its chain's 1-3 continuation delays: zero, negative
@@ -498,7 +498,7 @@ func batonScenario(seed int64, useStep bool) string {
 		fmt.Fprintf(&b, format, args...)
 		fmt.Fprintf(&b, "@%v ", env.Now())
 	}
-	q := NewQueue[int](env, 1)
+	q := NewQueue[int](env)
 	mu := NewSemaphore(env, 1)
 	ev := NewEvent(env)
 	// startChain schedules a callback chain's first step at the current
@@ -530,7 +530,6 @@ func batonScenario(seed int64, useStep bool) string {
 		name := fmt.Sprintf("p%d", i)
 		env.Spawn(name, func(p *Proc) {
 			holding := false
-			var tmr Timer
 			for j, s := range script {
 				d := us(s.us)
 				res := ""
@@ -542,7 +541,7 @@ func batonScenario(seed int64, useStep bool) string {
 				case opSleep:
 					p.Sleep(d)
 				case opPut:
-					q.Put(p, i*1000+j)
+					q.Put(i*1000 + j)
 				case opGet:
 					res = fmt.Sprint(q.Get(p))
 				case opMutex:
@@ -562,10 +561,9 @@ func batonScenario(seed int64, useStep bool) string {
 				case opAfter:
 					cb := fmt.Sprintf("%s/cb%d", name, j)
 					env.After(d-time.Microsecond, func() { logf("%s", cb) })
-				case opAfterFunc:
-					res = fmt.Sprint(tmr.Stop())
-					cb := fmt.Sprintf("%s/tmr%d", name, j)
-					tmr = env.AfterFunc(d, func() { logf("%s", cb) })
+				case opAfterFull:
+					cb := fmt.Sprintf("%s/late%d", name, j)
+					env.After(d, func() { logf("%s", cb) })
 				case opSpawn:
 					child := fmt.Sprintf("%s/child%d", name, j)
 					env.Spawn(child, func(c *Proc) {
@@ -591,7 +589,8 @@ func batonScenario(seed int64, useStep bool) string {
 				ev.Reset()
 				logf("pump:signal")
 			case 1:
-				logf("pump:tryput%v", q.TryPut(-1))
+				q.Put(-1)
+				logf("pump:put")
 			case 2:
 				v, ok := q.TryGet()
 				logf("pump:tryget%v%v", v, ok)

@@ -1,12 +1,13 @@
 // Package bench microbenchmarks the sim scheduler core in isolation:
 // steady-state event throughput at several queue depths, the same-instant
-// zero-delay path, timer cancellation churn, and — driven by RunUntil, so
-// parking processes dispatch events themselves and sleepers take their own
-// wakeups in place — process wakeups passed between process coroutines,
-// callback chains alone and contending with a process, and short-lived
-// process churn. Every benchmark reports events/s and allocs/op; the
-// scheduler's contract is ~0 allocs/op once the queues reach steady state,
-// plus the Proc itself per spawn.
+// zero-delay path, timed waits signalled in time, and — driven by
+// RunUntil, so parking processes dispatch events themselves and sleepers
+// take their own wakeups in place — process wakeups passed between
+// process coroutines, callback chains alone and contending with a
+// process, and short-lived process churn. Every benchmark reports events/s
+// and allocs/op; the scheduler's contract is ~0 allocs/op once the queues
+// reach steady state, plus the Proc itself per spawn and a timed wait's
+// registration and deadline callback.
 //
 // Run with:
 //
@@ -66,27 +67,9 @@ func BenchmarkZeroDelay(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/s")
 }
 
-// BenchmarkTimerStop measures the schedule/stop cycle of cancellable
-// timeouts — the guard-timer pattern of Event.WaitTimeout, where almost
-// every timer is cancelled before it fires.
-func BenchmarkTimerStop(b *testing.B) {
-	env := sim.NewEnv(1)
-	defer env.Close()
-	tick := func() {}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t := env.AfterFunc(time.Millisecond, tick)
-		t.Stop()
-		env.RunUntil(env.Now() + time.Microsecond)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/s")
-}
-
 // BenchmarkWaitTimeoutSignaled measures the fired path of WaitTimeout: the
-// event signals in time, the guard timer is stopped, and neither side may
-// leak queue entries.
+// event signals in time, and the deadline each wait leaves queued runs as
+// a no-op once it passes, so a drained run leaves no queue entries.
 func BenchmarkWaitTimeoutSignaled(b *testing.B) {
 	env := sim.NewEnv(1)
 	defer env.Close()
@@ -114,7 +97,7 @@ func BenchmarkWaitTimeoutSignaled(b *testing.B) {
 	}
 	b.StopTimer()
 	if got := env.PendingEvents(); got != 0 {
-		b.Fatalf("PendingEvents = %d after drain, want 0 (leaked timers?)", got)
+		b.Fatalf("PendingEvents = %d after drain, want 0", got)
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "waits/s")
 }
@@ -150,18 +133,18 @@ func BenchmarkRunUntilSleep(b *testing.B) {
 func BenchmarkRunUntilPingPong(b *testing.B) {
 	env := sim.NewEnv(1)
 	defer env.Close()
-	ping := sim.NewQueue[int](env, 1)
-	pong := sim.NewQueue[int](env, 1)
+	ping := sim.NewQueue[int](env)
+	pong := sim.NewQueue[int](env)
 	env.Spawn("pinger", func(p *sim.Proc) {
 		for i := 0; ; i++ {
 			p.Sleep(time.Microsecond)
-			ping.Put(p, i)
+			ping.Put(i)
 			pong.Get(p)
 		}
 	})
 	env.Spawn("ponger", func(p *sim.Proc) {
 		for {
-			pong.Put(p, ping.Get(p))
+			pong.Put(ping.Get(p))
 		}
 	})
 	runUntil(b, env)

@@ -42,11 +42,11 @@ func BenchmarkProcessSwitch(b *testing.B) {
 func BenchmarkQueueHandoff(b *testing.B) {
 	env := NewEnv(1)
 	defer env.Close()
-	q := NewQueue[int](env, 0)
+	q := NewQueue[int](env)
 	n := b.N
 	env.Spawn("producer", func(p *Proc) {
 		for i := 0; i < n; i++ {
-			q.Put(p, i)
+			q.Put(i)
 			p.Sleep(0)
 		}
 	})

@@ -14,9 +14,12 @@
 // surfaces from the run that resumed it, naming the process.
 //
 // Processes block with the primitives in this package: Sleep, Event (one-shot
-// broadcast), Queue (FIFO channel), and Semaphore (counted resource). These
-// are the building blocks for the hardware, transport, and guest-OS models in
-// the rest of the repository.
+// broadcast, with an optional deadline), Queue (unbounded FIFO channel: only
+// Get blocks), and Semaphore (counted resource). These are the building
+// blocks for the hardware, transport, and guest-OS models in the rest of the
+// repository. Every queued event is a process resume or a plain callback;
+// nothing is cancelled, so a timed wait signalled in time leaves its
+// deadline queued as a no-op until it passes.
 //
 // A callback chain is the second, stackless kind of process, for work that
 // is a fixed sequence of run-to-completion steps, such as a coherence push

@@ -31,7 +31,6 @@ type event struct {
 	seq  uint64 // tie-breaker: FIFO among events at the same instant
 	proc *Proc  // non-nil: resume this process
 	fn   func() // non-nil: run this callback in scheduler context
-	tmr  *timerRec
 }
 
 // eventBefore is the scheduling order: earliest timestamp first, FIFO within
@@ -41,36 +40,6 @@ func eventBefore(a, b *event) bool {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
-}
-
-// timerRec is the cancellation record behind a Timer handle. Records are
-// recycled through the Env's free list; the generation counter invalidates
-// stale handles to recycled records.
-type timerRec struct {
-	gen       uint64
-	cancelled bool
-	fn        func()
-	next      *timerRec // free-list link
-}
-
-// Timer is a handle on a pending AfterFunc callback.
-type Timer struct {
-	env *Env
-	rec *timerRec
-	gen uint64
-}
-
-// Stop cancels the callback, reporting whether it was still pending. A
-// stopped callback never runs; its closure is released immediately and the
-// queue slot is reclaimed lazily as the scheduler reaches it.
-func (t Timer) Stop() bool {
-	if t.rec == nil || t.rec.gen != t.gen || t.rec.cancelled {
-		return false
-	}
-	t.rec.cancelled = true
-	t.rec.fn = nil
-	t.env.dead++
-	return true
 }
 
 // Env is a simulation environment: a virtual clock, an event queue, and the
@@ -91,7 +60,6 @@ type Env struct {
 	fifo     []event // events at the current instant, FIFO from fifoHead
 	fifoHead int
 	seq      uint64
-	dead     int // stopped timers still buried in the queues
 	rng      *rand.Rand
 	current  *Proc // process currently executing, if any
 	closed   bool
@@ -115,8 +83,7 @@ type Env struct {
 	fault     any
 	resumes   uint64 // coroutine resumes by drive, for schedEvery
 
-	timerFree  *timerRec // recycled cancellation records
-	waiterFree *waiter   // recycled park registrations
+	waiterFree *waiter // recycled park registrations
 
 	// executed counts events executed, in-place wakeups included:
 	// the simulator-throughput numerator the shardscale farm reports as
@@ -176,16 +143,12 @@ func (e *Env) Profiler() *prof.Profiler { return e.profiler }
 
 // schedule inserts an event at absolute time at (clamped to now).
 func (e *Env) schedule(at Time, p *Proc, fn func()) {
-	e.push(event{at: at, proc: p, fn: fn})
-}
-
-func (e *Env) push(ev event) {
-	if ev.at < e.now {
-		ev.at = e.now
+	if at < e.now {
+		at = e.now
 	}
-	ev.seq = e.seq
+	ev := event{at: at, seq: e.seq, proc: p, fn: fn}
 	e.seq++
-	if ev.at == e.now {
+	if at == e.now {
 		// Same-instant fast path: the ring preserves FIFO order and skips
 		// the heap's sift entirely.
 		e.fifo = append(e.fifo, ev)
@@ -203,88 +166,28 @@ func (e *Env) After(d Time, fn func()) {
 	e.schedule(e.now+d, nil, fn)
 }
 
-// AfterFunc schedules fn like After and returns a Timer that can cancel it.
-// The cancellation record comes from a free list, so the steady-state
-// schedule/fire/stop cycle does not allocate.
-func (e *Env) AfterFunc(d Time, fn func()) Timer {
-	if fn == nil {
-		panic("sim: AfterFunc with nil callback")
-	}
-	rec := e.allocTimer()
-	rec.fn = fn
-	e.push(event{at: e.now + d, tmr: rec})
-	return Timer{env: e, rec: rec, gen: rec.gen}
-}
-
-func (e *Env) allocTimer() *timerRec {
-	if r := e.timerFree; r != nil {
-		e.timerFree = r.next
-		r.next = nil
-		return r
-	}
-	return &timerRec{}
-}
-
-// releaseTimer recycles a record once its event leaves the queue, bumping
-// the generation so outstanding handles go stale.
-func (e *Env) releaseTimer(r *timerRec) {
-	r.gen++
-	r.cancelled = false
-	r.fn = nil
-	r.next = e.timerFree
-	e.timerFree = r
-}
-
 // getWaiter recycles or allocates a park registration.
 func (e *Env) getWaiter(p *Proc) *waiter {
 	if w := e.waiterFree; w != nil {
 		e.waiterFree = w.next
-		w.p, w.woke, w.timedOut, w.need, w.next = p, false, false, 0, nil
+		w.p, w.woke, w.need, w.next = p, false, 0, nil
 		return w
 	}
 	return &waiter{p: p}
 }
 
 // putWaiter returns a registration to the free list. Callers must guarantee
-// no wait list or timer closure still references it.
+// no wait list still references it.
 func (e *Env) putWaiter(w *waiter) {
 	w.p, w.fn = nil, nil
 	w.next = e.waiterFree
 	e.waiterFree = w
 }
 
-// prune discards stopped timer events sitting at the head of either queue so
-// peeks and pops only ever see live events. With no stopped timers buried
-// (the overwhelmingly common case) it is a single counter check.
-func (e *Env) prune() {
-	if e.dead == 0 {
-		return
-	}
-	for e.fifoHead < len(e.fifo) {
-		ev := &e.fifo[e.fifoHead]
-		if ev.tmr == nil || !ev.tmr.cancelled {
-			break
-		}
-		e.releaseTimer(ev.tmr)
-		e.dead--
-		*ev = event{}
-		e.fifoHead++
-	}
-	if e.fifoHead == len(e.fifo) && len(e.fifo) > 0 {
-		e.fifo = e.fifo[:0]
-		e.fifoHead = 0
-	}
-	for len(e.heap) > 0 && e.heap[0].tmr != nil && e.heap[0].tmr.cancelled {
-		ev := e.heapPop()
-		e.releaseTimer(ev.tmr)
-		e.dead--
-	}
-}
-
-// pop removes the earliest live event from pruned, non-empty queues. Heap
-// entries at the current instant carry smaller sequence numbers than
-// anything in the ring (they were pushed before the clock reached now), so
-// they drain first.
+// pop removes the earliest event from non-empty queues. Heap entries at
+// the current instant carry smaller sequence numbers than anything in the
+// ring (they were pushed before the clock reached now), so they drain
+// first.
 func (e *Env) pop() event {
 	if e.fifoHead < len(e.fifo) {
 		if len(e.heap) > 0 && e.heap[0].at <= e.now {
@@ -302,9 +205,8 @@ func (e *Env) pop() event {
 	return e.heapPop()
 }
 
-// nextAt returns the timestamp of the earliest live event.
+// nextAt returns the timestamp of the earliest event.
 func (e *Env) nextAt() (Time, bool) {
-	e.prune()
 	if e.fifoHead < len(e.fifo) {
 		return e.now, true
 	}
@@ -321,10 +223,10 @@ func (e *Env) inBound(at Time) bool {
 }
 
 // wakeInPlace is the in-place rule of Proc.Sleep and SleepFunc. It returns
-// the wakeup instant d from now (a negative d sleeps zero time, as push
+// the wakeup instant d from now (a negative d sleeps zero time, as schedule
 // clamps it) and takes that wakeup in place when it is provably the next
 // event dispatch pops: a run that is not Step's one-event bound is in
-// progress on an open Env, the instant is inside its bound, and every live
+// progress on an open Env, the instant is inside its bound, and every
 // queued event is strictly later. A queued event at that instant was
 // scheduled first and runs first. Taking the wakeup advances the clock and
 // counts one executed event, with nothing queued, so the event order and
@@ -432,10 +334,6 @@ func (e *Env) dispatch(self *Proc) (h handoff) {
 		e.now = ev.at
 		e.executed++
 		switch {
-		case ev.tmr != nil:
-			fn := ev.tmr.fn
-			e.releaseTimer(ev.tmr)
-			fn()
 		case ev.fn != nil:
 			ev.fn()
 		case ev.proc.state == procDone:
@@ -511,10 +409,9 @@ func (e *Env) runWindow(limit Time, inclusive bool) {
 // regardless of how the run is windowed.
 func (e *Env) ExecutedEvents() uint64 { return e.executed }
 
-// PendingEvents returns the number of live scheduled events; stopped timers
-// awaiting lazy reclamation are not counted.
+// PendingEvents returns the number of scheduled events.
 func (e *Env) PendingEvents() int {
-	return len(e.heap) + (len(e.fifo) - e.fifoHead) - e.dead
+	return len(e.heap) + (len(e.fifo) - e.fifoHead)
 }
 
 // Close aborts every live process and stops every carrier coroutine, and
@@ -556,8 +453,6 @@ func (e *Env) discardEvents() {
 	e.heap = nil
 	e.fifo = nil
 	e.fifoHead = 0
-	e.dead = 0
-	e.timerFree = nil
 	e.waiterFree = nil
 }
 

@@ -1,11 +1,11 @@
 package sim
 
-// waiter records one parked process, or one callback chain queued on a
-// Semaphore, awaiting a wakeup. The woke flag ensures a process receives at
+// waiter records one process parked on an Event or a Semaphore, or one
+// callback chain queued on a Semaphore, awaiting a wakeup. The woke flag ensures a process receives at
 // most one resume per registration even when several wake sources race at
 // the same instant (e.g. a signal and a timeout). Waiters are recycled
 // through the Env's free list once their registration is provably
-// unreferenced.
+// unreferenced; a timed wait's is allocated instead (WaitTimeout).
 type waiter struct {
 	p        *Proc
 	fn       func() // non-nil: the chain's next step, scheduled on grant
@@ -110,18 +110,20 @@ func (ev *Event) Wait(p *Proc) {
 }
 
 // WaitTimeout blocks p until the event fires or d elapses. It reports true
-// when the event fired, false on timeout. Whichever path loses is torn down
-// eagerly: a fired event stops its timeout timer, and a timeout removes the
-// waiter from the event's list, so neither outcome leaves the other
-// registration pinning memory or inflating PendingEvents.
+// when the event fired, false on timeout. The deadline is a plain After
+// callback that does nothing once the waiter is woken, so a wait signalled
+// in time leaves a no-op event queued until its deadline passes; a timeout
+// removes the waiter from the event's list, so a late Signal has nothing to
+// wake. The registration is allocated, not recycled: the deadline callback
+// may read it after p resumes.
 func (ev *Event) WaitTimeout(p *Proc, d Time) bool {
 	if ev.fired {
 		return true
 	}
 	env := ev.env // as in Wait: nothing is read from ev after park
-	w := env.getWaiter(p)
+	w := &waiter{p: p}
 	ev.addWaiter(w)
-	t := env.AfterFunc(d, func() {
+	env.After(d, func() {
 		// Still registered, so ev has not fired and cannot have been
 		// reset or recycled.
 		if !w.woke {
@@ -132,12 +134,5 @@ func (ev *Event) WaitTimeout(p *Proc, d Time) bool {
 		}
 	})
 	p.park()
-	timedOut := w.timedOut
-	if !timedOut {
-		t.Stop()
-	}
-	// The timer either fired or was stopped, so its closure — the only
-	// other reference to w — is gone and the registration can be recycled.
-	env.putWaiter(w)
-	return !timedOut
+	return !w.timedOut
 }

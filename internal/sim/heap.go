@@ -5,7 +5,7 @@ package sim
 // layout removes the per-event allocation and the interface dispatch on
 // every comparison, and the 4-way fan-out halves the sift depth versus a binary heap.
 // Both sifts move the displaced element through a hole instead of swapping,
-// so each level costs one 40-byte copy rather than three.
+// so each level costs one 32-byte copy rather than three.
 
 const heapArity = 4
 
@@ -29,7 +29,7 @@ func (e *Env) heapPop() event {
 	top := h[0]
 	n := len(h) - 1
 	moved := h[n]
-	h[n] = event{} // release proc/fn/tmr references
+	h[n] = event{} // release proc/fn references
 	e.heap = h[:n]
 	if n > 0 {
 		h = h[:n]

@@ -39,22 +39,17 @@ type carrier struct {
 }
 
 // Spawn starts fn as a new process at the current instant. The process
-// begins executing when the scheduler reaches its start event.
+// begins executing when the scheduler reaches its start event. It reuses a
+// free carrier when one is pooled, so steady-state process churn creates
+// no coroutines.
 func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
-	return e.SpawnAt(e.now, name, fn)
-}
-
-// SpawnAt starts fn as a new process at absolute time at. It reuses a free
-// carrier when one is pooled, so steady-state process churn creates no
-// coroutines.
-func (e *Env) SpawnAt(at Time, name string, fn func(p *Proc)) *Proc {
 	if e.closed {
 		panic("sim: Spawn on closed Env")
 	}
 	c := e.freeCarrier()
 	p := &Proc{env: e, name: name, c: c}
 	c.p, c.fn = p, fn
-	e.schedule(at, p, nil)
+	e.schedule(e.now, p, nil)
 	return p
 }
 

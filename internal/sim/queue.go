@@ -1,69 +1,37 @@
 package sim
 
-// Queue is a FIFO channel between processes. A zero capacity means
-// unbounded; otherwise Put blocks while the queue is full. Wakeups are FIFO
-// so contention resolves deterministically.
+// Queue is an unbounded FIFO channel between processes: Put never blocks,
+// and Get blocks while the queue is empty. Wakeups are FIFO so contention
+// resolves deterministically.
 type Queue[T any] struct {
-	env        *Env
-	items      fifo[T]
-	cap        int
-	getWaiters fifo[*waiter]
-	putWaiters fifo[*waiter]
+	env     *Env
+	items   fifo[T]
+	getters fifo[*Proc] // processes parked in Get, longest-waiting first
 }
 
-// NewQueue returns a queue bound to env. capacity <= 0 means unbounded.
-func NewQueue[T any](env *Env, capacity int) *Queue[T] {
-	return &Queue[T]{env: env, cap: capacity}
-}
+// NewQueue returns an empty queue bound to env.
+func NewQueue[T any](env *Env) *Queue[T] { return &Queue[T]{env: env} }
 
 // Len returns the number of buffered items.
 func (q *Queue[T]) Len() int { return q.items.len() }
 
-func (q *Queue[T]) wakeOne(ws *fifo[*waiter]) {
-	for ws.len() > 0 {
-		if w := ws.pop(); !w.woke {
-			w.woke = true
-			q.env.schedule(q.env.now, w.p, nil)
-			return
-		}
-	}
-}
-
-func (q *Queue[T]) full() bool { return q.cap > 0 && q.items.len() >= q.cap }
-
-// Put appends v, blocking while a bounded queue is full.
-func (q *Queue[T]) Put(p *Proc, v T) {
-	for q.full() {
-		w := q.env.getWaiter(p)
-		q.putWaiters.push(w)
-		p.park()
-		q.env.putWaiter(w) // woken waiters have left the wait list
-	}
+// Put appends v and wakes the longest-waiting Get. It may be called from
+// process or scheduler context.
+func (q *Queue[T]) Put(v T) {
 	q.items.push(v)
-	q.wakeOne(&q.getWaiters)
-}
-
-// TryPut appends v without blocking, reporting whether it fit.
-func (q *Queue[T]) TryPut(v T) bool {
-	if q.full() {
-		return false
+	if q.getters.len() > 0 {
+		q.env.schedule(q.env.now, q.getters.pop(), nil)
 	}
-	q.items.push(v)
-	q.wakeOne(&q.getWaiters)
-	return true
 }
 
 // Get removes and returns the head item, blocking while the queue is empty.
+// A woken getter that finds the item taken waits again, behind the others.
 func (q *Queue[T]) Get(p *Proc) T {
 	for q.items.len() == 0 {
-		w := q.env.getWaiter(p)
-		q.getWaiters.push(w)
+		q.getters.push(p)
 		p.park()
-		q.env.putWaiter(w) // woken waiters have left the wait list
 	}
-	v := q.items.pop()
-	q.wakeOne(&q.putWaiters)
-	return v
+	return q.items.pop()
 }
 
 // TryGet removes and returns the head item without blocking.
@@ -72,7 +40,5 @@ func (q *Queue[T]) TryGet() (T, bool) {
 		var zero T
 		return zero, false
 	}
-	v := q.items.pop()
-	q.wakeOne(&q.putWaiters)
-	return v, true
+	return q.items.pop(), true
 }

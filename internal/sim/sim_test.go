@@ -196,7 +196,7 @@ func TestEventWaitTimeoutSignaledFirst(t *testing.T) {
 func TestQueueFIFO(t *testing.T) {
 	env := NewEnv(1)
 	defer env.Close()
-	q := NewQueue[int](env, 0)
+	q := NewQueue[int](env)
 	var got []int
 	env.Spawn("consumer", func(p *Proc) {
 		for i := 0; i < 3; i++ {
@@ -206,7 +206,7 @@ func TestQueueFIFO(t *testing.T) {
 	env.Spawn("producer", func(p *Proc) {
 		for i := 0; i < 3; i++ {
 			p.Sleep(1 * ms)
-			q.Put(p, i)
+			q.Put(i)
 		}
 	})
 	env.Run()
@@ -220,7 +220,7 @@ func TestQueueFIFO(t *testing.T) {
 func TestQueueGetBlocksUntilPut(t *testing.T) {
 	env := NewEnv(1)
 	defer env.Close()
-	q := NewQueue[string](env, 0)
+	q := NewQueue[string](env)
 	var at Time
 	env.Spawn("consumer", func(p *Proc) {
 		q.Get(p)
@@ -228,7 +228,7 @@ func TestQueueGetBlocksUntilPut(t *testing.T) {
 	})
 	env.Spawn("producer", func(p *Proc) {
 		p.Sleep(6 * ms)
-		q.Put(p, "x")
+		q.Put("x")
 	})
 	env.Run()
 	if at != 6*ms {
@@ -236,50 +236,33 @@ func TestQueueGetBlocksUntilPut(t *testing.T) {
 	}
 }
 
-func TestQueueBoundedPutBlocks(t *testing.T) {
-	env := NewEnv(1)
-	defer env.Close()
-	q := NewQueue[int](env, 2)
-	var secondPutAt Time
-	env.Spawn("producer", func(p *Proc) {
-		q.Put(p, 1)
-		q.Put(p, 2)
-		q.Put(p, 3) // blocks until consumer drains one
-		secondPutAt = p.Now()
-	})
-	env.Spawn("consumer", func(p *Proc) {
-		p.Sleep(5 * ms)
-		q.Get(p)
-	})
-	env.Run()
-	if secondPutAt != 5*ms {
-		t.Fatalf("blocked Put completed at %v, want 5ms", secondPutAt)
-	}
-}
-
+// TestQueueTryGetTryPut: TryGet never blocks, on an empty queue or a
+// filled one, and Put never blocks either, however many items it buffers.
 func TestQueueTryGetTryPut(t *testing.T) {
 	env := NewEnv(1)
 	defer env.Close()
-	q := NewQueue[int](env, 1)
+	q := NewQueue[int](env)
 	if _, ok := q.TryGet(); ok {
 		t.Fatal("TryGet on empty queue should fail")
 	}
-	if !q.TryPut(42) {
-		t.Fatal("TryPut on empty bounded queue should succeed")
-	}
-	if q.TryPut(43) {
-		t.Fatal("TryPut on full queue should fail")
-	}
+	q.Put(42)
+	q.Put(43)
 	v, ok := q.TryGet()
 	if !ok || v != 42 {
 		t.Fatalf("TryGet = %d, %v; want 42, true", v, ok)
+	}
+	if v, ok := q.TryGet(); !ok || v != 43 {
+		t.Fatalf("second TryGet = %d, %v; want 43, true", v, ok)
+	}
+	if _, ok := q.TryGet(); ok {
+		t.Fatal("TryGet on a drained queue should fail")
 	}
 }
 
 func TestQueueMultipleConsumersFIFO(t *testing.T) {
 	env := NewEnv(1)
 	defer env.Close()
-	q := NewQueue[int](env, 0)
+	q := NewQueue[int](env)
 	var got [2]int
 	for i := 0; i < 2; i++ {
 		i := i
@@ -287,9 +270,9 @@ func TestQueueMultipleConsumersFIFO(t *testing.T) {
 	}
 	env.Spawn("p", func(p *Proc) {
 		p.Sleep(1 * ms)
-		q.Put(p, 10)
+		q.Put(10)
 		p.Sleep(1 * ms)
-		q.Put(p, 20)
+		q.Put(20)
 	})
 	env.Run()
 	if got[0] != 10 || got[1] != 20 {
@@ -419,12 +402,12 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 		env := NewEnv(42)
 		defer env.Close()
 		var stamps []Time
-		q := NewQueue[int](env, 0)
+		q := NewQueue[int](env)
 		for i := 0; i < 4; i++ {
 			env.Spawn("prod", func(p *Proc) {
 				for j := 0; j < 10; j++ {
 					p.Sleep(Time(env.Rand().Intn(5)+1) * ms)
-					q.Put(p, j)
+					q.Put(j)
 				}
 			})
 		}
@@ -445,17 +428,6 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("stamp %d differs: %v vs %v", i, a[i], b[i])
 		}
-	}
-}
-
-func TestSpawnAt(t *testing.T) {
-	env := NewEnv(1)
-	defer env.Close()
-	var started Time = -1
-	env.SpawnAt(9*ms, "late", func(p *Proc) { started = p.Now() })
-	env.Run()
-	if started != 9*ms {
-		t.Fatalf("started at %v, want 9ms", started)
 	}
 }
 
@@ -543,12 +515,12 @@ func TestProcAccessors(t *testing.T) {
 func TestQueueLen(t *testing.T) {
 	env := NewEnv(1)
 	defer env.Close()
-	q := NewQueue[string](env, 0)
+	q := NewQueue[string](env)
 	if q.Len() != 0 {
 		t.Fatalf("Len = %d on an empty queue, want 0", q.Len())
 	}
-	q.TryPut("a")
-	q.TryPut("b")
+	q.Put("a")
+	q.Put("b")
 	if q.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", q.Len())
 	}

@@ -6,99 +6,42 @@ import (
 	"time"
 )
 
-// pending reports whether a timer's callback has yet to fire or be stopped.
-func pending(t Timer) bool {
-	return t.rec != nil && t.rec.gen == t.gen && !t.rec.cancelled
-}
-
-func TestTimerStopCancels(t *testing.T) {
+// TestWaitTimeoutStaleDeadlineWakesNobody pins the timed-wait contract: a
+// waiter signalled in time resumes once, at the signal, and the deadline
+// it leaves queued does nothing when it passes, though by then the event
+// has been reset and the same process and a later one both wait on it
+// again.
+func TestWaitTimeoutStaleDeadlineWakesNobody(t *testing.T) {
 	env := NewEnv(1)
 	defer env.Close()
-	fired := false
-	tm := env.AfterFunc(10*time.Millisecond, func() { fired = true })
-	if !pending(tm) {
-		t.Fatal("timer not pending after AfterFunc")
-	}
-	if env.PendingEvents() != 1 {
-		t.Fatalf("PendingEvents = %d, want 1", env.PendingEvents())
-	}
-	if !tm.Stop() {
-		t.Fatal("Stop returned false on a pending timer")
-	}
-	if pending(tm) {
-		t.Fatal("timer still pending after Stop")
-	}
-	if env.PendingEvents() != 0 {
-		t.Fatalf("PendingEvents = %d after Stop, want 0 (cancelled timers must not count)", env.PendingEvents())
-	}
-	env.RunUntil(env.Now() + time.Second)
-	if fired {
-		t.Fatal("stopped timer fired")
-	}
-	if tm.Stop() {
-		t.Fatal("second Stop returned true")
-	}
-}
-
-func TestTimerStopAfterFire(t *testing.T) {
-	env := NewEnv(1)
-	defer env.Close()
-	fired := 0
-	tm := env.AfterFunc(time.Millisecond, func() { fired++ })
-	env.RunUntil(env.Now() + 10*time.Millisecond)
-	if fired != 1 {
-		t.Fatalf("timer fired %d times, want 1", fired)
-	}
-	if tm.Stop() {
-		t.Fatal("Stop returned true after the timer fired")
-	}
-	if pending(tm) {
-		t.Fatal("timer pending after firing")
-	}
-}
-
-// TestTimerHandleSurvivesRecycling checks that a stale handle stays inert
-// after its record is recycled into a new timer: stopping the old handle
-// must not cancel the new timer.
-func TestTimerHandleSurvivesRecycling(t *testing.T) {
-	env := NewEnv(1)
-	defer env.Close()
-	old := env.AfterFunc(time.Millisecond, func() {})
-	env.RunUntil(env.Now() + 10*time.Millisecond) // fires; record returns to the free list
-	fired := false
-	fresh := env.AfterFunc(time.Millisecond, func() { fired = true })
-	if old.Stop() {
-		t.Fatal("stale handle stopped a recycled record")
-	}
-	if !pending(fresh) {
-		t.Fatal("fresh timer lost its registration")
-	}
-	env.RunUntil(env.Now() + 10*time.Millisecond)
-	if !fired {
-		t.Fatal("fresh timer did not fire")
-	}
-}
-
-// TestWaitTimeoutSignaledLeavesNoTimer is the regression for the timeout
-// leak: when the event fires before the deadline, the guard timer must not
-// stay live in the queue pinning its closure and inflating PendingEvents.
-func TestWaitTimeoutSignaledLeavesNoTimer(t *testing.T) {
-	env := NewEnv(1)
 	ev := NewEvent(env)
-	env.Spawn("waiter", func(p *Proc) {
-		if !ev.WaitTimeout(p, time.Hour) {
-			t.Error("WaitTimeout reported timeout despite signal")
+	var timed []Time
+	env.Spawn("timed", func(p *Proc) {
+		if !ev.WaitTimeout(p, 10*ms) {
+			t.Error("WaitTimeout reported a timeout despite the signal")
 		}
+		timed = append(timed, p.Now())
+		ev.Wait(p)
+		timed = append(timed, p.Now())
 	})
-	env.Spawn("signaler", func(p *Proc) {
-		p.Sleep(time.Millisecond)
+	var later Time = -1
+	env.Spawn("later", func(p *Proc) {
+		p.Sleep(2 * ms)
+		ev.Wait(p)
+		later = p.Now()
+	})
+	env.After(ms, func() {
 		ev.Signal()
+		ev.Reset()
 	})
+	env.After(20*ms, ev.Signal)
 	env.Run()
-	if got := env.PendingEvents(); got != 0 {
-		t.Fatalf("PendingEvents = %d after drain, want 0 (stale timeout timer leaked)", got)
+	if len(timed) != 2 || timed[0] != ms || timed[1] != 20*ms {
+		t.Fatalf("timed waiter resumed at %v, want [1ms 20ms]", timed)
 	}
-	env.Close()
+	if later != 20*ms {
+		t.Fatalf("later waiter resumed at %v, want 20ms", later)
+	}
 }
 
 // TestWaitTimeoutExpiredLeavesNoWaiter checks the mirror-image teardown: a

@@ -112,7 +112,7 @@ type Ring struct {
 // NewRing returns a ring with unbounded descriptor capacity (flow control
 // is layered above, see internal/flowcontrol).
 func NewRing(env *sim.Env, name string, cfg Config) *Ring {
-	r := &Ring{cfg: cfg, q: sim.NewQueue[*Command](env, 0)}
+	r := &Ring{cfg: cfg, q: sim.NewQueue[*Command](env)}
 	if r.tr = env.Tracer(); r.tr != nil {
 		r.tk = r.tr.Track("vq:" + name)
 	}
@@ -150,7 +150,7 @@ func (r *Ring) Dispatch(p *sim.Proc, c *Command) {
 		// command in Recv.
 		r.tr.AsyncBegin(r.tk, "queued", c.Seq)
 	}
-	r.q.Put(p, c)
+	r.q.Put(c)
 	r.stats.Kicks++
 	if r.tr != nil {
 		r.tr.End(r.tk, sp)

@@ -33,7 +33,7 @@ func startVideoProducer(e *emulator.Emulator, spec *Spec, q *guest.BufferQueue, 
 			b.Ticket = tk
 			b.Seq = seq
 			b.PTS = time.Duration(seq) * period
-			q.Queue(p, b)
+			q.Queue(b)
 		}
 	})
 }
@@ -81,7 +81,7 @@ func startCameraPipeline(p *sim.Proc, e *emulator.Emulator, spec *Spec, out *gue
 			b.Ticket = tk
 			b.Seq = seq
 			b.PTS = time.Duration(seq) * period
-			camQ.Queue(cp, b)
+			camQ.Queue(b)
 		}
 	})
 	e.Env.Spawn("isp-stage", func(ip *sim.Proc) {
@@ -101,8 +101,8 @@ func startCameraPipeline(p *sim.Proc, e *emulator.Emulator, spec *Spec, out *gue
 			outB.PTS = in.PTS
 			outB.SourceTime = in.SourceTime
 			wt.Wait(ip) // converted frame available
-			camQ.Release(ip, in)
-			out.Queue(ip, outB)
+			camQ.Release(in)
+			out.Queue(outB)
 		}
 	})
 	return nil
@@ -141,7 +141,7 @@ func startLivestreamPipeline(p *sim.Proc, e *emulator.Emulator, spec *Spec, out 
 			b.Ticket = tk
 			b.Seq = seq
 			b.PTS = time.Duration(seq) * period
-			nicQ.Queue(np, b)
+			nicQ.Queue(b)
 		}
 	})
 	e.Env.Spawn("stream-decoder", func(dp *sim.Proc) {
@@ -161,8 +161,8 @@ func startLivestreamPipeline(p *sim.Proc, e *emulator.Emulator, spec *Spec, out 
 			outB.PTS = in.PTS
 			outB.SourceTime = in.SourceTime
 			wt.Wait(dp) // decoded frame available
-			nicQ.Release(dp, in)
-			out.Queue(dp, outB)
+			nicQ.Release(in)
+			out.Queue(outB)
 		}
 	})
 	return nil

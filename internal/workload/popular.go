@@ -127,7 +127,7 @@ func startFrameLoop(e *emulator.Emulator, spec *Spec, q *guest.BufferQueue, stop
 			}
 			b.Seq = seq
 			b.PTS = time.Duration(seq) * period
-			q.Queue(rp, b)
+			q.Queue(b)
 		}
 	})
 }

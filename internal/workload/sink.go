@@ -122,7 +122,7 @@ type shownFrame struct {
 const noDeadline = time.Duration(math.MaxInt64)
 
 func (s *sink) run(p *sim.Proc) {
-	s.shown, s.displayed = sim.NewQueue[shownFrame](p.Env(), 0), s.display
+	s.shown, s.displayed = sim.NewQueue[shownFrame](p.Env()), s.display
 	period := s.spec.FramePeriod()
 	tol := s.spec.StaleTolerance
 	pf := s.e.Env.Profiler()
@@ -156,7 +156,7 @@ func (s *sink) run(p *sim.Proc) {
 				// Renderer-limited backlog: discard the stale frame
 				// without rendering (releaseOutputBuffer(render=false)).
 				s.drop(p.Now(), true)
-				s.q.Release(p, b)
+				s.q.Release(b)
 				continue
 			}
 			if wait := sched - p.Now(); wait > 0 {
@@ -178,7 +178,7 @@ func (s *sink) run(p *sim.Proc) {
 					break
 				}
 				s.drop(p.Now(), true)
-				s.q.Release(p, b)
+				s.q.Release(b)
 				b = nb
 			}
 			vsStart := p.Now()
@@ -207,7 +207,7 @@ func (s *sink) run(p *sim.Proc) {
 				Exec: s.e.RenderCost(s.ui.mp), After: last, Commands: 20,
 			})
 		}
-		s.shown.TryPut(shownFrame{deadline: deadline, src: b.SourceTime, node: frame})
+		s.shown.Put(shownFrame{deadline: deadline, src: b.SourceTime, node: frame})
 		s.e.Display.Submit(p, device.Op{
 			Kind: device.OpExec, Exec: 200 * time.Microsecond, After: last, Commands: 4,
 			OnComplete: s.displayed,
@@ -218,7 +218,7 @@ func (s *sink) run(p *sim.Proc) {
 		if pf != nil {
 			pf.Wait(p, "ready:wait", readyStart, last.ProfNode())
 		}
-		s.q.Release(p, b)
+		s.q.Release(b)
 	}
 	pf.Bind(p, nil)
 }
